@@ -1,7 +1,9 @@
 // Benchmarks for the durability tax: what one fsync'd WAL append costs in
 // isolation (BenchmarkWALAppend*, with the realistic payload of a full
-// LSTM client update — CI gates BenchmarkWALAppend at 5% of the LSTM
-// round so durability stays off the hot path), and what a whole
+// LSTM client update — as decoded f64 weights, the Controller's record,
+// and BenchmarkWALAppendPayload as the int8 uplink the networked Server
+// logs verbatim; CI gates BenchmarkWALAppend at 5% of the LSTM round so
+// durability stays off the hot path), and what a whole
 // WAL-backed federated round costs relative to the identical round
 // without one (BenchmarkTable3_FLRoundDurableLSTM vs
 // BenchmarkTable3_FLRoundLSTM, tracked in the scoreboard JSON; the
@@ -56,6 +58,31 @@ func BenchmarkWALAppend(b *testing.B) { benchmarkWALAppend(b, durable.Options{})
 // BenchmarkWALAppendNoSync isolates the encode+CRC+write cost from the
 // fsync, which dominates the durable variant.
 func BenchmarkWALAppendNoSync(b *testing.B) { benchmarkWALAppend(b, durable.Options{NoSync: true}) }
+
+// BenchmarkWALAppendPayload is BenchmarkWALAppend for the record the
+// networked server logs: the same LSTM update as its int8 uplink payload,
+// verbatim, not re-encoded as f64 — an eighth of the bytes to CRC, write
+// and fsync.
+func BenchmarkWALAppendPayload(b *testing.B) {
+	payload, err := fl.Int8Codec{}.Encode(benchWALWeights(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wal, err := durable.Open(filepath.Join(b.TempDir(), "bench.wal"), durable.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer wal.Close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := wal.Append(&durable.Record{
+			Type: durable.RecUpdatePayload, Round: i, Client: "site-0",
+			NumSamples: 64, TrainLoss: 0.5, Payload: payload,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkWALAppendLazy is the group-committed path the round gather
 // actually uses: the caller pays encode+write, the background syncer

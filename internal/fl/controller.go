@@ -67,9 +67,10 @@ type ControllerConfig struct {
 	Clock Clock
 	// WAL, when non-nil, makes the run durable: every round lifecycle
 	// event (round open, task assignment, update receipt, model commit)
-	// is appended and fsync'd before the run proceeds, and Run resumes
-	// from the WAL's recovered state — the last committed model, plus any
-	// open round's already-received updates — instead of initialWeights.
+	// is appended as it happens and group-committed by the WAL's
+	// background syncer, and Run resumes from the WAL's recovered state —
+	// the last committed model, plus any open round's already-received
+	// updates — instead of initialWeights.
 	// A crashed run restarted over the same WAL (with the same executors
 	// and config) converges to the same final model as an uninterrupted
 	// one, because updates are stored at full precision and aggregation
@@ -551,16 +552,22 @@ drain:
 	var sampled []Executor
 	var preSeeded []*ClientUpdate
 	if resume != nil {
+		seeded := make(map[string]bool, len(resume.Updates))
 		for _, u := range resume.Updates {
-			preSeeded = append(preSeeded, &ClientUpdate{
-				ClientName: u.Client, Round: round, Weights: u.Weights,
-				NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
-				PayloadBytes: u.PayloadBytes,
-			})
+			cu, err := recoveredUpdate(u, round)
+			if err != nil {
+				// Lost, not fatal: the client re-executes below like any
+				// other tasked-but-unheard one.
+				rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", u.Client, err))
+				c.met.failure("reject")
+				continue
+			}
+			preSeeded = append(preSeeded, cu)
+			seeded[u.Client] = true
 		}
 		for _, name := range resume.Tasked {
 			rec.Sampled = append(rec.Sampled, name)
-			if resume.HasUpdate(name) {
+			if seeded[name] {
 				continue
 			}
 			ex, ok := c.byName[name]
@@ -684,6 +691,27 @@ gather:
 			round, len(updates), quorum, rec.Failures)
 	}
 	return updates, late, nil
+}
+
+// recoveredUpdate turns an update replayed from the WAL into the
+// ClientUpdate a resumed round aggregates, whichever record kind logged
+// it: a RecUpdate's weights as they are, a RecUpdatePayload's uplink
+// through DecodeWeights — the very decode the live round aggregated, so
+// the resumed aggregate is bit-identical. An error means the payload no
+// longer decodes; callers treat the update as never received.
+func recoveredUpdate(u *durable.Update, round int) (*ClientUpdate, error) {
+	weights := u.Weights
+	if weights == nil {
+		var err error
+		if weights, err = DecodeWeights(u.Payload); err != nil {
+			return nil, fmt.Errorf("update recovered from WAL unusable: %w", err)
+		}
+	}
+	return &ClientUpdate{
+		ClientName: u.Client, Round: round, Weights: weights,
+		NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
+		PayloadBytes: u.PayloadBytes,
+	}, nil
 }
 
 // dispatch starts one executor on the round's task.

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"testing"
 
 	"clinfl/internal/tensor"
@@ -22,6 +23,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		{Type: RecModelCommit, Round: 12, Weights: map[string]*tensor.Matrix{
 			"b": tensor.MustFromSlice(1, 1, []float64{-0.5}),
 		}},
+		{Type: RecHealth, Round: 12, Client: "clinic", Token: "quarantined"},
+		{Type: RecUpdatePayload, Round: 12, Client: "clinic", NumSamples: 64, TrainLoss: 0.25,
+			Payload: []byte("CFI8\x01\x00\x00\x00\x01w\x00\x00\x00\x01\x00\x00\x00\x01?\x80\x00\x00\x7f")},
+		{Type: RecUpdatePayload, Round: 13, Client: "lab"}, // empty payload
 	}
 	for _, rec := range seedRecords {
 		body, err := encodeRecord(rec)
@@ -35,8 +40,20 @@ func FuzzDecodeRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec, err := decodeRecord(body)
+		// Replay trusts the scan to accept exactly what a later full decode
+		// accepts.
+		if scanned, serr := scanRecord(body); (serr == nil) != (err == nil) {
+			t.Fatalf("scan and decode disagree: scan %v, decode %v", serr, err)
+		} else if err == nil && (scanned.Type != rec.Type || scanned.Round != rec.Round ||
+			scanned.Client != rec.Client || !bytes.Equal(scanned.Payload, rec.Payload)) {
+			t.Fatalf("scan read %+v, decode %+v", scanned, rec)
+		}
 		if err != nil {
 			return
+		}
+		if rec.Type == RecUpdatePayload && (rec.PayloadBytes != len(rec.Payload) || len(rec.Weights) != 0) {
+			t.Fatalf("payload record decoded inconsistent: %d payload bytes claimed, %d held, %d weights",
+				rec.PayloadBytes, len(rec.Payload), len(rec.Weights))
 		}
 		re, err := encodeRecord(rec)
 		if err != nil {
@@ -46,7 +63,8 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if rec2.Type != rec.Type || rec2.Round != rec.Round || rec2.Client != rec.Client {
+		if rec2.Type != rec.Type || rec2.Round != rec.Round || rec2.Client != rec.Client ||
+			!bytes.Equal(rec2.Payload, rec.Payload) {
 			t.Fatalf("round trip not stable: %+v vs %+v", rec2, rec)
 		}
 	})

@@ -37,8 +37,10 @@ const (
 	RecRoundOpen
 	// RecTaskAssigned records one client receiving the round's task.
 	RecTaskAssigned
-	// RecUpdate records one client's update — weights included, at full
-	// f64 precision, so a resumed round aggregates bit-identical values.
+	// RecUpdate records one client's update as decoded weights at full f64
+	// precision — the in-process Controller's kind: its executors hand
+	// over weights, not a wire payload. The networked Server logs
+	// RecUpdatePayload instead.
 	RecUpdate
 	// RecRoundFinal marks a round's aggregation (participants listed);
 	// informational — RecModelCommit is the durable commit point.
@@ -53,6 +55,13 @@ const (
 	// restart never resurrects a quarantined client into the sample
 	// pool.
 	RecHealth
+	// RecUpdatePayload records one client's update as the uplink payload
+	// exactly as it crossed the wire, in whatever codec was negotiated
+	// (raw/f32/int8/topk). The live round aggregated the decode of these
+	// bytes, so a resumed round that decodes them again aggregates
+	// bit-identical values — at the wire size, not 8 bytes per parameter.
+	// Logs containing this kind carry the v2 magic.
+	RecUpdatePayload
 )
 
 // String names the record kind.
@@ -72,6 +81,8 @@ func (t RecordType) String() string {
 		return "model-commit"
 	case RecHealth:
 		return "health"
+	case RecUpdatePayload:
+		return "update-payload"
 	default:
 		return fmt.Sprintf("rectype(%d)", uint8(t))
 	}
@@ -86,8 +97,8 @@ type Record struct {
 	// Token is the session token (RecSession).
 	Token string
 	// NumSamples / TrainLoss / PayloadBytes describe an update
-	// (RecUpdate); PayloadBytes is the update's original wire size so
-	// byte accounting survives a restart.
+	// (RecUpdate, RecUpdatePayload); PayloadBytes is the update's original
+	// wire size so byte accounting survives a restart.
 	NumSamples   int
 	TrainLoss    float64
 	PayloadBytes int
@@ -97,6 +108,10 @@ type Record struct {
 	// Weights carries a full-precision weight map (RecUpdate,
 	// RecModelCommit).
 	Weights map[string]*tensor.Matrix
+	// Payload is the encoded uplink (RecUpdatePayload); PayloadBytes is its
+	// length. A decoded record's Payload aliases the buffer it was decoded
+	// from.
+	Payload []byte
 }
 
 // Decoder hardening caps. A record that exceeds any of them fails decode
@@ -128,6 +143,7 @@ var ErrRecordTooLarge = errors.New("durable: record exceeds size limit")
 //	u32  payloadBytes
 //	u16  nParticipants, then that many str
 //	u16  nWeights, then per entry: str name + tensor wire format
+//	     payload       (RecUpdatePayload only: payloadBytes bytes)
 //
 // Weight entries are name-sorted so the same logical record always
 // encodes to the same bytes.
@@ -145,7 +161,16 @@ func encodeRecordInto(b []byte, rec *Record) ([]byte, error) {
 	if rec.Round < 0 || rec.Round > math.MaxInt32 {
 		return nil, fmt.Errorf("durable: round %d out of range", rec.Round)
 	}
-	capHint := len(b) + 64 + len(rec.Client) + len(rec.Token)
+	payloadBytes := rec.PayloadBytes
+	if rec.Type == RecUpdatePayload {
+		if len(rec.Weights) != 0 {
+			return nil, fmt.Errorf("durable: %s record carries decoded weights", rec.Type)
+		}
+		payloadBytes = len(rec.Payload)
+	} else if len(rec.Payload) != 0 {
+		return nil, fmt.Errorf("durable: %s record carries a payload", rec.Type)
+	}
+	capHint := len(b) + 64 + len(rec.Client) + len(rec.Token) + len(rec.Payload)
 	for _, p := range rec.Participants {
 		capHint += 2 + len(p)
 	}
@@ -174,12 +199,12 @@ func encodeRecordInto(b []byte, rec *Record) ([]byte, error) {
 		return nil, err
 	}
 	if rec.NumSamples < 0 || rec.NumSamples > math.MaxInt32 ||
-		rec.PayloadBytes < 0 || rec.PayloadBytes > math.MaxInt32 {
+		payloadBytes < 0 || payloadBytes > math.MaxInt32 {
 		return nil, fmt.Errorf("durable: update counters out of range")
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(rec.NumSamples))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.TrainLoss))
-	b = binary.LittleEndian.AppendUint32(b, uint32(rec.PayloadBytes))
+	b = binary.LittleEndian.AppendUint32(b, uint32(payloadBytes))
 	if len(rec.Participants) > maxListLen {
 		return nil, fmt.Errorf("durable: %d participants exceeds cap", len(rec.Participants))
 	}
@@ -221,6 +246,7 @@ func encodeRecordInto(b []byte, rec *Record) ([]byte, error) {
 			binary.LittleEndian.PutUint64(b[off+i*8:], math.Float64bits(v))
 		}
 	}
+	b = append(b, rec.Payload...)
 	if len(b)-start > maxRecordSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(b)-start)
 	}
@@ -230,7 +256,15 @@ func encodeRecordInto(b []byte, rec *Record) ([]byte, error) {
 // decodeRecord parses one record body produced by encodeRecord. It never
 // panics on corrupt input: every read is bounds-checked and every count
 // capped before allocation (the fuzz target drives this directly).
-func decodeRecord(body []byte) (*Record, error) {
+func decodeRecord(body []byte) (*Record, error) { return parseRecord(body, true) }
+
+// scanRecord is decodeRecord without the weight map: the body passes
+// exactly the same checks, but the matrices are walked instead of
+// materialized and Weights stays nil. Replay scans every record and
+// decodes only the few a restart needs.
+func scanRecord(body []byte) (*Record, error) { return parseRecord(body, false) }
+
+func parseRecord(body []byte, withWeights bool) (*Record, error) {
 	if len(body) > maxRecordSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(body))
 	}
@@ -240,7 +274,7 @@ func decodeRecord(body []byte) (*Record, error) {
 		return nil, err
 	}
 	rec := &Record{Type: RecordType(t)}
-	if rec.Type < RecSession || rec.Type > RecHealth {
+	if rec.Type < RecSession || rec.Type > RecUpdatePayload {
 		return nil, fmt.Errorf("durable: unknown record type %d", t)
 	}
 	round, err := r.u32()
@@ -293,22 +327,49 @@ func decodeRecord(body []byte) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nw > 0 {
+	if nw > 0 && rec.Type == RecUpdatePayload {
+		return nil, fmt.Errorf("durable: %s record carries decoded weights", rec.Type)
+	}
+	if nw > 0 && withWeights {
 		rec.Weights = make(map[string]*tensor.Matrix, nw)
+	}
+	var seen map[string]struct{}
+	if nw > 0 {
+		seen = make(map[string]struct{}, nw)
 	}
 	for i := 0; i < int(nw); i++ {
 		name, err := r.str()
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := rec.Weights[name]; dup {
+		if _, dup := seen[name]; dup {
 			return nil, fmt.Errorf("durable: duplicate weight %q", name)
 		}
-		var m tensor.Matrix
-		if _, err := m.ReadFrom(r); err != nil {
+		seen[name] = struct{}{}
+		rows, cols, data, err := r.matrix()
+		if err != nil {
 			return nil, fmt.Errorf("durable: decode weight %q: %w", name, err)
 		}
-		rec.Weights[name] = &m
+		if !withWeights {
+			continue
+		}
+		vals := make([]float64, rows*cols)
+		for j := range vals {
+			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[j*8:]))
+		}
+		m, err := tensor.FromSlice(rows, cols, vals)
+		if err != nil {
+			return nil, fmt.Errorf("durable: decode weight %q: %w", name, err)
+		}
+		rec.Weights[name] = m
+	}
+	if rec.Type == RecUpdatePayload {
+		// take bounds the claimed length by the bytes actually present, so
+		// a forged header never sizes an allocation; the payload is not
+		// copied at all.
+		if rec.Payload, err = r.take(rec.PayloadBytes); err != nil {
+			return nil, err
+		}
 	}
 	if r.off != len(r.b) {
 		return nil, fmt.Errorf("durable: %d trailing bytes after record", len(r.b)-r.off)
@@ -325,20 +386,10 @@ func appendString(b []byte, s string) ([]byte, error) {
 	return append(b, s...), nil
 }
 
-// byteReader reads primitives with bounds checks; tensor.ReadFrom uses
-// it as a plain io.Reader for the weight payloads.
+// byteReader reads primitives with bounds checks.
 type byteReader struct {
 	b   []byte
 	off int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, errTruncated
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
 }
 
 var errTruncated = errors.New("durable: truncated record")
@@ -397,4 +448,31 @@ func (r *byteReader) str() (string, error) {
 		return "", err
 	}
 	return string(b), nil
+}
+
+// maxMatrixDim bounds each dimension of a logged matrix: a record body is
+// at most maxRecordSize, so no matrix in it holds more f64 elements than
+// this — and capping both dimensions keeps their product from overflowing.
+const maxMatrixDim = maxRecordSize / 8
+
+// matrix reads one matrix in the tensor wire format (u64 rows, u64 cols,
+// rows*cols little-endian f64) and returns its shape and its data bytes,
+// still encoded: the element count is bounded by the bytes present before
+// anything is sized from it.
+func (r *byteReader) matrix() (rows, cols int, data []byte, err error) {
+	rw, err := r.u64()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	cl, err := r.u64()
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	if rw > maxMatrixDim || cl > maxMatrixDim || rw*cl > maxMatrixDim {
+		return 0, 0, nil, fmt.Errorf("durable: implausible dimensions %dx%d", rw, cl)
+	}
+	if data, err = r.take(int(rw * cl * 8)); err != nil {
+		return 0, 0, nil, err
+	}
+	return int(rw), int(cl), data, nil
 }

@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -19,6 +19,13 @@ import (
 //	u32 little-endian body length (capped at maxRecordSize)
 //	u32 CRC-32C of the body
 //	body (see encodeRecord)
+//
+// The magic names the format version. v2 added RecUpdatePayload; every
+// other record kind is unchanged from v1, so a v1 log replays as is. A
+// binary that predates v2 would mistake the first payload record for a
+// torn tail and truncate it away, so it must instead be stopped at the
+// magic: new logs are created v2, and a v1 log is stamped v2 when it is
+// opened, before anything can be appended to it.
 //
 // Durability is group-committed: appends write immediately and a
 // background syncer batches the fsyncs, so the round's record burst
@@ -34,8 +41,15 @@ import (
 // landed mid-write or mid-sync — fails the length or CRC check on reopen
 // and is truncated away; every record before it replays exactly.
 
-// walMagic opens every WAL file.
-const walMagic = "CFWAL1\n"
+// walMagic opens every WAL file this binary writes; walMagicV1 (same
+// length) opens logs written before RecUpdatePayload existed.
+const (
+	walMagic   = "CFWAL2\n"
+	walMagicV1 = "CFWAL1\n"
+)
+
+// frameHeaderLen is the length+CRC prefix of every record.
+const frameHeaderLen = 8
 
 // castagnoli is the CRC-32C table (same polynomial as iSCSI/ext4 —
 // hardware-accelerated on amd64/arm64).
@@ -48,7 +62,8 @@ type Options struct {
 	// before the actions they back become externally visible.
 	NoSync bool
 	// Metrics, when non-nil, receives wal_appends_total /
-	// wal_fsyncs_total / wal_replayed_records_total counters.
+	// wal_bytes_written_total / wal_fsyncs_total /
+	// wal_replayed_records_total counters.
 	Metrics *metrics.Registry
 	// OnAppend, when non-nil, observes every append with the cumulative
 	// append count, synchronously on the appending goroutine, after the
@@ -59,13 +74,17 @@ type Options struct {
 	OnAppend func(total int64, rec *Record)
 }
 
-// Update is one client update recovered from the WAL.
+// Update is one client update recovered from the WAL. Exactly one of
+// Weights (a RecUpdate record, decoded) and Payload (a RecUpdatePayload
+// record: the client's uplink as it crossed the wire, still encoded) is
+// set.
 type Update struct {
 	Client       string
 	NumSamples   int
 	TrainLoss    float64
 	PayloadBytes int
 	Weights      map[string]*tensor.Matrix
+	Payload      []byte
 }
 
 // OpenRound is a round that was opened but never committed: the crash
@@ -76,16 +95,6 @@ type OpenRound struct {
 	Round   int
 	Tasked  []string
 	Updates []*Update
-}
-
-// HasUpdate reports whether client's update is already in the WAL.
-func (o *OpenRound) HasUpdate(client string) bool {
-	for _, u := range o.Updates {
-		if u.Client == client {
-			return true
-		}
-	}
-	return false
 }
 
 // State is the replayed view of a WAL: everything a restarted server
@@ -110,8 +119,37 @@ type State struct {
 	Torn bool
 }
 
-// apply folds one replayed record into the state.
-func (s *State) apply(rec *Record) {
+// span locates one record body in the log file.
+type span struct {
+	off int64
+	n   int
+}
+
+// replay is one pass over a log. The scan checks every record's framing,
+// CRC and structure and folds its scalar fields into st, but leaves
+// weights and payloads on disk: a log of N rounds holds N model commits
+// and every update of every round, and a restart needs only the last
+// commit and the open round's updates. The scan remembers where those
+// are; materialize reads back just them.
+type replay struct {
+	st     *State
+	good   int64 // end of the last intact record
+	legacy bool  // the log carries the v1 magic
+	commit span  // the st.LastRound model commit (n == 0: none)
+	// updates locates st.Open.Updates[i]'s record; updated is that
+	// round's client set, so each duplicate check is one lookup however
+	// many clients the round has.
+	updates []span
+	updated map[string]struct{}
+}
+
+func newReplay() *replay {
+	return &replay{st: &State{LastRound: -1, Sessions: make(map[string]string), Health: make(map[string]string)}}
+}
+
+// apply folds one scanned record, found at at, into the state.
+func (r *replay) apply(rec *Record, at span) {
+	s := r.st
 	switch rec.Type {
 	case RecSession:
 		s.Sessions[rec.Client] = rec.Token
@@ -121,29 +159,30 @@ func (s *State) apply(rec *Record) {
 		}
 		if s.Open == nil || s.Open.Round != rec.Round {
 			s.Open = &OpenRound{Round: rec.Round}
+			r.updates, r.updated = r.updates[:0], make(map[string]struct{})
 		}
 	case RecTaskAssigned:
 		if s.Open == nil || s.Open.Round != rec.Round {
 			return
 		}
-		for _, t := range s.Open.Tasked {
-			if t == rec.Client {
-				return
-			}
+		if i, dup := slices.BinarySearch(s.Open.Tasked, rec.Client); !dup {
+			s.Open.Tasked = slices.Insert(s.Open.Tasked, i, rec.Client)
 		}
-		s.Open.Tasked = append(s.Open.Tasked, rec.Client)
-		sort.Strings(s.Open.Tasked)
-	case RecUpdate:
-		if s.Open == nil || s.Open.Round != rec.Round || s.Open.HasUpdate(rec.Client) {
+	case RecUpdate, RecUpdatePayload:
+		if s.Open == nil || s.Open.Round != rec.Round {
 			return
 		}
+		if _, dup := r.updated[rec.Client]; dup {
+			return // the first durable copy wins
+		}
+		r.updated[rec.Client] = struct{}{}
 		s.Open.Updates = append(s.Open.Updates, &Update{
 			Client:       rec.Client,
 			NumSamples:   rec.NumSamples,
 			TrainLoss:    rec.TrainLoss,
 			PayloadBytes: rec.PayloadBytes,
-			Weights:      rec.Weights,
 		})
+		r.updates = append(r.updates, at)
 	case RecRoundFinal:
 		// Informational; RecModelCommit is the durable commit point. A
 		// crash between the two leaves the round open, and the resumed
@@ -152,17 +191,51 @@ func (s *State) apply(rec *Record) {
 	case RecModelCommit:
 		if rec.Round > s.LastRound {
 			s.LastRound = rec.Round
-			s.Weights = rec.Weights
+			r.commit = at
 		}
 		if s.Open != nil && s.Open.Round <= rec.Round {
 			s.Open = nil
+			r.updates, r.updated = r.updates[:0], nil
 		}
 	case RecHealth:
-		if s.Health == nil {
-			s.Health = make(map[string]string)
-		}
 		s.Health[rec.Client] = rec.Token
 	}
+}
+
+// materialize decodes what the scan deferred: the last committed model,
+// and the weights or payload of each update of the open round.
+func (r *replay) materialize(f *os.File) error {
+	if r.commit.n > 0 {
+		rec, err := readRecord(f, r.commit)
+		if err != nil {
+			return err
+		}
+		r.st.Weights = rec.Weights
+	}
+	for i, at := range r.updates {
+		rec, err := readRecord(f, at)
+		if err != nil {
+			return err
+		}
+		u := r.st.Open.Updates[i]
+		u.Weights, u.Payload = rec.Weights, rec.Payload
+	}
+	return nil
+}
+
+// readRecord reads back and fully decodes a record the scan already
+// verified. The body gets a buffer of its own: a decoded payload aliases
+// it.
+func readRecord(f *os.File, at span) (*Record, error) {
+	body := make([]byte, at.n)
+	if _, err := f.ReadAt(body, at.off); err != nil {
+		return nil, fmt.Errorf("durable: re-read record at offset %d: %w", at.off, err)
+	}
+	rec, err := decodeRecord(body)
+	if err != nil {
+		return nil, fmt.Errorf("durable: record at offset %d: %w", at.off, err)
+	}
+	return rec, nil
 }
 
 // WAL is an open write-ahead log positioned for appends. Appends are
@@ -177,7 +250,7 @@ type WAL struct {
 	// held across an fsync, so group syncs overlap with fresh appends.
 	mu      sync.Mutex
 	f       *os.File
-	scratch []byte // reused encode buffer: one ~update-sized allocation per log, not per append
+	scratch []byte // reused frame buffer (header + body): one allocation per log, not per append
 	appends int64  // records written through this handle
 	fsyncs  int64
 	synced  int64 // records covered by a completed fsync
@@ -191,6 +264,7 @@ type WAL struct {
 	closeOnce sync.Once
 
 	cAppends *metrics.Counter
+	cBytes   *metrics.Counter
 	cFsyncs  *metrics.Counter
 }
 
@@ -205,98 +279,128 @@ func Open(path string, opts Options) (*WAL, error) {
 	w := &WAL{
 		f:         f,
 		opts:      opts,
+		scratch:   make([]byte, frameHeaderLen),
 		wake:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 		syncerEnd: make(chan struct{}),
 		cAppends:  opts.Metrics.Counter("wal_appends_total", "WAL records appended"),
+		cBytes:    opts.Metrics.Counter("wal_bytes_written_total", "WAL bytes appended (record frames)"),
 		cFsyncs:   opts.Metrics.Counter("wal_fsyncs_total", "WAL fsync calls"),
 	}
-	st, good, err := replayFile(f)
-	if err != nil {
+	if w.st, err = w.replayLog(); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("durable: seek %s: %w", path, err)
-	}
-	if size == 0 {
-		// Fresh log: write the magic header.
-		if _, err := f.Write([]byte(walMagic)); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("durable: write header: %w", err)
-		}
-		if err := w.fsync(); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-	} else if good < size {
-		// Torn or corrupt tail: truncate back to the last intact record.
-		st.Torn = true
-		if err := f.Truncate(good); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
-		}
-		if _, err := f.Seek(good, io.SeekStart); err != nil {
-			_ = f.Close()
-			return nil, fmt.Errorf("durable: reposition: %w", err)
-		}
-		if err := w.fsync(); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-	}
-	opts.Metrics.Counter("wal_replayed_records_total", "WAL records replayed at open").Add(st.Records)
-	w.st = st
+	opts.Metrics.Counter("wal_replayed_records_total", "WAL records replayed at open").Add(w.st.Records)
 	go w.syncer()
 	return w, nil
 }
 
-// replayFile reads records from the start of f, returning the replayed
-// state and the offset of the end of the last intact record. Any decode
-// failure — short header, implausible length, CRC mismatch, body decode
-// error — ends the replay at the previous good offset; it is reported as
-// a torn tail, never an open error, because a crash mid-append is
-// exactly the failure the WAL exists to absorb.
-func replayFile(f *os.File) (*State, int64, error) {
-	st := &State{LastRound: -1, Sessions: make(map[string]string), Health: make(map[string]string)}
+// replayLog replays the file into a State and leaves it a v2 log
+// positioned for appends: torn tail truncated, magic written or upgraded.
+func (w *WAL) replayLog() (*State, error) {
+	f := w.f
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("durable: stat: %w", err)
+	}
+	r, err := scanFile(f, info.Size())
+	if err != nil {
+		return nil, err
+	}
+	dirty := false
+	if r.good < info.Size() {
+		// Torn or corrupt tail: truncate back to the last intact record.
+		r.st.Torn = true
+		if err := f.Truncate(r.good); err != nil {
+			return nil, fmt.Errorf("durable: truncate torn tail: %w", err)
+		}
+		dirty = true
+	}
+	if _, err := f.Seek(r.good, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("durable: reposition: %w", err)
+	}
+	switch {
+	case r.good == 0:
+		// Fresh log (or one torn inside its header): write the magic.
+		if _, err := f.Write([]byte(walMagic)); err != nil {
+			return nil, fmt.Errorf("durable: write header: %w", err)
+		}
+		dirty = true
+	case r.legacy:
+		// Every append from here on may be a payload record. Stamp the log
+		// v2 first — and make the stamp durable below — so an older binary
+		// refuses it at the magic instead of truncating those records.
+		if _, err := f.WriteAt([]byte(walMagic), 0); err != nil {
+			return nil, fmt.Errorf("durable: upgrade header: %w", err)
+		}
+		dirty = true
+	}
+	if dirty {
+		if err := w.fsync(); err != nil {
+			return nil, err
+		}
+	}
+	if err := r.materialize(f); err != nil {
+		return nil, err
+	}
+	return r.st, nil
+}
+
+// scanFile reads size bytes of log from the start of f, folding records
+// into a replay until the first one that is not intact. Any failure —
+// short header, implausible length, CRC mismatch, body decode error — ends
+// the scan at the previous good offset; it is reported as a torn tail,
+// never an open error, because a crash mid-append is exactly the failure
+// the WAL exists to absorb.
+func scanFile(f *os.File, size int64) (*replay, error) {
+	r := newReplay()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("durable: seek: %w", err)
+		return nil, fmt.Errorf("durable: seek: %w", err)
 	}
 	hdr := make([]byte, len(walMagic))
-	n, err := io.ReadFull(f, hdr)
-	if err != nil {
-		return st, 0, nil // empty or shorter than the magic: fresh/torn
+	if _, err := io.ReadFull(f, hdr); err != nil {
+		return r, nil // empty or shorter than the magic: fresh/torn
 	}
-	if string(hdr) != walMagic {
-		return nil, 0, fmt.Errorf("durable: bad WAL magic %q", hdr)
+	switch string(hdr) {
+	case walMagic:
+	case walMagicV1:
+		r.legacy = true
+	default:
+		return nil, fmt.Errorf("durable: bad WAL magic %q", hdr)
 	}
-	good := int64(n)
-	frame := make([]byte, 8)
+	r.good = int64(len(hdr))
+	var frame [frameHeaderLen]byte
+	var buf []byte // reused across records; grows to the largest body
 	for {
-		if _, err := io.ReadFull(f, frame); err != nil {
-			return st, good, nil
+		if _, err := io.ReadFull(f, frame[:]); err != nil {
+			return r, nil
 		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
+		length := int64(binary.LittleEndian.Uint32(frame[0:4]))
 		sum := binary.LittleEndian.Uint32(frame[4:8])
-		if length > maxRecordSize {
-			return st, good, nil
+		// A frame claiming more than the cap — or more than the file still
+		// holds — is a torn tail, recognized before a buffer is sized from
+		// the claim.
+		if length > maxRecordSize || length > size-r.good-frameHeaderLen {
+			return r, nil
 		}
-		body := make([]byte, length)
+		if int64(cap(buf)) < length {
+			buf = make([]byte, length)
+		}
+		body := buf[:length]
 		if _, err := io.ReadFull(f, body); err != nil {
-			return st, good, nil
+			return r, nil
 		}
 		if crc32.Checksum(body, castagnoli) != sum {
-			return st, good, nil
+			return r, nil
 		}
-		rec, err := decodeRecord(body)
+		rec, err := scanRecord(body)
 		if err != nil {
-			return st, good, nil
+			return r, nil
 		}
-		st.apply(rec)
-		st.Records++
-		good += int64(8 + len(body))
+		r.apply(rec, span{off: r.good + frameHeaderLen, n: len(body)})
+		r.st.Records++
+		r.good += frameHeaderLen + length
 	}
 }
 
@@ -313,28 +417,20 @@ func (w *WAL) append(rec *Record) (int64, error) {
 		return 0, err
 	}
 	// Encode into the reused scratch buffer (mu serializes its use): a
-	// round writes tens of MB of update records, and allocating each
-	// body fresh would hand the GC that much garbage per round.
-	body, err := encodeRecordInto(w.scratch[:0], rec)
+	// round writes tens of MB of records, and allocating each fresh would
+	// hand the GC that much garbage per round. The buffer's first bytes
+	// are reserved for the frame header, filled in once the body exists,
+	// so header and body leave as one write(2) with no copy to join them.
+	frame, err := encodeRecordInto(w.scratch[:frameHeaderLen], rec)
 	if err != nil {
 		w.mu.Unlock()
 		return 0, err
 	}
-	w.scratch = body
-	// Header and body go out as two writes rather than one concatenated
-	// frame: copying the body just to save a syscall would cost more
-	// than the syscall. A crash between the writes is an ordinary torn
-	// tail.
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	if _, err := w.f.Write(hdr[:]); err != nil {
-		err = fmt.Errorf("durable: append %s: %w", rec.Type, err)
-		w.syncErr = err
-		w.mu.Unlock()
-		return 0, err
-	}
-	if _, err := w.f.Write(body); err != nil {
+	w.scratch = frame
+	body := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, castagnoli))
+	if _, err := w.f.Write(frame); err != nil {
 		err = fmt.Errorf("durable: append %s: %w", rec.Type, err)
 		w.syncErr = err
 		w.mu.Unlock()
@@ -344,6 +440,7 @@ func (w *WAL) append(rec *Record) (int64, error) {
 	n := w.appends
 	w.mu.Unlock()
 	w.cAppends.Inc()
+	w.cBytes.Add(int64(len(body)) + frameHeaderLen)
 	if w.opts.OnAppend != nil {
 		w.opts.OnAppend(n, rec)
 	}
@@ -541,7 +638,8 @@ func (w *WAL) AppendTaskAssigned(round int, client string) error {
 	return w.appendLazy(&Record{Type: RecTaskAssigned, Round: round, Client: client})
 }
 
-// AppendUpdate records one received client update, weights included
+// AppendUpdate records one client update as decoded f64 weights — for the
+// in-process Controller, whose executors never produce a wire payload
 // (lazy; an update lost with an unsynced tail re-tasks the client on
 // resume, whose recomputation is byte-identical).
 func (w *WAL) AppendUpdate(round int, client string, numSamples int, trainLoss float64, payloadBytes int, weights map[string]*tensor.Matrix) error {
@@ -549,6 +647,17 @@ func (w *WAL) AppendUpdate(round int, client string, numSamples int, trainLoss f
 		Type: RecUpdate, Round: round, Client: client,
 		NumSamples: numSamples, TrainLoss: trainLoss,
 		PayloadBytes: payloadBytes, Weights: weights,
+	})
+}
+
+// AppendUpdatePayload records one client update as the uplink payload the
+// server received, verbatim (lazy, like AppendUpdate). payload is not
+// retained past the call.
+func (w *WAL) AppendUpdatePayload(round int, client string, numSamples int, trainLoss float64, payload []byte) error {
+	return w.appendLazy(&Record{
+		Type: RecUpdatePayload, Round: round, Client: client,
+		NumSamples: numSamples, TrainLoss: trainLoss,
+		PayloadBytes: len(payload), Payload: payload,
 	})
 }
 

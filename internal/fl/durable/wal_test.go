@@ -2,10 +2,15 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"clinfl/internal/metrics"
 	"clinfl/internal/tensor"
@@ -41,6 +46,8 @@ func TestRecordRoundTripAllTypes(t *testing.T) {
 		{Type: RecRoundFinal, Round: 7, Participants: []string{"hospital-a", "hospital-b"}},
 		{Type: RecModelCommit, Round: 7, Weights: testWeights(2)},
 		{Type: RecHealth, Round: 8, Client: "hospital-b", Token: "quarantined"},
+		{Type: RecUpdatePayload, Round: 7, Client: "hospital-b", NumSamples: 64,
+			TrainLoss: 0.5, PayloadBytes: 5, Payload: []byte("CFI8\x01")},
 	}
 	for _, rec := range recs {
 		body, err := encodeRecord(rec)
@@ -67,6 +74,18 @@ func TestRecordRoundTripAllTypes(t *testing.T) {
 		if rec.Weights != nil && !weightsEqual(got.Weights, rec.Weights) {
 			t.Fatalf("%s: weights mismatch", rec.Type)
 		}
+		if !bytes.Equal(got.Payload, rec.Payload) {
+			t.Fatalf("%s: payload %q, want %q", rec.Type, got.Payload, rec.Payload)
+		}
+		// The scan applies the same checks and keeps everything but the
+		// weights.
+		scanned, err := scanRecord(body)
+		if err != nil {
+			t.Fatalf("scan %s: %v", rec.Type, err)
+		}
+		if scanned.Weights != nil || scanned.Client != rec.Client || scanned.PayloadBytes != rec.PayloadBytes {
+			t.Fatalf("%s: scanned %+v", rec.Type, scanned)
+		}
 	}
 }
 
@@ -91,16 +110,48 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload, err := encodeRecord(&Record{Type: RecUpdatePayload, Round: 1, Client: "c",
+		NumSamples: 1, Payload: []byte("0123456789")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload length is the u32 before the two (zero) u16 list counts
+	// that end the fixed header; the 10 payload bytes follow them.
+	lenAt := len(payload) - 10 - 4 - 4
+	if got := binary.LittleEndian.Uint32(payload[lenAt:]); got != 10 {
+		t.Fatalf("payload length field at %d holds %d, want 10", lenAt, got)
+	}
+	overclaim := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint32(overclaim[lenAt:], math.MaxInt32) // claims 2 GiB, holds 10 bytes
+	withWeights := append([]byte(nil), valid...)
+	withWeights[0] = byte(RecUpdatePayload) // a payload record may not carry a weight map
 	cases := map[string][]byte{
-		"empty":          {},
-		"unknown type":   {0xFF, 0, 0, 0, 0},
-		"truncated":      valid[:len(valid)-3],
-		"trailing bytes": append(append([]byte(nil), valid...), 0xAB),
+		"empty":                  {},
+		"unknown type":           {0xFF, 0, 0, 0, 0},
+		"type past the last":     append([]byte{byte(RecUpdatePayload) + 1}, valid[1:]...),
+		"truncated":              valid[:len(valid)-3],
+		"trailing bytes":         append(append([]byte(nil), valid...), 0xAB),
+		"payload truncated":      payload[:len(payload)-3],
+		"payload trailing bytes": append(append([]byte(nil), payload...), 0xAB),
+		"payload overclaimed":    overclaim,
+		"payload with weights":   withWeights,
 	}
 	for name, body := range cases {
 		if _, err := decodeRecord(body); err == nil {
 			t.Errorf("%s: decode accepted malformed body", name)
 		}
+		if _, err := scanRecord(body); err == nil {
+			t.Errorf("%s: scan accepted malformed body", name)
+		}
+	}
+	// A decoded payload is a view of the body, so no length a header can
+	// claim ever sizes a buffer.
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rec.Payload[0] != &payload[len(payload)-10] {
+		t.Error("decoded payload was copied out of the record body")
 	}
 }
 
@@ -176,7 +227,7 @@ func TestWALAppendReopenReplay(t *testing.T) {
 		t.Fatalf("tasked set %v, want sorted [a b]", st.Open.Tasked)
 	}
 	if len(st.Open.Updates) != 1 || st.Open.Updates[0].Client != "a" ||
-		st.Open.Updates[0].NumSamples != 10 || !st.Open.HasUpdate("a") || st.Open.HasUpdate("b") {
+		st.Open.Updates[0].NumSamples != 10 || !weightsEqual(st.Open.Updates[0].Weights, testWeights(4)) {
 		t.Fatalf("open updates %+v", st.Open.Updates)
 	}
 	// Appending after reopen continues the log.
@@ -406,25 +457,358 @@ func TestWALSyncBarrierCoversLazyAppends(t *testing.T) {
 func TestReplayIdempotentMerge(t *testing.T) {
 	// A resumed round re-logs RoundOpen/TaskAssigned/Update records for
 	// state it already replayed; the merge must dedupe, first update wins.
-	st := &State{LastRound: -1, Sessions: make(map[string]string)}
-	st.apply(&Record{Type: RecRoundOpen, Round: 2})
-	st.apply(&Record{Type: RecTaskAssigned, Round: 2, Client: "a"})
-	st.apply(&Record{Type: RecTaskAssigned, Round: 2, Client: "a"})
-	st.apply(&Record{Type: RecUpdate, Round: 2, Client: "a", NumSamples: 5})
-	st.apply(&Record{Type: RecRoundOpen, Round: 2}) // resume re-opens same round
-	st.apply(&Record{Type: RecUpdate, Round: 2, Client: "a", NumSamples: 99})
-	if st.Open == nil || len(st.Open.Tasked) != 1 || len(st.Open.Updates) != 1 {
+	r := newReplay()
+	apply := func(rec *Record) { r.apply(rec, span{off: int64(rec.NumSamples), n: 1}) }
+	apply(&Record{Type: RecRoundOpen, Round: 2})
+	apply(&Record{Type: RecTaskAssigned, Round: 2, Client: "b"})
+	apply(&Record{Type: RecTaskAssigned, Round: 2, Client: "a"})
+	apply(&Record{Type: RecTaskAssigned, Round: 2, Client: "b"})
+	apply(&Record{Type: RecUpdate, Round: 2, Client: "a", NumSamples: 5})
+	apply(&Record{Type: RecRoundOpen, Round: 2}) // resume re-opens same round
+	apply(&Record{Type: RecUpdatePayload, Round: 2, Client: "a", NumSamples: 99})
+	apply(&Record{Type: RecUpdatePayload, Round: 2, Client: "b", NumSamples: 7})
+	st := r.st
+	if st.Open == nil || !slices.Equal(st.Open.Tasked, []string{"a", "b"}) || len(st.Open.Updates) != 2 {
 		t.Fatalf("merge failed: %+v", st.Open)
 	}
-	if st.Open.Updates[0].NumSamples != 5 {
+	if st.Open.Updates[0].NumSamples != 5 || st.Open.Updates[1].Client != "b" {
 		t.Fatal("duplicate update overwrote the first durable copy")
 	}
+	if len(r.updates) != 2 || r.updates[0].off != 5 || r.updates[1].off != 7 {
+		t.Fatalf("update spans %+v out of step with the updates", r.updates)
+	}
 	// Stale records for already-committed rounds are ignored.
-	st.apply(&Record{Type: RecModelCommit, Round: 2})
-	st.apply(&Record{Type: RecRoundOpen, Round: 1})
-	st.apply(&Record{Type: RecUpdate, Round: 1, Client: "a"})
-	if st.Open != nil || st.LastRound != 2 {
+	apply(&Record{Type: RecModelCommit, Round: 2})
+	apply(&Record{Type: RecRoundOpen, Round: 1})
+	apply(&Record{Type: RecUpdate, Round: 1, Client: "a"})
+	if st.Open != nil || st.LastRound != 2 || len(r.updates) != 0 {
 		t.Fatalf("stale round resurrected: %+v", st)
+	}
+}
+
+// writeRounds appends n committed rounds — two clients each, one logging
+// f64 weights and one an uplink payload — and returns the last commit.
+func writeRounds(t *testing.T, w *WAL, n int) map[string]*tensor.Matrix {
+	t.Helper()
+	var committed map[string]*tensor.Matrix
+	for round := 0; round < n; round++ {
+		committed = testWeights(float64(100 + round))
+		for _, err := range []error{
+			w.AppendRoundOpen(round),
+			w.AppendTaskAssigned(round, "a"),
+			w.AppendTaskAssigned(round, "b"),
+			w.AppendUpdate(round, "a", 10, 0.5, 100, testWeights(float64(round))),
+			w.AppendUpdatePayload(round, "b", 20, 0.4, []byte("payload")),
+			w.AppendRoundFinal(round, []string{"a", "b"}),
+			w.AppendModelCommit(round, committed),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return committed
+}
+
+func TestWALPayloadUpdatesRecoveredVerbatim(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fl.wal")
+	reg := metrics.NewRegistry()
+	w, err := Open(path, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := writeRounds(t, w, 2)
+	payload := []byte("CFI8\x01 not really int8, the WAL does not care")
+	for _, err := range []error{
+		w.AppendRoundOpen(2),
+		w.AppendTaskAssigned(2, "a"),
+		w.AppendTaskAssigned(2, "b"),
+		w.AppendUpdatePayload(2, "b", 20, 0.25, payload),
+		w.AppendUpdate(2, "a", 10, 0.5, 100, testWeights(9)),
+		w.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := reg.Counter("wal_bytes_written_total", "").Value(), fileSize(t, path)-int64(len(walMagic)); got != want {
+		t.Fatalf("wal_bytes_written_total = %d, want the %d bytes of records in the file", got, want)
+	}
+
+	w2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	st := w2.Recovered()
+	if st.Torn || st.LastRound != 1 || !weightsEqual(st.Weights, committed) {
+		t.Fatalf("committed state: %+v", st)
+	}
+	if st.Open == nil || st.Open.Round != 2 || len(st.Open.Updates) != 2 {
+		t.Fatalf("open round: %+v", st.Open)
+	}
+	// Arrival order, each update in the form its record kind logged.
+	b, a := st.Open.Updates[0], st.Open.Updates[1]
+	if b.Client != "b" || b.Weights != nil || !bytes.Equal(b.Payload, payload) ||
+		b.PayloadBytes != len(payload) || b.NumSamples != 20 || b.TrainLoss != 0.25 {
+		t.Fatalf("payload update: %+v", b)
+	}
+	if a.Client != "a" || a.Payload != nil || !weightsEqual(a.Weights, testWeights(9)) {
+		t.Fatalf("f64 update: %+v", a)
+	}
+}
+
+func TestReplayDecodesOnlyWhatARestartNeeds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fl.wal")
+	w, err := Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 6
+	committed := writeRounds(t, w, rounds)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	scan := func() (*replay, *os.File) {
+		t.Helper()
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		r, err := scanFile(f, fileSize(t, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, f
+	}
+	// The work list the scan leaves behind is everything replay will ever
+	// decode: of 6 commits and 12 updates, one commit and no update.
+	r, f := scan()
+	if r.st.Records != rounds*7 || r.st.LastRound != rounds-1 || r.st.Open != nil {
+		t.Fatalf("scan state: %+v", r.st)
+	}
+	if r.st.Weights != nil {
+		t.Fatal("scan materialized a model commit")
+	}
+	if r.commit.n == 0 || len(r.updates) != 0 {
+		t.Fatalf("scan scheduled commit %+v and %d updates for decode, want the last commit and none", r.commit, len(r.updates))
+	}
+	if err := r.materialize(f); err != nil {
+		t.Fatal(err)
+	}
+	if !weightsEqual(r.st.Weights, committed) {
+		t.Fatal("materialized model is not the last commit")
+	}
+
+	// With a round left open, exactly its updates join the list.
+	w, err = Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		w.AppendRoundOpen(rounds),
+		w.AppendTaskAssigned(rounds, "a"),
+		w.AppendUpdatePayload(rounds, "a", 1, 0, []byte("open")),
+		w.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r, _ = scan(); r.commit.n == 0 || len(r.updates) != 1 || r.st.Open == nil {
+		t.Fatalf("scan of an open round scheduled commit %+v and %d updates", r.commit, len(r.updates))
+	}
+}
+
+func TestWALV1LogReplaysAndIsStampedV2(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fl.wal")
+	w, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		w.AppendSession("a", "tok-a"),
+		w.AppendRoundOpen(0),
+		w.AppendTaskAssigned(0, "a"),
+		w.AppendTaskAssigned(0, "b"),
+		w.AppendUpdate(0, "a", 10, 0.5, 100, testWeights(1)),
+		w.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every record kind written above predates v2, so re-stamping the
+	// header yields exactly the file a pre-v2 binary would have left.
+	magicOf := func() string {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw[:len(walMagic)])
+	}
+	if magicOf() != walMagic {
+		t.Fatalf("fresh log magic %q, want %q", magicOf(), walMagic)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte(walMagicV1), 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	w2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("v1 log rejected: %v", err)
+	}
+	st := w2.Recovered()
+	if st.Torn || st.Records != 5 || st.Sessions["a"] != "tok-a" || st.Open == nil ||
+		len(st.Open.Updates) != 1 || !weightsEqual(st.Open.Updates[0].Weights, testWeights(1)) {
+		t.Fatalf("v1 replay: %+v", st)
+	}
+	// Stamped before any payload record can be appended: a pre-v2 binary
+	// now stops at the magic instead of truncating what it cannot parse.
+	if magicOf() != walMagic {
+		t.Fatalf("reopened v1 log still carries magic %q", magicOf())
+	}
+	if err := w2.AppendUpdatePayload(0, "b", 20, 0.4, []byte("uplink")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w3, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	if st := w3.Recovered(); st.Torn || st.Records != 6 || len(st.Open.Updates) != 2 ||
+		string(st.Open.Updates[1].Payload) != "uplink" {
+		t.Fatalf("mixed-kind replay: %+v", st)
+	}
+}
+
+func TestWALTornInsideMagicStartsOver(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fl.wal")
+	if err := os.WriteFile(path, []byte(walMagic[:3]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Recovered(); !st.Torn || st.Records != 0 {
+		t.Fatalf("state: %+v", st)
+	}
+	if err := w.AppendRoundOpen(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("log restarted after a torn header does not reopen: %v", err)
+	}
+	defer w2.Close()
+	if st := w2.Recovered(); st.Torn || st.Records != 1 {
+		t.Fatalf("state after restart: %+v", st)
+	}
+}
+
+// TestReplayFrameLengthBoundedByFile pins that a torn frame header cannot
+// size an allocation: the tail of a tiny log claims a 64 MiB body, and
+// replay must call it torn from the file size alone.
+func TestReplayFrameLengthBoundedByFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fl.wal")
+	w, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendRoundOpen(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good := fileSize(t, path)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var tail [frameHeaderLen + 4]byte
+	binary.LittleEndian.PutUint32(tail[0:4], maxRecordSize)
+	if _, err := f.Write(tail[:]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := scanFile(f, fileSize(t, path))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.good != good || r.st.Records != 1 {
+		t.Fatalf("scan stopped at %d after %d records, want %d after 1", r.good, r.st.Records, good)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("scanning a %d-byte log allocated %d bytes", fileSize(t, path), grew)
+	}
+}
+
+// TestReplayLargeOpenRound replays an open round of 20k clients, tasked
+// and heard from in scrambled order. Per-record work that scans the
+// round's client lists makes this quadratic (minutes); the bound is far
+// above what a linearithmic replay needs.
+func TestReplayLargeOpenRound(t *testing.T) {
+	const clients = 20000
+	path := filepath.Join(t.TempDir(), "fl.wal")
+	w, err := Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendRoundOpen(0); err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return fmt.Sprintf("site-%05d", i*7919%clients) } // 7919 is coprime to 20000: a permutation
+	for i := 0; i < clients; i++ {
+		if err := w.AppendTaskAssigned(0, name(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := clients - 1; i >= 0; i-- {
+		if err := w.AppendUpdatePayload(0, name(i), i, 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	w2, err := Open(path, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if took := time.Since(start); took > 10*time.Second {
+		t.Fatalf("replaying a %d-client open round took %v", clients, took)
+	}
+	open := w2.Recovered().Open
+	if open == nil || len(open.Tasked) != clients || len(open.Updates) != clients {
+		t.Fatalf("open round: %d tasked, %d updates", len(open.Tasked), len(open.Updates))
+	}
+	if !slices.IsSorted(open.Tasked) || open.Tasked[0] != "site-00000" || open.Tasked[clients-1] != "site-19999" {
+		t.Fatal("tasked set not sorted")
+	}
+	for i, u := range open.Updates {
+		if want := clients - 1 - i; u.Client != name(want) || u.NumSamples != want || len(u.Payload) != 1 {
+			t.Fatalf("update %d is %+v, want client %s: arrival order lost", i, u, name(want))
+		}
 	}
 }
 

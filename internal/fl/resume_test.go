@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"context"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -202,7 +205,7 @@ func TestServerRestartResumesFromWAL(t *testing.T) {
 	var srv1 *Server
 	var crash sync.Once
 	wal1, err := durable.Open(walPath, durable.Options{Metrics: reg, OnAppend: func(_ int64, rec *durable.Record) {
-		if rec.Type == durable.RecUpdate && rec.Round == 1 {
+		if rec.Type == durable.RecUpdatePayload && rec.Round == 1 {
 			crash.Do(func() { _ = srv1.Close() })
 		}
 	}})
@@ -369,5 +372,241 @@ func TestRoundToleratesCorruptAndDroppedClients(t *testing.T) {
 		if got := finals[name]["layer.w"].At(0, 0); got != want {
 			t.Errorf("client %s final weight %v, want %v", name, got, want)
 		}
+	}
+}
+
+// patternExecutor "trains" to a fixed, site-specific weight map with
+// enough spread per tensor that the lossy codecs actually lose something.
+type patternExecutor struct {
+	name    string
+	samples int
+	phase   float64
+	calls   atomic.Int32
+}
+
+func (e *patternExecutor) Name() string    { return e.name }
+func (e *patternExecutor) NumSamples() int { return e.samples }
+
+func (e *patternExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
+	e.calls.Add(1)
+	return &ClientUpdate{
+		ClientName: e.name, Round: round, Weights: patternWeights(global, e.phase),
+		NumSamples: e.samples, TrainLoss: 0.5,
+	}, nil
+}
+
+func patternWeights(like map[string]*tensor.Matrix, phase float64) map[string]*tensor.Matrix {
+	out := make(map[string]*tensor.Matrix, len(like))
+	for name, m := range like {
+		w := tensor.New(m.Rows(), m.Cols())
+		for i := range w.Data() {
+			w.Data()[i] = math.Sin(phase+float64(i)*0.7) * (1 + float64(len(name)+i)/3)
+		}
+		out[name] = w
+	}
+	return out
+}
+
+// TestServerResumesMixedRecordKinds resumes an open round whose log was
+// started by a pre-v2 binary (v1 magic, an f64 update record) and
+// continued by this one (payload records, one per uplink codec), with one
+// site still unheard. The resumed round must aggregate every recovered
+// update in the form the live round would have — DecodeWeights of the
+// very bytes that crossed the wire — so its model is bit-identical to an
+// uninterrupted federation of the same six sites.
+func TestServerResumesMixedRecordKinds(t *testing.T) {
+	sites := []struct {
+		name, codec string
+		samples     int
+	}{
+		{"s-f64", "raw", 10}, // logged by the old binary as decoded f64
+		{"s-raw", "raw", 20},
+		{"s-f32", "f32", 30},
+		{"s-int8", "int8", 40},
+		{"s-topk", "topk:0.5", 50},
+		{"s-live", "int8", 60}, // tasked before the crash, never heard from
+	}
+	names := make([]string, len(sites))
+	for i, s := range sites {
+		names[i] = s.name
+	}
+	proj := testProject(t, names...)
+
+	// federate runs one round over a fresh in-memory network and reports
+	// the final model and how many times each site trained.
+	federate := func(wal *durable.WAL) (*Result, map[string]int32) {
+		t.Helper()
+		network := transport.NewMemNetwork()
+		defer network.Close()
+		srv, err := NewServer(ServerConfig{
+			ExpectedClients: len(sites),
+			Rounds:          1,
+			MinClients:      len(sites),
+			RegisterTimeout: 20 * time.Second,
+			VerifyToken:     proj.VerifyToken,
+			Logf:            quietLogf,
+			Listener:        network,
+			AllowTopKUplink: true,
+			WAL:             wal,
+		}, proj.ServerKit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		execs := make(map[string]*patternExecutor, len(sites))
+		var wg sync.WaitGroup
+		for i, s := range sites {
+			exec := &patternExecutor{name: s.name, samples: s.samples, phase: float64(i + 1)}
+			execs[s.name] = exec
+			cl, err := NewClient(ClientConfig{
+				Logf:  quietLogf,
+				Codec: s.codec,
+				Dialer: func() (transport.MessageConn, error) {
+					return network.Dial(exec.name, transport.LinkProfile{}, transport.LinkProfile{})
+				},
+			}, proj.ClientKits[s.name], exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cl.Run(); err != nil {
+					t.Errorf("client %s: %v", exec.name, err)
+				}
+			}()
+		}
+		res, err := srv.Run(initialWeights())
+		if err != nil {
+			t.Fatalf("server run: %v", err)
+		}
+		srv.Close()
+		wg.Wait()
+		calls := make(map[string]int32, len(execs))
+		for name, exec := range execs {
+			calls[name] = exec.calls.Load()
+		}
+		return res, calls
+	}
+
+	want, _ := federate(nil)
+
+	// The old binary's part of the log: round 0 opened, all six tasked,
+	// s-f64's update logged as decoded weights. Only pre-v2 record kinds,
+	// so re-stamping the magic gives exactly the file it would have left.
+	walPath := filepath.Join(t.TempDir(), "run.wal")
+	old, err := durable.Open(walPath, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(old.AppendRoundOpen(0))
+	for _, name := range names {
+		must(old.AppendTaskAssigned(0, name))
+	}
+	must(old.AppendUpdate(0, "s-f64", 10, 0.5, 0, patternWeights(initialWeights(), 1)))
+	must(old.Close())
+	f, err := os.OpenFile(walPath, os.O_WRONLY, 0)
+	must(err)
+	_, err = f.WriteAt([]byte("CFWAL1\n"), 0)
+	must(err)
+	must(f.Close())
+
+	// This binary's first life: it resumed the round and logged four more
+	// uplinks, verbatim, before dying in turn.
+	first, err := durable.Open(walPath, durable.Options{})
+	if err != nil {
+		t.Fatalf("v1 log rejected: %v", err)
+	}
+	for i, s := range sites[1:5] {
+		codec, err := CodecByName(s.codec)
+		must(err)
+		payload, err := codec.Encode(patternWeights(initialWeights(), float64(i+2)))
+		must(err)
+		must(first.AppendUpdatePayload(0, s.name, s.samples, 0.5, payload))
+	}
+	must(first.Close())
+
+	wal, err := durable.Open(walPath, durable.Options{})
+	must(err)
+	defer wal.Close()
+	if open := wal.Recovered().Open; open == nil || len(open.Tasked) != 6 || len(open.Updates) != 5 {
+		t.Fatalf("recovered open round: %+v", open)
+	}
+	got, calls := federate(wal)
+
+	for name, w := range want.FinalWeights {
+		if !w.Equal(got.FinalWeights[name]) {
+			t.Errorf("%s: resumed model differs from the uninterrupted run:\n got %v\nwant %v", name, got.FinalWeights[name].Data(), w.Data())
+		}
+	}
+	for name, n := range calls {
+		want := int32(0)
+		if name == "s-live" {
+			want = 1
+		}
+		if n != want {
+			t.Errorf("%s trained %d times on resume, want %d: only s-live was unheard", name, n, want)
+		}
+	}
+	round := got.History.Rounds[0]
+	if len(round.Participants) != 6 || len(round.Failures) != 0 {
+		t.Errorf("resumed round: participants %v, failures %v", round.Participants, round.Failures)
+	}
+}
+
+// TestResumeTreatsUndecodablePayloadAsLostUpdate: a recovered payload that
+// no longer decodes costs that one update — the failure is recorded and
+// the client runs again — never the run.
+func TestResumeTreatsUndecodablePayloadAsLostUpdate(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "run.wal")
+	wal, err := durable.Open(walPath, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := Int8Codec{}.Encode(patternWeights(initialWeights(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		wal.AppendRoundOpen(0),
+		wal.AppendTaskAssigned(0, "a"),
+		wal.AppendTaskAssigned(0, "b"),
+		wal.AppendUpdatePayload(0, "a", 10, 0.5, good),
+		wal.AppendUpdatePayload(0, "b", 30, 0.5, good[:len(good)/2]),
+		wal.Close(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wal, err = durable.Open(walPath, durable.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	a := &patternExecutor{name: "a", samples: 10, phase: 1}
+	b := &patternExecutor{name: "b", samples: 30, phase: 2}
+	ctrl, err := NewController(ControllerConfig{Rounds: 1, MinClients: 2, WAL: wal}, []Executor{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ctrl.Run(context.Background(), initialWeights())
+	if err != nil {
+		t.Fatalf("an undecodable recovered payload aborted the run: %v", err)
+	}
+	if a.calls.Load() != 0 || b.calls.Load() != 1 {
+		t.Errorf("a ran %d times, b %d; want the intact update re-seeded and only b re-run", a.calls.Load(), b.calls.Load())
+	}
+	round := res.History.Rounds[0]
+	if len(round.Participants) != 2 {
+		t.Errorf("participants %v, want both", round.Participants)
+	}
+	if len(round.Failures) != 1 || !strings.HasPrefix(round.Failures[0], "b: ") {
+		t.Errorf("failures %v, want one naming b's lost update", round.Failures)
 	}
 }

@@ -88,10 +88,12 @@ type ServerConfig struct {
 	// wall clock).
 	Clock Clock
 	// WAL, when non-nil, makes the run durable: round lifecycle events are
-	// appended and fsync'd before the run proceeds, client sessions are
-	// recorded so reconnects can re-attach after a server restart, and Run
-	// resumes from the WAL's recovered state — the last committed model
-	// plus any open round's already-received updates.
+	// appended as they happen and group-committed by the WAL's background
+	// syncer (each update as the uplink payload it arrived in, verbatim),
+	// client sessions are recorded — durably, before the ack — so
+	// reconnects can re-attach after a server restart, and Run resumes
+	// from the WAL's recovered state — the last committed model plus any
+	// open round's already-received updates.
 	WAL *durable.WAL
 	// Metrics, when non-nil, receives round/byte/failure/straggler/resume
 	// counters, the round-duration histogram, and the connected-clients
@@ -842,11 +844,15 @@ drain:
 	var sampled []*serverClient
 	if resume != nil {
 		for _, u := range resume.Updates {
-			preSeeded = append(preSeeded, &ClientUpdate{
-				ClientName: u.Client, Round: round, Weights: u.Weights,
-				NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
-				PayloadBytes: u.PayloadBytes,
-			})
+			cu, err := recoveredUpdate(u, round)
+			if err != nil {
+				// Lost, not fatal: the client is re-tasked below like any
+				// other tasked-but-unheard one.
+				rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", u.Client, err))
+				s.met.failure("reject")
+				continue
+			}
+			preSeeded = append(preSeeded, cu)
 			replied[u.Client] = true
 			rec.BytesUp += int64(u.PayloadBytes)
 		}
@@ -854,7 +860,7 @@ drain:
 		for _, name := range resume.Tasked {
 			rec.Sampled = append(rec.Sampled, name)
 			tasked[name] = true
-			if resume.HasUpdate(name) {
+			if replied[name] {
 				continue
 			}
 			c, ok := s.clients[name]
@@ -904,7 +910,7 @@ drain:
 	// new round with stale weights; a crash that loses the whole suffix
 	// just re-opens the round and re-tasks it, and recomputation is
 	// byte-identical. The background syncer flushes the scatter while the
-	// clients train, keeping ~40MB/round of durability off the hot path.
+	// clients train, keeping the round's fsyncs off the hot path.
 	pending := 0
 	var failedSends []string
 	for _, c := range sampled {
@@ -1003,14 +1009,8 @@ gather:
 			pending--
 			u.Round = round
 			replied[in.name] = true
-			if s.cfg.WAL != nil {
-				// Lazy append, group-committed by the WAL's syncer. A
-				// crash that loses it re-tasks the client on resume, and
-				// the recomputation is byte-identical.
-				if err := s.cfg.WAL.AppendUpdate(round, u.ClientName, u.NumSamples,
-					u.TrainLoss, u.PayloadBytes, u.Weights); err != nil {
-					return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-				}
+			if err := s.logUpdate(round, u, in.msg.Payload); err != nil {
+				return nil, nil, err
 			}
 			rec.BytesUp += int64(u.PayloadBytes)
 			updates = append(updates, u)
@@ -1033,6 +1033,22 @@ gather:
 			round, len(updates), len(rec.Sampled), rec.Failures)
 	}
 	return updates, late, nil
+}
+
+// logUpdate appends an accepted update to the WAL (when there is one) as
+// the uplink payload it arrived in, verbatim: a resumed round decodes the
+// same bytes the live round did, so nothing is re-encoded here and the
+// record is wire-sized. The append is lazy, group-committed by the WAL's
+// syncer; a crash that loses it re-tasks the client on resume, and the
+// recomputation is byte-identical.
+func (s *Server) logUpdate(round int, u *ClientUpdate, payload []byte) error {
+	if s.cfg.WAL == nil {
+		return nil
+	}
+	if err := s.cfg.WAL.AppendUpdatePayload(round, u.ClientName, u.NumSamples, u.TrainLoss, payload); err != nil {
+		return fmt.Errorf("fl: round %d: %w", round, err)
+	}
+	return nil
 }
 
 // healthEdge records a health transition in metrics and — for the durable
@@ -1456,11 +1472,8 @@ func (s *Server) reconcileGather(round int, blob []byte, rec *RoundRecord,
 				return nil, nil, err
 			}
 			u.Round = round
-			if s.cfg.WAL != nil {
-				if err := s.cfg.WAL.AppendUpdate(round, u.ClientName, u.NumSamples,
-					u.TrainLoss, u.PayloadBytes, u.Weights); err != nil {
-					return nil, nil, fmt.Errorf("fl: round %d: %w", round, err)
-				}
+			if err := s.logUpdate(round, u, in.msg.Payload); err != nil {
+				return nil, nil, err
 			}
 			rec.BytesUp += int64(u.PayloadBytes)
 			updates = append(updates, u)

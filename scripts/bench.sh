@@ -42,7 +42,10 @@ go test -run '^$' \
 # A/B mode; the
 # plain-vs-WAL round pair is tracked alongside as an observable of the
 # end-to-end group-commit pipeline (ungated — the ratio depends on
-# whether a spare core exists to absorb writeback, see DESIGN.md).
+# whether a spare core exists to absorb writeback, see DESIGN.md). The
+# unanchored BenchmarkWALAppend pattern takes in every append variant:
+# the f64 record (blocking, NoSync, Lazy) and BenchmarkWALAppendPayload,
+# the wire-sized record the networked server logs.
 RAWWAL="$(mktemp)"
 trap 'rm -f "$RAW" "$RAWCPU" "$RAWK" "$RAWWAL"' EXIT
 go test -run '^$' \
