@@ -1,7 +1,8 @@
-// Benchmark for the reconciliation tax: what the health-monitor round
-// loop (reconcile.Monitor observations, the requeue work queue, the
-// wake-scheduling gather) costs on a round where nothing fails, relative
-// to the identical legacy round (BenchmarkTable3_FLRoundReconcileLSTM vs
+// Benchmark for the reconciliation tax: what a reconcile policy
+// (reconcile.Monitor observations, the requeue work queue) costs on a
+// round where nothing fails, relative to the identical round under the
+// null policy — both run the round engine's one gather loop
+// (BenchmarkTable3_FLRoundReconcileLSTM vs
 // BenchmarkTable3_FLRoundLSTM — CI gates the overhead at 2%, so the
 // control plane stays free until something actually breaks).
 package clinfl_test

@@ -98,7 +98,7 @@ func run() error {
 		allowTopK  = flag.Bool("allow-topk-uplink", false, "accept clients' lossy top-k uplink codec (zeroes most of each full weight map; otherwise they fall back to raw)")
 		tier       = flag.Bool("tier", false, "act as the root of an aggregation hierarchy: accept edge aggregators' partial-aggregate uplinks and merge them as exact streaming FedAvg (incompatible with -fedasync, -quarantine-after, -wal)")
 
-		quarantineAfter = flag.Int("quarantine-after", 0, "enable the reconciliation control plane: quarantine a client after this many consecutive failures, requeue lost task assignments, probe demoted clients (0 = legacy single-shot rounds)")
+		quarantineAfter = flag.Int("quarantine-after", 0, "enable the reconciliation control plane: quarantine a client after this many consecutive failures, requeue lost task assignments, probe demoted clients (0 = the null policy: one attempt per assignment, no health tracking)")
 		probeInterval   = flag.Duration("probe-interval", 30*time.Second, "base delay between recovery probes of a demoted client (doubles per failed probe; needs -quarantine-after)")
 		substitute      = flag.Bool("substitute", true, "re-dispatch a failed task slot to an idle eligible client when the original is demoted (needs -quarantine-after)")
 

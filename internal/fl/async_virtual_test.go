@@ -291,10 +291,11 @@ func TestVirtualDeadlinePartialAggregationQuorum(t *testing.T) {
 }
 
 func TestVirtualStragglerLegacyTimeout(t *testing.T) {
-	// RoundTimeout is the legacy alias of RoundDeadline; under the virtual
-	// clock a 2s straggler against a 200ms timeout costs no real time.
+	// With no MinUpdates the deadline alone cuts the round; under the
+	// virtual clock a 2s straggler against a 200ms deadline costs no real
+	// time.
 	res, err := runVirtual(t, fl.ControllerConfig{
-		Rounds: 1, MinClients: 1, RoundTimeout: 200 * time.Millisecond,
+		Rounds: 1, MinClients: 1, RoundDeadline: 200 * time.Millisecond,
 	}, []*vexec{
 		{name: "fast", samples: 1, value: 1},
 		{name: "slow", samples: 1, value: 9, delay: 2 * time.Second},

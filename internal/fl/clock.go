@@ -32,10 +32,10 @@ type Clock interface {
 // Wait evaluates poll between simulated events: it returns true as soon as
 // poll succeeds, advancing virtual time event by event in between, and
 // false once virtual time reaches deadline (a zero deadline never fires).
-// The gather loops in Controller and Server use it, when available, instead
-// of a select over real timer channels — that is what makes "which updates
-// beat the round deadline" a pure function of the scenario rather than of
-// goroutine scheduling.
+// The round engine's gather uses it, when available, instead of a select
+// over real timer channels — that is what makes "which updates beat the
+// round deadline" a pure function of the scenario rather than of goroutine
+// scheduling.
 type Waiter interface {
 	Wait(poll func() bool, deadline time.Time) bool
 }
@@ -62,47 +62,13 @@ const (
 	waitCancelled
 )
 
-// gatherDeadline prepares one round's gather deadline for waitRecv: the
-// absolute virtual instant (for a Waiter clock) and, for every other
-// clock, a single timer channel shared by all of the round's receives —
-// one timer per round, not one per message. Zero d means no deadline.
-func gatherDeadline(clk Clock, d time.Duration) (time.Time, <-chan time.Time) {
-	if d <= 0 {
-		return time.Time{}, nil
-	}
-	at := clk.Now().Add(d)
-	if _, ok := clk.(Waiter); ok {
-		return at, nil
-	}
-	return at, clk.After(d)
-}
-
-// wakeChan prepares one wait's wake-up for waitRecv from an absolute
-// instant: a Waiter clock takes the time directly; any other clock gets
-// a fresh timer channel. Unlike gatherDeadline (one fixed timer per
-// round), this suits the reconciliation loop, whose nearest wake-up — a
-// requeued task's ready time, the next probe, the park budget — moves
-// between iterations. A zero at means no wake-up.
-func wakeChan(clk Clock, at time.Time) (time.Time, <-chan time.Time) {
-	if at.IsZero() {
-		return time.Time{}, nil
-	}
-	if _, ok := clk.(Waiter); ok {
-		return at, nil
-	}
-	d := at.Sub(clk.Now())
-	if d < 0 {
-		d = 0
-	}
-	return at, clk.After(d)
-}
-
-// waitRecv waits for the next value on ch until the gatherDeadline pair
-// fires (zero/nil = no deadline), optionally aborting when done (a
-// context's Done channel; nil = never) is closed. Under a Waiter clock the
-// wait is mediated by the event loop, so delivery order and deadline
-// outcomes are deterministic; under any other clock it is a plain select
-// on the round's shared timer channel.
+// waitRecv waits for the next value on ch until the deadline fires — the
+// absolute instant for a Waiter clock, the timer channel armed for that
+// instant for any other (zero/nil = no deadline) — optionally aborting when
+// done (a context's Done channel; nil = never) is closed. Under a Waiter
+// clock the wait is mediated by the event loop, so delivery order and
+// deadline outcomes are deterministic; under any other clock it is a plain
+// select.
 func waitRecv[T any](clk Clock, ch <-chan T, done <-chan struct{}, deadlineAt time.Time, deadlineCh <-chan time.Time) (T, waitStatus) {
 	var zero T
 	if w, ok := clk.(Waiter); ok {

@@ -22,6 +22,7 @@ func RunConformance(t *testing.T, h Harness) {
 	t.Run("StragglerNeverAggregatedInRound", func(t *testing.T) { conformStraggler(t, h) })
 	t.Run("QuorumBelowErrors", func(t *testing.T) { conformQuorum(t, h) })
 	t.Run("FailedClientRecorded", func(t *testing.T) { conformFailureRecorded(t, h) })
+	t.Run("MalformedUpdateIsClientFailure", func(t *testing.T) { conformMalformedUpdate(t, h) })
 	t.Run("ReassignedTaskSingleUpdate", func(t *testing.T) { conformReassignedSingleUpdate(t, h) })
 	t.Run("FlapNeverBlocksFinalize", func(t *testing.T) { conformFlapNeverBlocks(t, h) })
 	t.Run("HealthDemotionOrderIndependent", func(t *testing.T) { conformHealthOrderIndependent(t, h) })
@@ -232,6 +233,57 @@ func conformFailureRecorded(t *testing.T, h Harness) {
 	}
 	if got := res.FinalWeights["layer.w"].Data()[0]; got != 2 {
 		t.Fatalf("failed client leaked into the model: %v", got)
+	}
+}
+
+// conformMalformedUpdate: an update the aggregate could not use — no
+// samples, a parameter of the wrong shape, a parameter the model does not
+// have — is that one client's failure, every round it misbehaves. It is
+// never a participant, and each round finalizes to the exact FedAvg of the
+// remaining clients instead of aborting the federation.
+func conformMalformedUpdate(t *testing.T, h Harness) {
+	for _, mode := range []string{"zero-samples", "wrong-shape", "extra-param"} {
+		t.Run(mode, func(t *testing.T) {
+			good := []ClientSpec{
+				{Name: "a", Samples: 10, Value: 1},
+				{Name: "b", Samples: 30, Value: 2},
+				{Name: "c", Samples: 20, Value: 7},
+			}
+			spec := RunSpec{
+				Rounds: 3, MinClients: 1,
+				Clients: append([]ClientSpec{{Name: "bad", Samples: 40, Value: 100, Malformed: mode}}, good...),
+			}
+			res, err := h.Run(spec)
+			if err != nil {
+				t.Fatalf("one malformed client aborted the federation: %v", err)
+			}
+			checkRecords(t, res)
+			if len(res.History.Rounds) != spec.Rounds {
+				t.Fatalf("completed %d rounds, want %d", len(res.History.Rounds), spec.Rounds)
+			}
+			for _, rec := range res.History.Rounds {
+				if got := strings.Join(rec.Participants, ","); got != "a,b,c" {
+					t.Fatalf("round %d participants %v, want exactly [a b c]", rec.Round, rec.Participants)
+				}
+				named := 0
+				for _, f := range rec.Failures {
+					if strings.HasPrefix(f, "bad:") {
+						named++
+					}
+				}
+				if named != 1 {
+					t.Fatalf("round %d failures %v, want exactly one naming bad", rec.Round, rec.Failures)
+				}
+			}
+			want := ExpectedFedAvg(good)
+			for name, m := range res.FinalWeights {
+				for _, v := range m.Data() {
+					if v != want {
+						t.Fatalf("final %s = %v, want exact %v over the well-formed clients", name, v, want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -43,6 +43,11 @@ type ClientSpec struct {
 	// errors; a re-dispatched retry succeeds. Meaningful with a
 	// RunSpec.Reconcile policy — without one there is no second attempt.
 	FlakyRounds []int
+	// Malformed makes every update the client returns unusable in one of
+	// the ways a buggy or hostile site can: "zero-samples" (NumSamples 0),
+	// "wrong-shape" (one parameter transposed) or "extra-param" (a
+	// parameter the global model does not have).
+	Malformed string
 	// Codec round-trips the client's updates through an uplink codec
 	// ("raw", "f32", "topk:f"); empty means raw without byte stamping for
 	// in-process harnesses and raw on the wire for the server harness.
@@ -204,6 +209,18 @@ func (e *cannedExecutor) ExecuteRound(round int, global map[string]*tensor.Matri
 	u := &fl.ClientUpdate{
 		ClientName: e.spec.Name, Round: round, Weights: weights,
 		NumSamples: e.NumSamples(), TrainLoss: loss,
+	}
+	switch e.spec.Malformed {
+	case "":
+	case "zero-samples":
+		u.NumSamples = 0
+	case "wrong-shape":
+		w := weights["layer.w"]
+		weights["layer.w"] = tensor.New(w.Cols(), w.Rows())
+	case "extra-param":
+		weights["layer.extra"] = tensor.New(1, 1)
+	default:
+		return nil, fmt.Errorf("fltest: unknown Malformed mode %q", e.spec.Malformed)
 	}
 	if e.codec != nil {
 		blob, err := e.codec.Encode(weights)

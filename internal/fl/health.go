@@ -6,15 +6,16 @@ import (
 	"clinfl/internal/fl/reconcile"
 )
 
-// ReconcilePolicy switches the round loop from "a failure is terminal"
-// to reconciliation: failed or timed-out task assignments are requeued
-// with jittered-exponential backoff and re-dispatched (to the same
-// client, or a substitute) within the round deadline; repeated failures
+// ReconcilePolicy moves the round engine's gather from "a failure is
+// terminal" to reconciliation: failed or timed-out task assignments are
+// requeued with jittered-exponential backoff and re-dispatched (to the
+// same client, or a substitute) within the round deadline; repeated failures
 // demote a client through the reconcile.Health ladder and exclude it
 // from sampling until a recovery probe succeeds; and a round starved
 // below quorum parks until probes revive clients instead of failing or
-// deadlocking. Nil (the default on ControllerConfig/ServerConfig)
-// preserves the legacy single-shot behavior exactly.
+// deadlocking. Nil (the default on ControllerConfig/ServerConfig) runs
+// the same gather under the null policy — one attempt per assignment, no
+// health tracking — which is the pre-reconciliation federation exactly.
 type ReconcilePolicy struct {
 	// SuspectAfter / UnreachableAfter / QuarantineAfter are the
 	// consecutive-failure demotion thresholds (defaults 1 / 2 / 4).
@@ -82,9 +83,10 @@ func (m flMetrics) healthTransition(mon *reconcile.Monitor, tr reconcile.Transit
 }
 
 // syncHealthGauges sets fl_client_health{state} to the monitor's current
-// per-state population.
+// per-state population. The null monitor tracks nobody and exports no
+// gauge family.
 func (m flMetrics) syncHealthGauges(mon *reconcile.Monitor) {
-	if m.reg == nil {
+	if m.reg == nil || mon == nil {
 		return
 	}
 	counts := mon.Counts()

@@ -727,3 +727,98 @@ func TestNewServerValidation(t *testing.T) {
 		t.Fatal("want error for missing VerifyToken")
 	}
 }
+
+// TestServerRejectsGarbledUpdateHeader: a tasked client whose update
+// carries an unparseable or non-finite train_loss is recorded as that
+// client's failure before anything is aggregated or logged; the round
+// finalizes over the healthy client.
+func TestServerRejectsGarbledUpdateHeader(t *testing.T) {
+	for _, loss := range []string{"oops", "NaN", "1e999"} {
+		t.Run(loss, func(t *testing.T) {
+			proj := testProject(t, "c1", "c2")
+			network := transport.NewMemNetwork()
+			defer network.Close()
+			srv, err := NewServer(ServerConfig{
+				ExpectedClients: 2,
+				Rounds:          1,
+				MinClients:      1,
+				RegisterTimeout: 10 * time.Second,
+				VerifyToken:     proj.VerifyToken,
+				Logf:            quietLogf,
+				Listener:        network,
+			}, proj.ServerKit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			cl, err := NewClient(ClientConfig{
+				Logf: quietLogf,
+				Dialer: func() (transport.MessageConn, error) {
+					return network.Dial("c1", transport.LinkProfile{}, transport.LinkProfile{})
+				},
+			}, proj.ClientKits["c1"], &fakeExecutor{name: "c1", samples: 10, value: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			clientDone := make(chan error, 1)
+			go func() {
+				_, err := cl.Run()
+				clientDone <- err
+			}()
+			rogueDone := make(chan error, 1)
+			go func() {
+				rogueDone <- func() error {
+					kit := proj.ClientKits["c2"]
+					conn, err := network.Dial("c2", transport.LinkProfile{}, transport.LinkProfile{})
+					if err != nil {
+						return err
+					}
+					defer conn.Close()
+					if err := conn.Write(&transport.Message{
+						Type: transport.MsgRegister, Sender: kit.Name, Token: kit.Token,
+					}); err != nil {
+						return err
+					}
+					if _, err := conn.Read(); err != nil { // ack
+						return err
+					}
+					task, err := conn.Read() // round-0 task
+					if err != nil {
+						return err
+					}
+					if err := conn.Write(&transport.Message{
+						Type: transport.MsgUpdate, Sender: kit.Name, Round: task.Round,
+						Payload: task.Payload, NumSamples: 30,
+						Meta: map[string]string{"train_loss": loss},
+					}); err != nil {
+						return err
+					}
+					_, err = conn.Read() // finish
+					return err
+				}()
+			}()
+
+			res, err := srv.Run(initialWeights())
+			if err != nil {
+				t.Fatalf("a garbled update header aborted the run: %v", err)
+			}
+			if cerr := <-clientDone; cerr != nil {
+				t.Fatalf("healthy client: %v", cerr)
+			}
+			if rerr := <-rogueDone; rerr != nil {
+				t.Fatalf("rogue client: %v", rerr)
+			}
+			rec := res.History.Rounds[0]
+			if len(rec.Participants) != 1 || rec.Participants[0] != "c1" {
+				t.Fatalf("participants %v, want [c1]", rec.Participants)
+			}
+			if len(rec.Failures) != 1 || !strings.HasPrefix(rec.Failures[0], "c2: ") {
+				t.Fatalf("failures %v, want one naming c2", rec.Failures)
+			}
+			if got := res.FinalWeights["layer.w"].At(0, 0); got != 1 {
+				t.Fatalf("final weight %v, want c1's 1 alone", got)
+			}
+		})
+	}
+}

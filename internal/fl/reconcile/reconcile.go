@@ -134,6 +134,11 @@ type entry struct {
 // Monitor tracks per-client health. It is not goroutine-safe: the round
 // loop owns it and feeds it observations single-threaded, exactly like
 // the rest of the gather state.
+//
+// A nil *Monitor is the null monitor of a federation that runs without a
+// reconcile policy: it records nothing, every client stays eligible, no
+// probe is ever due, and its snapshot is nil — so the round loop calls
+// it unconditionally instead of guarding every observation.
 type Monitor struct {
 	cfg     Config
 	clients map[string]*entry
@@ -142,6 +147,14 @@ type Monitor struct {
 // NewMonitor builds an empty monitor.
 func NewMonitor(cfg Config) *Monitor {
 	return &Monitor{cfg: cfg.withDefaults(), clients: make(map[string]*entry)}
+}
+
+// tracked is the client table; empty for the null monitor.
+func (m *Monitor) tracked() map[string]*entry {
+	if m == nil {
+		return nil
+	}
+	return m.clients
 }
 
 func (m *Monitor) entryFor(name string) *entry {
@@ -171,6 +184,9 @@ func (m *Monitor) healthFor(streak int) Health {
 // the client to Healthy; failure extends the streak and may demote. A
 // demotion out of the sample pool schedules the first recovery probe.
 func (m *Monitor) Observe(name string, ok bool, now time.Time) Transition {
+	if m == nil {
+		return Transition{}
+	}
 	e := m.entryFor(name)
 	from := e.health
 	if ok {
@@ -200,6 +216,9 @@ func (m *Monitor) Observe(name string, ok bool, now time.Time) Transition {
 // DueProbes. Success rejoins the client (Healthy, back in the pool);
 // failure backs off the next probe by ProbeDelay(attempt).
 func (m *Monitor) ProbeResult(name string, ok bool, now time.Time) Transition {
+	if m == nil {
+		return Transition{}
+	}
 	e := m.entryFor(name)
 	from := e.health
 	e.probing = false
@@ -231,17 +250,11 @@ func Eligible(h Health) bool { return h <= Suspect }
 
 // Eligible reports whether the named client may be sampled. Never-seen
 // clients are eligible (Unknown).
-func (m *Monitor) Eligible(name string) bool {
-	e, ok := m.clients[name]
-	if !ok {
-		return true
-	}
-	return Eligible(e.health)
-}
+func (m *Monitor) Eligible(name string) bool { return Eligible(m.Health(name)) }
 
 // Health returns the client's current state (Unknown when never seen).
 func (m *Monitor) Health(name string) Health {
-	e, ok := m.clients[name]
+	e, ok := m.tracked()[name]
 	if !ok {
 		return Unknown
 	}
@@ -252,6 +265,9 @@ func (m *Monitor) Health(name string) Health {
 // on restart, so a recorded quarantine survives the crash. The first
 // recovery probe is due immediately.
 func (m *Monitor) SetQuarantined(name string) {
+	if m == nil {
+		return
+	}
 	e := m.entryFor(name)
 	e.health = Quarantined
 	e.streak = m.cfg.QuarantineAfter
@@ -267,7 +283,7 @@ func (m *Monitor) SetQuarantined(name string) {
 // returned again until ProbeResult lands.
 func (m *Monitor) DueProbes(now time.Time) []string {
 	var due []string
-	for name, e := range m.clients {
+	for name, e := range m.tracked() {
 		if Eligible(e.health) || e.probing || e.nextProbe.IsZero() {
 			continue
 		}
@@ -287,7 +303,7 @@ func (m *Monitor) DueProbes(now time.Time) []string {
 // not-currently-probing clients (zero time when none is scheduled).
 func (m *Monitor) NextProbeAt() time.Time {
 	var at time.Time
-	for _, e := range m.clients {
+	for _, e := range m.tracked() {
 		if Eligible(e.health) || e.probing || e.nextProbe.IsZero() {
 			continue
 		}
@@ -301,13 +317,13 @@ func (m *Monitor) NextProbeAt() time.Time {
 // IsProbing reports whether the named client has a recovery probe in
 // flight (fired by DueProbes, not yet resolved by ProbeResult).
 func (m *Monitor) IsProbing(name string) bool {
-	e, ok := m.clients[name]
+	e, ok := m.tracked()[name]
 	return ok && e.probing
 }
 
 // Probing reports whether any recovery probe is currently in flight.
 func (m *Monitor) Probing() bool {
-	for _, e := range m.clients {
+	for _, e := range m.tracked() {
 		if e.probing {
 			return true
 		}
@@ -317,7 +333,7 @@ func (m *Monitor) Probing() bool {
 
 // Demoted reports whether any tracked client is out of the sample pool.
 func (m *Monitor) Demoted() bool {
-	for _, e := range m.clients {
+	for _, e := range m.tracked() {
 		if !Eligible(e.health) {
 			return true
 		}
@@ -329,7 +345,7 @@ func (m *Monitor) Demoted() bool {
 // have been observed and reset — never-seen clients aren't tracked).
 func (m *Monitor) Counts() map[Health]int {
 	out := make(map[Health]int, len(States()))
-	for _, e := range m.clients {
+	for _, e := range m.tracked() {
 		out[e.health]++
 	}
 	return out
@@ -339,6 +355,9 @@ func (m *Monitor) Counts() map[Health]int {
 // for history records (callers marshal it as a map; iteration order is
 // irrelevant there).
 func (m *Monitor) Snapshot() map[string]string {
+	if m == nil {
+		return nil
+	}
 	out := make(map[string]string, len(m.clients))
 	for name, e := range m.clients {
 		out[name] = e.health.String()

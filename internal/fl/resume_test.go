@@ -610,3 +610,79 @@ func TestResumeTreatsUndecodablePayloadAsLostUpdate(t *testing.T) {
 		t.Errorf("failures %v, want one naming b's lost update", round.Failures)
 	}
 }
+
+// TestResumeTreatsMalformedUpdateRecordAsLostUpdate: a server that logged
+// uplinks before validating them could leave an update record in an open
+// round that no aggregate can use — no samples, a mis-shaped parameter, a
+// parameter the model does not have. Replaying such a log must cost that
+// one update (the failure is recorded and the client runs again), not
+// abort this run and every restart after it.
+func TestResumeTreatsMalformedUpdateRecordAsLostUpdate(t *testing.T) {
+	good, err := Int8Codec{}.Encode(patternWeights(initialWeights(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	transposed := patternWeights(initialWeights(), 2)
+	for name, w := range transposed {
+		transposed[name] = tensor.New(w.Cols()+1, w.Rows())
+	}
+	extra := patternWeights(initialWeights(), 2)
+	extra["not.in.the.model"] = tensor.New(1, 1)
+	for _, tc := range []struct {
+		name    string
+		samples int
+		weights map[string]*tensor.Matrix
+	}{
+		{"zero samples", 0, patternWeights(initialWeights(), 2)},
+		{"wrong shape", 30, transposed},
+		{"extra param", 30, extra},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, err := EncodeWeights(tc.weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walPath := filepath.Join(t.TempDir(), "run.wal")
+			wal, err := durable.Open(walPath, durable.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, err := range []error{
+				wal.AppendRoundOpen(0),
+				wal.AppendTaskAssigned(0, "a"),
+				wal.AppendTaskAssigned(0, "b"),
+				wal.AppendUpdatePayload(0, "a", 10, 0.5, good),
+				wal.AppendUpdatePayload(0, "b", tc.samples, 0.5, bad),
+				wal.Close(),
+			} {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if wal, err = durable.Open(walPath, durable.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer wal.Close()
+			a := &patternExecutor{name: "a", samples: 10, phase: 1}
+			b := &patternExecutor{name: "b", samples: 30, phase: 2}
+			ctrl, err := NewController(ControllerConfig{Rounds: 1, MinClients: 2, WAL: wal}, []Executor{a, b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctrl.Run(context.Background(), initialWeights())
+			if err != nil {
+				t.Fatalf("a malformed recovered update aborted the run: %v", err)
+			}
+			if a.calls.Load() != 0 || b.calls.Load() != 1 {
+				t.Errorf("a ran %d times, b %d; want the intact update re-seeded and only b re-run", a.calls.Load(), b.calls.Load())
+			}
+			round := res.History.Rounds[0]
+			if len(round.Participants) != 2 {
+				t.Errorf("participants %v, want both", round.Participants)
+			}
+			if len(round.Failures) != 1 || !strings.HasPrefix(round.Failures[0], "b: ") {
+				t.Errorf("failures %v, want one naming b's lost update", round.Failures)
+			}
+		})
+	}
+}

@@ -1,0 +1,1098 @@
+package fl
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"sort"
+	"time"
+
+	"clinfl/internal/fl/durable"
+	"clinfl/internal/fl/reconcile"
+	"clinfl/internal/metrics"
+	"clinfl/internal/tensor"
+)
+
+// This file is the federation's one round engine. The in-process
+// Controller and the networked Server both run their rounds through it:
+//
+//	prepare  — drain outcomes that landed between rounds, seed a round
+//	           resumed from the WAL or sample a fresh one, log
+//	           round-open / task-assigned, scatter, resolve the quorum
+//	           and the early-aggregate trigger
+//	gather   — one event loop (deadline, requeue queue, recovery probes,
+//	           park, degrade) until the round is settled
+//	finalize — the sink turns the accepted updates into the next model
+//	commit   — WAL round-final + model-commit, metrics, model selection
+//
+// Two seams keep it free of transport and aggregation detail. A backend
+// delivers normalized events and carries out task / probe requests (the
+// Controller over executor goroutines, the Server over wire connections);
+// a sink takes each accepted update (flatSink buffers for finalizeRound,
+// tierSink folds into edge-shard partials).
+
+// roundConfig is the engine's view of a ControllerConfig or ServerConfig:
+// the knobs both share, defaulted by the owning constructor.
+type roundConfig struct {
+	rounds         int
+	minClients     int
+	minUpdates     int
+	sampleFraction float64
+	deadline       time.Duration
+	seed           int64
+	async          AsyncAggregator
+	validate       func(weights map[string]*tensor.Matrix) (float64, error)
+	patience       int
+	clock          Clock
+	wal            *durable.WAL
+	metrics        *metrics.Registry
+	reconcile      *ReconcilePolicy
+	// logf receives progress lines; nil discards them.
+	logf func(format string, args ...any)
+}
+
+// eventKind classifies a backend delivery.
+type eventKind int
+
+const (
+	// evIgnore is a delivery that changes nothing — a message from a
+	// superseded connection generation.
+	evIgnore eventKind = iota
+	// evUpdate is a client's trained update.
+	evUpdate
+	// evFailure is a failed assignment or a rejected message.
+	evFailure
+	// evProbe is a recovery probe's outcome (err nil: the client answered).
+	evProbe
+	// evReattach is a client re-attached on a new connection; whatever it
+	// was working on went down with the old one.
+	evReattach
+)
+
+// event is one backend delivery, normalized so the gather never sees an
+// execOutcome or an inboxMsg.
+type event struct {
+	kind eventKind
+	name string
+	// round is the round the client was tasked for (-1: it held no task),
+	// read from the backend's own task record — never from what the
+	// client claims — so a straggler is recognized as late, a tasked client
+	// always releases its slot, and an untasked one cannot claim one.
+	round  int
+	update *ClientUpdate
+	// payload is the update as it arrived on the wire (nil in-process);
+	// the WAL logs it verbatim.
+	payload []byte
+	err     error
+	// cause labels an evFailure in fl_failures_total: "exec", "conn" or
+	// "reject".
+	cause string
+}
+
+// backend is what the engine needs from a transport. All methods are
+// called from the Run goroutine only.
+type backend interface {
+	// begin readies the round's task (the wire encodes the model once).
+	begin(round int, global map[string]*tensor.Matrix) error
+	// poll returns an already-delivered event without blocking.
+	poll() (event, bool)
+	// next blocks for the next event until the wake instant (zero: no
+	// wake-up) or until done is closed.
+	next(done <-chan struct{}, wake time.Time) (event, waitStatus)
+	// idle lists the live clients holding no task, in the transport's
+	// canonical order, and the sampling denominator. Sampling, substitute
+	// dispatch and the parked round all draw from this one list.
+	idle() (names []string, total int)
+	// task hands the round's task to an idle client and reports the
+	// downlink payload bytes it cost.
+	task(name string) (down int, err error)
+	// probe fires a recovery probe; its answer arrives as an evProbe. An
+	// error means the probe could not even be sent.
+	probe(name string) error
+}
+
+// sink receives a round's accepted updates and produces the next model.
+type sink interface {
+	// open starts a round over the sampled clients.
+	open(sampled []string)
+	// accept takes one validated in-round update; an error rejects it as
+	// a per-client failure.
+	accept(u *ClientUpdate) error
+	// finalize aggregates what was accepted, merges the late updates, and
+	// fills the record's participants, loss and byte counters.
+	finalize(round int, global map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error)
+}
+
+// source adapts a transport's delivery channel to the backend's poll and
+// next: one non-blocking receive, one waitRecv site, one timer policy.
+type source[T any] struct {
+	clk       Clock
+	ch        <-chan T
+	normalize func(T) event
+	// timerAt / timer are the armed real-clock wake-up. It is reused while
+	// the wake instant is unchanged, so a round with no retries or probes
+	// arms one timer, not one per message.
+	timerAt time.Time
+	timer   <-chan time.Time
+}
+
+func (s *source[T]) poll() (event, bool) {
+	select {
+	case v := <-s.ch:
+		return s.normalize(v), true
+	default:
+		return event{}, false
+	}
+}
+
+func (s *source[T]) next(done <-chan struct{}, wake time.Time) (event, waitStatus) {
+	if _, virtual := s.clk.(Waiter); !virtual && !wake.Equal(s.timerAt) {
+		s.timerAt, s.timer = wake, nil
+		if !wake.IsZero() {
+			s.timer = s.clk.After(wake.Sub(s.clk.Now()))
+		}
+	}
+	v, status := waitRecv(s.clk, s.ch, done, wake, s.timer)
+	switch status {
+	case waitOK:
+		return s.normalize(v), waitOK
+	case waitDeadline:
+		s.timerAt, s.timer = time.Time{}, nil // spent
+	}
+	return event{}, status
+}
+
+// engine runs the rounds of one federation.
+type engine struct {
+	roundConfig
+	be   backend
+	sink sink
+	rng  *tensor.RNG
+	met  flMetrics
+	// mon / pol are the health monitor and the retry policy. Without a
+	// ReconcilePolicy the same loop runs under the null policy: a nil
+	// monitor (records nothing, everyone eligible, no probes) and one
+	// attempt per slot.
+	mon *reconcile.Monitor
+	pol ReconcilePolicy
+	// reconciling is false under the null policy, which keeps three
+	// outcomes of the pre-reconciliation federation: a deadline that
+	// finds the round below quorum fails it at once instead of waiting
+	// out the stragglers, a short round is never marked Degraded, and a
+	// client that re-attaches mid-task is simply sent the task again
+	// (there is no retry queue to race).
+	reconciling bool
+}
+
+func newEngine(cfg roundConfig, be backend, sk sink) *engine {
+	e := &engine{
+		roundConfig: cfg, be: be, sink: sk,
+		rng: tensor.NewRNG(cfg.seed + 7919),
+		met: newFLMetrics(cfg.metrics),
+		pol: ReconcilePolicy{MaxAssignAttempts: 1},
+	}
+	if cfg.reconcile != nil {
+		e.pol = cfg.reconcile.withDefaults()
+		e.mon = e.pol.monitor()
+		e.reconciling = true
+	}
+	if e.logf == nil {
+		e.logf = func(string, ...any) {}
+	}
+	return e
+}
+
+// run executes the federation's rounds from initial, honoring ctx
+// cancellation between rounds and inside a gather.
+func (e *engine) run(ctx context.Context, initial map[string]*tensor.Matrix) (*Result, error) {
+	global := cloneWeights(initial)
+	res := &Result{History: History{BestRound: -1}}
+
+	// A durable run picks up where the WAL left off: the last committed
+	// model replaces initial, and a round that was open at the crash is
+	// resumed — its recorded updates re-seeded, only the pending clients
+	// re-tasked.
+	startRound := 0
+	var resume *durable.OpenRound
+	if e.wal != nil {
+		st := e.wal.Recovered()
+		if st.Records > 0 {
+			e.met.reg.Counter("fl_recoveries_total", "runs resumed from a non-empty WAL").Inc()
+		}
+		if st.Weights != nil {
+			global = cloneWeights(st.Weights)
+		}
+		startRound = st.LastRound + 1
+		if st.Open != nil {
+			startRound = st.Open.Round
+			resume = st.Open
+			e.logf("resuming open round %d from WAL (%d tasked, %d updates recovered)",
+				resume.Round, len(resume.Tasked), len(resume.Updates))
+		} else if st.Records > 0 {
+			e.logf("resuming from WAL at round %d (last committed %d)", startRound, st.LastRound)
+		}
+		// Replayed quarantine decisions take effect before any sampling:
+		// a crash must not resurrect a quarantined client into the pool.
+		for name, state := range st.Health {
+			if state == reconcile.Quarantined.String() {
+				e.mon.SetQuarantined(name)
+			}
+		}
+		e.met.syncHealthGauges(e.mon)
+	}
+
+	sinceBest := 0
+	for round := startRound; round < e.rounds; round++ {
+		select {
+		case <-ctx.Done():
+			return nil, fmt.Errorf("fl: cancelled before round %d: %w", round, ctx.Err())
+		default:
+		}
+		start := e.clock.Now()
+		rec := RoundRecord{Round: round}
+		next, err := e.runRound(ctx, global, resume, &rec)
+		resume = nil
+		if err != nil {
+			return nil, err
+		}
+		global = next
+		rec.Duration = e.clock.Since(start)
+		if err := e.commit(res, &rec, global, &sinceBest); err != nil {
+			return nil, err
+		}
+		if e.patience > 0 && e.validate != nil && sinceBest >= e.patience {
+			break // early stop: no validation improvement for patience rounds
+		}
+	}
+	res.FinalWeights = global
+	if res.BestWeights == nil {
+		res.BestWeights = cloneWeights(global)
+	}
+	res.Health = e.mon.Snapshot()
+	return res, nil
+}
+
+// commit is the per-round epilogue: the WAL commit point, metrics, model
+// selection and the history append.
+func (e *engine) commit(res *Result, rec *RoundRecord, global map[string]*tensor.Matrix, sinceBest *int) error {
+	if e.wal != nil {
+		// The commit point: once RecModelCommit is durable (group committed
+		// by the syncer, settled by Close) a restart starts at round+1 and
+		// never re-runs this round. An unsynced commit lost to a crash just
+		// re-runs the round from its durable updates to the byte-identical
+		// model.
+		if err := e.wal.AppendRoundFinal(rec.Round, rec.Participants); err != nil {
+			return fmt.Errorf("fl: round %d: %w", rec.Round, err)
+		}
+		if err := e.wal.AppendModelCommit(rec.Round, global); err != nil {
+			return fmt.Errorf("fl: round %d: %w", rec.Round, err)
+		}
+	}
+	e.met.roundDone(rec)
+	if e.validate != nil {
+		score, err := e.validate(global)
+		if err != nil {
+			return fmt.Errorf("fl: round %d validate: %w", rec.Round, err)
+		}
+		rec.ValScore = score
+		if res.History.BestRound < 0 || score > res.History.BestScore {
+			res.History.BestRound = rec.Round
+			res.History.BestScore = score
+			res.BestWeights = cloneWeights(global)
+			*sinceBest = 0
+		} else {
+			*sinceBest++
+		}
+	}
+	res.History.Rounds = append(res.History.Rounds, *rec)
+	e.logf("round %d/%d done in %v (mean loss %.4f, %d/%d participants, %d up / %d down bytes)",
+		rec.Round+1, e.rounds, rec.Duration.Round(time.Millisecond), rec.MeanTrainLoss,
+		len(rec.Participants), len(rec.Sampled), rec.BytesUp, rec.BytesDown)
+	return nil
+}
+
+// slot is the engine's per-round record of one client.
+type slot struct {
+	// attempt is the assignment the client is working on (1 = the
+	// original dispatch), 0 when it holds none; origin is the client the
+	// assignment was first sampled for.
+	attempt int
+	origin  string
+	// sampled: listed in the record's Sampled. done: its update was
+	// accepted this round.
+	sampled, done bool
+}
+
+// gather is one round's mutable state.
+type gather struct {
+	e      *engine
+	round  int
+	global map[string]*tensor.Matrix
+	rec    *RoundRecord
+	late   []*ClientUpdate
+	rq     *reconcile.Queue
+	slots  map[string]*slot
+	// open is false until the scatter: before it no client holds a slot of
+	// this round, so events are only absorbed (the between-rounds drain and
+	// the pre-scatter park).
+	open bool
+	// pending counts assignments in flight; got the accepted updates.
+	pending, got       int
+	quorum, minUpdates int
+	deadlineAt         time.Time
+	deadlineFired      bool
+	parked             bool
+	parkDeadline       time.Time
+}
+
+// runRound drives one round from the drain to the aggregated model.
+func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix, resume *durable.OpenRound, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+	round := rec.Round
+	if err := e.be.begin(round, global); err != nil {
+		return nil, err
+	}
+	g := &gather{e: e, round: round, global: global, rec: rec, rq: reconcile.NewQueue()}
+	// Stragglers that finished between rounds drain first, so they become
+	// idle (sample-able) again and their updates enter this round's
+	// staleness handling instead of rotting in the channel.
+	for ev, ok := e.be.poll(); ok; ev, ok = e.be.poll() {
+		if err := g.handle(ev, e.clock.Now()); err != nil {
+			return nil, err
+		}
+	}
+
+	var toTask []string
+	var seeded []*ClientUpdate
+	if resume != nil {
+		toTask, seeded = g.reseed(resume)
+	} else {
+		var err error
+		if toTask, err = g.sample(ctx); err != nil {
+			return nil, err
+		}
+	}
+	sampled := make([]slot, len(rec.Sampled))
+	g.slots = make(map[string]*slot, len(rec.Sampled))
+	for i, name := range rec.Sampled {
+		sampled[i].sampled = true
+		g.slots[name] = &sampled[i]
+	}
+	e.sink.open(rec.Sampled)
+	for _, u := range seeded {
+		if err := e.sink.accept(u); err != nil {
+			return nil, fmt.Errorf("fl: round %d: reseed %s: %w", round, u.ClientName, err)
+		}
+		g.slot(u.ClientName).done = true
+		g.got++
+	}
+
+	// No fsync barrier before the scatter: file order gives the WAL a
+	// durable prefix (an fsync covering this round's open covers the
+	// previous commit too, so replay can never pair a new round with stale
+	// weights), and a lost suffix re-opens the round and recomputes it
+	// byte-identically. The background syncer flushes the scatter while
+	// the clients train.
+	now := e.clock.Now()
+	if e.deadline > 0 {
+		g.deadlineAt = now.Add(e.deadline)
+	}
+	g.open = true
+	for _, name := range toTask {
+		if err := g.dispatch(reconcile.Task{Client: name, Round: round, Attempt: 1, Origin: name}, name, false, now); err != nil {
+			return nil, err
+		}
+	}
+	// The quorum is clamped to the clients the round was opened for, not
+	// to those whose task went out: a failed send counts against an
+	// explicitly configured floor, it never silently lowers it.
+	g.quorum = e.minClients
+	if g.quorum > len(rec.Sampled) {
+		g.quorum = len(rec.Sampled)
+	}
+	if g.quorum < 1 {
+		g.quorum = 1
+	}
+	g.minUpdates = e.minUpdates
+	if avail := g.pending + g.got; g.minUpdates <= 0 || g.minUpdates > avail {
+		g.minUpdates = avail
+	}
+	if g.minUpdates < g.quorum {
+		// An early aggregate below the quorum would always fail it; wait
+		// for the quorum before cutting the round short.
+		g.minUpdates = g.quorum
+	}
+
+	if err := g.wait(ctx); err != nil {
+		return nil, err
+	}
+	switch {
+	case g.got >= g.minUpdates:
+	case g.got >= g.quorum:
+		// At or above quorum but short of the trigger: the deadline or the
+		// parking budget cut a mass-failure round short.
+		g.degrade()
+	case e.reconciling && e.async != nil && g.got > 0:
+		// Below quorum. The async path finalizes what it has as a degraded
+		// partial round — FedAsync already tolerates weight drift from
+		// missing participants; the synchronous path must fail.
+		g.degrade()
+	default:
+		return nil, fmt.Errorf("fl: round %d quorum not met: %d/%d updates (failures: %v)",
+			round, g.got, g.quorum, rec.Failures)
+	}
+	if len(rec.Failures) > 0 || g.got < len(rec.Sampled) {
+		e.logf("round %d proceeded with %d/%d clients (failures: %v)", round, g.got, len(rec.Sampled), rec.Failures)
+	}
+	return e.sink.finalize(round, global, g.late, rec)
+}
+
+// degrade marks a round finalized short of its trigger.
+func (g *gather) degrade() {
+	if g.e.reconciling {
+		g.rec.Degraded = true
+		g.e.met.degraded.Inc()
+	}
+}
+
+// idleEligible is the sample pool: the backend's idle clients the health
+// monitor still admits, and the sampling denominator.
+func (e *engine) idleEligible() ([]string, int) {
+	names, total := e.be.idle()
+	pool := names[:0]
+	for _, n := range names {
+		if e.mon.Eligible(n) {
+			pool = append(pool, n)
+		}
+	}
+	return pool, total
+}
+
+// sample picks a fresh round's clients and logs the round open. With the
+// whole roster demoted or busy a reconciling round parks until a recovery
+// probe (or a returning straggler) readmits someone.
+func (g *gather) sample(ctx context.Context) ([]string, error) {
+	e := g.e
+	pool, total := e.idleEligible()
+	if len(pool) == 0 && e.reconciling {
+		g.park(e.clock.Now())
+		if err := g.wait(ctx); err != nil {
+			return nil, err
+		}
+		g.parked = false
+		pool, total = e.idleEligible()
+	}
+	if len(pool) == 0 {
+		return nil, fmt.Errorf("fl: round %d: no idle clients to task (every client is busy, dead or demoted)", g.round)
+	}
+	if e.sampleFraction > 0 && e.sampleFraction < 1 {
+		k := int(math.Ceil(float64(total) * e.sampleFraction))
+		if k < 1 {
+			k = 1
+		}
+		if k > len(pool) {
+			k = len(pool)
+		}
+		e.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		pool = pool[:k]
+	}
+	g.rec.Sampled = pool
+	if e.wal != nil {
+		if err := e.wal.AppendRoundOpen(g.round); err != nil {
+			return nil, fmt.Errorf("fl: round %d: %w", g.round, err)
+		}
+		for _, name := range pool {
+			if err := e.wal.AppendTaskAssigned(g.round, name); err != nil {
+				return nil, fmt.Errorf("fl: round %d: %w", g.round, err)
+			}
+		}
+	}
+	return pool, nil
+}
+
+// reseed rebuilds a round that was open at a crash from its WAL records:
+// the recorded updates are seeded instead of re-trained and only the
+// tasked-but-unheard clients are tasked again. Clients are pure functions
+// of (round, global), so the resumed round aggregates exactly what the
+// uninterrupted one would have. An update that no longer decodes, or that
+// the accept step would reject today, counts as never received: its
+// client is tasked again like any other unheard one.
+func (g *gather) reseed(resume *durable.OpenRound) (toTask []string, seeded []*ClientUpdate) {
+	e := g.e
+	have := make(map[string]bool, len(resume.Updates))
+	for _, u := range resume.Updates {
+		cu, err := recoveredUpdate(u, g.round)
+		if err == nil {
+			err = checkUpdate(g.global, cu)
+		}
+		if err != nil {
+			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: update recovered from WAL unusable: %v", u.Client, err))
+			e.met.failure("reject")
+			continue
+		}
+		seeded = append(seeded, cu)
+		have[u.Client] = true
+	}
+	names, _ := e.be.idle()
+	idle := make(map[string]bool, len(names))
+	for _, n := range names {
+		idle[n] = true
+	}
+	for _, name := range resume.Tasked {
+		g.rec.Sampled = append(g.rec.Sampled, name)
+		switch {
+		case have[name]:
+		case !idle[name]:
+			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: tasked before crash, not back after restart", name))
+			e.met.failure("conn")
+		case !e.mon.Eligible(name):
+			// Quarantined by a replayed health record: the pre-crash task
+			// assignment does not override the quarantine.
+			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: quarantined, not re-tasked on resume", name))
+			e.met.failure("exec")
+		default:
+			toTask = append(toTask, name)
+		}
+	}
+	return toTask, seeded
+}
+
+// recoveredUpdate turns an update replayed from the WAL into the
+// ClientUpdate a resumed round aggregates, whichever record kind logged
+// it: a RecUpdate's weights as they are, a RecUpdatePayload's uplink
+// through DecodeWeights — the very decode the live round aggregated, so
+// the resumed aggregate is bit-identical.
+func recoveredUpdate(u *durable.Update, round int) (*ClientUpdate, error) {
+	weights := u.Weights
+	if weights == nil {
+		var err error
+		if weights, err = DecodeWeights(u.Payload); err != nil {
+			return nil, err
+		}
+	}
+	return &ClientUpdate{
+		ClientName: u.Client, Round: round, Weights: weights,
+		NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
+		PayloadBytes: u.PayloadBytes,
+	}, nil
+}
+
+// park starts a bounded wait for recovery probes to revive someone.
+func (g *gather) park(now time.Time) {
+	g.parked = true
+	g.parkDeadline = now.Add(g.e.pol.MaxPark)
+	g.e.met.parked.Inc()
+}
+
+// wait is the federation's one gather loop. After the scatter it runs
+// until the round is settled: failed assignments are requeued with
+// backoff and re-dispatched (to the same client, or — with Substitute — an
+// idle eligible one) until the round deadline; demoted clients are probed
+// and may be tasked on recovery; and a round that can no longer reach its
+// trigger parks awaiting probes, bounded by MaxPark, instead of
+// deadlocking. Before the scatter (a round parked with nobody to sample)
+// it only absorbs events until someone is idle and eligible again.
+func (g *gather) wait(ctx context.Context) error {
+	e := g.e
+	now := e.clock.Now()
+	for {
+		if g.open && !g.deadlineFired && !g.deadlineAt.IsZero() && !now.Before(g.deadlineAt) {
+			// Stragglers stay tasked; their updates surface as late
+			// events in a future round (NVFlare's
+			// wait_time_after_min_received semantics, made durable). Queued
+			// retries die with the deadline; the failures that queued them
+			// are already in rec.Failures, so nothing is silently lost.
+			g.deadlineFired = true
+			e.met.stragglers.Add(int64(g.pending))
+			g.rq.Drain()
+		}
+		switch {
+		case !g.open:
+			if pool, _ := e.idleEligible(); len(pool) > 0 {
+				return nil
+			}
+			if !now.Before(g.parkDeadline) {
+				return fmt.Errorf("fl: round %d: no eligible clients after parking %v (every client busy, dead or demoted; failures so far: %v)",
+					g.round, e.pol.MaxPark, g.rec.Failures)
+			}
+		case g.got >= g.minUpdates:
+			return nil
+		case g.deadlineFired && (g.got >= g.quorum || !e.reconciling):
+			return nil
+		case g.parked && !now.Before(g.parkDeadline):
+			return nil // parking budget exhausted: degrade or fail on the quorum
+		}
+		for _, t := range g.rq.Due(now) {
+			if err := g.redispatch(t, now); err != nil {
+				return err
+			}
+		}
+		for _, name := range e.mon.DueProbes(now) {
+			if err := e.be.probe(name); err != nil {
+				// Unsendable: the probe fails at once, backing off the next
+				// one — the client rejoins by reconnecting and answering a
+				// later probe.
+				e.met.probe("fail")
+				if err := e.healthEdge(g.round, e.mon.ProbeResult(name, false, now)); err != nil {
+					return err
+				}
+			}
+		}
+		if g.open && g.pending == 0 && g.rq.Len() == 0 {
+			// Starved: nothing in flight, nothing queued, below the
+			// trigger. Recoverable only if probes are running or scheduled;
+			// otherwise give up now.
+			if !e.mon.Probing() && e.mon.NextProbeAt().IsZero() {
+				return nil
+			}
+			if !g.parked {
+				g.park(now)
+			}
+		}
+		var wake time.Time
+		earliest := func(t time.Time) {
+			if !t.IsZero() && (wake.IsZero() || t.Before(wake)) {
+				wake = t
+			}
+		}
+		if !g.deadlineFired {
+			earliest(g.deadlineAt)
+		}
+		earliest(g.rq.NextAt())
+		earliest(e.mon.NextProbeAt())
+		if g.parked {
+			earliest(g.parkDeadline)
+		}
+		ev, status := e.be.next(ctx.Done(), wake)
+		now = e.clock.Now()
+		switch status {
+		case waitDeadline:
+			continue
+		case waitCancelled:
+			return fmt.Errorf("fl: round %d cancelled: %w", g.round, ctx.Err())
+		}
+		if err := g.handle(ev, now); err != nil {
+			return err
+		}
+	}
+}
+
+// handle applies one event to the round. It serves the between-rounds
+// drain, the parked wait and the gather alike: before the scatter no event
+// can belong to this round, so everything lands as stale.
+func (g *gather) handle(ev event, now time.Time) error {
+	e := g.e
+	switch ev.kind {
+	case evProbe:
+		if !e.mon.IsProbing(ev.name) {
+			return nil // an answer to no probe of ours
+		}
+		result := "ok"
+		if ev.err != nil {
+			result = "fail"
+		}
+		e.met.probe(result)
+		if err := e.healthEdge(g.round, e.mon.ProbeResult(ev.name, ev.err == nil, now)); err != nil {
+			return err
+		}
+		// Revived mid-round: if the round still cannot reach its trigger
+		// with what is in flight and queued, task the recovered client.
+		need := g.minUpdates
+		if g.deadlineFired {
+			need = g.quorum
+		}
+		if ev.err == nil && g.open && g.got+g.pending+g.rq.Len() < need && !g.slot(ev.name).done {
+			return g.redispatch(reconcile.Task{Client: ev.name, Round: g.round, Attempt: 1, Origin: "probe"}, now)
+		}
+
+	case evReattach:
+		if ev.err != nil {
+			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: resume ack: %v", ev.name, ev.err))
+			e.met.failure("conn")
+		}
+		if !g.open {
+			// No task of this round is out yet: the re-attach just revived
+			// the connection; a demoted client rejoins via the next probe.
+			return nil
+		}
+		var t reconcile.Task
+		held := g.holds(ev)
+		if held {
+			_, t = g.release(ev.name)
+		}
+		if e.reconciling {
+			if !held {
+				return nil
+			}
+			// The old connection took the assignment with it; requeue it
+			// rather than racing a blind re-send against the retry queue.
+			if err := g.failed(ev.name, false, "conn", errors.New("connection replaced mid-task"), now); err != nil {
+				return err
+			}
+			g.requeue(t, now)
+			return nil
+		}
+		// Null policy: send the task again so the round can still complete,
+		// whether the slot was still held or its connection error had
+		// already released it.
+		if s := g.slot(ev.name); ev.err == nil && s.sampled && !s.done {
+			if !held {
+				t = reconcile.Task{Client: ev.name, Round: g.round, Attempt: 1, Origin: ev.name}
+			}
+			return g.dispatch(t, ev.name, false, now)
+		}
+
+	case evFailure:
+		return g.failed(ev.name, g.holds(ev), ev.cause, ev.err, now)
+
+	case evUpdate:
+		if !g.holds(ev) {
+			// A straggler from an earlier round: merged by the staleness
+			// policy at finalize, or dropped.
+			if err := e.healthEdge(g.round, e.mon.Observe(ev.name, true, now)); err != nil {
+				return err
+			}
+			if e.async != nil {
+				g.late = append(g.late, ev.update)
+			} else {
+				g.rec.LateDropped = append(g.rec.LateDropped, ev.name)
+			}
+			return nil
+		}
+		// The single accept step. Validation comes before the WAL: a
+		// malformed update must be one client's failure, never a durable
+		// record that aborts this run and every restart after it.
+		err := checkUpdate(g.global, ev.update)
+		if err == nil {
+			err = e.sink.accept(ev.update)
+		}
+		if err != nil {
+			return g.failed(ev.name, true, "reject", err, now)
+		}
+		s, _ := g.release(ev.name)
+		if err := e.healthEdge(g.round, e.mon.Observe(ev.name, true, now)); err != nil {
+			return err
+		}
+		if err := e.logUpdate(g.round, ev); err != nil {
+			return err
+		}
+		s.done = true
+		g.got++
+	}
+	return nil
+}
+
+// holds reports whether the event's client was working on this round's
+// task, per the backend's task record.
+func (g *gather) holds(ev event) bool { return g.open && ev.round == g.round }
+
+// failed records a client failure — a failed client is never silently
+// absent — and, when it cost this round an assignment (mine), releases the
+// slot and requeues it under the policy.
+func (g *gather) failed(name string, mine bool, cause string, err error, now time.Time) error {
+	e := g.e
+	g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: %v", name, err))
+	e.met.failure(cause)
+	var tr reconcile.Transition
+	switch {
+	case cause == "conn" && e.mon.IsProbing(name):
+		// The connection died between the probe and its answer.
+		e.met.probe("fail")
+		tr = e.mon.ProbeResult(name, false, now)
+	case cause != "reject" || mine:
+		// A rejected message nobody was waiting for says nothing about the
+		// client's ability to do this round's work.
+		tr = e.mon.Observe(name, false, now)
+	}
+	if err := e.healthEdge(g.round, tr); err != nil {
+		return err
+	}
+	if mine {
+		_, t := g.release(name)
+		g.requeue(t, now)
+	}
+	return nil
+}
+
+// slot returns a client's record for this round, starting one for a client
+// outside the sample (a substitute, or a stranger's event).
+func (g *gather) slot(name string) *slot {
+	s, ok := g.slots[name]
+	if !ok {
+		s = &slot{}
+		g.slots[name] = s
+	}
+	return s
+}
+
+// release frees the slot a client held and returns it with the assignment
+// it was working on (Attempt 0 when it held none).
+func (g *gather) release(name string) (*slot, reconcile.Task) {
+	g.pending--
+	s := g.slot(name)
+	t := reconcile.Task{Client: name, Round: g.round, Attempt: s.attempt, Origin: s.origin}
+	s.attempt = 0
+	return s, t
+}
+
+// requeue schedules retry attempt t.Attempt+1 of a failed slot, unless the
+// slot is out of attempts or the retry could not run before the round
+// deadline. The triggering failure is already recorded, so a task that
+// dies here is abandoned, never silently lost.
+func (g *gather) requeue(t reconcile.Task, now time.Time) {
+	pol := g.e.pol
+	if t.Attempt == 0 || g.deadlineFired || t.Attempt >= pol.MaxAssignAttempts {
+		return
+	}
+	readyAt := now.Add(pol.RequeueBackoff.Delay(t.Attempt - 1))
+	if !g.deadlineAt.IsZero() && !readyAt.Before(g.deadlineAt) {
+		return
+	}
+	t.Attempt++
+	g.rq.Add(t, readyAt)
+	g.e.met.requeues.Inc()
+}
+
+// redispatch hands a ready task to its client — or, when that client is
+// dead, busy, demoted, or already counted, to the first idle eligible
+// substitute in the backend's canonical order (deterministic). A task with
+// no viable target is abandoned; its triggering failure is already
+// recorded.
+func (g *gather) redispatch(t reconcile.Task, now time.Time) error {
+	pool, _ := g.e.idleEligible()
+	target := ""
+	for _, name := range pool {
+		if g.slot(name).done {
+			continue
+		}
+		if name == t.Client {
+			target = name
+			break
+		}
+		if target == "" && g.e.pol.Substitute {
+			target = name
+		}
+	}
+	if target == "" {
+		return nil
+	}
+	return g.dispatch(t, target, true, now)
+}
+
+// dispatch tasks target with assignment t. A retry is recorded in the
+// round's Reassigned / Sampled and the WAL; the original scatter was
+// recorded when the round opened.
+func (g *gather) dispatch(t reconcile.Task, target string, retry bool, now time.Time) error {
+	e := g.e
+	down, err := e.be.task(target)
+	if err != nil {
+		if err := g.failed(target, false, "send", fmt.Errorf("send task: %w", err), now); err != nil {
+			return err
+		}
+		g.requeue(t, now)
+		return nil
+	}
+	s := g.slot(target)
+	s.attempt, s.origin = t.Attempt, t.Origin
+	if retry {
+		g.rec.Reassigned = append(g.rec.Reassigned, t.Origin+">"+target)
+		if !s.sampled {
+			s.sampled = true
+			g.rec.Sampled = append(g.rec.Sampled, target)
+		}
+		if e.wal != nil {
+			if err := e.wal.AppendTaskAssigned(g.round, target); err != nil {
+				return fmt.Errorf("fl: round %d: %w", g.round, err)
+			}
+		}
+	}
+	g.rec.BytesDown += int64(down)
+	g.pending++
+	return nil
+}
+
+// healthEdge records a health transition in metrics and — for the durable
+// pool-membership edges, quarantine entry and the rejoin clearing it — in
+// the WAL.
+func (e *engine) healthEdge(round int, tr reconcile.Transition) error {
+	if !tr.Changed() {
+		return nil
+	}
+	e.met.healthTransition(e.mon, tr)
+	if e.wal != nil && (tr.To == reconcile.Quarantined || tr.From == reconcile.Quarantined) {
+		if err := e.wal.AppendHealth(round, tr.Client, tr.To.String()); err != nil {
+			return fmt.Errorf("fl: round %d: %w", round, err)
+		}
+	}
+	return nil
+}
+
+// logUpdate appends an accepted update to the WAL (when there is one). An
+// update that arrived on the wire is logged as that payload, verbatim: a
+// resumed round decodes the same bytes the live round did, so nothing is
+// re-encoded and the record is wire-sized; an in-process one has no wire
+// form and logs its weights at full precision. The append is lazy,
+// group-committed by the WAL's syncer; a crash that loses it re-tasks the
+// client on resume, and the recomputation is byte-identical — either way
+// the round's participant set is consistent on disk and in memory.
+func (e *engine) logUpdate(round int, ev event) error {
+	if e.wal == nil {
+		return nil
+	}
+	u := ev.update
+	var err error
+	if ev.payload != nil {
+		err = e.wal.AppendUpdatePayload(round, ev.name, u.NumSamples, u.TrainLoss, ev.payload)
+	} else {
+		err = e.wal.AppendUpdate(round, ev.name, u.NumSamples, u.TrainLoss, u.PayloadBytes, u.Weights)
+	}
+	if err != nil {
+		return fmt.Errorf("fl: round %d: %w", round, err)
+	}
+	return nil
+}
+
+// checkUpdate is the accept step's validation of an in-round update
+// against the round's global model: everything Aggregate would otherwise
+// discover only after the update is durable.
+func checkUpdate(global map[string]*tensor.Matrix, u *ClientUpdate) error {
+	if u.hierPartial != nil {
+		return nil // an edge's partial: validated by its decoder, merged by shape
+	}
+	if u.NumSamples < 1 {
+		return fmt.Errorf("update carries %d samples, want at least 1", u.NumSamples)
+	}
+	if math.IsNaN(u.TrainLoss) || math.IsInf(u.TrainLoss, 0) {
+		return errors.New("update carries a non-finite train loss")
+	}
+	if len(u.Weights) != len(global) {
+		return fmt.Errorf("update carries %d params, want %d", len(u.Weights), len(global))
+	}
+	return checkShapes(global, u)
+}
+
+// checkShapes verifies an update covers every global parameter with
+// matching dimensions.
+func checkShapes(global map[string]*tensor.Matrix, u *ClientUpdate) error {
+	for name, g := range global {
+		w, ok := u.Weights[name]
+		if !ok {
+			return fmt.Errorf("missing param %q", name)
+		}
+		if w.Rows() != g.Rows() || w.Cols() != g.Cols() {
+			return fmt.Errorf("param %q shape %dx%d, want %dx%d",
+				name, w.Rows(), w.Cols(), g.Rows(), g.Cols())
+		}
+	}
+	return nil
+}
+
+// flatSink buffers a round's updates and aggregates them in one batch: the
+// flat federation, and the networked tier root (whose TierAggregator merges
+// the edges' partials in that batch).
+type flatSink struct {
+	filters []Filter
+	agg     Aggregator
+	async   AsyncAggregator
+	updates []*ClientUpdate
+}
+
+func (s *flatSink) open([]string) { s.updates = nil }
+
+func (s *flatSink) accept(u *ClientUpdate) error {
+	s.updates = append(s.updates, u)
+	return nil
+}
+
+func (s *flatSink) finalize(round int, global map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+	next, err := finalizeRound(s.filters, s.agg, s.async, s.updates, late, round, global, rec)
+	if err != nil {
+		return nil, err
+	}
+	if ta, ok := s.agg.(*TierAggregator); ok {
+		rec.TierPartials = ta.Partials
+		rec.TierBytesUp = ta.TierBytes
+		rec.TierResidentBytes = ta.ResidentBytes
+	}
+	var lossSum, weightSum float64
+	for _, u := range s.updates {
+		rec.Participants = append(rec.Participants, u.ClientName)
+		rec.BytesUp += int64(u.PayloadBytes)
+		rec.BytesDown += int64(u.DownBytes)
+		lossSum += u.TrainLoss * float64(u.NumSamples)
+		weightSum += float64(u.NumSamples)
+	}
+	if weightSum > 0 {
+		rec.MeanTrainLoss = lossSum / weightSum
+	}
+	return next, nil
+}
+
+// finalizeRound is the flat end-of-round aggregation: the filter chain over
+// the in-round updates, the batch aggregate, then the filter chain and the
+// staleness-weighted merge for each late update. Late updates pass through
+// the same filters before they can reach the global model — privacy filters
+// (clipping, DP noise) must see every merged update, stale or not — against
+// this round's starting weights, the closest surviving reference. A late
+// update that fails filtering, shape-checking, or merging lands in
+// rec.Failures and is skipped: one straggler's bad payload must not abort
+// the federation.
+//
+// Both update batches are sorted into a canonical order (in-round by client
+// name, late by round then name) before any floating-point accumulation, so
+// the aggregated model is a pure function of the participating set: the
+// order updates happened to arrive — a race under the real clock — can
+// never change the global weights, and fixed-seed simulator runs reproduce
+// bit-identically at any GOMAXPROCS.
+func finalizeRound(filters []Filter, agg Aggregator, async AsyncAggregator,
+	updates, late []*ClientUpdate, round int, global map[string]*tensor.Matrix, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+	sort.Slice(updates, func(i, j int) bool { return updates[i].ClientName < updates[j].ClientName })
+	sort.Slice(late, func(i, j int) bool {
+		if late[i].Round != late[j].Round {
+			return late[i].Round < late[j].Round
+		}
+		return late[i].ClientName < late[j].ClientName
+	})
+	if err := applyFilters(filters, updates, global); err != nil {
+		return nil, fmt.Errorf("fl: round %d: %w", round, err)
+	}
+	var merged []*ClientUpdate
+	for _, lu := range late {
+		if err := applyFilters(filters, []*ClientUpdate{lu}, global); err != nil {
+			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
+			continue
+		}
+		merged = append(merged, lu)
+	}
+	next, err := agg.Aggregate(updates)
+	if err != nil {
+		return nil, fmt.Errorf("fl: round %d aggregate: %w", round, err)
+	}
+	// Stragglers' updates merge after the in-round aggregate so the fresh
+	// average is never clobbered. The shape pre-check keeps a mismatched
+	// update from partially mutating the model inside Apply; LateApplied
+	// records a merge only once it actually reached the global model.
+	for _, lu := range merged {
+		if err := checkShapes(next, lu); err != nil {
+			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
+			continue
+		}
+		if err := async.Apply(next, lu, round-lu.Round); err != nil {
+			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late merge: %v", lu.ClientName, err))
+			continue
+		}
+		rec.LateApplied = append(rec.LateApplied, lu.ClientName)
+		rec.BytesUp += int64(lu.PayloadBytes)
+		rec.BytesDown += int64(lu.DownBytes)
+	}
+	return next, nil
+}
+
+// cloneWeights deep-copies a weight map.
+func cloneWeights(w map[string]*tensor.Matrix) map[string]*tensor.Matrix {
+	out := make(map[string]*tensor.Matrix, len(w))
+	for name, m := range w {
+		out[name] = m.Clone()
+	}
+	return out
+}

@@ -1,0 +1,348 @@
+package fl
+
+import (
+	"context"
+	"errors"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"clinfl/internal/tensor"
+)
+
+// The tests in this file drive the round engine's gather state machine
+// directly: a scripted backend stands in for the transport and a manual
+// clock for time, so every case is a deterministic sequence of events with
+// no goroutine and no connection anywhere.
+
+// scriptClock is a manual clock; only the scripted backend moves it.
+type scriptClock struct{ now time.Time }
+
+func (c *scriptClock) Now() time.Time                       { return c.now }
+func (c *scriptClock) Since(t time.Time) time.Duration      { return c.now.Sub(t) }
+func (c *scriptClock) Sleep(time.Duration)                  { panic("scriptClock: nothing sleeps") }
+func (c *scriptClock) After(time.Duration) <-chan time.Time { panic("scriptClock: no timers") }
+func (c *scriptClock) Go(func())                            { panic("scriptClock: no goroutines") }
+
+// outcome is what a scripted client does with one task: after the delay
+// it answers with an update (optionally a malformed one) or fails. A
+// refused task fails in the send; a lost one is never answered (its
+// connection went away).
+type outcome struct {
+	after     time.Duration
+	fail      bool
+	malformed bool
+	refuse    bool
+	lost      bool
+}
+
+// scriptBackend implements backend over a script: task(name) consumes the
+// client's next outcome and schedules the matching event; next delivers
+// scheduled events in time order, or advances the clock to the wake
+// instant.
+type scriptBackend struct {
+	t      *testing.T
+	clk    *scriptClock
+	roster []string
+	// script holds each client's outcomes, one per task it is handed; a
+	// client handed more tasks than it has outcomes fails the test.
+	script map[string][]outcome
+	// busy marks clients holding a task; queue holds the deliveries still
+	// to come, in time order.
+	busy  map[string]bool
+	queue []scheduled
+	round int
+	// probes logs the recovery probes the engine fired.
+	probes []string
+}
+
+type scheduled struct {
+	at time.Time
+	ev event
+}
+
+// delivery is an event the script injects a fixed time after the start,
+// whatever the engine does.
+type delivery struct {
+	after time.Duration
+	ev    event
+}
+
+func (b *scriptBackend) schedule(after time.Duration, ev event) {
+	b.queue = append(b.queue, scheduled{at: b.clk.now.Add(after), ev: ev})
+	sort.SliceStable(b.queue, func(i, j int) bool { return b.queue[i].at.Before(b.queue[j].at) })
+}
+
+func (b *scriptBackend) begin(round int, _ map[string]*tensor.Matrix) error {
+	b.round = round
+	return nil
+}
+
+func (b *scriptBackend) poll() (event, bool) { return event{}, false }
+
+func (b *scriptBackend) next(_ <-chan struct{}, wake time.Time) (event, waitStatus) {
+	// Like the simulator's clock, an event due exactly at the wake instant
+	// loses the tie: the deadline fires first.
+	if len(b.queue) == 0 || (!wake.IsZero() && !b.queue[0].at.Before(wake)) {
+		if wake.IsZero() {
+			b.t.Fatal("engine waits with nothing scheduled and no wake-up: deadlock")
+		}
+		b.clk.now = wake
+		return event{}, waitDeadline
+	}
+	head := b.queue[0]
+	b.queue = b.queue[1:]
+	b.clk.now = head.at
+	if head.ev.kind != evProbe {
+		delete(b.busy, head.ev.name)
+	}
+	return head.ev, waitOK
+}
+
+func (b *scriptBackend) idle() ([]string, int) {
+	var names []string
+	for _, n := range b.roster {
+		if !b.busy[n] {
+			names = append(names, n)
+		}
+	}
+	return names, len(b.roster)
+}
+
+func (b *scriptBackend) task(name string) (int, error) {
+	if len(b.script[name]) == 0 {
+		b.t.Fatalf("client %s tasked more often than scripted", name)
+	}
+	o := b.script[name][0]
+	b.script[name] = b.script[name][1:]
+	if o.refuse {
+		return 0, errors.New("scripted send failure")
+	}
+	b.busy[name] = true
+	ev := event{kind: evUpdate, name: name, round: b.round, update: scriptUpdate(name, b.round)}
+	switch {
+	case o.lost:
+		return 0, nil
+	case o.fail:
+		ev = event{kind: evFailure, name: name, round: b.round, err: errors.New("scripted failure"), cause: "exec"}
+	case o.malformed:
+		ev.update.NumSamples = 0
+	}
+	b.schedule(o.after, ev)
+	return 0, nil
+}
+
+func (b *scriptBackend) probe(name string) error {
+	b.probes = append(b.probes, name)
+	b.schedule(5*time.Millisecond, event{kind: evProbe, name: name})
+	return nil
+}
+
+func scriptWeights(v float64) map[string]*tensor.Matrix {
+	w := tensor.New(1, 2)
+	w.Fill(v)
+	return map[string]*tensor.Matrix{"w": w}
+}
+
+func scriptUpdate(name string, round int) *ClientUpdate {
+	return &ClientUpdate{ClientName: name, Round: round, Weights: scriptWeights(1), NumSamples: 10, TrainLoss: 0.5}
+}
+
+func TestRoundEngineGatherStateMachine(t *testing.T) {
+	const ms = time.Millisecond
+	ok := func(after time.Duration) []outcome { return []outcome{{after: after}} }
+	retry := &ReconcilePolicy{
+		RequeueBackoff: Backoff{Base: 20 * ms, Max: 20 * ms},
+		ProbeBackoff:   Backoff{Base: 50 * ms, Max: 50 * ms},
+		Substitute:     true,
+		MaxPark:        time.Second,
+	}
+	for _, tc := range []struct {
+		name       string
+		roster     []string
+		script     map[string][]outcome
+		busy       []string // clients still chewing on an earlier round's task
+		noise      []delivery
+		policy     *ReconcilePolicy
+		minClients int
+		deadline   time.Duration
+
+		wantErr      string
+		participants string
+		reassigned   string
+		lateDropped  string
+		failures     int
+		degraded     bool
+		elapsed      time.Duration
+		probes       string
+	}{
+		{
+			// Null policy: the deadline finds 1 update below the quorum of 2
+			// and fails the round at once, stragglers still in flight.
+			name:       "deadline below quorum, null policy",
+			roster:     []string{"a", "b", "c"},
+			script:     map[string][]outcome{"a": ok(10 * ms), "b": ok(500 * ms), "c": ok(500 * ms)},
+			minClients: 2, deadline: 100 * ms,
+			wantErr: "quorum not met: 1/2", elapsed: 100 * ms,
+		},
+		{
+			// Same round under a reconcile policy: the deadline only stops
+			// retries; the gather waits out the stragglers to the quorum and
+			// finalizes short of the trigger, degraded.
+			name:   "deadline below quorum, reconcile policy",
+			roster: []string{"a", "b", "c"},
+			script: map[string][]outcome{"a": ok(10 * ms), "b": ok(500 * ms), "c": ok(600 * ms)},
+			policy: retry, minClients: 2, deadline: 100 * ms,
+			participants: "a,b", degraded: true, elapsed: 500 * ms,
+		},
+		{
+			// a fails twice (retried on itself, then demoted to unreachable);
+			// the third attempt goes to d, idle since its straggling update
+			// from an earlier round drained in. a's recovery probe answers
+			// mid-round, but the round needs no further client by then.
+			name:   "requeue then substitute",
+			roster: []string{"a", "b", "c", "d"},
+			script: map[string][]outcome{
+				"a": {{after: 10 * ms, fail: true}, {after: 10 * ms, fail: true}},
+				"b": ok(200 * ms), "c": ok(200 * ms), "d": ok(10 * ms),
+			},
+			busy:   []string{"d"},
+			noise:  []delivery{{ev: event{kind: evUpdate, name: "d", round: -1, update: scriptUpdate("d", -1)}}},
+			policy: retry, minClients: 3,
+			participants: "b,c,d", reassigned: "a>a,a>d", lateDropped: "d", failures: 2, probes: "a", elapsed: 200 * ms,
+		},
+		{
+			// b burns both its attempts and is demoted; the round is starved
+			// below its trigger, parks, probes b back in and tasks it.
+			name:   "probe revives a parked round",
+			roster: []string{"a", "b"},
+			script: map[string][]outcome{
+				"a": ok(10 * ms),
+				"b": {{after: 10 * ms, fail: true}, {after: 10 * ms, fail: true}, {after: 10 * ms}},
+			},
+			policy:       func() *ReconcilePolicy { p := *retry; p.MaxAssignAttempts = 2; return &p }(),
+			minClients:   2,
+			participants: "a,b", reassigned: "b>b,probe>b", failures: 2, probes: "b",
+			// fail@10, retry@30, fail@40, probe due@90, answered@95, update@105.
+			elapsed: 105 * ms,
+		},
+		{
+			// Deliveries from a superseded connection generation reach the
+			// engine as no-op events: nothing is recorded, nothing released.
+			name:         "stale-generation event ignored",
+			roster:       []string{"a", "b"},
+			script:       map[string][]outcome{"a": ok(10 * ms), "b": ok(30 * ms)},
+			noise:        []delivery{{after: 5 * ms}, {after: 20 * ms}},
+			minClients:   2,
+			participants: "a,b", elapsed: 30 * ms,
+		},
+		{
+			// Everyone is still busy with an earlier round when this one
+			// starts. The null policy has nobody to task and fails; a
+			// reconcile policy parks before the scatter until a's straggling
+			// update frees it, then runs the round on a.
+			name:    "nobody idle, null policy",
+			roster:  []string{"a", "b"},
+			busy:    []string{"a", "b"},
+			wantErr: "no idle clients",
+		},
+		{
+			name:   "nobody idle, reconcile policy parks before the scatter",
+			roster: []string{"a", "b"},
+			script: map[string][]outcome{"a": ok(10 * ms)},
+			busy:   []string{"a", "b"},
+			noise:  []delivery{{after: 30 * ms, ev: event{kind: evUpdate, name: "a", round: -1, update: scriptUpdate("a", -1)}}},
+			policy: retry, minClients: 1,
+			participants: "a", lateDropped: "a", elapsed: 40 * ms,
+		},
+		{
+			// a's connection is replaced mid-task. Under the null policy the
+			// task is simply sent again on the new connection.
+			name:         "re-attach mid-task, null policy",
+			roster:       []string{"a", "b"},
+			script:       map[string][]outcome{"a": {{lost: true}, {after: 10 * ms}}, "b": ok(50 * ms)},
+			noise:        []delivery{{after: 20 * ms, ev: event{kind: evReattach, name: "a"}}},
+			minClients:   2,
+			participants: "a,b", elapsed: 50 * ms,
+		},
+		{
+			// Under a reconcile policy the lost assignment is a failure that
+			// goes through the retry queue like any other.
+			name:   "re-attach mid-task, reconcile policy",
+			roster: []string{"a", "b"},
+			script: map[string][]outcome{"a": {{lost: true}, {after: 10 * ms}}, "b": ok(50 * ms)},
+			noise:  []delivery{{after: 20 * ms, ev: event{kind: evReattach, name: "a"}}},
+			policy: retry, minClients: 2,
+			participants: "a,b", reassigned: "a>a", failures: 1, elapsed: 50 * ms,
+		},
+		{
+			// A task that cannot be sent is a failed assignment too.
+			name:   "send failure requeued",
+			roster: []string{"a", "b"},
+			script: map[string][]outcome{"a": {{refuse: true}, {after: 10 * ms}}, "b": ok(10 * ms)},
+			policy: retry, minClients: 2,
+			participants: "a,b", reassigned: "a>a", failures: 1, elapsed: 30 * ms,
+		},
+		{
+			// A malformed update is its client's failure; under the null
+			// policy there is no retry and the round finalizes without it.
+			name:         "malformed update rejected",
+			roster:       []string{"a", "b"},
+			script:       map[string][]outcome{"a": ok(10 * ms), "b": {{after: 20 * ms, malformed: true}}},
+			minClients:   1,
+			participants: "a", failures: 1, elapsed: 20 * ms,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Unix(1000, 0)
+			clk := &scriptClock{now: start}
+			be := &scriptBackend{t: t, clk: clk, roster: tc.roster, script: tc.script, busy: map[string]bool{}}
+			for _, n := range tc.busy {
+				be.busy[n] = true
+			}
+			for _, n := range tc.noise {
+				be.schedule(n.after, n.ev)
+			}
+			eng := newEngine(roundConfig{
+				rounds: 1, minClients: tc.minClients, deadline: tc.deadline,
+				clock: clk, reconcile: tc.policy,
+			}, be, &flatSink{agg: FedAvg{}})
+			res, err := eng.run(context.Background(), scriptWeights(0))
+			if got := clk.now.Sub(start); got != tc.elapsed {
+				t.Errorf("round settled after %v, want %v", got, tc.elapsed)
+			}
+			if got := strings.Join(be.probes, ","); got != tc.probes {
+				t.Errorf("probes %q, want %q", got, tc.probes)
+			}
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := res.History.Rounds[0]
+			if got := strings.Join(rec.Participants, ","); got != tc.participants {
+				t.Errorf("participants %q, want %q", got, tc.participants)
+			}
+			if got := strings.Join(rec.Reassigned, ","); got != tc.reassigned {
+				t.Errorf("reassigned %q, want %q", got, tc.reassigned)
+			}
+			if got := strings.Join(rec.LateDropped, ","); got != tc.lateDropped {
+				t.Errorf("late dropped %q, want %q", got, tc.lateDropped)
+			}
+			if len(rec.Failures) != tc.failures {
+				t.Errorf("failures %v, want %d", rec.Failures, tc.failures)
+			}
+			if rec.Degraded != tc.degraded {
+				t.Errorf("degraded %v, want %v", rec.Degraded, tc.degraded)
+			}
+			if (res.Health != nil) != (tc.policy != nil) {
+				t.Errorf("health records %v under policy %v", res.Health, tc.policy)
+			}
+		})
+	}
+}

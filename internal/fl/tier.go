@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -115,133 +114,70 @@ func (a *TierAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.
 	return root.Finalize()
 }
 
-// tierRound runs one round of the in-process controller through the
-// aggregation tiers: sampled executors train concurrently, each arriving
-// update is folded immediately into its edge shard's partial (and the
-// raw weights dropped — the streaming O(model) property), shard partials
-// merge up the configured tier widths with per-hop byte accounting, and
-// the root finalizes the exact FedAvg. Stragglers past the deadline are
-// dropped (recorded in LateDropped when they surface), mirroring the
-// legacy no-AsyncAggregator path.
-func (c *Controller) tierRound(ctx context.Context, round int, global map[string]*tensor.Matrix, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
-	// Drain stragglers that finished between rounds so they become
-	// sample-able again (their updates land in LateDropped).
-	var late []*ClientUpdate
-drain:
-	for {
-		select {
-		case o := <-c.results:
-			if err := c.absorbStale(o, round, rec, &late); err != nil {
-				return nil, err
-			}
-		default:
-			break drain
-		}
-	}
+// tierSink is the in-process controller's streaming aggregation: each
+// accepted update is folded immediately into its edge shard's partial (and
+// the raw weights dropped — the O(model) property), shard partials merge up
+// the configured tier widths with per-hop byte accounting, and the root
+// finalizes the exact FedAvg. The gather around it is the shared round
+// engine's; stragglers past the deadline are dropped when they surface,
+// because validateTier admits no AsyncAggregator.
+type tierSink struct {
+	widths []int
+	// scratch recycles the edge-shard partials across rounds (Reset keeps
+	// each one's O(model) slabs warm), so a round's aggregation state is
+	// allocated once per run, not once per round.
+	scratch []*hier.Partial
+	shardOf map[string]int
+	// shards holds this round's partials; nil means no update reached the
+	// shard yet.
+	shards []*hier.Partial
+}
 
-	sampled, err := c.sampleClients()
-	if err != nil {
-		return nil, fmt.Errorf("fl: round %d: %w", round, err)
-	}
-	for _, ex := range sampled {
-		rec.Sampled = append(rec.Sampled, ex.Name())
-	}
-	// Deterministic shard map: contiguous blocks of the name-sorted
-	// sample, so the tier shape is a pure function of the sampled set.
-	names := append([]string(nil), rec.Sampled...)
+// open lays out the round's deterministic shard map: contiguous blocks of
+// the name-sorted sample, so the tier shape is a pure function of the
+// sampled set.
+func (t *tierSink) open(sampled []string) {
+	names := append([]string(nil), sampled...)
 	sort.Strings(names)
-	widths := c.cfg.Tier.widths()
-	edges := widths[0]
+	edges := t.widths[0]
 	if edges > len(names) {
 		edges = len(names)
 	}
-	shardOf := make(map[string]int, len(names))
+	t.shardOf = make(map[string]int, len(names))
 	for i, n := range names {
-		shardOf[n] = i * edges / len(names)
+		t.shardOf[n] = i * edges / len(names)
 	}
-	// Shard partials are recycled from round to round: a nil slot still
-	// means "no update reached this shard", and a slot is taken from the
-	// run-long scratch (Reset keeps its slabs) the first time a shard
-	// folds. A reset partial accumulates bit-identically to a fresh one.
-	for len(c.tierShards) < edges {
-		c.tierShards = append(c.tierShards, hier.NewPartial())
+	for len(t.scratch) < edges {
+		t.scratch = append(t.scratch, hier.NewPartial())
 	}
-	shards := make([]*hier.Partial, edges)
+	t.shards = make([]*hier.Partial, edges)
+}
 
-	for _, ex := range sampled {
-		c.dispatch(ex, round, global)
+// accept folds one update into its shard. A slot is taken from the
+// run-long scratch the first time its shard folds; a reset partial
+// accumulates bit-identically to a fresh one. A malformed update is a
+// per-client failure at its edge, not a federation abort: the shard
+// rejects it and the round proceeds with everyone else.
+func (t *tierSink) accept(u *ClientUpdate) error {
+	s := t.shardOf[u.ClientName]
+	if t.shards[s] == nil {
+		t.shards[s] = t.scratch[s]
+		t.shards[s].Reset()
 	}
-	tasked := len(sampled)
-	quorum := c.cfg.MinClients
-	if quorum > tasked {
-		quorum = tasked
-	}
-	minUpdates := c.cfg.MinUpdates
-	if minUpdates <= 0 || minUpdates > tasked {
-		minUpdates = tasked
-	}
-	if minUpdates < quorum {
-		minUpdates = quorum
-	}
+	return t.shards[s].Fold(hier.Update{
+		ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
+		TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
+	})
+}
 
-	folded := 0
-	pending := tasked
-	deadlineAt, deadlineCh := gatherDeadline(c.cfg.Clock, c.cfg.RoundDeadline)
-gather:
-	for pending > 0 && folded < minUpdates {
-		o, status := waitRecv(c.cfg.Clock, c.results, ctx.Done(), deadlineAt, deadlineCh)
-		switch status {
-		case waitDeadline:
-			c.met.stragglers.Add(int64(pending))
-			break gather
-		case waitCancelled:
-			return nil, fmt.Errorf("fl: round %d cancelled: %w", round, ctx.Err())
-		}
-		delete(c.inFlight, o.name)
-		switch {
-		case o.err != nil:
-			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, o.err))
-			c.met.failure("exec")
-			if o.round == round {
-				pending--
-			}
-		case o.round == round:
-			pending--
-			s := shardOf[o.name]
-			if shards[s] == nil {
-				shards[s] = c.tierShards[s]
-				shards[s].Reset()
-			}
-			u := o.update
-			err := shards[s].Fold(hier.Update{
-				ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
-				TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
-			})
-			if err != nil {
-				// A malformed update is a per-client failure at its edge,
-				// not a federation abort: the shard rejects it and the
-				// round proceeds with everyone else.
-				rec.Failures = append(rec.Failures, fmt.Sprintf("%s: %v", o.name, err))
-				c.met.failure("reject")
-				continue
-			}
-			folded++
-		default:
-			rec.LateDropped = append(rec.LateDropped, o.name)
-		}
-	}
-	if folded < quorum {
-		return nil, fmt.Errorf("fl: round %d quorum not met: %d/%d updates (failures: %v)",
-			round, folded, quorum, rec.Failures)
-	}
-
-	// Merge up the tiers. Each hop accounts the exact wire size the
-	// level's partials would encode to — what an edge would have sent —
-	// without serializing them (EncodedSize is pinned against
-	// EncodePartial); merge order is index order, and exactness makes it
-	// irrelevant to the result anyway.
-	level := make([]*hier.Partial, 0, edges)
-	for _, p := range shards {
+// finalize merges up the tiers. Each hop accounts the exact wire size the
+// level's partials would encode to — what an edge would have sent — without
+// serializing them (EncodedSize is pinned against EncodePartial); merge
+// order is index order, and exactness makes it irrelevant to the result
+// anyway.
+func (t *tierSink) finalize(round int, _ map[string]*tensor.Matrix, _ []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+	level := make([]*hier.Partial, 0, len(t.shards))
+	for _, p := range t.shards {
 		if p != nil {
 			level = append(level, p)
 		}
@@ -271,7 +207,7 @@ gather:
 		}
 		return nil
 	}
-	for _, width := range widths[1:] {
+	for _, width := range t.widths[1:] {
 		if width > len(level) {
 			width = len(level)
 		}

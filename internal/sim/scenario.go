@@ -146,8 +146,8 @@ type Scenario struct {
 
 	// Reconcile, when non-nil, runs the controller with the
 	// reconciliation control plane: health state machines, requeued
-	// task re-assignment, probes and parking. Nil keeps the legacy
-	// single-shot round loop.
+	// task re-assignment, probes and parking. Nil runs the same round
+	// loop under the null policy (one attempt per assignment).
 	Reconcile *fl.ReconcilePolicy
 	// Tier, when non-empty, runs rounds through hierarchical streaming
 	// aggregation with these fan-in widths (fl.TierConfig.Aggregators):

@@ -12,15 +12,18 @@
 # The benchmark argument is a comma-separated list; the default gates
 # both scoreboard headliners (the FL round and the forward pass, so a
 # kernel change cannot trade one for the other unnoticed). An entry of
-# the form "A/B" is a same-file pair instead: A's ns/op may exceed B's by
-# at most the budget, both read from the fresh file (the baseline is
-# ignored for pairs). That is how CI gates one durable WAL append
-# against the plain FL round — an overhead bound, not a regression
-# bound, so it cannot be defeated by a slow baseline (the WAL-backed
-# round itself is tracked in the same file but not gated):
+# the form "A/B" is a same-file pair instead: 100*(A-B)/B must not exceed
+# the budget, both read from the fresh file (the baseline is ignored for
+# pairs) — an overhead bound, not a regression bound, so it cannot be
+# defeated by a slow baseline. A positive budget bounds a variant against
+# its control (reconcile round vs plain round, +2: at most 2% slower). A
+# negative budget bounds a part against the whole: -95 means A may cost at
+# most 5% of B, which is how CI gates one durable WAL append against the
+# plain FL round (the WAL-backed round itself is tracked in the same file
+# but not gated):
 #
 #   scripts/bench_check.sh BENCH_parallel.json BENCH_parallel.json \
-#       BenchmarkWALAppend/BenchmarkTable3_FLRoundLSTM 5
+#       BenchmarkWALAppend/BenchmarkTable3_FLRoundLSTM -95
 #
 # Both files only need a "results" object keyed by benchmark name, so a
 # BENCH_arena.json baseline from an older base commit still gates a fresh
@@ -68,7 +71,7 @@ for BENCH in $(printf '%s' "$BENCHES" | tr ',' ' '); do
         awk -v a="$a_ns" -v b="$b_ns" -v maxpct="$MAXPCT" -v pa="$A" -v pb="$B" '
             BEGIN {
                 pct = 100 * (a - b) / b
-                printf "bench_check: %s %.0f ns/op vs %s %.0f ns/op (%+.1f%%, budget +%s%%)\n",
+                printf "bench_check: %s %.0f ns/op vs %s %.0f ns/op (%+.1f%%, budget %+g%%)\n",
                     pa, a, pb, b, pct, maxpct
                 exit (pct > maxpct) ? 1 : 0
             }
@@ -96,7 +99,7 @@ for BENCH in $(printf '%s' "$BENCHES" | tr ',' ' '); do
     awk -v base="$base_ns" -v fresh="$fresh_ns" -v maxpct="$MAXPCT" -v bench="$BENCH" '
         BEGIN {
             pct = 100 * (fresh - base) / base
-            printf "bench_check: %s baseline %.0f ns/op, fresh %.0f ns/op (%+.1f%%, budget +%s%%)\n",
+            printf "bench_check: %s baseline %.0f ns/op, fresh %.0f ns/op (%+.1f%%, budget %+g%%)\n",
                 bench, base, fresh, pct, maxpct
             exit (pct > maxpct) ? 1 : 0
         }
