@@ -38,8 +38,8 @@ type ClientUpdate struct {
 	// update records.
 	DownBytes int
 	// hierPartial carries a decoded tier partial when this "update" is an
-	// edge aggregator's merged uplink rather than a single client's
-	// weights; only a tier-enabled server's TierAggregator consumes it.
+	// fl.Edge's merged uplink rather than a single client's weights; only
+	// the tier sink (a tier-enabled Server, or another Edge) consumes it.
 	hierPartial *hier.Partial
 }
 

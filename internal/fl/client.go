@@ -55,9 +55,14 @@ type ClientConfig struct {
 // uplink codec preference), then serves task messages by running its
 // executor until MsgFinish.
 type Client struct {
-	cfg   ClientConfig
-	kit   *provision.StartupKit
-	exec  Executor
+	cfg  ClientConfig
+	kit  *provision.StartupKit
+	exec Executor
+	// serve answers one task, given its message and the model decoded from
+	// its payload, with the uplink payload, its aggregation weight and its
+	// mean training loss. A site trains (Client.train); an Edge runs the
+	// round over its shard and answers with the merged partial.
+	serve func(task *transport.Message, global map[string]*tensor.Matrix) (blob []byte, samples int, loss float64, err error)
 	codec WeightCodec // requested uplink codec; re-resolved after the ack
 	// session is the server-issued session token, presented on
 	// re-registration to resume.
@@ -69,11 +74,21 @@ type Client struct {
 
 // NewClient builds a networked client around an executor.
 func NewClient(cfg ClientConfig, kit *provision.StartupKit, exec Executor) (*Client, error) {
-	if kit.Role != provision.RoleClient {
-		return nil, fmt.Errorf("fl: client needs a client kit, got %s", kit.Role)
-	}
 	if exec == nil {
 		return nil, errors.New("fl: client needs an executor")
+	}
+	c, err := newClient(cfg, kit)
+	if err == nil {
+		c.exec, c.serve = exec, c.train
+	}
+	return c, err
+}
+
+// newClient builds the wire half of a client: everything but who serves its
+// tasks.
+func newClient(cfg ClientConfig, kit *provision.StartupKit) (*Client, error) {
+	if kit.Role != provision.RoleClient {
+		return nil, fmt.Errorf("fl: client needs a client kit, got %s", kit.Role)
 	}
 	codec, err := CodecByName(cfg.Codec)
 	if err != nil {
@@ -90,7 +105,7 @@ func NewClient(cfg ClientConfig, kit *provision.StartupKit, exec Executor) (*Cli
 	}
 	backoffHist := cfg.Metrics.Histogram("fl_reconnect_backoff_seconds",
 		"reconnect backoff delays actually slept", metrics.DurationBuckets)
-	return &Client{cfg: cfg, kit: kit, exec: exec, codec: codec,
+	return &Client{cfg: cfg, kit: kit, codec: codec,
 		retrier: &Retrier{
 			Backoff: cfg.Backoff,
 			OnDelay: func(_ int, d time.Duration) { backoffHist.Observe(d.Seconds()) },
@@ -183,6 +198,32 @@ func (c *Client) reconnect(old transport.MessageConn, cause error) (transport.Me
 // Run connects, registers, and participates until the server finishes.
 // It returns the final global weights distributed by the server.
 func (c *Client) Run() (map[string]*tensor.Matrix, error) {
+	fin, err := c.run()
+	if err != nil {
+		return nil, err
+	}
+	final, err := DecodeWeights(fin.Payload)
+	if err != nil {
+		return nil, fmt.Errorf("fl: %s decode final: %w", c.kit.Name, err)
+	}
+	c.cfg.Logf("fl client %s: training complete", c.kit.Name)
+	return final, nil
+}
+
+// train is the default task server: local training through the executor,
+// the update encoded with the negotiated uplink codec.
+func (c *Client) train(task *transport.Message, global map[string]*tensor.Matrix) ([]byte, int, float64, error) {
+	update, err := c.exec.ExecuteRound(task.Round, global)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	blob, err := c.codec.Encode(update.Weights)
+	return blob, update.NumSamples, update.TrainLoss, err
+}
+
+// run connects, registers, and serves tasks until the server's MsgFinish,
+// which it returns.
+func (c *Client) run() (*transport.Message, error) {
 	conn, err := c.connect()
 	if err != nil {
 		return nil, err
@@ -214,8 +255,12 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 				}
 				continue
 			}
-			update, err := c.exec.ExecuteRound(msg.Round, global)
-			if err != nil {
+			reply := &transport.Message{Type: transport.MsgUpdate, Sender: c.kit.Name, Round: msg.Round}
+			var loss float64
+			reply.Payload, reply.NumSamples, loss, err = c.serve(msg, global)
+			if err == nil {
+				reply.Meta = map[string]string{"train_loss": strconv.FormatFloat(loss, 'g', -1, 64)}
+			} else {
 				// Report the failure so the server can requeue or
 				// substitute the task instead of timing out — then keep
 				// serving. One bad round (a transient data/compute fault)
@@ -223,30 +268,14 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 				// server's health monitor decides when a failure streak
 				// warrants quarantine.
 				c.cfg.Logf("fl client %s: round %d failed locally: %v", c.kit.Name, msg.Round, err)
-				if werr := conn.Write(&transport.Message{
-					Type: transport.MsgError, Sender: c.kit.Name, Round: msg.Round,
-					Meta: map[string]string{"error": err.Error()},
-				}); werr != nil {
-					if conn, err = c.reconnect(conn, werr); err != nil {
-						return nil, fmt.Errorf("fl: %s report failure: %w", c.kit.Name, err)
-					}
-				}
-				continue
+				reply.Type, reply.Meta = transport.MsgError, map[string]string{"error": err.Error()}
 			}
-			blob, err := c.codec.Encode(update.Weights)
-			if err != nil {
-				return nil, fmt.Errorf("fl: %s encode update: %w", c.kit.Name, err)
-			}
-			if err := conn.Write(&transport.Message{
-				Type: transport.MsgUpdate, Sender: c.kit.Name, Round: msg.Round,
-				Payload: blob, NumSamples: update.NumSamples,
-				Meta: map[string]string{"train_loss": strconv.FormatFloat(update.TrainLoss, 'g', -1, 64)},
-			}); err != nil {
-				// The update is lost with the connection; on resume the
+			if err := conn.Write(reply); err != nil {
+				// The reply is lost with the connection; on resume the
 				// server re-sends the round's task and the client
 				// recomputes.
 				if conn, err = c.reconnect(conn, err); err != nil {
-					return nil, fmt.Errorf("fl: %s send update: %w", c.kit.Name, err)
+					return nil, fmt.Errorf("fl: %s send reply: %w", c.kit.Name, err)
 				}
 			}
 		case transport.MsgPing:
@@ -260,12 +289,7 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 				}
 			}
 		case transport.MsgFinish:
-			final, err := DecodeWeights(msg.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("fl: %s decode final: %w", c.kit.Name, err)
-			}
-			c.cfg.Logf("fl client %s: training complete", c.kit.Name)
-			return final, nil
+			return msg, nil
 		case transport.MsgError:
 			return nil, fmt.Errorf("fl: %s server error: %s", c.kit.Name, msg.Meta["error"])
 		default:

@@ -1,0 +1,205 @@
+package fl
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"clinfl/internal/provision"
+	"clinfl/internal/transport"
+)
+
+func tokenFor(name, token string) bool { return token == "tok-"+name }
+
+func memDialer(network *transport.MemNetwork, name string) func() (transport.MessageConn, error) {
+	return func() (transport.MessageConn, error) {
+		return network.Dial(name, transport.LinkProfile{}, transport.LinkProfile{})
+	}
+}
+
+func leafClient(t *testing.T, network *transport.MemNetwork, name, token string, exec Executor) *Client {
+	t.Helper()
+	cl, err := NewClient(ClientConfig{Logf: quietLogf, Dialer: memDialer(network, name)},
+		&provision.StartupKit{Role: provision.RoleClient, Name: name, Token: token}, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// TestEdgeDropsSilentRegistrant: a peer that connects to an edge and never
+// sends MsgRegister costs the registration phase one read deadline; the
+// shard behind it still registers and the edge joins its parent.
+func TestEdgeDropsSilentRegistrant(t *testing.T) {
+	rootNet, edgeNet := transport.NewMemNetwork(), transport.NewMemNetwork()
+	defer rootNet.Close()
+	defer edgeNet.Close()
+	edge, err := NewEdge(EdgeConfig{
+		Name: "edge-0", Token: "tok-edge-0", DialParent: memDialer(rootNet, "edge-0"),
+		Listener: edgeNet, ExpectedClients: 1, RegisterTimeout: 10 * time.Second,
+		VerifyToken: tokenFor,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge.down.registerDeadline = 100 * time.Millisecond
+	mute, err := edgeNet.Dial("mute", transport.LinkProfile{}, transport.LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	leaf := leafClient(t, edgeNet, "leaf", "tok-leaf", &fakeExecutor{name: "leaf", samples: 1})
+	go leaf.Run() //nolint:errcheck
+	edgeDone := make(chan error, 1)
+	go func() { _, err := edge.Run(); edgeDone <- err }()
+
+	if err := rootNet.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	parent, err := rootNet.AcceptConn()
+	if err != nil {
+		t.Fatalf("edge never joined its parent (registration stuck behind the silent peer?): %v", err)
+	}
+	defer parent.Close()
+	if reg, err := parent.Read(); err != nil || reg.Type != transport.MsgRegister {
+		t.Fatalf("parent registration = %v, %v", reg, err)
+	}
+	if err := parent.Write(&transport.Message{Type: transport.MsgRegisterAck, Meta: map[string]string{"accepted": "true"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Write(&transport.Message{Type: transport.MsgFinish}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeDone; err != nil {
+		t.Fatalf("edge run: %v", err)
+	}
+}
+
+// TestEdgeRejectionReachesClient: a leaf an edge turns away is told why,
+// under the key the stock client reads.
+func TestEdgeRejectionReachesClient(t *testing.T) {
+	rootNet, edgeNet := transport.NewMemNetwork(), transport.NewMemNetwork()
+	defer rootNet.Close()
+	edge, err := NewEdge(EdgeConfig{
+		Name: "edge-0", Token: "tok-edge-0", DialParent: memDialer(rootNet, "edge-0"),
+		Listener: edgeNet, ExpectedClients: 1, RegisterTimeout: 10 * time.Second,
+		VerifyToken: tokenFor,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeDone := make(chan error, 1)
+	go func() { _, err := edge.Run(); edgeDone <- err }()
+
+	_, err = leafClient(t, edgeNet, "leaf", "stolen", &fakeExecutor{name: "leaf", samples: 1}).Run()
+	if err == nil || !strings.Contains(err.Error(), "bad token") {
+		t.Fatalf("rejected leaf saw %v, want the edge's reason (bad token)", err)
+	}
+	edgeNet.Close()
+	if err := <-edgeDone; err == nil {
+		t.Fatal("edge registered a shard it had rejected")
+	}
+}
+
+// runTierFederation runs three rounds of root ← 2 edges ← 2 leaves each over
+// in-memory links. faults scripts the root→edge-0 direction of edge-0's first
+// connection. It returns the root's result and how often edge-0 dialled.
+func runTierFederation(t *testing.T, faults transport.FaultSchedule) (*Result, int32) {
+	t.Helper()
+	rootNet := transport.NewMemNetwork()
+	defer rootNet.Close()
+	srv, err := NewServer(ServerConfig{
+		ExpectedClients: 2, Rounds: 3, MinClients: 2, RegisterTimeout: 10 * time.Second,
+		Tier: &TierConfig{}, VerifyToken: tokenFor, Logf: quietLogf, Listener: rootNet,
+	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var wg sync.WaitGroup
+	var dials atomic.Int32
+	leaves := [][]*fakeExecutor{
+		{{name: "a", samples: 8, value: 1.5}, {name: "b", samples: 16, value: -2.25}},
+		{{name: "c", samples: 24, value: 0.125}, {name: "d", samples: 16, value: 3}},
+	}
+	for i, shard := range leaves {
+		edgeNet := transport.NewMemNetwork()
+		defer edgeNet.Close()
+		name := fmt.Sprintf("edge-%d", i)
+		dial := memDialer(rootNet, name)
+		if i == 0 {
+			dial = func() (transport.MessageConn, error) {
+				down := transport.LinkProfile{}
+				if dials.Add(1) == 1 {
+					down.Faults = faults
+				}
+				return rootNet.Dial(name, transport.LinkProfile{}, down)
+			}
+		}
+		edge, err := NewEdge(EdgeConfig{
+			Name: name, Token: "tok-" + name, DialParent: dial,
+			Listener: edgeNet, ExpectedClients: len(shard), RegisterTimeout: 10 * time.Second,
+			VerifyToken: tokenFor, RoundDeadline: 10 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := edge.Run(); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+		for _, exec := range shard {
+			cl := leafClient(t, edgeNet, exec.name, "tok-"+exec.name, exec)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cl.Run(); err != nil {
+					t.Errorf("leaf %s: %v", cl.kit.Name, err)
+				}
+			}()
+		}
+	}
+	res, err := srv.Run(initialWeights())
+	srv.Close() // release edges and leaves still blocked on a dead run
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("root run: %v", err)
+	}
+	return res, dials.Load()
+}
+
+// TestEdgeRidesOutLostParentLink corrupts the root's round-1 task to one
+// edge in transit. The edge's read fails, it redials presenting its session
+// token, the root re-attaches it mid-gather and re-sends the task, the shard
+// runs the round, and the federation ends on the very model of a fault-free
+// run — the lost link costs a retry, not a shard.
+func TestEdgeRidesOutLostParentLink(t *testing.T) {
+	clean, _ := runTierFederation(t, transport.FaultSchedule{})
+	// Down-direction message 0 is the register ack, 1 the round-0 task, 2 the
+	// round-1 task.
+	faulted, dials := runTierFederation(t, transport.FaultSchedule{CorruptMsgs: []int{2}})
+	if dials < 2 {
+		t.Errorf("edge-0 dialled %d times, want a reconnect after the corrupt frame", dials)
+	}
+	for _, rec := range faulted.History.Rounds {
+		if got := strings.Join(rec.Participants, ","); got != "edge-0,edge-1" {
+			t.Errorf("round %d participants %q, want both edges", rec.Round, got)
+		}
+	}
+	for name, want := range clean.FinalWeights {
+		got := faulted.FinalWeights[name]
+		for i, w := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(w) {
+				t.Fatalf("%s[%d] = %v after the reconnect, fault-free run has %v", name, i, got.Data()[i], w)
+			}
+		}
+	}
+}

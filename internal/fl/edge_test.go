@@ -1,6 +1,7 @@
-package hier_test
+package fl_test
 
 import (
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -15,6 +16,25 @@ func leafWeights(scale float64) map[string]*tensor.Matrix {
 	m := tensor.New(1, 2)
 	m.Data()[0], m.Data()[1] = 1.5*scale, -0.25*scale
 	return map[string]*tensor.Matrix{"w": m}
+}
+
+func assertBitIdentical(t *testing.T, a, b map[string]*tensor.Matrix, label string) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: param count %d vs %d", label, len(a), len(b))
+	}
+	for name, ma := range a {
+		mb, ok := b[name]
+		if !ok {
+			t.Fatalf("%s: missing param %q", label, name)
+		}
+		da, db := ma.Data(), mb.Data()
+		for i := range da {
+			if math.Float64bits(da[i]) != math.Float64bits(db[i]) {
+				t.Fatalf("%s: %s[%d] differs: %v vs %v", label, name, i, da[i], db[i])
+			}
+		}
+	}
 }
 
 // runLeaf drives one hand-rolled downstream client through register /
@@ -67,7 +87,7 @@ func TestEdgeAggregatesShard(t *testing.T) {
 	defer rootNet.Close()
 	defer edgeNet.Close()
 
-	edge, err := hier.NewEdge(hier.EdgeConfig{
+	edge, err := fl.NewEdge(fl.EdgeConfig{
 		Name:  "edge-0",
 		Token: "tok-edge-0",
 		DialParent: func() (transport.MessageConn, error) {
@@ -78,13 +98,12 @@ func TestEdgeAggregatesShard(t *testing.T) {
 		RegisterTimeout: 5 * time.Second,
 		VerifyToken:     func(name, token string) bool { return token == "tok-"+name },
 		RoundDeadline:   5 * time.Second,
-		DecodeWeights:   fl.DecodeWeights,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	edgeDone := make(chan error, 1)
-	var edgeRes *hier.EdgeResult
+	var edgeRes *fl.EdgeResult
 	go func() {
 		res, err := edge.Run()
 		edgeRes = res
@@ -242,7 +261,7 @@ func TestEdgeQuorumFailure(t *testing.T) {
 	edgeNet := transport.NewMemNetwork()
 	defer rootNet.Close()
 	defer edgeNet.Close()
-	edge, err := hier.NewEdge(hier.EdgeConfig{
+	edge, err := fl.NewEdge(fl.EdgeConfig{
 		Name:  "edge-0",
 		Token: "t",
 		DialParent: func() (transport.MessageConn, error) {
@@ -253,7 +272,6 @@ func TestEdgeQuorumFailure(t *testing.T) {
 		RegisterTimeout: 5 * time.Second,
 		VerifyToken:     func(string, string) bool { return true },
 		RoundDeadline:   5 * time.Second,
-		DecodeWeights:   fl.DecodeWeights,
 	})
 	if err != nil {
 		t.Fatal(err)

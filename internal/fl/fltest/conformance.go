@@ -3,6 +3,7 @@ package fltest
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -204,6 +205,12 @@ func conformQuorum(t *testing.T, h Harness) {
 	}
 }
 
+// names reports whether a failure entry is about client: "client: reason" in
+// the record of the node that saw it fail, "<edge>/client: reason" above it.
+func names(failure, client string) bool {
+	return strings.HasPrefix(failure, client+":") || strings.Contains(failure, "/"+client+":")
+}
+
 // conformFailureRecorded: a failing client is a named failure in the round
 // record, never a silent absence, and never a participant.
 func conformFailureRecorded(t *testing.T, h Harness) {
@@ -234,6 +241,36 @@ func conformFailureRecorded(t *testing.T, h Harness) {
 	if got := res.FinalWeights["layer.w"].Data()[0]; got != 2 {
 		t.Fatalf("failed client leaked into the model: %v", got)
 	}
+
+	// The same holds of a leaf behind an edge (a real fl.Edge on the server
+	// harness, sharing it with a healthy leaf): the failure climbs to the
+	// root's record instead of vanishing into the edge's partial.
+	t.Run("behind-edge", func(t *testing.T) {
+		res, err := h.Run(RunSpec{
+			Rounds: 1, MinClients: 1, Tier: []int{2},
+			Clients: []ClientSpec{
+				{Name: "ok", Samples: 10, Value: 2},
+				{Name: "ok2", Samples: 30, Value: 2},
+				{Name: "broken", Samples: 10, Value: 5, FailRounds: []int{0}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRecords(t, res)
+		found := 0
+		for _, f := range res.History.Rounds[0].Failures {
+			if names(f, "broken") {
+				found++
+			}
+		}
+		if found != 1 {
+			t.Fatalf("failures %v, want exactly one naming the broken leaf", res.History.Rounds[0].Failures)
+		}
+		if got := res.FinalWeights["layer.w"].Data()[0]; got != 2 {
+			t.Fatalf("failed leaf leaked into the model: %v", got)
+		}
+	})
 }
 
 // conformMalformedUpdate: an update the aggregate could not use — no
@@ -243,47 +280,58 @@ func conformFailureRecorded(t *testing.T, h Harness) {
 // remaining clients instead of aborting the federation.
 func conformMalformedUpdate(t *testing.T, h Harness) {
 	for _, mode := range []string{"zero-samples", "wrong-shape", "extra-param"} {
-		t.Run(mode, func(t *testing.T) {
-			good := []ClientSpec{
-				{Name: "a", Samples: 10, Value: 1},
-				{Name: "b", Samples: 30, Value: 2},
-				{Name: "c", Samples: 20, Value: 7},
-			}
-			spec := RunSpec{
-				Rounds: 3, MinClients: 1,
-				Clients: append([]ClientSpec{{Name: "bad", Samples: 40, Value: 100, Malformed: mode}}, good...),
-			}
-			res, err := h.Run(spec)
-			if err != nil {
-				t.Fatalf("one malformed client aborted the federation: %v", err)
-			}
-			checkRecords(t, res)
-			if len(res.History.Rounds) != spec.Rounds {
-				t.Fatalf("completed %d rounds, want %d", len(res.History.Rounds), spec.Rounds)
-			}
-			for _, rec := range res.History.Rounds {
-				if got := strings.Join(rec.Participants, ","); got != "a,b,c" {
-					t.Fatalf("round %d participants %v, want exactly [a b c]", rec.Round, rec.Participants)
+		for _, tier := range [][]int{nil, {2}} {
+			t.Run(fmt.Sprintf("%s/tier%v", mode, tier), func(t *testing.T) {
+				good := []ClientSpec{
+					{Name: "a", Samples: 10, Value: 1},
+					{Name: "b", Samples: 30, Value: 2},
+					{Name: "c", Samples: 20, Value: 7},
 				}
-				named := 0
-				for _, f := range rec.Failures {
-					if strings.HasPrefix(f, "bad:") {
-						named++
+				spec := RunSpec{
+					Rounds: 3, MinClients: 1, Tier: tier,
+					Clients: append([]ClientSpec{{Name: "bad", Samples: 40, Value: 100, Malformed: mode}}, good...),
+				}
+				res, err := h.Run(spec)
+				if err != nil {
+					t.Fatalf("one malformed client aborted the federation: %v", err)
+				}
+				checkRecords(t, res)
+				if len(res.History.Rounds) != spec.Rounds {
+					t.Fatalf("completed %d rounds, want %d", len(res.History.Rounds), spec.Rounds)
+				}
+				for _, rec := range res.History.Rounds {
+					// Everyone sampled but bad participates: a, b and c, or —
+					// behind real edges — the edges they sit behind.
+					var want []string
+					for _, s := range rec.Sampled {
+						if s != "bad" {
+							want = append(want, s)
+						}
+					}
+					sort.Strings(want)
+					if got := strings.Join(rec.Participants, ","); got != strings.Join(want, ",") || tier == nil && got != "a,b,c" {
+						t.Fatalf("round %d participants %v, want exactly %v", rec.Round, rec.Participants, want)
+					}
+					named := 0
+					for _, f := range rec.Failures {
+						if names(f, "bad") {
+							named++
+						}
+					}
+					if named != 1 {
+						t.Fatalf("round %d failures %v, want exactly one naming bad", rec.Round, rec.Failures)
 					}
 				}
-				if named != 1 {
-					t.Fatalf("round %d failures %v, want exactly one naming bad", rec.Round, rec.Failures)
-				}
-			}
-			want := ExpectedFedAvg(good)
-			for name, m := range res.FinalWeights {
-				for _, v := range m.Data() {
-					if v != want {
-						t.Fatalf("final %s = %v, want exact %v over the well-formed clients", name, v, want)
+				want := ExpectedFedAvg(good)
+				for name, m := range res.FinalWeights {
+					for _, v := range m.Data() {
+						if v != want {
+							t.Fatalf("final %s = %v, want exact %v over the well-formed clients", name, v, want)
+						}
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"clinfl/internal/fl"
-	"clinfl/internal/fl/hier"
 	"clinfl/internal/provision"
 	"clinfl/internal/sim"
 	"clinfl/internal/tensor"
@@ -76,7 +75,7 @@ type RunSpec struct {
 	// Tier, when non-empty, routes the run through hierarchical streaming
 	// aggregation with these fan-in widths (fl.TierConfig.Aggregators).
 	// The controller harnesses shard in-process; the server harness
-	// deploys Tier[0] real hier.Edge nodes over their own in-memory
+	// deploys Tier[0] real fl.Edge nodes over their own in-memory
 	// networks, each fronting a contiguous shard of the roster.
 	Tier []int
 }
@@ -399,7 +398,7 @@ func (h ServerHarness) Run(spec RunSpec) (*fl.Result, error) {
 	return res, err
 }
 
-// runTier deploys the spec behind real hier.Edge nodes: Tier[0] edges
+// runTier deploys the spec behind real fl.Edge nodes: Tier[0] edges
 // register with the root server, each fronting a contiguous shard of the
 // name-sorted roster over its own in-memory network. The server sees only
 // the edges; exactness makes the final model bit-identical to the flat
@@ -456,7 +455,7 @@ func (ServerHarness) runTier(spec RunSpec) (*fl.Result, error) {
 		edgeNet := transport.NewMemNetwork()
 		defer edgeNet.Close()
 		edgeName := fmt.Sprintf("edge-%d", e)
-		ed, err := hier.NewEdge(hier.EdgeConfig{
+		ed, err := fl.NewEdge(fl.EdgeConfig{
 			Name:  edgeName,
 			Token: "tok-" + edgeName,
 			DialParent: func() (transport.MessageConn, error) {
@@ -467,7 +466,6 @@ func (ServerHarness) runTier(spec RunSpec) (*fl.Result, error) {
 			RegisterTimeout: 30 * time.Second,
 			VerifyToken:     func(name, token string) bool { return token == "tok-"+name },
 			RoundDeadline:   deadline,
-			DecodeWeights:   fl.DecodeWeights,
 		})
 		if err != nil {
 			return nil, err

@@ -485,6 +485,8 @@ func (p *Partial) Merge(o *Partial) error {
 		if len(o.params) != len(p.params) {
 			return fmt.Errorf("hier: merge: partial has %d params, want %d", len(o.params), len(p.params))
 		}
+		// Validate every parameter before touching any sum: a caller that
+		// records a failed merge as one child's failure keeps folding into p.
 		for name, ops := range o.params {
 			ps, ok := p.params[name]
 			if !ok {
@@ -494,6 +496,9 @@ func (p *Partial) Merge(o *Partial) error {
 				return fmt.Errorf("hier: merge: param %q is %dx%d, want %dx%d",
 					name, ops.rows, ops.cols, ps.rows, ps.cols)
 			}
+		}
+		for name, ops := range o.params {
+			ps := p.params[name]
 			for i := range ps.sums {
 				ps.sums[i] = ps.sums[i].merge(ops.sums[i])
 			}
@@ -568,6 +573,15 @@ func (p *Partial) Participants() []string {
 func (p *Partial) Failures() []string {
 	out := append([]string(nil), p.failures...)
 	sort.Strings(out)
+	return out
+}
+
+// TakeFailures removes and returns the recorded failure entries. A node
+// that re-records a child's failures under the child's name takes them
+// before merging, so each failure travels upward once.
+func (p *Partial) TakeFailures() []string {
+	out := p.failures
+	p.failures = nil
 	return out
 }
 

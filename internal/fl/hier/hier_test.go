@@ -256,6 +256,42 @@ func TestAccountingAndMeanLoss(t *testing.T) {
 	}
 }
 
+// TestRejectedMergeLeavesPartialIntact: a node records a child partial it
+// cannot merge as that child's failure and keeps aggregating, so the
+// rejection must not have merged some parameters before it found the bad
+// one (map order decides which it meets first; a handful of parameters makes
+// "bad one last" near-certain across runs).
+func TestRejectedMergeLeavesPartialIntact(t *testing.T) {
+	shapes := map[string][2]int{"a": {1, 2}, "b": {1, 2}, "c": {1, 2}, "d": {1, 2}, "e": {1, 2}}
+	r := rand.New(rand.NewSource(3))
+	p, want, bad := hier.NewPartial(), hier.NewPartial(), hier.NewPartial()
+	u := randomUpdate(r, "ok", shapes)
+	for _, q := range []*hier.Partial{p, want} {
+		if err := q.Fold(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes["e"] = [2]int{2, 1}
+	if err := bad.Fold(randomUpdate(r, "bad", shapes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Merge(bad); err == nil {
+		t.Fatal("merged a partial with a mismatched parameter shape")
+	}
+	got, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantW, err := want.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, wantW, got, "after a rejected merge")
+	if p.Updates() != 1 || p.Weight() != want.Weight() {
+		t.Fatalf("rejected merge changed updates/weight to %d/%d", p.Updates(), p.Weight())
+	}
+}
+
 // TestResidentBytesIndependentOfClientCount is the O(model) property:
 // folding 10x the updates must not grow the partial's resident state
 // meaningfully (expansion lengths are bounded by the float64 exponent

@@ -30,7 +30,9 @@ import (
 // delivers normalized events and carries out task / probe requests (the
 // Controller over executor goroutines, the Server over wire connections);
 // a sink takes each accepted update (flatSink buffers for finalizeRound,
-// tierSink folds into edge-shard partials).
+// tierSink folds or merges into O(model) partials). An Edge is the same
+// engine one level down: the Server backend over its shard, a tierSink
+// whose finalize keeps the partial, and a Client carrying it to the parent.
 
 // roundConfig is the engine's view of a ControllerConfig or ServerConfig:
 // the knobs both share, defaulted by the owning constructor.
@@ -120,7 +122,7 @@ type sink interface {
 	// a per-client failure.
 	accept(u *ClientUpdate) error
 	// finalize aggregates what was accepted, merges the late updates, and
-	// fills the record's participants, loss and byte counters.
+	// fills the record's loss and byte counters.
 	finalize(round int, global map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error)
 }
 
@@ -444,7 +446,20 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	if len(rec.Failures) > 0 || g.got < len(rec.Sampled) {
 		e.logf("round %d proceeded with %d/%d clients (failures: %v)", round, g.got, len(rec.Sampled), rec.Failures)
 	}
-	return e.sink.finalize(round, global, g.late, rec)
+	next, err := e.sink.finalize(round, global, g.late, rec)
+	if err != nil {
+		return nil, err
+	}
+	// The participants are the clients whose update this round's accept step
+	// took, whatever the sink made of them: the edges at a tier root, not the
+	// leaves behind them.
+	for name, s := range g.slots {
+		if s.done {
+			rec.Participants = append(rec.Participants, name)
+		}
+	}
+	sort.Strings(rec.Participants)
+	return next, nil
 }
 
 // degrade marks a round finalized short of its trigger.
@@ -988,8 +1003,7 @@ func checkShapes(global map[string]*tensor.Matrix, u *ClientUpdate) error {
 }
 
 // flatSink buffers a round's updates and aggregates them in one batch: the
-// flat federation, and the networked tier root (whose TierAggregator merges
-// the edges' partials in that batch).
+// flat federation.
 type flatSink struct {
 	filters []Filter
 	agg     Aggregator
@@ -1009,14 +1023,8 @@ func (s *flatSink) finalize(round int, global map[string]*tensor.Matrix, late []
 	if err != nil {
 		return nil, err
 	}
-	if ta, ok := s.agg.(*TierAggregator); ok {
-		rec.TierPartials = ta.Partials
-		rec.TierBytesUp = ta.TierBytes
-		rec.TierResidentBytes = ta.ResidentBytes
-	}
 	var lossSum, weightSum float64
 	for _, u := range s.updates {
-		rec.Participants = append(rec.Participants, u.ClientName)
 		rec.BytesUp += int64(u.PayloadBytes)
 		rec.BytesDown += int64(u.DownBytes)
 		lossSum += u.TrainLoss * float64(u.NumSamples)

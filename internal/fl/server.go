@@ -103,13 +103,14 @@ type ServerConfig struct {
 	// mass failure. Nil runs the same round loop under the null policy: one
 	// attempt per assignment, no health tracking.
 	Reconcile *ReconcilePolicy
-	// Tier, when non-nil, accepts partial-aggregate uplinks from hier.Edge
-	// nodes and aggregates through a TierAggregator: each registered
-	// "client" may be an edge fronting a shard of real clients, so the
-	// root holds O(edges * model) state instead of O(clients * model), and
-	// Participants in the round record are the edge names. A mixed fleet
-	// (edges plus plain clients) is supported. Nil keeps the legacy flat
-	// path bit-for-bit unchanged and rejects partial payloads.
+	// Tier, when non-nil, accepts partial-aggregate uplinks from fl.Edge
+	// nodes and aggregates by streaming: each registered "client" may be
+	// an edge fronting a shard of real clients, every accepted uplink is
+	// merged (a plain client's folded) into one partial as it arrives, so
+	// the root holds O(model) state however many edges or clients there
+	// are, and Participants in the round record are the edge names. A
+	// mixed fleet (edges plus plain clients) is supported. Nil keeps the
+	// legacy flat path bit-for-bit unchanged and rejects partial payloads.
 	Tier *TierConfig
 }
 
@@ -171,7 +172,11 @@ type Server struct {
 	tokenRNG  *tensor.RNG
 	eng       *engine
 	met       flMetrics
-	inbox     chan inboxMsg
+	// registerDeadline bounds the wait for a new connection's MsgRegister, so
+	// a peer that dials and goes silent costs the accept loop seconds, not
+	// the run.
+	registerDeadline time.Duration
+	inbox            chan inboxMsg
 	source[inboxMsg]
 	// round / blob are the task the engine's current round hands out: the
 	// global model, encoded once per round.
@@ -199,12 +204,6 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator,
 		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
-	}
-	if cfg.Tier != nil {
-		// The tier root merges edge partials and folds plain updates in one
-		// streaming pass; exactness makes the result identical to flat
-		// FedAvg over every leaf.
-		cfg.Aggregator = &TierAggregator{}
 	}
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = FedAvg{}
@@ -246,7 +245,8 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		downCodec: downCodec,
 		// The token stream is independent of the sampling stream so adding
 		// session tokens never perturbs which clients a seeded run samples.
-		tokenRNG: tensor.NewRNG(cfg.Seed + 2654435761),
+		tokenRNG:         tensor.NewRNG(cfg.Seed + 2654435761),
+		registerDeadline: 5 * time.Second,
 		// Buffered so reader goroutines never block on a drained server:
 		// a cooperative client has at most one reply outstanding (it is
 		// not re-tasked until that reply drains) plus one terminal error,
@@ -256,13 +256,20 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		sessions: sessions,
 	}
 	s.source = source[inboxMsg]{clk: cfg.Clock, ch: s.inbox, normalize: s.normalize}
+	var sk sink = &flatSink{filters: cfg.Filters, agg: cfg.Aggregator, async: cfg.AsyncAggregator}
+	if cfg.Tier != nil {
+		// The tier root merges edge partials and folds plain updates as they
+		// arrive; exactness makes the result identical to flat FedAvg over
+		// every leaf.
+		sk = &tierSink{}
+	}
 	s.eng = newEngine(roundConfig{
 		rounds: cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
 		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
 		async: cfg.AsyncAggregator, validate: cfg.Validate,
 		clock: cfg.Clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
 		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
-	}, s, &flatSink{filters: cfg.Filters, agg: cfg.Aggregator, async: cfg.AsyncAggregator})
+	}, s, sk)
 	s.met = s.eng.met
 	return s, nil
 }
@@ -282,7 +289,8 @@ func (s *Server) Close() error {
 }
 
 // acceptClients runs the registration phase until ExpectedClients have
-// presented valid tokens.
+// presented valid tokens, then starts their readers and the reconnect
+// accept loop.
 func (s *Server) acceptClients() error {
 	// Registration is pure socket I/O, so its timeout is wall time even
 	// when a simulated Clock drives the rounds: a virtual clock only
@@ -294,6 +302,7 @@ func (s *Server) acceptClients() error {
 		n := len(s.clients)
 		s.mu.Unlock()
 		if n >= s.cfg.ExpectedClients {
+			s.startReaders()
 			return nil
 		}
 		if time.Now().After(deadline) {
@@ -342,7 +351,7 @@ func (s *Server) negotiateCodec(msg *transport.Message) string {
 // server restart, or redialing during the registration window — re-attaches
 // to its session instead of being rejected as a duplicate.
 func (s *Server) register(conn transport.MessageConn) error {
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	_ = conn.SetDeadline(time.Now().Add(s.registerDeadline))
 	msg, err := conn.Read()
 	if err != nil {
 		return err
@@ -429,13 +438,16 @@ func (s *Server) readLoop(name string, conn transport.MessageConn, gen int) {
 
 // startReaders launches one reader goroutine per registered client, so a
 // straggler's late reply is never stranded in a socket buffer and a dead
-// connection is reported, not silently absent.
+// connection is reported, not silently absent, and the accept loop through
+// which a client that lost its connection re-attaches.
 func (s *Server) startReaders() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.clients {
 		go s.readLoop(c.name, c.conn, c.gen)
 	}
+	s.met.connected.Set(float64(len(s.clients)))
+	go s.acceptLoop()
 }
 
 // acceptLoop keeps accepting connections after the registration window so
@@ -468,7 +480,7 @@ func (s *Server) acceptLoop() {
 // token must verify and the presented session token must match the one
 // issued (or recovered from the WAL). New clients cannot join mid-run.
 func (s *Server) vetReconnect(conn transport.MessageConn) (*resumeConn, error) {
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	_ = conn.SetDeadline(time.Now().Add(s.registerDeadline))
 	msg, err := conn.Read()
 	if err != nil {
 		return nil, err
@@ -560,11 +572,6 @@ func (s *Server) Run(initialWeights map[string]*tensor.Matrix) (*Result, error) 
 	if err := s.acceptClients(); err != nil {
 		return nil, err
 	}
-	s.startReaders()
-	go s.acceptLoop()
-	s.mu.Lock()
-	s.met.connected.Set(float64(len(s.clients)))
-	s.mu.Unlock()
 	res, err := s.eng.run(context.Background(), initialWeights)
 	if err != nil {
 		return nil, err
@@ -699,8 +706,12 @@ func (s *Server) normalize(in inboxMsg) event {
 
 // handleReply turns one inbound message into a ClientUpdate.
 func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate, error) {
+	if msg.Type == transport.MsgError {
+		// The client's own report of a failed round, recorded in its words.
+		return nil, errors.New(msg.Meta["error"])
+	}
 	if msg.Type != transport.MsgUpdate {
-		return nil, fmt.Errorf("expected update, got %s: %s", msg.Type, msg.Meta["error"])
+		return nil, fmt.Errorf("expected update, got %s", msg.Type)
 	}
 	// Enforce the top-k gate on the payload itself, not just at
 	// negotiation: DecodeWeights sniffs any magic, so a client ignoring

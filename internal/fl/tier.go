@@ -26,7 +26,7 @@ type TierConfig struct {
 	// edge partials, merges those into 8 regional partials, and merges
 	// the regionals at the root — each hop's encoded-partial bytes are
 	// accounted in RoundRecord.TierBytesUp. The networked Server ignores
-	// it (its tier shape is the deployed hier.Edge topology). Nil or
+	// it (its tier shape is the deployed fl.Edge topology). Nil or
 	// empty defaults to a single 8-wide edge tier.
 	Aggregators []int
 }
@@ -70,172 +70,164 @@ func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
 	return nil
 }
 
-// TierAggregator is the root-side Aggregator a tier-enabled Server
-// installs: updates from hier.Edge nodes carry decoded partials and are
-// merged; plain client updates (a mixed fleet is fine) are folded
-// directly. The result is exact FedAvg over every leaf, identical to
-// what a flat server would produce. The exported fields snapshot the
-// last Aggregate call's tier accounting for the round record.
-type TierAggregator struct {
-	// Partials counts the lower-tier partials merged.
-	Partials int
-	// TierBytes is the encoded bytes those partials arrived as.
-	TierBytes int64
-	// ResidentBytes is the root's merged aggregation state at finalize —
-	// the O(model) quantity, independent of leaf count.
-	ResidentBytes int64
-}
-
-// Name implements Aggregator.
-func (a *TierAggregator) Name() string { return "hier-fedavg" }
-
-// Aggregate implements Aggregator.
-func (a *TierAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error) {
-	root := hier.NewPartial()
-	a.Partials, a.TierBytes = 0, 0
-	for _, u := range updates {
-		if u.hierPartial != nil {
-			if err := root.Merge(u.hierPartial); err != nil {
-				return nil, fmt.Errorf("fl: merge partial from %q: %w", u.ClientName, err)
-			}
-			a.Partials++
-			a.TierBytes += int64(u.PayloadBytes)
-			continue
-		}
-		err := root.Fold(hier.Update{
-			ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
-			TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fl: fold update from %q: %w", u.ClientName, err)
-		}
-	}
-	a.ResidentBytes = root.ResidentBytes()
-	return root.Finalize()
-}
-
-// tierSink is the in-process controller's streaming aggregation: each
-// accepted update is folded immediately into its edge shard's partial (and
-// the raw weights dropped — the O(model) property), shard partials merge up
-// the configured tier widths with per-hop byte accounting, and the root
-// finalizes the exact FedAvg. The gather around it is the shared round
-// engine's; stragglers past the deadline are dropped when they surface,
-// because validateTier admits no AsyncAggregator.
+// tierSink is streaming aggregation behind the round engine's sink seam, for
+// every kind of tier node: each accepted update is folded immediately into a
+// partial (and the raw weights dropped — the O(model) property), an edge's
+// uplink is merged into it, and the root finalizes the exact FedAvg. The
+// gather around it is the shared round engine's; stragglers past the
+// deadline are dropped when they surface, because validateTier admits no
+// AsyncAggregator.
 type tierSink struct {
+	// widths are the fan-ins of the in-process tiers between the sampled
+	// clients and the root, leaf-most first: updates fold into widths[0]
+	// edge-shard partials that merge up the tiers with per-hop byte
+	// accounting. Empty on a networked node (a tier-enabled Server, an
+	// Edge): its tiers are the deployed topology, so whatever it accepts
+	// goes into its one partial.
 	widths []int
-	// scratch recycles the edge-shard partials across rounds (Reset keeps
-	// each one's O(model) slabs warm), so a round's aggregation state is
+	// scratch recycles the shard partials across rounds (Reset keeps each
+	// one's O(model) slabs warm), so a round's aggregation state is
 	// allocated once per run, not once per round.
 	scratch []*hier.Partial
 	shardOf map[string]int
 	// shards holds this round's partials; nil means no update reached the
 	// shard yet.
 	shards []*hier.Partial
+	// partials counts the partials that crossed a hop into or inside this
+	// node; bytesUp / bytesDown sum the accepted updates' payload bytes;
+	// failures are the leaf failures the merged partials reported.
+	partials           int
+	bytesUp, bytesDown int64
+	failures           []string
 }
 
 // open lays out the round's deterministic shard map: contiguous blocks of
 // the name-sorted sample, so the tier shape is a pure function of the
 // sampled set.
 func (t *tierSink) open(sampled []string) {
-	names := append([]string(nil), sampled...)
-	sort.Strings(names)
-	edges := t.widths[0]
-	if edges > len(names) {
-		edges = len(names)
-	}
-	t.shardOf = make(map[string]int, len(names))
-	for i, n := range names {
-		t.shardOf[n] = i * edges / len(names)
+	edges := 1
+	t.shardOf = nil
+	if len(t.widths) > 0 {
+		names := append([]string(nil), sampled...)
+		sort.Strings(names)
+		edges = min(t.widths[0], len(names))
+		t.shardOf = make(map[string]int, len(names))
+		for i, n := range names {
+			t.shardOf[n] = i * edges / len(names)
+		}
 	}
 	for len(t.scratch) < edges {
 		t.scratch = append(t.scratch, hier.NewPartial())
 	}
 	t.shards = make([]*hier.Partial, edges)
+	t.partials, t.bytesUp, t.bytesDown, t.failures = 0, 0, 0, nil
 }
 
-// accept folds one update into its shard. A slot is taken from the
-// run-long scratch the first time its shard folds; a reset partial
-// accumulates bit-identically to a fresh one. A malformed update is a
-// per-client failure at its edge, not a federation abort: the shard
-// rejects it and the round proceeds with everyone else.
+// accept is the one place an update enters a partial: a plain update is
+// folded into its shard, an edge's uplink (itself a partial, so tiers stack)
+// is merged. A slot is taken from the run-long scratch the first time its
+// shard is hit; a reset partial accumulates bit-identically to a fresh one.
+// An update the partial rejects is a per-client failure, not a federation
+// abort: the round proceeds with everyone else.
 func (t *tierSink) accept(u *ClientUpdate) error {
 	s := t.shardOf[u.ClientName]
-	if t.shards[s] == nil {
-		t.shards[s] = t.scratch[s]
-		t.shards[s].Reset()
+	p := t.shards[s]
+	if p == nil {
+		p = t.scratch[s]
+		p.Reset()
+		t.shards[s] = p
 	}
-	return t.shards[s].Fold(hier.Update{
-		ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
-		TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
-	})
+	var err error
+	if child := u.hierPartial; child != nil {
+		// The failures below the edge surface in this node's round record
+		// under the edge's name; they are taken, not copied, so the merged
+		// partial does not carry them a second time.
+		for _, f := range child.TakeFailures() {
+			t.failures = append(t.failures, u.ClientName+"/"+f)
+		}
+		if err = p.Merge(child); err == nil {
+			p.AddTierBytes(int64(u.PayloadBytes))
+			t.partials++
+		}
+	} else {
+		err = p.Fold(hier.Update{
+			ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
+			TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
+		})
+	}
+	if err == nil {
+		t.bytesUp += int64(u.PayloadBytes)
+		t.bytesDown += int64(u.DownBytes)
+	}
+	return err
 }
 
-// finalize merges up the tiers. Each hop accounts the exact wire size the
-// level's partials would encode to — what an edge would have sent — without
-// serializing them (EncodedSize is pinned against EncodePartial); merge
-// order is index order, and exactness makes it irrelevant to the result
-// anyway.
-func (t *tierSink) finalize(round int, _ map[string]*tensor.Matrix, _ []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+// merge climbs the round's partials up the in-process tiers to the one root
+// partial and fills the record's accounting from it. Each hop accounts the
+// exact wire size the level's partials would encode to — what an edge would
+// have sent — without serializing them (EncodedSize is pinned against
+// EncodePartial); merge order is index order, and exactness makes it
+// irrelevant to the result anyway.
+func (t *tierSink) merge(round int, rec *RoundRecord) (*hier.Partial, error) {
 	level := make([]*hier.Partial, 0, len(t.shards))
 	for _, p := range t.shards {
 		if p != nil {
 			level = append(level, p)
 		}
 	}
-	climb := func(into []*hier.Partial, groupOf func(i int) int) error {
+	// One hop into each upper tier, then one into the root; none on a
+	// networked node, whose one partial already is its root.
+	for hop := 1; hop <= len(t.widths); hop++ {
+		width := 1
+		if hop < len(t.widths) {
+			width = t.widths[hop]
+		}
+		width = min(width, len(level))
+		next := make([]*hier.Partial, width)
 		for i, p := range level {
 			size, err := p.EncodedSize()
 			if err != nil {
-				return fmt.Errorf("fl: round %d: encode partial: %w", round, err)
+				return nil, fmt.Errorf("fl: round %d: encode partial: %w", round, err)
 			}
-			rec.TierPartials++
-			rec.TierBytesUp += size
-			g := groupOf(i)
-			if into[g] == nil {
+			t.partials++
+			g := i * width / len(level)
+			if next[g] == nil {
 				// The group's first partial is adopted, not copied: the lower
 				// level is dead after the climb, and merging is exact, so
 				// "merge into an adopted sibling" and "merge into a fresh
 				// empty partial" finalize bit-identically.
-				into[g] = p
-				into[g].AddTierBytes(size)
-				continue
+				next[g] = p
+			} else if err := next[g].Merge(p); err != nil {
+				return nil, fmt.Errorf("fl: round %d: merge partial: %w", round, err)
 			}
-			into[g].AddTierBytes(size)
-			if err := into[g].Merge(p); err != nil {
-				return fmt.Errorf("fl: round %d: merge partial: %w", round, err)
-			}
-		}
-		return nil
-	}
-	for _, width := range t.widths[1:] {
-		if width > len(level) {
-			width = len(level)
-		}
-		next := make([]*hier.Partial, width)
-		n := len(level)
-		if err := climb(next, func(i int) int { return i * width / n }); err != nil {
-			return nil, err
+			next[g].AddTierBytes(size)
 		}
 		level = next
 	}
-	rootLevel := make([]*hier.Partial, 1)
-	if err := climb(rootLevel, func(int) int { return 0 }); err != nil {
-		return nil, err
-	}
-	root := rootLevel[0]
-	if root == nil {
+	if len(level) == 0 {
 		return nil, fmt.Errorf("fl: round %d: no partials reached the root", round)
 	}
+	root := level[0]
+	rec.Failures = append(rec.Failures, t.failures...)
+	rec.MeanTrainLoss = root.MeanLoss()
+	rec.BytesUp += t.bytesUp
+	rec.BytesDown += t.bytesDown
+	rec.TierPartials = t.partials
+	rec.TierBytesUp = root.TierBytes()
+	rec.TierResidentBytes = root.ResidentBytes()
+	return root, nil
+}
 
+// finalize divides the root partial into the next model.
+func (t *tierSink) finalize(round int, _ map[string]*tensor.Matrix, _ []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+	root, err := t.merge(round, rec)
+	if err != nil {
+		return nil, err
+	}
 	next, err := root.Finalize()
 	if err != nil {
 		return nil, fmt.Errorf("fl: round %d aggregate: %w", round, err)
 	}
-	rec.Participants = root.Participants()
-	rec.MeanTrainLoss = root.MeanLoss()
-	rec.BytesUp = root.BytesUp()
-	rec.BytesDown = root.BytesDown()
-	rec.TierResidentBytes = root.ResidentBytes()
 	return next, nil
 }
 
