@@ -96,46 +96,15 @@ func blockMatMul(out, a, b *Matrix, block int, alpha float64) {
 }
 
 // blockMatMulRange accumulates rows [lo, hi) of alpha·(a×b per block) into
-// out. Same 4-wide unrolled ikj kernel as the dense matmul tail, with b
-// rows offset to this row's block. The zero-quad skip matters here:
-// attention weights at padded key positions are exactly zero.
+// out: the dense row kernel with b offset to this row's block. The
+// zero-quad skip matters here: attention weights at padded key positions
+// are exactly zero.
 func blockMatMulRange(out, a, b *Matrix, block int, alpha float64, lo, hi int) {
 	n := b.cols
-	{
-		for i := lo; i < hi; i++ {
-			base := (i / block) * block // first b-row of this row's block
-			arow := a.data[i*block : (i+1)*block]
-			orow := out.data[i*n : (i+1)*n]
-			p := 0
-			for ; p+4 <= block; p += 4 {
-				av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				av0 *= alpha
-				av1 *= alpha
-				av2 *= alpha
-				av3 *= alpha
-				b0 := b.data[(base+p)*n : (base+p+1)*n]
-				b1 := b.data[(base+p+1)*n : (base+p+2)*n]
-				b2 := b.data[(base+p+2)*n : (base+p+3)*n]
-				b3 := b.data[(base+p+3)*n : (base+p+4)*n]
-				for j, bv := range b0 {
-					orow[j] += av0*bv + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
-			}
-			for ; p < block; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				av *= alpha
-				brow := b.data[(base+p)*n : (base+p+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
+	for i := lo; i < hi; i++ {
+		base := (i / block) * block // first b-row of this row's block
+		matmulRow(out.data[i*n:(i+1)*n], a.data[i*block:(i+1)*block],
+			b.data[base*n:(base+block)*n], alpha, false)
 	}
 }
 
@@ -203,17 +172,8 @@ func blockMatMulTransBRange(out, a, b *Matrix, block int, alpha float64, acc boo
 	k := a.cols
 	for i := lo; i < hi; i++ {
 		base := (i / block) * block
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*block : (i+1)*block]
-		if acc {
-			for j := 0; j < block; j++ {
-				orow[j] += alpha * dot(arow, b.data[(base+j)*k:(base+j+1)*k])
-			}
-		} else {
-			for j := 0; j < block; j++ {
-				orow[j] = alpha * dot(arow, b.data[(base+j)*k:(base+j+1)*k])
-			}
-		}
+		dotRow(out.data[i*block:(i+1)*block], a.data[i*k:(i+1)*k],
+			b.data[base*k:(base+block)*k], alpha, acc)
 	}
 }
 
@@ -277,14 +237,7 @@ func blockMatMulTransARange(out, a, b *Matrix, block int, alpha float64, lo, hi 
 			arow := a.data[(g*block+p)*m : (g*block+p+1)*m]
 			brow := b.data[(g*block+p)*n : (g*block+p+1)*n]
 			for i, av := range arow {
-				if av == 0 {
-					continue
-				}
-				av *= alpha
-				orow := out.data[(g*m+i)*n : (g*m+i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
+				axpy(out.data[(g*m+i)*n:(g*m+i+1)*n], brow, av, alpha)
 			}
 		}
 	}

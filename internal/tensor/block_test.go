@@ -89,14 +89,10 @@ func TestBlockMatMulSingleBlockEqualsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if KernelVariant() == "scalar" {
-		// The scalar build's block and dense kernels share per-element
-		// arithmetic, so single-block equality is bit-exact.
-		if !got.Equal(want) {
-			t.Fatal("single-block BlockMatMul differs from dense MatMul")
-		}
-	} else if !got.AllClose(want, 1e-12, 1e-12) {
-		t.Fatal("single-block BlockMatMul differs from dense MatMul beyond fused-kernel rounding")
+	// The block and dense kernels share one row kernel, so single-block
+	// equality is bit-exact.
+	if !got.Equal(want) {
+		t.Fatal("single-block BlockMatMul differs from dense MatMul")
 	}
 }
 

@@ -1,0 +1,196 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// The assembly kernels must reproduce the Go references bit for bit. These
+// tests call both implementations directly (never through the run-time
+// switch) on the same operands and compare every output element's bits.
+
+var (
+	simdNs = []int{1, 3, 4, 5, 127, 512}
+	simdKs = []int{1, 2, 3, 4, 5, 128, 130}
+)
+
+// simdPool returns the operand values a table case draws from: normals
+// plus NaN, ±Inf, ±0 and a subnormal, so skip, sign-of-zero and NaN/Inf
+// propagation are all exercised.
+func simdPool(seed int64, specials bool) []float64 {
+	rng := NewRNG(seed)
+	pool := rng.Normal(1, 61, 0, 1).Data()
+	if specials {
+		pool = append(pool, math.NaN(), math.Inf(1), math.Inf(-1),
+			math.Copysign(0, -1), 0, 5e-324, -1e300)
+	}
+	return pool
+}
+
+// simdOperands draws a k-long coefficient row a, k rows b of n, and n rows
+// y of k from pool, each slice starting off elements into its backing
+// array. Every third k-quad of a is all zero (+0 and -0 mixed), the shape
+// the accumulate-mode skip exists for.
+func simdOperands(pool []float64, n, k, off int) (a, b, y []float64) {
+	next := 0
+	draw := func(m int) []float64 {
+		s := make([]float64, off+m)[off:]
+		for i := range s {
+			s[i] = pool[next%len(pool)]
+			next += 7
+		}
+		return s
+	}
+	a, b, y = draw(k), draw(k*n), draw(n*k)
+	for p := 4; p+4 <= k; p += 12 {
+		a[p], a[p+1], a[p+2], a[p+3] = 0, math.Copysign(0, -1), 0, math.Copysign(0, -1)
+	}
+	return a, b, y
+}
+
+// rowWith runs one matmulRow step sequence using the given quad and
+// single-row kernels.
+func rowWith(quad func(o, b []float64, a0, a1, a2, a3, alpha float64, assign bool),
+	one func(o, b []float64, a, alpha float64),
+	o, a, b []float64, alpha float64, assign bool) {
+	n, k, p := len(o), len(a), 0
+	if assign && k >= 4 {
+		quad(o, b[:4*n], a[0], a[1], a[2], a[3], alpha, true)
+		p = 4
+	}
+	for ; p+4 <= k; p += 4 {
+		quad(o, b[p*n:(p+4)*n], a[p], a[p+1], a[p+2], a[p+3], alpha, false)
+	}
+	for ; p < k; p++ {
+		one(o, b[p*n:(p+1)*n], a[p], alpha)
+	}
+}
+
+// checkSIMD compares every assembly kernel with its Go reference on one
+// operand set, in assign and accumulate modes.
+func checkSIMD(t *testing.T, pool []float64, n, k, off int, alpha float64) {
+	t.Helper()
+	a, b, y := simdOperands(pool, n, k, off)
+	init := func() []float64 {
+		o := make([]float64, off+n)[off:]
+		for j := range o {
+			o[j] = pool[(j*5+3)%len(pool)]
+		}
+		return o
+	}
+	for _, assign := range []bool{true, false} {
+		if assign && k < 4 {
+			continue // matmulRow clears the row instead of calling an assign quad
+		}
+		want, got := init(), init()
+		rowWith(axpyQuadGo, axpyGo, want, a, b, alpha, assign)
+		rowWith(axpyQuadAVX2, axpyAVX2, got, a, b, alpha, assign)
+		sameBits(t, "axpy row", n, k, off, alpha, assign, got, want)
+
+		want, got = init(), init()
+		dotRowGo(want, a, y, alpha, !assign)
+		dotRowAVX2(got, a, y, alpha, !assign)
+		sameBits(t, "dotRow", n, k, off, alpha, !assign, got, want)
+	}
+}
+
+// sameBits fails unless every element of got has want's bits. The one
+// latitude is a NaN's payload: when two different NaNs meet in an add,
+// x86 keeps the first operand's, and gc commutes float operands freely,
+// so the Go reference itself does not fix which payload survives. A NaN
+// must still be a NaN exactly where the reference has one.
+func sameBits(t *testing.T, kernel string, n, k, off int, alpha float64, mode bool, got, want []float64) {
+	t.Helper()
+	for j := range want {
+		if math.IsNaN(got[j]) && math.IsNaN(want[j]) {
+			continue
+		}
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s n=%d k=%d off=%d alpha=%v mode=%v: element %d is %v (%#x), Go reference %v (%#x)",
+				kernel, n, k, off, alpha, mode, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+func requireAVX2(t testing.TB) {
+	if !useAVX2 {
+		t.Skip("CPU or OS lacks AVX2; the Go reference is the only path")
+	}
+}
+
+func TestSIMDKernelsMatchGo(t *testing.T) {
+	requireAVX2(t)
+	for _, specials := range []bool{false, true} {
+		pool := simdPool(21, specials)
+		for _, n := range simdNs {
+			for _, k := range simdKs {
+				for _, off := range []int{0, 1} {
+					for _, alpha := range []float64{1, 0.125, -3} {
+						checkSIMD(t, pool, n, k, off, alpha)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDWrappersRejectShortOperands pins the memory-safety boundary: an
+// operand shorter than the shape needs panics with a Go bounds error in the
+// wrapper, even when spare capacity would let the assembly read on.
+func TestSIMDWrappersRejectShortOperands(t *testing.T) {
+	requireAVX2(t)
+	const n, k = 8, 5
+	o := make([]float64, n)
+	short := func(m int) []float64 { return make([]float64, m, m+64)[:m-1] }
+	for name, call := range map[string]func(){
+		"axpyQuad": func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
+		"axpy":     func() { axpyAVX2(o, short(n), 1, 1) },
+		"dotRow":   func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(runtime.Error); !ok {
+					t.Errorf("%s: short operand did not panic with a runtime error", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+// FuzzSIMDKernels drives the same comparison with fuzzer-chosen shapes,
+// alignment, alpha and operand bits (data is read as little-endian
+// float64s).
+func FuzzSIMDKernels(f *testing.F) {
+	for _, specials := range []bool{false, true} {
+		pool := simdPool(21, specials)
+		data := make([]byte, 8*len(pool))
+		for i, v := range pool {
+			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(v))
+		}
+		for _, n := range simdNs {
+			for _, k := range simdKs {
+				for _, unaligned := range []bool{false, true} {
+					f.Add(uint16(n), uint8(k), unaligned, 0.125, data)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, n uint16, k uint8, unaligned bool, alpha float64, data []byte) {
+		requireAVX2(t)
+		if len(data) < 8 {
+			return
+		}
+		pool := make([]float64, len(data)/8)
+		for i := range pool {
+			pool[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		off := 0
+		if unaligned {
+			off = 1
+		}
+		checkSIMD(t, pool, int(n%600), int(k), off, alpha)
+	})
+}

@@ -55,8 +55,7 @@ func checkMatMul(op string, dst, a, b *Matrix) error {
 // matmulInto computes a×b into out, assigning (assign: callers may pass
 // uninitialized output memory) or accumulating into existing values (the
 // Acc VJP forms). Parallel items are whole output rows with their true flop
-// cost threaded to the pool gate; the per-row kernel is chosen at build
-// time (gemm_scalar.go / gemm_fma.go).
+// cost threaded to the pool gate.
 func matmulInto(out, a, b *Matrix, assign bool) {
 	var j kernelJob
 	j.kind, j.out, j.a, j.b = kMatMul, out, a, b
@@ -64,32 +63,11 @@ func matmulInto(out, a, b *Matrix, assign bool) {
 	runKernel(a.rows, 2*b.cols*a.cols, &j)
 }
 
-// matmulRow accumulates one output row, streaming four b rows per k-quad
-// with `range` inner loops (bounds-check free under gc).
-func matmulRow(orow, arow []float64, b *Matrix, k, n int) {
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		av0, av1, av2, av3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-		if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-			continue
-		}
-		b0 := b.data[p*n : (p+1)*n]
-		b1 := b.data[(p+1)*n : (p+2)*n]
-		b2 := b.data[(p+2)*n : (p+3)*n]
-		b3 := b.data[(p+3)*n : (p+4)*n]
-		for j, bv := range b0 {
-			orow[j] += av0*bv + av1*b1[j] + av2*b2[j] + av3*b3[j]
-		}
-	}
-	for ; p < k; p++ {
-		av := arow[p]
-		if av == 0 {
-			continue
-		}
-		brow := b.data[p*n : (p+1)*n]
-		for j, bv := range brow {
-			orow[j] += av * bv
-		}
+// matmulRange computes output rows [lo, hi) of a×b into out.
+func matmulRange(out, a, b *Matrix, lo, hi int, assign bool) {
+	k, n := a.cols, b.cols
+	for i := lo; i < hi; i++ {
+		matmulRow(out.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], b.data, 1, assign)
 	}
 }
 
@@ -146,17 +124,7 @@ func matmulTransB(out, a, b *Matrix, acc bool) {
 func matmulTransBRange(out, a, b *Matrix, lo, hi int, acc bool) {
 	k, n := a.cols, b.rows
 	for i := lo; i < hi; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		if acc {
-			for j := 0; j < n; j++ {
-				orow[j] += dot(arow, b.data[j*k:(j+1)*k])
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				orow[j] = dot(arow, b.data[j*k:(j+1)*k])
-			}
-		}
+		dotRow(out.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], b.data, 1, acc)
 	}
 }
 
@@ -196,61 +164,24 @@ func matmulTransA(out, a, b *Matrix) {
 // matmulTransARange accumulates output rows [lo, hi) of aᵀ×b into out.
 func matmulTransARange(out, a, b *Matrix, lo, hi int) {
 	k, m, n := a.rows, a.cols, b.cols
-	{
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0 := a.data[p*m : (p+1)*m]
-			a1 := a.data[(p+1)*m : (p+2)*m]
-			a2 := a.data[(p+2)*m : (p+3)*m]
-			a3 := a.data[(p+3)*m : (p+4)*m]
-			b0 := b.data[p*n : (p+1)*n]
-			b1 := b.data[(p+1)*n : (p+2)*n]
-			b2 := b.data[(p+2)*n : (p+3)*n]
-			b3 := b.data[(p+3)*n : (p+4)*n]
-			for i := lo; i < hi; i++ {
-				av0, av1, av2, av3 := a0[i], a1[i], a2[i], a3[i]
-				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-					continue
-				}
-				orow := out.data[i*n : (i+1)*n]
-				for j, bv := range b0 {
-					orow[j] += av0*bv + av1*b1[j] + av2*b2[j] + av3*b3[j]
-				}
-			}
-		}
-		for ; p < k; p++ {
-			arow := a.data[p*m : (p+1)*m]
-			brow := b.data[p*n : (p+1)*n]
-			for i := lo; i < hi; i++ {
-				av := arow[i]
-				if av == 0 {
-					continue
-				}
-				orow := out.data[i*n : (i+1)*n]
-				for j, bv := range brow {
-					orow[j] += av * bv
-				}
-			}
-		}
-	}
-}
-
-// dot returns the inner product of x and y (len(y) >= len(x)), accumulated
-// in four independent lanes so the multiply-adds pipeline instead of
-// serializing on one accumulator.
-func dot(x, y []float64) float64 {
-	var s0, s1, s2, s3 float64
 	p := 0
-	for ; p+4 <= len(x); p += 4 {
-		s0 += x[p] * y[p]
-		s1 += x[p+1] * y[p+1]
-		s2 += x[p+2] * y[p+2]
-		s3 += x[p+3] * y[p+3]
+	for ; p+4 <= k; p += 4 {
+		a0 := a.data[p*m : (p+1)*m]
+		a1 := a.data[(p+1)*m : (p+2)*m]
+		a2 := a.data[(p+2)*m : (p+3)*m]
+		a3 := a.data[(p+3)*m : (p+4)*m]
+		bq := b.data[p*n : (p+4)*n]
+		for i := lo; i < hi; i++ {
+			axpyQuad(out.data[i*n:(i+1)*n], bq, a0[i], a1[i], a2[i], a3[i], 1, false)
+		}
 	}
-	for ; p < len(x); p++ {
-		s0 += x[p] * y[p]
+	for ; p < k; p++ {
+		arow := a.data[p*m : (p+1)*m]
+		brow := b.data[p*n : (p+1)*n]
+		for i := lo; i < hi; i++ {
+			axpy(out.data[i*n:(i+1)*n], brow, arow[i], 1)
+		}
 	}
-	return s0 + s1 + s2 + s3
 }
 
 // kernelKind selects a kernelJob's row-range routine.
@@ -286,7 +217,7 @@ type kernelJob struct {
 func (j *kernelJob) Run(lo, hi int) {
 	switch j.kind {
 	case kMatMul:
-		matmulRowsKernel(j.out, j.a, j.b, lo, hi, j.flag)
+		matmulRange(j.out, j.a, j.b, lo, hi, j.flag)
 	case kMatMulTransB:
 		matmulTransBRange(j.out, j.a, j.b, lo, hi, j.flag)
 	case kMatMulTransA:

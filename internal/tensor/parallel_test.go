@@ -7,57 +7,79 @@ import (
 )
 
 // TestMatMulBitIdenticalAcrossPoolWidths pins the pooled kernel contract:
-// parallel items are whole output rows with a fixed per-row accumulation
-// order, so results must be byte-for-byte identical at every pool width —
-// in assign mode (MatMulInto), accumulate mode (MatMulAcc), and the
-// transposed-B assign kernel (MatMulTransBInto), on shapes below and above
-// the fork threshold. Within one build variant ("scalar" or "fma") this
-// holds exactly; see gemm.go for the cross-variant caveat.
+// parallel items are whole output rows (whole row blocks for the aᵀ×b
+// block kernel) with a fixed per-element accumulation order, so results
+// must be byte-for-byte identical at every pool width — for every dense
+// and block kernel entry point, in assign and accumulate modes, on shapes
+// below and above the fork threshold. The accumulating forms start from a
+// non-zero destination so the load/add path is the one pinned.
 func TestMatMulBitIdenticalAcrossPoolWidths(t *testing.T) {
 	rng := NewRNG(11)
-	shapes := [][3]int{
-		{37, 64, 50},    // small: stays inline at width 1
-		{67, 512, 1024}, // large: forks with row-chunk stealing
+	shapes := []struct{ m, k, n, block int }{
+		{37, 64, 50, 1},     // small: stays inline at width 1
+		{67, 512, 1024, 67}, // large: forks with row-chunk stealing
+		{96, 24, 20, 12},    // many short blocks: k%4 tails, block fan-out
+		{128, 130, 129, 32}, // odd k and n: quad tails and dot remainders
+	}
+	type entry struct {
+		name string
+		out  func() *Matrix
+		call func(dst *Matrix) error
 	}
 	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
+		m, k, n, block := sh.m, sh.k, sh.n, sh.block
 		a := rng.Normal(m, k, 0, 1)
 		b := rng.Normal(k, n, 0, 1)
 		bt := b.Transpose()
+		// Block operands: att (m×block) attention-like weights whose every
+		// third row starts with zeroed quads, v (m×n) values, q and kk
+		// (m×k) queries and keys.
+		att := rng.Normal(m, block, 0, 1)
+		for i := 0; i < m; i += 3 {
+			for p := 0; p < min(8, block); p++ {
+				att.Set(i, p, 0)
+			}
+		}
+		v := rng.Normal(m, n, 0, 1)
+		q, kk := rng.Normal(m, k, 0, 1), rng.Normal(m, k, 0, 1)
+		fresh := func(r, c int) func() *Matrix { return func() *Matrix { return New(r, c) } }
+		seeded := func(r, c int) func() *Matrix {
+			return func() *Matrix { return NewRNG(int64(r*c)).Normal(r, c, 0, 1) }
+		}
+		entries := []entry{
+			{"MatMulInto", fresh(m, n), func(d *Matrix) error { return MatMulInto(d, a, b) }},
+			{"MatMulAcc", seeded(m, n), func(d *Matrix) error { return MatMulAcc(d, a, b) }},
+			{"MatMulTransBInto", fresh(m, n), func(d *Matrix) error { return MatMulTransBInto(d, a, bt) }},
+			{"MatMulTransBAcc", seeded(m, n), func(d *Matrix) error { return MatMulTransBAcc(d, a, bt) }},
+			{"MatMulTransAAcc", seeded(k, n), func(d *Matrix) error { return MatMulTransAAcc(d, a, v) }},
+			{"BlockMatMulInto", fresh(m, n), func(d *Matrix) error { return BlockMatMulInto(d, att, v, block, 0.5) }},
+			{"BlockMatMulAcc", seeded(m, n), func(d *Matrix) error { return BlockMatMulAcc(d, att, v, block, 0.5) }},
+			{"BlockMatMulTransBInto", fresh(m, block), func(d *Matrix) error { return BlockMatMulTransBInto(d, q, kk, block, 0.125) }},
+			{"BlockMatMulTransBAcc", seeded(m, block), func(d *Matrix) error { return BlockMatMulTransBAcc(d, q, kk, block, 0.125) }},
+			{"BlockMatMulTransAAcc", seeded(m/block*k, n), func(d *Matrix) error { return BlockMatMulTransAAcc(d, q, v, block, 0.5) }},
+		}
 
-		run := func(width int) (assign, acc, transB *Matrix) {
+		run := func(width int) []*Matrix {
 			pool := sched.New(width)
 			defer pool.Close()
 			defer sched.SetDefault(sched.SetDefault(pool))
-			assign = New(m, n)
-			if err := MatMulInto(assign, a, b); err != nil {
-				t.Fatal(err)
+			outs := make([]*Matrix, len(entries))
+			for i, e := range entries {
+				outs[i] = e.out()
+				if err := e.call(outs[i]); err != nil {
+					t.Fatalf("%s: %v", e.name, err)
+				}
 			}
-			acc = New(m, n)
-			if err := MatMulAcc(acc, a, b); err != nil {
-				t.Fatal(err)
-			}
-			transB = New(m, n)
-			if err := MatMulTransBInto(transB, a, bt); err != nil {
-				t.Fatal(err)
-			}
-			return assign, acc, transB
+			return outs
 		}
 
-		refAssign, refAcc, refTransB := run(1)
+		ref := run(1)
 		for _, width := range []int{2, 4} {
-			gotAssign, gotAcc, gotTransB := run(width)
-			for _, c := range []struct {
-				name     string
-				ref, got *Matrix
-			}{
-				{"assign", refAssign, gotAssign},
-				{"acc", refAcc, gotAcc},
-				{"transB", refTransB, gotTransB},
-			} {
-				if !c.got.Equal(c.ref) {
-					t.Fatalf("shape %v width %d: %s kernel not bit-identical to width 1",
-						sh, width, c.name)
+			got := run(width)
+			for i, e := range entries {
+				if !got[i].Equal(ref[i]) {
+					t.Fatalf("shape %+v width %d: %s not bit-identical to width 1",
+						sh, width, e.name)
 				}
 			}
 		}

@@ -10,8 +10,7 @@
 #
 # A third pass runs the per-kernel GEMM microbenchmarks (plus the
 # scoreboard headliners already measured in pass 1) into
-# BENCH_kernels.json, keyed by the GOAMD64 level the binary was built at,
-# so the scalar and FMA kernel variants are tracked separately.
+# BENCH_kernels.json, keyed by the GOAMD64 level the binary was built at.
 #
 # Usage: scripts/bench.sh [benchtime] [cpus]   (default 3x and 1,2,4)
 set -eu
@@ -157,9 +156,9 @@ kernels_json() {
   printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
   printf '  "cpu": "%s",\n' "$(grep -m1 '^cpu:' "$RAWK" | cut -d: -f2- | sed 's/^ *//')"
   printf '  "num_cpu": %s,\n' "$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
-  # The GOAMD64 level the benchmark binary was compiled at selects the
-  # kernel variant (v1/v2 scalar, v3+ FMA row-pair); track it so scalar
-  # and FMA numbers are never conflated.
+  # The GOAMD64 level the benchmark binary was compiled at. The kernels
+  # are picked at run time (AVX2 or pure Go) and compute the same bits at
+  # every level.
   printf '  "goamd64": "%s",\n' "${GOAMD64:-v1}"
   # PR 4 scoreboard on the reference single-core Xeon 2.10GHz box (from
   # BENCH_parallel.json at the PR 5 seed): what this PR's kernels are
@@ -170,9 +169,8 @@ kernels_json() {
   printf '    "BenchmarkAblation_Matmul_gflops": 6.3\n'
   printf '  },\n'
   # Per-variant reference numbers measured on the same box while
-  # calibrating this PR (see DESIGN.md "Kernel calibration"): the default
-  # v1 build streams scalar kernels at the FP-port bound; a GOAMD64=v3
-  # build swaps in the FMA row-pair kernel.
+  # calibrating the scalar kernels (see DESIGN.md "Kernel calibration"):
+  # scalar kernels at v1 and the since-deleted FMA row-pair kernel at v3.
   printf '  "variant_reference": {\n'
   printf '    "scalar_v1": {"BenchmarkTable2_ForwardBERT_ns": 347000000, "BenchmarkAblation_Matmul_gflops": 6.8},\n'
   printf '    "fma_v3":    {"BenchmarkTable2_ForwardBERT_ns": 286000000, "BenchmarkAblation_Matmul_gflops": 9.85}\n'
