@@ -310,27 +310,6 @@ func BenchmarkGEMM_32x128x512(b *testing.B) { benchmarkGEMM(b, 32, 128, 512) }
 func BenchmarkGEMM_64x128x128(b *testing.B) { benchmarkGEMM(b, 64, 128, 128) }
 func BenchmarkGEMM_16x50x200(b *testing.B)  { benchmarkGEMM(b, 16, 50, 200) }
 
-// Quantized eval kernels at the LSTM gate shape, for tracking the
-// reduced-precision Validate/Predict path next to the dense kernel.
-func benchmarkGEMMPrec(b *testing.B, prec tensor.Precision) {
-	const m, k, n = 32, 128, 512
-	rng := tensor.NewRNG(1)
-	x := rng.Normal(m, k, 0, 1)
-	w := rng.Normal(k, n, 0, 1)
-	out := tensor.New(m, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tensor.EvalMatMul(out, x, w, prec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	flops := float64(2 * m * k * n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-func BenchmarkGEMM_F16_32x128x512(b *testing.B)  { benchmarkGEMMPrec(b, tensor.PrecF16) }
-func BenchmarkGEMM_Int8_32x128x512(b *testing.B) { benchmarkGEMMPrec(b, tensor.PrecInt8) }
-
 // BenchmarkAblation_PrivacyFilters: cost of the DP filter chain (norm cap
 // + Gaussian noise) over an LSTM-sized update.
 func BenchmarkAblation_PrivacyFilters(b *testing.B) {

@@ -75,7 +75,7 @@ func (t *Tape) MatMul(a, b *Node) (*Node, error) {
 	// Assign-mode kernel writes every element, so the output can skip the
 	// arena's zeroing pass.
 	v := t.newMatrixUninit(a.Value.Rows(), b.Value.Cols())
-	if err := tensor.EvalMatMul(v, a.Value, b.Value, t.evalPrec); err != nil {
+	if err := tensor.MatMulInto(v, a.Value, b.Value); err != nil {
 		return nil, fmt.Errorf("autograd: %w", err)
 	}
 	return t.newOp(opMatMul, v, a, b, nil), nil
@@ -133,10 +133,8 @@ func (t *Tape) affineValue(op string, x, w, b *Node) (*tensor.Matrix, error) {
 		return nil, fmt.Errorf("autograd: %w: %s bias must be 1x%d, got %dx%d", tensor.ErrShape,
 			op, w.Value.Cols(), b.Value.Rows(), b.Value.Cols())
 	}
-	// Weight matmuls honor the tape's eval precision (f64 in training;
-	// the backward rules always differentiate the exact product).
 	v := t.newMatrixUninit(x.Value.Rows(), w.Value.Cols())
-	if err := tensor.EvalMatMul(v, x.Value, w.Value, t.evalPrec); err != nil {
+	if err := tensor.MatMulInto(v, x.Value, w.Value); err != nil {
 		return nil, fmt.Errorf("autograd: %w", err)
 	}
 	bd := b.Value.Data()

@@ -163,12 +163,6 @@ type Tape struct {
 	// bw holds the parallel-backward scheduler's recycled state (dependency
 	// arrays, ready queue); see parallel.go.
 	bw bwSched
-
-	// evalPrec routes weight matmuls (MatMul, Affine, LinearGELU) through
-	// reduced-precision kernels. Only meaningful for inference tapes: the
-	// backward rules differentiate the full-precision product, so owners
-	// (nn.Ctx) must reset this to PrecF64 whenever the tape trains.
-	evalPrec tensor.Precision
 }
 
 // NewTape returns an empty tape whose values and gradients live on the heap.
@@ -188,15 +182,6 @@ func NewTapeArena(arena *tensor.Arena) *Tape {
 
 // Arena returns the tape's arena (nil for a heap tape).
 func (t *Tape) Arena() *tensor.Arena { return t.arena }
-
-// SetEvalPrecision routes subsequent weight matmuls through the given
-// storage precision (see tensor.EvalMatMul). Callers must keep this at
-// PrecF64 for any tape that will run Backward: quantized forwards would
-// otherwise be differentiated as if they were exact.
-func (t *Tape) SetEvalPrecision(p tensor.Precision) { t.evalPrec = p }
-
-// EvalPrecision reports the precision weight matmuls currently run in.
-func (t *Tape) EvalPrecision() tensor.Precision { return t.evalPrec }
 
 // newMatrix allocates a zeroed matrix from the arena, or the heap when the
 // tape has none.

@@ -57,7 +57,7 @@ type Runner interface {
 
 // registry holds all experiments keyed by id.
 func registry() map[string]Runner {
-	rs := []Runner{Table1{}, Table2{}, Table3{}, Fig2{}, Fig3{}, Sweep{}, Stragglers{}, ScaleSim{}, Chaos{}, Capacity{}, Kernels{}, Hier{}}
+	rs := []Runner{Table1{}, Table2{}, Table3{}, Fig2{}, Fig3{}, Sweep{}, Stragglers{}, ScaleSim{}, Chaos{}, Capacity{}, Hier{}}
 	out := make(map[string]Runner, len(rs))
 	for _, r := range rs {
 		out[r.ID()] = r

@@ -18,7 +18,8 @@ import (
 type ClientConfig struct {
 	// ServerAddr is the host:port to dial.
 	ServerAddr string
-	// DialTimeout bounds connection establishment (default 10s).
+	// DialTimeout bounds connection establishment, and then the wait for
+	// the registration ack (default 10s).
 	DialTimeout time.Duration
 	// Codec names the uplink weight codec this client requests at
 	// registration ("raw", "f32", "topk[:fraction]"); default raw. The
@@ -139,6 +140,9 @@ func (c *Client) connect() (transport.MessageConn, error) {
 	if c.session != "" {
 		meta[transport.MetaSession] = c.session
 	}
+	// A listener that closed with this dial still in its backlog never
+	// answers; the deadline turns that into an error the caller can retry.
+	_ = conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
 	if err := conn.Write(&transport.Message{
 		Type: transport.MsgRegister, Sender: c.kit.Name, Token: c.kit.Token, Meta: meta,
 	}); err != nil {
@@ -150,6 +154,7 @@ func (c *Client) connect() (transport.MessageConn, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("fl: %s register ack: %w", c.kit.Name, err)
 	}
+	_ = conn.SetDeadline(time.Time{})
 	if ack.Type != transport.MsgRegisterAck || ack.Meta["accepted"] != "true" {
 		_ = conn.Close()
 		return nil, fmt.Errorf("fl: %s registration rejected: %s", c.kit.Name, ack.Meta["reason"])
@@ -169,13 +174,17 @@ func (c *Client) connect() (transport.MessageConn, error) {
 	return conn, nil
 }
 
-// reconnect closes the failed connection and redials with backoff,
-// re-registering under the stored session token. It returns the original
-// cause when reconnection is disabled, no session was ever issued, or
-// every attempt fails.
+// reconnect redials with backoff, re-registering under the stored session
+// token, and only then closes the failed connection. Make-before-break
+// matters when the old link is still up (a task damaged in transit): the
+// server learns of the replacement from the re-attach, which fences the old
+// connection, instead of from that connection's close, a failure that can
+// end a round (nothing else in flight) before the re-attach arrives. It
+// returns the original cause when reconnection is disabled, no session was
+// ever issued, or every attempt fails.
 func (c *Client) reconnect(old transport.MessageConn, cause error) (transport.MessageConn, error) {
 	if old != nil {
-		_ = old.Close()
+		defer func() { _ = old.Close() }()
 	}
 	if !c.cfg.Reconnect || c.session == "" {
 		return nil, cause

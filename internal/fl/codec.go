@@ -123,9 +123,8 @@ func (Float32Codec) Decode(blob []byte) (map[string]*tensor.Matrix, error) {
 // scale (max|row|/127) followed by one signed byte per element. That is
 // ~1/8 of the raw float64 payload (the per-row scale adds 4 bytes per
 // `cols` elements) at a worst-case per-element error of scale/2 =
-// max|row|/254 — comparable to the noise a single local epoch injects, and
-// the same error model the client-side int8 eval kernels use. Rows that
-// are all zero carry scale 0 and decode exactly.
+// max|row|/254, comparable to the noise a single local epoch injects. Rows
+// that are all zero carry scale 0 and decode exactly.
 type Int8Codec struct{}
 
 // Name implements WeightCodec.

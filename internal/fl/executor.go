@@ -55,12 +55,6 @@ type LocalConfig struct {
 	// model, taming client drift under partial participation and
 	// heterogeneous shards. 0 keeps plain local SGD (FedAvg semantics).
 	ProxMu float64
-	// EvalPrecision selects the storage precision for eval-mode weight
-	// matmuls on this client ("f64"/"" exact, "f16" half storage, "int8"
-	// symmetric per-row×per-column quantization). It affects only
-	// Validate/Predict; local training always runs full precision. Requires
-	// a model implementing model.EvalPrecisioner for non-f64 values.
-	EvalPrecision string
 	// Seed derives per-round shuffling and dropout streams.
 	Seed int64
 	// EpochHook, if non-nil, observes each completed local epoch (used by
@@ -125,15 +119,6 @@ func NewClassifierExecutor(name string, mdl model.Classifier, trainSet, validSet
 		return nil, fmt.Errorf("fl: executor %q has no training data", name)
 	}
 	cfg = cfg.withDefaults()
-	prec, err := tensor.ParsePrecision(cfg.EvalPrecision)
-	if err != nil {
-		return nil, fmt.Errorf("fl: executor %q: %w", name, err)
-	}
-	if ep, ok := mdl.(model.EvalPrecisioner); ok {
-		ep.SetEvalPrecision(prec)
-	} else if prec != tensor.PrecF64 {
-		return nil, fmt.Errorf("fl: executor %q: model %q does not support eval precision %q", name, mdl.Name(), cfg.EvalPrecision)
-	}
 	e := &ClassifierExecutor{
 		name:      name,
 		mdl:       mdl,

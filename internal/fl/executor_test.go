@@ -133,56 +133,6 @@ func TestClassifierExecutorValidate(t *testing.T) {
 	}
 }
 
-func TestClassifierExecutorEvalPrecision(t *testing.T) {
-	ds := tinyDataset(64, 4)
-	train, valid := ds[:48], ds[48:]
-
-	// Train once at full precision to get non-trivial weights.
-	ref := tinyClassifier(t, 1)
-	refExec, err := NewClassifierExecutor("site", ref, train, valid, LocalConfig{
-		Epochs: 6, LR: 2e-2, BatchSize: 16, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := nn.SnapshotWeights(ref.Params())
-	for round := 0; round < 3; round++ {
-		update, err := refExec.ExecuteRound(round, global)
-		if err != nil {
-			t.Fatal(err)
-		}
-		global = update.Weights
-	}
-	refAcc, err := refExec.Validate(global)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reduced-precision validation of the same weights must stay close:
-	// the signal is decisive, so quantized logits keep the argmax.
-	for _, prec := range []string{"f16", "int8"} {
-		mdl := tinyClassifier(t, 1)
-		exec, err := NewClassifierExecutor("site", mdl, train, valid, LocalConfig{
-			Epochs: 1, LR: 2e-2, BatchSize: 16, Seed: 1, EvalPrecision: prec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc, err := exec.Validate(global)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff := acc - refAcc; diff > 0.1 || diff < -0.1 {
-			t.Fatalf("[%s] accuracy %.3f drifts > 0.1 from f64 %.3f", prec, acc, refAcc)
-		}
-	}
-
-	if _, err := NewClassifierExecutor("site", tinyClassifier(t, 1), train, valid,
-		LocalConfig{EvalPrecision: "fp4"}); err == nil {
-		t.Fatal("want error for unknown eval precision")
-	}
-}
-
 func TestClassifierExecutorValidateWithoutData(t *testing.T) {
 	mdl := tinyClassifier(t, 1)
 	exec, err := NewClassifierExecutor("site", mdl, tinyDataset(8, 5), nil, LocalConfig{})

@@ -170,6 +170,42 @@ func TestServerRejectsUnprovisionedTLSPeer(t *testing.T) {
 	}
 }
 
+// TestClientRegisterAckBoundedByDialTimeout: a listener that accepts the
+// link but never answers registration (a server busy or gone) must fail
+// the client within DialTimeout, not leave it waiting for the ack forever.
+func TestClientRegisterAckBoundedByDialTimeout(t *testing.T) {
+	proj := testProject(t, "c1")
+	mem := transport.NewMemNetwork()
+	defer mem.Close()
+	const dialTimeout = 200 * time.Millisecond
+	cl, err := NewClient(ClientConfig{
+		DialTimeout: dialTimeout, Logf: quietLogf,
+		Dialer: func() (transport.MessageConn, error) {
+			return mem.Dial("c1", transport.LinkProfile{}, transport.LinkProfile{})
+		},
+	}, proj.ClientKits["c1"], &fakeExecutor{name: "c1", samples: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	clientDone := make(chan error, 1)
+	go func() {
+		_, err := cl.Run()
+		clientDone <- err
+	}()
+	select {
+	case err := <-clientDone:
+		if err == nil || !strings.Contains(err.Error(), "register ack") {
+			t.Fatalf("want register-ack error, got %v", err)
+		}
+		if took := time.Since(start); took > dialTimeout+2*time.Second {
+			t.Fatalf("client gave up after %v, want about DialTimeout %v", took, dialTimeout)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client still waiting for a register ack that never comes")
+	}
+}
+
 // TestServerPropagatesKilledClientIntoResult kills a client mid-round (its
 // TCP connection dies after it receives the round-0 task) and checks the
 // server records the failure in the Result instead of silently treating

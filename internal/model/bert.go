@@ -78,9 +78,6 @@ type BERT struct {
 	// of concurrent eval calls on this model.
 	evalMu   sync.Mutex
 	evalFree []*nn.Ctx
-	// evalPrec is the storage precision eval-mode weight matmuls run in
-	// (Predict/PredictProbs/Validate); training is always full precision.
-	evalPrec tensor.Precision
 }
 
 var (
@@ -296,23 +293,11 @@ func (b *BERT) getEvalCtx() *nn.Ctx {
 		ctx = b.evalFree[k-1]
 		b.evalFree = b.evalFree[:k-1]
 	}
-	prec := b.evalPrec
 	b.evalMu.Unlock()
 	if ctx == nil {
 		ctx = nn.NewArenaCtx(false, nil)
 	}
-	// Recycled contexts may carry a stale precision; Reset applies this
-	// before every chunk.
-	ctx.EvalPrecision = prec
 	return ctx
-}
-
-// SetEvalPrecision selects the storage precision for eval-mode weight
-// matmuls (see tensor.EvalMatMul). Training is unaffected.
-func (b *BERT) SetEvalPrecision(p tensor.Precision) {
-	b.evalMu.Lock()
-	b.evalPrec = p
-	b.evalMu.Unlock()
 }
 
 // putEvalCtx returns an eval context to the free list for the next call.

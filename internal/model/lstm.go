@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"clinfl/internal/autograd"
 	"clinfl/internal/data"
@@ -47,15 +46,9 @@ type LSTMClassifier struct {
 	lstm   *nn.LSTM
 	out    *nn.Linear
 	params []*nn.Param
-
-	mu       sync.Mutex
-	evalPrec tensor.Precision // storage precision for eval-mode forwards
 }
 
-var (
-	_ Classifier      = (*LSTMClassifier)(nil)
-	_ EvalPrecisioner = (*LSTMClassifier)(nil)
-)
+var _ Classifier = (*LSTMClassifier)(nil)
 
 // NewLSTMClassifier builds the model with seed-derived init.
 func NewLSTMClassifier(cfg LSTMConfig, seed int64) (*LSTMClassifier, error) {
@@ -154,29 +147,12 @@ func (m *LSTMClassifier) LossBatch(ctx *nn.Ctx, batch []data.Example) (*autograd
 	return ctx.Tape.Scale(float64(counted), loss), counted, nil
 }
 
-// SetEvalPrecision implements EvalPrecisioner.
-func (m *LSTMClassifier) SetEvalPrecision(p tensor.Precision) {
-	m.mu.Lock()
-	m.evalPrec = p
-	m.mu.Unlock()
-}
-
-// evalCtx builds an eval-mode context honoring the configured precision.
-func (m *LSTMClassifier) evalCtx() *nn.Ctx {
-	ctx := nn.NewCtx(false, nil)
-	m.mu.Lock()
-	ctx.EvalPrecision = m.evalPrec
-	m.mu.Unlock()
-	ctx.Tape.SetEvalPrecision(ctx.EvalPrecision)
-	return ctx
-}
-
 // Predict implements Classifier.
 func (m *LSTMClassifier) Predict(batch []data.Example) ([]int, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	ctx := m.evalCtx()
+	ctx := nn.NewCtx(false, nil)
 	logits, err := m.logitsBatch(ctx, batch)
 	if err != nil {
 		return nil, err
@@ -189,7 +165,7 @@ func (m *LSTMClassifier) PredictProbs(batch []data.Example) ([]float64, error) {
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	ctx := m.evalCtx()
+	ctx := nn.NewCtx(false, nil)
 	logits, err := m.logitsBatch(ctx, batch)
 	if err != nil {
 		return nil, err

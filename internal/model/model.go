@@ -16,7 +16,6 @@ import (
 	"clinfl/internal/data"
 	"clinfl/internal/mlm"
 	"clinfl/internal/nn"
-	"clinfl/internal/tensor"
 )
 
 // Classifier is a trainable sequence classifier. Implementations must allow
@@ -32,14 +31,6 @@ type Classifier interface {
 	LossBatch(ctx *nn.Ctx, batch []data.Example) (*autograd.Node, int, error)
 	// Predict returns argmax class predictions in eval mode.
 	Predict(batch []data.Example) ([]int, error)
-}
-
-// EvalPrecisioner is implemented by models whose eval-mode forwards
-// (Predict/PredictProbs and anything built on them, like Validate) can run
-// weight matmuls in a reduced storage precision. Training is never
-// affected. Federated clients set this from fl.LocalConfig.EvalPrecision.
-type EvalPrecisioner interface {
-	SetEvalPrecision(p tensor.Precision)
 }
 
 // Pretrainer is a model supporting masked-language-model pretraining

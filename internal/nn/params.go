@@ -89,12 +89,6 @@ type Ctx struct {
 	Training bool
 	RNG      *tensor.RNG
 
-	// EvalPrecision selects the storage precision weight matmuls run in
-	// during eval-mode forwards (tensor.PrecF64/PrecF16/PrecInt8). It is
-	// applied to the tape by Reset only when training is false; training
-	// passes always run full precision so gradients match the forward.
-	EvalPrecision tensor.Precision
-
 	leaves map[*Param]*autograd.Node
 }
 
@@ -128,11 +122,6 @@ func (c *Ctx) Reset(training bool, seed int64) {
 	c.Tape.Reset()
 	clear(c.leaves)
 	c.Training = training
-	if training {
-		c.Tape.SetEvalPrecision(tensor.PrecF64)
-	} else {
-		c.Tape.SetEvalPrecision(c.EvalPrecision)
-	}
 	if c.RNG != nil {
 		c.RNG.Reseed(seed)
 	}

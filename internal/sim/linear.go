@@ -190,18 +190,6 @@ func (p *Population) Eval(weights map[string]*tensor.Matrix) (float64, error) {
 	return mse / float64(len(p.holdY)), nil
 }
 
-// Holdout returns the noise-free holdout as a design matrix (one example
-// per row) and its label vector, for callers that score the global model
-// through the tensor kernels (e.g. under reduced eval precision) instead
-// of Eval's serial loop.
-func (p *Population) Holdout() (*tensor.Matrix, []float64) {
-	x := tensor.New(len(p.holdX), p.Task.Dim)
-	for i, xi := range p.holdX {
-		copy(x.Data()[i*p.Task.Dim:(i+1)*p.Task.Dim], xi)
-	}
-	return x, append([]float64(nil), p.holdY...)
-}
-
 // InitialLinearWeights is the zero starting model for a LinearTask.
 func InitialLinearWeights(dim int) map[string]*tensor.Matrix {
 	return map[string]*tensor.Matrix{

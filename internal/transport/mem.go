@@ -150,7 +150,9 @@ func (e memTimeoutError) Temporary() bool { return true }
 // Read implements MessageConn: dequeue, pay the modeled transit delay,
 // decode. A corrupted frame fails here, on the reader's side, exactly like
 // a damaged TLS frame would — with its framed bytes still counted, as on
-// the socket path. The transit delay is interruptible: Close and the read
+// the socket path. A frame already queued when the link closes is still
+// read, as TCP delivers data sent before a FIN; only then does Read report
+// the closed link. The transit delay is interruptible: Close and the read
 // deadline both cut it short, keeping the MessageConn contract that
 // blocked reads fail.
 func (c *MemConn) Read() (*Message, error) {
@@ -161,28 +163,39 @@ func (c *MemConn) Read() (*Message, error) {
 	if !deadline.IsZero() {
 		timeout = time.After(time.Until(deadline))
 	}
+	var f memFrame
 	select {
-	case f := <-c.in.ch:
-		if f.delay > 0 {
-			transit := time.NewTimer(f.delay)
-			defer transit.Stop()
-			select {
-			case <-transit.C:
-			case <-c.link.done:
-				return nil, fmt.Errorf("transport: mem conn %s: link closed", c.local)
-			case <-timeout:
-				return nil, memTimeoutError{op: "read"}
-			}
-		}
-		c.counters.mu.Lock()
-		c.counters.read += int64(len(f.body)) + 8
-		c.counters.mu.Unlock()
-		return decodeMessage(f.body)
+	case f = <-c.in.ch:
 	case <-c.link.done:
-		return nil, fmt.Errorf("transport: mem conn %s: link closed", c.local)
+		// select picks at random among ready cases, so look at the queue
+		// once more before reporting the close.
+		select {
+		case f = <-c.in.ch:
+		default:
+			return nil, c.closedErr()
+		}
 	case <-timeout:
 		return nil, memTimeoutError{op: "read"}
 	}
+	if f.delay > 0 {
+		transit := time.NewTimer(f.delay)
+		defer transit.Stop()
+		select {
+		case <-transit.C:
+		case <-c.link.done:
+			return nil, c.closedErr()
+		case <-timeout:
+			return nil, memTimeoutError{op: "read"}
+		}
+	}
+	c.counters.mu.Lock()
+	c.counters.read += int64(len(f.body)) + 8
+	c.counters.mu.Unlock()
+	return decodeMessage(f.body)
+}
+
+func (c *MemConn) closedErr() error {
+	return fmt.Errorf("transport: mem conn %s: link closed", c.local)
 }
 
 // Close implements MessageConn; both ends of the link die.
@@ -266,9 +279,17 @@ func (n *MemNetwork) Dial(name string, up, down LinkProfile) (MessageConn, error
 	}
 	select {
 	case n.accept <- server:
-		return client, nil
 	case <-n.done:
 		return nil, errors.New("transport: mem network closed")
+	}
+	// A Close that raced the enqueue may have drained the backlog before
+	// this conn reached it; kill the link so neither end waits on it.
+	select {
+	case <-n.done:
+		link.close()
+		return nil, errors.New("transport: mem network closed")
+	default:
+		return client, nil
 	}
 }
 
@@ -283,7 +304,13 @@ func (n *MemNetwork) AcceptConn() (MessageConn, error) {
 	}
 	select {
 	case c := <-n.accept:
-		return c, nil
+		select {
+		case <-n.done: // the conn lost a race with Close; so does the accept
+			c.link.close()
+			return nil, errors.New("transport: mem network closed")
+		default:
+			return c, nil
+		}
 	case <-n.done:
 		return nil, errors.New("transport: mem network closed")
 	case <-timeout:
@@ -291,10 +318,20 @@ func (n *MemNetwork) AcceptConn() (MessageConn, error) {
 	}
 }
 
-// Close implements MessageListener.
+// Close implements MessageListener. Like closing a TCP listener, which
+// resets the connections still pending in its backlog, it closes every
+// dialed conn nobody accepted, so a dialer waiting on one sees the link
+// die instead of blocking forever.
 func (n *MemNetwork) Close() error {
 	n.closeOnce.Do(func() { close(n.done) })
-	return nil
+	for {
+		select {
+		case c := <-n.accept:
+			c.link.close()
+		default:
+			return nil
+		}
+	}
 }
 
 // Addr implements MessageListener.

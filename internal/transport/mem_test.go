@@ -3,6 +3,7 @@ package transport
 import (
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -134,5 +135,75 @@ func TestMemListenerDeadlineAndClose(t *testing.T) {
 	}
 	if _, err := n.Dial("c1", LinkProfile{}, LinkProfile{}); err == nil {
 		t.Fatal("dial on a closed network must fail")
+	}
+}
+
+// TestMemNetworkCloseResetsBacklog: a dial nobody accepted before the
+// network closed must not leave its dialer blocked. Close kills every link
+// still in the backlog, as closing a TCP listener resets pending
+// connections; a dial racing the Close either fails or gets such a link.
+func TestMemNetworkCloseResetsBacklog(t *testing.T) {
+	n := NewMemNetwork()
+	conns := make(chan MessageConn, 9)
+	first, err := n.Dial("c0", LinkProfile{}, LinkProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns <- first
+	var wg sync.WaitGroup
+	for i := 1; i < cap(conns); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if c, err := n.Dial("c", LinkProfile{}, LinkProfile{}); err == nil {
+				conns <- c
+			}
+		}()
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(conns)
+	for c := range conns {
+		readErr := make(chan error, 1)
+		go func() {
+			_, err := c.Read()
+			readErr <- err
+		}()
+		select {
+		case err := <-readErr:
+			if err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("want link-closed error, got %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("read on a dial left in a closed network's backlog blocked")
+		}
+	}
+	if _, err := n.AcceptConn(); err == nil {
+		t.Fatal("accept on a closed network must fail")
+	}
+}
+
+// TestMemConnReadsFrameWrittenBeforeClose: a frame queued before the link
+// closed is delivered before the close is reported, every time, as TCP
+// delivers data sent before a FIN.
+func TestMemConnReadsFrameWrittenBeforeClose(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		client, server := memPair(t, LinkProfile{}, LinkProfile{})
+		if err := client.Write(&Message{Type: MsgUpdate, Sender: "c1", Round: i}); err != nil {
+			t.Fatal(err)
+		}
+		_ = client.Close()
+		got, err := server.Read()
+		if err != nil {
+			t.Fatalf("iteration %d: frame written before Close was lost: %v", i, err)
+		}
+		if got.Round != i {
+			t.Fatalf("iteration %d: read round %d", i, got.Round)
+		}
+		if _, err := server.Read(); err == nil || !strings.Contains(err.Error(), "closed") {
+			t.Fatalf("iteration %d: want link-closed error after the queued frame, got %v", i, err)
+		}
 	}
 }

@@ -8,9 +8,10 @@
 # and BENCH_arena.json (PR 2) are kept frozen as previous reference
 # points.
 #
-# A third pass runs the per-kernel GEMM microbenchmarks (plus the
-# scoreboard headliners already measured in pass 1) into
-# BENCH_kernels.json, keyed by the GOAMD64 level the binary was built at.
+# A third pass runs the dense GEMM microbenchmarks (BenchmarkGEMM_MxKxN,
+# one per hot model shape, plus the matmul ablation and the scoreboard
+# headliners already measured in pass 1) into BENCH_kernels.json, keyed by
+# the GOAMD64 level the binary was built at.
 #
 # Usage: scripts/bench.sh [benchtime] [cpus]   (default 3x and 1,2,4)
 set -eu
@@ -58,7 +59,7 @@ go test -run '^$' \
   -bench 'BenchmarkTable2_ForwardBERT$|BenchmarkTable3_FLRoundBERT$' \
   -benchmem -benchtime "$BENCHTIME" -cpu "$CPUS" -count 1 . | tee "$RAWCPU"
 
-# Pass 3: per-kernel GEMM microbenchmarks for BENCH_kernels.json. GEMM
+# Pass 3: dense GEMM microbenchmarks for BENCH_kernels.json. GEMM
 # iterations are microseconds, so a fixed higher iteration count keeps the
 # GFLOP/s figures stable regardless of the scoreboard benchtime.
 go test -run '^$' \
@@ -168,12 +169,12 @@ kernels_json() {
   printf '    "BenchmarkTable3_FLRoundBERT": 2456765299,\n'
   printf '    "BenchmarkAblation_Matmul_gflops": 6.3\n'
   printf '  },\n'
-  # Per-variant reference numbers measured on the same box while
-  # calibrating the scalar kernels (see DESIGN.md "Kernel calibration"):
-  # scalar kernels at v1 and the since-deleted FMA row-pair kernel at v3.
+  # Reference numbers for the scalar (pure-Go) kernels at v1, measured on
+  # the same box while calibrating them (see DESIGN.md "Kernel
+  # calibration"). The scalar kernels are still the fallback on CPUs
+  # without AVX2.
   printf '  "variant_reference": {\n'
-  printf '    "scalar_v1": {"BenchmarkTable2_ForwardBERT_ns": 347000000, "BenchmarkAblation_Matmul_gflops": 6.8},\n'
-  printf '    "fma_v3":    {"BenchmarkTable2_ForwardBERT_ns": 286000000, "BenchmarkAblation_Matmul_gflops": 9.85}\n'
+  printf '    "scalar_v1": {"BenchmarkTable2_ForwardBERT_ns": 347000000, "BenchmarkAblation_Matmul_gflops": 6.8}\n'
   printf '  },\n'
   # Scoreboard headliners from pass 1, for gating kernels against the PR 4
   # baseline in the same file.
