@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -123,7 +124,11 @@ type Fig3Result struct {
 // paper's figure shows.
 func RunFig3(ctx context.Context, w io.Writer, scale Scale) (*Fig3Result, error) {
 	cfg := scale.apply(core.Default(core.TaskFinetune, core.ModeFederated, "lstm"))
+	// The server and every client log concurrently into the one writer.
+	var logMu sync.Mutex
 	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
 		fmt.Fprintf(w, "  "+format+"\n", args...)
 	}
 

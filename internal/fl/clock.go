@@ -4,12 +4,13 @@ import "time"
 
 // Clock abstracts every use of wall-clock time in the federation stack —
 // round timestamps, gather deadlines, injected client delays, and the
-// goroutines that carry client work — so a whole federated run can execute
-// under a simulated clock. The contract is shared with sim.Clock (the
-// canonical name; internal/sim aliases this interface): production code
-// uses the real clock returned by RealClock, and internal/sim provides a
-// deterministic discrete-event VirtualClock that advances virtual time
-// only when every tracked activity is blocked.
+// client work itself: a Planner's outcome posted for a later instant
+// (AfterFunc), or a blocking executor's goroutine (Go) — so a whole
+// federated run can execute under a simulated clock. The contract is shared
+// with sim.Clock (the canonical name; internal/sim aliases this
+// interface): production code uses the real clock returned by RealClock,
+// and internal/sim provides a deterministic discrete-event VirtualClock
+// that advances virtual time only when every tracked activity is blocked.
 type Clock interface {
 	// Now returns the current (possibly virtual) time.
 	Now() time.Time
@@ -21,10 +22,15 @@ type Clock interface {
 	Sleep(d time.Duration)
 	// After returns a channel that delivers the time once d has elapsed.
 	After(d time.Duration) <-chan time.Time
+	// AfterFunc calls fn once d has elapsed. fn must not block. The real
+	// clock runs it on a timer goroutine; a virtual clock runs it inline
+	// on the event loop when virtual time reaches the instant — one heap
+	// event, no goroutine.
+	AfterFunc(d time.Duration, fn func())
 	// Go runs fn concurrently as an activity tracked by the clock. The
 	// real clock spawns a plain goroutine; a virtual clock registers fn as
 	// a simulated actor so its sleeps drive — and are driven by — the
-	// event loop.
+	// event loop. Work that never blocks belongs in AfterFunc instead.
 	Go(fn func())
 }
 
@@ -51,6 +57,7 @@ func (realClock) Now() time.Time                         { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration        { return time.Since(t) }
 func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (realClock) AfterFunc(d time.Duration, fn func())   { time.AfterFunc(d, fn) }
 func (realClock) Go(fn func())                           { go fn() }
 
 // waitStatus reports how a gather wait ended.

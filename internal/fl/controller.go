@@ -53,8 +53,9 @@ type ControllerConfig struct {
 	// Patience, when > 0 and Validate is set, stops the run early after
 	// this many consecutive rounds without a new best validation score.
 	Patience int
-	// Clock supplies round timestamps, gather deadlines, and the
-	// goroutines carrying client work. Nil means the real wall clock;
+	// Clock supplies round timestamps, gather deadlines, and the delivery
+	// of client work (AfterFunc for a Planner, Go for any other executor).
+	// Nil means the real wall clock;
 	// internal/sim injects a deterministic virtual clock here so scenarios
 	// with hours of simulated straggling replay identically in
 	// milliseconds of real time.
@@ -212,10 +213,11 @@ type execOutcome struct {
 }
 
 // Controller drives the federated run over a set of executors in-process
-// (NVFlare simulator mode: every client is a goroutine rather than a
-// remote site). The round lifecycle is the shared engine in round.go; the
-// Controller is its in-process backend, turning task and probe requests
-// into executor goroutines and their outcomes into events.
+// (NVFlare simulator mode: every client is a goroutine or a planned clock
+// event rather than a remote site). The round lifecycle is the shared
+// engine in round.go; the Controller is its in-process backend, turning
+// task and probe requests into executor goroutines (or, for a Planner, one
+// AfterFunc event) and their outcomes into events.
 type Controller struct {
 	cfg       ControllerConfig
 	executors []Executor
@@ -318,12 +320,21 @@ func (c *Controller) idle() ([]string, int) {
 	return names, len(c.executors)
 }
 
-// task implements backend: one executor starts on the round's task. An
-// in-process dispatch cannot fail and costs no wire bytes (executors that
-// model their transfers stamp ClientUpdate.DownBytes instead).
+// task implements backend: one executor starts on the round's task — a
+// Planner's outcome is computed now and posted for its arrival instant, any
+// other executor runs on a clock goroutine. An in-process dispatch cannot
+// fail and costs no wire bytes (executors that model their transfers stamp
+// ClientUpdate.DownBytes instead).
 func (c *Controller) task(name string) (int, error) {
 	ex, round, global := c.byName[name], c.round, c.global
 	c.inFlight[name] = true
+	if p, ok := ex.(Planner); ok {
+		d, u, err := p.PlanRound(round, global)
+		c.cfg.Clock.AfterFunc(d, func() {
+			c.results <- execOutcome{update: u, err: err, name: name, round: round}
+		})
+		return 0, nil
+	}
 	c.cfg.Clock.Go(func() {
 		u, err := ex.ExecuteRound(round, global)
 		c.results <- execOutcome{update: u, err: err, name: name, round: round}

@@ -28,6 +28,18 @@ type Executor interface {
 	ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error)
 }
 
+// Planner is the optional form of an Executor whose round is cheap to
+// compute and never blocks — a simulated client whose timeline is a pure
+// function of its start instant, the round and the global model. PlanRound
+// returns at once with the round's outcome and the offset from now at
+// which that outcome arrives; the Controller posts it as one
+// Clock.AfterFunc event instead of running ExecuteRound on a goroutine.
+// Executors that really block (training, injected delays, faults) stay
+// plain Executors.
+type Planner interface {
+	PlanRound(round int, global map[string]*tensor.Matrix) (time.Duration, *ClientUpdate, error)
+}
+
 // Validator is optionally implemented by executors that can score a global
 // model on local validation data (used for server-side model selection).
 type Validator interface {

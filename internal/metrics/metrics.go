@@ -9,6 +9,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -243,9 +244,12 @@ func ASCIIPlot(curves []*Curve, width, height int) string {
 const TimingWindow = 4096
 
 // Timing aggregates wall-clock durations (e.g. local-epoch times for the
-// Fig. 3 demonstration). Storage is bounded: see TimingWindow.
+// Fig. 3 demonstration). Storage is bounded: see TimingWindow. It is safe
+// for concurrent use — federated clients record their epochs from their
+// own goroutines.
 type Timing struct {
 	Name    string
+	mu      sync.Mutex
 	samples []time.Duration // ring storage, at most TimingWindow entries
 	next    int             // ring write cursor once the window is full
 	total   uint64          // lifetime samples recorded
@@ -257,6 +261,8 @@ func NewTiming(name string) *Timing { return &Timing{Name: name} }
 // Add records one duration, evicting the oldest retained sample once
 // TimingWindow observations are held.
 func (t *Timing) Add(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.total++
 	if len(t.samples) < TimingWindow {
 		t.samples = append(t.samples, d)
@@ -268,14 +274,24 @@ func (t *Timing) Add(d time.Duration) {
 
 // Count returns the number of retained samples (saturates at
 // TimingWindow).
-func (t *Timing) Count() int { return len(t.samples) }
+func (t *Timing) Count() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.samples)
+}
 
 // Total returns the lifetime number of samples recorded, including ones
 // evicted from the window.
-func (t *Timing) Total() uint64 { return t.total }
+func (t *Timing) Total() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.total
+}
 
 // Mean returns the mean duration (0 when empty).
 func (t *Timing) Mean() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if len(t.samples) == 0 {
 		return 0
 	}
@@ -288,6 +304,8 @@ func (t *Timing) Mean() time.Duration {
 
 // Max returns the longest sample (0 when empty).
 func (t *Timing) Max() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	var m time.Duration
 	for _, d := range t.samples {
 		if d > m {
@@ -302,10 +320,12 @@ func (t *Timing) Max() time.Duration {
 // from actual observations rather than interpolated values. Returns 0
 // when empty; q outside (0, 1] is clamped.
 func (t *Timing) Quantile(q float64) time.Duration {
-	if len(t.samples) == 0 {
+	t.mu.Lock()
+	sorted := append([]time.Duration(nil), t.samples...)
+	t.mu.Unlock()
+	if len(sorted) == 0 {
 		return 0
 	}
-	sorted := append([]time.Duration(nil), t.samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	if q <= 0 {
 		return sorted[0]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -143,5 +144,29 @@ func TestTiming(t *testing.T) {
 	}
 	if !strings.Contains(tm.String(), "epoch") {
 		t.Fatalf("String() = %q", tm.String())
+	}
+}
+
+// TestTimingConcurrentAdd: federated clients record epochs from their own
+// goroutines while a reader summarizes; no sample may be lost.
+func TestTimingConcurrentAdd(t *testing.T) {
+	const writers, each = 8, 500
+	tm := NewTiming("epoch")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tm.Add(time.Millisecond)
+				if i%100 == 0 {
+					_ = tm.String()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tm.Total() != writers*each || tm.Mean() != time.Millisecond {
+		t.Fatalf("total %d mean %v, want %d samples of 1ms", tm.Total(), tm.Mean(), writers*each)
 	}
 }

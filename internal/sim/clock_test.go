@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -136,6 +138,121 @@ func TestVirtualClockAfter(t *testing.T) {
 	}
 	if got := vc.Since(epoch); got != time.Second {
 		t.Fatalf("After fired at +%v, want +1s", got)
+	}
+}
+
+// TestVirtualClockMixedKindsTieInScheduleOrder: actor wake-ups, After
+// timers and AfterFunc callbacks due at one instant fire in the order they
+// were scheduled, whatever their kind.
+func TestVirtualClockMixedKindsTieInScheduleOrder(t *testing.T) {
+	const at = 100 * time.Millisecond
+	vc := NewVirtualClock()
+	var order []string
+	n1 := vc.After(at)
+	vc.AfterFunc(at, func() { order = append(order, "f1") })
+	vc.Go(func() {
+		// Runs at t=0, before the AfterFunc below: its wake-up is
+		// scheduled third.
+		vc.Sleep(at)
+		order = append(order, "actor")
+	})
+	var n2 <-chan time.Time
+	vc.AfterFunc(0, func() {
+		vc.AfterFunc(at, func() { order = append(order, "f2") })
+		n2 = vc.After(at)
+	})
+	want := "[n1 f1 actor f2 n2]"
+	vc.Wait(func() bool {
+		// Wait polls after every event, so a timer's delivery is seen
+		// before the next event fires.
+		select {
+		case <-n1:
+			order = append(order, "n1")
+		case <-n2:
+			order = append(order, "n2")
+		default:
+		}
+		return len(order) == 5
+	}, time.Time{})
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("firing order %s, want %s", got, want)
+	}
+	if got := vc.Since(epoch); got != at {
+		t.Fatalf("fired at +%v, want +%v", got, at)
+	}
+}
+
+// TestVirtualClockAfterFuncLosesDeadlineTie: like an actor's wake-up, an
+// AfterFunc due exactly at a Wait deadline fires after the deadline.
+func TestVirtualClockAfterFuncLosesDeadlineTie(t *testing.T) {
+	vc := NewVirtualClock()
+	deadline := vc.Now().Add(100 * time.Millisecond)
+	fired := false
+	vc.AfterFunc(100*time.Millisecond, func() { fired = true })
+	if vc.Wait(func() bool { return fired }, deadline) {
+		t.Fatal("AfterFunc at the deadline should lose the tie to the deadline")
+	}
+	if fired {
+		t.Fatal("AfterFunc ran before the deadline fired")
+	}
+	if got := vc.Now(); !got.Equal(deadline) {
+		t.Fatalf("clock at %v, want the deadline %v", got, deadline)
+	}
+	vc.Drain()
+	if !fired {
+		t.Fatal("Drain did not run the AfterFunc left at the deadline")
+	}
+}
+
+// TestVirtualClockDrainRunsAfterFuncs: Drain runs every pending AfterFunc,
+// including ones scheduled by other callbacks while it drains, in time
+// order, with no Wait caller in between.
+func TestVirtualClockDrainRunsAfterFuncs(t *testing.T) {
+	vc := NewVirtualClock()
+	var order []string
+	vc.AfterFunc(2*time.Second, func() { order = append(order, "late") })
+	vc.AfterFunc(time.Second, func() {
+		order = append(order, "early")
+		vc.AfterFunc(3*time.Second, func() { order = append(order, "chained") })
+	})
+	vc.Drain()
+	if got := fmt.Sprint(order); got != "[early late chained]" {
+		t.Fatalf("drain ran %s, want [early late chained]", got)
+	}
+	if got := vc.Since(epoch); got != 4*time.Second {
+		t.Fatalf("drained to +%v, want +4s", got)
+	}
+}
+
+// TestEventHeapPopsMinimum: under any interleaving of pushes and pops, the
+// typed heap pops the (time, sequence)-least pending event, checked
+// against a linear scan.
+func TestEventHeapPopsMinimum(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var h eventHeap
+	var pending []*event
+	var seq uint64
+	for i := 0; i < 20_000; i++ {
+		if len(pending) == 0 || rng.IntN(5) < 3 {
+			seq++
+			ev := &event{at: time.Duration(rng.IntN(64)), seq: seq}
+			h.push(ev)
+			pending = append(pending, ev)
+			continue
+		}
+		least := 0
+		for j, ev := range pending {
+			if ev.before(pending[least]) {
+				least = j
+			}
+		}
+		if got, want := h.pop(), pending[least]; got != want {
+			t.Fatalf("step %d: popped (%v, %d), want (%v, %d)", i, got.at, got.seq, want.at, want.seq)
+		}
+		pending = append(pending[:least], pending[least+1:]...)
+	}
+	if len(h) != len(pending) {
+		t.Fatalf("heap holds %d events, want %d", len(h), len(pending))
 	}
 }
 

@@ -213,14 +213,15 @@ func (r *RunResult) HistoryJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Result.History, "", "  ")
 }
 
-// simClient is one scenario client: an fl.Executor whose round execution
-// pays virtual time for task download, local compute, and update upload,
-// and fails per its fault script. A real client (twin == nil surrogate
-// path off) trains its own shard and round-trips its update through its
-// uplink codec for byte accounting and honest quantization loss; a
-// surrogate client replays calibrated byte costs and its twin's training
-// result instead — same virtual-time trajectory, none of the per-client
-// data or codec work.
+// simClient is one scenario client: an fl.Planner whose round pays virtual
+// time for task download, local compute, and update upload, and fails per
+// its fault script — planned at dispatch and delivered as one clock event,
+// so the roster needs no goroutine per client. A real client (twin == nil
+// surrogate path off) trains its own shard and round-trips its update
+// through its uplink codec for byte accounting and honest quantization
+// loss; a surrogate client replays calibrated byte costs and its twin's
+// training result instead — same virtual-time trajectory, none of the
+// per-client data or codec work.
 type simClient struct {
 	name      string
 	clock     Clock
@@ -251,7 +252,11 @@ type simClient struct {
 	bytesUp, bytesDown *atomic.Int64
 }
 
-var _ fl.Executor = (*simClient)(nil)
+var (
+	_ fl.Executor = (*simClient)(nil)
+	_ fl.Planner  = (*simClient)(nil)
+	_ fl.Prober   = (*simClient)(nil)
+)
 
 // Name implements fl.Executor.
 func (c *simClient) Name() string { return c.name }
@@ -294,13 +299,17 @@ func (c *simClient) Probe() error {
 	return nil
 }
 
-// ExecuteRound implements fl.Executor.
-func (c *simClient) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+// PlanRound implements fl.Planner and is the one definition of a client's
+// round timeline, computed at dispatch: task download, local compute, then
+// the update upload, returning the offset from now at which the outcome
+// reaches the server. Flap windows are checked at dispatch and at the end
+// of compute, both instants known up front.
+func (c *simClient) PlanRound(round int, global map[string]*tensor.Matrix) (time.Duration, *fl.ClientUpdate, error) {
+	now := c.clock.Now()
 	// A dark client fails the connection attempt outright: one link
 	// latency, no download or compute.
-	if c.down(c.clock.Now()) {
-		c.clock.Sleep(c.latency)
-		return nil, fmt.Errorf("sim: %s down (connectivity flap) on round %d", c.name, round)
+	if c.down(now) {
+		return c.latency, nil, fmt.Errorf("sim: %s down (connectivity flap) on round %d", c.name, round)
 	}
 
 	// Task download: real clients encode the actual global weights;
@@ -312,43 +321,39 @@ func (c *simClient) ExecuteRound(round int, global map[string]*tensor.Matrix) (*
 	} else {
 		downBlob, err := c.downCodec.Encode(global)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %s encode task: %w", c.name, err)
+			return 0, nil, fmt.Errorf("sim: %s encode task: %w", c.name, err)
 		}
 		downBytes = len(downBlob)
 	}
 	c.bytesDown.Add(int64(downBytes + 8))
-	c.clock.Sleep(c.transfer(downBytes))
-
-	compute := c.computeBase
+	d := c.transfer(downBytes) + c.computeBase
 	if c.jitter > 0 {
-		compute += time.Duration(unitDraw(c.seed, streamJitter, uint64(round)) * float64(c.jitter))
+		d += time.Duration(unitDraw(c.seed, streamJitter, uint64(round)) * float64(c.jitter))
 	}
-	c.clock.Sleep(compute)
 
-	if c.down(c.clock.Now()) {
+	if c.down(now.Add(d)) {
 		// A wave opened while the task was in flight: the upload is lost.
-		return nil, fmt.Errorf("sim: %s dropped mid-round (connectivity flap) on round %d", c.name, round)
+		return d, nil, fmt.Errorf("sim: %s dropped mid-round (connectivity flap) on round %d", c.name, round)
 	}
 	if c.drops(round) {
-		return nil, fmt.Errorf("sim: %s faulted on round %d", c.name, round)
+		return d, nil, fmt.Errorf("sim: %s faulted on round %d", c.name, round)
 	}
 
 	if c.twin != nil {
 		// Surrogate: replay the twin's training result (computed once per
-		// twin per round) and the calibrated uplink byte cost. No codec
-		// round-trip — the quantization noise a lossy codec would add is
-		// part of the bounded surrogate error.
+		// twin per round, handed out read-only) and the calibrated uplink
+		// byte cost. No codec round-trip — the quantization noise a lossy
+		// codec would add is part of the bounded surrogate error.
 		weights, loss, err := c.twin.result(round, global)
 		if err != nil {
-			return nil, fmt.Errorf("sim: %s surrogate train: %w", c.name, err)
+			return d, nil, fmt.Errorf("sim: %s surrogate train: %w", c.name, err)
 		}
 		upBytes := c.costs.UpBytes[c.codecName]
 		c.bytesUp.Add(int64(upBytes + 8))
-		c.clock.Sleep(c.transfer(upBytes))
-		return &fl.ClientUpdate{
+		return d + c.transfer(upBytes), &fl.ClientUpdate{
 			ClientName:   c.name,
 			Round:        round,
-			Weights:      cloneWeightMap(weights),
+			Weights:      weights,
 			NumSamples:   c.twin.samples,
 			TrainLoss:    loss,
 			PayloadBytes: upBytes,
@@ -358,19 +363,19 @@ func (c *simClient) ExecuteRound(round int, global map[string]*tensor.Matrix) (*
 
 	weights, loss, err := c.shard.Train(global)
 	if err != nil {
-		return nil, err
+		return d, nil, err
 	}
 	blob, err := c.codec.Encode(weights)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s encode update: %w", c.name, err)
+		return d, nil, fmt.Errorf("sim: %s encode update: %w", c.name, err)
 	}
 	c.bytesUp.Add(int64(len(blob) + 8))
-	c.clock.Sleep(c.transfer(len(blob)))
+	d += c.transfer(len(blob))
 	decoded, err := fl.DecodeWeights(blob)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s decode update: %w", c.name, err)
+		return d, nil, fmt.Errorf("sim: %s decode update: %w", c.name, err)
 	}
-	return &fl.ClientUpdate{
+	return d, &fl.ClientUpdate{
 		ClientName:   c.name,
 		Round:        round,
 		Weights:      decoded,
@@ -379,6 +384,15 @@ func (c *simClient) ExecuteRound(round int, global map[string]*tensor.Matrix) (*
 		PayloadBytes: len(blob),
 		DownBytes:    downBytes,
 	}, nil
+}
+
+// ExecuteRound implements fl.Executor for callers that run the client as a
+// clock actor rather than through the Controller's planned dispatch: the
+// planned round, its offset slept on the clock.
+func (c *simClient) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+	d, u, err := c.PlanRound(round, global)
+	c.clock.Sleep(d)
+	return u, err
 }
 
 // drops decides whether this round fails, from the client's fault script.
@@ -574,14 +588,25 @@ func (sc Scenario) build(clock Clock) (*scenarioSetup, error) {
 func (sc Scenario) Run() (*RunResult, error) {
 	sc = sc.withDefaults()
 	clock := NewVirtualClock()
-	start := clock.Now()
 	realStart := time.Now()
-
 	set, err := sc.build(clock)
 	if err != nil {
 		return nil, err
 	}
+	res, err := sc.run(clock, set)
+	if err != nil {
+		return nil, err
+	}
+	res.RealElapsed = time.Since(realStart)
+	return res, nil
+}
+
+// run drives a built scenario's roster through the controller on clock,
+// which must still be at the instant the roster was built.
+func (sc Scenario) run(clock *VirtualClock, set *scenarioSetup) (*RunResult, error) {
+	start := clock.Now()
 	res := &RunResult{Stragglers: set.stragglers, Faulty: set.faulty, Flapping: set.flapping}
+	var err error
 	res.InitialMSE, err = set.pop.Eval(set.initial)
 	if err != nil {
 		return nil, err
@@ -594,13 +619,12 @@ func (sc Scenario) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: scenario %s: %w", sc.Name, err)
 	}
-	// Let stragglers still in flight finish in virtual time, so every
-	// spawned actor exits and their uplink bytes are fully accounted.
+	// Let stragglers still in flight deliver in virtual time, so no actor
+	// is left blocked and VirtualElapsed spans the whole federation.
 	clock.Drain()
 
 	res.Result = out
 	res.VirtualElapsed = clock.Since(start)
-	res.RealElapsed = time.Since(realStart)
 	res.BytesUp = set.bytesUp.Load()
 	res.BytesDown = set.bytesDown.Load()
 	res.FinalMSE, err = set.pop.Eval(out.FinalWeights)

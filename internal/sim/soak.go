@@ -120,8 +120,9 @@ func (ss SoakScenario) Run(walPath string) (*SoakResult, error) {
 			return nil, err
 		}
 		out, runErr := ctrl.Run(ctx, set.initial)
-		// Let in-flight virtual actors finish so the segment's goroutines
-		// all exit before its clock is discarded.
+		// Let in-flight client work deliver (planned events fire, probe
+		// actors finish) so no goroutine is left blocked on the segment's
+		// clock when it is discarded.
 		clock.Drain()
 		_ = wal.Close()
 		cancel()

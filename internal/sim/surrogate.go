@@ -81,10 +81,10 @@ func calibrateCosts(sc Scenario, pop *Population, downCodec fl.WeightCodec) (*Co
 
 // twinState is one real client's shared training result, multiplexed
 // across every surrogate bound to it. The first accessor of a round
-// (under the virtual clock, actors run one at a time, so "first" is
-// deterministic) trains the twin's shard from that round's global
-// weights; later accessors reuse the result. Training is a pure function
-// of (shard, global), so who computes it never matters.
+// (under the virtual clock, dispatches and actors run one at a time, so
+// "first" is deterministic) trains the twin's shard from that round's
+// global weights; later accessors reuse the result. Training is a pure
+// function of (shard, global), so who computes it never matters.
 type twinState struct {
 	shard   *LinearShard
 	samples int
@@ -99,8 +99,11 @@ type twinResult struct {
 }
 
 // result returns the twin's post-training weights and loss for round,
-// computing them on first use. The returned map is shared — callers clone
-// before handing it to the federation.
+// computing them on first use. The returned map is shared and read-only:
+// surrogates hand it to the federation as is, because nothing downstream
+// of an in-process update writes its weights — sinks, aggregators and the
+// WAL only read them, and the one writer, an fl.Filter, is not something a
+// Scenario can configure.
 func (t *twinState) result(round int, global map[string]*tensor.Matrix) (map[string]*tensor.Matrix, float64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -116,16 +119,6 @@ func (t *twinState) result(round int, global map[string]*tensor.Matrix) (map[str
 	}
 	t.rounds[round] = &twinResult{weights: w, loss: loss}
 	return w, loss, nil
-}
-
-// cloneWeightMap deep-copies a weight map so a surrogate's update can be
-// filtered or mutated downstream without touching the shared twin result.
-func cloneWeightMap(w map[string]*tensor.Matrix) map[string]*tensor.Matrix {
-	out := make(map[string]*tensor.Matrix, len(w))
-	for name, m := range w {
-		out[name] = m.Clone()
-	}
-	return out
 }
 
 // Per-client draw streams. Scenario clients used to carry a private
