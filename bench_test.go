@@ -2,7 +2,11 @@
 // the paper's evaluation (Sec. IV), plus the ablations called out in
 // DESIGN.md. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
+//
+// Nothing records or gates on these: the repository's benchmark is bench/
+// (see bench/README.md), and the dense GEMM microbenchmarks sit beside the
+// kernels in internal/tensor.
 //
 // Naming: BenchmarkTable2_* measure the Table II architectures' forward
 // cost; BenchmarkTable3_* measure one federated fine-tuning round per
@@ -262,53 +266,6 @@ func benchmarkLocalEpochs(b *testing.B, epochs int) {
 func BenchmarkAblation_LocalEpochs1(b *testing.B) { benchmarkLocalEpochs(b, 1) }
 func BenchmarkAblation_LocalEpochs2(b *testing.B) { benchmarkLocalEpochs(b, 2) }
 func BenchmarkAblation_LocalEpochs4(b *testing.B) { benchmarkLocalEpochs(b, 4) }
-
-// BenchmarkAblation_Matmul: the kernel the whole stack sits on, at the
-// LSTM gate-projection shape (batch x hidden by hidden x 4*hidden).
-func BenchmarkAblation_Matmul(b *testing.B) {
-	rng := tensor.NewRNG(1)
-	x := rng.Normal(32, 128, 0, 1)
-	w := rng.Normal(128, 512, 0, 1)
-	out := tensor.New(32, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tensor.MatMulInto(out, x, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	flops := float64(2 * 32 * 128 * 512)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-// --- Per-kernel GEMM microbenchmarks (BENCH_kernels.json) ---
-//
-// One benchmark per hot shape, named BenchmarkGEMM_{m}x{k}x{n}: the BERT
-// attention projection (16×128·128x128), the BERT FFN up-projection
-// (16×128·128x512), the LSTM gate projection (32×128·128x512), a
-// batch-heavy attention shape (64×128·128x128), and the BERT-mini FFN
-// (16×50·50x200). Each reports GFLOP/s so kernel-level changes are
-// visible without the model stack on top.
-
-func benchmarkGEMM(b *testing.B, m, k, n int) {
-	rng := tensor.NewRNG(1)
-	x := rng.Normal(m, k, 0, 1)
-	w := rng.Normal(k, n, 0, 1)
-	out := tensor.New(m, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tensor.MatMulInto(out, x, w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	flops := float64(2 * m * k * n)
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-func BenchmarkGEMM_16x128x128(b *testing.B) { benchmarkGEMM(b, 16, 128, 128) }
-func BenchmarkGEMM_16x128x512(b *testing.B) { benchmarkGEMM(b, 16, 128, 512) }
-func BenchmarkGEMM_32x128x512(b *testing.B) { benchmarkGEMM(b, 32, 128, 512) }
-func BenchmarkGEMM_64x128x128(b *testing.B) { benchmarkGEMM(b, 64, 128, 128) }
-func BenchmarkGEMM_16x50x200(b *testing.B)  { benchmarkGEMM(b, 16, 50, 200) }
 
 // BenchmarkAblation_PrivacyFilters: cost of the DP filter chain (norm cap
 // + Gaussian noise) over an LSTM-sized update.

@@ -193,7 +193,7 @@ func (s *bwSched) build() {
 	// which under the wave replay happens on whichever pool worker gets
 	// there — arena slabs then fill in a run- and GOMAXPROCS-dependent
 	// order, fragmenting them differently on every round and forcing slab
-	// churn (the bytes/op regression BENCH_parallel.json showed at -cpu
+	// churn (a bytes/op regression in the FL round benchmarks at -cpu
 	// 2/4). Instead, replay the serial scan's allocation decisions here, on
 	// the owner goroutine, before any wave runs: walking the tape in
 	// descending order, a node will execute iff it is scheduled and either

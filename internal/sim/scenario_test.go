@@ -201,7 +201,7 @@ func TestScale200Smoke(t *testing.T) {
 }
 
 // BenchmarkScale200 measures simulator throughput on the acceptance
-// scenario (rounds simulated per second of real time go in BENCH notes).
+// scenario, reported as rounds simulated per second of real time.
 func BenchmarkScale200(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := ScaleScenario(7).Run()
