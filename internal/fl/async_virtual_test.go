@@ -23,25 +23,27 @@ import (
 	"clinfl/internal/tensor"
 )
 
-// vexec is the canned virtual-delay executor.
+// vexec is the canned virtual-delay executor: a Planner whose round lands
+// delay after dispatch.
 type vexec struct {
 	name    string
 	samples int
 	value   float64
 	delay   time.Duration
 	fail    bool
-	clock   fl.Clock
 }
 
 func (e *vexec) Name() string    { return e.name }
 func (e *vexec) NumSamples() int { return e.samples }
 
 func (e *vexec) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
-	if e.delay > 0 {
-		e.clock.Sleep(e.delay)
-	}
+	_, u, err := e.PlanRound(round, global)
+	return u, err
+}
+
+func (e *vexec) PlanRound(round int, global map[string]*tensor.Matrix) (time.Duration, *fl.ClientUpdate, error) {
 	if e.fail {
-		return nil, errors.New("injected failure")
+		return e.delay, nil, errors.New("injected failure")
 	}
 	weights := make(map[string]*tensor.Matrix, len(global))
 	for name, m := range global {
@@ -49,7 +51,7 @@ func (e *vexec) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.C
 		w.Fill(e.value)
 		weights[name] = w
 	}
-	return &fl.ClientUpdate{
+	return e.delay, &fl.ClientUpdate{
 		ClientName: e.name, Round: round, Weights: weights,
 		NumSamples: e.samples, TrainLoss: 1,
 	}, nil
@@ -62,24 +64,20 @@ func vinitial() map[string]*tensor.Matrix {
 	}
 }
 
-// runVirtual builds a controller over the executors (wiring the clock into
-// each vexec), runs it, and drains straggler actors.
+// runVirtual builds a controller over the executors on a fresh virtual
+// clock and runs it.
 func runVirtual(t *testing.T, cfg fl.ControllerConfig, execs []*vexec) (*fl.Result, error) {
 	t.Helper()
-	clock := sim.NewVirtualClock()
-	cfg.Clock = clock
+	cfg.Clock = sim.NewVirtualClock()
 	els := make([]fl.Executor, len(execs))
 	for i, e := range execs {
-		e.clock = clock
 		els[i] = e
 	}
 	ctrl, err := fl.NewController(cfg, els)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctrl.Run(context.Background(), vinitial())
-	clock.Drain()
-	return res, err
+	return ctrl.Run(context.Background(), vinitial())
 }
 
 // vfour is the canonical roster: 3 fast clients plus one straggler.
@@ -308,30 +306,20 @@ func TestVirtualStragglerLegacyTimeout(t *testing.T) {
 	}
 }
 
-// TestVirtualFaultyExecutorUsesInjectedClock: WrapFaulty's injected delays
-// consume virtual time when the scenario's clock is wired in.
-func TestVirtualFaultyExecutorUsesInjectedClock(t *testing.T) {
-	clock := sim.NewVirtualClock()
-	inner := &vexec{name: "x", samples: 5, value: 2, clock: clock}
-	faulty := fl.WrapFaulty(inner, fl.FaultConfig{
-		Delay:       10 * time.Minute, // virtual: free
-		DelayRounds: []int{0},
-		Clock:       clock,
-	})
-	ctrl, err := fl.NewController(fl.ControllerConfig{Rounds: 1, Clock: clock}, []fl.Executor{faulty})
-	if err != nil {
-		t.Fatal(err)
+// TestVirtualClockRejectsNonPlanner: WrapFaulty's delays are real sleeps
+// the virtual clock cannot order, so NewController refuses the wrapped
+// executor on a virtual clock, naming it, while the bare Planner is
+// accepted.
+func TestVirtualClockRejectsNonPlanner(t *testing.T) {
+	inner := &vexec{name: "x", samples: 5, value: 2}
+	faulty := fl.WrapFaulty(inner, fl.FaultConfig{Delay: 10 * time.Minute})
+	cfg := fl.ControllerConfig{Rounds: 1, Clock: sim.NewVirtualClock()}
+	_, err := fl.NewController(cfg, []fl.Executor{faulty})
+	if err == nil || !strings.Contains(err.Error(), `"x"`) || !strings.Contains(err.Error(), "Planner") {
+		t.Fatalf("NewController(virtual clock, WrapFaulty executor) = %v, want a rejection naming \"x\"", err)
 	}
-	start := time.Now()
-	res, err := ctrl.Run(context.Background(), vinitial())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if real := time.Since(start); real > 2*time.Second {
-		t.Fatalf("10 virtual minutes cost %v real time", real)
-	}
-	if got := res.History.Rounds[0].Duration; got != 10*time.Minute {
-		t.Fatalf("round duration %v, want exactly the injected 10m", got)
+	if _, err := fl.NewController(cfg, []fl.Executor{inner}); err != nil {
+		t.Fatalf("Planner rejected on a virtual clock: %v", err)
 	}
 }
 

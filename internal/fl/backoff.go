@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"clinfl/internal/tensor"
@@ -28,8 +27,6 @@ type Backoff struct {
 	Jitter float64
 	// Seed drives the jitter stream.
 	Seed int64
-	// Clock supplies the sleeps (default: real wall clock).
-	Clock Clock
 }
 
 // withDefaults fills zero fields.
@@ -42,9 +39,6 @@ func (b Backoff) withDefaults() Backoff {
 	}
 	if b.Factor < 1 {
 		b.Factor = 2
-	}
-	if b.Clock == nil {
-		b.Clock = RealClock()
 	}
 	return b
 }
@@ -71,11 +65,9 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// Retrier wraps a Backoff with observable state: how many attempts have
-// failed and what the next delay will be, so operators can see a
-// client's reconnect storm in /metrics instead of guessing from log
-// lines. The counters are atomic — a metrics scrape may read them while
-// the owning goroutine sleeps between attempts.
+// Retrier is the retry loop over a Backoff schedule, with a hook that
+// observes each delay, so operators can see a client's reconnect storm in
+// /metrics instead of guessing from log lines.
 type Retrier struct {
 	// Backoff supplies the delay schedule.
 	Backoff Backoff
@@ -83,26 +75,12 @@ type Retrier struct {
 	// the sleep (attempt is 0-based) — the hook the client uses to feed
 	// fl_reconnect_backoff_seconds.
 	OnDelay func(attempt int, d time.Duration)
-
-	attempt atomic.Int64
 }
 
-// Attempt returns how many consecutive failures the current retry cycle
-// has seen (0 after a success or Reset).
-func (r *Retrier) Attempt() int { return int(r.attempt.Load()) }
-
-// NextDelay returns the delay the next failure would sleep.
-func (r *Retrier) NextDelay() time.Duration {
-	return r.Backoff.Delay(int(r.attempt.Load()))
-}
-
-// Reset clears the failure streak (a success outside Retry, e.g. a
-// server-initiated resume, starts the schedule over).
-func (r *Retrier) Reset() { r.attempt.Store(0) }
-
-// Retry runs fn up to attempts times like Backoff.Retry, but the attempt
-// counter and per-attempt delays are visible through the Retrier while
-// it runs. A success resets the streak.
+// Retry runs fn up to attempts times, sleeping Backoff.Delay(i) of wall
+// time between failures and aborting early when ctx is cancelled. It
+// returns nil on the first success, ctx's error on cancellation, and
+// otherwise the last failure.
 func (r *Retrier) Retry(ctx context.Context, attempts int, fn func() error) error {
 	b := r.Backoff.withDefaults()
 	if attempts < 1 {
@@ -111,10 +89,8 @@ func (r *Retrier) Retry(ctx context.Context, attempts int, fn func() error) erro
 	var err error
 	for i := 0; i < attempts; i++ {
 		if err = fn(); err == nil {
-			r.attempt.Store(0)
 			return nil
 		}
-		r.attempt.Add(1)
 		if i == attempts-1 {
 			break
 		}
@@ -123,32 +99,7 @@ func (r *Retrier) Retry(ctx context.Context, attempts int, fn func() error) erro
 			r.OnDelay(i, d)
 		}
 		select {
-		case <-b.Clock.After(d):
-		case <-ctx.Done():
-			return fmt.Errorf("fl: retry cancelled after attempt %d: %w (last error: %v)", i+1, ctx.Err(), err)
-		}
-	}
-	return err
-}
-
-// Retry runs fn up to attempts times, sleeping Delay(i) between failures
-// and aborting early when ctx is cancelled. It returns nil on the first
-// success, ctx's error on cancellation, and otherwise the last failure.
-func (b Backoff) Retry(ctx context.Context, attempts int, fn func() error) error {
-	b = b.withDefaults()
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		if i == attempts-1 {
-			break
-		}
-		select {
-		case <-b.Clock.After(b.Delay(i)):
+		case <-time.After(d):
 		case <-ctx.Done():
 			return fmt.Errorf("fl: retry cancelled after attempt %d: %w (last error: %v)", i+1, ctx.Err(), err)
 		}

@@ -7,20 +7,6 @@ import (
 	"time"
 )
 
-// recordingClock is a Clock whose After fires immediately and records the
-// requested durations, so retry pacing is asserted without real sleeps.
-type recordingClock struct {
-	realClock
-	waits []time.Duration
-}
-
-func (c *recordingClock) After(d time.Duration) <-chan time.Time {
-	c.waits = append(c.waits, d)
-	ch := make(chan time.Time, 1)
-	ch <- time.Now()
-	return ch
-}
-
 func TestBackoffDelayDefaults(t *testing.T) {
 	var b Backoff // zero value: 100ms base, 30s cap, doubling, no jitter
 	for i, want := range []time.Duration{
@@ -60,11 +46,17 @@ func TestBackoffDelayJitterEnvelope(t *testing.T) {
 	}
 }
 
+// recordingRetrier returns a Retrier over b that appends every delay it
+// sleeps to *waits.
+func recordingRetrier(b Backoff, waits *[]time.Duration) *Retrier {
+	return &Retrier{Backoff: b, OnDelay: func(_ int, d time.Duration) { *waits = append(*waits, d) }}
+}
+
 func TestBackoffRetrySucceedsAfterFailures(t *testing.T) {
-	clock := &recordingClock{}
-	b := Backoff{Base: 10 * time.Millisecond, Factor: 2, Clock: clock}
+	var waits []time.Duration
+	r := recordingRetrier(Backoff{Base: time.Millisecond, Factor: 2}, &waits)
 	calls := 0
-	err := b.Retry(context.Background(), 5, func() error {
+	err := r.Retry(context.Background(), 5, func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")
@@ -77,23 +69,23 @@ func TestBackoffRetrySucceedsAfterFailures(t *testing.T) {
 	if calls != 3 {
 		t.Errorf("fn called %d times, want 3", calls)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(clock.waits) != len(want) {
-		t.Fatalf("slept %d times (%v), want %d", len(clock.waits), clock.waits, len(want))
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
+	if len(waits) != len(want) {
+		t.Fatalf("slept %d times (%v), want %d", len(waits), waits, len(want))
 	}
 	for i, w := range want {
-		if clock.waits[i] != w {
-			t.Errorf("sleep %d = %v, want %v", i, clock.waits[i], w)
+		if waits[i] != w {
+			t.Errorf("sleep %d = %v, want %v", i, waits[i], w)
 		}
 	}
 }
 
 func TestBackoffRetryExhaustsAttempts(t *testing.T) {
-	clock := &recordingClock{}
-	b := Backoff{Base: time.Millisecond, Clock: clock}
+	var waits []time.Duration
+	r := recordingRetrier(Backoff{Base: time.Millisecond}, &waits)
 	calls := 0
 	last := errors.New("still down")
-	err := b.Retry(context.Background(), 3, func() error {
+	err := r.Retry(context.Background(), 3, func() error {
 		calls++
 		return last
 	})
@@ -104,8 +96,8 @@ func TestBackoffRetryExhaustsAttempts(t *testing.T) {
 		t.Errorf("fn called %d times, want 3", calls)
 	}
 	// No sleep after the final attempt.
-	if len(clock.waits) != 2 {
-		t.Errorf("slept %d times, want 2", len(clock.waits))
+	if len(waits) != 2 {
+		t.Errorf("slept %d times, want 2", len(waits))
 	}
 }
 
@@ -113,9 +105,9 @@ func TestBackoffRetryHonorsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// A huge base delay: if cancellation were ignored the test would hang.
-	b := Backoff{Base: time.Hour}
+	r := &Retrier{Backoff: Backoff{Base: time.Hour}}
 	calls := 0
-	err := b.Retry(ctx, 5, func() error {
+	err := r.Retry(ctx, 5, func() error {
 		calls++
 		return errors.New("down")
 	})

@@ -22,7 +22,7 @@ type ClientConfig struct {
 	// the registration ack (default 10s).
 	DialTimeout time.Duration
 	// Codec names the uplink weight codec this client requests at
-	// registration ("raw", "f32", "topk[:fraction]"); default raw. The
+	// registration ("raw", "f32", "int8", "topk[:fraction]"); default raw. The
 	// server may fall back to raw, echoed in the registration ack.
 	Codec string
 	// Logf receives progress lines (default log.Printf).
@@ -68,8 +68,8 @@ type Client struct {
 	// session is the server-issued session token, presented on
 	// re-registration to resume.
 	session string
-	// retrier paces reconnects; its attempt counter and delay schedule
-	// are observable through cfg.Metrics.
+	// retrier paces reconnects; the delays it sleeps are observable
+	// through cfg.Metrics.
 	retrier *Retrier
 }
 

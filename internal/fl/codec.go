@@ -333,7 +333,7 @@ func topKIndices(d []float64, k int) []int {
 }
 
 // CodecByName resolves a codec from its negotiation/flag name: "raw",
-// "f32", or "topk:<fraction>" ("topk" alone keeps 10%).
+// "f32", "int8", or "topk:<fraction>" ("topk" alone keeps 10%).
 func CodecByName(name string) (WeightCodec, error) {
 	switch {
 	case name == "" || name == "raw":

@@ -53,12 +53,13 @@ type ControllerConfig struct {
 	// Patience, when > 0 and Validate is set, stops the run early after
 	// this many consecutive rounds without a new best validation score.
 	Patience int
-	// Clock supplies round timestamps, gather deadlines, and the delivery
-	// of client work (AfterFunc for a Planner, Go for any other executor).
-	// Nil means the real wall clock;
-	// internal/sim injects a deterministic virtual clock here so scenarios
-	// with hours of simulated straggling replay identically in
-	// milliseconds of real time.
+	// Clock supplies round timestamps, gather deadlines, and the arrival of
+	// planned work (a Planner's round, a Prober's answer) through
+	// AfterFunc. Nil means the real wall clock, under which any other
+	// executor runs on a plain goroutine. internal/sim injects a
+	// deterministic virtual clock here so scenarios with hours of
+	// simulated straggling replay identically in milliseconds of real
+	// time; on such a Waiter clock every executor must be a Planner.
 	Clock Clock
 	// WAL, when non-nil, makes the run durable: every round lifecycle
 	// event (round open, task assignment, update receipt, model commit)
@@ -216,8 +217,9 @@ type execOutcome struct {
 // (NVFlare simulator mode: every client is a goroutine or a planned clock
 // event rather than a remote site). The round lifecycle is the shared
 // engine in round.go; the Controller is its in-process backend, turning
-// task and probe requests into executor goroutines (or, for a Planner, one
-// AfterFunc event) and their outcomes into events.
+// task requests into one AfterFunc event for a Planner (an executor
+// goroutine otherwise), probe requests into one AfterFunc event each, and
+// their outcomes into events.
 type Controller struct {
 	cfg       ControllerConfig
 	executors []Executor
@@ -245,10 +247,16 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
+	_, virtual := cfg.Clock.(Waiter)
 	byName := make(map[string]Executor, len(executors))
 	for _, e := range executors {
 		if _, dup := byName[e.Name()]; dup {
 			return nil, fmt.Errorf("fl: duplicate executor name %q", e.Name())
+		}
+		if _, ok := e.(Planner); virtual && !ok {
+			// Its round would block a goroutine the virtual clock cannot
+			// see, so no deterministic order could include it.
+			return nil, fmt.Errorf("fl: executor %q (%T) is not a Planner and cannot run on a virtual clock", e.Name(), e)
 		}
 		byName[e.Name()] = e
 	}
@@ -322,9 +330,9 @@ func (c *Controller) idle() ([]string, int) {
 
 // task implements backend: one executor starts on the round's task — a
 // Planner's outcome is computed now and posted for its arrival instant, any
-// other executor runs on a clock goroutine. An in-process dispatch cannot
-// fail and costs no wire bytes (executors that model their transfers stamp
-// ClientUpdate.DownBytes instead).
+// other executor (real clock only) runs on a goroutine. An in-process
+// dispatch cannot fail and costs no wire bytes (executors that model their
+// transfers stamp ClientUpdate.DownBytes instead).
 func (c *Controller) task(name string) (int, error) {
 	ex, round, global := c.byName[name], c.round, c.global
 	c.inFlight[name] = true
@@ -335,23 +343,24 @@ func (c *Controller) task(name string) (int, error) {
 		})
 		return 0, nil
 	}
-	c.cfg.Clock.Go(func() {
+	go func() {
 		u, err := ex.ExecuteRound(round, global)
 		c.results <- execOutcome{update: u, err: err, name: name, round: round}
-	})
+	}()
 	return 0, nil
 }
 
-// probe implements backend. Executors implementing Prober are actually
-// probed; the rest trivially succeed — for an in-process executor there is
+// probe implements backend: the answer is computed now and posted for the
+// instant it lands. Executors implementing Prober are actually probed; the
+// rest trivially succeed at once — for an in-process executor there is
 // nothing to check beyond waiting out the probe backoff.
 func (c *Controller) probe(name string) error {
-	ex := c.byName[name]
-	c.cfg.Clock.Go(func() {
-		var err error
-		if p, ok := ex.(Prober); ok {
-			err = p.Probe()
-		}
+	var d time.Duration
+	var err error
+	if p, ok := c.byName[name].(Prober); ok {
+		d, err = p.Probe()
+	}
+	c.cfg.Clock.AfterFunc(d, func() {
 		c.results <- execOutcome{name: name, err: err, probe: true}
 	})
 	return nil

@@ -27,16 +27,14 @@ type FaultConfig struct {
 	DropProb float64
 	// Seed drives the jitter/drop streams.
 	Seed int64
-	// Clock injects the delays (default: real wall clock). A scenario
-	// running under sim's virtual clock passes it here so injected
-	// straggling consumes virtual, not real, time.
-	Clock Clock
 }
 
 // FaultyExecutor wraps an Executor with injected delays and dropouts —
 // the scenario harness for straggler/partial-participation experiments
-// and tests. It is safe for the concurrent use the controller makes of
-// executors (one in-flight round at a time).
+// and tests. Its delays are real sleeps, so it runs on the real clock
+// only; simulated straggling belongs to sim's planned clients. It is safe
+// for the concurrent use the controller makes of executors (one in-flight
+// round at a time).
 type FaultyExecutor struct {
 	inner Executor
 	cfg   FaultConfig
@@ -49,9 +47,6 @@ var _ Executor = (*FaultyExecutor)(nil)
 
 // WrapFaulty decorates an executor with fault injection.
 func WrapFaulty(inner Executor, cfg FaultConfig) *FaultyExecutor {
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock()
-	}
 	return &FaultyExecutor{inner: inner, cfg: cfg, rng: tensor.NewRNG(cfg.Seed + 5381)}
 }
 
@@ -74,7 +69,7 @@ func (f *FaultyExecutor) Validate(global map[string]*tensor.Matrix) (float64, er
 // round.
 func (f *FaultyExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	if d := f.delayFor(round); d > 0 {
-		f.cfg.Clock.Sleep(d)
+		time.Sleep(d)
 	}
 	if f.dropsRound(round) {
 		return nil, fmt.Errorf("fl: %s injected dropout on round %d", f.Name(), round)

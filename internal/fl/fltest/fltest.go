@@ -129,22 +129,27 @@ func ExpectedFedAvg(clients []ClientSpec) float64 {
 	return num / den
 }
 
-// cannedExecutor is the canned-value client: sleep, maybe fail, return a
-// model filled with Value, optionally round-tripped through its codec.
+// cannedExecutor is the canned-value client: an fl.Planner whose round
+// maybe fails, else returns a model filled with Value, optionally
+// round-tripped through its codec, arriving Delay after dispatch.
 type cannedExecutor struct {
 	spec  ClientSpec
-	clock fl.Clock
 	codec fl.WeightCodec
 	shard *sim.LinearShard // non-nil for linear-task runs
 
-	// attempts counts ExecuteRound calls per round, so FlakyRounds can
-	// fail only the first one. Guarded for the server harness, where the
+	// attempts counts planned rounds per round, so FlakyRounds can fail
+	// only the first one. Guarded for the server harness, where the
 	// executor runs on a client goroutine while the spec may be inspected.
 	mu       sync.Mutex
 	attempts map[int]int
 }
 
-func newExecutor(spec ClientSpec, clock fl.Clock, shard *sim.LinearShard) (*cannedExecutor, error) {
+var (
+	_ fl.Planner = (*cannedExecutor)(nil)
+	_ fl.Prober  = (*cannedExecutor)(nil)
+)
+
+func newExecutor(spec ClientSpec, shard *sim.LinearShard) (*cannedExecutor, error) {
 	codec, err := fl.CodecByName(spec.Codec)
 	if err != nil {
 		return nil, err
@@ -152,12 +157,12 @@ func newExecutor(spec ClientSpec, clock fl.Clock, shard *sim.LinearShard) (*cann
 	if spec.Codec == "" {
 		codec = nil
 	}
-	return &cannedExecutor{spec: spec, clock: clock, codec: codec, shard: shard, attempts: make(map[int]int)}, nil
+	return &cannedExecutor{spec: spec, codec: codec, shard: shard, attempts: make(map[int]int)}, nil
 }
 
 // Probe implements fl.Prober: the canned client is always reachable, so
-// recovery probes succeed once the probe backoff admits them.
-func (e *cannedExecutor) Probe() error { return nil }
+// recovery probes succeed at once when the probe backoff admits them.
+func (e *cannedExecutor) Probe() (time.Duration, error) { return 0, nil }
 
 // Name implements fl.Executor.
 func (e *cannedExecutor) Name() string { return e.spec.Name }
@@ -170,11 +175,23 @@ func (e *cannedExecutor) NumSamples() int {
 	return e.spec.Samples
 }
 
-// ExecuteRound implements fl.Executor.
+// ExecuteRound implements fl.Executor for the real-time paths: the planned
+// round, its Delay slept in wall time.
 func (e *cannedExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
-	if e.spec.Delay > 0 {
-		e.clock.Sleep(e.spec.Delay)
-	}
+	d, u, err := e.PlanRound(round, global)
+	time.Sleep(d)
+	return u, err
+}
+
+// PlanRound implements fl.Planner: the round's outcome, landing Delay after
+// dispatch.
+func (e *cannedExecutor) PlanRound(round int, global map[string]*tensor.Matrix) (time.Duration, *fl.ClientUpdate, error) {
+	u, err := e.round(round, global)
+	return e.spec.Delay, u, err
+}
+
+// round computes one round's outcome.
+func (e *cannedExecutor) round(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
 	for _, r := range e.spec.FailRounds {
 		if r == round {
 			return nil, fmt.Errorf("fltest: %s scripted failure on round %d", e.spec.Name, round)
@@ -246,10 +263,19 @@ func initialFor(spec RunSpec) (map[string]*tensor.Matrix, []*sim.LinearShard) {
 }
 
 // ControllerHarness runs specs on the in-process fl.Controller, under the
-// simulator's virtual clock when Virtual is set (deterministic, instant)
-// or the real wall clock otherwise.
+// simulator's virtual clock when Virtual is set (deterministic, instant:
+// every client round is a planned clock event) or the real wall clock
+// otherwise. The real-clock harness hides the executors' Planner form, so
+// the Controller runs each round on a goroutine the way it runs real
+// training.
 type ControllerHarness struct {
 	Virtual bool
+}
+
+// blocking is a canned executor with its Planner form hidden.
+type blocking struct {
+	fl.Executor
+	fl.Prober
 }
 
 // Name implements Harness.
@@ -266,10 +292,8 @@ func (h ControllerHarness) Deterministic() bool { return h.Virtual }
 // Run implements Harness.
 func (h ControllerHarness) Run(spec RunSpec) (*fl.Result, error) {
 	var clock fl.Clock = fl.RealClock()
-	var vc *sim.VirtualClock
 	if h.Virtual {
-		vc = sim.NewVirtualClock()
-		clock = vc
+		clock = sim.NewVirtualClock()
 	}
 	initial, shards := initialFor(spec)
 	execs := make([]fl.Executor, len(spec.Clients))
@@ -278,11 +302,14 @@ func (h ControllerHarness) Run(spec RunSpec) (*fl.Result, error) {
 		if shards != nil {
 			shard = shards[i]
 		}
-		e, err := newExecutor(cs, clock, shard)
+		e, err := newExecutor(cs, shard)
 		if err != nil {
 			return nil, err
 		}
 		execs[i] = e
+		if !h.Virtual {
+			execs[i] = blocking{e, e}
+		}
 	}
 	cfg := fl.ControllerConfig{
 		Rounds:         spec.Rounds,
@@ -304,11 +331,7 @@ func (h ControllerHarness) Run(spec RunSpec) (*fl.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := ctrl.Run(context.Background(), initial)
-	if vc != nil {
-		vc.Drain() // finish straggler actors in virtual time
-	}
-	return res, err
+	return ctrl.Run(context.Background(), initial)
 }
 
 // ServerHarness runs specs on the networked fl.Server: every client is a
@@ -365,7 +388,7 @@ func (h ServerHarness) Run(spec RunSpec) (*fl.Result, error) {
 		if shards != nil {
 			shard = shards[i]
 		}
-		exec, err := newExecutor(cs, fl.RealClock(), shard)
+		exec, err := newExecutor(cs, shard)
 		if err != nil {
 			return nil, err
 		}
@@ -483,7 +506,7 @@ func (ServerHarness) runTier(spec RunSpec) (*fl.Result, error) {
 			if shards != nil {
 				lshard = shards[idx]
 			}
-			exec, err := newExecutor(cs, fl.RealClock(), lshard)
+			exec, err := newExecutor(cs, lshard)
 			if err != nil {
 				return nil, err
 			}

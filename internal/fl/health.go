@@ -63,12 +63,15 @@ func (p ReconcilePolicy) monitor() *reconcile.Monitor {
 
 // Prober is the optional probe capability of an Executor: a cheap
 // liveness check of a demoted client, distinct from running a round.
-// Executors that do not implement it are assumed recoverable once the
-// probe backoff has elapsed (the probe trivially succeeds) — for
-// in-process executors there is nothing to check. The networked server
-// probes real clients with a MsgPing/MsgPong round-trip instead.
+// Like a Planner's round, a probe is planned: Probe returns at once with
+// the answer and the offset from now at which it lands, and the Controller
+// posts it as one Clock.AfterFunc event. Executors that do not implement
+// it are assumed recoverable once the probe backoff has elapsed (the probe
+// trivially succeeds at once) — for in-process executors there is nothing
+// to check. The networked server probes real clients with a
+// MsgPing/MsgPong round-trip instead.
 type Prober interface {
-	Probe() error
+	Probe() (time.Duration, error)
 }
 
 // healthTransition records a state-machine edge in the metrics registry

@@ -28,7 +28,8 @@ import (
 //
 // Two seams keep it free of transport and aggregation detail. A backend
 // delivers normalized events and carries out task / probe requests (the
-// Controller over executor goroutines, the Server over wire connections);
+// Controller over planned clock events or executor goroutines, the Server
+// over wire connections);
 // a sink takes each accepted update (flatSink buffers for finalizeRound,
 // tierSink folds or merges into O(model) partials). An Edge is the same
 // engine one level down: the Server backend over its shard, a tierSink
@@ -152,7 +153,7 @@ func (s *source[T]) next(done <-chan struct{}, wake time.Time) (event, waitStatu
 	if _, virtual := s.clk.(Waiter); !virtual && !wake.Equal(s.timerAt) {
 		s.timerAt, s.timer = wake, nil
 		if !wake.IsZero() {
-			s.timer = s.clk.After(wake.Sub(s.clk.Now()))
+			s.timer = time.After(wake.Sub(s.clk.Now()))
 		}
 	}
 	v, status := waitRecv(s.clk, s.ch, done, wake, s.timer)

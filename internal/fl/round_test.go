@@ -19,12 +19,9 @@ import (
 // scriptClock is a manual clock; only the scripted backend moves it.
 type scriptClock struct{ now time.Time }
 
-func (c *scriptClock) Now() time.Time                       { return c.now }
-func (c *scriptClock) Since(t time.Time) time.Duration      { return c.now.Sub(t) }
-func (c *scriptClock) Sleep(time.Duration)                  { panic("scriptClock: nothing sleeps") }
-func (c *scriptClock) After(time.Duration) <-chan time.Time { panic("scriptClock: no timers") }
-func (c *scriptClock) AfterFunc(time.Duration, func())      { panic("scriptClock: no timers") }
-func (c *scriptClock) Go(func())                            { panic("scriptClock: no goroutines") }
+func (c *scriptClock) Now() time.Time                  { return c.now }
+func (c *scriptClock) Since(t time.Time) time.Duration { return c.now.Sub(t) }
+func (c *scriptClock) AfterFunc(time.Duration, func()) { panic("scriptClock: no timers") }
 
 // outcome is what a scripted client does with one task: after the delay
 // it answers with an update (optionally a malformed one) or fails. A

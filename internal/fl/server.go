@@ -53,7 +53,7 @@ type ServerConfig struct {
 	// Seed drives the client-sampling stream.
 	Seed int64
 	// Codec names the downlink weight codec for task/finish payloads
-	// ("raw", "f32", "topk[:fraction]"); default raw. Each client's
+	// ("raw", "f32", "int8", "topk[:fraction]"); default raw. Each client's
 	// uplink codec is its own choice, negotiated at registration.
 	Codec string
 	// AllowTopKUplink permits clients to negotiate the top-k sparsifying

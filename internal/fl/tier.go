@@ -11,10 +11,10 @@ import (
 	"clinfl/internal/tensor"
 )
 
-// TierConfig enables hierarchical streaming aggregation (ROADMAP item 1):
-// client updates fold into O(model) partial aggregates at tier nodes as
-// they arrive, and only merged partials flow upward, so the root never
-// buffers per-client weight maps. Aggregation stays exact — hier.Partial
+// TierConfig enables hierarchical streaming aggregation: client updates
+// fold into O(model) partial aggregates at tier nodes as they arrive, and
+// only merged partials flow upward, so the root never buffers per-client
+// weight maps. Aggregation stays exact — hier.Partial
 // accumulates in floating-point expansions and rounds once at finalize —
 // so any tier shape produces bit-identical global weights (pinned in
 // fltest). Nil TierConfig keeps the legacy flat path bit-for-bit
@@ -58,7 +58,7 @@ func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
 	case len(filters) > 0:
 		return errors.New("fl: tier aggregation is incompatible with Filters (per-client filters need raw updates at the root)")
 	case wal != nil:
-		return errors.New("fl: tier aggregation is incompatible with WAL durability (update records log raw weights)")
+		return errors.New("fl: tier aggregation is incompatible with WAL durability (resume has no path to reseed a round from partial-aggregate payloads)")
 	case rp != nil:
 		return errors.New("fl: tier aggregation is incompatible with Reconcile (per-client requeue needs root-visible clients)")
 	}

@@ -7,70 +7,40 @@ import (
 	"time"
 )
 
-// collectOrder runs n actors with the given virtual sleeps and returns the
-// order their completions were observed by a driver Wait loop.
-func collectOrder(t *testing.T, sleeps map[string]time.Duration) []string {
-	t.Helper()
+// collectOrder schedules one callback per named delay, in name order, and
+// returns the order they fired in.
+func collectOrder(delays map[string]time.Duration) []string {
 	vc := NewVirtualClock()
-	done := make(chan string, len(sleeps))
-	// Spawn in deterministic name order.
-	names := []string{"a", "b", "c", "d"}
-	for _, name := range names {
-		d, ok := sleeps[name]
-		if !ok {
-			continue
-		}
-		name, d := name, d
-		vc.Go(func() {
-			vc.Sleep(d)
-			done <- name
-		})
-	}
 	var got []string
-	for len(got) < len(sleeps) {
-		var v string
-		if !vc.Wait(func() bool {
-			select {
-			case v = <-done:
-				return true
-			default:
-				return false
-			}
-		}, time.Time{}) {
-			t.Fatal("Wait returned deadline with zero deadline")
+	for _, name := range []string{"a", "b", "c", "d"} {
+		if d, ok := delays[name]; ok {
+			vc.AfterFunc(d, func() { got = append(got, name) })
 		}
-		got = append(got, v)
 	}
+	vc.Drain()
 	return got
 }
 
 func TestVirtualClockFiresInTimeOrder(t *testing.T) {
-	got := collectOrder(t, map[string]time.Duration{
+	got := collectOrder(map[string]time.Duration{
 		"a": 300 * time.Millisecond,
 		"b": 100 * time.Millisecond,
 		"c": 200 * time.Millisecond,
 	})
-	want := []string{"b", "c", "a"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("completion order %v, want %v", got, want)
-		}
+	if fmt.Sprint(got) != "[b c a]" {
+		t.Fatalf("firing order %v, want [b c a]", got)
 	}
 }
 
 func TestVirtualClockTiesFireInScheduleOrder(t *testing.T) {
-	for run := 0; run < 20; run++ {
-		got := collectOrder(t, map[string]time.Duration{
-			"a": 50 * time.Millisecond,
-			"b": 50 * time.Millisecond,
-			"c": 50 * time.Millisecond,
-			"d": 50 * time.Millisecond,
-		})
-		for i, want := range []string{"a", "b", "c", "d"} {
-			if got[i] != want {
-				t.Fatalf("run %d: tie order %v, want spawn order abcd", run, got)
-			}
-		}
+	got := collectOrder(map[string]time.Duration{
+		"a": 50 * time.Millisecond,
+		"b": 50 * time.Millisecond,
+		"c": 50 * time.Millisecond,
+		"d": 50 * time.Millisecond,
+	})
+	if fmt.Sprint(got) != "[a b c d]" {
+		t.Fatalf("tie order %v, want schedule order [a b c d]", got)
 	}
 }
 
@@ -78,14 +48,11 @@ func TestVirtualClockAdvancesNoRealTime(t *testing.T) {
 	vc := NewVirtualClock()
 	start := vc.Now()
 	realStart := time.Now()
-	finished := false
-	vc.Go(func() {
-		vc.Sleep(24 * time.Hour)
-		finished = true
-	})
+	fired := false
+	vc.AfterFunc(24*time.Hour, func() { fired = true })
 	vc.Drain()
-	if !finished {
-		t.Fatal("actor did not finish")
+	if !fired {
+		t.Fatal("callback did not fire")
 	}
 	if got := vc.Since(start); got != 24*time.Hour {
 		t.Fatalf("virtual elapsed %v, want 24h", got)
@@ -95,95 +62,61 @@ func TestVirtualClockAdvancesNoRealTime(t *testing.T) {
 	}
 }
 
+// TestVirtualClockDeadlineWinsTies: a callback scheduled mid-Wait, from an
+// earlier callback, to land exactly on the Wait deadline fires after it.
 func TestVirtualClockDeadlineWinsTies(t *testing.T) {
 	vc := NewVirtualClock()
 	deadline := vc.Now().Add(100 * time.Millisecond)
-	done := make(chan struct{}, 1)
-	vc.Go(func() {
-		vc.Sleep(100 * time.Millisecond) // lands exactly on the deadline
-		done <- struct{}{}
+	fired := false
+	vc.AfterFunc(40*time.Millisecond, func() {
+		vc.AfterFunc(60*time.Millisecond, func() { fired = true })
 	})
-	ok := vc.Wait(func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}, deadline)
-	if ok {
+	if vc.Wait(func() bool { return fired }, deadline) {
 		t.Fatal("event at the deadline should lose the tie to the deadline")
 	}
 	if got := vc.Now(); !got.Equal(deadline) {
 		t.Fatalf("clock at %v, want the deadline %v", got, deadline)
 	}
-	vc.Drain() // let the actor finish
 }
 
+// TestVirtualClockAfter: a callback due before the Wait deadline fires,
+// Wait returns true, and the clock stands at the callback's instant.
 func TestVirtualClockAfter(t *testing.T) {
 	vc := NewVirtualClock()
-	ch := vc.After(time.Second)
 	fired := false
-	vc.Wait(func() bool {
-		select {
-		case <-ch:
-			fired = true
-			return true
-		default:
-			return false
-		}
-	}, vc.Now().Add(2*time.Second))
-	if !fired {
-		t.Fatal("After timer did not fire before the 2s deadline")
+	vc.AfterFunc(time.Second, func() { fired = true })
+	if !vc.Wait(func() bool { return fired }, vc.Now().Add(2*time.Second)) {
+		t.Fatal("callback did not fire before the 2s deadline")
 	}
 	if got := vc.Since(epoch); got != time.Second {
-		t.Fatalf("After fired at +%v, want +1s", got)
+		t.Fatalf("callback fired at +%v, want +1s", got)
 	}
 }
 
-// TestVirtualClockMixedKindsTieInScheduleOrder: actor wake-ups, After
-// timers and AfterFunc callbacks due at one instant fire in the order they
-// were scheduled, whatever their kind.
-func TestVirtualClockMixedKindsTieInScheduleOrder(t *testing.T) {
+// TestVirtualClockNestedTiesInScheduleOrder: callbacks due at one instant
+// fire in the order they were scheduled, whether scheduled up front or
+// from inside an earlier callback.
+func TestVirtualClockNestedTiesInScheduleOrder(t *testing.T) {
 	const at = 100 * time.Millisecond
 	vc := NewVirtualClock()
 	var order []string
-	n1 := vc.After(at)
 	vc.AfterFunc(at, func() { order = append(order, "f1") })
-	vc.Go(func() {
-		// Runs at t=0, before the AfterFunc below: its wake-up is
-		// scheduled third.
-		vc.Sleep(at)
-		order = append(order, "actor")
-	})
-	var n2 <-chan time.Time
 	vc.AfterFunc(0, func() {
-		vc.AfterFunc(at, func() { order = append(order, "f2") })
-		n2 = vc.After(at)
+		// Runs at t=0, after f2 was scheduled: f3 is scheduled third.
+		vc.AfterFunc(at, func() { order = append(order, "f3") })
 	})
-	want := "[n1 f1 actor f2 n2]"
-	vc.Wait(func() bool {
-		// Wait polls after every event, so a timer's delivery is seen
-		// before the next event fires.
-		select {
-		case <-n1:
-			order = append(order, "n1")
-		case <-n2:
-			order = append(order, "n2")
-		default:
-		}
-		return len(order) == 5
-	}, time.Time{})
-	if got := fmt.Sprint(order); got != want {
-		t.Fatalf("firing order %s, want %s", got, want)
+	vc.AfterFunc(at, func() { order = append(order, "f2") })
+	vc.Drain()
+	if got := fmt.Sprint(order); got != "[f1 f2 f3]" {
+		t.Fatalf("firing order %s, want [f1 f2 f3]", got)
 	}
 	if got := vc.Since(epoch); got != at {
 		t.Fatalf("fired at +%v, want +%v", got, at)
 	}
 }
 
-// TestVirtualClockAfterFuncLosesDeadlineTie: like an actor's wake-up, an
-// AfterFunc due exactly at a Wait deadline fires after the deadline.
+// TestVirtualClockAfterFuncLosesDeadlineTie: an AfterFunc due exactly at a
+// Wait deadline fires after the deadline, and Drain still runs it.
 func TestVirtualClockAfterFuncLosesDeadlineTie(t *testing.T) {
 	vc := NewVirtualClock()
 	deadline := vc.Now().Add(100 * time.Millisecond)

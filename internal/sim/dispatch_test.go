@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"math"
 	"slices"
 	"testing"
@@ -10,14 +9,6 @@ import (
 	"clinfl/internal/fl"
 	"clinfl/internal/tensor"
 )
-
-// actorClient hides a scenario client's Planner form, so the Controller
-// runs its rounds the way it runs any blocking executor: ExecuteRound on a
-// Clock.Go actor. Probe stays visible — probes are actors on both paths.
-type actorClient struct {
-	fl.Executor
-	fl.Prober
-}
 
 // runScenario builds sc's roster, passes every executor through wrap, and
 // runs it exactly as Scenario.Run does.
@@ -37,41 +28,6 @@ func runScenario(t *testing.T, sc Scenario, wrap func(*simClient) fl.Executor) *
 		t.Fatal(err)
 	}
 	return res
-}
-
-// TestPlannedDispatchMatchesActorDispatch: a client round delivered as one
-// planned AfterFunc event and the same round run as a Go actor sleeping its
-// planned offset are the same federation — byte-identical History, byte
-// counters and final model — on a flat faulty scenario, the flap-and-probe
-// chaos soak and a surrogate-multiplexed tier.
-func TestPlannedDispatchMatchesActorDispatch(t *testing.T) {
-	for _, sc := range []Scenario{Golden16Scenario(), ChaosFlapScenario(11), TierScenario(1, 1000)} {
-		t.Run(sc.Name, func(t *testing.T) {
-			planned := runScenario(t, sc, func(c *simClient) fl.Executor { return c })
-			actors := runScenario(t, sc, func(c *simClient) fl.Executor { return actorClient{c, c} })
-			pj, err := planned.HistoryJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			aj, err := actors.HistoryJSON()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(pj, aj) {
-				t.Fatalf("History differs between dispatch paths:\nplanned: %s\nactors:  %s", pj, aj)
-			}
-			if planned.BytesUp != actors.BytesUp || planned.BytesDown != actors.BytesDown {
-				t.Errorf("bytes up/down: planned %d/%d, actors %d/%d",
-					planned.BytesUp, planned.BytesDown, actors.BytesUp, actors.BytesDown)
-			}
-			if math.Float64bits(planned.FinalMSE) != math.Float64bits(actors.FinalMSE) {
-				t.Errorf("final MSE: planned %v, actors %v", planned.FinalMSE, actors.FinalMSE)
-			}
-			if planned.VirtualElapsed != actors.VirtualElapsed {
-				t.Errorf("virtual elapsed: planned %v, actors %v", planned.VirtualElapsed, actors.VirtualElapsed)
-			}
-		})
-	}
 }
 
 // twinWatch is a scenario client that, right after each planned round,

@@ -288,15 +288,14 @@ func (c *simClient) down(now time.Time) bool {
 	return false
 }
 
-// Probe implements fl.Prober: a flapping client is unreachable while a
-// wave covers it and answers one link latency later once it has passed.
-func (c *simClient) Probe() error {
+// Probe implements fl.Prober, planned at dispatch: a flapping client is
+// unreachable while a wave covers it (the failure lands one link latency
+// later) and answers one round trip later once it has passed.
+func (c *simClient) Probe() (time.Duration, error) {
 	if c.down(c.clock.Now()) {
-		c.clock.Sleep(c.latency)
-		return fmt.Errorf("sim: %s unreachable (connectivity flap)", c.name)
+		return c.latency, fmt.Errorf("sim: %s unreachable (connectivity flap)", c.name)
 	}
-	c.clock.Sleep(2 * c.latency)
-	return nil
+	return 2 * c.latency, nil
 }
 
 // PlanRound implements fl.Planner and is the one definition of a client's
@@ -386,12 +385,11 @@ func (c *simClient) PlanRound(round int, global map[string]*tensor.Matrix) (time
 	}, nil
 }
 
-// ExecuteRound implements fl.Executor for callers that run the client as a
-// clock actor rather than through the Controller's planned dispatch: the
-// planned round, its offset slept on the clock.
+// ExecuteRound implements fl.Executor: the planned outcome without its
+// offset. The Controller always plans a simClient's round, so nothing
+// calls this on a virtual clock.
 func (c *simClient) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
-	d, u, err := c.PlanRound(round, global)
-	c.clock.Sleep(d)
+	_, u, err := c.PlanRound(round, global)
 	return u, err
 }
 
@@ -619,8 +617,8 @@ func (sc Scenario) run(clock *VirtualClock, set *scenarioSetup) (*RunResult, err
 	if err != nil {
 		return nil, fmt.Errorf("sim: scenario %s: %w", sc.Name, err)
 	}
-	// Let stragglers still in flight deliver in virtual time, so no actor
-	// is left blocked and VirtualElapsed spans the whole federation.
+	// Let stragglers still in flight deliver in virtual time, so no event
+	// is left pending and VirtualElapsed spans the whole federation.
 	clock.Drain()
 
 	res.Result = out

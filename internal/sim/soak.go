@@ -120,10 +120,6 @@ func (ss SoakScenario) Run(walPath string) (*SoakResult, error) {
 			return nil, err
 		}
 		out, runErr := ctrl.Run(ctx, set.initial)
-		// Let in-flight client work deliver (planned events fire, probe
-		// actors finish) so no goroutine is left blocked on the segment's
-		// clock when it is discarded.
-		clock.Drain()
 		_ = wal.Close()
 		cancel()
 		if runErr == nil {

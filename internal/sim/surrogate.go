@@ -81,7 +81,7 @@ func calibrateCosts(sc Scenario, pop *Population, downCodec fl.WeightCodec) (*Co
 
 // twinState is one real client's shared training result, multiplexed
 // across every surrogate bound to it. The first accessor of a round
-// (under the virtual clock, dispatches and actors run one at a time, so
+// (under the virtual clock, dispatches run one at a time on the driver, so
 // "first" is deterministic) trains the twin's shard from that round's
 // global weights; later accessors reuse the result. Training is a pure
 // function of (shard, global), so who computes it never matters.
