@@ -33,7 +33,8 @@ type EdgeConfig struct {
 	ExpectedClients int
 	// RegisterTimeout bounds the whole registration phase (0 = 30s).
 	RegisterTimeout time.Duration
-	// VerifyToken admits downstream clients.
+	// VerifyToken admits downstream clients. It is called concurrently, once
+	// per connecting peer on that peer's own goroutine.
 	VerifyToken func(name, token string) bool
 	// RoundDeadline cuts the downstream gather; stragglers stay tasked and
 	// their late replies are dropped when they surface (0 = wait for all).

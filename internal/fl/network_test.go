@@ -412,6 +412,8 @@ func TestNetworkedAsyncFederationCodecCutsBytes(t *testing.T) {
 	}
 }
 
+// TestServerRecordsFramedWireTotals: the Result's framed wire totals cover
+// every connection a client used, the ones a re-attach replaced included.
 func TestServerRecordsFramedWireTotals(t *testing.T) {
 	res := runAsyncFederation(t, "f32")
 	var payloadUp int64
@@ -427,6 +429,72 @@ func TestServerRecordsFramedWireTotals(t *testing.T) {
 	}
 	if res.History.WireBytesWritten <= 0 {
 		t.Fatal("framed wire bytes written unrecorded")
+	}
+
+	// Re-attach: flaky's round-0 task arrives corrupted, so it redials under
+	// its session and the server swaps its connection mid-run. The
+	// superseded connection's bytes must stay in the totals.
+	network := transport.NewMemNetwork()
+	defer network.Close()
+	srv, err := NewServer(ServerConfig{
+		ExpectedClients: 2, Rounds: 2, MinClients: 2, RegisterTimeout: 10 * time.Second,
+		VerifyToken: tokenFor, Logf: quietLogf, Listener: network,
+	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var mu sync.Mutex
+	var conns []transport.MessageConn // every client-side connection
+	dials := map[string]int{}
+	var wg sync.WaitGroup
+	for _, name := range []string{"flaky", "steady"} {
+		cl, err := NewClient(ClientConfig{
+			Logf: quietLogf, Reconnect: true, MaxReconnects: 10, Backoff: fastBackoff(),
+			Dialer: func() (transport.MessageConn, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				var down transport.LinkProfile
+				if name == "flaky" && dials[name] == 0 {
+					// Down message 0 is the register ack, 1 the round-0 task.
+					down.Faults = transport.FaultSchedule{CorruptMsgs: []int{1}}
+				}
+				dials[name]++
+				conn, err := network.Dial(name, transport.LinkProfile{}, down)
+				if err == nil {
+					conns = append(conns, conn)
+				}
+				return conn, err
+			},
+		}, &provision.StartupKit{Role: provision.RoleClient, Name: name, Token: "tok-" + name},
+			&fakeExecutor{name: name, samples: 10, value: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.Run(); err != nil {
+				t.Errorf("client %s: %v", name, err)
+			}
+		}()
+	}
+	res, err = srv.Run(initialWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if dials["flaky"] < 2 {
+		t.Fatalf("flaky dialled %d times, want a redial after the corrupt task", dials["flaky"])
+	}
+	var clientRead, clientWritten int64
+	for _, c := range conns {
+		clientRead += c.BytesRead()
+		clientWritten += c.BytesWritten()
+	}
+	if res.History.WireBytesRead < clientWritten || res.History.WireBytesWritten < clientRead {
+		t.Fatalf("server wire totals read %d / written %d, below the clients' written %d / read %d",
+			res.History.WireBytesRead, res.History.WireBytesWritten, clientWritten, clientRead)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,7 +71,9 @@ type ServerConfig struct {
 	Validate func(weights map[string]*tensor.Matrix) (float64, error)
 	// VerifyToken authenticates a client's admission token (required).
 	// Use (*provision.Project).VerifyToken in-process or
-	// provision.TokenVerifier over a tokens file for disk-based kits.
+	// provision.TokenVerifier over a tokens file for disk-based kits. It is
+	// called concurrently, once per connecting peer on that peer's own
+	// goroutine, so it must be safe for concurrent use.
 	VerifyToken func(name, token string) bool
 	// Logf receives progress lines (default log.Printf).
 	Logf func(format string, args ...any)
@@ -81,9 +82,6 @@ type ServerConfig struct {
 	// fltest conformance kit pass a transport.MemNetwork here so the same
 	// server logic runs over in-memory links with scripted faults.
 	Listener transport.MessageListener
-	// Clock supplies round timestamps and gather deadlines (default: real
-	// wall clock).
-	Clock Clock
 	// WAL, when non-nil, makes the run durable: round lifecycle events are
 	// appended as they happen and group-committed by the WAL's background
 	// syncer (each update as the uplink payload it arrived in, verbatim),
@@ -121,9 +119,6 @@ type ServerConfig struct {
 type serverClient struct {
 	name string
 	conn transport.MessageConn
-	// token is the session token issued at registration; a reconnecting
-	// client presents it to re-attach (transport.MetaSession).
-	token string
 	// gen counts connection generations. Each re-attach bumps it, and
 	// inbox messages carry the generation their reader was started with,
 	// so messages from a superseded connection are recognized as stale.
@@ -136,27 +131,33 @@ type serverClient struct {
 	dead bool
 }
 
-// inboxMsg is one reader goroutine's delivery: a message or a terminal
-// connection error, or (from the accept loop) a vetted reconnect to
-// re-attach on the Run goroutine.
+// inboxMsg is one delivery to the Run goroutine: a reader's message or
+// terminal connection error, or a vetted connection asking to join.
 type inboxMsg struct {
 	name string
 	gen  int
 	msg  *transport.Message
 	err  error
-	// resume, when non-nil, is a vetted mid-run reconnect; the other
+	// join, when non-nil, is a connection that passed vet; the other
 	// fields are unused.
-	resume *resumeConn
+	join *joinReq
 }
 
-// resumeConn is a reconnecting client that passed admission and session
-// checks in the accept loop; the Run goroutine completes the re-attach.
-type resumeConn struct {
-	name  string
-	token string
-	codec string
-	conn  transport.MessageConn
+// joinReq is a connection whose MsgRegister passed vet; admit decides on
+// the Run goroutine whether and how it joins the roster.
+type joinReq struct {
+	name string
+	// session is the session token the peer presented ("" for a first
+	// registration); vet has checked that this server issued it.
+	session string
+	codec   string
+	conn    transport.MessageConn
 }
+
+// registerReadTimeout bounds the wait for a new connection's MsgRegister,
+// the lazy TLS handshake included. Each connection waits on its own vet
+// goroutine, so a peer that dials and goes silent delays nobody else.
+const registerReadTimeout = 5 * time.Second
 
 // Server is the networked federation server: it terminates mutual-TLS
 // connections from provisioned clients, verifies admission tokens, and
@@ -172,17 +173,23 @@ type Server struct {
 	tokenRNG  *tensor.RNG
 	eng       *engine
 	met       flMetrics
-	// registerDeadline bounds the wait for a new connection's MsgRegister, so
-	// a peer that dials and goes silent costs the accept loop seconds, not
-	// the run.
-	registerDeadline time.Duration
-	inbox            chan inboxMsg
+	inbox     chan inboxMsg
 	source[inboxMsg]
 	// round / blob are the task the engine's current round hands out: the
 	// global model, encoded once per round.
 	round int
 	blob  []byte
+	// rosterClosed is set when registration ends: from then on only a
+	// client presenting its session joins, and each admitted connection
+	// gets its reader at once. Run goroutine only, like the two counters
+	// below.
+	rosterClosed bool
+	// supersededRead / supersededWritten are the framed bytes of the
+	// connections re-attaches replaced, kept for the Result's wire totals.
+	supersededRead, supersededWritten int64
 
+	// mu guards clients and sessions. Only the Run goroutine writes them;
+	// vet goroutines read sessions, and Close reads clients.
 	mu      sync.Mutex
 	clients map[string]*serverClient
 	// sessions maps client name to issued session token; recovered from
@@ -214,9 +221,6 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = RealClock()
-	}
 	downCodec, err := CodecByName(cfg.Codec)
 	if err != nil {
 		return nil, err
@@ -245,17 +249,19 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		downCodec: downCodec,
 		// The token stream is independent of the sampling stream so adding
 		// session tokens never perturbs which clients a seeded run samples.
-		tokenRNG:         tensor.NewRNG(cfg.Seed + 2654435761),
-		registerDeadline: 5 * time.Second,
+		tokenRNG: tensor.NewRNG(cfg.Seed + 2654435761),
 		// Buffered so reader goroutines never block on a drained server:
 		// a cooperative client has at most one reply outstanding (it is
 		// not re-tasked until that reply drains) plus one terminal error,
-		// with headroom for reconnect deliveries.
+		// with headroom for join deliveries.
 		inbox:    make(chan inboxMsg, 4*cfg.ExpectedClients),
 		clients:  make(map[string]*serverClient),
 		sessions: sessions,
 	}
-	s.source = source[inboxMsg]{clk: cfg.Clock, ch: s.inbox, normalize: s.normalize}
+	// The Server runs on the wall clock: its readers are goroutines that a
+	// virtual clock could not see.
+	clock := RealClock()
+	s.source = source[inboxMsg]{clk: clock, ch: s.inbox, normalize: s.normalize}
 	var sk sink = &flatSink{filters: cfg.Filters, agg: cfg.Aggregator, async: cfg.AsyncAggregator}
 	if cfg.Tier != nil {
 		// The tier root merges edge partials and folds plain updates as they
@@ -267,7 +273,7 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		rounds: cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
 		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
 		async: cfg.AsyncAggregator, validate: cfg.Validate,
-		clock: cfg.Clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
+		clock: clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
 		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
 	}, s, sk)
 	s.met = s.eng.met
@@ -288,42 +294,157 @@ func (s *Server) Close() error {
 	return err
 }
 
-// acceptClients runs the registration phase until ExpectedClients have
-// presented valid tokens, then starts their readers and the reconnect
-// accept loop.
+// acceptClients runs the registration phase: it starts the accept loop,
+// which serves the whole run, and admits joins from the inbox until
+// ExpectedClients have joined or RegisterTimeout passes. Then it closes the
+// roster and starts the readers.
 func (s *Server) acceptClients() error {
-	// Registration is pure socket I/O, so its timeout is wall time even
-	// when a simulated Clock drives the rounds: a virtual clock only
-	// advances inside round gathers, and a registration deadline measured
-	// against it would never fire.
-	deadline := time.Now().Add(s.cfg.RegisterTimeout)
-	for {
-		s.mu.Lock()
-		n := len(s.clients)
-		s.mu.Unlock()
-		if n >= s.cfg.ExpectedClients {
-			s.startReaders()
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("fl: registration timed out with %d/%d clients", n, s.cfg.ExpectedClients)
-		}
-		// The per-accept deadline is wall time: it bounds socket waits so
-		// the registration loop can re-check its own (clock-driven)
-		// timeout, not a simulated quantity.
-		_ = s.ln.SetDeadline(time.Now().Add(time.Second))
-		conn, err := s.ln.AcceptConn()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
+	acceptErr := make(chan error, 1)
+	go s.acceptLoop(acceptErr)
+	timeout := time.NewTimer(s.cfg.RegisterTimeout)
+	defer timeout.Stop()
+	for len(s.clients) < s.cfg.ExpectedClients {
+		select {
+		case in := <-s.inbox:
+			s.admit(in.join) // no reader runs yet, so every delivery is a join
+		case err := <-acceptErr:
 			return fmt.Errorf("fl: accept: %w", err)
-		}
-		if err := s.register(conn); err != nil {
-			s.cfg.Logf("fl server: rejected registration from %s: %v", conn.RemoteAddr(), err)
-			_ = conn.Close()
+		case <-timeout.C:
+			return fmt.Errorf("fl: registration timed out with %d/%d clients", len(s.clients), s.cfg.ExpectedClients)
 		}
 	}
+	s.startReaders()
+	return nil
+}
+
+// acceptLoop accepts connections for the whole run and vets each on its own
+// goroutine. It ends, reporting why on done, when the listener fails.
+func (s *Server) acceptLoop(done chan<- error) {
+	for {
+		conn, err := s.ln.AcceptConn()
+		if err != nil {
+			done <- err
+			return
+		}
+		go s.vet(conn)
+	}
+}
+
+// vet reads a new connection's MsgRegister — the Server's only reader of
+// one — and checks what needs no roster: the admission token, and that a
+// presented session is one this server issued or recovered from the WAL.
+// A failed check is acked with its reason; a pass is posted to the inbox
+// for admit.
+func (s *Server) vet(conn transport.MessageConn) {
+	_ = conn.SetDeadline(time.Now().Add(registerReadTimeout))
+	msg, err := conn.Read()
+	_ = conn.SetDeadline(time.Time{})
+	if err == nil && msg.Type != transport.MsgRegister {
+		err = fmt.Errorf("expected register, got %s", msg.Type)
+	}
+	if err != nil {
+		s.cfg.Logf("fl server: dropped connection from %s: %v", conn.RemoteAddr(), err)
+		_ = conn.Close()
+		return
+	}
+	sess := msg.Meta[transport.MetaSession]
+	s.mu.Lock()
+	issued := s.sessions[msg.Sender]
+	s.mu.Unlock()
+	switch {
+	case !s.cfg.VerifyToken(msg.Sender, msg.Token):
+		s.refuse(conn, msg.Sender, "bad token")
+	case sess != "" && sess != issued:
+		s.refuse(conn, msg.Sender, "unknown session")
+	default:
+		s.inbox <- inboxMsg{join: &joinReq{name: msg.Sender, session: sess, codec: s.negotiateCodec(msg), conn: conn}}
+	}
+}
+
+// admit settles a vetted join on the Run goroutine, which owns every
+// connection write and every roster change.
+//
+// A first registration (no session) joins only while the roster is open
+// and only under a name not yet on it; its new session token is logged to
+// the WAL before the ack. A client presenting its session re-attaches at
+// any time: its connection is swapped, the generation bumped (the old
+// reader's deliveries become stale) and the old connection closed. A
+// re-attach is returned as an evReattach carrying the round the client was
+// tasked for before the swap (-1: idle) — that task went down with the old
+// connection — and the ack's write error, if any. Anything else is a no-op
+// event.
+func (s *Server) admit(j *joinReq) event {
+	c := s.clients[j.name]
+	sess := j.session
+	if sess == "" {
+		switch {
+		case c != nil:
+			s.refuse(j.conn, j.name, "duplicate client")
+			return event{}
+		case s.rosterClosed:
+			s.refuse(j.conn, j.name, "registration closed")
+			return event{}
+		}
+		sess = fmt.Sprintf("%016x", s.tokenRNG.Rand().Int63())
+		if s.cfg.WAL != nil {
+			if err := s.cfg.WAL.AppendSession(j.name, sess); err != nil {
+				s.refuse(j.conn, j.name, "session not logged: "+err.Error())
+				return event{}
+			}
+		}
+	}
+	s.mu.Lock()
+	s.sessions[j.name] = sess
+	if c == nil {
+		c = &serverClient{name: j.name, taskedRound: -1, dead: true}
+		s.clients[j.name] = c
+	}
+	old, wasDead, wasTasked := c.conn, c.dead, c.taskedRound
+	c.conn, c.dead, c.taskedRound = j.conn, false, -1
+	c.gen++
+	gen := c.gen
+	s.mu.Unlock()
+	if old != nil {
+		_ = old.Close()
+		s.supersededRead += old.BytesRead()
+		s.supersededWritten += old.BytesWritten()
+	}
+	if wasDead {
+		s.met.connected.Add(1)
+	}
+	var ev event
+	if j.session != "" {
+		ev = event{kind: evReattach, name: j.name, round: wasTasked}
+	}
+	if ev.err = j.conn.Write(&transport.Message{
+		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
+		Meta: map[string]string{"accepted": "true", transport.MetaCodec: j.codec, transport.MetaSession: sess},
+	}); ev.err != nil {
+		s.cfg.Logf("fl server: client %q register ack: %v", j.name, ev.err)
+		s.markDead(j.name)
+		return ev
+	}
+	if s.rosterClosed {
+		go s.readLoop(j.name, j.conn, gen)
+	}
+	if j.session != "" {
+		s.met.resumes.Inc()
+		s.cfg.Logf("fl server: client %q session resumed (uplink codec %s)", j.name, j.codec)
+	} else {
+		s.cfg.Logf("fl server: client %q registered (token ok, uplink codec %s)", j.name, j.codec)
+	}
+	return ev
+}
+
+// refuse acks a registration with accepted=false and its reason, under
+// the key the client reads, then closes the connection.
+func (s *Server) refuse(conn transport.MessageConn, name, reason string) {
+	s.cfg.Logf("fl server: refused %q from %s: %s", name, conn.RemoteAddr(), reason)
+	_ = conn.Write(&transport.Message{
+		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
+		Meta: map[string]string{"accepted": "false", "reason": reason},
+	})
+	_ = conn.Close()
 }
 
 // negotiateCodec resolves a registration's requested uplink codec: the
@@ -344,80 +465,6 @@ func (s *Server) negotiateCodec(msg *transport.Message) string {
 	return codecName
 }
 
-// register handles one client's MsgRegister handshake: admission-token
-// verification, uplink codec negotiation, and session issuance. A new
-// client is issued a session token (durably recorded before the ack when
-// a WAL is configured); a returning client presenting its token — after a
-// server restart, or redialing during the registration window — re-attaches
-// to its session instead of being rejected as a duplicate.
-func (s *Server) register(conn transport.MessageConn) error {
-	_ = conn.SetDeadline(time.Now().Add(s.registerDeadline))
-	msg, err := conn.Read()
-	if err != nil {
-		return err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if msg.Type != transport.MsgRegister {
-		return fmt.Errorf("fl: expected register, got %s", msg.Type)
-	}
-	if !s.cfg.VerifyToken(msg.Sender, msg.Token) {
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "bad token"},
-		})
-		return fmt.Errorf("fl: bad token from %q", msg.Sender)
-	}
-	codecName := s.negotiateCodec(msg)
-	sess := msg.Meta[transport.MetaSession]
-	resumed := sess != ""
-	s.mu.Lock()
-	if resumed && sess != s.sessions[msg.Sender] {
-		s.mu.Unlock()
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "unknown session"},
-		})
-		return fmt.Errorf("fl: unknown session from %q", msg.Sender)
-	}
-	if !resumed {
-		sess = fmt.Sprintf("%016x", s.tokenRNG.Rand().Int63())
-		s.sessions[msg.Sender] = sess
-	}
-	c, exists := s.clients[msg.Sender]
-	if exists && !resumed {
-		s.mu.Unlock()
-		return fmt.Errorf("fl: duplicate client %q", msg.Sender)
-	}
-	if exists {
-		if c.conn != nil {
-			_ = c.conn.Close()
-		}
-		c.conn = conn
-		c.gen++
-		c.dead = false
-	} else {
-		s.clients[msg.Sender] = &serverClient{name: msg.Sender, conn: conn, token: sess, taskedRound: -1}
-	}
-	s.mu.Unlock()
-	if !resumed && s.cfg.WAL != nil {
-		if err := s.cfg.WAL.AppendSession(msg.Sender, sess); err != nil {
-			return err
-		}
-	}
-	if resumed {
-		s.met.resumes.Inc()
-		s.cfg.Logf("fl server: client %q session resumed (uplink codec %s)", msg.Sender, codecName)
-	} else {
-		s.cfg.Logf("fl server: client %q registered (token ok, uplink codec %s)", msg.Sender, codecName)
-	}
-	return conn.Write(&transport.Message{
-		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-		Meta: map[string]string{
-			"accepted": "true", transport.MetaCodec: codecName, transport.MetaSession: sess,
-		},
-	})
-}
-
 // readLoop forwards conn's inbound messages (and finally its terminal
 // read error) into the server inbox, tagged with the connection generation
 // the reader was started under, so the Run goroutine can discard
@@ -436,122 +483,16 @@ func (s *Server) readLoop(name string, conn transport.MessageConn, gen int) {
 	}
 }
 
-// startReaders launches one reader goroutine per registered client, so a
-// straggler's late reply is never stranded in a socket buffer and a dead
-// connection is reported, not silently absent, and the accept loop through
-// which a client that lost its connection re-attaches.
+// startReaders closes the roster and launches one reader goroutine per
+// registered client, so a straggler's late reply is never stranded in a
+// socket buffer and a dead connection is reported, not silently absent.
 func (s *Server) startReaders() {
+	s.rosterClosed = true
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.clients {
 		go s.readLoop(c.name, c.conn, c.gen)
 	}
-	s.met.connected.Set(float64(len(s.clients)))
-	go s.acceptLoop()
-}
-
-// acceptLoop keeps accepting connections after the registration window so
-// clients that lost their connection mid-run can re-attach. Admission and
-// session validation happen here, off the round loop; the actual
-// re-attach — swapping the connection, restarting the reader, re-sending
-// an in-flight task — is posted to the inbox and performed by the Run
-// goroutine, which owns all connection writes. The loop ends when the
-// listener closes.
-func (s *Server) acceptLoop() {
-	_ = s.ln.SetDeadline(time.Time{})
-	for {
-		conn, err := s.ln.AcceptConn()
-		if err != nil {
-			return
-		}
-		go func(conn transport.MessageConn) {
-			r, err := s.vetReconnect(conn)
-			if err != nil {
-				s.cfg.Logf("fl server: rejected reconnect from %s: %v", conn.RemoteAddr(), err)
-				_ = conn.Close()
-				return
-			}
-			s.inbox <- inboxMsg{name: r.name, resume: r}
-		}(conn)
-	}
-}
-
-// vetReconnect reads and validates a mid-run registration: the admission
-// token must verify and the presented session token must match the one
-// issued (or recovered from the WAL). New clients cannot join mid-run.
-func (s *Server) vetReconnect(conn transport.MessageConn) (*resumeConn, error) {
-	_ = conn.SetDeadline(time.Now().Add(s.registerDeadline))
-	msg, err := conn.Read()
-	if err != nil {
-		return nil, err
-	}
-	_ = conn.SetDeadline(time.Time{})
-	if msg.Type != transport.MsgRegister {
-		return nil, fmt.Errorf("fl: expected register, got %s", msg.Type)
-	}
-	if !s.cfg.VerifyToken(msg.Sender, msg.Token) {
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "bad token"},
-		})
-		return nil, fmt.Errorf("fl: bad token from %q", msg.Sender)
-	}
-	sess := msg.Meta[transport.MetaSession]
-	s.mu.Lock()
-	known := s.sessions[msg.Sender]
-	s.mu.Unlock()
-	if sess == "" || sess != known {
-		_ = conn.Write(&transport.Message{
-			Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-			Meta: map[string]string{"accepted": "false", "reason": "unknown session"},
-		})
-		return nil, fmt.Errorf("fl: reconnect from %q without a valid session", msg.Sender)
-	}
-	return &resumeConn{name: msg.Sender, token: sess, codec: s.negotiateCodec(msg), conn: conn}, nil
-}
-
-// reattach completes a vetted reconnect on the Run goroutine, which owns
-// all connection writes: the client's connection is replaced, its reader
-// restarted under a bumped generation (messages from the dead connection
-// become stale), and the registration ack written. It returns the round
-// the client was tasked for before the swap (-1: idle) — that assignment
-// went down with the old connection — and the ack's write error, if any.
-func (s *Server) reattach(r *resumeConn) (wasTasked int, err error) {
-	s.mu.Lock()
-	c, known := s.clients[r.name]
-	if !known {
-		c = &serverClient{name: r.name, token: r.token, taskedRound: -1}
-		s.clients[r.name] = c
-	}
-	old := c.conn
-	wasDead := c.dead
-	wasTasked = c.taskedRound
-	c.conn = r.conn
-	c.gen++
-	gen := c.gen
-	c.dead = false
-	c.taskedRound = -1
-	s.mu.Unlock()
-	if old != nil {
-		_ = old.Close()
-	}
-	if wasDead {
-		s.met.connected.Add(1)
-	}
-	ack := &transport.Message{
-		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
-		Meta: map[string]string{
-			"accepted": "true", transport.MetaCodec: r.codec, transport.MetaSession: r.token,
-		},
-	}
-	if err := r.conn.Write(ack); err != nil {
-		s.markDead(r.name)
-		return wasTasked, err
-	}
-	go s.readLoop(r.name, r.conn, gen)
-	s.met.resumes.Inc()
-	s.cfg.Logf("fl server: client %q session resumed mid-run", r.name)
-	return wasTasked, nil
 }
 
 // clientGen returns a client's current connection generation (-1 when
@@ -586,7 +527,9 @@ func (s *Server) Run(initialWeights map[string]*tensor.Matrix) (*Result, error) 
 		Type: transport.MsgFinish, Sender: s.kit.Name, Payload: blob,
 	})
 	// Framed wire totals (headers + metadata + gob overhead included),
-	// complementing the per-round payload counters.
+	// complementing the per-round payload counters. Connections replaced by
+	// a re-attach count too.
+	res.History.WireBytesRead, res.History.WireBytesWritten = s.supersededRead, s.supersededWritten
 	s.mu.Lock()
 	for _, c := range s.clients {
 		res.History.WireBytesRead += c.conn.BytesRead()
@@ -666,13 +609,12 @@ func (s *Server) write(name string, msg *transport.Message) error {
 }
 
 // normalize turns one inbox delivery into an engine event, doing the
-// connection-level bookkeeping on the way: a vetted reconnect is
-// re-attached, a delivery from a superseded connection is dropped, and a
-// reply or connection error releases the client's tasked slot.
+// connection-level bookkeeping on the way: a vetted join is admitted, a
+// delivery from a superseded connection is dropped, and a reply or
+// connection error releases the client's tasked slot.
 func (s *Server) normalize(in inboxMsg) event {
-	if in.resume != nil {
-		wasTasked, err := s.reattach(in.resume)
-		return event{kind: evReattach, name: in.resume.name, round: wasTasked, err: err}
+	if in.join != nil {
+		return s.admit(in.join)
 	}
 	if s.clientGen(in.name) != in.gen {
 		return event{} // stale delivery from a superseded connection

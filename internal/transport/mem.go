@@ -138,9 +138,8 @@ func (c *MemConn) Write(m *Message) error {
 	return nil
 }
 
-// memTimeoutError satisfies net.Error with Timeout() == true, so deadline
-// expiry on mem conns/listeners is retried by the same loops that handle
-// socket timeouts.
+// memTimeoutError satisfies net.Error with Timeout() == true, so a mem
+// conn's read deadline expires the way a socket's does.
 type memTimeoutError struct{ op string }
 
 func (e memTimeoutError) Error() string   { return "transport: mem " + e.op + " deadline exceeded" }
@@ -243,9 +242,6 @@ type MemNetwork struct {
 	accept    chan *MemConn
 	done      chan struct{}
 	closeOnce sync.Once
-
-	mu       sync.Mutex
-	deadline time.Time
 }
 
 // NewMemNetwork creates an in-memory network with room for a backlog of
@@ -295,13 +291,6 @@ func (n *MemNetwork) Dial(name string, up, down LinkProfile) (MessageConn, error
 
 // AcceptConn implements MessageListener.
 func (n *MemNetwork) AcceptConn() (MessageConn, error) {
-	n.mu.Lock()
-	deadline := n.deadline
-	n.mu.Unlock()
-	var timeout <-chan time.Time
-	if !deadline.IsZero() {
-		timeout = time.After(time.Until(deadline))
-	}
 	select {
 	case c := <-n.accept:
 		select {
@@ -313,8 +302,6 @@ func (n *MemNetwork) AcceptConn() (MessageConn, error) {
 		}
 	case <-n.done:
 		return nil, errors.New("transport: mem network closed")
-	case <-timeout:
-		return nil, memTimeoutError{op: "accept"}
 	}
 }
 
@@ -336,11 +323,3 @@ func (n *MemNetwork) Close() error {
 
 // Addr implements MessageListener.
 func (n *MemNetwork) Addr() net.Addr { return memAddr("mem") }
-
-// SetDeadline implements MessageListener.
-func (n *MemNetwork) SetDeadline(t time.Time) error {
-	n.mu.Lock()
-	n.deadline = t
-	n.mu.Unlock()
-	return nil
-}

@@ -131,8 +131,6 @@ type MessageListener interface {
 	Close() error
 	// Addr is the listener's address.
 	Addr() net.Addr
-	// SetDeadline bounds the next AcceptConn call.
-	SetDeadline(t time.Time) error
 }
 
 // Conn frames messages over a net.Conn. Safe for one reader and one writer
@@ -274,63 +272,22 @@ func (g *gobReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TLSListener accepts TCP connections and wraps them in server-side TLS.
-// Unlike crypto/tls's own listener it exposes SetDeadline (delegated to the
-// TCP listener), which the FL server's bounded registration loop needs.
-type TLSListener struct {
-	tcp *net.TCPListener
-	cfg *tls.Config
-}
-
-// Listen starts a TLS listener on addr with the given config.
-func Listen(addr string, cfg *tls.Config) (*TLSListener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	tcp, ok := ln.(*net.TCPListener)
-	if !ok {
-		_ = ln.Close()
-		return nil, fmt.Errorf("transport: listen %s: unexpected listener type %T", addr, ln)
-	}
-	return &TLSListener{tcp: tcp, cfg: cfg}, nil
-}
-
-// Accept implements net.Listener; the returned connection performs its TLS
-// handshake lazily on first I/O.
-func (l *TLSListener) Accept() (net.Conn, error) {
-	nc, err := l.tcp.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return tls.Server(nc, l.cfg), nil
-}
-
-// Close implements net.Listener.
-func (l *TLSListener) Close() error { return l.tcp.Close() }
-
-// Addr implements net.Listener.
-func (l *TLSListener) Addr() net.Addr { return l.tcp.Addr() }
-
-// SetDeadline bounds the next Accept call.
-func (l *TLSListener) SetDeadline(t time.Time) error { return l.tcp.SetDeadline(t) }
-
-var _ net.Listener = (*TLSListener)(nil)
-
 var _ MessageConn = (*Conn)(nil)
 
-// connListener adapts a net.Listener (in practice *TLSListener) into a
-// MessageListener by framing accepted connections with NewConn.
+// connListener adapts a TLS net.Listener into a MessageListener by framing
+// accepted connections with NewConn.
 type connListener struct {
 	ln net.Listener
 }
 
 // ListenMessages starts a TLS MessageListener on addr: the socket-backed
-// counterpart of (*MemNetwork).Listener.
+// counterpart of *MemNetwork. An accepted connection performs its TLS
+// handshake lazily, on its first read or write, so a read deadline set
+// before the first Read bounds the handshake too.
 func ListenMessages(addr string, cfg *tls.Config) (MessageListener, error) {
-	ln, err := Listen(addr, cfg)
+	ln, err := tls.Listen("tcp", addr, cfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	return connListener{ln: ln}, nil
 }
@@ -349,15 +306,6 @@ func (l connListener) Close() error { return l.ln.Close() }
 
 // Addr implements MessageListener.
 func (l connListener) Addr() net.Addr { return l.ln.Addr() }
-
-// SetDeadline implements MessageListener.
-func (l connListener) SetDeadline(t time.Time) error {
-	type deadliner interface{ SetDeadline(time.Time) error }
-	if d, ok := l.ln.(deadliner); ok {
-		return d.SetDeadline(t)
-	}
-	return errors.New("transport: listener does not support deadlines")
-}
 
 // Dial connects to addr with the given TLS config, retrying until the
 // deadline to tolerate server startup races.
