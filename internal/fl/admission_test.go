@@ -40,13 +40,15 @@ func register(t *testing.T, network *transport.MemNetwork, name, token, session 
 	return ack, conn
 }
 
-// roster lists the server's registered clients in name order.
-func roster(s *Server) []string {
+// joined lists the server's registered clients in name order.
+func joined(s *Server) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.clients))
-	for name := range s.clients {
-		names = append(names, name)
+	var names []string
+	for _, c := range s.clients {
+		if c != nil {
+			names = append(names, c.name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -127,7 +129,7 @@ func TestServerAdmissionTable(t *testing.T) {
 			}
 			_ = conn.Close()
 		}
-		if got := roster(srv); !slices.Equal(got, step.roster) {
+		if got := joined(srv); !slices.Equal(got, step.roster) {
 			t.Errorf("%s: roster %v, want %v", step.desc, got, step.roster)
 		}
 		if got := connected.Value(); got != float64(len(step.roster)) {
@@ -176,5 +178,102 @@ func TestRegistrationNotBlockedBySilentDialers(t *testing.T) {
 	}
 	if got := strings.Join(res.History.Rounds[0].Participants, ","); got != "c0,c1,c2" {
 		t.Errorf("participants %q, want every real client", got)
+	}
+}
+
+// TestServerRosterGrowsMidRun: a client whose session the WAL recovered
+// re-attaches after registration closed, while round 0 is open. It joins
+// the roster under the next id, round 0 absorbs the re-attach from an id
+// past its slot table, and round 1 samples and aggregates it. A tier sink
+// likewise folds an update from an id past its shard table into shard 0.
+func TestServerRosterGrowsMidRun(t *testing.T) {
+	walPath := filepath.Join(t.TempDir(), "run.wal")
+	wal, err := durable.Open(walPath, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.AppendSession("c2", "s-c2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if wal, err = durable.Open(walPath, durable.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+
+	network := transport.NewMemNetwork()
+	defer network.Close()
+	srv, err := NewServer(ServerConfig{
+		ExpectedClients: 1, Rounds: 2, RegisterTimeout: 10 * time.Second,
+		VerifyToken: tokenFor, Logf: quietLogf, Listener: network, WAL: wal,
+	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var res *Result
+	runDone := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = srv.Run(initialWeights())
+		runDone <- err
+	}()
+
+	// answer reads a client's next task and sends the global model back as
+	// its update.
+	answer := func(name string, conn transport.MessageConn, round int) {
+		t.Helper()
+		task, err := conn.Read()
+		if err != nil || task.Type != transport.MsgTask || task.Round != round {
+			t.Fatalf("%s: want the round-%d task, got %v, %v", name, round, task, err)
+		}
+		if err := conn.Write(&transport.Message{
+			Type: transport.MsgUpdate, Sender: name, Round: round, Payload: task.Payload, NumSamples: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ack, c1 := register(t, network, "c1", "tok-c1", "")
+	if ack.Meta["accepted"] != "true" {
+		t.Fatalf("c1 refused: %v", ack.Meta)
+	}
+	// Round 0 is open, over c1 alone, before c2 re-attaches.
+	task, err := c1.Read()
+	if err != nil || task.Type != transport.MsgTask || task.Round != 0 {
+		t.Fatalf("c1: want the round-0 task, got %v, %v", task, err)
+	}
+	ack, c2 := register(t, network, "c2", "tok-c2", "s-c2")
+	if ack.Meta["accepted"] != "true" {
+		t.Fatalf("c2 re-attach refused: %v", ack.Meta)
+	}
+	if err := c1.Write(&transport.Message{
+		Type: transport.MsgUpdate, Sender: "c1", Round: 0, Payload: task.Payload, NumSamples: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	answer("c1", c1, 1)
+	answer("c2", c2, 1)
+	if err := <-runDone; err != nil {
+		t.Fatal(err)
+	}
+	if id := srv.ros.ids["c2"]; id != 1 {
+		t.Errorf("c2 has id %d, want the next id 1", id)
+	}
+	for i, want := range []string{"c1", "c1,c2"} {
+		rec := res.History.Rounds[i]
+		if got := strings.Join(rec.Sampled, ","); got != want {
+			t.Errorf("round %d sampled %q, want %q", i, got, want)
+		}
+		if got := strings.Join(rec.Participants, ","); got != want {
+			t.Errorf("round %d participants %q, want %q", i, got, want)
+		}
+	}
+
+	sk := &tierSink{widths: []int{4}}
+	sk.open([]int{0})
+	if err := sk.accept(1, scriptUpdate("c2", 0)); err != nil || sk.shards[0] == nil {
+		t.Errorf("tier sink: update from an id past its shard table: %v, shard 0 %v", err, sk.shards[0])
 	}
 }

@@ -206,7 +206,7 @@ type Result struct {
 type execOutcome struct {
 	update *ClientUpdate
 	err    error
-	name   string
+	id     int
 	round  int
 	// probe marks a recovery-probe result (err nil = the demoted client
 	// answered) rather than a round execution.
@@ -219,20 +219,20 @@ type execOutcome struct {
 // engine in round.go; the Controller is its in-process backend, turning
 // task requests into one AfterFunc event for a Planner (an executor
 // goroutine otherwise), probe requests into one AfterFunc event each, and
-// their outcomes into events.
+// their outcomes into events. An executor's roster id is its index in the
+// executor list.
 type Controller struct {
 	cfg       ControllerConfig
 	executors []Executor
-	byName    map[string]Executor
 	eng       *engine
 
 	// results is the run-long gather channel: buffered so a straggler
 	// finishing rounds later never blocks, even after Run returns.
 	results chan execOutcome
 	source[execOutcome]
-	// inFlight marks executors still working on a task; they are excluded
-	// from sampling until their outcome arrives.
-	inFlight map[string]bool
+	// inFlight marks, by id, executors still working on a task; they are
+	// excluded from sampling until their outcome arrives.
+	inFlight []bool
 	// round / global are the task the engine's current round hands out.
 	round  int
 	global map[string]*tensor.Matrix
@@ -248,9 +248,9 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		return nil, err
 	}
 	_, virtual := cfg.Clock.(Waiter)
-	byName := make(map[string]Executor, len(executors))
-	for _, e := range executors {
-		if _, dup := byName[e.Name()]; dup {
+	ros := newRoster(len(executors))
+	for i, e := range executors {
+		if ros.add(e.Name()) != i {
 			return nil, fmt.Errorf("fl: duplicate executor name %q", e.Name())
 		}
 		if _, ok := e.(Planner); virtual && !ok {
@@ -258,20 +258,19 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 			// see, so no deterministic order could include it.
 			return nil, fmt.Errorf("fl: executor %q (%T) is not a Planner and cannot run on a virtual clock", e.Name(), e)
 		}
-		byName[e.Name()] = e
 	}
+	ros.byName() // the roster's one sort
 	cfg = cfg.withDefaults(len(executors))
 	c := &Controller{
 		cfg:       cfg,
 		executors: executors,
-		byName:    byName,
 		// Each executor has at most one task outcome and one probe
 		// outcome outstanding (it is never re-tasked until its previous
 		// outcome drains, and an in-flight probe never re-fires), so two
 		// slots per executor guarantee senders never block, even for
 		// stragglers finishing after Run returns.
 		results:  make(chan execOutcome, 2*len(executors)),
-		inFlight: make(map[string]bool, len(executors)),
+		inFlight: make([]bool, len(executors)),
 	}
 	c.source = source[execOutcome]{clk: cfg.Clock, ch: c.results, normalize: c.normalize}
 	var sk sink = &flatSink{filters: cfg.Filters, agg: cfg.Aggregator, async: cfg.AsyncAggregator}
@@ -286,7 +285,7 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
 		async: cfg.AsyncAggregator, validate: cfg.Validate, patience: cfg.Patience,
 		clock: cfg.Clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
-	}, c, sk)
+	}, ros, c, sk)
 	return c, nil
 }
 
@@ -301,13 +300,13 @@ func (c *Controller) Run(ctx context.Context, initialWeights map[string]*tensor.
 // normalize turns an executor outcome into an engine event.
 func (c *Controller) normalize(o execOutcome) event {
 	if o.probe {
-		return event{kind: evProbe, name: o.name, err: o.err}
+		return event{kind: evProbe, id: o.id, err: o.err}
 	}
-	delete(c.inFlight, o.name)
+	c.inFlight[o.id] = false
 	if o.err != nil {
-		return event{kind: evFailure, name: o.name, round: o.round, err: o.err, cause: "exec"}
+		return event{kind: evFailure, id: o.id, round: o.round, err: o.err, cause: "exec"}
 	}
-	return event{kind: evUpdate, name: o.name, round: o.round, update: o.update}
+	return event{kind: evUpdate, id: o.id, round: o.round, update: o.update}
 }
 
 // begin implements backend.
@@ -317,15 +316,15 @@ func (c *Controller) begin(round int, global map[string]*tensor.Matrix) error {
 }
 
 // idle implements backend: the executors not still busy with an earlier
-// task, in roster order; sampling is over the whole roster.
-func (c *Controller) idle() ([]string, int) {
-	names := make([]string, 0, len(c.executors))
-	for _, ex := range c.executors {
-		if name := ex.Name(); !c.inFlight[name] {
-			names = append(names, name)
+// task, in executor order; sampling is over the whole roster.
+func (c *Controller) idle() ([]int, int) {
+	ids := make([]int, 0, len(c.executors))
+	for id, busy := range c.inFlight {
+		if !busy {
+			ids = append(ids, id)
 		}
 	}
-	return names, len(c.executors)
+	return ids, len(c.executors)
 }
 
 // task implements backend: one executor starts on the round's task — a
@@ -333,35 +332,38 @@ func (c *Controller) idle() ([]string, int) {
 // other executor (real clock only) runs on a goroutine. An in-process
 // dispatch cannot fail and costs no wire bytes (executors that model their
 // transfers stamp ClientUpdate.DownBytes instead).
-func (c *Controller) task(name string) (int, error) {
-	ex, round, global := c.byName[name], c.round, c.global
-	c.inFlight[name] = true
+func (c *Controller) task(id int) (int, error) {
+	ex, round, global := c.executors[id], c.round, c.global
+	c.inFlight[id] = true
 	if p, ok := ex.(Planner); ok {
 		d, u, err := p.PlanRound(round, global)
 		c.cfg.Clock.AfterFunc(d, func() {
-			c.results <- execOutcome{update: u, err: err, name: name, round: round}
+			c.results <- execOutcome{update: u, err: err, id: id, round: round}
 		})
 		return 0, nil
 	}
 	go func() {
 		u, err := ex.ExecuteRound(round, global)
-		c.results <- execOutcome{update: u, err: err, name: name, round: round}
+		c.results <- execOutcome{update: u, err: err, id: id, round: round}
 	}()
 	return 0, nil
 }
 
 // probe implements backend: the answer is computed now and posted for the
 // instant it lands. Executors implementing Prober are actually probed; the
-// rest trivially succeed at once — for an in-process executor there is
-// nothing to check beyond waiting out the probe backoff.
-func (c *Controller) probe(name string) error {
+// rest — and a name the WAL knows but no executor has — trivially succeed
+// at once: for an in-process executor there is nothing to check beyond
+// waiting out the probe backoff.
+func (c *Controller) probe(id int) error {
 	var d time.Duration
 	var err error
-	if p, ok := c.byName[name].(Prober); ok {
-		d, err = p.Probe()
+	if id < len(c.executors) {
+		if p, ok := c.executors[id].(Prober); ok {
+			d, err = p.Probe()
+		}
 	}
 	c.cfg.Clock.AfterFunc(d, func() {
-		c.results <- execOutcome{name: name, err: err, probe: true}
+		c.results <- execOutcome{id: id, err: err, probe: true}
 	})
 	return nil
 }

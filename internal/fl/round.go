@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"clinfl/internal/fl/durable"
@@ -34,6 +36,11 @@ import (
 // tierSink folds or merges into O(model) partials). An Edge is the same
 // engine one level down: the Server backend over its shard, a tierSink
 // whose finalize keeps the partial, and a Client carrying it to the parent.
+//
+// Both seams speak dense client ids from one roster, so a round's
+// per-client state is slices indexed by id; names come back only where the
+// engine writes text (the RoundRecord, WAL records, failure strings) and in
+// the name-keyed reconcile monitor and retry queue.
 
 // roundConfig is the engine's view of a ControllerConfig or ServerConfig:
 // the knobs both share, defaulted by the owning constructor.
@@ -77,7 +84,8 @@ const (
 // execOutcome or an inboxMsg.
 type event struct {
 	kind eventKind
-	name string
+	// id is the client's roster id.
+	id int
 	// round is the round the client was tasked for (-1: it held no task),
 	// read from the backend's own task record — never from what the
 	// client claims — so a straggler is recognized as late, a tasked client
@@ -104,27 +112,66 @@ type backend interface {
 	// wake-up) or until done is closed.
 	next(done <-chan struct{}, wake time.Time) (event, waitStatus)
 	// idle lists the live clients holding no task, in the transport's
-	// canonical order, and the sampling denominator. Sampling, substitute
-	// dispatch and the parked round all draw from this one list.
-	idle() (names []string, total int)
+	// canonical order (executor order on the Controller, name order on the
+	// Server), and the sampling denominator. Sampling, substitute dispatch
+	// and the parked round all draw from this one list.
+	idle() (ids []int, total int)
 	// task hands the round's task to an idle client and reports the
 	// downlink payload bytes it cost.
-	task(name string) (down int, err error)
+	task(id int) (down int, err error)
 	// probe fires a recovery probe; its answer arrives as an evProbe. An
 	// error means the probe could not even be sent.
-	probe(name string) error
+	probe(id int) error
 }
 
 // sink receives a round's accepted updates and produces the next model.
 type sink interface {
-	// open starts a round over the sampled clients.
-	open(sampled []string)
-	// accept takes one validated in-round update; an error rejects it as
-	// a per-client failure.
-	accept(u *ClientUpdate) error
+	// open starts a round over the sampled clients, given in name order.
+	open(sampled []int)
+	// accept takes one validated in-round update from client id; an error
+	// rejects it as a per-client failure.
+	accept(id int, u *ClientUpdate) error
 	// finalize aggregates what was accepted, merges the late updates, and
 	// fills the record's loss and byte counters.
 	finalize(round int, global map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error)
+}
+
+// roster interns client names into dense ids, handed out in order of first
+// sight (executor order on the Controller, admission order on the Server)
+// and never reused. The Run goroutine owns it.
+type roster struct {
+	names []string // by id
+	ids   map[string]int
+	// sorted is every id in name order. Ids interned since it was last
+	// built are appended and the lot sorted once, never inserted one at a
+	// time: that is quadratic over a large registration.
+	sorted []int
+}
+
+func newRoster(capacity int) *roster {
+	return &roster{names: make([]string, 0, capacity), ids: make(map[string]int, capacity)}
+}
+
+// add returns name's id, interning it as the next id on first sight.
+func (r *roster) add(name string) int {
+	if id, ok := r.ids[name]; ok {
+		return id
+	}
+	id := len(r.names)
+	r.names = append(r.names, name)
+	r.ids[name] = id
+	return id
+}
+
+// byName returns every id in name order; the caller must not modify it.
+func (r *roster) byName() []int {
+	if len(r.sorted) < len(r.names) {
+		for id := len(r.sorted); id < len(r.names); id++ {
+			r.sorted = append(r.sorted, id)
+		}
+		slices.SortFunc(r.sorted, func(a, b int) int { return strings.Compare(r.names[a], r.names[b]) })
+	}
+	return r.sorted
 }
 
 // source adapts a transport's delivery channel to the backend's poll and
@@ -169,10 +216,14 @@ func (s *source[T]) next(done <-chan struct{}, wake time.Time) (event, waitStatu
 // engine runs the rounds of one federation.
 type engine struct {
 	roundConfig
+	ros  *roster
 	be   backend
 	sink sink
 	rng  *tensor.RNG
 	met  flMetrics
+	// slots backs each round's gather.slots, so the per-client table is
+	// allocated once per run, not once per round.
+	slots []slot
 	// mon / pol are the health monitor and the retry policy. Without a
 	// ReconcilePolicy the same loop runs under the null policy: a nil
 	// monitor (records nothing, everyone eligible, no probes) and one
@@ -188,9 +239,9 @@ type engine struct {
 	reconciling bool
 }
 
-func newEngine(cfg roundConfig, be backend, sk sink) *engine {
+func newEngine(cfg roundConfig, ros *roster, be backend, sk sink) *engine {
 	e := &engine{
-		roundConfig: cfg, be: be, sink: sk,
+		roundConfig: cfg, ros: ros, be: be, sink: sk,
 		rng: tensor.NewRNG(cfg.seed + 7919),
 		met: newFLMetrics(cfg.metrics),
 		pol: ReconcilePolicy{MaxAssignAttempts: 1},
@@ -335,7 +386,9 @@ type gather struct {
 	rec    *RoundRecord
 	late   []*ClientUpdate
 	rq     *reconcile.Queue
-	slots  map[string]*slot
+	// slots is indexed by roster id. It covers the roster as it stood when
+	// the round was sampled; slot grows it for a client interned since.
+	slots []slot
 	// open is false until the scatter: before it no client holds a slot of
 	// this round, so events are only absorbed (the between-rounds drain and
 	// the pre-scatter park).
@@ -365,28 +418,29 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 		}
 	}
 
-	var toTask []string
+	var sampled, toTask []int
 	var seeded []*ClientUpdate
 	if resume != nil {
-		toTask, seeded = g.reseed(resume)
+		sampled, toTask, seeded = g.reseed(resume)
 	} else {
 		var err error
 		if toTask, err = g.sample(ctx); err != nil {
 			return nil, err
 		}
+		sampled = toTask
 	}
-	sampled := make([]slot, len(rec.Sampled))
-	g.slots = make(map[string]*slot, len(rec.Sampled))
-	for i, name := range rec.Sampled {
-		sampled[i].sampled = true
-		g.slots[name] = &sampled[i]
+	e.slots = append(e.slots[:0], make([]slot, len(e.ros.names))...)
+	g.slots = e.slots
+	for _, id := range sampled {
+		g.slots[id].sampled = true
 	}
-	e.sink.open(rec.Sampled)
+	e.sink.open(g.byName(len(sampled), func(s *slot) bool { return s.sampled }))
 	for _, u := range seeded {
-		if err := e.sink.accept(u); err != nil {
+		id := e.ros.add(u.ClientName)
+		if err := e.sink.accept(id, u); err != nil {
 			return nil, fmt.Errorf("fl: round %d: reseed %s: %w", round, u.ClientName, err)
 		}
-		g.slot(u.ClientName).done = true
+		g.slot(id).done = true
 		g.got++
 	}
 
@@ -401,8 +455,9 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 		g.deadlineAt = now.Add(e.deadline)
 	}
 	g.open = true
-	for _, name := range toTask {
-		if err := g.dispatch(reconcile.Task{Client: name, Round: round, Attempt: 1, Origin: name}, name, false, now); err != nil {
+	for _, id := range toTask {
+		name := e.ros.names[id]
+		if err := g.dispatch(reconcile.Task{Client: name, Round: round, Attempt: 1, Origin: name}, id, false, now); err != nil {
 			return nil, err
 		}
 	}
@@ -454,13 +509,26 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	// The participants are the clients whose update this round's accept step
 	// took, whatever the sink made of them: the edges at a tier root, not the
 	// leaves behind them.
-	for name, s := range g.slots {
-		if s.done {
-			rec.Participants = append(rec.Participants, name)
+	done := g.byName(g.got, func(s *slot) bool { return s.done })
+	if len(done) > 0 {
+		rec.Participants = make([]string, len(done))
+		for i, id := range done {
+			rec.Participants[i] = e.ros.names[id]
 		}
 	}
-	sort.Strings(rec.Participants)
 	return next, nil
+}
+
+// byName lists, in name order, the ids of the clients whose slot passes
+// keep; n is how many are expected.
+func (g *gather) byName(n int, keep func(*slot) bool) []int {
+	ids := make([]int, 0, n)
+	for _, id := range g.e.ros.byName() {
+		if id < len(g.slots) && keep(&g.slots[id]) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // degrade marks a round finalized short of its trigger.
@@ -473,12 +541,15 @@ func (g *gather) degrade() {
 
 // idleEligible is the sample pool: the backend's idle clients the health
 // monitor still admits, and the sampling denominator.
-func (e *engine) idleEligible() ([]string, int) {
-	names, total := e.be.idle()
-	pool := names[:0]
-	for _, n := range names {
-		if e.mon.Eligible(n) {
-			pool = append(pool, n)
+func (e *engine) idleEligible() ([]int, int) {
+	ids, total := e.be.idle()
+	if e.mon == nil {
+		return ids, total // the null policy admits everyone
+	}
+	pool := ids[:0]
+	for _, id := range ids {
+		if e.mon.Eligible(e.ros.names[id]) {
+			pool = append(pool, id)
 		}
 	}
 	return pool, total
@@ -487,7 +558,7 @@ func (e *engine) idleEligible() ([]string, int) {
 // sample picks a fresh round's clients and logs the round open. With the
 // whole roster demoted or busy a reconciling round parks until a recovery
 // probe (or a returning straggler) readmits someone.
-func (g *gather) sample(ctx context.Context) ([]string, error) {
+func (g *gather) sample(ctx context.Context) ([]int, error) {
 	e := g.e
 	pool, total := e.idleEligible()
 	if len(pool) == 0 && e.reconciling {
@@ -512,12 +583,15 @@ func (g *gather) sample(ctx context.Context) ([]string, error) {
 		e.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
 		pool = pool[:k]
 	}
-	g.rec.Sampled = pool
+	g.rec.Sampled = make([]string, len(pool))
+	for i, id := range pool {
+		g.rec.Sampled[i] = e.ros.names[id]
+	}
 	if e.wal != nil {
 		if err := e.wal.AppendRoundOpen(g.round); err != nil {
 			return nil, fmt.Errorf("fl: round %d: %w", g.round, err)
 		}
-		for _, name := range pool {
+		for _, name := range g.rec.Sampled {
 			if err := e.wal.AppendTaskAssigned(g.round, name); err != nil {
 				return nil, fmt.Errorf("fl: round %d: %w", g.round, err)
 			}
@@ -532,8 +606,10 @@ func (g *gather) sample(ctx context.Context) ([]string, error) {
 // of (round, global), so the resumed round aggregates exactly what the
 // uninterrupted one would have. An update that no longer decodes, or that
 // the accept step would reject today, counts as never received: its
-// client is tasked again like any other unheard one.
-func (g *gather) reseed(resume *durable.OpenRound) (toTask []string, seeded []*ClientUpdate) {
+// client is tasked again like any other unheard one. A tasked client not
+// yet back after the restart is interned, so a later re-attach finds its
+// slot.
+func (g *gather) reseed(resume *durable.OpenRound) (sampled, toTask []int, seeded []*ClientUpdate) {
 	e := g.e
 	have := make(map[string]bool, len(resume.Updates))
 	for _, u := range resume.Updates {
@@ -549,16 +625,18 @@ func (g *gather) reseed(resume *durable.OpenRound) (toTask []string, seeded []*C
 		seeded = append(seeded, cu)
 		have[u.Client] = true
 	}
-	names, _ := e.be.idle()
-	idle := make(map[string]bool, len(names))
-	for _, n := range names {
-		idle[n] = true
+	ids, _ := e.be.idle()
+	idle := make([]bool, len(e.ros.names))
+	for _, id := range ids {
+		idle[id] = true
 	}
 	for _, name := range resume.Tasked {
+		id := e.ros.add(name)
 		g.rec.Sampled = append(g.rec.Sampled, name)
+		sampled = append(sampled, id)
 		switch {
 		case have[name]:
-		case !idle[name]:
+		case id >= len(idle) || !idle[id]:
 			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: tasked before crash, not back after restart", name))
 			e.met.failure("conn")
 		case !e.mon.Eligible(name):
@@ -567,10 +645,10 @@ func (g *gather) reseed(resume *durable.OpenRound) (toTask []string, seeded []*C
 			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: quarantined, not re-tasked on resume", name))
 			e.met.failure("exec")
 		default:
-			toTask = append(toTask, name)
+			toTask = append(toTask, id)
 		}
 	}
-	return toTask, seeded
+	return sampled, toTask, seeded
 }
 
 // recoveredUpdate turns an update replayed from the WAL into the
@@ -644,7 +722,8 @@ func (g *gather) wait(ctx context.Context) error {
 			}
 		}
 		for _, name := range e.mon.DueProbes(now) {
-			if err := e.be.probe(name); err != nil {
+			// A replayed quarantine can name a client not on the roster yet.
+			if err := e.be.probe(e.ros.add(name)); err != nil {
 				// Unsendable: the probe fails at once, backing off the next
 				// one — the client rejoins by reconnecting and answering a
 				// later probe.
@@ -698,9 +777,13 @@ func (g *gather) wait(ctx context.Context) error {
 // can belong to this round, so everything lands as stale.
 func (g *gather) handle(ev event, now time.Time) error {
 	e := g.e
+	if ev.kind == evIgnore {
+		return nil
+	}
+	name := e.ros.names[ev.id]
 	switch ev.kind {
 	case evProbe:
-		if !e.mon.IsProbing(ev.name) {
+		if !e.mon.IsProbing(name) {
 			return nil // an answer to no probe of ours
 		}
 		result := "ok"
@@ -708,7 +791,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 			result = "fail"
 		}
 		e.met.probe(result)
-		if err := e.healthEdge(g.round, e.mon.ProbeResult(ev.name, ev.err == nil, now)); err != nil {
+		if err := e.healthEdge(g.round, e.mon.ProbeResult(name, ev.err == nil, now)); err != nil {
 			return err
 		}
 		// Revived mid-round: if the round still cannot reach its trigger
@@ -717,13 +800,13 @@ func (g *gather) handle(ev event, now time.Time) error {
 		if g.deadlineFired {
 			need = g.quorum
 		}
-		if ev.err == nil && g.open && g.got+g.pending+g.rq.Len() < need && !g.slot(ev.name).done {
-			return g.redispatch(reconcile.Task{Client: ev.name, Round: g.round, Attempt: 1, Origin: "probe"}, now)
+		if ev.err == nil && g.open && g.got+g.pending+g.rq.Len() < need && !g.slot(ev.id).done {
+			return g.redispatch(reconcile.Task{Client: name, Round: g.round, Attempt: 1, Origin: "probe"}, now)
 		}
 
 	case evReattach:
 		if ev.err != nil {
-			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: resume ack: %v", ev.name, ev.err))
+			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: resume ack: %v", name, ev.err))
 			e.met.failure("conn")
 		}
 		if !g.open {
@@ -734,7 +817,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 		var t reconcile.Task
 		held := g.holds(ev)
 		if held {
-			_, t = g.release(ev.name)
+			_, t = g.release(ev.id)
 		}
 		if e.reconciling {
 			if !held {
@@ -742,7 +825,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 			}
 			// The old connection took the assignment with it; requeue it
 			// rather than racing a blind re-send against the retry queue.
-			if err := g.failed(ev.name, false, "conn", errors.New("connection replaced mid-task"), now); err != nil {
+			if err := g.failed(ev.id, false, "conn", errors.New("connection replaced mid-task"), now); err != nil {
 				return err
 			}
 			g.requeue(t, now)
@@ -751,27 +834,27 @@ func (g *gather) handle(ev event, now time.Time) error {
 		// Null policy: send the task again so the round can still complete,
 		// whether the slot was still held or its connection error had
 		// already released it.
-		if s := g.slot(ev.name); ev.err == nil && s.sampled && !s.done {
+		if s := g.slot(ev.id); ev.err == nil && s.sampled && !s.done {
 			if !held {
-				t = reconcile.Task{Client: ev.name, Round: g.round, Attempt: 1, Origin: ev.name}
+				t = reconcile.Task{Client: name, Round: g.round, Attempt: 1, Origin: name}
 			}
-			return g.dispatch(t, ev.name, false, now)
+			return g.dispatch(t, ev.id, false, now)
 		}
 
 	case evFailure:
-		return g.failed(ev.name, g.holds(ev), ev.cause, ev.err, now)
+		return g.failed(ev.id, g.holds(ev), ev.cause, ev.err, now)
 
 	case evUpdate:
 		if !g.holds(ev) {
 			// A straggler from an earlier round: merged by the staleness
 			// policy at finalize, or dropped.
-			if err := e.healthEdge(g.round, e.mon.Observe(ev.name, true, now)); err != nil {
+			if err := e.healthEdge(g.round, e.mon.Observe(name, true, now)); err != nil {
 				return err
 			}
 			if e.async != nil {
 				g.late = append(g.late, ev.update)
 			} else {
-				g.rec.LateDropped = append(g.rec.LateDropped, ev.name)
+				g.rec.LateDropped = append(g.rec.LateDropped, name)
 			}
 			return nil
 		}
@@ -780,13 +863,13 @@ func (g *gather) handle(ev event, now time.Time) error {
 		// record that aborts this run and every restart after it.
 		err := checkUpdate(g.global, ev.update)
 		if err == nil {
-			err = e.sink.accept(ev.update)
+			err = e.sink.accept(ev.id, ev.update)
 		}
 		if err != nil {
-			return g.failed(ev.name, true, "reject", err, now)
+			return g.failed(ev.id, true, "reject", err, now)
 		}
-		s, _ := g.release(ev.name)
-		if err := e.healthEdge(g.round, e.mon.Observe(ev.name, true, now)); err != nil {
+		s, _ := g.release(ev.id)
+		if err := e.healthEdge(g.round, e.mon.Observe(name, true, now)); err != nil {
 			return err
 		}
 		if err := e.logUpdate(g.round, ev); err != nil {
@@ -805,8 +888,9 @@ func (g *gather) holds(ev event) bool { return g.open && ev.round == g.round }
 // failed records a client failure — a failed client is never silently
 // absent — and, when it cost this round an assignment (mine), releases the
 // slot and requeues it under the policy.
-func (g *gather) failed(name string, mine bool, cause string, err error, now time.Time) error {
+func (g *gather) failed(id int, mine bool, cause string, err error, now time.Time) error {
 	e := g.e
+	name := e.ros.names[id]
 	g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: %v", name, err))
 	e.met.failure(cause)
 	var tr reconcile.Transition
@@ -824,29 +908,29 @@ func (g *gather) failed(name string, mine bool, cause string, err error, now tim
 		return err
 	}
 	if mine {
-		_, t := g.release(name)
+		_, t := g.release(id)
 		g.requeue(t, now)
 	}
 	return nil
 }
 
-// slot returns a client's record for this round, starting one for a client
-// outside the sample (a substitute, or a stranger's event).
-func (g *gather) slot(name string) *slot {
-	s, ok := g.slots[name]
-	if !ok {
-		s = &slot{}
-		g.slots[name] = s
+// slot returns a client's record for this round. A client interned after
+// the round was sampled (a mid-run join) grows the table; the pointer is
+// good until the next call.
+func (g *gather) slot(id int) *slot {
+	if id >= len(g.slots) {
+		g.slots = append(g.slots, make([]slot, id+1-len(g.slots))...)
+		g.e.slots = g.slots
 	}
-	return s
+	return &g.slots[id]
 }
 
 // release frees the slot a client held and returns it with the assignment
 // it was working on (Attempt 0 when it held none).
-func (g *gather) release(name string) (*slot, reconcile.Task) {
+func (g *gather) release(id int) (*slot, reconcile.Task) {
 	g.pending--
-	s := g.slot(name)
-	t := reconcile.Task{Client: name, Round: g.round, Attempt: s.attempt, Origin: s.origin}
+	s := g.slot(id)
+	t := reconcile.Task{Client: g.e.ros.names[id], Round: g.round, Attempt: s.attempt, Origin: s.origin}
 	s.attempt = 0
 	return s, t
 }
@@ -876,20 +960,21 @@ func (g *gather) requeue(t reconcile.Task, now time.Time) {
 // recorded.
 func (g *gather) redispatch(t reconcile.Task, now time.Time) error {
 	pool, _ := g.e.idleEligible()
-	target := ""
-	for _, name := range pool {
-		if g.slot(name).done {
+	want := g.e.ros.add(t.Client)
+	target := -1
+	for _, id := range pool {
+		if g.slot(id).done {
 			continue
 		}
-		if name == t.Client {
-			target = name
+		if id == want {
+			target = id
 			break
 		}
-		if target == "" && g.e.pol.Substitute {
-			target = name
+		if target < 0 && g.e.pol.Substitute {
+			target = id
 		}
 	}
-	if target == "" {
+	if target < 0 {
 		return nil
 	}
 	return g.dispatch(t, target, true, now)
@@ -898,7 +983,7 @@ func (g *gather) redispatch(t reconcile.Task, now time.Time) error {
 // dispatch tasks target with assignment t. A retry is recorded in the
 // round's Reassigned / Sampled and the WAL; the original scatter was
 // recorded when the round opened.
-func (g *gather) dispatch(t reconcile.Task, target string, retry bool, now time.Time) error {
+func (g *gather) dispatch(t reconcile.Task, target int, retry bool, now time.Time) error {
 	e := g.e
 	down, err := e.be.task(target)
 	if err != nil {
@@ -911,13 +996,14 @@ func (g *gather) dispatch(t reconcile.Task, target string, retry bool, now time.
 	s := g.slot(target)
 	s.attempt, s.origin = t.Attempt, t.Origin
 	if retry {
-		g.rec.Reassigned = append(g.rec.Reassigned, t.Origin+">"+target)
+		name := e.ros.names[target]
+		g.rec.Reassigned = append(g.rec.Reassigned, t.Origin+">"+name)
 		if !s.sampled {
 			s.sampled = true
-			g.rec.Sampled = append(g.rec.Sampled, target)
+			g.rec.Sampled = append(g.rec.Sampled, name)
 		}
 		if e.wal != nil {
-			if err := e.wal.AppendTaskAssigned(g.round, target); err != nil {
+			if err := e.wal.AppendTaskAssigned(g.round, name); err != nil {
 				return fmt.Errorf("fl: round %d: %w", g.round, err)
 			}
 		}
@@ -955,12 +1041,12 @@ func (e *engine) logUpdate(round int, ev event) error {
 	if e.wal == nil {
 		return nil
 	}
-	u := ev.update
+	u, name := ev.update, e.ros.names[ev.id]
 	var err error
 	if ev.payload != nil {
-		err = e.wal.AppendUpdatePayload(round, ev.name, u.NumSamples, u.TrainLoss, ev.payload)
+		err = e.wal.AppendUpdatePayload(round, name, u.NumSamples, u.TrainLoss, ev.payload)
 	} else {
-		err = e.wal.AppendUpdate(round, ev.name, u.NumSamples, u.TrainLoss, u.PayloadBytes, u.Weights)
+		err = e.wal.AppendUpdate(round, name, u.NumSamples, u.TrainLoss, u.PayloadBytes, u.Weights)
 	}
 	if err != nil {
 		return fmt.Errorf("fl: round %d: %w", round, err)
@@ -1012,9 +1098,9 @@ type flatSink struct {
 	updates []*ClientUpdate
 }
 
-func (s *flatSink) open([]string) { s.updates = nil }
+func (s *flatSink) open([]int) { s.updates = nil }
 
-func (s *flatSink) accept(u *ClientUpdate) error {
+func (s *flatSink) accept(_ int, u *ClientUpdate) error {
 	s.updates = append(s.updates, u)
 	return nil
 }

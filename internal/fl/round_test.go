@@ -3,6 +3,8 @@ package fl
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -35,20 +37,20 @@ type outcome struct {
 	lost      bool
 }
 
-// scriptBackend implements backend over a script: task(name) consumes the
+// scriptBackend implements backend over a script: task(id) consumes the
 // client's next outcome and schedules the matching event; next delivers
 // scheduled events in time order, or advances the clock to the wake
-// instant.
+// instant. Its roster order is the order the test lists the clients in.
 type scriptBackend struct {
-	t      *testing.T
-	clk    *scriptClock
-	roster []string
+	t   *testing.T
+	clk *scriptClock
+	ros *roster
 	// script holds each client's outcomes, one per task it is handed; a
 	// client handed more tasks than it has outcomes fails the test.
 	script map[string][]outcome
-	// busy marks clients holding a task; queue holds the deliveries still
-	// to come, in time order.
-	busy  map[string]bool
+	// busy marks, by id, clients holding a task; queue holds the
+	// deliveries still to come, in time order.
+	busy  []bool
 	queue []scheduled
 	round int
 	// probes logs the recovery probes the engine fired.
@@ -60,11 +62,20 @@ type scheduled struct {
 	ev event
 }
 
+func newScriptBackend(t *testing.T, clk *scriptClock, names []string, script map[string][]outcome) *scriptBackend {
+	ros := newRoster(len(names))
+	for _, name := range names {
+		ros.add(name)
+	}
+	return &scriptBackend{t: t, clk: clk, ros: ros, script: script, busy: make([]bool, len(names))}
+}
+
 // delivery is an event the script injects a fixed time after the start,
-// whatever the engine does.
+// whatever the engine does, from the named client ("": no client).
 type delivery struct {
-	after time.Duration
-	ev    event
+	after  time.Duration
+	client string
+	ev     event
 }
 
 func (b *scriptBackend) schedule(after time.Duration, ev event) {
@@ -93,22 +104,23 @@ func (b *scriptBackend) next(_ <-chan struct{}, wake time.Time) (event, waitStat
 	b.queue = b.queue[1:]
 	b.clk.now = head.at
 	if head.ev.kind != evProbe {
-		delete(b.busy, head.ev.name)
+		b.busy[head.ev.id] = false
 	}
 	return head.ev, waitOK
 }
 
-func (b *scriptBackend) idle() ([]string, int) {
-	var names []string
-	for _, n := range b.roster {
-		if !b.busy[n] {
-			names = append(names, n)
+func (b *scriptBackend) idle() ([]int, int) {
+	var ids []int
+	for id, busy := range b.busy {
+		if !busy {
+			ids = append(ids, id)
 		}
 	}
-	return names, len(b.roster)
+	return ids, len(b.busy)
 }
 
-func (b *scriptBackend) task(name string) (int, error) {
+func (b *scriptBackend) task(id int) (int, error) {
+	name := b.ros.names[id]
 	if len(b.script[name]) == 0 {
 		b.t.Fatalf("client %s tasked more often than scripted", name)
 	}
@@ -117,13 +129,13 @@ func (b *scriptBackend) task(name string) (int, error) {
 	if o.refuse {
 		return 0, errors.New("scripted send failure")
 	}
-	b.busy[name] = true
-	ev := event{kind: evUpdate, name: name, round: b.round, update: scriptUpdate(name, b.round)}
+	b.busy[id] = true
+	ev := event{kind: evUpdate, id: id, round: b.round, update: scriptUpdate(name, b.round)}
 	switch {
 	case o.lost:
 		return 0, nil
 	case o.fail:
-		ev = event{kind: evFailure, name: name, round: b.round, err: errors.New("scripted failure"), cause: "exec"}
+		ev = event{kind: evFailure, id: id, round: b.round, err: errors.New("scripted failure"), cause: "exec"}
 	case o.malformed:
 		ev.update.NumSamples = 0
 	}
@@ -131,9 +143,9 @@ func (b *scriptBackend) task(name string) (int, error) {
 	return 0, nil
 }
 
-func (b *scriptBackend) probe(name string) error {
-	b.probes = append(b.probes, name)
-	b.schedule(5*time.Millisecond, event{kind: evProbe, name: name})
+func (b *scriptBackend) probe(id int) error {
+	b.probes = append(b.probes, b.ros.names[id])
+	b.schedule(5*time.Millisecond, event{kind: evProbe, id: id})
 	return nil
 }
 
@@ -206,7 +218,7 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 				"b": ok(200 * ms), "c": ok(200 * ms), "d": ok(10 * ms),
 			},
 			busy:   []string{"d"},
-			noise:  []delivery{{ev: event{kind: evUpdate, name: "d", round: -1, update: scriptUpdate("d", -1)}}},
+			noise:  []delivery{{client: "d", ev: event{kind: evUpdate, round: -1, update: scriptUpdate("d", -1)}}},
 			policy: retry, minClients: 3,
 			participants: "b,c,d", reassigned: "a>a,a>d", lateDropped: "d", failures: 2, probes: "a", elapsed: 200 * ms,
 		},
@@ -250,7 +262,7 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 			roster: []string{"a", "b"},
 			script: map[string][]outcome{"a": ok(10 * ms)},
 			busy:   []string{"a", "b"},
-			noise:  []delivery{{after: 30 * ms, ev: event{kind: evUpdate, name: "a", round: -1, update: scriptUpdate("a", -1)}}},
+			noise:  []delivery{{after: 30 * ms, client: "a", ev: event{kind: evUpdate, round: -1, update: scriptUpdate("a", -1)}}},
 			policy: retry, minClients: 1,
 			participants: "a", lateDropped: "a", elapsed: 40 * ms,
 		},
@@ -260,7 +272,7 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 			name:         "re-attach mid-task, null policy",
 			roster:       []string{"a", "b"},
 			script:       map[string][]outcome{"a": {{lost: true}, {after: 10 * ms}}, "b": ok(50 * ms)},
-			noise:        []delivery{{after: 20 * ms, ev: event{kind: evReattach, name: "a"}}},
+			noise:        []delivery{{after: 20 * ms, client: "a", ev: event{kind: evReattach}}},
 			minClients:   2,
 			participants: "a,b", elapsed: 50 * ms,
 		},
@@ -270,7 +282,7 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 			name:   "re-attach mid-task, reconcile policy",
 			roster: []string{"a", "b"},
 			script: map[string][]outcome{"a": {{lost: true}, {after: 10 * ms}}, "b": ok(50 * ms)},
-			noise:  []delivery{{after: 20 * ms, ev: event{kind: evReattach, name: "a"}}},
+			noise:  []delivery{{after: 20 * ms, client: "a", ev: event{kind: evReattach}}},
 			policy: retry, minClients: 2,
 			participants: "a,b", reassigned: "a>a", failures: 1, elapsed: 50 * ms,
 		},
@@ -295,17 +307,18 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Unix(1000, 0)
 			clk := &scriptClock{now: start}
-			be := &scriptBackend{t: t, clk: clk, roster: tc.roster, script: tc.script, busy: map[string]bool{}}
+			be := newScriptBackend(t, clk, tc.roster, tc.script)
 			for _, n := range tc.busy {
-				be.busy[n] = true
+				be.busy[be.ros.ids[n]] = true
 			}
 			for _, n := range tc.noise {
+				n.ev.id = be.ros.ids[n.client]
 				be.schedule(n.after, n.ev)
 			}
 			eng := newEngine(roundConfig{
 				rounds: 1, minClients: tc.minClients, deadline: tc.deadline,
 				clock: clk, reconcile: tc.policy,
-			}, be, &flatSink{agg: FedAvg{}})
+			}, be.ros, be, &flatSink{agg: FedAvg{}})
 			res, err := eng.run(context.Background(), scriptWeights(0))
 			if got := clk.now.Sub(start); got != tc.elapsed {
 				t.Errorf("round settled after %v, want %v", got, tc.elapsed)
@@ -342,5 +355,54 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 				t.Errorf("health records %v under policy %v", res.Health, tc.policy)
 			}
 		})
+	}
+}
+
+// TestRoundEngineRosterOrder pins the engine's orders on a roster whose
+// order is not the name order (site-999 comes before site-1000): the sample
+// is drawn from the backend's idle order, Participants is sorted by name,
+// and a tier sink's shards are contiguous blocks of the name-sorted sample.
+func TestRoundEngineRosterOrder(t *testing.T) {
+	const seed, fraction, width = 5, 0.5, 4
+	var names []string
+	script := map[string][]outcome{}
+	for i := 990; i < 1010; i++ {
+		name := fmt.Sprintf("site-%d", i)
+		names = append(names, name)
+		script[name] = []outcome{{after: time.Duration(i) * time.Microsecond}}
+	}
+	clk := &scriptClock{now: time.Unix(1000, 0)}
+	be := newScriptBackend(t, clk, names, script)
+	sk := &tierSink{widths: []int{width}}
+	eng := newEngine(roundConfig{rounds: 1, sampleFraction: fraction, seed: seed, clock: clk}, be.ros, be, sk)
+	res, err := eng.run(context.Background(), scriptWeights(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.History.Rounds[0]
+
+	// The engine's seeded shuffle of the idle order, cut to the sample size.
+	want := slices.Clone(names)
+	tensor.NewRNG(seed+7919).Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+	want = want[:len(names)/2]
+	if !slices.Equal(rec.Sampled, want) {
+		t.Errorf("sampled %v, want %v", rec.Sampled, want)
+	}
+	sorted := slices.Sorted(slices.Values(want))
+	if !slices.Equal(rec.Participants, sorted) {
+		t.Errorf("participants %v, want the name-sorted sample %v", rec.Participants, sorted)
+	}
+	// Walking the name-sorted sample, the shard starts at 0, steps up by at
+	// most one and ends at the last edge.
+	prev := 0
+	for i, name := range sorted {
+		s := sk.shardOf[be.ros.ids[name]]
+		if (i == 0 && s != 0) || s < prev || s > prev+1 {
+			t.Fatalf("%s (name rank %d) in shard %d after shard %d: shards are not contiguous name blocks", name, i, s, prev)
+		}
+		prev = s
+	}
+	if prev != width-1 {
+		t.Errorf("last shard %d, want %d", prev, width-1)
 	}
 }

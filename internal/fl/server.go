@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -134,10 +133,10 @@ type serverClient struct {
 // inboxMsg is one delivery to the Run goroutine: a reader's message or
 // terminal connection error, or a vetted connection asking to join.
 type inboxMsg struct {
-	name string
-	gen  int
-	msg  *transport.Message
-	err  error
+	id  int
+	gen int
+	msg *transport.Message
+	err error
 	// join, when non-nil, is a connection that passed vet; the other
 	// fields are unused.
 	join *joinReq
@@ -187,11 +186,16 @@ type Server struct {
 	// supersededRead / supersededWritten are the framed bytes of the
 	// connections re-attaches replaced, kept for the Result's wire totals.
 	supersededRead, supersededWritten int64
+	// ros interns each client's name at its first admission. The engine
+	// may intern a name the WAL recorded before its client is back, so an
+	// id can have no client yet.
+	ros *roster
 
 	// mu guards clients and sessions. Only the Run goroutine writes them;
 	// vet goroutines read sessions, and Close reads clients.
-	mu      sync.Mutex
-	clients map[string]*serverClient
+	mu sync.Mutex
+	// clients is indexed by roster id; nil where no client has joined.
+	clients []*serverClient
 	// sessions maps client name to issued session token; recovered from
 	// the WAL on restart so pre-crash clients can re-attach.
 	sessions map[string]string
@@ -255,7 +259,7 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		// not re-tasked until that reply drains) plus one terminal error,
 		// with headroom for join deliveries.
 		inbox:    make(chan inboxMsg, 4*cfg.ExpectedClients),
-		clients:  make(map[string]*serverClient),
+		ros:      newRoster(cfg.ExpectedClients),
 		sessions: sessions,
 	}
 	// The Server runs on the wall clock: its readers are goroutines that a
@@ -275,7 +279,7 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		async: cfg.AsyncAggregator, validate: cfg.Validate,
 		clock: clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
 		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
-	}, s, sk)
+	}, s.ros, s, sk)
 	s.met = s.eng.met
 	return s, nil
 }
@@ -289,9 +293,20 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.clients {
-		_ = c.conn.Close()
+		if c != nil {
+			_ = c.conn.Close()
+		}
 	}
 	return err
+}
+
+// client returns the client that joined under id, nil when none has. The
+// Run goroutine calls it freely; any other caller holds mu.
+func (s *Server) client(id int) *serverClient {
+	if id >= len(s.clients) {
+		return nil
+	}
+	return s.clients[id]
 }
 
 // acceptClients runs the registration phase: it starts the accept loop,
@@ -303,6 +318,7 @@ func (s *Server) acceptClients() error {
 	go s.acceptLoop(acceptErr)
 	timeout := time.NewTimer(s.cfg.RegisterTimeout)
 	defer timeout.Stop()
+	// Until the engine runs, every id is a joined client.
 	for len(s.clients) < s.cfg.ExpectedClients {
 		select {
 		case in := <-s.inbox:
@@ -372,9 +388,13 @@ func (s *Server) vet(conn transport.MessageConn) {
 // re-attach is returned as an evReattach carrying the round the client was
 // tasked for before the swap (-1: idle) — that task went down with the old
 // connection — and the ack's write error, if any. Anything else is a no-op
-// event.
+// event. A name joins the roster, under the next id, when it is first
+// admitted; that can be mid-run, when a WAL-recovered session re-attaches.
 func (s *Server) admit(j *joinReq) event {
-	c := s.clients[j.name]
+	var c *serverClient
+	if id, ok := s.ros.ids[j.name]; ok {
+		c = s.client(id)
+	}
 	sess := j.session
 	if sess == "" {
 		switch {
@@ -393,11 +413,15 @@ func (s *Server) admit(j *joinReq) event {
 			}
 		}
 	}
+	id := s.ros.add(j.name)
 	s.mu.Lock()
 	s.sessions[j.name] = sess
 	if c == nil {
 		c = &serverClient{name: j.name, taskedRound: -1, dead: true}
-		s.clients[j.name] = c
+		if id >= len(s.clients) {
+			s.clients = append(s.clients, make([]*serverClient, id+1-len(s.clients))...)
+		}
+		s.clients[id] = c
 	}
 	old, wasDead, wasTasked := c.conn, c.dead, c.taskedRound
 	c.conn, c.dead, c.taskedRound = j.conn, false, -1
@@ -414,18 +438,18 @@ func (s *Server) admit(j *joinReq) event {
 	}
 	var ev event
 	if j.session != "" {
-		ev = event{kind: evReattach, name: j.name, round: wasTasked}
+		ev = event{kind: evReattach, id: id, round: wasTasked}
 	}
 	if ev.err = j.conn.Write(&transport.Message{
 		Type: transport.MsgRegisterAck, Sender: s.kit.Name,
 		Meta: map[string]string{"accepted": "true", transport.MetaCodec: j.codec, transport.MetaSession: sess},
 	}); ev.err != nil {
 		s.cfg.Logf("fl server: client %q register ack: %v", j.name, ev.err)
-		s.markDead(j.name)
+		s.markDead(id)
 		return ev
 	}
 	if s.rosterClosed {
-		go s.readLoop(j.name, j.conn, gen)
+		go s.readLoop(id, j.conn, gen)
 	}
 	if j.session != "" {
 		s.met.resumes.Inc()
@@ -472,14 +496,14 @@ func (s *Server) negotiateCodec(msg *transport.Message) string {
 // is a parameter, never read from the shared client entry: the entry's
 // conn is swapped on resume, and this reader must keep draining the
 // connection it was born with.
-func (s *Server) readLoop(name string, conn transport.MessageConn, gen int) {
+func (s *Server) readLoop(id int, conn transport.MessageConn, gen int) {
 	for {
 		msg, err := conn.Read()
 		if err != nil {
-			s.inbox <- inboxMsg{name: name, gen: gen, err: err}
+			s.inbox <- inboxMsg{id: id, gen: gen, err: err}
 			return
 		}
-		s.inbox <- inboxMsg{name: name, gen: gen, msg: msg}
+		s.inbox <- inboxMsg{id: id, gen: gen, msg: msg}
 	}
 }
 
@@ -490,17 +514,17 @@ func (s *Server) startReaders() {
 	s.rosterClosed = true
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range s.clients {
-		go s.readLoop(c.name, c.conn, c.gen)
+	for id, c := range s.clients {
+		go s.readLoop(id, c.conn, c.gen)
 	}
 }
 
 // clientGen returns a client's current connection generation (-1 when
 // unknown).
-func (s *Server) clientGen(name string) int {
+func (s *Server) clientGen(id int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.clients[name]; ok {
+	if c := s.client(id); c != nil {
 		return c.gen
 	}
 	return -1
@@ -532,8 +556,10 @@ func (s *Server) Run(initialWeights map[string]*tensor.Matrix) (*Result, error) 
 	res.History.WireBytesRead, res.History.WireBytesWritten = s.supersededRead, s.supersededWritten
 	s.mu.Lock()
 	for _, c := range s.clients {
-		res.History.WireBytesRead += c.conn.BytesRead()
-		res.History.WireBytesWritten += c.conn.BytesWritten()
+		if c != nil {
+			res.History.WireBytesRead += c.conn.BytesRead()
+			res.History.WireBytesWritten += c.conn.BytesWritten()
+		}
 	}
 	s.mu.Unlock()
 	return res, nil
@@ -549,52 +575,51 @@ func (s *Server) begin(round int, global map[string]*tensor.Matrix) error {
 // idle implements backend: the live clients not still chewing on an
 // earlier round's task, in name order (a seeded sampling shuffle needs a
 // stable starting order); sampling is over the live roster.
-func (s *Server) idle() ([]string, int) {
+func (s *Server) idle() ([]int, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.clients))
+	ids := make([]int, 0, len(s.clients))
 	live := 0
-	for name, c := range s.clients {
-		if c.dead {
+	for _, id := range s.ros.byName() {
+		c := s.client(id)
+		if c == nil || c.dead {
 			continue
 		}
 		live++
 		if c.taskedRound < 0 {
-			names = append(names, name)
+			ids = append(ids, id)
 		}
 	}
-	sort.Strings(names)
-	return names, live
+	return ids, live
 }
 
 // task implements backend: the round's task goes out to one client. A
 // straggler stays tasked — and out of idle — until its reply or its
 // connection error drains in.
-func (s *Server) task(name string) (int, error) {
+func (s *Server) task(id int) (int, error) {
 	task := &transport.Message{
 		Type: transport.MsgTask, Sender: s.kit.Name, Round: s.round, Payload: s.blob,
 		Meta: map[string]string{"round": strconv.Itoa(s.round)},
 	}
-	if err := s.write(name, task); err != nil {
+	if err := s.write(id, task); err != nil {
 		return 0, err
 	}
-	s.setTasked(name, s.round)
+	s.setTasked(id, s.round)
 	return len(s.blob), nil
 }
 
 // probe implements backend: a MsgPing whose MsgPong answer (or the
 // connection's error) resolves the probe in the gather.
-func (s *Server) probe(name string) error {
-	return s.write(name, &transport.Message{Type: transport.MsgPing, Sender: s.kit.Name, Round: s.round})
+func (s *Server) probe(id int) error {
+	return s.write(id, &transport.Message{Type: transport.MsgPing, Sender: s.kit.Name, Round: s.round})
 }
 
 // write sends msg on a client's current connection, marking the client
 // dead when the write fails.
-func (s *Server) write(name string, msg *transport.Message) error {
+func (s *Server) write(id int, msg *transport.Message) error {
 	s.mu.Lock()
-	c, ok := s.clients[name]
 	var conn transport.MessageConn
-	if ok && !c.dead {
+	if c := s.client(id); c != nil && !c.dead {
 		conn = c.conn
 	}
 	s.mu.Unlock()
@@ -602,7 +627,7 @@ func (s *Server) write(name string, msg *transport.Message) error {
 		return errors.New("not connected")
 	}
 	if err := conn.Write(msg); err != nil {
-		s.markDead(name)
+		s.markDead(id)
 		return err
 	}
 	return nil
@@ -616,34 +641,34 @@ func (s *Server) normalize(in inboxMsg) event {
 	if in.join != nil {
 		return s.admit(in.join)
 	}
-	if s.clientGen(in.name) != in.gen {
+	if s.clientGen(in.id) != in.gen {
 		return event{} // stale delivery from a superseded connection
 	}
 	if in.msg != nil && in.msg.Type == transport.MsgPong {
 		// Before the tasked-slot bookkeeping: a pong must never release a
 		// pending task.
-		return event{kind: evProbe, name: in.name}
+		return event{kind: evProbe, id: in.id}
 	}
 	// Classify by the server-side task record, never the client-supplied
 	// msg.Round: a tasked client sending a malformed round must still
 	// release its slot, an untasked one must not be able to claim
 	// participation, and staleness is measured from the round the server
 	// tasked.
-	wasTasked := s.setTasked(in.name, -1)
+	wasTasked := s.setTasked(in.id, -1)
 	if in.err != nil {
-		s.markDead(in.name)
-		return event{kind: evFailure, name: in.name, round: wasTasked, err: in.err, cause: "conn"}
+		s.markDead(in.id)
+		return event{kind: evFailure, id: in.id, round: wasTasked, err: in.err, cause: "conn"}
 	}
-	u, err := s.handleReply(in.name, in.msg)
+	u, err := s.handleReply(s.ros.names[in.id], in.msg)
 	if err == nil && wasTasked < 0 {
 		err = errors.New("unsolicited update (not tasked)")
 	}
 	if err != nil {
 		// An execution failure (MsgError reply) or a garbled payload.
-		return event{kind: evFailure, name: in.name, round: wasTasked, err: err, cause: "reject"}
+		return event{kind: evFailure, id: in.id, round: wasTasked, err: err, cause: "reject"}
 	}
 	u.Round = wasTasked
-	return event{kind: evUpdate, name: in.name, round: wasTasked, update: u, payload: in.msg.Payload}
+	return event{kind: evUpdate, id: in.id, round: wasTasked, update: u, payload: in.msg.Payload}
 }
 
 // handleReply turns one inbound message into a ClientUpdate.
@@ -702,11 +727,11 @@ func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate
 }
 
 // setTasked updates a client's tasked round, returning the previous value.
-func (s *Server) setTasked(name string, round int) int {
+func (s *Server) setTasked(id, round int) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.clients[name]
-	if !ok {
+	c := s.client(id)
+	if c == nil {
 		return -1
 	}
 	prev := c.taskedRound
@@ -715,10 +740,10 @@ func (s *Server) setTasked(name string, round int) int {
 }
 
 // markDead flags a client's connection as failed.
-func (s *Server) markDead(name string) {
+func (s *Server) markDead(id int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.clients[name]; ok && !c.dead {
+	if c := s.client(id); c != nil && !c.dead {
 		c.dead = true
 		s.met.connected.Add(-1)
 	}
@@ -731,14 +756,17 @@ func (s *Server) broadcast(msg *transport.Message) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var failures []string
-	for name, c := range s.clients {
+	for _, c := range s.clients {
+		if c == nil {
+			continue
+		}
 		if c.dead {
-			failures = append(failures, fmt.Sprintf("%s: connection already failed", name))
+			failures = append(failures, fmt.Sprintf("%s: connection already failed", c.name))
 			continue
 		}
 		if err := c.conn.Write(msg); err != nil {
-			failures = append(failures, fmt.Sprintf("%s: %v", name, err))
-			s.cfg.Logf("fl server: broadcast to %q: %v", name, err)
+			failures = append(failures, fmt.Sprintf("%s: %v", c.name, err))
+			s.cfg.Logf("fl server: broadcast to %q: %v", c.name, err)
 		}
 	}
 	return failures

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"clinfl/internal/fl/durable"
 	"clinfl/internal/fl/hier"
@@ -89,7 +88,10 @@ type tierSink struct {
 	// one's O(model) slabs warm), so a round's aggregation state is
 	// allocated once per run, not once per round.
 	scratch []*hier.Partial
-	shardOf map[string]int
+	// shardOf maps a roster id to its shard this round. It is cleared each
+	// round, so a client outside the sample (or past the table's end) lands
+	// in shard 0.
+	shardOf []int
 	// shards holds this round's partials; nil means no update reached the
 	// shard yet.
 	shards []*hier.Partial
@@ -104,16 +106,16 @@ type tierSink struct {
 // open lays out the round's deterministic shard map: contiguous blocks of
 // the name-sorted sample, so the tier shape is a pure function of the
 // sampled set.
-func (t *tierSink) open(sampled []string) {
+func (t *tierSink) open(sampled []int) {
 	edges := 1
-	t.shardOf = nil
+	clear(t.shardOf)
 	if len(t.widths) > 0 {
-		names := append([]string(nil), sampled...)
-		sort.Strings(names)
-		edges = min(t.widths[0], len(names))
-		t.shardOf = make(map[string]int, len(names))
-		for i, n := range names {
-			t.shardOf[n] = i * edges / len(names)
+		edges = min(t.widths[0], len(sampled))
+		for i, id := range sampled {
+			if id >= len(t.shardOf) {
+				t.shardOf = append(t.shardOf, make([]int, id+1-len(t.shardOf))...)
+			}
+			t.shardOf[id] = i * edges / len(sampled)
 		}
 	}
 	for len(t.scratch) < edges {
@@ -129,8 +131,11 @@ func (t *tierSink) open(sampled []string) {
 // shard is hit; a reset partial accumulates bit-identically to a fresh one.
 // An update the partial rejects is a per-client failure, not a federation
 // abort: the round proceeds with everyone else.
-func (t *tierSink) accept(u *ClientUpdate) error {
-	s := t.shardOf[u.ClientName]
+func (t *tierSink) accept(id int, u *ClientUpdate) error {
+	s := 0
+	if id < len(t.shardOf) {
+		s = t.shardOf[id]
+	}
 	p := t.shards[s]
 	if p == nil {
 		p = t.scratch[s]
