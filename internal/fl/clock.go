@@ -54,44 +54,3 @@ const (
 	waitDeadline
 	waitCancelled
 )
-
-// waitRecv waits for the next value on ch until the deadline fires — the
-// absolute instant for a Waiter clock, the timer channel armed for that
-// instant for any other (zero/nil = no deadline) — optionally aborting when
-// done (a context's Done channel; nil = never) is closed. Under a Waiter
-// clock the wait is mediated by the event loop, so delivery order and
-// deadline outcomes are deterministic; under any other clock it is a plain
-// select.
-func waitRecv[T any](clk Clock, ch <-chan T, done <-chan struct{}, deadlineAt time.Time, deadlineCh <-chan time.Time) (T, waitStatus) {
-	var zero T
-	if w, ok := clk.(Waiter); ok {
-		var got T
-		status := waitOK
-		if w.Wait(func() bool {
-			select {
-			case <-done:
-				status = waitCancelled
-				return true
-			default:
-			}
-			select {
-			case v := <-ch:
-				got = v
-				return true
-			default:
-				return false
-			}
-		}, deadlineAt) {
-			return got, status
-		}
-		return zero, waitDeadline
-	}
-	select {
-	case v := <-ch:
-		return v, waitOK
-	case <-deadlineCh:
-		return zero, waitDeadline
-	case <-done:
-		return zero, waitCancelled
-	}
-}

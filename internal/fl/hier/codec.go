@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // PartialMagic prefixes the encoded-partial wire format, following the
@@ -64,12 +63,12 @@ func writeExpansion(buf *bytes.Buffer, e expansion) {
 	}
 }
 
-// EncodePartial serializes p deterministically: parameters sorted by
-// name and accounting lists sorted, so a given fold sequence always
-// encodes to identical bytes. (Different fold orders of the same updates
-// represent the same exact value but may lay it out across different
-// expansion components; Finalize — not the wire image — is the
-// order-independent quantity.)
+// EncodePartial serializes p deterministically: parameters in the
+// partial's name order and accounting lists sorted, so a given fold
+// sequence always encodes to identical bytes. (Different fold orders of
+// the same updates represent the same exact value but may lay it out
+// across different expansion components; Finalize — not the wire image —
+// is the order-independent quantity.)
 func EncodePartial(p *Partial) ([]byte, error) {
 	for _, s := range p.participants {
 		if len(s) > maxNameLen {
@@ -81,18 +80,15 @@ func EncodePartial(p *Partial) ([]byte, error) {
 			return nil, fmt.Errorf("hier: encode: failure entry %d bytes exceeds %d", len(s), maxEntryLen)
 		}
 	}
-	names := make([]string, 0, len(p.params))
-	for name := range p.params {
-		if len(name) > maxNameLen {
-			return nil, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(name), maxNameLen)
+	for _, ps := range p.params {
+		if len(ps.name) > maxNameLen {
+			return nil, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(ps.name), maxNameLen)
 		}
-		names = append(names, name)
 	}
-	sort.Strings(names)
 
 	var buf bytes.Buffer
 	buf.WriteString(PartialMagic)
-	writeU32(&buf, uint32(len(names)))
+	writeU32(&buf, uint32(len(p.params)))
 	writeU64(&buf, uint64(p.weight))
 	writeU32(&buf, uint32(p.updates))
 	writeU32(&buf, uint32(p.merged))
@@ -109,14 +105,13 @@ func EncodePartial(p *Partial) ([]byte, error) {
 	writeU64(&buf, uint64(p.bytesUp))
 	writeU64(&buf, uint64(p.bytesDown))
 	writeU64(&buf, uint64(p.tierBytes))
-	for _, name := range names {
-		ps := p.params[name]
-		writeString(&buf, name)
+	for _, ps := range p.params {
+		writeString(&buf, ps.name)
 		writeU32(&buf, uint32(ps.rows))
 		writeU32(&buf, uint32(ps.cols))
 		for _, e := range ps.sums {
 			if len(e) > maxComponents {
-				return nil, fmt.Errorf("hier: encode: %q expansion has %d components, cap %d", name, len(e), maxComponents)
+				return nil, fmt.Errorf("hier: encode: %q expansion has %d components, cap %d", ps.name, len(e), maxComponents)
 			}
 			writeExpansion(&buf, e)
 		}
@@ -150,14 +145,14 @@ func (p *Partial) EncodedSize() (int64, error) {
 		size += 2 + int64(len(s))
 	}
 	size += 8 + 8 + 8 // bytesUp, bytesDown, tierBytes
-	for name, ps := range p.params {
-		if len(name) > maxNameLen {
-			return 0, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(name), maxNameLen)
+	for _, ps := range p.params {
+		if len(ps.name) > maxNameLen {
+			return 0, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(ps.name), maxNameLen)
 		}
-		size += 2 + int64(len(name)) + 4 + 4
+		size += 2 + int64(len(ps.name)) + 4 + 4
 		for _, e := range ps.sums {
 			if len(e) > maxComponents {
-				return 0, fmt.Errorf("hier: encode: %q expansion has %d components, cap %d", name, len(e), maxComponents)
+				return 0, fmt.Errorf("hier: encode: %q expansion has %d components, cap %d", ps.name, len(e), maxComponents)
 			}
 			size += 2 + 8*int64(len(e))
 		}
@@ -348,9 +343,6 @@ func DecodePartial(blob []byte) (*Partial, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := p.params[name]; dup {
-			return nil, d.fail("duplicate param %q", name)
-		}
 		rows, err := d.u32()
 		if err != nil {
 			return nil, err
@@ -376,7 +368,7 @@ func DecodePartial(blob []byte) (*Partial, error) {
 		if elems*2 > int64(len(d.b)-d.off) {
 			return nil, d.fail("param %q elements exceed remaining payload", name)
 		}
-		ps := &paramSum{rows: int(rows), cols: int(cols), sums: make([]expansion, elems)}
+		ps := &paramSum{name: name, rows: int(rows), cols: int(cols), sums: make([]expansion, elems)}
 		for j := range ps.sums {
 			e, err := d.expansion()
 			if err != nil {
@@ -384,10 +376,19 @@ func DecodePartial(blob []byte) (*Partial, error) {
 			}
 			ps.sums[j] = e
 		}
-		p.params[name] = ps
+		p.params = append(p.params, ps)
 	}
 	if d.off != len(d.b) {
 		return nil, d.fail("%d trailing bytes", len(d.b)-d.off)
+	}
+	// An encoder writes params in name order, but any order decodes: one
+	// sort restores the schema order, and a duplicate name lands next to
+	// its twin.
+	sortParams(p.params)
+	for k := 1; k < len(p.params); k++ {
+		if p.params[k].name == p.params[k-1].name {
+			return nil, d.fail("duplicate param %q", p.params[k].name)
+		}
 	}
 	return p, nil
 }

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"clinfl/internal/tensor"
@@ -123,6 +125,96 @@ func TestDecodePartialRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(blob); i++ {
 		if _, err := DecodePartial(blob[:i]); err == nil {
 			t.Fatalf("prefix of %d bytes decoded successfully", i)
+		}
+	}
+}
+
+// TestEncodingIndependentOfParamOrder: the param schema is name-sorted
+// whatever order it arrives in. Partials folded from maps built in
+// permuted insertion orders, and a decoded payload whose params are out of
+// name order, all encode to the same bytes and merge alike.
+func TestEncodingIndependentOfParamOrder(t *testing.T) {
+	names := []string{"lstm.w", "emb", "out.b", "lstm.b", "out.w", "a"}
+	r := rand.New(rand.NewSource(5))
+	values := make([][]float64, 3)
+	for i := range values {
+		values[i] = make([]float64, 2*len(names))
+		for j := range values[i] {
+			values[i][j] = r.NormFloat64() * math.Pow(2, float64(r.Intn(30)-15))
+		}
+	}
+	fold := func(order []int) *Partial {
+		p := NewPartial()
+		for i, vals := range values {
+			weights := make(map[string]*tensor.Matrix, len(names))
+			for _, k := range order {
+				weights[names[k]] = tensor.MustFromSlice(1, 2, vals[2*k:2*k+2])
+			}
+			if err := p.Fold(Update{ClientName: string(rune('a' + i)), Weights: weights, NumSamples: 3 + i, TrainLoss: 0.25}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	encode := func(p *Partial) []byte {
+		t.Helper()
+		blob, err := EncodePartial(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	p := fold([]int{0, 1, 2, 3, 4, 5})
+	want := encode(p)
+	for _, order := range [][]int{{5, 4, 3, 2, 1, 0}, {2, 0, 5, 1, 3, 4}} {
+		if got := encode(fold(order)); !bytes.Equal(got, want) {
+			t.Fatalf("insertion order %v encodes differently", order)
+		}
+	}
+
+	// A payload whose params are out of name order decodes to the same
+	// schema: it re-encodes canonically and merges like the original.
+	reversed := *p
+	reversed.params = slices.Clone(p.params)
+	slices.Reverse(reversed.params)
+	blob := encode(&reversed)
+	if bytes.Equal(blob, want) {
+		t.Fatal("reversed params encoded in name order; the case tests nothing")
+	}
+	q, err := DecodePartial(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encode(q); !bytes.Equal(got, want) {
+		t.Fatal("out-of-order payload re-encodes differently")
+	}
+	a, b := NewPartial(), NewPartial()
+	for _, pair := range [][2]*Partial{{a, p}, {a, q}, {b, q}, {b, p}} {
+		if err := pair[0].Merge(pair[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(encode(a), encode(b)) {
+		t.Fatal("merging the decoded payload differs from merging the original")
+	}
+}
+
+// TestDecodePartialRejectsDuplicateParams: a name repeated anywhere in the
+// param list, not only next to itself, is a malformed partial.
+func TestDecodePartialRejectsDuplicateParams(t *testing.T) {
+	p := testPartial(t) // params b, w
+	for _, order := range [][]int{{0, 0, 1}, {0, 1, 0}, {1, 0, 1}} {
+		dup := *p
+		dup.params = nil
+		for _, k := range order {
+			dup.params = append(dup.params, p.params[k])
+		}
+		blob, err := EncodePartial(&dup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodePartial(blob); !errors.Is(err, ErrBadPartial) || !strings.Contains(err.Error(), "duplicate param") {
+			t.Errorf("params %v: err = %v, want a duplicate-param ErrBadPartial", order, err)
 		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
+	"strings"
 
 	"clinfl/internal/tensor"
 )
@@ -335,8 +337,15 @@ type Update struct {
 
 // paramSum is the running exact weighted sum for one parameter tensor.
 type paramSum struct {
+	name       string
 	rows, cols int
 	sums       []expansion // rows*cols element sums
+}
+
+// sortParams puts a schema in name order, the order every walk over a
+// partial's params — fold, merge, encode — relies on.
+func sortParams(params []*paramSum) {
+	slices.SortFunc(params, func(a, b *paramSum) int { return strings.Compare(a.name, b.name) })
 }
 
 // newSums carves n empty expansions with perElem capacity each out of one
@@ -355,9 +364,11 @@ func newSums(n, perElem int) []expansion {
 
 // Partial is a streaming partial FedAvg aggregate: fold updates in as
 // they arrive, merge sibling partials in any order, finalize once at the
-// root. The zero value is not usable; call NewPartial.
+// root. The zero value is an empty partial, as NewPartial returns.
 type Partial struct {
-	params  map[string]*paramSum
+	// params is the schema plus its sums, sorted by name; it is adopted
+	// from the first update folded or partial merged in.
+	params  []*paramSum
 	weight  int64 // Σ NumSamples, exact
 	updates int   // leaf updates folded in (transitively)
 	merged  int   // child partials merged in (transitively)
@@ -368,18 +379,21 @@ type Partial struct {
 	bytesUp      int64
 	bytesDown    int64
 	tierBytes    int64
+
+	// data is Fold's scratch: the validated update's data slices, by param
+	// index. It is emptied after every fold, so it holds no update alive.
+	data [][]float64
 }
 
 // NewPartial returns an empty partial aggregate.
-func NewPartial() *Partial {
-	return &Partial{params: make(map[string]*paramSum)}
-}
+func NewPartial() *Partial { return &Partial{} }
 
 // Fold accumulates one client update. Validation mirrors the flat
 // weightedAverage: non-positive weight, param-count mismatch, missing
 // params, and shape mismatches are errors (recorded by callers as
 // per-client failures); additionally non-finite values are rejected so
-// one poisoned client cannot silently NaN the exact accumulators.
+// one poisoned client cannot silently NaN the exact accumulators. A
+// rejected update folds nothing.
 func (p *Partial) Fold(u Update) error {
 	if u.NumSamples <= 0 {
 		return fmt.Errorf("hier: client %q has non-positive weight %d", u.ClientName, u.NumSamples)
@@ -390,33 +404,23 @@ func (p *Partial) Fold(u Update) error {
 	if len(p.params) > 0 && len(u.Weights) != len(p.params) {
 		return fmt.Errorf("hier: client %q sent %d params, want %d", u.ClientName, len(u.Weights), len(p.params))
 	}
-	w := float64(u.NumSamples)
 	if len(p.params) == 0 {
 		for name, m := range u.Weights {
-			p.params[name] = &paramSum{rows: m.Rows(), cols: m.Cols(), sums: newSums(m.Size(), 4)}
+			p.params = append(p.params, &paramSum{name: name, rows: m.Rows(), cols: m.Cols(), sums: newSums(m.Size(), 4)})
 		}
+		sortParams(p.params)
 	}
-	for name, ps := range p.params {
-		m, ok := u.Weights[name]
-		if !ok {
-			return fmt.Errorf("hier: client %q missing param %q", u.ClientName, name)
-		}
-		if m.Rows() != ps.rows || m.Cols() != ps.cols {
-			return fmt.Errorf("hier: client %q param %q is %dx%d, want %dx%d",
-				u.ClientName, name, m.Rows(), m.Cols(), ps.rows, ps.cols)
-		}
-		for _, v := range m.Data() {
-			if math.IsInf(v, 0) || math.IsNaN(v) {
-				return fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, name)
-			}
-		}
+	data, err := p.collect(u)
+	if err != nil {
+		return err
 	}
-	for name, ps := range p.params {
-		data := u.Weights[name].Data()
-		for i, v := range data {
+	w := float64(u.NumSamples)
+	for k, ps := range p.params {
+		for i, v := range data[k] {
 			ps.sums[i] = ps.sums[i].growProduct(w, v)
 		}
 	}
+	clear(data)
 	p.weight += int64(u.NumSamples)
 	p.updates++
 	p.lossSum = p.lossSum.growProduct(w, u.TrainLoss)
@@ -424,6 +428,33 @@ func (p *Partial) Fold(u Update) error {
 	p.bytesUp += int64(u.UpBytes)
 	p.bytesDown += int64(u.DownBytes)
 	return nil
+}
+
+// collect is Fold's one validation pass: per param in schema order, one
+// lookup, the shape check and the finite check. It returns the update's
+// data slices by param index, in the partial's reused scratch.
+func (p *Partial) collect(u Update) ([][]float64, error) {
+	data := p.data[:0]
+	for _, ps := range p.params {
+		m, ok := u.Weights[ps.name]
+		var err error
+		switch {
+		case !ok:
+			err = fmt.Errorf("hier: client %q missing param %q", u.ClientName, ps.name)
+		case m.Rows() != ps.rows || m.Cols() != ps.cols:
+			err = fmt.Errorf("hier: client %q param %q is %dx%d, want %dx%d",
+				u.ClientName, ps.name, m.Rows(), m.Cols(), ps.rows, ps.cols)
+		case !expansion(m.Data()).finite():
+			err = fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, ps.name)
+		}
+		if err != nil {
+			clear(data)
+			return nil, err
+		}
+		data = append(data, m.Data())
+	}
+	p.data = data
+	return data, nil
 }
 
 // Reset returns the partial to the empty state while retaining its
@@ -462,8 +493,8 @@ func (p *Partial) Merge(o *Partial) error {
 		return nil
 	}
 	if len(p.params) == 0 {
-		p.params = make(map[string]*paramSum, len(o.params))
-		for name, ps := range o.params {
+		p.params = make([]*paramSum, len(o.params))
+		for k, ps := range o.params {
 			// Slab the copy too, with headroom beyond each element's
 			// current length so the merges that follow adoption stay off
 			// the allocator as well.
@@ -472,33 +503,34 @@ func (p *Partial) Merge(o *Partial) error {
 				total += max(len(e), 2) + 2
 			}
 			slab := make([]float64, total)
-			cp := &paramSum{rows: ps.rows, cols: ps.cols, sums: make([]expansion, len(ps.sums))}
+			cp := &paramSum{name: ps.name, rows: ps.rows, cols: ps.cols, sums: make([]expansion, len(ps.sums))}
 			off := 0
 			for i, e := range ps.sums {
 				c := max(len(e), 2) + 2
 				cp.sums[i] = append(slab[off:off:off+c], e...)
 				off += c
 			}
-			p.params[name] = cp
+			p.params[k] = cp
 		}
 	} else {
 		if len(o.params) != len(p.params) {
 			return fmt.Errorf("hier: merge: partial has %d params, want %d", len(o.params), len(p.params))
 		}
-		// Validate every parameter before touching any sum: a caller that
-		// records a failed merge as one child's failure keeps folding into p.
-		for name, ops := range o.params {
-			ps, ok := p.params[name]
-			if !ok {
-				return fmt.Errorf("hier: merge: partial missing param %q", name)
+		// Both schemas are name-sorted, so params pair by index. Validate
+		// every pair before touching any sum: a caller that records a failed
+		// merge as one child's failure keeps folding into p.
+		for k, ops := range o.params {
+			ps := p.params[k]
+			if ops.name != ps.name {
+				return fmt.Errorf("hier: merge: partial has param %q where %q is expected", ops.name, ps.name)
 			}
 			if ops.rows != ps.rows || ops.cols != ps.cols {
 				return fmt.Errorf("hier: merge: param %q is %dx%d, want %dx%d",
-					name, ops.rows, ops.cols, ps.rows, ps.cols)
+					ps.name, ops.rows, ops.cols, ps.rows, ps.cols)
 			}
 		}
-		for name, ops := range o.params {
-			ps := p.params[name]
+		for k, ops := range o.params {
+			ps := p.params[k]
 			for i := range ps.sums {
 				ps.sums[i] = ps.sums[i].merge(ops.sums[i])
 			}
@@ -533,13 +565,13 @@ func (p *Partial) Finalize() (map[string]*tensor.Matrix, error) {
 	}
 	div := newDivider(p.weight)
 	out := make(map[string]*tensor.Matrix, len(p.params))
-	for name, ps := range p.params {
+	for _, ps := range p.params {
 		m := tensor.New(ps.rows, ps.cols)
 		data := m.Data()
 		for i, e := range ps.sums {
 			data[i] = div.quo(e)
 		}
-		out[name] = m
+		out[ps.name] = m
 	}
 	return out, nil
 }

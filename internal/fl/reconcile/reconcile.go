@@ -282,8 +282,11 @@ func (m *Monitor) SetQuarantined(name string) {
 // recovery probe is due at now, marking each as probing so it is not
 // returned again until ProbeResult lands.
 func (m *Monitor) DueProbes(now time.Time) []string {
+	if m == nil {
+		return nil
+	}
 	var due []string
-	for name, e := range m.tracked() {
+	for name, e := range m.clients {
 		if Eligible(e.health) || e.probing || e.nextProbe.IsZero() {
 			continue
 		}
@@ -303,7 +306,10 @@ func (m *Monitor) DueProbes(now time.Time) []string {
 // not-currently-probing clients (zero time when none is scheduled).
 func (m *Monitor) NextProbeAt() time.Time {
 	var at time.Time
-	for _, e := range m.tracked() {
+	if m == nil {
+		return at
+	}
+	for _, e := range m.clients {
 		if Eligible(e.health) || e.probing || e.nextProbe.IsZero() {
 			continue
 		}
@@ -323,7 +329,10 @@ func (m *Monitor) IsProbing(name string) bool {
 
 // Probing reports whether any recovery probe is currently in flight.
 func (m *Monitor) Probing() bool {
-	for _, e := range m.tracked() {
+	if m == nil {
+		return false
+	}
+	for _, e := range m.clients {
 		if e.probing {
 			return true
 		}

@@ -158,3 +158,20 @@ func TestQueueMixedReadyTimesPopEarliestFirst(t *testing.T) {
 		t.Fatalf("due order %v, want [first second]", due)
 	}
 }
+
+// TestNullMonitor: the nil monitor records nothing, keeps everyone
+// eligible and never has a probe due or in flight.
+func TestNullMonitor(t *testing.T) {
+	var m *Monitor
+	m.Observe("c", false, t0)
+	m.SetQuarantined("c")
+	if !m.Eligible("c") || m.Health("c") != Unknown || m.Demoted() {
+		t.Fatal("null monitor demoted a client")
+	}
+	if due := m.DueProbes(t0.Add(time.Hour)); due != nil {
+		t.Fatalf("null monitor has probes due: %v", due)
+	}
+	if !m.NextProbeAt().IsZero() || m.Probing() || m.IsProbing("c") || m.Snapshot() != nil {
+		t.Fatal("null monitor reports probe state")
+	}
+}

@@ -175,7 +175,7 @@ func (r *roster) byName() []int {
 }
 
 // source adapts a transport's delivery channel to the backend's poll and
-// next: one non-blocking receive, one waitRecv site, one timer policy.
+// next: one non-blocking receive, one wait, one timer policy.
 type source[T any] struct {
 	clk       Clock
 	ch        <-chan T
@@ -185,6 +185,13 @@ type source[T any] struct {
 	// arms one timer, not one per message.
 	timerAt time.Time
 	timer   <-chan time.Time
+	// waitPoll is the poll a Waiter clock evaluates between events, built
+	// once on the first virtual wait; done, got and status are its state for
+	// the current wait, so a delivered event allocates nothing.
+	waitPoll func() bool
+	done     <-chan struct{}
+	got      T
+	status   waitStatus
 }
 
 func (s *source[T]) poll() (event, bool) {
@@ -196,21 +203,62 @@ func (s *source[T]) poll() (event, bool) {
 	}
 }
 
+// next waits for the next value on the channel until wake (zero = no
+// deadline), aborting when done (a context's Done channel; nil = never) is
+// closed. Under a Waiter clock the wait is mediated by the event loop, so
+// delivery order and deadline outcomes are deterministic; under any other
+// clock it is a plain select on a timer armed for wake.
 func (s *source[T]) next(done <-chan struct{}, wake time.Time) (event, waitStatus) {
-	if _, virtual := s.clk.(Waiter); !virtual && !wake.Equal(s.timerAt) {
+	if w, virtual := s.clk.(Waiter); virtual {
+		if s.waitPoll == nil {
+			s.waitPoll = s.ready
+		}
+		s.done, s.status = done, waitOK
+		ok := w.Wait(s.waitPoll, wake)
+		v := s.got
+		var zero T
+		s.done, s.got = nil, zero
+		if !ok {
+			return event{}, waitDeadline
+		}
+		if s.status != waitOK {
+			return event{}, s.status
+		}
+		return s.normalize(v), waitOK
+	}
+	if !wake.Equal(s.timerAt) {
 		s.timerAt, s.timer = wake, nil
 		if !wake.IsZero() {
 			s.timer = time.After(wake.Sub(s.clk.Now()))
 		}
 	}
-	v, status := waitRecv(s.clk, s.ch, done, wake, s.timer)
-	switch status {
-	case waitOK:
+	select {
+	case v := <-s.ch:
 		return s.normalize(v), waitOK
-	case waitDeadline:
+	case <-s.timer:
 		s.timerAt, s.timer = time.Time{}, nil // spent
+		return event{}, waitDeadline
+	case <-done:
+		return event{}, waitCancelled
 	}
-	return event{}, status
+}
+
+// ready is the Waiter poll: a closed done ends the wait as cancelled, a
+// value on the channel ends it as delivered.
+func (s *source[T]) ready() bool {
+	select {
+	case <-s.done:
+		s.status = waitCancelled
+		return true
+	default:
+	}
+	select {
+	case v := <-s.ch:
+		s.got = v
+		return true
+	default:
+		return false
+	}
 }
 
 // engine runs the rounds of one federation.

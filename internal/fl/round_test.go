@@ -406,3 +406,53 @@ func TestRoundEngineRosterOrder(t *testing.T) {
 		t.Errorf("last shard %d, want %d", prev, width-1)
 	}
 }
+
+// stepClock is a minimal Waiter: Wait runs the one pending AfterFunc
+// callback whenever the poll fails, and reports a deadline when nothing is
+// pending.
+type stepClock struct{ pending func() }
+
+func (c *stepClock) Now() time.Time                       { return time.Time{} }
+func (c *stepClock) Since(time.Time) time.Duration        { return 0 }
+func (c *stepClock) AfterFunc(_ time.Duration, fn func()) { c.pending = fn }
+func (c *stepClock) Wait(poll func() bool, _ time.Time) bool {
+	for !poll() {
+		fn := c.pending
+		if fn == nil {
+			return false
+		}
+		c.pending = nil
+		fn()
+	}
+	return true
+}
+
+// TestSourceNextAllocatesNothingPerEvent: on a Waiter clock, waiting for
+// and delivering one event through source.next allocates nothing once the
+// source has built its poll.
+func TestSourceNextAllocatesNothingPerEvent(t *testing.T) {
+	clk := &stepClock{}
+	ch := make(chan int, 1)
+	src := source[int]{clk: clk, ch: ch, normalize: func(id int) event { return event{kind: evUpdate, id: id} }}
+	send := func() { ch <- 7 }
+	step := func() {
+		clk.AfterFunc(0, send)
+		if ev, status := src.next(nil, time.Time{}); status != waitOK || ev.kind != evUpdate || ev.id != 7 {
+			t.Fatalf("next = (%+v, %v), want client 7's update", ev, status)
+		}
+	}
+	step() // builds the poll once
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Fatalf("source.next allocated %v objects per delivered event, want 0", got)
+	}
+	// A closed done still cancels, and a wait with nothing pending ends at
+	// its deadline.
+	done := make(chan struct{})
+	close(done)
+	if _, status := src.next(done, time.Time{}); status != waitCancelled {
+		t.Fatalf("next on a closed done = %v, want waitCancelled", status)
+	}
+	if _, status := src.next(nil, time.Time{}); status != waitDeadline {
+		t.Fatalf("next with nothing pending = %v, want waitDeadline", status)
+	}
+}

@@ -163,29 +163,57 @@ func TestVirtualClockDrainRunsAfterFuncs(t *testing.T) {
 func TestEventHeapPopsMinimum(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	var h eventHeap
-	var pending []*event
+	var pending []event
 	var seq uint64
 	for i := 0; i < 20_000; i++ {
 		if len(pending) == 0 || rng.IntN(5) < 3 {
 			seq++
-			ev := &event{at: time.Duration(rng.IntN(64)), seq: seq}
+			ev := event{at: time.Duration(rng.IntN(64)), seq: seq}
 			h.push(ev)
 			pending = append(pending, ev)
 			continue
 		}
 		least := 0
-		for j, ev := range pending {
-			if ev.before(pending[least]) {
+		for j := range pending {
+			if pending[j].before(&pending[least]) {
 				least = j
 			}
 		}
-		if got, want := h.pop(), pending[least]; got != want {
+		got, want := h.pop(), pending[least]
+		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("step %d: popped (%v, %d), want (%v, %d)", i, got.at, got.seq, want.at, want.seq)
 		}
 		pending = append(pending[:least], pending[least+1:]...)
 	}
 	if len(h) != len(pending) {
 		t.Fatalf("heap holds %d events, want %d", len(h), len(pending))
+	}
+}
+
+// TestAfterFuncAndWaitAllocateNothing: once the heap has grown to its
+// working size, scheduling a prebuilt callback and the Wait that fires it
+// allocate nothing — a simulated client update costs no garbage on the
+// clock side.
+func TestAfterFuncAndWaitAllocateNothing(t *testing.T) {
+	vc := NewVirtualClock()
+	fired := false
+	fire := func() { fired = true }
+	poll := func() bool {
+		if fired {
+			fired = false
+			return true
+		}
+		return false
+	}
+	step := func() {
+		vc.AfterFunc(time.Millisecond, fire)
+		if !vc.Wait(poll, time.Time{}) {
+			t.Fatal("Wait returned without firing the callback")
+		}
+	}
+	step() // warm-up: the heap's backing array grows once
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Fatalf("AfterFunc + Wait allocated %v objects per event, want 0", got)
 	}
 }
 

@@ -59,8 +59,11 @@ func (m *Matrix) ReadFrom(r io.Reader) (int64, error) {
 		return n, fmt.Errorf("tensor: implausible dimensions %dx%d", rows, cols)
 	}
 	elems := int(rows * cols)
-	data := make([]float64, 0, min(elems, 64*1024/8))
-	buf := make([]byte, 64*1024)
+	// The scratch holds at most 8192 elements (64 KiB), and no more than the
+	// matrix needs: a 1x8 bias costs 64 bytes, not a full chunk.
+	chunk := min(elems, 8192)
+	data := make([]float64, 0, chunk)
+	buf := make([]byte, 8*chunk)
 	for len(data) < elems {
 		c := min(len(buf)/8, elems-len(data))
 		k, err = io.ReadFull(r, buf[:c*8])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -265,6 +266,43 @@ func TestSerializationRoundTrip(t *testing.T) {
 	}
 	if !got.Equal(m) {
 		t.Fatal("round trip changed matrix")
+	}
+}
+
+// TestReadFromScratchFitsTheMatrix: the read scratch is sized to the
+// matrix, so decoding a 1x8 bias allocates a few hundred bytes, not a
+// 64 KiB chunk; a matrix spanning several chunks still round-trips.
+func TestReadFromScratchFitsTheMatrix(t *testing.T) {
+	var blob bytes.Buffer
+	if _, err := NewRNG(3).Normal(1, 8, 0, 1).WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(blob.Bytes())
+	var got Matrix
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r.Reset(blob.Bytes())
+		if _, err := got.ReadFrom(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead >= 512 {
+		t.Fatalf("decoding a 1x8 matrix allocated %d bytes, want well under 1 KiB", perRead)
+	}
+
+	big := NewRNG(4).Normal(3, 8192, 0, 1)
+	blob.Reset()
+	if _, err := big.WriteTo(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := got.ReadFrom(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(big) {
+		t.Fatal("multi-chunk round trip changed the matrix")
 	}
 }
 
