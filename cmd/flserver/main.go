@@ -66,7 +66,6 @@ import (
 	"clinfl/internal/fl"
 	"clinfl/internal/fl/durable"
 	"clinfl/internal/metrics"
-	"clinfl/internal/nn"
 	"clinfl/internal/provision"
 )
 
@@ -212,12 +211,11 @@ func run() error {
 		}
 		return err
 	}
-	f, err := os.Create(*out)
+	blob, err := fl.EncodeWeights(res.FinalWeights)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := nn.WriteWeightMap(f, res.FinalWeights); err != nil {
+	if err := os.WriteFile(*out, blob, 0o666); err != nil {
 		return err
 	}
 	var up, down int64

@@ -7,12 +7,10 @@
 package fl
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
 	"clinfl/internal/fl/hier"
-	"clinfl/internal/nn"
 	"clinfl/internal/tensor"
 )
 
@@ -166,26 +164,4 @@ func (f FedAsync) Apply(global map[string]*tensor.Matrix, u *ClientUpdate, stale
 		}
 	}
 	return nil
-}
-
-// EncodeWeights serializes a weight map in the raw (exact float64)
-// transport format; senders with a negotiated codec call its Encode
-// instead.
-func EncodeWeights(weights map[string]*tensor.Matrix) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := nn.WriteWeightMap(&buf, weights); err != nil {
-		return nil, fmt.Errorf("fl: encode weights: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeWeights parses a transported weight map produced by any registered
-// codec (raw, f32-quantized, top-k sparse), sniffing the format from the
-// payload's magic.
-func DecodeWeights(blob []byte) (map[string]*tensor.Matrix, error) {
-	weights, err := decoderFor(blob).Decode(blob)
-	if err != nil {
-		return nil, fmt.Errorf("fl: decode weights: %w", err)
-	}
-	return weights, nil
 }

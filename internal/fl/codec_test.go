@@ -2,10 +2,15 @@ package fl
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/quick"
 
+	"clinfl/internal/model"
 	"clinfl/internal/tensor"
 )
 
@@ -234,6 +239,17 @@ func TestDecodeWeightsSniffsEveryCodec(t *testing.T) {
 	}
 }
 
+// TestDecodeWeightsRejectsGarbage: a blob that carries no codec magic is
+// refused for its magic, whatever bytes follow.
+func TestDecodeWeightsRejectsGarbage(t *testing.T) {
+	for _, junk := range []string{"", "not a checkpoint", "CFLW1", "CFLW2\n" + strings.Repeat("\x00", 64)} {
+		_, err := DecodeWeights([]byte(junk))
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("decoding %q: got %v, want a bad magic error", junk, err)
+		}
+	}
+}
+
 func TestCodecByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"":          "raw",
@@ -355,5 +371,190 @@ func TestTopKCodecRejectsZeroK(t *testing.T) {
 	if _, err := (TopKCodec{}).Decode(buf.Bytes()); err == nil ||
 		!strings.Contains(err.Error(), "out of [1") {
 		t.Fatalf("want k-out-of-range error, got %v", err)
+	}
+}
+
+// pinnedCodecWeights is a fixed weight map with every edge case the
+// encoders must keep byte-stable: an all-zero row, a NaN, a +Inf, float64
+// subnormals, a row whose float64 scale is nonzero but rounds to float32
+// zero, and ordinary values.
+func pinnedCodecWeights() map[string]*tensor.Matrix {
+	rng := tensor.NewRNG(24)
+	w := rng.Normal(4, 6, 0, 1)
+	d := w.Data()
+	for j := 6; j < 12; j++ {
+		d[j] = 0
+	}
+	d[13] = math.NaN()
+	d[20] = math.Inf(1)
+	return map[string]*tensor.Matrix{
+		"enc.w": w,
+		"enc.b": tensor.MustFromSlice(1, 3, []float64{5e-324, -2.5e-310, 0.75}),
+		"tiny.w": tensor.MustFromSlice(2, 3, []float64{
+			1e-300, -1e-300, 0,
+			5e-324, 0, -5e-324,
+		}),
+		"out.w": rng.Normal(3, 2, 0, 10),
+	}
+}
+
+// TestCodecPayloadsPinned pins every codec's payload bytes: a change to
+// the frame or to any element body shows up here, not only as a length
+// drift in the golden runs.
+func TestCodecPayloadsPinned(t *testing.T) {
+	weights := pinnedCodecWeights()
+	for _, tc := range []struct {
+		codec WeightCodec
+		want  string
+	}{
+		{RawCodec{}, "efa7ce9f404c65ba61596c4f4d38865bd801596e872c0fcff9dc7a49de568b91"},
+		{Float32Codec{}, "67282abad32a6fd674215d80f71e66880d7ea0f9e3609da99ed01fcb28a88bf8"},
+		{Int8Codec{}, "74e232ac6fa5c932f47ada68e25e2ad0a84fa4fdfd105c5c7e2e6170ac0f8e03"},
+		{TopKCodec{Fraction: 0.3}, "5f3f3a95c28568c0354504698107761e665b7623ac3aa6e7ac83ba3f187fde70"},
+		{TopKCodec{Fraction: 1}, "32e507677af820727977b8e468414637f7a1cd06526586e40504919abc4f3dad"},
+	} {
+		blob, err := tc.codec.Encode(weights)
+		if err != nil {
+			t.Fatalf("%s encode: %v", tc.codec.Name(), err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s payload sha256 %s (%d bytes), want %s", tc.codec.Name(), got, len(blob), tc.want)
+		}
+	}
+}
+
+// TestCodecsRejectDuplicateAndTrailing: a payload that names a param twice
+// or carries bytes after its last param is corrupt, in every codec. A
+// repeated name used to overwrite the first copy silently, and trailing
+// bytes used to be ignored.
+func TestCodecsRejectDuplicateAndTrailing(t *testing.T) {
+	one := map[string]*tensor.Matrix{"w": tensor.NewRNG(9).Normal(2, 3, 0, 1)}
+	for _, tc := range []struct {
+		codec WeightCodec
+		magic string
+		count int // bytes of the param count
+	}{
+		{RawCodec{}, rawMagic, 8},
+		{Float32Codec{}, f32Magic, 4},
+		{Int8Codec{}, int8Magic, 4},
+		{TopKCodec{Fraction: 0.5}, topKMagic, 4},
+	} {
+		blob, err := tc.codec.Encode(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		param := blob[len(tc.magic)+tc.count:]
+		dup := append([]byte(tc.magic), make([]byte, tc.count)...)
+		dup[len(tc.magic)] = 2
+		dup = append(append(dup, param...), param...)
+		for what, bad := range map[string][]byte{
+			"duplicate param": dup,
+			"trailing bytes":  append(bytes.Clone(blob), 0),
+		} {
+			if _, err := tc.codec.Decode(bad); err == nil || !strings.Contains(err.Error(), what) {
+				t.Errorf("%s %s: want %q error, got %v", tc.codec.Name(), what, what, err)
+			}
+			if _, err := DecodeWeights(bad); err == nil {
+				t.Errorf("%s %s: DecodeWeights accepted it", tc.codec.Name(), what)
+			}
+		}
+	}
+}
+
+// Property: the raw codec round-trips arbitrary weight maps bit-exactly.
+func TestRawCodecRoundTripProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := tensor.NewRNG(seed)
+		weights := map[string]*tensor.Matrix{}
+		for i := 0; i < 1+rng.Intn(4); i++ {
+			weights[string(rune('a'+i))] = rng.Normal(1+rng.Intn(8), 1+rng.Intn(8), 0, 100)
+		}
+		blob, err := RawCodec{}.Encode(weights)
+		if err != nil {
+			return false
+		}
+		got, err := RawCodec{}.Decode(blob)
+		if err != nil || len(got) != len(weights) {
+			return false
+		}
+		for name, m := range weights {
+			if !got[name].Equal(m) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRawDecodeAllocationFitsThePayload: decoding allocates what the
+// decoded map holds and no read scratch, so a 1x8 bias costs a few hundred
+// bytes; a 3x8192 matrix still round-trips.
+func TestRawDecodeAllocationFitsThePayload(t *testing.T) {
+	blob, err := RawCodec{}.Encode(map[string]*tensor.Matrix{"b": tensor.NewRNG(3).Normal(1, 8, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := (RawCodec{}).Decode(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perDecode := (after.TotalAlloc - before.TotalAlloc) / runs; perDecode >= 512 {
+		t.Fatalf("decoding a 1x8 param allocated %d bytes, want well under 1 KiB", perDecode)
+	}
+
+	big := map[string]*tensor.Matrix{"w": tensor.NewRNG(4).Normal(3, 8192, 0, 1)}
+	if blob, err = (RawCodec{}).Encode(big); err != nil {
+		t.Fatal(err)
+	}
+	got, err := RawCodec{}.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got["w"].Equal(big["w"]) {
+		t.Fatal("3x8192 round trip changed the matrix")
+	}
+}
+
+// BenchmarkCodec encodes and decodes one update of the 417k-parameter LSTM
+// that fanin16_tls sends (vocab 172, max length 24, 2 classes) with each
+// codec.
+func BenchmarkCodec(b *testing.B) {
+	mdl, err := model.New(model.SpecLSTM, 172, 24, 2, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	weights := make(map[string]*tensor.Matrix)
+	for _, p := range mdl.Params() {
+		weights[p.Name] = p.W
+	}
+	for _, c := range []WeightCodec{RawCodec{}, Float32Codec{}, Int8Codec{}, TopKCodec{Fraction: 0.1}} {
+		blob, err := c.Encode(weights)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.Name()+"/encode", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := c.Encode(weights); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.Name()+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := c.Decode(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -31,6 +31,15 @@ func buildCodecBlob(magic string, params []fuzzParam) []byte {
 	return buf.Bytes()
 }
 
+func writeUint32(buf *bytes.Buffer, v uint32) {
+	buf.Write(binary.LittleEndian.AppendUint32(nil, v))
+}
+
+func writeName(buf *bytes.Buffer, name string) {
+	writeUint32(buf, uint32(len(name)))
+	buf.WriteString(name)
+}
+
 type fuzzParam struct {
 	name       string
 	rows, cols uint32
@@ -53,13 +62,13 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		}
 		seeds = append(seeds, blob)
 	}
-	// Raw (nn checkpoint) format regression: 8-byte dims so huge their
-	// int product wraps — this exact class panicked tensor.ReadFrom with
-	// "makeslice: len out of range" before the int64-capped, chunked
-	// reader landed.
+	// Raw format regression: 8-byte dims so huge their int product
+	// wraps — this exact class once panicked the raw reader with
+	// "makeslice: len out of range", before dimensions were capped in
+	// int64 ahead of any allocation.
 	rawEvil := func(rows, cols uint64) []byte {
 		var buf bytes.Buffer
-		buf.WriteString("CFLW1\n")
+		buf.WriteString(rawMagic)
 		var b8 [8]byte
 		binary.LittleEndian.PutUint64(b8[:], 1) // param count
 		buf.Write(b8[:])
@@ -96,6 +105,7 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		// Implausible name length.
 		append([]byte(f32Magic), bytes.Repeat([]byte{0xFF}, 16)...),
 		[]byte("junk"),
+		[]byte("not a checkpoint"),
 		[]byte(f32Magic),
 		[]byte(topKMagic),
 	)

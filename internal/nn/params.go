@@ -197,3 +197,27 @@ func (c *Ctx) HarvestGrads(index map[*Param]int, dst []*tensor.Matrix, touched [
 	}
 	return nil
 }
+
+// LoadWeights copies values from a weight map into matching params,
+// verifying every parameter is present with the right shape.
+func LoadWeights(params []*Param, weights map[string]*tensor.Matrix) error {
+	for _, p := range params {
+		m, ok := weights[p.Name]
+		if !ok {
+			return fmt.Errorf("nn: missing weight %q", p.Name)
+		}
+		if err := p.W.CopyFrom(m); err != nil {
+			return fmt.Errorf("nn: load %q: %w", p.Name, err)
+		}
+	}
+	return nil
+}
+
+// SnapshotWeights deep-copies the current parameter values into a map.
+func SnapshotWeights(params []*Param) map[string]*tensor.Matrix {
+	out := make(map[string]*tensor.Matrix, len(params))
+	for _, p := range params {
+		out[p.Name] = p.W.Clone()
+	}
+	return out
+}
