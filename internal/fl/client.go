@@ -220,11 +220,23 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 }
 
 // train is the default task server: local training through the executor,
-// the update encoded with the negotiated uplink codec.
+// the update encoded with the negotiated uplink codec. Weights with a NaN
+// or ±Inf are refused before encoding: a lossy codec can turn them into
+// finite codes (int8 sends a NaN as 0), and the server would then average
+// a diverged model it cannot recognise.
 func (c *Client) train(task *transport.Message, global map[string]*tensor.Matrix) ([]byte, int, float64, error) {
 	update, err := c.exec.ExecuteRound(task.Round, global)
 	if err != nil {
 		return nil, 0, 0, err
+	}
+	bad := "" // the first non-finite param in name order
+	for name, m := range update.Weights {
+		if (bad == "" || name < bad) && !tensor.AllFinite(m.Data()) {
+			bad = name
+		}
+	}
+	if bad != "" {
+		return nil, 0, 0, fmt.Errorf("trained param %q has a non-finite value", bad)
 	}
 	blob, err := c.codec.Encode(update.Weights)
 	return blob, update.NumSamples, update.TrainLoss, err

@@ -364,32 +364,18 @@ func (Int8Codec) put(dst []byte, m *tensor.Matrix) []byte {
 	cols := m.Cols()
 	for r := 0; r < m.Rows(); r++ {
 		row := d[r*cols : (r+1)*cols]
-		// Not the builtin max: a NaN must not become the row's scale.
-		maxAbs := 0.0
-		for _, v := range row {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		// The zero test is on the float64 scale: a row whose scale rounds
-		// to float32 zero still ships its clamped codes.
-		scale := maxAbs / 127
+		// MaxAbs, not the builtin max: a NaN must not become the row's
+		// scale.
+		scale := tensor.MaxAbs(row) / 127
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(scale)))
-		if scale == 0 {
-			dst = append(dst, make([]byte, cols)...)
-			continue
-		}
-		// Quantize against the float32-rounded scale the decoder will
+		n := len(dst)
+		dst = append(dst, make([]byte, cols)...)
+		// The zero test is on the float64 scale: a row whose scale rounds
+		// to float32 zero still ships its clamped codes. They are
+		// quantized against the float32-rounded scale the decoder will
 		// use, so encode/decode agree on the grid.
-		s := float64(float32(scale))
-		for _, v := range row {
-			q := math.Round(v / s)
-			if q > 127 {
-				q = 127
-			} else if q < -127 {
-				q = -127
-			}
-			dst = append(dst, byte(int8(q)))
+		if scale != 0 {
+			tensor.QuantizeInt8(dst[n:], row, float64(float32(scale)))
 		}
 	}
 	return dst
@@ -410,10 +396,7 @@ func (Int8Codec) get(r *reader, m *tensor.Matrix) error {
 		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
 			return fmt.Errorf("bad row scale %v", scale)
 		}
-		dr := d[row*cols : (row+1)*cols]
-		for j, c := range q[4:] {
-			dr[j] = float64(int8(c)) * scale
-		}
+		tensor.DequantizeInt8(d[row*cols:(row+1)*cols], q[4:], scale)
 	}
 	return nil
 }

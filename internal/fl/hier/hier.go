@@ -444,7 +444,7 @@ func (p *Partial) collect(u Update) ([][]float64, error) {
 		case m.Rows() != ps.rows || m.Cols() != ps.cols:
 			err = fmt.Errorf("hier: client %q param %q is %dx%d, want %dx%d",
 				u.ClientName, ps.name, m.Rows(), m.Cols(), ps.rows, ps.cols)
-		case !expansion(m.Data()).finite():
+		case !tensor.AllFinite(m.Data()):
 			err = fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, ps.name)
 		}
 		if err != nil {

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -924,5 +925,57 @@ func TestServerRejectsGarbledUpdateHeader(t *testing.T) {
 				t.Fatalf("final weight %v, want c1's 1 alone", got)
 			}
 		})
+	}
+}
+
+// TestServerNamesNonFiniteInt8Client: a client whose training diverged to
+// NaN reports that instead of encoding it. Under int8 a NaN would travel
+// as code 0, and the server would average a zero model it cannot tell
+// from a real one.
+func TestServerNamesNonFiniteInt8Client(t *testing.T) {
+	network := transport.NewMemNetwork()
+	defer network.Close()
+	srv, err := NewServer(ServerConfig{
+		ExpectedClients: 3, Rounds: 1, MinClients: 2, RegisterTimeout: 10 * time.Second,
+		VerifyToken: tokenFor, Logf: quietLogf, Listener: network,
+	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for _, exec := range []*fakeExecutor{
+		{name: "a", samples: 1, value: 1},
+		{name: "b", samples: 1, value: math.NaN()},
+		{name: "c", samples: 1, value: 3},
+	} {
+		cl, err := NewClient(ClientConfig{Codec: "int8", Logf: quietLogf, Dialer: memDialer(network, exec.name)},
+			&provision.StartupKit{Role: provision.RoleClient, Name: exec.name, Token: "tok-" + exec.name}, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = cl.Run()
+		}()
+	}
+	res, err := srv.Run(initialWeights())
+	srv.Close()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.History.Rounds[0]
+	if len(rec.Failures) != 1 || !strings.HasPrefix(rec.Failures[0], "b: ") ||
+		!strings.Contains(rec.Failures[0], `param "layer.b" has a non-finite value`) {
+		t.Errorf("failures %q, want b's non-finite value in layer.b, its first param by name", rec.Failures)
+	}
+	for name, m := range res.FinalWeights {
+		for _, v := range m.Data() {
+			if math.Abs(v-2) > 0.05 {
+				t.Fatalf("%s holds %v, want about 2, the mean of a and c", name, v)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -270,8 +271,10 @@ type engine struct {
 	rng  *tensor.RNG
 	met  flMetrics
 	// slots backs each round's gather.slots, so the per-client table is
-	// allocated once per run, not once per round.
+	// allocated once per run, not once per round; names does the same for
+	// gather.names.
 	slots []slot
+	names []string
 	// mon / pol are the health monitor and the retry policy. Without a
 	// ReconcilePolicy the same loop runs under the null policy: a nil
 	// monitor (records nothing, everyone eligible, no probes) and one
@@ -431,9 +434,12 @@ type gather struct {
 	e      *engine
 	round  int
 	global map[string]*tensor.Matrix
-	rec    *RoundRecord
-	late   []*ClientUpdate
-	rq     *reconcile.Queue
+	// names is global's parameter names, sorted once for the round's
+	// update checks (backed by engine.names).
+	names []string
+	rec   *RoundRecord
+	late  []*ClientUpdate
+	rq    *reconcile.Queue
 	// slots is indexed by roster id. It covers the roster as it stood when
 	// the round was sampled; slot grows it for a client interned since.
 	slots []slot
@@ -456,7 +462,9 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	if err := e.be.begin(round, global); err != nil {
 		return nil, err
 	}
-	g := &gather{e: e, round: round, global: global, rec: rec, rq: reconcile.NewQueue()}
+	e.names = slices.AppendSeq(e.names[:0], maps.Keys(global))
+	slices.Sort(e.names)
+	g := &gather{e: e, round: round, global: global, names: e.names, rec: rec, rq: reconcile.NewQueue()}
 	// Stragglers that finished between rounds drain first, so they become
 	// idle (sample-able) again and their updates enter this round's
 	// staleness handling instead of rotting in the channel.
@@ -663,7 +671,7 @@ func (g *gather) reseed(resume *durable.OpenRound) (sampled, toTask []int, seede
 	for _, u := range resume.Updates {
 		cu, err := recoveredUpdate(u, g.round)
 		if err == nil {
-			err = checkUpdate(g.global, cu)
+			err = checkUpdate(g.global, g.names, cu)
 		}
 		if err != nil {
 			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: update recovered from WAL unusable: %v", u.Client, err))
@@ -909,7 +917,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 		// The single accept step. Validation comes before the WAL: a
 		// malformed update must be one client's failure, never a durable
 		// record that aborts this run and every restart after it.
-		err := checkUpdate(g.global, ev.update)
+		err := checkUpdate(g.global, g.names, ev.update)
 		if err == nil {
 			err = e.sink.accept(ev.id, ev.update)
 		}
@@ -1104,8 +1112,9 @@ func (e *engine) logUpdate(round int, ev event) error {
 
 // checkUpdate is the accept step's validation of an in-round update
 // against the round's global model: everything Aggregate would otherwise
-// discover only after the update is durable.
-func checkUpdate(global map[string]*tensor.Matrix, u *ClientUpdate) error {
+// discover only after the update is durable. names is global's keys,
+// sorted.
+func checkUpdate(global map[string]*tensor.Matrix, names []string, u *ClientUpdate) error {
 	if u.hierPartial != nil {
 		return nil // an edge's partial: validated by its decoder, merged by shape
 	}
@@ -1118,13 +1127,16 @@ func checkUpdate(global map[string]*tensor.Matrix, u *ClientUpdate) error {
 	if len(u.Weights) != len(global) {
 		return fmt.Errorf("update carries %d params, want %d", len(u.Weights), len(global))
 	}
-	return checkShapes(global, u)
+	return checkShapes(global, names, u)
 }
 
 // checkShapes verifies an update covers every global parameter with
-// matching dimensions.
-func checkShapes(global map[string]*tensor.Matrix, u *ClientUpdate) error {
-	for name, g := range global {
+// matching dimensions and finite values: one NaN would otherwise average
+// into every client's next model. It walks names (global's keys, sorted),
+// so of several bad params it always reports the same one.
+func checkShapes(global map[string]*tensor.Matrix, names []string, u *ClientUpdate) error {
+	for _, name := range names {
+		g := global[name]
 		w, ok := u.Weights[name]
 		if !ok {
 			return fmt.Errorf("missing param %q", name)
@@ -1132,6 +1144,9 @@ func checkShapes(global map[string]*tensor.Matrix, u *ClientUpdate) error {
 		if w.Rows() != g.Rows() || w.Cols() != g.Cols() {
 			return fmt.Errorf("param %q shape %dx%d, want %dx%d",
 				name, w.Rows(), w.Cols(), g.Rows(), g.Cols())
+		}
+		if !tensor.AllFinite(w.Data()) {
+			return fmt.Errorf("param %q has a non-finite value", name)
 		}
 	}
 	return nil
@@ -1215,8 +1230,12 @@ func finalizeRound(filters []Filter, agg Aggregator, async AsyncAggregator,
 	// average is never clobbered. The shape pre-check keeps a mismatched
 	// update from partially mutating the model inside Apply; LateApplied
 	// records a merge only once it actually reached the global model.
+	var names []string
+	if len(merged) > 0 {
+		names = slices.Sorted(maps.Keys(next))
+	}
 	for _, lu := range merged {
-		if err := checkShapes(next, lu); err != nil {
+		if err := checkShapes(next, names, lu); err != nil {
 			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
 			continue
 		}

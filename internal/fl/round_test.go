@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -454,5 +455,96 @@ func TestSourceNextAllocatesNothingPerEvent(t *testing.T) {
 	}
 	if _, status := src.next(nil, time.Time{}); status != waitDeadline {
 		t.Fatalf("next with nothing pending = %v, want waitDeadline", status)
+	}
+}
+
+// TestNonFiniteUpdateIsClientFailure: an update holding a NaN is its
+// client's named failure, in the flat federation as through a tier, and
+// the model averages the other two clients.
+func TestNonFiniteUpdateIsClientFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tier *TierConfig
+	}{{"flat", nil}, {"tier", &TierConfig{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			execs := []Executor{
+				&fakeExecutor{name: "a", samples: 1, value: 1},
+				&fakeExecutor{name: "b", samples: 1, value: math.NaN()},
+				&fakeExecutor{name: "c", samples: 1, value: 3},
+			}
+			ctrl, err := NewController(ControllerConfig{Rounds: 1, MinClients: 2, Tier: tc.tier}, execs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctrl.Run(context.Background(), initialWeights())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := res.History.Rounds[0]
+			if got := strings.Join(rec.Participants, ","); got != "a,c" {
+				t.Errorf("participants %q, want a,c", got)
+			}
+			if len(rec.Failures) != 1 || !strings.HasPrefix(rec.Failures[0], "b: ") ||
+				!strings.Contains(rec.Failures[0], "non-finite value") {
+				t.Errorf("failures %q, want b's non-finite value", rec.Failures)
+			}
+			for name, m := range res.FinalWeights {
+				for _, v := range m.Data() {
+					if v != 2 {
+						t.Fatalf("%s holds %v, want the mean of a and c, 2", name, v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// swapParamsExecutor answers with the global's params, except that the
+// listed ones come back under other names: the count matches, the names
+// do not.
+type swapParamsExecutor struct {
+	name    string
+	renamed []string
+}
+
+func (s swapParamsExecutor) Name() string    { return s.name }
+func (s swapParamsExecutor) NumSamples() int { return 1 }
+
+func (s swapParamsExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
+	w := make(map[string]*tensor.Matrix, len(global))
+	for name, m := range global {
+		if slices.Contains(s.renamed, name) {
+			name = "stray." + name
+		}
+		w[name] = m.Clone()
+	}
+	return &ClientUpdate{ClientName: s.name, Round: round, Weights: w, NumSamples: 1, TrainLoss: 1}, nil
+}
+
+// TestUpdateCheckReportsFirstBadParamByName: an update missing two params
+// is reported by the one first in name order, every time, so the round
+// record does not depend on map iteration order.
+func TestUpdateCheckReportsFirstBadParamByName(t *testing.T) {
+	global := map[string]*tensor.Matrix{}
+	for _, name := range []string{"p0", "p1", "p2", "p3", "p4", "p5"} {
+		global[name] = tensor.New(1, 2)
+	}
+	const want = `bad: missing param "p1"`
+	for run := range 50 {
+		execs := []Executor{
+			&fakeExecutor{name: "good", samples: 1, value: 1},
+			swapParamsExecutor{name: "bad", renamed: []string{"p4", "p1"}},
+		}
+		ctrl, err := NewController(ControllerConfig{Rounds: 1, MinClients: 1}, execs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctrl.Run(context.Background(), global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.History.Rounds[0].Failures; len(got) != 1 || got[0] != want {
+			t.Fatalf("run %d: failures %q, want [%s]", run, got, want)
+		}
 	}
 }

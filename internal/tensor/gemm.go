@@ -36,9 +36,10 @@ package tensor
 // ascending-k order, making results bit-identical at every pool width, on
 // every build level and with or without AVX2.
 
-// KernelVariant reports which implementation of the inner loops runs:
-// "avx2" for the assembly kernels, "scalar" for the pure-Go reference. The
-// two compute the same bits; they differ in speed only.
+// KernelVariant reports which implementation of the inner loops (and of
+// quant.go's element kernels) runs: "avx2" for the assembly kernels,
+// "scalar" for the pure-Go reference. The two compute the same bits; they
+// differ in speed only.
 func KernelVariant() string {
 	if useAVX2 {
 		return "avx2"

@@ -54,7 +54,7 @@ func dotRow(o, x, y []float64, alpha float64, acc bool) {
 
 // exact returns s[:n], panicking when len(s) < n (a plain s[:n] would
 // reach into spare capacity).
-func exact(s []float64, n int) []float64 { return s[:len(s):len(s)][:n] }
+func exact[T float64 | byte](s []T, n int) []T { return s[:len(s):len(s)][:n] }
 
 // axpyQuadAVX2 computes exactly what axpyQuadGo computes.
 func axpyQuadAVX2(o, b []float64, a0, a1, a2, a3, alpha float64, assign bool) {

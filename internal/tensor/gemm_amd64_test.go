@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -12,8 +13,9 @@ import (
 // switch) on the same operands and compare every output element's bits.
 
 var (
-	simdNs = []int{1, 3, 4, 5, 127, 512}
-	simdKs = []int{1, 2, 3, 4, 5, 128, 130}
+	simdNs  = []int{1, 3, 4, 5, 127, 512}
+	simdKs  = []int{1, 2, 3, 4, 5, 128, 130}
+	quantNs = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 127, 512}
 )
 
 // simdPool returns the operand values a table case draws from: normals
@@ -134,6 +136,118 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 			}
 		}
 	}
+	// A NaN between a lane's largest element and smaller ones: the running
+	// max must skip it, not restart after it.
+	for lane := range 8 {
+		x := make([]float64, 24)
+		for i := range x {
+			x[i] = 1
+		}
+		x[lane], x[lane+8], x[lane+16] = 8, math.NaN(), 2
+		if got := maxAbsAVX2(x); got != 8 {
+			t.Errorf("maxAbs restarted after a NaN in lane %d: %v, want 8", lane, got)
+		}
+	}
+	for _, seed := range []int64{25, 26, 27} {
+		pool := quantPool(seed)
+		for _, n := range quantNs {
+			for _, off := range []int{0, 1} {
+				checkQuant(t, pool, n, off, -3)
+			}
+		}
+	}
+}
+
+// quantPool returns the element values the codec kernels are checked on:
+// normals, exact .5 points of the 1/64 and 1 grids, values that clamp,
+// NaN, ±Inf, ±0, subnormals and random float64 bit patterns.
+func quantPool(seed int64) []float64 {
+	rng := NewRNG(seed)
+	pool := rng.Normal(1, 40, 0, 1).Data()
+	for k := -131; k <= 131; k += 6 {
+		pool = append(pool, (float64(k)+0.5)/64)
+	}
+	pool = append(pool, 0.5, -0.5, 2.5, -2.5, 0.49999999999999994, 126.5, -127.5, 1e300, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, -2.5e-310)
+	r := rng.Rand()
+	for range 24 {
+		pool = append(pool, math.Float64frombits(r.Uint64()))
+	}
+	return pool
+}
+
+// checkQuant compares the codec and accumulate kernels with their Go
+// references on n elements drawn from pool, off elements into their
+// backing arrays. extra is one more scale to quantize, dequantize and
+// accumulate with.
+func checkQuant(t *testing.T, pool []float64, n, off int, extra float64) {
+	t.Helper()
+	draw := func(start int) []float64 {
+		s := make([]float64, off+n)[off:]
+		for i := range s {
+			s[i] = pool[(start+7*i)%len(pool)]
+		}
+		return s
+	}
+	x := draw(0)
+	m := maxAbsGo(x, 0)
+	if got := maxAbsAVX2(x); math.Float64bits(got) != math.Float64bits(m) {
+		t.Fatalf("maxAbs n=%d off=%d: %v, Go reference %v", n, off, got, m)
+	}
+	// The codec's scale, one that rounds to float32 zero, a subnormal, the
+	// two grids of quantPool, the float32 maximum and the non-finite ones.
+	scales := []float64{float64(float32(m / 127)), float64(float32(1e-300)), 5e-324, 1.0 / 64, 1,
+		math.MaxFloat32, math.Inf(1), math.NaN(), -1.0 / 64, extra}
+	for _, s := range scales {
+		want, got := make([]byte, off+n)[off:], make([]byte, off+n)[off:]
+		quantizeGo(want, x, s)
+		quantizeAVX2(got, x, s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("quantize n=%d off=%d s=%v: % x, Go reference % x", n, off, s, got, want)
+		}
+	}
+	// Two code vectors: i·97+13 meets every byte value once per 256
+	// elements, and the pool values' mantissa bits follow the fuzzer's data.
+	seq, bits := make([]byte, off+n)[off:], make([]byte, off+n)[off:]
+	for i, v := range draw(3) {
+		seq[i] = byte(i*97 + 13)
+		bits[i] = byte(math.Float64bits(v) >> 17)
+	}
+	for _, q := range [][]byte{seq, bits} {
+		for _, s := range scales {
+			want, got := make([]float64, off+n)[off:], make([]float64, off+n)[off:]
+			dequantizeGo(want, q, s)
+			dequantizeAVX2(got, q, s)
+			sameBits(t, "dequantize", n, 0, off, s, false, got, want)
+		}
+	}
+	finite := draw(5)
+	for i, v := range finite {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			finite[i] = float64(i)
+		}
+	}
+	for _, y := range [][]float64{x, finite} {
+		if got, want := allFiniteAVX2(y), allFiniteGo(y); got != want {
+			t.Fatalf("allFinite n=%d off=%d: %v, Go reference %v", n, off, got, want)
+		}
+	}
+	for i := range finite {
+		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+			keep := finite[i]
+			finite[i] = bad
+			if allFiniteAVX2(finite) {
+				t.Fatalf("allFinite n=%d off=%d: missed %v at %d", n, off, bad, i)
+			}
+			finite[i] = keep
+		}
+	}
+	for _, c := range append([]float64{0, 1, 0.125}, scales...) {
+		want, got := draw(11), draw(11)
+		addScaledGo(want, x, c)
+		addScaledAVX2(got, x, c)
+		sameBits(t, "addScaled", n, 0, off, c, false, got, want)
+	}
 }
 
 // TestSIMDWrappersRejectShortOperands pins the memory-safety boundary: an
@@ -144,10 +258,14 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 	const n, k = 8, 5
 	o := make([]float64, n)
 	short := func(m int) []float64 { return make([]float64, m, m+64)[:m-1] }
+	shortBytes := func(m int) []byte { return make([]byte, m, m+64)[:m-1] }
 	for name, call := range map[string]func(){
-		"axpyQuad": func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
-		"axpy":     func() { axpyAVX2(o, short(n), 1, 1) },
-		"dotRow":   func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
+		"axpyQuad":   func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
+		"axpy":       func() { axpyAVX2(o, short(n), 1, 1) },
+		"dotRow":     func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
+		"quantize":   func() { quantizeAVX2(shortBytes(n), o, 1) },
+		"dequantize": func() { dequantizeAVX2(o, shortBytes(n), 1) },
+		"addScaled":  func() { addScaledAVX2(o, short(n), 1) },
 	} {
 		func() {
 			defer func() {
@@ -160,22 +278,31 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 	}
 }
 
-// FuzzSIMDKernels drives the same comparison with fuzzer-chosen shapes,
+// FuzzSIMDKernels drives the same comparisons with fuzzer-chosen shapes,
 // alignment, alpha and operand bits (data is read as little-endian
-// float64s).
+// float64s); the codec kernels take alpha as their extra scale.
 func FuzzSIMDKernels(f *testing.F) {
-	for _, specials := range []bool{false, true} {
-		pool := simdPool(21, specials)
+	bits := func(pool []float64) []byte {
 		data := make([]byte, 8*len(pool))
 		for i, v := range pool {
 			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(v))
 		}
+		return data
+	}
+	for _, specials := range []bool{false, true} {
+		data := bits(simdPool(21, specials))
 		for _, n := range simdNs {
 			for _, k := range simdKs {
 				for _, unaligned := range []bool{false, true} {
 					f.Add(uint16(n), uint8(k), unaligned, 0.125, data)
 				}
 			}
+		}
+	}
+	data := bits(quantPool(25))
+	for _, n := range quantNs {
+		for _, unaligned := range []bool{false, true} {
+			f.Add(uint16(n), uint8(1), unaligned, 1.0/64, data)
 		}
 	}
 	f.Fuzz(func(t *testing.T, n uint16, k uint8, unaligned bool, alpha float64, data []byte) {
@@ -192,5 +319,6 @@ func FuzzSIMDKernels(f *testing.F) {
 			off = 1
 		}
 		checkSIMD(t, pool, int(n%600), int(k), off, alpha)
+		checkQuant(t, pool, int(n%600), off, alpha)
 	})
 }

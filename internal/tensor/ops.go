@@ -314,9 +314,7 @@ func (m *Matrix) AddScaledInPlace(alpha float64, o *Matrix) error {
 		return fmt.Errorf("%w: AddScaledInPlace %dx%d += %dx%d",
 			ErrShape, m.rows, m.cols, o.rows, o.cols)
 	}
-	for i, v := range o.data {
-		m.data[i] += alpha * v
-	}
+	addScaled(m.data, o.data, alpha)
 	return nil
 }
 

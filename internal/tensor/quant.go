@@ -1,0 +1,83 @@
+package tensor
+
+import "math"
+
+// Element kernels of the int8 weight codec and of FedAvg's accumulate.
+//
+// Like the GEMM inner loops (gemm.go), each has a pure-Go reference here
+// and, on amd64 CPUs with AVX2, a Go-assembly twin (quant_amd64.s) picked
+// at run time by the same CPUID gate. The twins take four elements per
+// step and leave the len%4 tail to the reference; they compute the same
+// bits, NaN, ±Inf, ±0 and subnormal inputs included (DESIGN.md "Codec and
+// FedAvg kernels" gives the rules that make each one exact).
+
+// MaxAbs returns the largest |x[i]|, or 0 for an empty x. A NaN element
+// never becomes the maximum: it fails the a > max test like any other
+// comparison, so a row with one NaN still gets the scale of its finite
+// elements.
+func MaxAbs(x []float64) float64 { return maxAbs(x) }
+
+// QuantizeInt8 writes byte(int8(clamp(round(x[i]/s), ±127))) to dst[i],
+// with round half away from zero (math.Round). A NaN quotient encodes as
+// 0x00, which is what byte(int8(NaN)) gives on amd64. dst must hold
+// len(x) bytes.
+func QuantizeInt8(dst []byte, x []float64, s float64) { quantize(dst, x, s) }
+
+// DequantizeInt8 sets dst[i] = float64(int8(q[i])) * scale. q must hold
+// len(dst) bytes.
+func DequantizeInt8(dst []float64, q []byte, scale float64) { dequantize(dst, q, scale) }
+
+// AllFinite reports whether no element of x is NaN or ±Inf.
+func AllFinite(x []float64) bool { return allFinite(x) }
+
+// maxAbsGo is the reference MaxAbs, starting from m (0 for a whole row).
+func maxAbsGo(x []float64, m float64) float64 {
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// quantizeGo is the reference QuantizeInt8.
+func quantizeGo(dst []byte, x []float64, s float64) {
+	for i, v := range x {
+		q := math.Round(v / s)
+		if q > 127 {
+			q = 127
+		} else if q < -127 {
+			q = -127
+		}
+		dst[i] = byte(int8(q))
+	}
+}
+
+// dequantizeGo is the reference DequantizeInt8.
+func dequantizeGo(dst []float64, q []byte, scale float64) {
+	for i := range dst {
+		dst[i] = float64(int8(q[i])) * scale
+	}
+}
+
+// expMask selects a float64's exponent bits: all set means NaN or ±Inf.
+const expMask = 0x7ff0000000000000
+
+// allFiniteGo is the reference AllFinite.
+func allFiniteGo(x []float64) bool {
+	for _, v := range x {
+		if math.Float64bits(v)&expMask == expMask {
+			return false
+		}
+	}
+	return true
+}
+
+// addScaledGo is the reference of AddScaledInPlace's loop: o[j] += c*b[j]
+// for every j, with no zero skip, so 0·Inf still turns o[j] into NaN.
+func addScaledGo(o, b []float64, c float64) {
+	b = b[:len(o)]
+	for j, v := range b {
+		o[j] += c * v
+	}
+}

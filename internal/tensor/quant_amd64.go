@@ -1,0 +1,103 @@
+package tensor
+
+// Run-time dispatch for the codec and accumulate kernels (quant.go). The
+// assembly takes the first len%4 == 0 elements; the wrappers reslice every
+// operand with exact first and run the tail through the Go reference.
+
+func maxAbs(x []float64) float64 {
+	if useAVX2 {
+		return maxAbsAVX2(x)
+	}
+	return maxAbsGo(x, 0)
+}
+
+func quantize(dst []byte, x []float64, s float64) {
+	if useAVX2 {
+		quantizeAVX2(dst, x, s)
+		return
+	}
+	quantizeGo(dst, x, s)
+}
+
+func dequantize(dst []float64, q []byte, scale float64) {
+	if useAVX2 {
+		dequantizeAVX2(dst, q, scale)
+		return
+	}
+	dequantizeGo(dst, q, scale)
+}
+
+func allFinite(x []float64) bool {
+	if useAVX2 {
+		return allFiniteAVX2(x)
+	}
+	return allFiniteGo(x)
+}
+
+func addScaled(o, b []float64, c float64) {
+	if useAVX2 {
+		addScaledAVX2(o, b, c)
+		return
+	}
+	addScaledGo(o, b, c)
+}
+
+// maxAbsAVX2 computes exactly what maxAbsGo(x, 0) computes. Every |x[i]|
+// is non-negative and a NaN never wins, so the maximum does not depend on
+// the order the lanes visit the elements in.
+func maxAbsAVX2(x []float64) float64 {
+	n4 := len(x) &^ 3
+	return maxAbsGo(x[n4:], maxAbsAsm(x[:n4]))
+}
+
+// quantizeAVX2 computes exactly what quantizeGo computes.
+func quantizeAVX2(dst []byte, x []float64, s float64) {
+	n4 := len(x) &^ 3
+	dst = exact(dst, len(x))
+	quantizeAsm(dst[:n4], x[:n4], s)
+	quantizeGo(dst[n4:], x[n4:], s)
+}
+
+// dequantizeAVX2 computes exactly what dequantizeGo computes.
+func dequantizeAVX2(dst []float64, q []byte, scale float64) {
+	n4 := len(dst) &^ 3
+	q = exact(q, len(dst))
+	dequantizeAsm(dst[:n4], q[:n4], scale)
+	dequantizeGo(dst[n4:], q[n4:], scale)
+}
+
+// allFiniteAVX2 computes exactly what allFiniteGo computes.
+func allFiniteAVX2(x []float64) bool {
+	n4 := len(x) &^ 3
+	return allFiniteAsm(x[:n4]) && allFiniteGo(x[n4:])
+}
+
+// addScaledAVX2 computes exactly what addScaledGo computes: axpyAsm
+// without axpyAVX2's zero skip.
+func addScaledAVX2(o, b []float64, c float64) {
+	axpyAsm(o, exact(b, len(o)), c)
+}
+
+// Implemented in quant_amd64.s. Every slice length is a multiple of four,
+// zero included.
+
+// maxAbsAsm returns the largest |x[i]| (0 when none is larger), NaNs
+// skipped.
+//
+//go:noescape
+func maxAbsAsm(x []float64) float64
+
+// quantizeAsm: dst[i] = quantizeGo's byte for x[i]/s; len(dst) = len(x).
+//
+//go:noescape
+func quantizeAsm(dst []byte, x []float64, s float64)
+
+// dequantizeAsm: dst[i] = float64(int8(q[i])) * scale; len(q) = len(dst).
+//
+//go:noescape
+func dequantizeAsm(dst []float64, q []byte, scale float64)
+
+// allFiniteAsm reports whether no x[i] has an all-ones exponent.
+//
+//go:noescape
+func allFiniteAsm(x []float64) bool
