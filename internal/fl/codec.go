@@ -3,7 +3,6 @@ package fl
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -13,6 +12,7 @@ import (
 	"strings"
 
 	"clinfl/internal/tensor"
+	"clinfl/internal/wire"
 )
 
 // WeightCodec serializes a weight map for transport. Codecs trade payload
@@ -55,9 +55,9 @@ type body interface {
 	// before its matrix is allocated; 0 for a sparse body, whose
 	// allocation only the element caps bound.
 	dense(rows, cols int64) int64
-	// get decodes a body into the zeroed m. It checks r.err before
+	// get decodes a body into the zeroed m. It checks r.Err() before
 	// indexing what r returned, and returns it.
-	get(r *reader, m *tensor.Matrix) error
+	get(r *wire.Reader, m *tensor.Matrix) error
 }
 
 // Codec magics.
@@ -149,11 +149,11 @@ func (f frame) appendDim(dst []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(v))
 }
 
-func (f frame) dim(r *reader) uint64 {
+func (f frame) dim(r *wire.Reader) uint64 {
 	if f.wide {
-		return r.u64()
+		return r.U64()
 	}
-	return uint64(r.u32())
+	return uint64(r.U32())
 }
 
 // decode walks a payload of this frame. Every count, length and shape is
@@ -161,30 +161,34 @@ func (f frame) dim(r *reader) uint64 {
 // full before its matrix is allocated, and a repeated parameter name or a
 // byte after the last parameter rejects the payload.
 func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
-	if !bytes.HasPrefix(blob, []byte(f.magic)) {
+	r := wire.NewReader(blob)
+	if string(r.Next(len(f.magic))) != f.magic {
+		// A blob cut short inside the magic is a truncated frame too.
+		if strings.HasPrefix(f.magic, string(blob)) {
+			return nil, fmt.Errorf("fl: %s decode: bad magic: %w", f.codec, wire.ErrTruncated)
+		}
 		return nil, fmt.Errorf("fl: %s decode: bad magic", f.codec)
 	}
-	r := &reader{b: blob[len(f.magic):]}
 	n := f.dim(r)
-	if r.err != nil {
-		return nil, fmt.Errorf("fl: %s decode count: %w", f.codec, r.err)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("fl: %s decode count: %w", f.codec, r.Err())
 	}
 	if n > maxParams {
 		return nil, fmt.Errorf("fl: %s decode: implausible parameter count %d", f.codec, n)
 	}
 	// Every param takes at least one byte, so the map hint is bounded by
 	// the payload, not by the count it claims.
-	out := make(map[string]*tensor.Matrix, min(n, uint64(len(r.b))))
+	out := make(map[string]*tensor.Matrix, min(n, uint64(r.Len())))
 	var total int64
 	for i := uint64(0); i < n; i++ {
-		ln := r.u32()
-		if r.err == nil && ln > maxNameSize {
+		ln := r.U32()
+		if r.Err() == nil && ln > maxNameSize {
 			return nil, fmt.Errorf("fl: %s decode: implausible name length %d", f.codec, ln)
 		}
-		name := string(r.next(int(ln)))
+		name := string(r.Next(int(ln)))
 		rows, cols := f.dim(r), f.dim(r)
-		if r.err != nil {
-			return nil, fmt.Errorf("fl: %s decode param %d header: %w", f.codec, i, r.err)
+		if r.Err() != nil {
+			return nil, fmt.Errorf("fl: %s decode param %d header: %w", f.codec, i, r.Err())
 		}
 		// Each dimension is capped before the product is taken, so a
 		// corrupt shape cannot wrap past the element cap on any GOARCH;
@@ -201,8 +205,8 @@ func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
 		if _, dup := out[name]; dup {
 			return nil, fmt.Errorf("fl: %s decode: duplicate param %q", f.codec, name)
 		}
-		if f.body.dense(int64(rows), int64(cols)) > int64(len(r.b)) {
-			return nil, fmt.Errorf("fl: %s decode %q: payload truncated for shape %dx%d", f.codec, name, rows, cols)
+		if f.body.dense(int64(rows), int64(cols)) > int64(r.Len()) {
+			return nil, fmt.Errorf("fl: %s decode %q: shape %dx%d: %w", f.codec, name, rows, cols, wire.ErrTruncated)
 		}
 		m := tensor.New(int(rows), int(cols))
 		if err := f.body.get(r, m); err != nil {
@@ -210,48 +214,10 @@ func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
 		}
 		out[name] = m
 	}
-	if len(r.b) > 0 {
-		return nil, fmt.Errorf("fl: %s decode: %d trailing bytes", f.codec, len(r.b))
+	if r.Len() > 0 {
+		return nil, fmt.Errorf("fl: %s decode: %d trailing bytes", f.codec, r.Len())
 	}
 	return out, nil
-}
-
-var errTruncated = errors.New("payload truncated")
-
-// reader walks a payload with a sticky error: once a read runs past the
-// end, it and every later read return nothing, so a decoder checks err
-// once per step rather than once per field.
-type reader struct {
-	b   []byte
-	err error
-}
-
-// next returns the next n bytes, or nil once the payload is short.
-func (r *reader) next(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > len(r.b) {
-		r.b, r.err = nil, errTruncated
-		return nil
-	}
-	p := r.b[:n:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *reader) u32() uint32 {
-	if p := r.next(4); p != nil {
-		return binary.LittleEndian.Uint32(p)
-	}
-	return 0
-}
-
-func (r *reader) u64() uint64 {
-	if p := r.next(8); p != nil {
-		return binary.LittleEndian.Uint64(p)
-	}
-	return 0
 }
 
 // RawCodec is the exact float64 wire format: u64 count and shape, f64
@@ -283,11 +249,11 @@ func (RawCodec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (RawCodec) dense(rows, cols int64) int64 { return 8 * rows * cols }
 
-func (RawCodec) get(r *reader, m *tensor.Matrix) error {
+func (RawCodec) get(r *wire.Reader, m *tensor.Matrix) error {
 	d := m.Data()
-	p := r.next(8 * len(d))
-	if r.err != nil {
-		return r.err
+	p := r.Next(8 * len(d))
+	if r.Err() != nil {
+		return r.Err()
 	}
 	for i := range d {
 		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
@@ -324,11 +290,11 @@ func (Float32Codec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (Float32Codec) dense(rows, cols int64) int64 { return 4 * rows * cols }
 
-func (Float32Codec) get(r *reader, m *tensor.Matrix) error {
+func (Float32Codec) get(r *wire.Reader, m *tensor.Matrix) error {
 	d := m.Data()
-	p := r.next(4 * len(d))
-	if r.err != nil {
-		return r.err
+	p := r.Next(4 * len(d))
+	if r.Err() != nil {
+		return r.Err()
 	}
 	for i := range d {
 		d[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
@@ -383,12 +349,12 @@ func (Int8Codec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (Int8Codec) dense(rows, cols int64) int64 { return rows * (4 + cols) }
 
-func (Int8Codec) get(r *reader, m *tensor.Matrix) error {
+func (Int8Codec) get(r *wire.Reader, m *tensor.Matrix) error {
 	d := m.Data()
 	cols := m.Cols()
-	p := r.next(m.Rows() * (4 + cols))
-	if r.err != nil {
-		return r.err
+	p := r.Next(m.Rows() * (4 + cols))
+	if r.Err() != nil {
+		return r.Err()
 	}
 	for row := 0; row < m.Rows(); row++ {
 		q := p[row*(4+cols) : (row+1)*(4+cols)]
@@ -452,19 +418,19 @@ func (c TopKCodec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (TopKCodec) dense(rows, cols int64) int64 { return 0 }
 
-func (TopKCodec) get(r *reader, m *tensor.Matrix) error {
+func (TopKCodec) get(r *wire.Reader, m *tensor.Matrix) error {
 	d := m.Data()
-	k := uint64(r.u32())
-	if r.err != nil {
-		return r.err
+	k := uint64(r.U32())
+	if r.Err() != nil {
+		return r.Err()
 	}
 	// The encoder always keeps at least one element per parameter.
 	if k < 1 || k > uint64(len(d)) {
 		return fmt.Errorf("k %d out of [1, %d]", k, len(d))
 	}
-	p := r.next(8 * int(k))
-	if r.err != nil {
-		return r.err
+	p := r.Next(8 * int(k))
+	if r.Err() != nil {
+		return r.Err()
 	}
 	for j := 0; j < int(k); j++ {
 		idx := binary.LittleEndian.Uint32(p[8*j:])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -12,6 +13,7 @@ import (
 
 	"clinfl/internal/model"
 	"clinfl/internal/tensor"
+	"clinfl/internal/wire"
 )
 
 // codecTestWeights builds a weight map with a spread of magnitudes.
@@ -420,6 +422,26 @@ func TestCodecPayloadsPinned(t *testing.T) {
 		sum := sha256.Sum256(blob)
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%s payload sha256 %s (%d bytes), want %s", tc.codec.Name(), got, len(blob), tc.want)
+		}
+	}
+}
+
+// TestFramePrefixesTruncated: a raw or int8 frame cut at any byte fails
+// as a truncation, never with a panic.
+func TestFramePrefixesTruncated(t *testing.T) {
+	weights := codecTestWeights(3)
+	for _, codec := range []WeightCodec{RawCodec{}, Int8Codec{}} {
+		blob, err := codec.Encode(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := codec.Decode(blob); err != nil {
+			t.Fatalf("%s: %v", codec.Name(), err)
+		}
+		for i := range blob {
+			if _, err := codec.Decode(blob[:i]); !errors.Is(err, wire.ErrTruncated) {
+				t.Fatalf("%s prefix of %d/%d bytes: err = %v, want wire.ErrTruncated", codec.Name(), i, len(blob), err)
+			}
 		}
 	}
 }

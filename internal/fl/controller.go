@@ -50,9 +50,6 @@ type ControllerConfig struct {
 	// controller keeps the best-scoring weights as the selected model
 	// (NVFlare's IntimeModelSelector).
 	Validate func(weights map[string]*tensor.Matrix) (float64, error)
-	// Patience, when > 0 and Validate is set, stops the run early after
-	// this many consecutive rounds without a new best validation score.
-	Patience int
 	// Clock supplies round timestamps, gather deadlines, and the arrival of
 	// planned work (a Planner's round, a Prober's answer) through
 	// AfterFunc. Nil means the real wall clock, under which any other
@@ -283,7 +280,7 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 	c.eng = newEngine(roundConfig{
 		rounds: cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
 		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
-		async: cfg.AsyncAggregator, validate: cfg.Validate, patience: cfg.Patience,
+		async: cfg.AsyncAggregator, validate: cfg.Validate,
 		clock: cfg.Clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
 	}, ros, c, sk)
 	return c, nil

@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"clinfl/internal/tensor"
+	"clinfl/internal/wire"
 )
 
 // RecordType enumerates WAL record kinds.
@@ -268,68 +269,32 @@ func parseRecord(body []byte, withWeights bool) (*Record, error) {
 	if len(body) > maxRecordSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrRecordTooLarge, len(body))
 	}
-	r := &byteReader{b: body}
-	t, err := r.u8()
-	if err != nil {
+	r := wire.NewReader(body)
+	t, round := r.U8(), r.U32()
+	rec := &Record{Type: RecordType(t), Client: str(r), Token: str(r)}
+	ns, lossBits, pb := r.U32(), r.U64(), r.U32()
+	np := int(r.U16())
+	for i := 0; i < np && r.Err() == nil; i++ {
+		rec.Participants = append(rec.Participants, str(r))
+	}
+	nw := int(r.U16())
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	rec := &Record{Type: RecordType(t)}
-	if rec.Type < RecSession || rec.Type > RecUpdatePayload {
+	switch {
+	case rec.Type < RecSession || rec.Type > RecUpdatePayload:
 		return nil, fmt.Errorf("durable: unknown record type %d", t)
-	}
-	round, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if round > math.MaxInt32 {
+	case round > math.MaxInt32:
 		return nil, fmt.Errorf("durable: round %d out of range", round)
-	}
-	rec.Round = int(round)
-	if rec.Client, err = r.str(); err != nil {
-		return nil, err
-	}
-	if rec.Token, err = r.str(); err != nil {
-		return nil, err
-	}
-	ns, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if ns > math.MaxInt32 {
+	case ns > math.MaxInt32:
 		return nil, fmt.Errorf("durable: sample count %d out of range", ns)
-	}
-	rec.NumSamples = int(ns)
-	lossBits, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	rec.TrainLoss = math.Float64frombits(lossBits)
-	pb, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if pb > math.MaxInt32 {
+	case pb > math.MaxInt32:
 		return nil, fmt.Errorf("durable: payload bytes %d out of range", pb)
-	}
-	rec.PayloadBytes = int(pb)
-	np, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(np); i++ {
-		p, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		rec.Participants = append(rec.Participants, p)
-	}
-	nw, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if nw > 0 && rec.Type == RecUpdatePayload {
+	case nw > 0 && rec.Type == RecUpdatePayload:
 		return nil, fmt.Errorf("durable: %s record carries decoded weights", rec.Type)
 	}
+	rec.Round, rec.NumSamples, rec.PayloadBytes = int(round), int(ns), int(pb)
+	rec.TrainLoss = math.Float64frombits(lossBits)
 	if nw > 0 && withWeights {
 		rec.Weights = make(map[string]*tensor.Matrix, nw)
 	}
@@ -337,42 +302,37 @@ func parseRecord(body []byte, withWeights bool) (*Record, error) {
 	if nw > 0 {
 		seen = make(map[string]struct{}, nw)
 	}
-	for i := 0; i < int(nw); i++ {
-		name, err := r.str()
-		if err != nil {
-			return nil, err
+	for i := 0; i < nw; i++ {
+		name := str(r)
+		rows, cols, data := matrix(r)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("durable: decode weight %q: %w", name, err)
 		}
 		if _, dup := seen[name]; dup {
 			return nil, fmt.Errorf("durable: duplicate weight %q", name)
 		}
 		seen[name] = struct{}{}
-		rows, cols, data, err := r.matrix()
-		if err != nil {
-			return nil, fmt.Errorf("durable: decode weight %q: %w", name, err)
-		}
 		if !withWeights {
 			continue
 		}
-		vals := make([]float64, rows*cols)
+		m := tensor.New(rows, cols)
+		vals := m.Data()
 		for j := range vals {
 			vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[j*8:]))
-		}
-		m, err := tensor.FromSlice(rows, cols, vals)
-		if err != nil {
-			return nil, fmt.Errorf("durable: decode weight %q: %w", name, err)
 		}
 		rec.Weights[name] = m
 	}
 	if rec.Type == RecUpdatePayload {
-		// take bounds the claimed length by the bytes actually present, so
+		// Next bounds the claimed length by the bytes actually present, so
 		// a forged header never sizes an allocation; the payload is not
 		// copied at all.
-		if rec.Payload, err = r.take(rec.PayloadBytes); err != nil {
+		rec.Payload = r.Next(rec.PayloadBytes)
+		if err := r.Err(); err != nil {
 			return nil, err
 		}
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("durable: %d trailing bytes after record", len(r.b)-r.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("durable: %d trailing bytes after record", r.Len())
 	}
 	return rec, nil
 }
@@ -386,68 +346,13 @@ func appendString(b []byte, s string) ([]byte, error) {
 	return append(b, s...), nil
 }
 
-// byteReader reads primitives with bounds checks.
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-var errTruncated = errors.New("durable: truncated record")
-
-func (r *byteReader) take(n int) ([]byte, error) {
-	if n < 0 || len(r.b)-r.off < n {
-		return nil, errTruncated
+// str reads a u16-length-prefixed string, enforcing the cap.
+func str(r *wire.Reader) string {
+	n := int(r.U16())
+	if n > maxNameLen {
+		r.Fail(fmt.Errorf("durable: string length %d exceeds cap", n))
 	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out, nil
-}
-
-func (r *byteReader) u8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *byteReader) u16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (r *byteReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *byteReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (r *byteReader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	if int(n) > maxNameLen {
-		return "", fmt.Errorf("durable: string length %d exceeds cap", n)
-	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return string(r.Next(n))
 }
 
 // maxMatrixDim bounds each dimension of a logged matrix: a record body is
@@ -458,21 +363,11 @@ const maxMatrixDim = maxRecordSize / 8
 // matrix reads one matrix in the tensor wire format (u64 rows, u64 cols,
 // rows*cols little-endian f64) and returns its shape and its data bytes,
 // still encoded: the element count is bounded by the bytes present before
-// anything is sized from it.
-func (r *byteReader) matrix() (rows, cols int, data []byte, err error) {
-	rw, err := r.u64()
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	cl, err := r.u64()
-	if err != nil {
-		return 0, 0, nil, err
-	}
+// anything is sized from it. The results hold only while r.Err() is nil.
+func matrix(r *wire.Reader) (rows, cols int, data []byte) {
+	rw, cl := r.U64(), r.U64()
 	if rw > maxMatrixDim || cl > maxMatrixDim || rw*cl > maxMatrixDim {
-		return 0, 0, nil, fmt.Errorf("durable: implausible dimensions %dx%d", rw, cl)
+		r.Fail(fmt.Errorf("durable: implausible dimensions %dx%d", rw, cl))
 	}
-	if data, err = r.take(int(rw * cl * 8)); err != nil {
-		return 0, 0, nil, err
-	}
-	return int(rw), int(cl), data, nil
+	return int(rw), int(cl), r.Next(int(rw * cl * 8))
 }

@@ -238,35 +238,6 @@ func TestControllerModelSelectionKeepsBest(t *testing.T) {
 	}
 }
 
-func TestControllerEarlyStopsOnPatience(t *testing.T) {
-	execs := []Executor{&fakeExecutor{name: "a", samples: 1, value: 1}}
-	scores := []float64{0.9, 0.5, 0.5, 0.5, 0.5}
-	i := 0
-	ctrl, err := NewController(ControllerConfig{
-		Rounds:   5,
-		Patience: 2,
-		Validate: func(map[string]*tensor.Matrix) (float64, error) {
-			s := scores[i]
-			i++
-			return s, nil
-		},
-	}, execs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ctrl.Run(context.Background(), initialWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Best at round 0, then 2 stale rounds → stop after round 2.
-	if len(res.History.Rounds) != 3 {
-		t.Fatalf("ran %d rounds, want early stop at 3", len(res.History.Rounds))
-	}
-	if res.History.BestRound != 0 || res.History.BestScore != 0.9 {
-		t.Fatalf("best %d/%v", res.History.BestRound, res.History.BestScore)
-	}
-}
-
 func TestControllerQuorumFailure(t *testing.T) {
 	execs := []Executor{
 		&fakeExecutor{name: "a", samples: 1, value: 1, fail: true},

@@ -54,7 +54,6 @@ type roundConfig struct {
 	seed           int64
 	async          AsyncAggregator
 	validate       func(weights map[string]*tensor.Matrix) (float64, error)
-	patience       int
 	clock          Clock
 	wal            *durable.WAL
 	metrics        *metrics.Registry
@@ -347,7 +346,6 @@ func (e *engine) run(ctx context.Context, initial map[string]*tensor.Matrix) (*R
 		e.met.syncHealthGauges(e.mon)
 	}
 
-	sinceBest := 0
 	for round := startRound; round < e.rounds; round++ {
 		select {
 		case <-ctx.Done():
@@ -363,11 +361,8 @@ func (e *engine) run(ctx context.Context, initial map[string]*tensor.Matrix) (*R
 		}
 		global = next
 		rec.Duration = e.clock.Since(start)
-		if err := e.commit(res, &rec, global, &sinceBest); err != nil {
+		if err := e.commit(res, &rec, global); err != nil {
 			return nil, err
-		}
-		if e.patience > 0 && e.validate != nil && sinceBest >= e.patience {
-			break // early stop: no validation improvement for patience rounds
 		}
 	}
 	res.FinalWeights = global
@@ -380,7 +375,7 @@ func (e *engine) run(ctx context.Context, initial map[string]*tensor.Matrix) (*R
 
 // commit is the per-round epilogue: the WAL commit point, metrics, model
 // selection and the history append.
-func (e *engine) commit(res *Result, rec *RoundRecord, global map[string]*tensor.Matrix, sinceBest *int) error {
+func (e *engine) commit(res *Result, rec *RoundRecord, global map[string]*tensor.Matrix) error {
 	if e.wal != nil {
 		// The commit point: once RecModelCommit is durable (group committed
 		// by the syncer, settled by Close) a restart starts at round+1 and
@@ -405,9 +400,6 @@ func (e *engine) commit(res *Result, rec *RoundRecord, global map[string]*tensor
 			res.History.BestRound = rec.Round
 			res.History.BestScore = score
 			res.BestWeights = cloneWeights(global)
-			*sinceBest = 0
-		} else {
-			*sinceBest++
 		}
 	}
 	res.History.Rounds = append(res.History.Rounds, *rec)
@@ -561,6 +553,13 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	next, err := e.sink.finalize(round, global, g.late, rec)
 	if err != nil {
 		return nil, err
+	}
+	// Finite updates can still sum past MaxFloat64 on the way to the
+	// model; a non-finite model is never committed.
+	for _, name := range g.names {
+		if m := next[name]; m != nil && !tensor.AllFinite(m.Data()) {
+			return nil, fmt.Errorf("fl: round %d: aggregate param %q is non-finite", round, name)
+		}
 	}
 	// The participants are the clients whose update this round's accept step
 	// took, whatever the sink made of them: the edges at a tier root, not the

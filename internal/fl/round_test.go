@@ -548,3 +548,46 @@ func TestUpdateCheckReportsFirstBadParamByName(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundRefusesNonFiniteAggregate: finite updates whose weighted sum
+// overflows must fail the round by name, not commit a NaN model. Flat
+// FedAvg normalizes the weights first and stays finite; the tier fold's
+// exact products overflow.
+func TestRoundRefusesNonFiniteAggregate(t *testing.T) {
+	half := math.MaxFloat64 / 2
+	for _, tc := range []struct {
+		name    string
+		tier    *TierConfig
+		wantErr bool
+	}{
+		{"flat", nil, false},
+		{"tier", &TierConfig{}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctrl, err := NewController(ControllerConfig{Rounds: 1, Tier: tc.tier}, []Executor{
+				&fakeExecutor{name: "a", samples: 3, value: half},
+				&fakeExecutor{name: "b", samples: 1, value: half},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := ctrl.Run(context.Background(), initialWeights())
+			if tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "non-finite") {
+					t.Fatalf("err = %v, want a non-finite aggregate failure", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, m := range res.FinalWeights {
+				for _, v := range m.Data() {
+					if v != half {
+						t.Fatalf("%s = %v, want %v", name, v, half)
+					}
+				}
+			}
+		})
+	}
+}
