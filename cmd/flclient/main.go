@@ -24,13 +24,12 @@ import (
 	"os/signal"
 	"syscall"
 
+	"clinfl/internal/core"
 	"clinfl/internal/data"
 	"clinfl/internal/ehr"
 	"clinfl/internal/fl"
 	"clinfl/internal/model"
 	"clinfl/internal/provision"
-	"clinfl/internal/tensor"
-	"clinfl/internal/token"
 )
 
 func main() {
@@ -78,28 +77,10 @@ func run() error {
 	ecfg.Seed = *seed
 	ecfg.Patients = *patients
 	ecfg.CorpusSentences = 1 // unused by fine-tuning
-	cohort, err := ehr.GenerateCohort(ecfg)
+	all, vocab, err := core.EncodeCohort(ecfg, *maxLen, *seed)
 	if err != nil {
 		return err
 	}
-	streams := make([][]string, len(cohort))
-	for i, p := range cohort {
-		streams[i] = p.Tokens
-	}
-	vocab, err := token.BuildVocab(streams, 1, 0)
-	if err != nil {
-		return err
-	}
-	tok, err := token.NewTokenizer(vocab, *maxLen)
-	if err != nil {
-		return err
-	}
-	all := make(data.Dataset, len(cohort))
-	for i, p := range cohort {
-		ids, padMask := tok.Encode(p.Tokens)
-		all[i] = data.Example{IDs: ids, PadMask: padMask, Label: p.Outcome}
-	}
-	all = all.Shuffled(tensor.NewRNG(*seed + 17))
 	if *trainSize > len(all) {
 		return fmt.Errorf("train size %d exceeds cohort %d", *trainSize, len(all))
 	}

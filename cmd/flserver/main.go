@@ -69,6 +69,11 @@ import (
 	"clinfl/internal/provision"
 )
 
+// defaultVocab is the vocabulary size flclient's default cohort yields
+// (-patients 8638 -seed 1); TestDefaultVocabMatchesClient keeps the two in
+// step.
+const defaultVocab = 202
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "flserver:", err)
@@ -83,7 +88,7 @@ func run() error {
 		clients   = flag.Int("clients", 8, "expected client count")
 		rounds    = flag.Int("rounds", 8, "communication rounds E")
 		modelName = flag.String("model", "lstm", "model architecture: lstm | bert | bert-mini")
-		vocabSize = flag.Int("vocab", 256, "vocabulary size (must match clients)")
+		vocabSize = flag.Int("vocab", defaultVocab, "vocabulary size (the default is what flclient's default cohort yields)")
 		maxLen    = flag.Int("maxlen", 24, "sequence length (must match clients)")
 		seed      = flag.Int64("seed", 1, "global model init seed (must match clients)")
 		out       = flag.String("out", "global.weights", "output path for the final model")

@@ -10,14 +10,13 @@ import (
 	"fmt"
 	"os"
 
+	"clinfl/internal/core"
 	"clinfl/internal/data"
 	"clinfl/internal/ehr"
 	"clinfl/internal/fl"
-	"clinfl/internal/metrics"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
 	"clinfl/internal/tensor"
-	"clinfl/internal/token"
 )
 
 func main() {
@@ -37,28 +36,11 @@ func run() error {
 	ecfg := ehr.DefaultConfig()
 	ecfg.Patients = 400
 	ecfg.CorpusSentences = 1
-	patients, err := ehr.GenerateCohort(ecfg)
+	// Shuffle seed 0: the examples are shuffled with the stream 17.
+	all, vocab, err := core.EncodeCohort(ecfg, maxLen, 0)
 	if err != nil {
 		return err
 	}
-	streams := make([][]string, len(patients))
-	for i, p := range patients {
-		streams[i] = p.Tokens
-	}
-	vocab, err := token.BuildVocab(streams, 1, 0)
-	if err != nil {
-		return err
-	}
-	tok, err := token.NewTokenizer(vocab, maxLen)
-	if err != nil {
-		return err
-	}
-	all := make(data.Dataset, len(patients))
-	for i, p := range patients {
-		ids, padMask := tok.Encode(p.Tokens)
-		all[i] = data.Example{IDs: ids, PadMask: padMask, Label: p.Outcome}
-	}
-	all = all.Shuffled(tensor.NewRNG(17))
 	trainSet, validSet := all[:256], all[256:360]
 	shards, err := data.PartitionBalanced(trainSet, clients)
 	if err != nil {
@@ -88,18 +70,9 @@ func run() error {
 			executors[i] = exec
 		}
 		ctrl, err := fl.NewController(fl.ControllerConfig{
-			Rounds:  rounds,
-			Filters: filters,
-			Validate: func(w map[string]*tensor.Matrix) (float64, error) {
-				if err := nn.LoadWeights(valModel.Params(), w); err != nil {
-					return 0, err
-				}
-				preds, err := valModel.Predict(validSet)
-				if err != nil {
-					return 0, err
-				}
-				return metrics.Accuracy(preds, validSet.Labels())
-			},
+			Rounds:   rounds,
+			Filters:  filters,
+			Validate: core.AccuracyValidator(valModel, validSet),
 		}, executors)
 		if err != nil {
 			return 0, err

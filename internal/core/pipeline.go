@@ -92,76 +92,104 @@ func (p *Pipeline) Run(ctx context.Context) (*Report, error) {
 
 // ---- data preparation ----
 
-// prepareFinetune generates the cohort, builds the vocabulary and encodes
-// train/validation example sets.
-func (p *Pipeline) prepareFinetune() (train, valid data.Dataset, vocabSize int, err error) {
-	patients, err := ehr.GenerateCohort(p.cfg.EHR)
+// EncodeCohort is the one recipe that turns the synthetic ADR cohort into
+// model inputs (Fig. 1): it generates the cohort for ecfg, builds the
+// vocabulary over every patient's tokens, encodes each patient at maxLen
+// and shuffles the examples with the stream seed+17. Every site,
+// experiment and example that trains on the cohort encodes it here, so
+// they all agree on the vocabulary.
+func EncodeCohort(ecfg ehr.Config, maxLen int, seed int64) (data.Dataset, *token.Vocab, error) {
+	patients, err := ehr.GenerateCohort(ecfg)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: cohort: %w", err)
+		return nil, nil, fmt.Errorf("core: cohort: %w", err)
 	}
 	streams := make([][]string, len(patients))
 	for i, pt := range patients {
 		streams[i] = pt.Tokens
 	}
-	vocab, err := token.BuildVocab(streams, 1, 0)
+	tok, err := newTokenizer(streams, maxLen)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: vocab: %w", err)
-	}
-	tok, err := token.NewTokenizer(vocab, p.cfg.MaxLen)
-	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	all := make(data.Dataset, len(patients))
 	for i, pt := range patients {
 		ids, padMask := tok.Encode(pt.Tokens)
 		all[i] = data.Example{IDs: ids, PadMask: padMask, Label: pt.Outcome}
 	}
-	all = all.Shuffled(tensor.NewRNG(p.cfg.Seed + 17))
+	return all.Shuffled(tensor.NewRNG(seed + 17)), tok.Vocab(), nil
+}
 
-	trainSize, validSize := p.cfg.TrainSize, p.cfg.ValidSize
-	if trainSize <= 0 || validSize <= 0 {
-		// Paper split: 6,927 train / 1,732 valid of 8,638 (~80/20).
-		trainSize = len(all) * 8 / 10
-		validSize = len(all) - trainSize
+// PrepareFinetune encodes cfg's cohort with EncodeCohort and splits it
+// into train and validation sets of cfg.TrainSize and cfg.ValidSize, or
+// the paper's 80/20 split (6,927 / 1,732 of 8,638) when either is unset.
+func PrepareFinetune(cfg Config) (train, valid data.Dataset, vocab *token.Vocab, err error) {
+	all, vocab, err := EncodeCohort(cfg.EHR, cfg.MaxLen, cfg.Seed)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	if trainSize+validSize > len(all) {
-		return nil, nil, 0, fmt.Errorf("core: train+valid %d exceeds cohort %d", trainSize+validSize, len(all))
-	}
-	return all[:trainSize], all[trainSize : trainSize+validSize], vocab.Size(), nil
+	train, valid, err = split(all, cfg.TrainSize, cfg.ValidSize, 8, "cohort")
+	return train, valid, vocab, err
 }
 
 // preparePretrain generates the corpus and encodes train/validation id
 // sequences.
-func (p *Pipeline) preparePretrain() (train, valid [][]int, vocabSize int, err error) {
+func (p *Pipeline) preparePretrain() (train, valid [][]int, vocab *token.Vocab, err error) {
 	corpus, err := ehr.GenerateCorpus(p.cfg.EHR)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: corpus: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: corpus: %w", err)
 	}
-	vocab, err := token.BuildVocab(corpus, 1, 0)
+	tok, err := newTokenizer(corpus, p.cfg.MaxLen)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: vocab: %w", err)
-	}
-	tok, err := token.NewTokenizer(vocab, p.cfg.MaxLen)
-	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, err
 	}
 	all := make([][]int, len(corpus))
 	for i, sent := range corpus {
-		ids, _ := tok.Encode(sent)
-		all[i] = ids
+		all[i], _ = tok.Encode(sent)
 	}
 	rng := tensor.NewRNG(p.cfg.Seed + 23)
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	train, valid, err = split(all, p.cfg.TrainSize, p.cfg.ValidSize, 9, "corpus")
+	return train, valid, tok.Vocab(), err
+}
 
-	trainSize, validSize := p.cfg.TrainSize, p.cfg.ValidSize
+// newTokenizer builds the vocabulary over streams — every token seen at
+// least once, no size cap — and wraps it at maxLen.
+func newTokenizer(streams [][]string, maxLen int) (*token.Tokenizer, error) {
+	vocab, err := token.BuildVocab(streams, 1, 0)
+	if err != nil {
+		return nil, fmt.Errorf("core: vocab: %w", err)
+	}
+	return token.NewTokenizer(vocab, maxLen)
+}
+
+// split returns the first trainSize items of all and the validSize after
+// them; when either size is unset it splits all at tenths/10.
+func split[S ~[]E, E any](all S, trainSize, validSize, tenths int, what string) (train, valid S, err error) {
 	if trainSize <= 0 || validSize <= 0 {
-		trainSize = len(all) * 9 / 10
+		trainSize = len(all) * tenths / 10
 		validSize = len(all) - trainSize
 	}
 	if trainSize+validSize > len(all) {
-		return nil, nil, 0, fmt.Errorf("core: train+valid %d exceeds corpus %d", trainSize+validSize, len(all))
+		return nil, nil, fmt.Errorf("core: train+valid %d exceeds %s %d", trainSize+validSize, what, len(all))
 	}
-	return all[:trainSize], all[trainSize : trainSize+validSize], vocab.Size(), nil
+	return all[:trainSize], all[trainSize : trainSize+validSize], nil
+}
+
+// AccuracyValidator is the one accuracy hook the pipeline, the experiments
+// and the examples hand their controllers and servers: it loads each
+// candidate global model into m and returns its top-1 accuracy on valid.
+func AccuracyValidator(m model.Classifier, valid data.Dataset) func(map[string]*tensor.Matrix) (float64, error) {
+	labels := valid.Labels()
+	return func(weights map[string]*tensor.Matrix) (float64, error) {
+		if err := nn.LoadWeights(m.Params(), weights); err != nil {
+			return 0, err
+		}
+		preds, err := m.Predict(valid)
+		if err != nil {
+			return 0, err
+		}
+		return metrics.Accuracy(preds, labels)
+	}
 }
 
 // newClassifier instantiates the configured Table II model.
@@ -201,24 +229,14 @@ func (p *Pipeline) partition(train data.Dataset) ([]data.Dataset, error) {
 	}
 }
 
-// partitionIDs splits pretraining sequences per the configured scheme.
+// partitionIDs splits pretraining sequences per the configured scheme,
+// partitioning an index dataset so the ratio logic stays in partition.
 func (p *Pipeline) partitionIDs(train [][]int) ([][][]int, error) {
-	// Reuse the dataset partitioners via index datasets to keep the ratio
-	// logic in one place.
 	idx := make(data.Dataset, len(train))
 	for i := range idx {
 		idx[i] = data.Example{Label: i}
 	}
-	var parts []data.Dataset
-	var err error
-	switch p.cfg.Partition {
-	case PartitionBalanced:
-		parts, err = data.PartitionBalanced(idx, p.cfg.Clients)
-	case PartitionImbalanced:
-		parts, err = data.PartitionRatios(idx, data.PaperImbalancedRatios)
-	default:
-		return nil, fmt.Errorf("core: unknown partition %q", p.cfg.Partition)
-	}
+	parts, err := p.partition(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +254,11 @@ func (p *Pipeline) partitionIDs(train [][]int) ([][][]int, error) {
 // ---- fine-tuning (Table III) ----
 
 func (p *Pipeline) runFinetune(ctx context.Context) (*Report, error) {
-	trainSet, validSet, vocabSize, err := p.prepareFinetune()
+	trainSet, validSet, vocab, err := PrepareFinetune(p.cfg)
 	if err != nil {
 		return nil, err
 	}
+	vocabSize := vocab.Size()
 	rep := &Report{
 		VocabSize:  vocabSize,
 		EvalCurve:  &metrics.Curve{Name: string(p.cfg.Mode) + "/" + p.cfg.ModelName + "/val_acc"},
@@ -251,20 +270,7 @@ func (p *Pipeline) runFinetune(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	validate := func(weights map[string]*tensor.Matrix) (float64, error) {
-		if err := nn.LoadWeights(valModel.Params(), weights); err != nil {
-			return 0, err
-		}
-		preds, err := valModel.Predict(validSet)
-		if err != nil {
-			return 0, err
-		}
-		acc, err := metrics.Accuracy(preds, validSet.Labels())
-		if err != nil {
-			return 0, err
-		}
-		return acc, nil
-	}
+	validate := AccuracyValidator(valModel, validSet)
 
 	switch p.cfg.Mode {
 	case ModeStandalone:
@@ -366,10 +372,11 @@ func (p *Pipeline) runPretrain(ctx context.Context) (*Report, error) {
 	if p.cfg.ModelName == "lstm" {
 		return nil, errors.New("core: MLM pretraining requires a BERT-family model")
 	}
-	trainSeqs, validSeqs, vocabSize, err := p.preparePretrain()
+	trainSeqs, validSeqs, vocab, err := p.preparePretrain()
 	if err != nil {
 		return nil, err
 	}
+	vocabSize := vocab.Size()
 	rep := &Report{
 		VocabSize:  vocabSize,
 		EvalCurve:  &metrics.Curve{Name: string(p.cfg.Mode) + "/" + string(p.cfg.Partition) + "/mlm_loss"},

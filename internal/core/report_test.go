@@ -16,18 +16,14 @@ import (
 
 func TestPrepareFinetuneSplitsAndEncodes(t *testing.T) {
 	cfg := tinyConfig(TaskFinetune, ModeFederated, "lstm")
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, valid, vocabSize, err := p.prepareFinetune()
+	train, valid, vocab, err := PrepareFinetune(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(train) != cfg.TrainSize || len(valid) != cfg.ValidSize {
 		t.Fatalf("split %d/%d, want %d/%d", len(train), len(valid), cfg.TrainSize, cfg.ValidSize)
 	}
-	if vocabSize <= 0 {
+	if vocab.Size() <= 0 {
 		t.Fatal("empty vocab")
 	}
 	for i, ex := range train {
@@ -48,11 +44,7 @@ func TestPrepareFinetuneSplitsAndEncodes(t *testing.T) {
 func TestPrepareFinetuneRejectsOversizedSplit(t *testing.T) {
 	cfg := tinyConfig(TaskFinetune, ModeCentralized, "lstm")
 	cfg.TrainSize = 10000
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := p.prepareFinetune(); err == nil {
+	if _, _, _, err := PrepareFinetune(cfg); err == nil {
 		t.Fatal("want error for train+valid exceeding cohort")
 	}
 }
@@ -64,14 +56,14 @@ func TestPreparePretrainEncodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, valid, vocabSize, err := p.preparePretrain()
+	train, valid, vocab, err := p.preparePretrain()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(train) != 40 || len(valid) != 20 {
 		t.Fatalf("split %d/%d", len(train), len(valid))
 	}
-	if vocabSize <= 0 {
+	if vocab.Size() <= 0 {
 		t.Fatal("empty vocab")
 	}
 	for i, ids := range train {

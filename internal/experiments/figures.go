@@ -11,14 +11,11 @@ import (
 
 	"clinfl/internal/core"
 	"clinfl/internal/data"
-	"clinfl/internal/ehr"
 	"clinfl/internal/fl"
 	"clinfl/internal/metrics"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
 	"clinfl/internal/provision"
-	"clinfl/internal/tensor"
-	"clinfl/internal/token"
 )
 
 // Fig2 reproduces the MLM pretraining feasibility study: held-out masked-
@@ -148,29 +145,10 @@ func RunFig3(ctx context.Context, w io.Writer, scale Scale) (*Fig3Result, error)
 	logf("provision: CA + server cert + %d client certs + admission tokens issued", cfg.Clients)
 
 	// --- Stage 2: data and model preparation ---
-	patients, err := ehr.GenerateCohort(cfg.EHR)
+	trainSet, validSet, vocab, err := core.PrepareFinetune(cfg)
 	if err != nil {
 		return nil, err
 	}
-	streams := make([][]string, len(patients))
-	for i, p := range patients {
-		streams[i] = p.Tokens
-	}
-	vocab, err := token.BuildVocab(streams, 1, 0)
-	if err != nil {
-		return nil, err
-	}
-	tok, err := token.NewTokenizer(vocab, cfg.MaxLen)
-	if err != nil {
-		return nil, err
-	}
-	all := make(data.Dataset, len(patients))
-	for i, p := range patients {
-		ids, padMask := tok.Encode(p.Tokens)
-		all[i] = data.Example{IDs: ids, PadMask: padMask, Label: p.Outcome}
-	}
-	all = all.Shuffled(tensor.NewRNG(cfg.Seed + 17))
-	trainSet, validSet := all[:cfg.TrainSize], all[cfg.TrainSize:cfg.TrainSize+cfg.ValidSize]
 	shards, err := data.PartitionRatios(trainSet, data.PaperImbalancedRatios)
 	if err != nil {
 		return nil, err
@@ -193,16 +171,7 @@ func RunFig3(ctx context.Context, w io.Writer, scale Scale) (*Fig3Result, error)
 		Rounds:          cfg.Rounds,
 		Logf:            logf,
 		VerifyToken:     proj.VerifyToken,
-		Validate: func(weights map[string]*tensor.Matrix) (float64, error) {
-			if err := nn.LoadWeights(valModel.Params(), weights); err != nil {
-				return 0, err
-			}
-			preds, err := valModel.Predict(validSet)
-			if err != nil {
-				return 0, err
-			}
-			return metrics.Accuracy(preds, validSet.Labels())
-		},
+		Validate:        core.AccuracyValidator(valModel, validSet),
 	}, proj.ServerKit)
 	if err != nil {
 		return nil, err

@@ -9,13 +9,9 @@ import (
 
 	"clinfl/internal/core"
 	"clinfl/internal/data"
-	"clinfl/internal/ehr"
 	"clinfl/internal/fl"
-	"clinfl/internal/metrics"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
-	"clinfl/internal/tensor"
-	"clinfl/internal/token"
 )
 
 // Stragglers is the straggler/partial-participation scenario sweep: the
@@ -88,30 +84,10 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 	if cfg.EHR.Patients < cfg.TrainSize+cfg.ValidSize {
 		cfg.EHR.Patients = cfg.TrainSize + cfg.ValidSize
 	}
-	patients, err := ehr.GenerateCohort(cfg.EHR)
+	trainSet, validSet, vocab, err := core.PrepareFinetune(cfg)
 	if err != nil {
 		return nil, err
 	}
-	streams := make([][]string, len(patients))
-	for i, p := range patients {
-		streams[i] = p.Tokens
-	}
-	vocab, err := token.BuildVocab(streams, 1, 0)
-	if err != nil {
-		return nil, err
-	}
-	tok, err := token.NewTokenizer(vocab, cfg.MaxLen)
-	if err != nil {
-		return nil, err
-	}
-	all := make(data.Dataset, len(patients))
-	for i, p := range patients {
-		ids, padMask := tok.Encode(p.Tokens)
-		all[i] = data.Example{IDs: ids, PadMask: padMask, Label: p.Outcome}
-	}
-	all = all.Shuffled(tensor.NewRNG(cfg.Seed + 17))
-	trainSet := all[:cfg.TrainSize]
-	validSet := all[cfg.TrainSize : cfg.TrainSize+cfg.ValidSize]
 	shards, err := data.PartitionBalanced(trainSet, cfg.Clients)
 	if err != nil {
 		return nil, err
@@ -124,16 +100,7 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 	if err != nil {
 		return nil, err
 	}
-	validate := func(weights map[string]*tensor.Matrix) (float64, error) {
-		if err := nn.LoadWeights(valModel.Params(), weights); err != nil {
-			return 0, err
-		}
-		preds, err := valModel.Predict(validSet)
-		if err != nil {
-			return 0, err
-		}
-		return metrics.Accuracy(preds, validSet.Labels())
-	}
+	validate := core.AccuracyValidator(valModel, validSet)
 
 	var out []StragglerResult
 	for _, scheme := range StragglerSchemes {

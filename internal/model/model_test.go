@@ -62,10 +62,9 @@ func TestLSTMLearnsOrderRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	optimizer := opt.NewAdam(5e-3)
-	cfg := train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1}
+	tr := train.NewTrainer(m.Params(), m.LossBatch, optimizer, train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1})
 	for e := 0; e < 12; e++ {
-		cfg.Seed = int64(e + 1)
-		if _, err := train.Epoch(m.Params(), []data.Example(ds), m.LossBatch, optimizer, cfg); err != nil {
+		if _, err := tr.Epoch([]data.Example(ds), int64(e+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -99,10 +98,9 @@ func TestBERTLearnsOrderRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	optimizer := opt.NewAdam(3e-3)
-	cfg := train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1}
+	tr := train.NewTrainer(m.Params(), m.LossBatch, optimizer, train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1})
 	for e := 0; e < 15; e++ {
-		cfg.Seed = int64(e + 1)
-		if _, err := train.Epoch(m.Params(), []data.Example(ds), m.LossBatch, optimizer, cfg); err != nil {
+		if _, err := tr.Epoch([]data.Example(ds), int64(e+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,10 +155,9 @@ func TestBERTMLMLossDecreases(t *testing.T) {
 		t.Fatal(err)
 	}
 	optimizer := opt.NewAdam(3e-3)
-	cfg := train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1}
+	tr := train.NewTrainer(m.Params(), m.MLMLossBatch, optimizer, train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1})
 	for e := 0; e < 8; e++ {
-		cfg.Seed = int64(e + 1)
-		if _, err := train.Epoch(m.Params(), examples, m.MLMLossBatch, optimizer, cfg); err != nil {
+		if _, err := tr.Epoch(examples, int64(e+1)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,17 +46,6 @@ func NewMultiHeadSelfAttention(name string, dim, heads, headDim int, rng *tensor
 	}, nil
 }
 
-// Forward attends over one sequence x (seq×dim). padMask, if non-nil, marks
-// padded positions (true = padding) that keys must not attend to. It is a
-// thin B=1 wrapper over ForwardBatch.
-func (a *MultiHeadSelfAttention) Forward(ctx *Ctx, x *autograd.Node, padMask []bool) (*autograd.Node, error) {
-	var padMasks [][]bool
-	if padMask != nil {
-		padMasks = [][]bool{padMask}
-	}
-	return a.ForwardBatch(ctx, x, 1, padMasks)
-}
-
 // ForwardBatch attends over a flattened minibatch x ((batch·seq)×dim, with
 // each sequence occupying a contiguous block of seq rows). padMasks, if
 // non-nil, holds one key-padding mask per sequence; the block softmax

@@ -38,7 +38,7 @@ func TestEncoderForwardBatchMatchesPerSequence(t *testing.T) {
 
 	for i := 0; i < batch; i++ {
 		refCtx := NewCtx(false, nil)
-		ref, err := enc.Forward(refCtx, refCtx.Tape.Constant(xs[i].Clone()), padMasks[i])
+		ref, err := enc.ForwardBatch(refCtx, refCtx.Tape.Constant(xs[i].Clone()), 1, padMasks[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}

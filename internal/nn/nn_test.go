@@ -94,7 +94,7 @@ func TestAttentionGradCheck(t *testing.T) {
 	}
 	layerGradCheck(t, attn.Params(), rng.Normal(4, 6, 0, 1),
 		func(ctx *Ctx, x *autograd.Node) (*autograd.Node, error) {
-			return attn.Forward(ctx, x, nil)
+			return attn.ForwardBatch(ctx, x, 1, nil)
 		})
 }
 
@@ -127,7 +127,7 @@ func TestAttentionPaddingMaskBlocksKeys(t *testing.T) {
 	// Output at query 0 must not change when a masked key row changes.
 	run := func(xm *tensor.Matrix) []float64 {
 		ctx := NewCtx(false, nil)
-		y, err := attn.Forward(ctx, ctx.Tape.Constant(xm), []bool{false, false, true})
+		y, err := attn.ForwardBatch(ctx, ctx.Tape.Constant(xm), 1, [][]bool{{false, false, true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestAttentionMaskLengthError(t *testing.T) {
 	attn, _ := NewMultiHeadSelfAttention("attn", 4, 1, 0, rng)
 	ctx := NewCtx(false, nil)
 	x := ctx.Tape.Constant(rng.Normal(3, 4, 0, 1))
-	if _, err := attn.Forward(ctx, x, []bool{false}); err == nil {
+	if _, err := attn.ForwardBatch(ctx, x, 1, [][]bool{{false}}); err == nil {
 		t.Fatal("want mask length error")
 	}
 }
@@ -178,7 +178,7 @@ func TestEncoderLayerGradCheck(t *testing.T) {
 	}
 	layerGradCheck(t, layer.Params(), rng.Normal(3, 4, 0, 1),
 		func(ctx *Ctx, x *autograd.Node) (*autograd.Node, error) {
-			return layer.Forward(ctx, x, nil)
+			return layer.ForwardBatch(ctx, x, 1, nil)
 		})
 }
 
@@ -193,7 +193,7 @@ func TestEncoderStack(t *testing.T) {
 	}
 	ctx := NewCtx(false, nil)
 	x := ctx.Tape.Constant(rng.Normal(5, 8, 0, 1))
-	y, err := enc.Forward(ctx, x, nil)
+	y, err := enc.ForwardBatch(ctx, x, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

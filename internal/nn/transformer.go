@@ -73,16 +73,6 @@ func NewEncoderLayer(name string, dim, heads, headDim, ffnHidden int, dropout fl
 	}, nil
 }
 
-// Forward applies the block to one sequence x (seq×dim) with an optional
-// key-padding mask. It is a thin B=1 wrapper over ForwardBatch.
-func (e *EncoderLayer) Forward(ctx *Ctx, x *autograd.Node, padMask []bool) (*autograd.Node, error) {
-	var padMasks [][]bool
-	if padMask != nil {
-		padMasks = [][]bool{padMask}
-	}
-	return e.ForwardBatch(ctx, x, 1, padMasks)
-}
-
 // ForwardBatch applies the block to a flattened minibatch x
 // ((batch·seq)×dim). LayerNorm, the FFN and dropout are position-wise, so
 // they run over the flattened rows unchanged; only attention needs the
@@ -143,16 +133,6 @@ func NewEncoder(name string, n, dim, heads, headDim, ffnHidden int, dropout floa
 		enc.Layers = append(enc.Layers, layer)
 	}
 	return enc, nil
-}
-
-// Forward runs the full stack over one sequence x (seq×dim). It is a thin
-// B=1 wrapper over ForwardBatch.
-func (e *Encoder) Forward(ctx *Ctx, x *autograd.Node, padMask []bool) (*autograd.Node, error) {
-	var padMasks [][]bool
-	if padMask != nil {
-		padMasks = [][]bool{padMask}
-	}
-	return e.ForwardBatch(ctx, x, 1, padMasks)
 }
 
 // ForwardBatch runs the full stack over a flattened minibatch x

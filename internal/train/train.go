@@ -19,9 +19,8 @@
 // Allocation model: a Trainer owns all per-participant state — arena-
 // backed contexts (tape + activation/gradient memory) and per-sub-batch
 // flat gradient buffers keyed by parameter index — and recycles it across
-// steps, so a steady-state Step performs no per-batch allocation. The
-// package-level Step/Epoch helpers construct a throwaway Trainer;
-// long-lived callers (federated executors, pretraining loops) hold one
+// steps, so a steady-state Step performs no per-batch allocation.
+// Long-lived callers (federated executors, pretraining loops) hold one
 // Trainer per model.
 package train
 
@@ -68,8 +67,6 @@ type Config struct {
 	// model in federated use) so heterogeneous clients sampled under
 	// partial participation don't drift apart. 0 disables.
 	ProxMu float64
-	// Seed drives shuffling and dropout.
-	Seed int64
 }
 
 // withDefaults fills zero fields.
@@ -430,24 +427,6 @@ func (tr *Trainer[T]) Epoch(items []T, seed int64) (float64, error) {
 		batches++
 	}
 	return lossSum / float64(batches), nil
-}
-
-// Step computes gradients for one minibatch in parallel, applies clipping
-// and one optimizer update, and returns the mean per-unit loss. It is a
-// convenience wrapper constructing a throwaway Trainer; callers stepping
-// repeatedly should hold a Trainer to reuse its tapes and buffers.
-func Step[T any](params []*nn.Param, items []T, lossFn LossFunc[T], optimizer opt.Optimizer, cfg Config) (float64, error) {
-	cfg = cfg.withDefaults()
-	return NewTrainer(params, lossFn, optimizer, cfg).Step(items, cfg.Seed)
-}
-
-// Epoch shuffles items and runs Step over consecutive minibatches,
-// returning the mean per-unit loss across the epoch. Like Step it wraps a
-// throwaway Trainer (one per epoch; the tapes are still reused across every
-// batch within the epoch).
-func Epoch[T any](params []*nn.Param, items []T, lossFn LossFunc[T], optimizer opt.Optimizer, cfg Config) (float64, error) {
-	cfg = cfg.withDefaults()
-	return NewTrainer(params, lossFn, optimizer, cfg).Epoch(items, cfg.Seed)
 }
 
 // EvalLoss computes the mean per-unit loss over items without updating

@@ -66,11 +66,11 @@ func TestStepConvergesToTrueWeight(t *testing.T) {
 	m := newLinReg(0)
 	items := regData(64, 3)
 	o := opt.NewSGD(0.05, 0)
-	cfg := Config{BatchSize: 64, Workers: 2, Seed: 1}
+	tr := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 64, Workers: 2})
 	var loss float64
 	var err error
 	for i := 0; i < 60; i++ {
-		loss, err = Step([]*nn.Param{m.w}, items, m.loss, o, cfg)
+		loss, err = tr.Step(items, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestStepConvergesToTrueWeight(t *testing.T) {
 func TestStepEmptyBatch(t *testing.T) {
 	m := newLinReg(0)
 	o := opt.NewSGD(0.1, 0)
-	if _, err := Step([]*nn.Param{m.w}, nil, m.loss, o, Config{}); err == nil {
+	if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{}).Step(nil, 0); err == nil {
 		t.Fatal("want error for empty batch")
 	}
 }
@@ -94,7 +94,7 @@ func TestStepWorkerCountsEquivalent(t *testing.T) {
 	final := func(workers int) float64 {
 		m := newLinReg(0.5)
 		o := opt.NewSGD(0.1, 0)
-		if _, err := Step([]*nn.Param{m.w}, items, m.loss, o, Config{BatchSize: 48, Workers: workers, Seed: 1}); err != nil {
+		if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 48, Workers: workers}).Step(items, 1); err != nil {
 			t.Fatal(err)
 		}
 		return m.w.W.At(0, 0)
@@ -110,7 +110,7 @@ func TestEpochShufflesDeterministically(t *testing.T) {
 	run := func() float64 {
 		m := newLinReg(0)
 		o := opt.NewSGD(0.05, 0)
-		loss, err := Epoch([]*nn.Param{m.w}, items, m.loss, o, Config{BatchSize: 8, Workers: 1, Seed: 7})
+		loss, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 8, Workers: 1}).Epoch(items, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func TestEpochShufflesDeterministically(t *testing.T) {
 func TestEpochEmpty(t *testing.T) {
 	m := newLinReg(0)
 	o := opt.NewSGD(0.1, 0)
-	if _, err := Epoch([]*nn.Param{m.w}, nil, m.loss, o, Config{}); err == nil {
+	if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{}).Epoch(nil, 0); err == nil {
 		t.Fatal("want error for empty epoch")
 	}
 }
@@ -207,7 +207,7 @@ func TestClippingBoundsUpdate(t *testing.T) {
 	m := newLinReg(0)
 	items := []sample{{x: 100, y: -1000}}
 	o := opt.NewSGD(0.1, 0)
-	if _, err := Step([]*nn.Param{m.w}, items, m.loss, o, Config{BatchSize: 1, Workers: 1, ClipNorm: 1}); err != nil {
+	if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 1, Workers: 1, ClipNorm: 1}).Step(items, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := math.Abs(m.w.W.At(0, 0)); got > 0.1+1e-12 {
