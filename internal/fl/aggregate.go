@@ -39,12 +39,47 @@ type ClientUpdate struct {
 	// fl.Edge's merged uplink rather than a single client's weights; only
 	// the tier sink (a tier-enabled Server, or another Edge) consumes it.
 	hierPartial *hier.Partial
+	// payload, when set with Weights nil, makes the update wire-backed: it
+	// is the codec payload the update arrived in, and params is what the
+	// check walk read of it. FedAvg and MeanAggregator fold the payload
+	// straight into the round's sum; a consumer that needs the map calls
+	// decode, once the params have matched the round's global model.
+	payload []byte
+	params  []paramCheck
+}
+
+// wire reports whether the update is wire-backed.
+func (u *ClientUpdate) wire() bool { return u.Weights == nil && u.payload != nil }
+
+// decode gives a wire-backed update its weight map. Callers decode only
+// after the schema check against the round's global model, so what is
+// allocated is the model's size, never what a payload claims.
+func (u *ClientUpdate) decode() error {
+	if !u.wire() {
+		return nil
+	}
+	weights, err := DecodeWeights(u.payload)
+	if err != nil {
+		return err
+	}
+	u.Weights = weights
+	return nil
+}
+
+// numParams is how many params the update carries.
+func (u *ClientUpdate) numParams() int {
+	if u.wire() {
+		return len(u.params)
+	}
+	return len(u.Weights)
 }
 
 // Aggregator combines client updates into a new global model.
 type Aggregator interface {
 	// Aggregate merges updates; the result maps parameter names to new
-	// global values.
+	// global values. An update a Server received may be wire-backed: its
+	// Weights are nil and FedAvg and MeanAggregator fold its payload, so an
+	// Aggregator that wraps one of them passes its updates on unchanged.
 	Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error)
 	// Name identifies the strategy in logs and experiment records.
 	Name() string
@@ -76,7 +111,10 @@ func (MeanAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Mat
 	return weightedAverage(updates, func(*ClientUpdate) float64 { return 1 })
 }
 
-// weightedAverage merges updates with the given weight function.
+// weightedAverage merges updates with the given weight function, in the
+// order given. A wire-backed update is folded from its payload, which adds
+// the same values in the same order as decoding it first: the bits do not
+// depend on which form an update is in.
 func weightedAverage(updates []*ClientUpdate, weightOf func(*ClientUpdate) float64) (map[string]*tensor.Matrix, error) {
 	if len(updates) == 0 {
 		return nil, errors.New("fl: no updates to aggregate")
@@ -89,16 +127,29 @@ func weightedAverage(updates []*ClientUpdate, weightOf func(*ClientUpdate) float
 		}
 		total += w
 	}
-	ref := updates[0].Weights
-	out := make(map[string]*tensor.Matrix, len(ref))
-	for name, m := range ref {
-		out[name] = tensor.New(m.Rows(), m.Cols())
+	ref := updates[0]
+	out := make(map[string]*tensor.Matrix, ref.numParams())
+	if ref.wire() {
+		for _, p := range ref.params {
+			out[p.name] = tensor.New(p.rows, p.cols)
+		}
+	} else {
+		for name, m := range ref.Weights {
+			out[name] = tensor.New(m.Rows(), m.Cols())
+		}
 	}
+	var scratch []float64
 	for _, u := range updates {
-		if len(u.Weights) != len(ref) {
-			return nil, fmt.Errorf("fl: client %q sent %d params, want %d", u.ClientName, len(u.Weights), len(ref))
+		if n := u.numParams(); n != len(out) {
+			return nil, fmt.Errorf("fl: client %q sent %d params, want %d", u.ClientName, n, len(out))
 		}
 		w := weightOf(u) / total
+		if u.wire() {
+			if err := foldPayload(u.payload, out, w, &scratch); err != nil {
+				return nil, fmt.Errorf("fl: aggregate from %q: %w", u.ClientName, err)
+			}
+			continue
+		}
 		for name, acc := range out {
 			m, ok := u.Weights[name]
 			if !ok {

@@ -45,19 +45,29 @@ type frame struct {
 	body  body
 }
 
-// body is one codec's per-parameter element encoding.
+// body is one codec's per-parameter element encoding. A frame walk takes
+// each body off the wire with read, which runs the body's own checks; the
+// value methods then read a checked body and cannot fail.
 type body interface {
 	// size is the body's encoded length for m.
 	size(m *tensor.Matrix) int
 	// put appends m's body to dst.
 	put(dst []byte, m *tensor.Matrix) []byte
 	// dense is the body length a rows×cols parameter must have present
-	// before its matrix is allocated; 0 for a sparse body, whose
-	// allocation only the element caps bound.
+	// before its body is read; 0 for a sparse body.
 	dense(rows, cols int64) int64
-	// get decodes a body into the zeroed m. It checks r.Err() before
-	// indexing what r returned, and returns it.
-	get(r *wire.Reader, m *tensor.Matrix) error
+	// read takes a rows×cols body off r and checks what is the body's
+	// own: a row scale, a top-k count and its indices. It checks r.Err()
+	// before indexing what r returned, and returns the body's bytes.
+	read(r *wire.Reader, rows, cols int) ([]byte, error)
+	// decode writes a checked body's values into the zeroed rows×cols d.
+	decode(p []byte, d []float64, rows, cols int)
+	// fold adds c times a checked body's values into the rows×cols acc,
+	// the same bits as decoding it and adding with AddScaledInPlace. A
+	// dense body converts one row at a time into *scratch, grown to fit.
+	fold(p []byte, acc []float64, rows, cols int, c float64, scratch *[]float64)
+	// finite reports whether a checked body holds no NaN or ±Inf.
+	finite(p []byte) bool
 }
 
 // Codec magics.
@@ -73,13 +83,17 @@ var (
 	f32Frame  = frame{"f32", f32Magic, false, Float32Codec{}}
 	int8Frame = frame{"int8", int8Magic, false, Int8Codec{}}
 	topKFrame = frame{"top-k", topKMagic, false, TopKCodec{}}
-	// frames is what DecodeWeights sniffs a payload's magic against.
+	// frames is what a payload's magic is sniffed against.
 	frames = [...]frame{rawFrame, f32Frame, int8Frame, topKFrame}
 )
 
-// Decode-time allocation bounds: per-parameter and whole-blob element caps
-// keep a tiny corrupt payload from demanding gigabytes before any data
-// bytes are read (transport frames are capped at 64 MiB). Variables, not
+// Element caps on one parameter and on a whole payload. A walk checks them
+// before it reads a body, and a dense body must be present in full, so a
+// dense payload can never claim more than it carries. A sparse top-k body
+// can: two 2^13×2^14 params with one kept element each fit in 60 bytes.
+// So the server never decodes an uplink by its own claim. The check walk
+// allocates nothing per element, and the map is built only after the
+// params' shapes have matched the round's global model. Variables, not
 // constants, so the fuzz harness can shrink them and explore the rejection
 // logic without thrashing on legitimately-huge allocations.
 var (
@@ -104,18 +118,61 @@ func EncodeWeights(weights map[string]*tensor.Matrix) ([]byte, error) {
 // codec (raw, f32, int8, top-k), sniffing the format from the payload's
 // magic.
 func DecodeWeights(blob []byte) (map[string]*tensor.Matrix, error) {
-	f := rawFrame // junk is reported against the raw magic
-	for _, g := range frames {
-		if bytes.HasPrefix(blob, []byte(g.magic)) {
-			f = g
-			break
-		}
-	}
-	weights, err := f.decode(blob)
+	weights, err := frameOf(blob).decode(blob)
 	if err != nil {
 		return nil, fmt.Errorf("fl: decode weights: %w", err)
 	}
 	return weights, nil
+}
+
+// paramCheck is what the check walk reports of one parameter.
+type paramCheck struct {
+	name       string
+	rows, cols int
+	// finite: no value of the param is NaN or ±Inf.
+	finite bool
+}
+
+// checkPayload validates a payload of any codec without decoding it: it
+// rejects exactly what DecodeWeights rejects, with the same error, and
+// reports each param in name order.
+func checkPayload(blob []byte) ([]paramCheck, error) {
+	f := frameOf(blob)
+	var params []paramCheck
+	err := f.walk(blob, func(p param) error {
+		params = append(params, paramCheck{string(p.name), p.rows, p.cols, f.body.finite(p.body)})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fl: decode weights: %w", err)
+	}
+	return params, nil
+}
+
+// foldPayload adds c times every value of a payload into acc, which must
+// hold a matrix of the same shape for each of its params: acc[name] +=
+// c·decoded[name], bit for bit, without building the decoded map.
+func foldPayload(blob []byte, acc map[string]*tensor.Matrix, c float64, scratch *[]float64) error {
+	f := frameOf(blob)
+	return f.walk(blob, func(p param) error {
+		m := acc[string(p.name)]
+		if m == nil || m.Rows() != p.rows || m.Cols() != p.cols {
+			return fmt.Errorf("param %q shape %dx%d matches no accumulator", p.name, p.rows, p.cols)
+		}
+		f.body.fold(p.body, m.Data(), p.rows, p.cols, c, scratch)
+		return nil
+	})
+}
+
+// frameOf picks the frame a payload's magic names; junk is reported
+// against the raw magic.
+func frameOf(blob []byte) frame {
+	for _, g := range frames {
+		if bytes.HasPrefix(blob, []byte(g.magic)) {
+			return g
+		}
+	}
+	return rawFrame
 }
 
 // encode sizes the payload exactly and appends it into one slice.
@@ -156,39 +213,48 @@ func (f frame) dim(r *wire.Reader) uint64 {
 	return uint64(r.U32())
 }
 
-// decode walks a payload of this frame. Every count, length and shape is
-// capped before it sizes an allocation, a dense body must be present in
-// full before its matrix is allocated, and a repeated parameter name or a
-// byte after the last parameter rejects the payload.
-func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
+// param is one parameter as a walk hands it on: its header and its checked
+// body. name and body alias the payload.
+type param struct {
+	name       []byte
+	rows, cols int
+	body       []byte
+}
+
+// walk runs every structural check of a payload of this frame, and hands
+// each parameter to visit in payload order. Every count, length and shape
+// is capped before it is used, and a dense body must be present in full
+// before it is read. Names must be strictly ascending, the encoder's
+// order, so a repeated name is caught against the one before it. A byte
+// after the last parameter rejects the payload. decode, check and fold
+// are the walk's three visitors, and no check is written anywhere else.
+func (f frame) walk(blob []byte, visit func(p param) error) error {
 	r := wire.NewReader(blob)
 	if string(r.Next(len(f.magic))) != f.magic {
 		// A blob cut short inside the magic is a truncated frame too.
 		if strings.HasPrefix(f.magic, string(blob)) {
-			return nil, fmt.Errorf("fl: %s decode: bad magic: %w", f.codec, wire.ErrTruncated)
+			return fmt.Errorf("fl: %s decode: bad magic: %w", f.codec, wire.ErrTruncated)
 		}
-		return nil, fmt.Errorf("fl: %s decode: bad magic", f.codec)
+		return fmt.Errorf("fl: %s decode: bad magic", f.codec)
 	}
 	n := f.dim(r)
 	if r.Err() != nil {
-		return nil, fmt.Errorf("fl: %s decode count: %w", f.codec, r.Err())
+		return fmt.Errorf("fl: %s decode count: %w", f.codec, r.Err())
 	}
 	if n > maxParams {
-		return nil, fmt.Errorf("fl: %s decode: implausible parameter count %d", f.codec, n)
+		return fmt.Errorf("fl: %s decode: implausible parameter count %d", f.codec, n)
 	}
-	// Every param takes at least one byte, so the map hint is bounded by
-	// the payload, not by the count it claims.
-	out := make(map[string]*tensor.Matrix, min(n, uint64(r.Len())))
+	var prev []byte
 	var total int64
 	for i := uint64(0); i < n; i++ {
 		ln := r.U32()
 		if r.Err() == nil && ln > maxNameSize {
-			return nil, fmt.Errorf("fl: %s decode: implausible name length %d", f.codec, ln)
+			return fmt.Errorf("fl: %s decode: implausible name length %d", f.codec, ln)
 		}
-		name := string(r.Next(int(ln)))
+		name := r.Next(int(ln))
 		rows, cols := f.dim(r), f.dim(r)
 		if r.Err() != nil {
-			return nil, fmt.Errorf("fl: %s decode param %d header: %w", f.codec, i, r.Err())
+			return fmt.Errorf("fl: %s decode param %d header: %w", f.codec, i, r.Err())
 		}
 		// Each dimension is capped before the product is taken, so a
 		// corrupt shape cannot wrap past the element cap on any GOARCH;
@@ -196,29 +262,96 @@ func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
 		// real model and far below an OOM.
 		limit := uint64(maxParamElems)
 		if rows > limit || cols > limit || rows*cols > limit {
-			return nil, fmt.Errorf("fl: %s decode %q: implausible shape %dx%d", f.codec, name, rows, cols)
+			return fmt.Errorf("fl: %s decode %q: implausible shape %dx%d", f.codec, name, rows, cols)
 		}
 		total += int64(rows * cols)
 		if total > maxTotalElems {
-			return nil, fmt.Errorf("fl: %s decode %q: cumulative shape exceeds %d elements", f.codec, name, maxTotalElems)
+			return fmt.Errorf("fl: %s decode %q: cumulative shape exceeds %d elements", f.codec, name, maxTotalElems)
 		}
-		if _, dup := out[name]; dup {
-			return nil, fmt.Errorf("fl: %s decode: duplicate param %q", f.codec, name)
+		if i > 0 {
+			switch c := bytes.Compare(name, prev); {
+			case c == 0:
+				return fmt.Errorf("fl: %s decode: duplicate param %q", f.codec, name)
+			case c < 0:
+				return fmt.Errorf("fl: %s decode: param %q out of name order", f.codec, name)
+			}
 		}
+		prev = name
 		if f.body.dense(int64(rows), int64(cols)) > int64(r.Len()) {
-			return nil, fmt.Errorf("fl: %s decode %q: shape %dx%d: %w", f.codec, name, rows, cols, wire.ErrTruncated)
+			return fmt.Errorf("fl: %s decode %q: shape %dx%d: %w", f.codec, name, rows, cols, wire.ErrTruncated)
 		}
-		m := tensor.New(int(rows), int(cols))
-		if err := f.body.get(r, m); err != nil {
-			return nil, fmt.Errorf("fl: %s decode %q: %w", f.codec, name, err)
+		p, err := f.body.read(r, int(rows), int(cols))
+		if err != nil {
+			return fmt.Errorf("fl: %s decode %q: %w", f.codec, name, err)
 		}
-		out[name] = m
+		if err := visit(param{name, int(rows), int(cols), p}); err != nil {
+			return err
+		}
 	}
 	if r.Len() > 0 {
-		return nil, fmt.Errorf("fl: %s decode: %d trailing bytes", f.codec, r.Len())
+		return fmt.Errorf("fl: %s decode: %d trailing bytes", f.codec, r.Len())
+	}
+	return nil
+}
+
+// decode builds the weight map of a payload of this frame.
+func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
+	out := make(map[string]*tensor.Matrix)
+	err := f.walk(blob, func(p param) error {
+		m := tensor.New(p.rows, p.cols)
+		f.body.decode(p.body, m.Data(), p.rows, p.cols)
+		out[string(p.name)] = m
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
+
+// rowBody is a dense body: every row is stride(cols) bytes that row
+// decodes on its own.
+type rowBody interface {
+	stride(cols int) int
+	row(dst []float64, q []byte)
+}
+
+// readRows takes a dense body of rows rows off r.
+func readRows(b rowBody, r *wire.Reader, rows, cols int) ([]byte, error) {
+	p := r.Next(rows * b.stride(cols))
+	if r.Err() != nil {
+		return nil, r.Err()
+	}
+	return p, nil
+}
+
+// decodeRows is a dense body's decode.
+func decodeRows(b rowBody, p []byte, d []float64, rows, cols int) {
+	w := b.stride(cols)
+	for i := 0; i < rows; i++ {
+		b.row(d[i*cols:(i+1)*cols], p[i*w:(i+1)*w])
+	}
+}
+
+// foldRows is a dense body's fold: each row is decoded into the scratch
+// row and added with the AddScaledInPlace kernel.
+func foldRows(b rowBody, p []byte, acc []float64, rows, cols int, c float64, scratch *[]float64) {
+	if cap(*scratch) < cols {
+		*scratch = make([]float64, cols)
+	}
+	row := (*scratch)[:cols]
+	w := b.stride(cols)
+	for i := 0; i < rows; i++ {
+		b.row(row, p[i*w:(i+1)*w])
+		tensor.AddScaled(acc[i*cols:(i+1)*cols], row, c)
+	}
+}
+
+// Exponent masks: all exponent bits set means NaN or ±Inf.
+const (
+	f64ExpMask = 0x7ff0000000000000
+	f32ExpMask = 0x7f800000
+)
 
 // RawCodec is the exact float64 wire format: u64 count and shape, f64
 // body. It is the pre-codec default, the model file `flserver -out`
@@ -249,16 +382,31 @@ func (RawCodec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (RawCodec) dense(rows, cols int64) int64 { return 8 * rows * cols }
 
-func (RawCodec) get(r *wire.Reader, m *tensor.Matrix) error {
-	d := m.Data()
-	p := r.Next(8 * len(d))
-	if r.Err() != nil {
-		return r.Err()
+func (c RawCodec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
+	return readRows(c, r, rows, cols)
+}
+
+func (RawCodec) stride(cols int) int { return 8 * cols }
+
+func (RawCodec) row(dst []float64, q []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(q[8*i:]))
 	}
-	for i := range d {
-		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+}
+
+func (c RawCodec) decode(p []byte, d []float64, rows, cols int) { decodeRows(c, p, d, rows, cols) }
+
+func (c RawCodec) fold(p []byte, acc []float64, rows, cols int, w float64, scratch *[]float64) {
+	foldRows(c, p, acc, rows, cols, w, scratch)
+}
+
+func (RawCodec) finite(p []byte) bool {
+	for i := 0; i < len(p); i += 8 {
+		if binary.LittleEndian.Uint64(p[i:])&f64ExpMask == f64ExpMask {
+			return false
+		}
 	}
-	return nil
+	return true
 }
 
 // Float32Codec quantizes every element to float32, halving bytes on the
@@ -290,16 +438,31 @@ func (Float32Codec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (Float32Codec) dense(rows, cols int64) int64 { return 4 * rows * cols }
 
-func (Float32Codec) get(r *wire.Reader, m *tensor.Matrix) error {
-	d := m.Data()
-	p := r.Next(4 * len(d))
-	if r.Err() != nil {
-		return r.Err()
+func (c Float32Codec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
+	return readRows(c, r, rows, cols)
+}
+
+func (Float32Codec) stride(cols int) int { return 4 * cols }
+
+func (Float32Codec) row(dst []float64, q []byte) {
+	for i := range dst {
+		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(q[4*i:])))
 	}
-	for i := range d {
-		d[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
+}
+
+func (c Float32Codec) decode(p []byte, d []float64, rows, cols int) { decodeRows(c, p, d, rows, cols) }
+
+func (c Float32Codec) fold(p []byte, acc []float64, rows, cols int, w float64, scratch *[]float64) {
+	foldRows(c, p, acc, rows, cols, w, scratch)
+}
+
+func (Float32Codec) finite(p []byte) bool {
+	for i := 0; i < len(p); i += 4 {
+		if binary.LittleEndian.Uint32(p[i:])&f32ExpMask == f32ExpMask {
+			return false
+		}
 	}
-	return nil
+	return true
 }
 
 // Int8Codec quantizes each parameter row to symmetric int8: one float32
@@ -349,23 +512,36 @@ func (Int8Codec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (Int8Codec) dense(rows, cols int64) int64 { return rows * (4 + cols) }
 
-func (Int8Codec) get(r *wire.Reader, m *tensor.Matrix) error {
-	d := m.Data()
-	cols := m.Cols()
-	p := r.Next(m.Rows() * (4 + cols))
-	if r.Err() != nil {
-		return r.Err()
+// read checks every row's scale: finite and non-negative.
+func (c Int8Codec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
+	p, err := readRows(c, r, rows, cols)
+	if err != nil {
+		return nil, err
 	}
-	for row := 0; row < m.Rows(); row++ {
-		q := p[row*(4+cols) : (row+1)*(4+cols)]
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(q)))
+	for i := 0; i < len(p); i += 4 + cols {
+		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(p[i:])))
 		if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-			return fmt.Errorf("bad row scale %v", scale)
+			return nil, fmt.Errorf("bad row scale %v", scale)
 		}
-		tensor.DequantizeInt8(d[row*cols:(row+1)*cols], q[4:], scale)
 	}
-	return nil
+	return p, nil
 }
+
+func (Int8Codec) stride(cols int) int { return 4 + cols }
+
+func (Int8Codec) row(dst []float64, q []byte) {
+	scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(q)))
+	tensor.DequantizeInt8(dst, q[4:], scale)
+}
+
+func (c Int8Codec) decode(p []byte, d []float64, rows, cols int) { decodeRows(c, p, d, rows, cols) }
+
+func (c Int8Codec) fold(p []byte, acc []float64, rows, cols int, w float64, scratch *[]float64) {
+	foldRows(c, p, acc, rows, cols, w, scratch)
+}
+
+// finite: a code times a checked scale is at most 128·MaxFloat32.
+func (Int8Codec) finite([]byte) bool { return true }
 
 // TopKCodec keeps only the Fraction largest-magnitude elements of each
 // parameter (as uint32-index + float32-value pairs); the rest decode as
@@ -418,28 +594,57 @@ func (c TopKCodec) put(dst []byte, m *tensor.Matrix) []byte {
 
 func (TopKCodec) dense(rows, cols int64) int64 { return 0 }
 
-func (TopKCodec) get(r *wire.Reader, m *tensor.Matrix) error {
-	d := m.Data()
+// read checks the kept count and that the indices are in range and
+// strictly ascending, the encoder's order: no element is set twice. It
+// returns the index+value pairs.
+func (TopKCodec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
+	n := uint64(rows * cols)
 	k := uint64(r.U32())
 	if r.Err() != nil {
-		return r.Err()
+		return nil, r.Err()
 	}
 	// The encoder always keeps at least one element per parameter.
-	if k < 1 || k > uint64(len(d)) {
-		return fmt.Errorf("k %d out of [1, %d]", k, len(d))
+	if k < 1 || k > n {
+		return nil, fmt.Errorf("k %d out of [1, %d]", k, n)
 	}
 	p := r.Next(8 * int(k))
 	if r.Err() != nil {
-		return r.Err()
+		return nil, r.Err()
 	}
-	for j := 0; j < int(k); j++ {
-		idx := binary.LittleEndian.Uint32(p[8*j:])
-		if uint64(idx) >= uint64(len(d)) {
-			return fmt.Errorf("index %d out of range", idx)
+	for j := 0; j < len(p); j += 8 {
+		idx := binary.LittleEndian.Uint32(p[j:])
+		if uint64(idx) >= n {
+			return nil, fmt.Errorf("index %d out of range", idx)
 		}
-		d[idx] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[8*j+4:])))
+		if j > 0 && idx <= binary.LittleEndian.Uint32(p[j-8:]) {
+			return nil, fmt.Errorf("index %d not ascending", idx)
+		}
 	}
-	return nil
+	return p, nil
+}
+
+func (TopKCodec) decode(p []byte, d []float64, _, _ int) {
+	for j := 0; j < len(p); j += 8 {
+		d[binary.LittleEndian.Uint32(p[j:])] = float64(math.Float32frombits(binary.LittleEndian.Uint32(p[j+4:])))
+	}
+}
+
+// fold adds only the kept elements. The decoded zeros it skips would add
+// +0, which changes no sum that started at +0: such a sum is never −0.
+func (TopKCodec) fold(p []byte, acc []float64, _, _ int, w float64, _ *[]float64) {
+	for j := 0; j < len(p); j += 8 {
+		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(p[j+4:])))
+		acc[binary.LittleEndian.Uint32(p[j:])] += float64(w * v) // the conversion forbids a fused multiply-add
+	}
+}
+
+func (TopKCodec) finite(p []byte) bool {
+	for j := 0; j < len(p); j += 8 {
+		if binary.LittleEndian.Uint32(p[j+4:])&f32ExpMask == f32ExpMask {
+			return false
+		}
+	}
+	return true
 }
 
 // topKIndices returns the indices of the k largest-magnitude elements.

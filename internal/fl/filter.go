@@ -103,8 +103,18 @@ func (f GaussianNoiseFilter) Apply(update *ClientUpdate, _ map[string]*tensor.Ma
 	return nil
 }
 
-// applyFilters runs the configured filter chain over every update.
+// applyFilters runs the configured filter chain over every update. Filters
+// read and replace weight maps, so a wire-backed update is decoded first;
+// the accept step has already matched its shapes to the model.
 func applyFilters(filters []Filter, updates []*ClientUpdate, global map[string]*tensor.Matrix) error {
+	if len(filters) == 0 {
+		return nil
+	}
+	for _, u := range updates {
+		if err := u.decode(); err != nil {
+			return fmt.Errorf("fl: decode %q for filters: %w", u.ClientName, err)
+		}
+	}
 	for _, flt := range filters {
 		for _, u := range updates {
 			if err := flt.Apply(u, global); err != nil {

@@ -10,6 +10,10 @@ package fl
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"clinfl/internal/tensor"
@@ -154,6 +158,75 @@ func FuzzDecodeWeights(f *testing.F) {
 		}
 		if _, err := EncodeWeights(weights); err != nil {
 			t.Fatalf("decoded weights do not re-encode: %v", err)
+		}
+	})
+}
+
+// FuzzPayloadFold holds the check walk and the fold to the decode they
+// replace on the Server. The check walk must reject exactly what
+// DecodeWeights rejects, with the same error, and its report must fail
+// checkShapes exactly where the decoded map does, against a fixed model and
+// against the payload's own shapes. Folding one to three copies of an
+// accepted payload, with different weights, alone and mixed with decoded
+// copies, must give FedAvg and Mean over the decoded maps bit for bit.
+func FuzzPayloadFold(f *testing.F) {
+	for _, s := range fuzzSeeds(f) {
+		f.Add(s)
+	}
+	oldParam, oldTotal := maxParamElems, maxTotalElems
+	maxParamElems, maxTotalElems = 1<<16, 1<<18
+	f.Cleanup(func() { maxParamElems, maxTotalElems = oldParam, oldTotal })
+	fixed := map[string]*tensor.Matrix{"layer.b": tensor.New(1, 5), "layer.w": tensor.New(3, 5)}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		weights, derr := DecodeWeights(data)
+		u, cerr := wireUpdate("c", 1, data)
+		if (derr == nil) != (cerr == nil) || derr != nil && derr.Error() != cerr.Error() {
+			t.Fatalf("check walk error %v, decode error %v", cerr, derr)
+		}
+		if derr != nil {
+			return
+		}
+		decoded := &ClientUpdate{ClientName: "c", NumSamples: 1, Weights: weights}
+		own := make(map[string]*tensor.Matrix, len(weights))
+		for name, m := range weights {
+			own[name] = tensor.New(m.Rows(), m.Cols())
+		}
+		finite := true
+		for _, global := range []map[string]*tensor.Matrix{fixed, own} {
+			names := slices.Sorted(maps.Keys(global))
+			werr, derr := checkUpdate(global, names, u), checkUpdate(global, names, decoded)
+			if (werr == nil) != (derr == nil) || werr != nil && werr.Error() != derr.Error() {
+				t.Fatalf("schema check %v, decoded map check %v", werr, derr)
+			}
+			if derr != nil && strings.Contains(derr.Error(), "non-finite") {
+				finite = false
+			}
+		}
+		if !finite || len(weights) == 0 {
+			return // the accept step never lets these reach a fold
+		}
+		n := 1 + len(data)%3
+		var wire, dec, mixed []*ClientUpdate
+		for i := range n {
+			w := &ClientUpdate{ClientName: fmt.Sprint(i), NumSamples: 1 + 3*i, payload: data, params: u.params}
+			d := &ClientUpdate{ClientName: w.ClientName, NumSamples: w.NumSamples, Weights: weights}
+			wire, dec, mixed = append(wire, w), append(dec, d), append(mixed, []*ClientUpdate{w, d}[i%2])
+		}
+		for _, agg := range []Aggregator{FedAvg{}, MeanAggregator{}} {
+			want, err := agg.Aggregate(dec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, updates := range [][]*ClientUpdate{wire, mixed} {
+				got, err := agg.Aggregate(updates)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := firstBitDiff(got, want); diff != "" {
+					t.Fatalf("%s of %d: %s", agg.Name(), n, diff)
+				}
+			}
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"clinfl/internal/fl"
 	"clinfl/internal/fl/hier"
-	"clinfl/internal/model"
 	"clinfl/internal/tensor"
 )
 
@@ -317,95 +316,5 @@ func TestResidentBytesIndependentOfClientCount(t *testing.T) {
 	// each x 10k clients would be ~1.3 MB).
 	if at10k > 64<<10 {
 		t.Fatalf("resident bytes %d not O(model)", at10k)
-	}
-}
-
-// foldBench is one aggregation input set for the fold benchmarks.
-type foldBench struct {
-	name    string
-	updates []*fl.ClientUpdate
-}
-
-// foldBenches builds the two workload shapes the fold is measured on:
-//   - tier30k: one tier30k_sim edge shard, 469 updates (30 000 clients over
-//     64 shards) of the simulator's linear model, w 1x8 plus b 1x1;
-//   - fanin16: 16 int8-decoded updates of the 417k-parameter LSTM that
-//     fanin16_tls sends (vocab 172, max length 24, 2 classes).
-func foldBenches(b *testing.B) []foldBench {
-	b.Helper()
-	r := rand.New(rand.NewSource(5))
-	tier := make([]*fl.ClientUpdate, 469)
-	for i := range tier {
-		w, bias := tensor.New(1, 8), tensor.New(1, 1)
-		for j := range w.Data() {
-			w.Data()[j] = r.NormFloat64()
-		}
-		bias.Data()[0] = r.NormFloat64()
-		tier[i] = &fl.ClientUpdate{ClientName: fmt.Sprintf("c%05d", i),
-			Weights: map[string]*tensor.Matrix{"w": w, "b": bias}, NumSamples: 20 + i%40, TrainLoss: 0.1}
-	}
-	mdl, err := model.New(model.SpecLSTM, 172, 24, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	codec, err := fl.CodecByName("int8")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fanin := make([]*fl.ClientUpdate, 16)
-	for i := range fanin {
-		rng := tensor.NewRNG(int64(i) + 1)
-		weights := make(map[string]*tensor.Matrix)
-		for _, p := range mdl.Params() {
-			w := p.W.Clone()
-			if err := w.AddScaledInPlace(1, rng.Normal(w.Rows(), w.Cols(), 0, 0.01)); err != nil {
-				b.Fatal(err)
-			}
-			weights[p.Name] = w
-		}
-		blob, err := codec.Encode(weights)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if weights, err = codec.Decode(blob); err != nil {
-			b.Fatal(err)
-		}
-		fanin[i] = &fl.ClientUpdate{ClientName: fmt.Sprintf("site-%02d", i), Weights: weights, NumSamples: 10 + i, TrainLoss: 0.5}
-	}
-	return []foldBench{{"tier30k", tier}, {"fanin16", fanin}}
-}
-
-// BenchmarkPartialFold folds every update of a shape into a fresh partial
-// and finalizes it: the streaming FedAvg that BenchmarkWeightedAverage is
-// the batch twin of, on the same inputs.
-func BenchmarkPartialFold(b *testing.B) {
-	for _, fb := range foldBenches(b) {
-		b.Run(fb.name, func(b *testing.B) {
-			for b.Loop() {
-				p := hier.NewPartial()
-				for _, u := range fb.updates {
-					if err := p.Fold(hier.Update{ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples, TrainLoss: u.TrainLoss}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := p.Finalize(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWeightedAverage is flat FedAvg (fl.FedAvg, the batch
-// weightedAverage) over the inputs BenchmarkPartialFold folds.
-func BenchmarkWeightedAverage(b *testing.B) {
-	for _, fb := range foldBenches(b) {
-		b.Run(fb.name, func(b *testing.B) {
-			for b.Loop() {
-				if _, err := (fl.FedAvg{}).Aggregate(fb.updates); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

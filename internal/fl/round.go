@@ -92,10 +92,7 @@ type event struct {
 	// always releases its slot, and an untasked one cannot claim one.
 	round  int
 	update *ClientUpdate
-	// payload is the update as it arrived on the wire (nil in-process);
-	// the WAL logs it verbatim.
-	payload []byte
-	err     error
+	err    error
 	// cause labels an evFailure in fl_failures_total: "exec", "conn" or
 	// "reject".
 	cause string
@@ -709,21 +706,22 @@ func (g *gather) reseed(resume *durable.OpenRound) (sampled, toTask []int, seede
 // recoveredUpdate turns an update replayed from the WAL into the
 // ClientUpdate a resumed round aggregates, whichever record kind logged
 // it: a RecUpdate's weights as they are, a RecUpdatePayload's uplink
-// through DecodeWeights — the very decode the live round aggregated, so
-// the resumed aggregate is bit-identical.
+// wire-backed after the check walk — the very bytes the live round
+// folded, so the resumed aggregate is bit-identical.
 func recoveredUpdate(u *durable.Update, round int) (*ClientUpdate, error) {
-	weights := u.Weights
-	if weights == nil {
-		var err error
-		if weights, err = DecodeWeights(u.Payload); err != nil {
-			return nil, err
-		}
-	}
-	return &ClientUpdate{
-		ClientName: u.Client, Round: round, Weights: weights,
+	cu := &ClientUpdate{
+		ClientName: u.Client, Round: round, Weights: u.Weights,
 		NumSamples: u.NumSamples, TrainLoss: u.TrainLoss,
 		PayloadBytes: u.PayloadBytes,
-	}, nil
+	}
+	if u.Weights == nil {
+		params, err := checkPayload(u.Payload)
+		if err != nil {
+			return nil, err
+		}
+		cu.payload, cu.params = u.Payload, params
+	}
+	return cu, nil
 }
 
 // park starts a bounded wait for recovery probes to revive someone.
@@ -1086,7 +1084,7 @@ func (e *engine) healthEdge(round int, tr reconcile.Transition) error {
 
 // logUpdate appends an accepted update to the WAL (when there is one). An
 // update that arrived on the wire is logged as that payload, verbatim: a
-// resumed round decodes the same bytes the live round did, so nothing is
+// resumed round folds the same bytes the live round did, so nothing is
 // re-encoded and the record is wire-sized; an in-process one has no wire
 // form and logs its weights at full precision. The append is lazy,
 // group-committed by the WAL's syncer; a crash that loses it re-tasks the
@@ -1098,8 +1096,8 @@ func (e *engine) logUpdate(round int, ev event) error {
 	}
 	u, name := ev.update, e.ros.names[ev.id]
 	var err error
-	if ev.payload != nil {
-		err = e.wal.AppendUpdatePayload(round, name, u.NumSamples, u.TrainLoss, ev.payload)
+	if u.payload != nil {
+		err = e.wal.AppendUpdatePayload(round, name, u.NumSamples, u.TrainLoss, u.payload)
 	} else {
 		err = e.wal.AppendUpdate(round, name, u.NumSamples, u.TrainLoss, u.PayloadBytes, u.Weights)
 	}
@@ -1112,7 +1110,9 @@ func (e *engine) logUpdate(round int, ev event) error {
 // checkUpdate is the accept step's validation of an in-round update
 // against the round's global model: everything Aggregate would otherwise
 // discover only after the update is durable. names is global's keys,
-// sorted.
+// sorted. A wire-backed update is checked on what its check walk read, so
+// a payload whose shapes do not match is rejected before anything is
+// allocated for it.
 func checkUpdate(global map[string]*tensor.Matrix, names []string, u *ClientUpdate) error {
 	if u.hierPartial != nil {
 		return nil // an edge's partial: validated by its decoder, merged by shape
@@ -1123,8 +1123,8 @@ func checkUpdate(global map[string]*tensor.Matrix, names []string, u *ClientUpda
 	if math.IsNaN(u.TrainLoss) || math.IsInf(u.TrainLoss, 0) {
 		return errors.New("update carries a non-finite train loss")
 	}
-	if len(u.Weights) != len(global) {
-		return fmt.Errorf("update carries %d params, want %d", len(u.Weights), len(global))
+	if n := u.numParams(); n != len(global) {
+		return fmt.Errorf("update carries %d params, want %d", n, len(global))
 	}
 	return checkShapes(global, names, u)
 }
@@ -1136,19 +1136,39 @@ func checkUpdate(global map[string]*tensor.Matrix, names []string, u *ClientUpda
 func checkShapes(global map[string]*tensor.Matrix, names []string, u *ClientUpdate) error {
 	for _, name := range names {
 		g := global[name]
-		w, ok := u.Weights[name]
+		p, ok := u.param(name)
 		if !ok {
 			return fmt.Errorf("missing param %q", name)
 		}
-		if w.Rows() != g.Rows() || w.Cols() != g.Cols() {
+		if p.rows != g.Rows() || p.cols != g.Cols() {
 			return fmt.Errorf("param %q shape %dx%d, want %dx%d",
-				name, w.Rows(), w.Cols(), g.Rows(), g.Cols())
+				name, p.rows, p.cols, g.Rows(), g.Cols())
 		}
-		if !tensor.AllFinite(w.Data()) {
+		if !p.finite {
 			return fmt.Errorf("param %q has a non-finite value", name)
 		}
 	}
 	return nil
+}
+
+// param looks up one of the update's params: in the check walk's report
+// (name-sorted, as the frame requires) for a wire-backed update, else in
+// its weight map.
+func (u *ClientUpdate) param(name string) (paramCheck, bool) {
+	if u.wire() {
+		i, ok := slices.BinarySearchFunc(u.params, name, func(p paramCheck, name string) int {
+			return strings.Compare(p.name, name)
+		})
+		if !ok {
+			return paramCheck{}, false
+		}
+		return u.params[i], true
+	}
+	w, ok := u.Weights[name]
+	if !ok {
+		return paramCheck{}, false
+	}
+	return paramCheck{name, w.Rows(), w.Cols(), tensor.AllFinite(w.Data())}, true
 }
 
 // flatSink buffers a round's updates and aggregates them in one batch: the
@@ -1214,8 +1234,23 @@ func finalizeRound(filters []Filter, agg Aggregator, async AsyncAggregator,
 		return nil, fmt.Errorf("fl: round %d: %w", round, err)
 	}
 	var merged []*ClientUpdate
+	var globalNames []string
+	if len(late) > 0 {
+		globalNames = slices.Sorted(maps.Keys(global))
+	}
 	for _, lu := range late {
-		if err := applyFilters(filters, []*ClientUpdate{lu}, global); err != nil {
+		var err error
+		if lu.wire() {
+			// A late payload was never checked against a model: its shapes
+			// are its own claim until they match this round's.
+			if err = checkShapes(global, globalNames, lu); err == nil {
+				err = lu.decode()
+			}
+		}
+		if err == nil {
+			err = applyFilters(filters, []*ClientUpdate{lu}, global)
+		}
+		if err != nil {
 			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
 			continue
 		}

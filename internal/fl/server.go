@@ -668,7 +668,7 @@ func (s *Server) normalize(in inboxMsg) event {
 		return event{kind: evFailure, id: in.id, round: wasTasked, err: err, cause: "reject"}
 	}
 	u.Round = wasTasked
-	return event{kind: evUpdate, id: in.id, round: wasTasked, update: u, payload: in.msg.Payload}
+	return event{kind: evUpdate, id: in.id, round: wasTasked, update: u}
 }
 
 // handleReply turns one inbound message into a ClientUpdate.
@@ -681,7 +681,7 @@ func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate
 		return nil, fmt.Errorf("expected update, got %s", msg.Type)
 	}
 	// Enforce the top-k gate on the payload itself, not just at
-	// negotiation: DecodeWeights sniffs any magic, so a client ignoring
+	// negotiation: the codecs sniff any magic, so a client ignoring
 	// the registration ack could otherwise push sparsified weights (most
 	// of every parameter zeroed) straight into the average.
 	if !s.cfg.AllowTopKUplink && bytes.HasPrefix(msg.Payload, []byte(topKMagic)) {
@@ -707,7 +707,10 @@ func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate
 			hierPartial:  p,
 		}, nil
 	}
-	weights, err := DecodeWeights(msg.Payload)
+	// The check walk: the payload is validated, not decoded. It stays on
+	// the update until finalize folds it, and nothing the payload claims
+	// is allocated before its shapes match the round's global model.
+	params, err := checkPayload(msg.Payload)
 	if err != nil {
 		return nil, err
 	}
@@ -720,9 +723,10 @@ func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate
 		}
 	}
 	return &ClientUpdate{
-		ClientName: name, Round: msg.Round, Weights: weights,
+		ClientName: name, Round: msg.Round,
 		NumSamples: msg.NumSamples, TrainLoss: loss,
 		PayloadBytes: len(msg.Payload),
+		payload:      msg.Payload, params: params,
 	}, nil
 }
 

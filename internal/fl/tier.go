@@ -154,7 +154,7 @@ func (t *tierSink) accept(id int, u *ClientUpdate) error {
 			p.AddTierBytes(int64(u.PayloadBytes))
 			t.partials++
 		}
-	} else {
+	} else if err = u.decode(); err == nil {
 		err = p.Fold(hier.Update{
 			ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
 			TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,

@@ -30,6 +30,10 @@ func DequantizeInt8(dst []float64, q []byte, scale float64) { dequantize(dst, q,
 // AllFinite reports whether no element of x is NaN or ±Inf.
 func AllFinite(x []float64) bool { return allFinite(x) }
 
+// AddScaled sets o[i] += c*b[i] for every i: AddScaledInPlace's kernel over
+// plain slices, the same bits. b must hold len(o) values.
+func AddScaled(o, b []float64, c float64) { addScaled(o, b, c) }
+
 // maxAbsGo is the reference MaxAbs, starting from m (0 for a whole row).
 func maxAbsGo(x []float64, m float64) float64 {
 	for _, v := range x {
