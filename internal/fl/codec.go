@@ -53,9 +53,9 @@ type body interface {
 	size(m *tensor.Matrix) int
 	// put appends m's body to dst.
 	put(dst []byte, m *tensor.Matrix) []byte
-	// dense is the body length a rows×cols parameter must have present
-	// before its body is read; 0 for a sparse body.
-	dense(rows, cols int64) int64
+	// stride is the length of one row of a dense body, which must be
+	// present in full before the body is read; 0 for a sparse body.
+	stride(cols int) int
 	// read takes a rows×cols body off r and checks what is the body's
 	// own: a row scale, a top-k count and its indices. It checks r.Err()
 	// before indexing what r returned, and returns the body's bytes.
@@ -277,7 +277,7 @@ func (f frame) walk(blob []byte, visit func(p param) error) error {
 			}
 		}
 		prev = name
-		if f.body.dense(int64(rows), int64(cols)) > int64(r.Len()) {
+		if int64(rows)*int64(f.body.stride(int(cols))) > int64(r.Len()) {
 			return fmt.Errorf("fl: %s decode %q: shape %dx%d: %w", f.codec, name, rows, cols, wire.ErrTruncated)
 		}
 		p, err := f.body.read(r, int(rows), int(cols))
@@ -312,7 +312,7 @@ func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
 // rowBody is a dense body: every row is stride(cols) bytes that row
 // decodes on its own.
 type rowBody interface {
-	stride(cols int) int
+	body
 	row(dst []float64, q []byte)
 }
 
@@ -380,8 +380,6 @@ func (RawCodec) put(dst []byte, m *tensor.Matrix) []byte {
 	return dst
 }
 
-func (RawCodec) dense(rows, cols int64) int64 { return 8 * rows * cols }
-
 func (c RawCodec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
 	return readRows(c, r, rows, cols)
 }
@@ -435,8 +433,6 @@ func (Float32Codec) put(dst []byte, m *tensor.Matrix) []byte {
 	}
 	return dst
 }
-
-func (Float32Codec) dense(rows, cols int64) int64 { return 4 * rows * cols }
 
 func (c Float32Codec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
 	return readRows(c, r, rows, cols)
@@ -509,8 +505,6 @@ func (Int8Codec) put(dst []byte, m *tensor.Matrix) []byte {
 	}
 	return dst
 }
-
-func (Int8Codec) dense(rows, cols int64) int64 { return rows * (4 + cols) }
 
 // read checks every row's scale: finite and non-negative.
 func (c Int8Codec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
@@ -592,7 +586,7 @@ func (c TopKCodec) put(dst []byte, m *tensor.Matrix) []byte {
 	return dst
 }
 
-func (TopKCodec) dense(rows, cols int64) int64 { return 0 }
+func (TopKCodec) stride(int) int { return 0 }
 
 // read checks the kept count and that the indices are in range and
 // strictly ascending, the encoder's order: no element is set twice. It

@@ -212,47 +212,6 @@ func firstBitDiff(got, want map[string]*tensor.Matrix) string {
 	return ""
 }
 
-// TestWireFoldMatchesDecodedFold: for every codec, FedAvg and Mean over
-// wire-backed updates, decoded ones, and a mix give the same bits.
-func TestWireFoldMatchesDecodedFold(t *testing.T) {
-	global := pinInitial()
-	for _, codec := range []WeightCodec{RawCodec{}, Float32Codec{}, Int8Codec{}, TopKCodec{Fraction: 0.3}} {
-		var wire, decoded, mixed []*ClientUpdate
-		for i := range 3 {
-			blob, err := codec.Encode(pinWeights(global, i, 0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := wireUpdate(fmt.Sprint(i), 2*i+1, blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			weights, err := DecodeWeights(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := &ClientUpdate{ClientName: w.ClientName, NumSamples: w.NumSamples, Weights: weights}
-			wire, decoded = append(wire, w), append(decoded, d)
-			mixed = append(mixed, []*ClientUpdate{d, w}[i%2])
-		}
-		for _, agg := range []Aggregator{FedAvg{}, MeanAggregator{}} {
-			want, err := agg.Aggregate(decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for what, updates := range map[string][]*ClientUpdate{"wire": wire, "mixed": mixed} {
-				got, err := agg.Aggregate(updates)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if diff := firstBitDiff(got, want); diff != "" {
-					t.Errorf("%s %s over %s updates: %s", codec.Name(), agg.Name(), what, diff)
-				}
-			}
-		}
-	}
-}
-
 // wireUpdate is an update as the Server's reply handling builds it.
 func wireUpdate(name string, samples int, blob []byte) (*ClientUpdate, error) {
 	params, err := checkPayload(blob)

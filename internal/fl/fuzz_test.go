@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -61,6 +62,18 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	var seeds [][]byte
 	for _, c := range []WeightCodec{RawCodec{}, Float32Codec{}, Int8Codec{}, TopKCodec{Fraction: 0.4}} {
 		blob, err := c.Encode(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, blob)
+	}
+	// Non-finite values, which every codec but int8 ships as they are:
+	// a decode keeps them, and the accept step must reject them.
+	bad := map[string]*tensor.Matrix{"layer.w": weights["layer.w"].Clone(), "layer.b": weights["layer.b"].Clone()}
+	bad["layer.w"].Set(2, 4, math.Inf(-1))
+	bad["layer.b"].Set(0, 1, math.NaN())
+	for _, c := range []WeightCodec{RawCodec{}, Float32Codec{}, TopKCodec{Fraction: 0.4}} {
+		blob, err := c.Encode(bad)
 		if err != nil {
 			t.Fatal(err)
 		}
