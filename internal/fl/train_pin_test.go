@@ -1,0 +1,117 @@
+package fl
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"clinfl/internal/data"
+	"clinfl/internal/model"
+	"clinfl/internal/nn"
+	"clinfl/internal/sched"
+	"clinfl/internal/tensor"
+	"clinfl/internal/token"
+)
+
+// The local training step is pinned by digest: two ClassifierExecutors on
+// the default LocalConfig train a BERT-mini, and separately an LSTM, for
+// two in-process FedAvg rounds, and the final model's raw encoding must
+// hash to the value recorded when a training step could still fan its
+// backward across the pool. Every pool width must give that one digest.
+// The constants are checked on amd64 only: other architectures may fuse
+// x*y+z into one rounding, which moves the low bits.
+
+var trainPins = []struct {
+	spec   model.Spec
+	digest string
+}{
+	{model.SpecBERTMini, "e9b7d989d36cc098e22c443a7c5d61ca4d8cd3b91fd83e171bce8e5d5e9dc1b2"},
+	{model.SpecLSTM, "bed008a3fe9c55242d79888599185efa7693671617e9e6e334b5ca2db2a417a5"},
+}
+
+const (
+	pinVocab   = 40
+	pinMaxLen  = 12
+	pinClasses = 2
+)
+
+// pinCohort builds n labeled sequences of ragged length whose label is
+// carried by the token after [CLS], padded to pinMaxLen.
+func pinCohort(n int, seed int64) data.Dataset {
+	rng := tensor.NewRNG(seed)
+	ds := make(data.Dataset, n)
+	for i := range ds {
+		label := rng.Intn(pinClasses)
+		length := 4 + rng.Intn(pinMaxLen-3)
+		ids := make([]int, pinMaxLen)
+		pad := make([]bool, pinMaxLen)
+		ids[0] = token.CLS
+		ids[1] = token.NumSpecial + label
+		for j := 2; j < length-1; j++ {
+			ids[j] = token.NumSpecial + pinClasses + rng.Intn(pinVocab-token.NumSpecial-pinClasses)
+		}
+		ids[length-1] = token.SEP
+		for j := length; j < pinMaxLen; j++ {
+			ids[j] = token.PAD
+			pad[j] = true
+		}
+		ds[i] = data.Example{IDs: ids, PadMask: pad, Label: label}
+	}
+	return ds
+}
+
+// trainPinDigest runs the two-site federation for spec on pool and
+// returns the digest of its final weights.
+func trainPinDigest(t *testing.T, spec model.Spec, pool *sched.Pool) string {
+	t.Helper()
+	defer sched.SetDefault(sched.SetDefault(pool))
+	var initial map[string]*tensor.Matrix
+	execs := make([]Executor, 2)
+	for i := range execs {
+		mdl, err := model.New(spec, pinVocab, pinMaxLen, pinClasses, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if initial == nil {
+			initial = nn.SnapshotWeights(mdl.Params())
+		}
+		// 40 examples at the default batch size of 32: one full and one
+		// ragged step per epoch.
+		exec, err := NewClassifierExecutor([]string{"site-a", "site-b"}[i], mdl,
+			pinCohort(40, int64(11+i)), nil, LocalConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs[i] = exec
+	}
+	ctrl, err := NewController(ControllerConfig{Rounds: 2}, execs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ctrl.Run(context.Background(), initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return weightsDigest(t, res.FinalWeights)
+}
+
+func TestLocalTrainingPinnedAcrossPoolWidths(t *testing.T) {
+	for _, pin := range trainPins {
+		t.Run(pin.spec.Kind, func(t *testing.T) {
+			var first string
+			for _, width := range []int{1, 2, 4} {
+				pool := sched.New(width)
+				got := trainPinDigest(t, pin.spec, pool)
+				pool.Close()
+				if first == "" {
+					first = got
+				} else if got != first {
+					t.Fatalf("pool width %d: digest %s, width 1 gave %s", width, got, first)
+				}
+			}
+			if runtime.GOARCH == "amd64" && first != pin.digest {
+				t.Fatalf("final weights digest %s, pinned %s", first, pin.digest)
+			}
+		})
+	}
+}
