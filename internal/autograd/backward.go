@@ -65,14 +65,9 @@ func (n *Node) backward() {
 
 	case opLinearGELU:
 		// dh = upstream ⊙ GELU'(pre-activation), then the affine VJPs on dh.
-		// The scratch is pre-allocated into m2 by the parallel scheduler's
-		// liveness pass (deterministic arena order); the serial path
-		// allocates it lazily here. Every element is written before use.
+		// Every element of the scratch is written before use.
 		h := n.m1
-		dh := n.m2
-		if dh == nil {
-			dh = n.tape.newMatrixUninit(h.Rows(), h.Cols())
-		}
+		dh := n.tape.newMatrixUninit(h.Rows(), h.Cols())
 		dd, hd, ud := dh.Data(), h.Data(), g.Data()
 		for i, x := range hd {
 			dd[i] = ud[i] * geluDeriv(x)

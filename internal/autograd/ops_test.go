@@ -448,3 +448,41 @@ func TestSumScalarsGrad(t *testing.T) {
 		return tp.SumScalars(tp.Mean(ns[0]), tp.Mean(ns[1]))
 	})
 }
+
+// TestParallelBackwardMatchesGradcheck checks the reverse scan against
+// finite differences on a graph with real branch structure: x×W fans into
+// twelve column-slice heads, each a softmax(tanh)×transpose block, that
+// re-converge in one sum, so every head accumulates into the shared
+// parent's gradient.
+func TestParallelBackwardMatchesGradcheck(t *testing.T) {
+	rng := tensor.NewRNG(3)
+	w := rng.Normal(12, 48, 0, 0.5)
+	x := rng.Normal(8, 12, 0, 1)
+	build := func(tape *Tape, params []*Node) (*Node, error) {
+		h, err := tape.MatMul(tape.Constant(x), params[0])
+		if err != nil {
+			return nil, err
+		}
+		var scalars []*Node
+		for hd := 0; hd < 12; hd++ {
+			s, err := tape.SliceCols(h, hd*4, (hd+1)*4)
+			if err != nil {
+				return nil, err
+			}
+			a := tape.SoftmaxRows(tape.Tanh(s))
+			p, err := tape.MatMulTransB(a, s)
+			if err != nil {
+				return nil, err
+			}
+			scalars = append(scalars, tape.Mean(tape.GELU(p)))
+		}
+		return tape.SumScalars(scalars...)
+	}
+	maxRel, err := GradCheck([]*tensor.Matrix{w}, build, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxRel > 2e-6 {
+		t.Fatalf("gradcheck max relative error %.3g", maxRel)
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 
-	"clinfl/internal/sched"
 	"clinfl/internal/tensor"
 )
 
@@ -78,7 +77,6 @@ type Node struct {
 
 	op           opcode
 	requiresGrad bool
-	idx          int32          // position on the tape (backward scheduling)
 	a, b, c      *Node          // fixed-arity parents
 	parents      []*Node        // variadic parents (SumScalars, ConcatRows)
 	alpha        float64        // scalar aux: Scale factor, folded block-matmul scale
@@ -159,10 +157,6 @@ type Tape struct {
 	arena   *tensor.Arena // nil = heap-allocate values/gradients
 	intPool slabPool[int]
 	ptrPool slabPool[*Node]
-
-	// bw holds the parallel-backward scheduler's recycled state (dependency
-	// arrays, ready queue); see parallel.go.
-	bw bwSched
 }
 
 // NewTape returns an empty tape whose values and gradients live on the heap.
@@ -233,7 +227,6 @@ func (t *Tape) newNode() *Node {
 
 // record appends a node produced by an operation.
 func (t *Tape) record(n *Node) *Node {
-	n.idx = int32(len(t.nodes))
 	t.nodes = append(t.nodes, n)
 	return n
 }
@@ -302,13 +295,8 @@ func (t *Tape) takeInts(ids []int) []int {
 // After it returns, every Leaf that influenced loss holds dLoss/dLeaf in
 // its Grad field.
 //
-// Large tapes replay as a parallel topological wave on the shared
-// fork-join pool: independent branches (per-head attention blocks,
-// residual forks) execute concurrently, while consumers of a shared
-// parent are chained in reverse tape order so every gradient buffer sees
-// its accumulations in exactly the serial order — results are
-// bit-identical at every pool width (see parallel.go). Small tapes, and
-// any tape when the pool has no workers, replay serially.
+// The replay is one reverse scan on the calling goroutine; the kernels
+// inside each node's rule fan out on the shared pool themselves.
 func (t *Tape) Backward(loss *Node) error {
 	if loss.Value.Rows() != 1 || loss.Value.Cols() != 1 {
 		return fmt.Errorf("%w: got %dx%d", ErrNotScalar, loss.Value.Rows(), loss.Value.Cols())
@@ -318,10 +306,6 @@ func (t *Tape) Backward(loss *Node) error {
 	}
 	seed := loss.ensureGrad()
 	seed.Set(0, 0, seed.At(0, 0)+1)
-	if pool := sched.Default(); pool.Size() > 1 && len(t.nodes) >= parallelBackwardMinNodes {
-		t.backwardParallel(pool)
-		return nil
-	}
 	// Nodes were appended in execution order, so reverse order is a valid
 	// topological order of the DAG.
 	for i := len(t.nodes) - 1; i >= 0; i-- {

@@ -69,10 +69,9 @@ type Config struct {
 	// (mean is reported); 0 trains every site.
 	StandaloneLimit int
 
-	// LR / BatchSize / Workers / ClipNorm parameterize local Adam training.
+	// LR / BatchSize / ClipNorm parameterize local Adam training.
 	LR        float64
 	BatchSize int
-	Workers   int
 	ClipNorm  float64
 
 	// MaxLen is the encoded sequence length (with [CLS]/[SEP]).

@@ -207,7 +207,6 @@ func (p *Pipeline) localConfig(timing *metrics.Timing) fl.LocalConfig {
 		Epochs:    p.cfg.LocalEpochs,
 		LR:        p.cfg.LR,
 		BatchSize: p.cfg.BatchSize,
-		Workers:   p.cfg.Workers,
 		ClipNorm:  p.cfg.ClipNorm,
 		Seed:      p.cfg.Seed,
 	}

@@ -66,7 +66,8 @@ type StragglerResult struct {
 // federation per scheme, with client 4 wrapped in a fault injector that
 // delays every round by delay. Results are deterministic for a fixed
 // seed: the async schemes drop the straggler (it never aggregates), and
-// sub-batching is pinned so gradients do not depend on GOMAXPROCS.
+// each local step runs on one tape, so gradients do not depend on
+// GOMAXPROCS.
 func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([]StragglerResult, error) {
 	cfg := scale.apply(core.Default(core.TaskFinetune, core.ModeFederated, "lstm"))
 	cfg.Clients = 4
@@ -116,7 +117,6 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 			}
 			exec, err := fl.NewClassifierExecutor(fmt.Sprintf("site-%d", i+1), mdl, shards[i], nil, fl.LocalConfig{
 				Epochs: cfg.LocalEpochs, LR: cfg.LR, BatchSize: cfg.BatchSize,
-				SubBatch: 8, // pin sub-batch geometry: gradients independent of GOMAXPROCS
 				ClipNorm: cfg.ClipNorm, Seed: cfg.Seed + int64(i)*37,
 			})
 			if err != nil {

@@ -181,21 +181,41 @@ type AsyncAggregator interface {
 // ones fade toward no-ops instead of dragging it backward.
 type FedAsync struct {
 	// Alpha is the mixing rate for a fresh (staleness-0) update; values in
-	// (0, 1]. Zero defaults to 0.5.
+	// (0, 1]. Zero defaults to 0.5. NewController and NewServer reject any
+	// other value, NaN included.
 	Alpha float64
 }
 
 // Name implements AsyncAggregator.
 func (FedAsync) Name() string { return "fedasync" }
 
+// alpha returns the mixing rate for a fresh update. Alpha must be 0 (the
+// default) or in (0, 1]; the negated range check rejects NaN too.
+func (f FedAsync) alpha() (float64, error) {
+	if f.Alpha == 0 {
+		return 0.5, nil
+	}
+	if !(f.Alpha > 0 && f.Alpha <= 1) {
+		return 0, fmt.Errorf("fl: fedasync alpha %v out of (0,1]", f.Alpha)
+	}
+	return f.Alpha, nil
+}
+
+// checkAsync rejects, at construction, a FedAsync whose Alpha Apply would
+// refuse: otherwise every late merge of the run fails instead.
+func checkAsync(a AsyncAggregator) error {
+	if f, ok := a.(interface{ alpha() (float64, error) }); ok {
+		_, err := f.alpha()
+		return err
+	}
+	return nil
+}
+
 // Apply implements AsyncAggregator.
 func (f FedAsync) Apply(global map[string]*tensor.Matrix, u *ClientUpdate, staleness int) error {
-	alpha := f.Alpha
-	if alpha == 0 {
-		alpha = 0.5
-	}
-	if alpha < 0 || alpha > 1 {
-		return fmt.Errorf("fl: fedasync alpha %v out of (0,1]", alpha)
+	alpha, err := f.alpha()
+	if err != nil {
+		return err
 	}
 	if staleness < 0 {
 		return fmt.Errorf("fl: fedasync negative staleness %d", staleness)

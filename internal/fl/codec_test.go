@@ -12,6 +12,7 @@ import (
 	"testing/quick"
 
 	"clinfl/internal/model"
+	"clinfl/internal/provision"
 	"clinfl/internal/tensor"
 	"clinfl/internal/wire"
 )
@@ -327,6 +328,44 @@ func TestFedAsyncApply(t *testing.T) {
 	}
 	if err := (FedAsync{}).Apply(global, u, -1); err == nil {
 		t.Fatal("want staleness error")
+	}
+}
+
+// A NaN, negative or above-one Alpha is refused by Apply and, up front,
+// by NewController and NewServer: a NaN used to pass Apply's range check
+// and abort the run on a non-finite aggregate, and an Alpha of 2 turned
+// every straggler into a late-merge failure.
+func TestFedAsyncRejectsBadAlpha(t *testing.T) {
+	g := tensor.New(1, 2)
+	global := map[string]*tensor.Matrix{"w": g}
+	u := &ClientUpdate{ClientName: "late", Weights: map[string]*tensor.Matrix{"w": tensor.New(1, 2)}}
+	kit := &provision.StartupKit{Role: provision.RoleServer, Name: "server"}
+	execs := []Executor{&fakeExecutor{name: "a", samples: 1}}
+	for _, alpha := range []float64{math.NaN(), -0.5, 2, math.Inf(1)} {
+		if err := (FedAsync{Alpha: alpha}).Apply(global, u, 0); err == nil {
+			t.Errorf("alpha %v: Apply accepted it", alpha)
+		}
+		if !tensor.AllFinite(g.Data()) {
+			t.Fatalf("alpha %v: Apply wrote a non-finite global", alpha)
+		}
+		for _, async := range []AsyncAggregator{FedAsync{Alpha: alpha}, &FedAsync{Alpha: alpha}} {
+			_, err := NewController(ControllerConfig{AsyncAggregator: async}, execs)
+			if err == nil || !strings.Contains(err.Error(), "alpha") {
+				t.Errorf("alpha %v (%T): NewController err = %v, want an alpha reason", alpha, async, err)
+			}
+			_, err = NewServer(ServerConfig{ExpectedClients: 1, VerifyToken: tokenFor, AsyncAggregator: async}, kit)
+			if err == nil || !strings.Contains(err.Error(), "alpha") {
+				t.Errorf("alpha %v (%T): NewServer err = %v, want an alpha reason", alpha, async, err)
+			}
+		}
+	}
+	for _, alpha := range []float64{0, 0.25, 1} {
+		if _, err := NewController(ControllerConfig{AsyncAggregator: FedAsync{Alpha: alpha}}, execs); err != nil {
+			t.Errorf("alpha %v: NewController: %v", alpha, err)
+		}
+		if err := (FedAsync{Alpha: alpha}).Apply(global, u, 0); err != nil {
+			t.Errorf("alpha %v: Apply: %v", alpha, err)
+		}
 	}
 }
 

@@ -244,6 +244,9 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
+	if err := checkAsync(cfg.AsyncAggregator); err != nil {
+		return nil, err
+	}
 	_, virtual := cfg.Clock.(Waiter)
 	ros := newRoster(len(executors))
 	for i, e := range executors {

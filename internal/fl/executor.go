@@ -3,8 +3,6 @@ package fl
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"clinfl/internal/data"
@@ -12,7 +10,6 @@ import (
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
 	"clinfl/internal/opt"
-	"clinfl/internal/sched"
 	"clinfl/internal/tensor"
 	"clinfl/internal/train"
 )
@@ -53,15 +50,11 @@ type LocalConfig struct {
 	// LR is the Adam learning rate (paper Table I: 1e-2; the experiment
 	// configs use smaller stable values, see DESIGN.md).
 	LR float64
-	// BatchSize / Workers / SubBatch / ClipNorm feed train.Config. SubBatch
-	// bounds the contiguous slice each worker's batched forward processes
-	// per tape. <=0 pins SubBatch = BatchSize (one sub-batch per step), so
-	// a client's gradient bits and trainer memory are independent of
-	// GOMAXPROCS; set Workers and SubBatch explicitly to enable the
-	// intra-client data-parallel fan.
+	// BatchSize / ClipNorm feed train.Config. Each local step is one
+	// forward pass and one reverse scan over BatchSize examples on the
+	// executor's own goroutine, so a client's gradient bits and trainer
+	// memory do not depend on GOMAXPROCS or the pool width.
 	BatchSize int
-	Workers   int
-	SubBatch  int
 	ClipNorm  float64
 	// ProxMu adds a FedProx proximal term anchored at each round's global
 	// model, taming client drift under partial participation and
@@ -84,20 +77,6 @@ func (c LocalConfig) withDefaults() LocalConfig {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 32
-	}
-	if c.SubBatch <= 0 {
-		// Pin the sub-batch geometry instead of inheriting train's
-		// Workers-derived default. Federated clients already run
-		// concurrently, so an intra-client data-parallel fan adds no
-		// throughput — but its Workers=GOMAXPROCS default made each
-		// client's trainer footprint (worker contexts plus full
-		// parameter-sized gradient staging sets, one per sub-batch) scale
-		// with the machine, and made gradient bitstreams depend on
-		// GOMAXPROCS through the dropout-stream partition. One sub-batch
-		// per step keeps both invariant: the same buffers, and the same
-		// bits, on every box. Callers that do want the fan set Workers and
-		// SubBatch explicitly.
-		c.SubBatch = c.BatchSize
 	}
 	return c
 }
@@ -141,8 +120,6 @@ func NewClassifierExecutor(name string, mdl model.Classifier, trainSet, validSet
 	}
 	e.trainer = train.NewTrainer(mdl.Params(), mdl.LossBatch, e.optimizer, train.Config{
 		BatchSize: cfg.BatchSize,
-		Workers:   cfg.Workers,
-		SubBatch:  cfg.SubBatch,
 		ClipNorm:  cfg.ClipNorm,
 		ProxMu:    cfg.ProxMu,
 	})
@@ -188,61 +165,10 @@ func (e *ClassifierExecutor) ExecuteRound(round int, global map[string]*tensor.M
 	}, nil
 }
 
-// validateFan scores validation chunks from Fan slots: each participant
-// claims BatchSize chunks off a shared queue and runs eval-mode batched
-// forwards through the model's recycled eval-context pool (Predict pulls a
-// private arena-backed context per concurrent call, and parameters are
-// read-only during eval), accumulating hits atomically — integer sums, so
-// the score is identical at any participant count.
-type validateFan struct {
-	e      *ClassifierExecutor
-	next   atomic.Int64
-	hits   atomic.Int64
-	failed atomic.Bool
-
-	errMu sync.Mutex
-	err   error
-}
-
-// RunSlot implements sched.SlotRunner.
-func (v *validateFan) RunSlot(int) {
-	e := v.e
-	nChunks := (len(e.validSet) + e.cfg.BatchSize - 1) / e.cfg.BatchSize
-	for !v.failed.Load() {
-		c := int(v.next.Add(1)) - 1
-		if c >= nChunks {
-			return
-		}
-		lo := c * e.cfg.BatchSize
-		hi := lo + e.cfg.BatchSize
-		if hi > len(e.validSet) {
-			hi = len(e.validSet)
-		}
-		preds, err := e.mdl.Predict(e.validSet[lo:hi])
-		if err != nil {
-			v.errMu.Lock()
-			if v.err == nil {
-				v.err = err
-			}
-			v.errMu.Unlock()
-			v.failed.Store(true)
-			return
-		}
-		hit := int64(0)
-		for i, p := range preds {
-			if p == e.validSet[lo+i].Label {
-				hit++
-			}
-		}
-		v.hits.Add(hit)
-	}
-}
-
 // Validate implements Validator: top-1 accuracy of the global model on the
 // client's validation shard. Prediction runs in BatchSize chunks so memory
-// stays bounded as the shard grows (each chunk is one batched forward, not
-// one giant whole-shard tape), and the chunks fan out across the shared
-// sched pool so validation is no longer a serial tail on every round.
+// stays bounded as the shard grows: each chunk is one batched forward, not
+// one giant whole-shard tape.
 func (e *ClassifierExecutor) Validate(global map[string]*tensor.Matrix) (float64, error) {
 	if len(e.validSet) == 0 {
 		return 0, errors.New("fl: no validation data")
@@ -250,18 +176,20 @@ func (e *ClassifierExecutor) Validate(global map[string]*tensor.Matrix) (float64
 	if err := nn.LoadWeights(e.mdl.Params(), global); err != nil {
 		return 0, fmt.Errorf("fl: %s load global: %w", e.name, err)
 	}
-	v := validateFan{e: e}
-	nChunks := (len(e.validSet) + e.cfg.BatchSize - 1) / e.cfg.BatchSize
-	pool := sched.Default()
-	slots := pool.Size()
-	if slots > nChunks {
-		slots = nChunks
+	hits := 0
+	for lo := 0; lo < len(e.validSet); lo += e.cfg.BatchSize {
+		hi := min(lo+e.cfg.BatchSize, len(e.validSet))
+		preds, err := e.mdl.Predict(e.validSet[lo:hi])
+		if err != nil {
+			return 0, err
+		}
+		for i, p := range preds {
+			if p == e.validSet[lo+i].Label {
+				hits++
+			}
+		}
 	}
-	pool.Fan(slots, &v)
-	if v.err != nil {
-		return 0, v.err
-	}
-	return float64(v.hits.Load()) / float64(len(e.validSet)), nil
+	return float64(hits) / float64(len(e.validSet)), nil
 }
 
 // MLMExecutor pretrains a BERT-family model with the masked-language-model
@@ -306,8 +234,6 @@ func NewMLMExecutor(name string, mdl model.Pretrainer, params []*nn.Param, seque
 	}
 	e.trainer = train.NewTrainer(params, mdl.MLMLossBatch, e.optimizer, train.Config{
 		BatchSize: cfg.BatchSize,
-		Workers:   cfg.Workers,
-		SubBatch:  cfg.SubBatch,
 		ClipNorm:  cfg.ClipNorm,
 		ProxMu:    cfg.ProxMu,
 	})

@@ -219,11 +219,11 @@ func TestMLMExecutorConstructionErrors(t *testing.T) {
 	}
 }
 
-// TestClassifierExecutorValidateParallelMatchesSerial pins the parallel
-// chunked validation: the accuracy computed with the eval chunks fanned
+// TestClassifierExecutorValidateParallelMatchesSerial pins the chunked
+// validation: the accuracy computed with each chunk's kernels fanned
 // across a multi-worker pool must equal the single-worker result exactly
-// (hit counting is integer arithmetic, so any divergence means a chunk
-// was dropped or double-counted).
+// (hit counting is integer arithmetic, and the kernels chunk by loop
+// shape, so any divergence means a chunk was dropped or double-counted).
 func TestClassifierExecutorValidateParallelMatchesSerial(t *testing.T) {
 	mdl := tinyClassifier(t, 1)
 	ds := tinyDataset(130, 6) // odd size: exercises the ragged final chunk

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -270,6 +271,54 @@ func TestControllerToleratesFailureWithQuorum(t *testing.T) {
 	}
 	if len(res.History.Rounds[0].Participants) != 1 {
 		t.Fatal("failed client recorded as participant")
+	}
+}
+
+// One client's claimed sample count cannot set the model. Updates valued 0
+// and 1, claiming 2^31−1 and 1 samples, used to commit 4.7e-10 under
+// FedAvg; a claim at or above 2^21 is now that client's named failure, so
+// with MinClients 1 the round commits the honest client's 1, on the flat
+// and on the tier Controller alike. A claim just under the bound passes.
+func TestControllerRejectsOversizedSampleClaim(t *testing.T) {
+	for _, tier := range []*TierConfig{nil, {}} {
+		execs := []Executor{
+			&fakeExecutor{name: "greedy", samples: math.MaxInt32, value: 0},
+			&fakeExecutor{name: "honest", samples: 1, value: 1},
+		}
+		ctrl, err := NewController(ControllerConfig{Rounds: 1, MinClients: 1, Tier: tier}, execs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctrl.Run(context.Background(), initialWeights())
+		if err != nil {
+			t.Fatalf("tier %v: %v", tier != nil, err)
+		}
+		for name, m := range res.FinalWeights {
+			for i, v := range m.Data() {
+				if v != 1 {
+					t.Fatalf("tier %v: %s[%d] = %v, want the honest client's 1", tier != nil, name, i, v)
+				}
+			}
+		}
+		rec := res.History.Rounds[0]
+		if len(rec.Failures) != 1 || !strings.Contains(rec.Failures[0], "greedy: update claims 2147483647 samples") {
+			t.Fatalf("tier %v: failures %q, want greedy's claim rejected by name", tier != nil, rec.Failures)
+		}
+		if len(rec.Participants) != 1 || rec.Participants[0] != "honest" {
+			t.Fatalf("tier %v: participants %v", tier != nil, rec.Participants)
+		}
+	}
+
+	execs := []Executor{
+		&fakeExecutor{name: "big", samples: 1<<21 - 1, value: 0},
+		&fakeExecutor{name: "small", samples: 1, value: 1},
+	}
+	ctrl, err := NewController(ControllerConfig{Rounds: 1}, execs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.Run(context.Background(), initialWeights()); err != nil {
+		t.Fatalf("claim of 2^21-1 samples refused: %v", err)
 	}
 }
 

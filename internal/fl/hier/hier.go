@@ -385,11 +385,18 @@ type Partial struct {
 	data [][]float64
 }
 
+// maxSamples bounds the sample count one client update may claim, the
+// same bound the round engine's accept step applies: no client sets the
+// aggregate by its claim alone, and weight × value stays exact in one
+// float64 for f32 and int8 values. Merged partials carry sums of checked
+// claims and are exempt.
+const maxSamples = 1 << 21
+
 // NewPartial returns an empty partial aggregate.
 func NewPartial() *Partial { return &Partial{} }
 
 // Fold accumulates one client update. Validation mirrors the flat
-// weightedAverage: non-positive weight, param-count mismatch, missing
+// accept step: a weight outside [1, 2^21), param-count mismatch, missing
 // params, and shape mismatches are errors (recorded by callers as
 // per-client failures); additionally non-finite values are rejected so
 // one poisoned client cannot silently NaN the exact accumulators. A
@@ -397,6 +404,9 @@ func NewPartial() *Partial { return &Partial{} }
 func (p *Partial) Fold(u Update) error {
 	if u.NumSamples <= 0 {
 		return fmt.Errorf("hier: client %q has non-positive weight %d", u.ClientName, u.NumSamples)
+	}
+	if u.NumSamples >= maxSamples {
+		return fmt.Errorf("hier: client %q claims %d samples, want fewer than %d", u.ClientName, u.NumSamples, maxSamples)
 	}
 	if math.IsInf(u.TrainLoss, 0) || math.IsNaN(u.TrainLoss) {
 		return fmt.Errorf("hier: client %q reported non-finite train loss", u.ClientName)

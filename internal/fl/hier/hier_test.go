@@ -212,6 +212,41 @@ func TestFoldValidation(t *testing.T) {
 	}
 }
 
+// A claimed sample count at or above 2^21 is refused, so one client
+// cannot set the aggregate: updates valued 0 and 1 claiming 2^31−1 and 1
+// samples used to finalize to 4.7e-10. The refused fold leaves the
+// partial untouched, and the honest update alone finalizes to 1.
+func TestFoldRejectsOversizedSampleClaim(t *testing.T) {
+	constant := func(name string, v float64, samples int) hier.Update {
+		m := tensor.New(1, 3)
+		m.Fill(v)
+		return hier.Update{ClientName: name, Weights: map[string]*tensor.Matrix{"w": m}, NumSamples: samples, TrainLoss: 0.5}
+	}
+	p := hier.NewPartial()
+	err := p.Fold(constant("greedy", 0, math.MaxInt32))
+	if err == nil || !strings.Contains(err.Error(), `client "greedy" claims 2147483647 samples`) {
+		t.Fatalf("err = %v, want the oversized claim refused by name", err)
+	}
+	if err := p.Fold(constant("greedy", 0, 1<<21)); err == nil {
+		t.Fatal("claim of 2^21 samples accepted")
+	}
+	if err := p.Fold(constant("honest", 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got["w"].Data() {
+		if v != 1 {
+			t.Fatalf("w[%d] = %v, want 1", i, v)
+		}
+	}
+	if err := hier.NewPartial().Fold(constant("big", 0, 1<<21-1)); err != nil {
+		t.Fatalf("claim of 2^21-1 samples refused: %v", err)
+	}
+}
+
 func TestAccountingAndMeanLoss(t *testing.T) {
 	p := hier.NewPartial()
 	mk := func(v float64) map[string]*tensor.Matrix {

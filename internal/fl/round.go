@@ -1107,6 +1107,15 @@ func (e *engine) logUpdate(round int, ev event) error {
 	return nil
 }
 
+// maxClaimedSamples bounds the sample count one client update may claim.
+// FedAvg weights each update by its own claim, so without a bound one
+// site could set the global model by claiming 2^31−1 samples. 2^21 also
+// keeps weight × value exact in one float64 for f32 and int8 values (a
+// 32-bit significand times a 21-bit integer). hier.Partial.Fold applies
+// the same bound; an edge's partial carries the sum of checked claims and
+// is exempt.
+const maxClaimedSamples = 1 << 21
+
 // checkUpdate is the accept step's validation of an in-round update
 // against the round's global model: everything Aggregate would otherwise
 // discover only after the update is durable. names is global's keys,
@@ -1119,6 +1128,9 @@ func checkUpdate(global map[string]*tensor.Matrix, names []string, u *ClientUpda
 	}
 	if u.NumSamples < 1 {
 		return fmt.Errorf("update carries %d samples, want at least 1", u.NumSamples)
+	}
+	if u.NumSamples >= maxClaimedSamples {
+		return fmt.Errorf("update claims %d samples, want fewer than %d", u.NumSamples, maxClaimedSamples)
 	}
 	if math.IsNaN(u.TrainLoss) || math.IsInf(u.TrainLoss, 0) {
 		return errors.New("update carries a non-finite train loss")

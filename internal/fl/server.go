@@ -216,6 +216,9 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
+	if err := checkAsync(cfg.AsyncAggregator); err != nil {
+		return nil, err
+	}
 	if cfg.Aggregator == nil {
 		cfg.Aggregator = FedAvg{}
 	}

@@ -47,8 +47,7 @@ func (c BERTConfig) Validate() error {
 // sequences runs as one flattened (B·T)×dim computation on a single tape,
 // using block-aware attention ops so scores never cross sequence
 // boundaries. Ragged batches are grouped by length, one batched forward per
-// group. Worker goroutines in the trainer each process a contiguous
-// sub-batch this way.
+// group. A trainer step runs its whole minibatch this way.
 type BERT struct {
 	cfg BERTConfig
 

@@ -62,7 +62,7 @@ func TestLSTMLearnsOrderRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	optimizer := opt.NewAdam(5e-3)
-	tr := train.NewTrainer(m.Params(), m.LossBatch, optimizer, train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1})
+	tr := train.NewTrainer(m.Params(), m.LossBatch, optimizer, train.Config{BatchSize: 32, ClipNorm: 1})
 	for e := 0; e < 12; e++ {
 		if _, err := tr.Epoch([]data.Example(ds), int64(e+1)); err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestBERTLearnsOrderRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	optimizer := opt.NewAdam(3e-3)
-	tr := train.NewTrainer(m.Params(), m.LossBatch, optimizer, train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1})
+	tr := train.NewTrainer(m.Params(), m.LossBatch, optimizer, train.Config{BatchSize: 32, ClipNorm: 1})
 	for e := 0; e < 15; e++ {
 		if _, err := tr.Epoch([]data.Example(ds), int64(e+1)); err != nil {
 			t.Fatal(err)
@@ -155,7 +155,7 @@ func TestBERTMLMLossDecreases(t *testing.T) {
 		t.Fatal(err)
 	}
 	optimizer := opt.NewAdam(3e-3)
-	tr := train.NewTrainer(m.Params(), m.MLMLossBatch, optimizer, train.Config{BatchSize: 32, Workers: 4, ClipNorm: 1})
+	tr := train.NewTrainer(m.Params(), m.MLMLossBatch, optimizer, train.Config{BatchSize: 32, ClipNorm: 1})
 	for e := 0; e < 8; e++ {
 		if _, err := tr.Epoch(examples, int64(e+1)); err != nil {
 			t.Fatal(err)

@@ -82,7 +82,7 @@ func SortedByName(params []*Param) []*Param {
 // goroutines; concurrent workers each build their own.
 //
 // A Ctx is reusable: Reset recycles the tape (and its arena, if built with
-// NewArenaCtx) so a long-lived worker runs every sub-batch through the same
+// NewArenaCtx) so a long-lived trainer runs every step through the same
 // context with zero steady-state allocation.
 type Ctx struct {
 	Tape     *autograd.Tape
@@ -175,25 +175,21 @@ func (c *Ctx) HarvestInto(dst map[*Param]*tensor.Matrix) error {
 	return nil
 }
 
-// HarvestGrads accumulates leaf gradients into dst, a flat buffer slice
-// keyed by parameter index (index maps each parameter to its position), and
-// marks each harvested index in touched. Unlike the map form, the buffers
-// are caller-owned and recycled across steps, so steady-state harvesting
-// allocates nothing. Buffers of untouched indices are left alone; callers
-// zero touched buffers between steps.
-func (c *Ctx) HarvestGrads(index map[*Param]int, dst []*tensor.Matrix, touched []bool) error {
+// HarvestGrads accumulates alpha times each leaf gradient into its
+// parameter's Grad. index names the parameters the caller owns; a leaf
+// outside it is an error, since nothing would ever step or zero its
+// gradient.
+func (c *Ctx) HarvestGrads(index map[*Param]int, alpha float64) error {
 	for p, leaf := range c.leaves {
 		if leaf.Grad == nil {
 			continue
 		}
-		i, ok := index[p]
-		if !ok {
+		if _, ok := index[p]; !ok {
 			return fmt.Errorf("nn: harvest %q: parameter not in index", p.Name)
 		}
-		if err := dst[i].AddInPlace(leaf.Grad); err != nil {
+		if err := p.Grad.AddScaledInPlace(alpha, leaf.Grad); err != nil {
 			return fmt.Errorf("nn: harvest %q: %w", p.Name, err)
 		}
-		touched[i] = true
 	}
 	return nil
 }

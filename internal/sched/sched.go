@@ -1,16 +1,16 @@
 // Package sched implements the persistent fork-join compute runtime the
 // training stack runs on: a pool of long-lived worker goroutines (one per
-// P) that tensor kernels, the parallel tape backward and the trainer's
-// data-parallel step all share.
+// P) that the tensor kernels share, plus a work-queue Fan that the
+// simulation grid sweep uses.
 //
-// Before this runtime, every parallel kernel spawned fresh goroutines per
-// call (µs of scheduler work per matmul) and concurrent federated clients
-// each fanned out their own GOMAXPROCS workers, oversubscribing the
-// machine roughly #clients-fold. The pool replaces both: work is handed to
-// already-running workers through lock-free chunk cursors, and because
-// every layer (kernels, backward, trainer sub-batches, FL clients) shares
-// one pool, total parallelism stays bounded by the hardware no matter how
-// many clients train concurrently.
+// Training parallelism has two levels. Across sites, the federation runs
+// one goroutine per executor, and each site's training step is one tape on
+// that goroutine. Inside kernels, ParallelFor splits a loop into chunks
+// whose boundaries depend only on the loop shape. The pool is what bounds
+// the second level: work is handed to already-running workers through
+// lock-free chunk cursors, and because every site's kernels share one
+// pool, total parallelism stays bounded by the hardware no matter how many
+// clients train concurrently.
 //
 // Scheduling model: a caller forks a job (ParallelFor or Fan), registers
 // it on the pool's job board, pokes parked workers, and then works on the
@@ -18,8 +18,8 @@
 // steal from other slices when theirs runs dry. If every worker is busy —
 // for example when another federated client owns them — the caller simply
 // executes the whole job inline: forking never blocks on worker
-// availability, which is what makes nesting (a kernel inside a backward
-// node inside a trainer sub-batch) deadlock-free.
+// availability, which is what makes nesting (a kernel forked from inside
+// another pool job) deadlock-free.
 //
 // Allocation model: jobs, their cursor arrays and their completion
 // channels are recycled through a free list, and loop bodies are passed as
@@ -41,8 +41,8 @@ type Body interface{ Run(lo, hi int) }
 
 // SlotRunner is a fork-join task family for Fan. RunSlot(slot) is invoked
 // at most once per slot, concurrently across slots; slot 0 always runs on
-// the caller. Slots let each participant own private state (a trainer
-// worker's tape and buffers) without locking.
+// the caller. Slots let each participant own private state without
+// locking.
 type SlotRunner interface{ RunSlot(slot int) }
 
 // BodyFunc adapts a plain function to Body for callers that don't need the

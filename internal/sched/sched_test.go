@@ -107,8 +107,8 @@ func TestParallelForConcurrentCallers(t *testing.T) {
 }
 
 // nestBody is a loop body that forks a nested ParallelFor per chunk,
-// exercising the worker-reentrancy path (kernels inside backward nodes
-// inside trainer sub-batches all nest on one pool).
+// exercising the worker-reentrancy path (a kernel forked from inside
+// another pool job nests on the same pool).
 type nestBody struct {
 	pool  *Pool
 	inner *sumBody

@@ -13,9 +13,8 @@ import "sync"
 //
 // Lifetime rule: a Matrix returned by Get (and anything aliasing its Data)
 // is valid only until the next Reset. Callers that need a value to survive
-// Reset must Clone it into the heap first. Get is safe for concurrent use
-// (the parallel tape backward allocates gradient buffers from pool
-// workers); Reset still requires the owning tape to be quiescent, the same
+// Reset must Clone it into the heap first. Get is safe for concurrent use;
+// Reset requires every user of the arena to be quiescent, the same
 // discipline as Tape.Reset itself.
 type Arena struct {
 	mu    sync.Mutex

@@ -22,7 +22,7 @@ func (g *RNG) Rand() *rand.Rand { return g.r }
 
 // Reseed resets the RNG to the exact stream NewRNG(seed) would produce,
 // without allocating; recycled training contexts reseed their dropout
-// streams per sub-batch this way.
+// streams per step this way.
 func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Uniform returns a rows×cols matrix with entries drawn from U[lo, hi).

@@ -10,8 +10,8 @@ import (
 )
 
 // Arena-reuse coverage: after one warmup step, a Trainer step must perform
-// zero allocations (every tape node, activation, gradient and worker buffer
-// is recycled) and produce exactly the arithmetic a fresh-tape run would.
+// zero allocations (every tape node, activation and gradient buffer is
+// recycled) and produce exactly the arithmetic a fresh-tape run would.
 
 // allocProbe is a tiny model whose loss function allocates nothing per
 // call: all inputs are prebuilt constant matrices, and the loss is composed
@@ -71,14 +71,13 @@ func allocData(n int, trueW float64) []allocSample {
 
 // TestTrainerStepZeroAllocSteadyState pins the tentpole invariant: step 2
 // (and beyond) of a Trainer allocates nothing — no tensors, no tape nodes,
-// no worker state. SubBatch 2 over 6 items makes each step cycle the tape
-// through three sub-batches, exercising Reset-based reuse within the step
-// as well as across steps.
+// no per-step state. Every measured step cycles the one tape through a
+// Reset, so the ten runs exercise Reset-based reuse across steps.
 func TestTrainerStepZeroAllocSteadyState(t *testing.T) {
 	m := newAllocProbe(0.25)
 	items := allocData(6, 3)
 	tr := NewTrainer([]*nn.Param{m.w}, m.loss, opt.NewSGD(0.01, 0), Config{
-		BatchSize: 6, Workers: 1, SubBatch: 2,
+		BatchSize: 6,
 	})
 	// Warmup step grows arena slabs, node pools and gradient buffers.
 	if _, err := tr.Step(items, 1); err != nil {
@@ -98,20 +97,21 @@ func TestTrainerStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestTrainerArenaFootprintStable asserts the worker arena stops growing
-// after the first step: later steps recycle slabs instead of extending them.
+// TestTrainerArenaFootprintStable asserts the trainer's arena stops growing
+// after the first step: later steps cycle the tape and recycle slabs
+// instead of extending them.
 func TestTrainerArenaFootprintStable(t *testing.T) {
 	m := newAllocProbe(0.5)
 	items := allocData(8, 2)
 	tr := NewTrainer([]*nn.Param{m.w}, m.loss, opt.NewSGD(0.01, 0), Config{
-		BatchSize: 8, Workers: 1, SubBatch: 4,
+		BatchSize: 8,
 	})
 	if _, err := tr.Step(items, 1); err != nil {
 		t.Fatal(err)
 	}
-	arena := tr.workers[0].ctx.Tape.Arena()
+	arena := tr.ctx.Tape.Arena()
 	if arena == nil {
-		t.Fatal("trainer worker context has no arena")
+		t.Fatal("trainer context has no arena")
 	}
 	foot := arena.Footprint()
 	if foot == 0 {
@@ -129,7 +129,7 @@ func TestTrainerArenaFootprintStable(t *testing.T) {
 
 // TestTrainerReuseBitIdenticalToFreshTapes runs the same two-step training
 // schedule through one reused Trainer and through a fresh Trainer per step
-// (fresh tapes, arenas and buffers every step): per-step losses and final
+// (a fresh tape and arena every step): per-step losses and final
 // weights must be bit-identical, proving tape/arena recycling changes no
 // arithmetic.
 func TestTrainerReuseBitIdenticalToFreshTapes(t *testing.T) {
@@ -138,7 +138,7 @@ func TestTrainerReuseBitIdenticalToFreshTapes(t *testing.T) {
 
 	reusedModel := newAllocProbe(0.25)
 	reused := NewTrainer([]*nn.Param{reusedModel.w}, reusedModel.loss, opt.NewSGD(0.05, 0), Config{
-		BatchSize: 6, Workers: 1, SubBatch: 2,
+		BatchSize: 6,
 	})
 	freshModel := newAllocProbe(0.25)
 
@@ -150,7 +150,7 @@ func TestTrainerReuseBitIdenticalToFreshTapes(t *testing.T) {
 		}
 		// A brand-new Trainer per step: nothing carries over but the params.
 		fresh := NewTrainer([]*nn.Param{freshModel.w}, freshModel.loss, opt.NewSGD(0.05, 0), Config{
-			BatchSize: 6, Workers: 1, SubBatch: 2,
+			BatchSize: 6,
 		})
 		freshLoss, err := fresh.Step(items, seed)
 		if err != nil {

@@ -66,7 +66,7 @@ func TestStepConvergesToTrueWeight(t *testing.T) {
 	m := newLinReg(0)
 	items := regData(64, 3)
 	o := opt.NewSGD(0.05, 0)
-	tr := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 64, Workers: 2})
+	tr := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 64})
 	var loss float64
 	var err error
 	for i := 0; i < 60; i++ {
@@ -88,29 +88,12 @@ func TestStepEmptyBatch(t *testing.T) {
 	}
 }
 
-func TestStepWorkerCountsEquivalent(t *testing.T) {
-	// The reduced gradient must not depend on the worker split.
-	items := regData(48, 2)
-	final := func(workers int) float64 {
-		m := newLinReg(0.5)
-		o := opt.NewSGD(0.1, 0)
-		if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 48, Workers: workers}).Step(items, 1); err != nil {
-			t.Fatal(err)
-		}
-		return m.w.W.At(0, 0)
-	}
-	w1, w4 := final(1), final(4)
-	if math.Abs(w1-w4) > 1e-9 {
-		t.Fatalf("worker split changed update: %v vs %v", w1, w4)
-	}
-}
-
 func TestEpochShufflesDeterministically(t *testing.T) {
 	items := regData(32, 1.5)
 	run := func() float64 {
 		m := newLinReg(0)
 		o := opt.NewSGD(0.05, 0)
-		loss, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 8, Workers: 1}).Epoch(items, 7)
+		loss, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 8}).Epoch(items, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +147,7 @@ func TestProxTermAnchorsToReference(t *testing.T) {
 	run := func(mu float64) float64 {
 		m := newLinReg(0)
 		o := opt.NewSGD(0.05, 0)
-		tr := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 64, Workers: 1, ProxMu: mu})
+		tr := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 64, ProxMu: mu})
 		if mu > 0 {
 			ref := tensor.New(1, 1) // anchor at 0
 			if err := tr.SetProxRef(map[string]*tensor.Matrix{"w": ref}); err != nil {
@@ -207,7 +190,7 @@ func TestClippingBoundsUpdate(t *testing.T) {
 	m := newLinReg(0)
 	items := []sample{{x: 100, y: -1000}}
 	o := opt.NewSGD(0.1, 0)
-	if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 1, Workers: 1, ClipNorm: 1}).Step(items, 0); err != nil {
+	if _, err := NewTrainer([]*nn.Param{m.w}, m.loss, o, Config{BatchSize: 1, ClipNorm: 1}).Step(items, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := math.Abs(m.w.W.At(0, 0)); got > 0.1+1e-12 {
