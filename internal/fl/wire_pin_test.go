@@ -259,3 +259,52 @@ func TestNetworkedAggregatePinnedAcrossResume(t *testing.T) {
 		t.Errorf("resumed int8 final weights sha256 %s, want %s", got, want)
 	}
 }
+
+// TestTLSFederationPinned runs the pinned federation over real mutual TLS:
+// three provisioned sites on a loopback listener, int8 on the downlink and
+// the uplink, three FedAvg rounds. Every byte of every task and update
+// crosses a TLS socket through transport.Conn, so a framing change that
+// alters a payload moves this digest.
+func TestTLSFederationPinned(t *testing.T) {
+	const want = "e6cba4109970e5529aaad85305c9e9451d697e681bc1e749c32f90e476ac61fc"
+	execs := pinExecutors()
+	proj := testProject(t, execs[0].name, execs[1].name, execs[2].name)
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", ExpectedClients: 3, Rounds: 3, MinClients: 3,
+		RegisterTimeout: 20 * time.Second, Codec: "int8",
+		VerifyToken: proj.VerifyToken, Logf: quietLogf,
+	}, proj.ServerKit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var wg sync.WaitGroup
+	for _, exec := range execs {
+		cl, err := NewClient(ClientConfig{ServerAddr: srv.Addr(), Codec: "int8", Logf: quietLogf},
+			proj.ClientKits[exec.name], exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.Run(); err != nil {
+				t.Errorf("client %s: %v", exec.name, err)
+			}
+		}()
+	}
+	res, err := srv.Run(pinInitial())
+	srv.Close()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range res.History.Rounds {
+		if len(rec.Failures) > 0 || len(rec.Participants) != 3 {
+			t.Fatalf("round %d: participants %v, failures %v", rec.Round, rec.Participants, rec.Failures)
+		}
+	}
+	if got := weightsDigest(t, res.FinalWeights); got != want {
+		t.Errorf("TLS int8 final weights sha256 %s, want %s", got, want)
+	}
+}
