@@ -64,6 +64,10 @@ type Client struct {
 	// mean training loss. A site trains (Client.train); an Edge runs the
 	// round over its shard and answers with the merged partial.
 	serve func(task *transport.Message, global map[string]*tensor.Matrix) (blob []byte, samples int, loss float64, err error)
+	// last is a site's last decoded task model, whose matrices the next
+	// task is decoded into. An Edge leaves it nil: its shard round keeps
+	// the model it is handed, so each task decodes into fresh matrices.
+	last  map[string]*tensor.Matrix
 	codec WeightCodec // requested uplink codec; re-resolved after the ack
 	// session is the server-issued session token, presented on
 	// re-registration to resume.
@@ -80,7 +84,7 @@ func NewClient(cfg ClientConfig, kit *provision.StartupKit, exec Executor) (*Cli
 	}
 	c, err := newClient(cfg, kit)
 	if err == nil {
-		c.exec, c.serve = exec, c.train
+		c.exec, c.serve, c.last = exec, c.train, map[string]*tensor.Matrix{}
 	}
 	return c, err
 }
@@ -221,25 +225,36 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 
 // train is the default task server: local training through the executor,
 // the update encoded with the negotiated uplink codec. Weights with a NaN
-// or ±Inf are refused before encoding: a lossy codec can turn them into
-// finite codes (int8 sends a NaN as 0), and the server would then average
-// a diverged model it cannot recognise.
+// or ±Inf are refused: a lossy codec can turn them into finite codes (int8
+// sends a NaN as 0), and the server would then average a diverged model it
+// cannot recognise. The encode pass checks each row as it encodes it, so
+// the trained weights are read once.
 func (c *Client) train(task *transport.Message, global map[string]*tensor.Matrix) ([]byte, int, float64, error) {
 	update, err := c.exec.ExecuteRound(task.Round, global)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	bad := "" // the first non-finite param in name order
-	for name, m := range update.Weights {
-		if (bad == "" || name < bad) && !tensor.AllFinite(m.Data()) {
-			bad = name
-		}
+	blob, bad, err := encodeChecked(c.codec, update.Weights)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	if bad != "" {
 		return nil, 0, 0, fmt.Errorf("trained param %q has a non-finite value", bad)
 	}
-	blob, err := c.codec.Encode(update.Weights)
-	return blob, update.NumSamples, update.TrainLoss, err
+	return blob, update.NumSamples, update.TrainLoss, nil
+}
+
+// decodeTask decodes a task's model: a site's into its last task's
+// matrices, an Edge's into fresh ones.
+func (c *Client) decodeTask(blob []byte) (map[string]*tensor.Matrix, error) {
+	if c.last == nil {
+		return DecodeWeights(blob)
+	}
+	global, err := decodeInto(blob, c.last)
+	if err == nil {
+		c.last = global
+	}
+	return global, err
 }
 
 // run connects, registers, and serves tasks until the server's MsgFinish,
@@ -266,11 +281,11 @@ func (c *Client) run() (*transport.Message, error) {
 		}
 		switch msg.Type {
 		case transport.MsgTask:
-			global, err := DecodeWeights(msg.Payload)
+			global, err := c.decodeTask(msg.Payload)
 			if err != nil {
-				// Corruption inside the payload passes framing but fails
-				// here; it is the same damaged-in-transit failure as a bad
-				// frame, so reconnect and let the server re-send the task.
+				// A payload that framed but does not decode is treated
+				// like a damaged frame: reconnect and let the server
+				// re-send the task.
 				if conn, err = c.reconnect(conn, err); err != nil {
 					return nil, fmt.Errorf("fl: %s decode global: %w", c.kit.Name, err)
 				}

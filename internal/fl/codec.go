@@ -3,6 +3,7 @@ package fl
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -31,6 +32,9 @@ type WeightCodec interface {
 	Encode(weights map[string]*tensor.Matrix) ([]byte, error)
 	// Decode parses a blob this codec produced.
 	Decode(blob []byte) (map[string]*tensor.Matrix, error)
+	// frame is the frame the codec writes. It seals the interface: every
+	// codec is one of this package's frames.
+	frame() (frame, error)
 }
 
 // Every codec writes the same frame: its magic, the parameter count, then
@@ -51,8 +55,10 @@ type frame struct {
 type body interface {
 	// size is the body's encoded length for m.
 	size(m *tensor.Matrix) int
-	// put appends m's body to dst.
-	put(dst []byte, m *tensor.Matrix) []byte
+	// put appends m's body to dst, and reports whether m holds no NaN or
+	// ±Inf. A dense body checks each row just before it encodes it, while
+	// the row is in cache, and checks no more rows once one fails.
+	put(dst []byte, m *tensor.Matrix) ([]byte, bool)
 	// stride is the length of one row of a dense body, which must be
 	// present in full before the body is read; 0 for a sparse body.
 	stride(cols int) int
@@ -60,14 +66,18 @@ type body interface {
 	// own: a row scale, a top-k count and its indices. It checks r.Err()
 	// before indexing what r returned, and returns the body's bytes.
 	read(r *wire.Reader, rows, cols int) ([]byte, error)
-	// decode writes a checked body's values into the zeroed rows×cols d.
+	// decode writes a checked body's values into the rows×cols d. A dense
+	// body writes every element; a sparse one writes only those it kept,
+	// so d must be zeroed first.
 	decode(p []byte, d []float64, rows, cols int)
 	// fold adds c times a checked body's values into the rows×cols acc,
 	// the same bits as decoding it and adding with AddScaledInPlace. A
 	// dense body converts one row at a time into *scratch, grown to fit.
 	fold(p []byte, acc []float64, rows, cols int, c float64, scratch *[]float64)
-	// finite reports whether a checked body holds no NaN or ±Inf.
-	finite(p []byte) bool
+	// check is the accept step's value check of a checked body:
+	// errNonFinite for a NaN or ±Inf, else errTooLarge for a magnitude of
+	// at least maxMagnitude, else nil.
+	check(p []byte) error
 }
 
 // Codec magics.
@@ -111,26 +121,63 @@ const (
 // transport format; senders with a negotiated codec call its Encode
 // instead.
 func EncodeWeights(weights map[string]*tensor.Matrix) ([]byte, error) {
-	return rawFrame.encode(weights), nil
+	return RawCodec{}.Encode(weights)
 }
 
 // DecodeWeights parses a transported weight map produced by any registered
 // codec (raw, f32, int8, top-k), sniffing the format from the payload's
 // magic.
 func DecodeWeights(blob []byte) (map[string]*tensor.Matrix, error) {
-	weights, err := frameOf(blob).decode(blob)
+	return decodeInto(blob, nil)
+}
+
+// decodeInto is DecodeWeights writing each param into prev's matrix of the
+// same name and shape, and allocating the rest. The map it returns holds
+// exactly the payload's params. On error, prev's matrices may hold part of
+// the failed payload.
+func decodeInto(blob []byte, prev map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error) {
+	weights, err := frameOf(blob).decode(blob, prev)
 	if err != nil {
 		return nil, fmt.Errorf("fl: decode weights: %w", err)
 	}
 	return weights, nil
 }
 
+// encodeChecked is codec.Encode that also names the first param, in name
+// order, holding a NaN or ±Inf ("" when none), found in the same pass.
+func encodeChecked(codec WeightCodec, weights map[string]*tensor.Matrix) ([]byte, string, error) {
+	f, err := codec.frame()
+	if err != nil {
+		return nil, "", err
+	}
+	blob, bad := f.encode(weights)
+	return blob, bad, nil
+}
+
+// The accept step's value errors, worded to follow "param %q has ".
+var (
+	errNonFinite = errors.New("a non-finite value")
+	errTooLarge  = errors.New("a value of magnitude at least 2^980") // maxMagnitude
+)
+
+// checkValues is the accept step's value check of a decoded param.
+func checkValues(d []float64) error {
+	switch {
+	case !tensor.AllFinite(d):
+		return errNonFinite
+	case tensor.MaxAbs(d) >= maxMagnitude:
+		return errTooLarge
+	}
+	return nil
+}
+
 // paramCheck is what the check walk reports of one parameter.
 type paramCheck struct {
 	name       string
 	rows, cols int
-	// finite: no value of the param is NaN or ±Inf.
-	finite bool
+	// bad is the param's value check: nil when every value is finite and
+	// below maxMagnitude.
+	bad error
 }
 
 // checkPayload validates a payload of any codec without decoding it: it
@@ -140,7 +187,7 @@ func checkPayload(blob []byte) ([]paramCheck, error) {
 	f := frameOf(blob)
 	var params []paramCheck
 	err := f.walk(blob, func(p param) error {
-		params = append(params, paramCheck{string(p.name), p.rows, p.cols, f.body.finite(p.body)})
+		params = append(params, paramCheck{string(p.name), p.rows, p.cols, f.body.check(p.body)})
 		return nil
 	})
 	if err != nil {
@@ -175,8 +222,10 @@ func frameOf(blob []byte) frame {
 	return rawFrame
 }
 
-// encode sizes the payload exactly and appends it into one slice.
-func (f frame) encode(weights map[string]*tensor.Matrix) []byte {
+// encode sizes the payload exactly and appends it into one slice. It also
+// names the first param, in name order, holding a NaN or ±Inf ("" when
+// none): the bodies check each value as they encode it.
+func (f frame) encode(weights map[string]*tensor.Matrix) ([]byte, string) {
 	names := slices.Sorted(maps.Keys(weights))
 	dim := 4
 	if f.wide {
@@ -189,14 +238,18 @@ func (f frame) encode(weights map[string]*tensor.Matrix) []byte {
 	dst := make([]byte, 0, size)
 	dst = append(dst, f.magic...)
 	dst = f.appendDim(dst, len(names))
+	bad := ""
 	for _, name := range names {
 		m := weights[name]
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
 		dst = append(dst, name...)
 		dst = f.appendDim(f.appendDim(dst, m.Rows()), m.Cols())
-		dst = f.body.put(dst, m)
+		var finite bool
+		if dst, finite = f.body.put(dst, m); !finite && bad == "" {
+			bad = name
+		}
 	}
-	return dst
+	return dst, bad
 }
 
 func (f frame) appendDim(dst []byte, v int) []byte {
@@ -294,11 +347,20 @@ func (f frame) walk(blob []byte, visit func(p param) error) error {
 	return nil
 }
 
-// decode builds the weight map of a payload of this frame.
-func (f frame) decode(blob []byte) (map[string]*tensor.Matrix, error) {
-	out := make(map[string]*tensor.Matrix)
+// decode builds the weight map of a payload of this frame. A param whose
+// name and shape match a matrix of prev is decoded into that matrix, so a
+// site that decodes each task into the last allocates nothing once the
+// model's shape is settled.
+func (f frame) decode(blob []byte, prev map[string]*tensor.Matrix) (map[string]*tensor.Matrix, error) {
+	out := make(map[string]*tensor.Matrix, len(prev))
 	err := f.walk(blob, func(p param) error {
-		m := tensor.New(p.rows, p.cols)
+		m := prev[string(p.name)]
+		switch {
+		case m == nil || m.Rows() != p.rows || m.Cols() != p.cols:
+			m = tensor.New(p.rows, p.cols)
+		case f.body.stride(p.cols) == 0:
+			clear(m.Data()) // a sparse body sets only what it kept
+		}
 		f.body.decode(p.body, m.Data(), p.rows, p.cols)
 		out[string(p.name)] = m
 		return nil
@@ -353,6 +415,10 @@ const (
 	f32ExpMask = 0x7f800000
 )
 
+// maxMagnitudeBits is the float64 bits of maxMagnitude, a power of two:
+// a value's exponent bits reach it exactly when its magnitude does.
+var maxMagnitudeBits = math.Float64bits(maxMagnitude)
+
 // RawCodec is the exact float64 wire format: u64 count and shape, f64
 // body. It is the pre-codec default, the model file `flserver -out`
 // writes, and the reference every lossy codec is compared to.
@@ -362,22 +428,30 @@ type RawCodec struct{}
 func (RawCodec) Name() string { return "raw" }
 
 // Encode implements WeightCodec.
-func (RawCodec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	return rawFrame.encode(weights), nil
+func (c RawCodec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
+	blob, _, err := encodeChecked(c, weights)
+	return blob, err
 }
 
 // Decode implements WeightCodec.
 func (RawCodec) Decode(blob []byte) (map[string]*tensor.Matrix, error) {
-	return rawFrame.decode(blob)
+	return rawFrame.decode(blob, nil)
 }
+
+func (RawCodec) frame() (frame, error) { return rawFrame, nil }
 
 func (RawCodec) size(m *tensor.Matrix) int { return 8 * len(m.Data()) }
 
-func (RawCodec) put(dst []byte, m *tensor.Matrix) []byte {
-	for _, v := range m.Data() {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+func (RawCodec) put(dst []byte, m *tensor.Matrix) ([]byte, bool) {
+	finite := true
+	for r := 0; r < m.Rows(); r++ {
+		row := m.Row(r)
+		finite = finite && tensor.AllFinite(row)
+		for _, v := range row {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+		}
 	}
-	return dst
+	return dst, finite
 }
 
 func (c RawCodec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
@@ -398,13 +472,19 @@ func (c RawCodec) fold(p []byte, acc []float64, rows, cols int, w float64, scrat
 	foldRows(c, p, acc, rows, cols, w, scratch)
 }
 
-func (RawCodec) finite(p []byte) bool {
+// check scans for both bounds: a raw value is any float64. A NaN or ±Inf
+// outranks a large magnitude, as in checkValues.
+func (RawCodec) check(p []byte) error {
+	var err error
 	for i := 0; i < len(p); i += 8 {
-		if binary.LittleEndian.Uint64(p[i:])&f64ExpMask == f64ExpMask {
-			return false
+		switch e := binary.LittleEndian.Uint64(p[i:]) & f64ExpMask; {
+		case e == f64ExpMask:
+			return errNonFinite
+		case e >= maxMagnitudeBits:
+			err = errTooLarge
 		}
 	}
-	return true
+	return err
 }
 
 // Float32Codec quantizes every element to float32, halving bytes on the
@@ -416,22 +496,30 @@ type Float32Codec struct{}
 func (Float32Codec) Name() string { return "f32" }
 
 // Encode implements WeightCodec.
-func (Float32Codec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	return f32Frame.encode(weights), nil
+func (c Float32Codec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
+	blob, _, err := encodeChecked(c, weights)
+	return blob, err
 }
 
 // Decode implements WeightCodec.
 func (Float32Codec) Decode(blob []byte) (map[string]*tensor.Matrix, error) {
-	return f32Frame.decode(blob)
+	return f32Frame.decode(blob, nil)
 }
+
+func (Float32Codec) frame() (frame, error) { return f32Frame, nil }
 
 func (Float32Codec) size(m *tensor.Matrix) int { return 4 * len(m.Data()) }
 
-func (Float32Codec) put(dst []byte, m *tensor.Matrix) []byte {
-	for _, v := range m.Data() {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+func (Float32Codec) put(dst []byte, m *tensor.Matrix) ([]byte, bool) {
+	finite := true
+	for r := 0; r < m.Rows(); r++ {
+		row := m.Row(r)
+		finite = finite && tensor.AllFinite(row)
+		for _, v := range row {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+		}
 	}
-	return dst
+	return dst, finite
 }
 
 func (c Float32Codec) read(r *wire.Reader, rows, cols int) ([]byte, error) {
@@ -452,13 +540,14 @@ func (c Float32Codec) fold(p []byte, acc []float64, rows, cols int, w float64, s
 	foldRows(c, p, acc, rows, cols, w, scratch)
 }
 
-func (Float32Codec) finite(p []byte) bool {
+// check scans for a NaN or ±Inf; a finite float32 is below 2^128.
+func (Float32Codec) check(p []byte) error {
 	for i := 0; i < len(p); i += 4 {
 		if binary.LittleEndian.Uint32(p[i:])&f32ExpMask == f32ExpMask {
-			return false
+			return errNonFinite
 		}
 	}
-	return true
+	return nil
 }
 
 // Int8Codec quantizes each parameter row to symmetric int8: one float32
@@ -473,28 +562,31 @@ type Int8Codec struct{}
 func (Int8Codec) Name() string { return "int8" }
 
 // Encode implements WeightCodec.
-func (Int8Codec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	return int8Frame.encode(weights), nil
+func (c Int8Codec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
+	blob, _, err := encodeChecked(c, weights)
+	return blob, err
 }
 
 // Decode implements WeightCodec.
 func (Int8Codec) Decode(blob []byte) (map[string]*tensor.Matrix, error) {
-	return int8Frame.decode(blob)
+	return int8Frame.decode(blob, nil)
 }
+
+func (Int8Codec) frame() (frame, error) { return int8Frame, nil }
 
 func (Int8Codec) size(m *tensor.Matrix) int { return m.Rows() * (4 + m.Cols()) }
 
-func (Int8Codec) put(dst []byte, m *tensor.Matrix) []byte {
-	d := m.Data()
-	cols := m.Cols()
+func (Int8Codec) put(dst []byte, m *tensor.Matrix) ([]byte, bool) {
+	finite := true
 	for r := 0; r < m.Rows(); r++ {
-		row := d[r*cols : (r+1)*cols]
+		row := m.Row(r)
+		finite = finite && tensor.AllFinite(row)
 		// MaxAbs, not the builtin max: a NaN must not become the row's
 		// scale.
 		scale := tensor.MaxAbs(row) / 127
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(scale)))
 		n := len(dst)
-		dst = append(dst, make([]byte, cols)...)
+		dst = append(dst, make([]byte, len(row))...)
 		// The zero test is on the float64 scale: a row whose scale rounds
 		// to float32 zero still ships its clamped codes. They are
 		// quantized against the float32-rounded scale the decoder will
@@ -503,7 +595,7 @@ func (Int8Codec) put(dst []byte, m *tensor.Matrix) []byte {
 			tensor.QuantizeInt8(dst[n:], row, float64(float32(scale)))
 		}
 	}
-	return dst
+	return dst, finite
 }
 
 // read checks every row's scale: finite and non-negative.
@@ -534,8 +626,9 @@ func (c Int8Codec) fold(p []byte, acc []float64, rows, cols int, w float64, scra
 	foldRows(c, p, acc, rows, cols, w, scratch)
 }
 
-// finite: a code times a checked scale is at most 128·MaxFloat32.
-func (Int8Codec) finite([]byte) bool { return true }
+// check scans nothing: a code times a checked scale is at most
+// 128·MaxFloat32.
+func (Int8Codec) check([]byte) error { return nil }
 
 // TopKCodec keeps only the Fraction largest-magnitude elements of each
 // parameter (as uint32-index + float32-value pairs); the rest decode as
@@ -553,19 +646,24 @@ func (c TopKCodec) Name() string { return "topk:" + strconv.FormatFloat(c.Fracti
 
 // Encode implements WeightCodec.
 func (c TopKCodec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	// Negated form so a NaN fraction is rejected rather than slipping
-	// through and silently keeping one element per parameter.
-	if !(c.Fraction > 0 && c.Fraction <= 1) {
-		return nil, fmt.Errorf("fl: top-k fraction %v out of (0,1]", c.Fraction)
-	}
-	f := topKFrame
-	f.body = c
-	return f.encode(weights), nil
+	blob, _, err := encodeChecked(c, weights)
+	return blob, err
 }
 
 // Decode implements WeightCodec.
 func (TopKCodec) Decode(blob []byte) (map[string]*tensor.Matrix, error) {
-	return topKFrame.decode(blob)
+	return topKFrame.decode(blob, nil)
+}
+
+func (c TopKCodec) frame() (frame, error) {
+	// Negated form so a NaN fraction is rejected rather than slipping
+	// through and silently keeping one element per parameter.
+	if !(c.Fraction > 0 && c.Fraction <= 1) {
+		return frame{}, fmt.Errorf("fl: top-k fraction %v out of (0,1]", c.Fraction)
+	}
+	f := topKFrame
+	f.body = c
+	return f, nil
 }
 
 // keep is how many elements of an n-element parameter the codec keeps.
@@ -575,15 +673,18 @@ func (c TopKCodec) keep(n int) int {
 
 func (c TopKCodec) size(m *tensor.Matrix) int { return 4 + 8*c.keep(len(m.Data())) }
 
-func (c TopKCodec) put(dst []byte, m *tensor.Matrix) []byte {
+// put checks the whole param, not row by row: choosing the kept elements
+// reads all of it anyway.
+func (c TopKCodec) put(dst []byte, m *tensor.Matrix) ([]byte, bool) {
 	d := m.Data()
+	finite := tensor.AllFinite(d)
 	idx := topKIndices(d, c.keep(len(d)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(idx)))
 	for _, i := range idx {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(i))
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(d[i])))
 	}
-	return dst
+	return dst, finite
 }
 
 func (TopKCodec) stride(int) int { return 0 }
@@ -632,13 +733,14 @@ func (TopKCodec) fold(p []byte, acc []float64, _, _ int, w float64, _ *[]float64
 	}
 }
 
-func (TopKCodec) finite(p []byte) bool {
+// check scans for a NaN or ±Inf; a finite float32 is below 2^128.
+func (TopKCodec) check(p []byte) error {
 	for j := 0; j < len(p); j += 8 {
 		if binary.LittleEndian.Uint32(p[j+4:])&f32ExpMask == f32ExpMask {
-			return false
+			return errNonFinite
 		}
 	}
-	return true
+	return nil
 }
 
 // topKIndices returns the indices of the k largest-magnitude elements.

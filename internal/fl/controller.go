@@ -177,9 +177,9 @@ type History struct {
 	// reach (networked server only).
 	FinishFailures []string
 	// WireBytesRead / WireBytesWritten are the run's total framed bytes
-	// on the wire across all client connections — headers, metadata and
-	// gob overhead included, unlike the per-round payload counters
-	// (networked server only).
+	// on the wire across all client connections — each frame's length
+	// header and envelope (sender, round, metadata) included, unlike the
+	// per-round payload counters (networked server only).
 	WireBytesRead, WireBytesWritten int64
 }
 

@@ -22,6 +22,10 @@ type Executor interface {
 	// NumSamples is the client's local data volume (aggregation weight).
 	NumSamples() int
 	// ExecuteRound trains locally starting from the global weights.
+	// global is valid only for the duration of the call: a networked
+	// Client decodes the next task into the same matrices, so an executor
+	// that needs the weights later copies them (LoadWeights and
+	// SetProxRef do).
 	ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error)
 }
 

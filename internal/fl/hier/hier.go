@@ -392,15 +392,22 @@ type Partial struct {
 // claims and are exempt.
 const maxSamples = 1 << 21
 
+// maxMagnitude bounds |v| for every value a client update may carry, the
+// same bound the round engine's accept step applies: with claims below
+// 2^21 and up to 2^20 updates, no product or sum of a fold can overflow.
+// Merged partials carry sums of checked values and are exempt.
+const maxMagnitude = 0x1p980
+
 // NewPartial returns an empty partial aggregate.
 func NewPartial() *Partial { return &Partial{} }
 
 // Fold accumulates one client update. Validation mirrors the flat
 // accept step: a weight outside [1, 2^21), param-count mismatch, missing
 // params, and shape mismatches are errors (recorded by callers as
-// per-client failures); additionally non-finite values are rejected so
-// one poisoned client cannot silently NaN the exact accumulators. A
-// rejected update folds nothing.
+// per-client failures); additionally non-finite values and values of
+// magnitude 2^980 or more are rejected, so one poisoned client cannot
+// silently NaN or overflow the exact accumulators. A rejected update folds
+// nothing.
 func (p *Partial) Fold(u Update) error {
 	if u.NumSamples <= 0 {
 		return fmt.Errorf("hier: client %q has non-positive weight %d", u.ClientName, u.NumSamples)
@@ -441,7 +448,7 @@ func (p *Partial) Fold(u Update) error {
 }
 
 // collect is Fold's one validation pass: per param in schema order, one
-// lookup, the shape check and the finite check. It returns the update's
+// lookup, the shape check and the value checks. It returns the update's
 // data slices by param index, in the partial's reused scratch.
 func (p *Partial) collect(u Update) ([][]float64, error) {
 	data := p.data[:0]
@@ -456,6 +463,8 @@ func (p *Partial) collect(u Update) ([][]float64, error) {
 				u.ClientName, ps.name, m.Rows(), m.Cols(), ps.rows, ps.cols)
 		case !tensor.AllFinite(m.Data()):
 			err = fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, ps.name)
+		case tensor.MaxAbs(m.Data()) >= maxMagnitude:
+			err = fmt.Errorf("hier: client %q param %q has a value of magnitude at least 2^980", u.ClientName, ps.name)
 		}
 		if err != nil {
 			clear(data)

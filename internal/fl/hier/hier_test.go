@@ -191,6 +191,8 @@ func TestFoldValidation(t *testing.T) {
 		{"missing param", func(u *hier.Update) { delete(u.Weights, "layer.b"); u.Weights["other"] = tensor.New(1, 4) }, "missing param"},
 		{"shape mismatch", func(u *hier.Update) { u.Weights["layer.b"] = tensor.New(2, 4) }, "want 1x4"},
 		{"non-finite value", func(u *hier.Update) { u.Weights["layer.b"].Data()[0] = math.Inf(1) }, "non-finite value"},
+		{"value at 2^980", func(u *hier.Update) { u.Weights["layer.b"].Data()[0] = -0x1p980 }, "magnitude at least 2^980"},
+		{"value at MaxFloat64/2", func(u *hier.Update) { u.Weights["layer.b"].Data()[1] = math.MaxFloat64 / 2 }, "magnitude at least 2^980"},
 	}
 	for _, tc := range cases {
 		p := hier.NewPartial()

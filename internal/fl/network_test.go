@@ -421,7 +421,7 @@ func TestServerRecordsFramedWireTotals(t *testing.T) {
 	for _, rec := range res.History.Rounds {
 		payloadUp += rec.BytesUp
 	}
-	// Framed totals include headers/metadata/gob overhead on top of the
+	// Framed totals include length headers and envelopes on top of the
 	// payloads (and the straggler's late uploads), so they must exceed
 	// the payload sum.
 	if res.History.WireBytesRead <= payloadUp {

@@ -551,8 +551,8 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	if err != nil {
 		return nil, err
 	}
-	// Finite updates can still sum past MaxFloat64 on the way to the
-	// model; a non-finite model is never committed.
+	// The accept step's bounds keep FedAvg and the tier fold finite, but an
+	// aggregator is pluggable: a non-finite model is never committed.
 	for _, name := range g.names {
 		if m := next[name]; m != nil && !tensor.AllFinite(m.Data()) {
 			return nil, fmt.Errorf("fl: round %d: aggregate param %q is non-finite", round, name)
@@ -1116,6 +1116,14 @@ func (e *engine) logUpdate(round int, ev event) error {
 // is exempt.
 const maxClaimedSamples = 1 << 21
 
+// maxMagnitude bounds |v| for every value an update may carry. A claim is
+// below 2^21, so with up to 2^20 updates a round's Σ w·v stays below
+// 2^1021 and no fold, flat or tier, can overflow on finite input. It is a
+// safety rail, not a knob. int8, f32 and top-k values are below 2^128 by
+// construction, so the check walk scans only a raw body for it.
+// hier.Partial.Fold applies the same bound.
+const maxMagnitude = 0x1p980
+
 // checkUpdate is the accept step's validation of an in-round update
 // against the round's global model: everything Aggregate would otherwise
 // discover only after the update is durable. names is global's keys,
@@ -1142,9 +1150,10 @@ func checkUpdate(global map[string]*tensor.Matrix, names []string, u *ClientUpda
 }
 
 // checkShapes verifies an update covers every global parameter with
-// matching dimensions and finite values: one NaN would otherwise average
-// into every client's next model. It walks names (global's keys, sorted),
-// so of several bad params it always reports the same one.
+// matching dimensions and finite values below maxMagnitude: one NaN would
+// otherwise average into every client's next model. It walks names
+// (global's keys, sorted), so of several bad params it always reports the
+// same one.
 func checkShapes(global map[string]*tensor.Matrix, names []string, u *ClientUpdate) error {
 	for _, name := range names {
 		g := global[name]
@@ -1156,8 +1165,8 @@ func checkShapes(global map[string]*tensor.Matrix, names []string, u *ClientUpda
 			return fmt.Errorf("param %q shape %dx%d, want %dx%d",
 				name, p.rows, p.cols, g.Rows(), g.Cols())
 		}
-		if !p.finite {
-			return fmt.Errorf("param %q has a non-finite value", name)
+		if p.bad != nil {
+			return fmt.Errorf("param %q has %w", name, p.bad)
 		}
 	}
 	return nil
@@ -1180,7 +1189,7 @@ func (u *ClientUpdate) param(name string) (paramCheck, bool) {
 	if !ok {
 		return paramCheck{}, false
 	}
-	return paramCheck{name, w.Rows(), w.Cols(), tensor.AllFinite(w.Data())}, true
+	return paramCheck{name, w.Rows(), w.Cols(), checkValues(w.Data())}, true
 }
 
 // flatSink buffers a round's updates and aggregates them in one batch: the

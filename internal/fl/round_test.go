@@ -549,45 +549,60 @@ func TestUpdateCheckReportsFirstBadParamByName(t *testing.T) {
 	}
 }
 
-// TestRoundRefusesNonFiniteAggregate: finite updates whose weighted sum
-// overflows must fail the round by name, not commit a NaN model. Flat
-// FedAvg normalizes the weights first and stays finite; the tier fold's
-// exact products overflow.
+// TestRoundRefusesNonFiniteAggregate: a round over finite updates never
+// commits a non-finite model. Two updates of MaxFloat64/2 weighted 3 and 1
+// used to overflow the tier fold's exact products, while flat FedAvg
+// normalized the weights first and committed them. Both paths now refuse
+// each update at accept, by name, so they agree. The engine's own guard
+// still fails a round whose aggregator returns a non-finite model.
 func TestRoundRefusesNonFiniteAggregate(t *testing.T) {
 	half := math.MaxFloat64 / 2
 	for _, tc := range []struct {
-		name    string
-		tier    *TierConfig
-		wantErr bool
+		name string
+		tier *TierConfig
+		agg  Aggregator
+		want []string
 	}{
-		{"flat", nil, false},
-		{"tier", &TierConfig{}, true},
+		{"flat", nil, nil, []string{`a: param "layer.b" has a value of magnitude at least 2^980`, `b: param "layer.b"`}},
+		{"tier", &TierConfig{}, nil, []string{`a: param "layer.b" has a value of magnitude at least 2^980`, `b: param "layer.b"`}},
+		{"aggregator", nil, infAggregator{}, []string{`aggregate param "layer.b" is non-finite`}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrl, err := NewController(ControllerConfig{Rounds: 1, Tier: tc.tier}, []Executor{
-				&fakeExecutor{name: "a", samples: 3, value: half},
-				&fakeExecutor{name: "b", samples: 1, value: half},
+			value := half
+			if tc.agg != nil {
+				value = 1
+			}
+			ctrl, err := NewController(ControllerConfig{Rounds: 1, Tier: tc.tier, Aggregator: tc.agg}, []Executor{
+				&fakeExecutor{name: "a", samples: 3, value: value},
+				&fakeExecutor{name: "b", samples: 1, value: value},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := ctrl.Run(context.Background(), initialWeights())
-			if tc.wantErr {
-				if err == nil || !strings.Contains(err.Error(), "non-finite") {
-					t.Fatalf("err = %v, want a non-finite aggregate failure", err)
-				}
-				return
+			if err == nil {
+				t.Fatalf("round committed %v", res.FinalWeights)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, m := range res.FinalWeights {
-				for _, v := range m.Data() {
-					if v != half {
-						t.Fatalf("%s = %v, want %v", name, v, half)
-					}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("err = %v, want it to contain %q", err, w)
 				}
 			}
 		})
 	}
+}
+
+// infAggregator returns a model of +Inf, whatever it is given.
+type infAggregator struct{}
+
+func (infAggregator) Name() string { return "inf" }
+
+func (infAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error) {
+	out := make(map[string]*tensor.Matrix)
+	for name, m := range updates[0].Weights {
+		w := tensor.New(m.Rows(), m.Cols())
+		w.Fill(math.Inf(1))
+		out[name] = w
+	}
+	return out, nil
 }

@@ -553,7 +553,7 @@ func (s *Server) Run(initialWeights map[string]*tensor.Matrix) (*Result, error) 
 	res.History.FinishFailures = s.broadcast(&transport.Message{
 		Type: transport.MsgFinish, Sender: s.kit.Name, Payload: blob,
 	})
-	// Framed wire totals (headers + metadata + gob overhead included),
+	// Framed wire totals (length headers and envelopes included),
 	// complementing the per-round payload counters. Connections replaced by
 	// a re-attach count too.
 	res.History.WireBytesRead, res.History.WireBytesWritten = s.supersededRead, s.supersededWritten

@@ -1,8 +1,10 @@
 package transport
 
 // Fuzz target for the wire-facing frame parser: ReadMessage consumes
-// length-prefixed gob frames straight off attacker-reachable sockets and
-// must never panic or allocate past the frame cap, whatever the bytes.
+// length-prefixed frames straight off attacker-reachable sockets and must
+// never panic or allocate past the frame cap, whatever the bytes. The
+// envelope is canonical, so whatever parses must re-encode to the exact
+// frame it was parsed from.
 
 import (
 	"bytes"
@@ -19,14 +21,7 @@ func frame(body []byte) []byte {
 
 func FuzzReadMessage(f *testing.F) {
 	// Valid frames for every message kind.
-	for _, m := range []*Message{
-		{Type: MsgRegister, Sender: "c1", Token: "tok", Meta: map[string]string{MetaCodec: "f32"}},
-		{Type: MsgRegisterAck, Sender: "server", Meta: map[string]string{"accepted": "true"}},
-		{Type: MsgTask, Sender: "server", Round: 3, Payload: []byte("CFLW1\n....")},
-		{Type: MsgUpdate, Sender: "c1", Round: 3, Payload: bytes.Repeat([]byte{0xAB}, 256), NumSamples: 10},
-		{Type: MsgFinish, Sender: "server", Payload: []byte{}},
-		{Type: MsgError, Sender: "c1", Meta: map[string]string{"error": "boom"}},
-	} {
+	for _, m := range goldenMessages() {
 		body, err := encodeMessage(m)
 		if err != nil {
 			f.Fatal(err)
@@ -34,13 +29,15 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(frame(body))
 	}
 	// Hostile frames: oversized declared length, truncated body, length
-	// header lying about a short body, raw garbage gob.
+	// header lying about a short body, garbage without the magic, meta
+	// keys out of order.
 	huge := make([]byte, 8)
 	binary.LittleEndian.PutUint64(huge, 1<<40)
 	f.Add(huge)
 	f.Add(frame(nil)[:4])
 	f.Add(frame(bytes.Repeat([]byte{1}, 64))[:32])
-	f.Add(frame([]byte("not gob at all")))
+	f.Add(frame([]byte("not an envelope at all")))
+	f.Add(frame(unsortedMetaBody()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := ReadMessage(bytes.NewReader(data))
@@ -53,14 +50,12 @@ func FuzzReadMessage(f *testing.F) {
 		if n <= 0 || n > int64(len(data)) {
 			t.Fatalf("consumed %d framed bytes from a %d-byte input", n, len(data))
 		}
-		// A parsed message must re-encode and re-parse to the same frame
-		// size class (gob is not canonical, but must stay within cap).
 		body, err := encodeMessage(m)
 		if err != nil {
 			t.Fatalf("parsed message does not re-encode: %v", err)
 		}
-		if _, _, err := ReadMessage(bytes.NewReader(frame(body))); err != nil {
-			t.Fatalf("re-encoded message does not re-parse: %v", err)
+		if got := frame(body); !bytes.Equal(got, data[:n]) {
+			t.Fatalf("parse then encode gave a different frame:\n got %x\nwant %x", got, data[:n])
 		}
 	})
 }

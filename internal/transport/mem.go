@@ -13,7 +13,7 @@ import (
 // This file is the in-memory substrate of the federation simulator: a
 // MemNetwork hands out MessageConn pairs that behave like the framed TLS
 // links in this package — same message encoding, same byte accounting,
-// same failure surface (a corrupted frame fails decode on the reader, a
+// same failure surface (a corrupted frame fails the reader's Read, a
 // closed peer fails reads) — but shaped by configurable per-client
 // latency/bandwidth and scripted fault schedules instead of a real
 // network. A 200-client federation registers in microseconds instead of
@@ -38,8 +38,10 @@ type FaultSchedule struct {
 	// DropMsgs lists message indices that vanish in transit (the sender
 	// sees success; the reader never sees the message).
 	DropMsgs []int
-	// CorruptMsgs lists message indices whose body is bit-flipped in
-	// transit; the reader's decode fails, like a damaged frame.
+	// CorruptMsgs lists message indices damaged in transit. The reader's
+	// Read fails with ErrCorruptFrame, as a TLS record that fails its
+	// integrity check fails the socket read: damage never reaches a
+	// payload.
 	CorruptMsgs []int
 	// DelayMsgs adds extra one-off delay to specific message indices.
 	DelayMsgs map[int]time.Duration
@@ -49,10 +51,14 @@ type FaultSchedule struct {
 	Seed int64
 }
 
+// ErrCorruptFrame is the Read error of a frame damaged in transit.
+var ErrCorruptFrame = errors.New("transport: frame damaged in transit")
+
 // memFrame is one in-flight message body plus its modeled transit delay.
 type memFrame struct {
-	body  []byte
-	delay time.Duration
+	body    []byte
+	delay   time.Duration
+	corrupt bool
 }
 
 // memLink is the shared state of one MemConn pair: two directed queues and
@@ -88,15 +94,11 @@ func (d *memDir) send(body []byte) {
 	if drop {
 		return
 	}
-	if corrupt {
-		body = append([]byte(nil), body...)
-		body[len(body)/2] ^= 0xFF
-	}
 	delay := d.prof.Latency + extra
 	if d.prof.BytesPerSec > 0 {
 		delay += time.Duration(int64(len(body)+8) * int64(time.Second) / d.prof.BytesPerSec)
 	}
-	d.ch <- memFrame{body: body, delay: delay}
+	d.ch <- memFrame{body: body, delay: delay, corrupt: corrupt}
 }
 
 // MemConn is one end of an in-memory message link.
@@ -118,9 +120,9 @@ type connCounters struct {
 
 var _ MessageConn = (*MemConn)(nil)
 
-// Write implements MessageConn: encode, account bytes, enqueue through the
-// fault/latency model. A dropped message still counts as written — the
-// sender did the work — but never as read.
+// Write implements MessageConn: encode into one new frame body, account
+// bytes, enqueue through the fault/latency model. A dropped message still
+// counts as written — the sender did the work — but never as read.
 func (c *MemConn) Write(m *Message) error {
 	select {
 	case <-c.link.done:
@@ -147,11 +149,11 @@ func (e memTimeoutError) Timeout() bool   { return true }
 func (e memTimeoutError) Temporary() bool { return true }
 
 // Read implements MessageConn: dequeue, pay the modeled transit delay,
-// decode. A corrupted frame fails here, on the reader's side, exactly like
-// a damaged TLS frame would — with its framed bytes still counted, as on
-// the socket path. A frame already queued when the link closes is still
-// read, as TCP delivers data sent before a FIN; only then does Read report
-// the closed link. The transit delay is interruptible: Close and the read
+// decode. A corrupted frame fails here with ErrCorruptFrame, on the
+// reader's side, exactly like a damaged TLS record would — with its framed
+// bytes still counted, as on the socket path. A frame already queued when
+// the link closes is still read, as TCP delivers data sent before a FIN;
+// only then does Read report the closed link. The transit delay is interruptible: Close and the read
 // deadline both cut it short, keeping the MessageConn contract that
 // blocked reads fail.
 func (c *MemConn) Read() (*Message, error) {
@@ -190,6 +192,9 @@ func (c *MemConn) Read() (*Message, error) {
 	c.counters.mu.Lock()
 	c.counters.read += int64(len(f.body)) + 8
 	c.counters.mu.Unlock()
+	if f.corrupt {
+		return nil, fmt.Errorf("%w: mem conn %s", ErrCorruptFrame, c.local)
+	}
 	return decodeMessage(f.body)
 }
 

@@ -1,6 +1,6 @@
-// Package transport implements the FL wire protocol: length-prefixed,
-// gob-encoded messages exchanged over mutual-TLS connections established
-// from provision startup kits. It corresponds to NVFlare's gRPC channel,
+// Package transport implements the FL wire protocol: length-prefixed
+// binary messages exchanged over mutual-TLS connections established from
+// provision startup kits. It corresponds to NVFlare's gRPC channel,
 // reduced to the message kinds the paper's pipeline needs (Fig. 1: client
 // registration, task dispatch, parameter upload, round completion).
 package transport
@@ -8,13 +8,16 @@ package transport
 import (
 	"crypto/tls"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
+
+	"clinfl/internal/wire"
 )
 
 // MsgType enumerates protocol messages.
@@ -82,11 +85,14 @@ const MetaSession = "session"
 
 // Message is the protocol envelope.
 type Message struct {
-	Type    MsgType
-	Sender  string
-	Token   string // admission token; set on MsgRegister
-	Round   int
-	Payload []byte            // serialized model weights (fl codec format)
+	Type   MsgType
+	Sender string
+	Token  string // admission token; set on MsgRegister
+	Round  int
+	// Payload is the serialized model weights (fl codec format). A read
+	// message's Payload aliases the frame it arrived in; a written one is
+	// sent from the caller's slice, which must not change during Write.
+	Payload []byte
 	Meta    map[string]string // task parameters, metrics, error text
 	// NumSamples weights the sender's contribution during aggregation.
 	NumSamples int
@@ -133,9 +139,12 @@ type MessageListener interface {
 	Addr() net.Addr
 }
 
-// Conn frames messages over a net.Conn. Safe for one reader and one writer
-// goroutine concurrently (reads and writes are independently serialized by
-// the caller's usage pattern; this type adds no locking).
+// Conn frames messages over a net.Conn, one copy per message on each side:
+// Write sends the envelope from a small buffer and the payload from the
+// caller's slice, and Read reads each frame into one new buffer that the
+// message's Payload aliases. Safe for one reader and one writer goroutine
+// concurrently (reads and writes are independently serialized by the
+// caller's usage pattern; this type adds no locking).
 type Conn struct {
 	nc net.Conn
 	// bytesRead / bytesWritten count framed message bytes (header + body)
@@ -163,30 +172,132 @@ func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 // SetDeadline bounds the next read/write.
 func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
 
-// encodeMessage renders m as one frame body (gob, no length header).
+// Every frame is an 8-byte little-endian body length, then the body: the
+// envelope, then the payload as the rest of the frame.
+//
+//	magic    "CFM1"
+//	type     u8
+//	sender   u32 length, bytes
+//	token    u32 length, bytes
+//	round    u64, two's complement
+//	samples  u64, two's complement
+//	meta     u32 count, then per entry a u32 key length, the key, a u32
+//	         value length and the value, keys strictly ascending
+//	payload  every byte left in the frame
+//
+// The encoding is canonical: a frame that parses re-encodes to itself.
+const envelopeMagic = "CFM1"
+
+// Caps on the envelope's fields. Both ends check them, so a writer never
+// sends a frame its reader would refuse.
+const (
+	maxFieldSize   = 1 << 16 // one sender, token, meta key or meta value
+	maxMetaEntries = 1 << 10
+)
+
+// envelopeSize is the length of m's envelope, the frame body without the
+// payload, once m has passed every cap a reader applies.
+func envelopeSize(m *Message) (int, error) {
+	if m.Type < MsgRegister || m.Type > MsgPong {
+		return 0, fmt.Errorf("transport: encode: unknown message type %d", int(m.Type))
+	}
+	if len(m.Meta) > maxMetaEntries {
+		return 0, fmt.Errorf("transport: encode %s: %d meta entries, cap %d", m.Type, len(m.Meta), maxMetaEntries)
+	}
+	// magic, type, two field lengths, round, samples, meta count
+	n := len(envelopeMagic) + 1 + 4 + 4 + 8 + 8 + 4 + len(m.Sender) + len(m.Token)
+	longest := max(len(m.Sender), len(m.Token))
+	for k, v := range m.Meta {
+		n += 4 + len(k) + 4 + len(v)
+		longest = max(longest, len(k), len(v))
+	}
+	if longest > maxFieldSize {
+		return 0, fmt.Errorf("transport: encode %s: %d-byte field, cap %d", m.Type, longest, maxFieldSize)
+	}
+	if n+len(m.Payload) > maxMessageSize {
+		return 0, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n+len(m.Payload))
+	}
+	return n, nil
+}
+
+// appendEnvelope appends the envelope of m, which envelopeSize has passed.
+func appendEnvelope(dst []byte, m *Message) []byte {
+	dst = append(dst, envelopeMagic...)
+	dst = append(dst, byte(m.Type))
+	dst = appendField(dst, m.Sender)
+	dst = appendField(dst, m.Token)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.Round))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(m.NumSamples))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(m.Meta)))
+	for _, k := range slices.Sorted(maps.Keys(m.Meta)) {
+		dst = appendField(appendField(dst, k), m.Meta[k])
+	}
+	return dst
+}
+
+func appendField(dst []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(dst, uint32(len(s))), s...)
+}
+
+// field reads one length-prefixed envelope field.
+func field(r *wire.Reader) string {
+	n := r.U32()
+	if r.Err() == nil && n > maxFieldSize {
+		r.Fail(fmt.Errorf("%d-byte field, cap %d", n, maxFieldSize))
+	}
+	return string(r.Next(int(n)))
+}
+
+// encodeMessage renders m as one frame body (no length header): the
+// envelope and a copy of the payload, in one allocation.
 func encodeMessage(m *Message) ([]byte, error) {
-	enc := gobBuffer{}
-	if err := gob.NewEncoder(&enc).Encode(m); err != nil {
-		return nil, fmt.Errorf("transport: encode %s: %w", m.Type, err)
+	n, err := envelopeSize(m)
+	if err != nil {
+		return nil, err
 	}
-	if len(enc.b) > maxMessageSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, len(enc.b))
-	}
-	return enc.b, nil
+	return append(appendEnvelope(make([]byte, 0, n+len(m.Payload)), m), m.Payload...), nil
 }
 
-// decodeMessage parses one frame body produced by encodeMessage.
+// decodeMessage parses one frame body. The message's Payload aliases body.
 func decodeMessage(body []byte) (*Message, error) {
-	var m Message
-	if err := gob.NewDecoder(&gobReader{b: body}).Decode(&m); err != nil {
-		return nil, fmt.Errorf("transport: decode: %w", err)
+	r := wire.NewReader(body)
+	if string(r.Next(len(envelopeMagic))) != envelopeMagic {
+		return nil, errors.New("transport: decode: bad magic")
 	}
-	return &m, nil
+	m := &Message{Type: MsgType(r.U8())}
+	m.Sender, m.Token = field(r), field(r)
+	m.Round, m.NumSamples = int(r.U64()), int(r.U64())
+	n := r.U32()
+	if r.Err() == nil && n > maxMetaEntries {
+		r.Fail(fmt.Errorf("%d meta entries, cap %d", n, maxMetaEntries))
+	}
+	var prev string
+	for i := uint32(0); i < n && r.Err() == nil; i++ {
+		k, v := field(r), field(r)
+		if i > 0 && k <= prev {
+			r.Fail(fmt.Errorf("meta key %q not after %q", k, prev))
+		}
+		if m.Meta == nil {
+			m.Meta = make(map[string]string)
+		}
+		m.Meta[k], prev = v, k
+	}
+	if r.Err() != nil {
+		return nil, fmt.Errorf("transport: decode: %w", r.Err())
+	}
+	if m.Type < MsgRegister || m.Type > MsgPong {
+		return nil, fmt.Errorf("transport: decode: unknown message type %d", int(m.Type))
+	}
+	if r.Len() > 0 {
+		m.Payload = r.Next(r.Len())
+	}
+	return m, nil
 }
 
-// readFrame reads one length-prefixed frame body from r, returning the
-// body and the total framed bytes consumed. Factored out of Conn.Read so
-// the frame parser can be fuzzed against arbitrary byte streams.
+// readFrame reads one length-prefixed frame body from r into one new
+// buffer, returning the body and the total framed bytes consumed. Factored
+// out of Conn.Read so the frame parser can be fuzzed against arbitrary
+// byte streams.
 func readFrame(r io.Reader) ([]byte, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -204,8 +315,8 @@ func readFrame(r io.Reader) ([]byte, int64, error) {
 }
 
 // ReadMessage parses one framed message from r (frame header, size cap,
-// gob body). Conn.Read goes through it; fuzz targets drive it directly.
-// When a complete frame is consumed but its body fails to decode, the
+// envelope). Conn.Read goes through it; fuzz targets drive it directly.
+// When a complete frame is consumed but its envelope fails to decode, the
 // framed byte count is still returned alongside the error — those bytes
 // crossed the wire and must stay in the accounting.
 func ReadMessage(r io.Reader) (*Message, int64, error) {
@@ -220,25 +331,31 @@ func ReadMessage(r io.Reader) (*Message, int64, error) {
 	return m, n, nil
 }
 
-// Write sends one message: 8-byte little-endian length then gob body.
+// Write sends one message: the length header and the envelope in one
+// write, then the payload straight from m.Payload, which Write does not
+// copy.
 func (c *Conn) Write(m *Message) error {
-	body, err := encodeMessage(m)
+	n, err := envelopeSize(m)
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(body)))
-	if _, err := c.nc.Write(hdr[:]); err != nil {
+	hdr := make([]byte, 8, 8+n)
+	binary.LittleEndian.PutUint64(hdr, uint64(n+len(m.Payload)))
+	hdr = appendEnvelope(hdr, m)
+	if _, err := c.nc.Write(hdr); err != nil {
 		return fmt.Errorf("transport: write header: %w", err)
 	}
-	if _, err := c.nc.Write(body); err != nil {
-		return fmt.Errorf("transport: write body: %w", err)
+	if len(m.Payload) > 0 {
+		if _, err := c.nc.Write(m.Payload); err != nil {
+			return fmt.Errorf("transport: write body: %w", err)
+		}
 	}
-	c.bytesWritten.Add(int64(len(hdr) + len(body)))
+	c.bytesWritten.Add(int64(len(hdr) + len(m.Payload)))
 	return nil
 }
 
-// Read receives one message.
+// Read receives one message. Its Payload aliases the one buffer the frame
+// was read into.
 func (c *Conn) Read() (*Message, error) {
 	m, n, err := ReadMessage(c.nc)
 	c.bytesRead.Add(n)
@@ -246,30 +363,6 @@ func (c *Conn) Read() (*Message, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// gobBuffer is a minimal io.Writer accumulating bytes (avoids bytes.Buffer
-// growth churn being visible in the API; trivially small).
-type gobBuffer struct{ b []byte }
-
-func (g *gobBuffer) Write(p []byte) (int, error) {
-	g.b = append(g.b, p...)
-	return len(p), nil
-}
-
-// gobReader is a minimal io.Reader over a byte slice.
-type gobReader struct {
-	b   []byte
-	off int
-}
-
-func (g *gobReader) Read(p []byte) (int, error) {
-	if g.off >= len(g.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, g.b[g.off:])
-	g.off += n
-	return n, nil
 }
 
 var _ MessageConn = (*Conn)(nil)
