@@ -245,12 +245,12 @@ func benchmarkAggregation(b *testing.B, agg fl.Aggregator) {
 func BenchmarkAblation_AggregationFedAvg(b *testing.B) { benchmarkAggregation(b, fl.FedAvg{}) }
 func BenchmarkAblation_AggregationMean(b *testing.B)   { benchmarkAggregation(b, fl.MeanAggregator{}) }
 
-// BenchmarkAblation_LocalEpochs: cost of one round as local epochs grow.
-func benchmarkLocalEpochs(b *testing.B, epochs int) {
+// benchmarkLocalRound: cost of one site round under a local config.
+func benchmarkLocalRound(b *testing.B, cfg fl.LocalConfig) {
 	ds, vocab := benchCohort(b, 80)
 	m := benchModel(b, "lstm", vocab)
-	exec, err := fl.NewClassifierExecutor("site", m, ds[:64], nil,
-		fl.LocalConfig{Epochs: epochs, LR: 1e-3, BatchSize: 16, Seed: 1})
+	cfg.LR, cfg.BatchSize, cfg.Seed = 1e-3, 16, 1
+	exec, err := fl.NewClassifierExecutor("site", m, ds[:64], nil, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,31 +263,16 @@ func benchmarkLocalEpochs(b *testing.B, epochs int) {
 	}
 }
 
-func BenchmarkAblation_LocalEpochs1(b *testing.B) { benchmarkLocalEpochs(b, 1) }
-func BenchmarkAblation_LocalEpochs2(b *testing.B) { benchmarkLocalEpochs(b, 2) }
-func BenchmarkAblation_LocalEpochs4(b *testing.B) { benchmarkLocalEpochs(b, 4) }
+// BenchmarkAblation_LocalEpochs: cost of one round as local epochs grow.
+func BenchmarkAblation_LocalEpochs1(b *testing.B) { benchmarkLocalRound(b, fl.LocalConfig{Epochs: 1}) }
+func BenchmarkAblation_LocalEpochs2(b *testing.B) { benchmarkLocalRound(b, fl.LocalConfig{Epochs: 2}) }
+func BenchmarkAblation_LocalEpochs4(b *testing.B) { benchmarkLocalRound(b, fl.LocalConfig{Epochs: 4}) }
 
-// BenchmarkAblation_PrivacyFilters: cost of the DP filter chain (norm cap
-// + Gaussian noise) over an LSTM-sized update.
+// BenchmarkAblation_PrivacyFilters: one site round with the site's privacy
+// filter on (delta norm cap + Gaussian noise), beside LocalEpochs1's
+// round with it off.
 func BenchmarkAblation_PrivacyFilters(b *testing.B) {
-	_, vocab := benchCohort(b, 32)
-	m := benchModel(b, "lstm", vocab)
-	global := nn.SnapshotWeights(m.Params())
-	filters := []fl.Filter{
-		fl.NormCapFilter{Cap: 1},
-		fl.GaussianNoiseFilter{Sigma: 0.01, RNG: tensor.NewRNG(1)},
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		update := &fl.ClientUpdate{
-			ClientName: "c", Weights: nn.SnapshotWeights(m.Params()), NumSamples: 1,
-		}
-		for _, f := range filters {
-			if err := f.Apply(update, global); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	benchmarkLocalRound(b, fl.LocalConfig{Epochs: 1, DeltaNormCap: 1, NoiseSigma: 0.01})
 }
 
 // BenchmarkAblation_WeightSerialization: parameter-exchange encode/decode

@@ -1,8 +1,10 @@
-// Privacy: federated ADR fine-tuning with NVFlare-style privacy filters —
-// per-client delta norm capping plus Gaussian noise (the building blocks
-// of DP-FedAvg) applied server-side before aggregation. Compares accuracy
-// with and without the filter chain to show the privacy/utility trade-off
-// the framework's "privacy preservation" feature manages.
+// Privacy: federated ADR fine-tuning with a privacy filter at each site —
+// the update's delta from the round's global model clipped to an L2 norm
+// of 3, then Gaussian noise added (DP-FedAvg's per-client building blocks),
+// run before the update leaves the site, where NVFlare runs its
+// task-result filters. It prints top-1 accuracy with and without the
+// filter beside the validation set's majority-class rate, and claims only
+// what those three numbers show.
 package main
 
 import (
@@ -16,7 +18,6 @@ import (
 	"clinfl/internal/fl"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
-	"clinfl/internal/tensor"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func run() error {
 		return err
 	}
 
-	runOnce := func(filters []fl.Filter) (float64, error) {
+	runOnce := func(normCap, sigma float64) (float64, error) {
 		valModel, err := model.NewLSTMClassifier(model.LSTMConfig{
 			Name: "lstm", VocabSize: vocab.Size(), Dim: 64, Hidden: 64, Layers: 1, NumClasses: 2,
 		}, 1)
@@ -63,7 +64,8 @@ func run() error {
 				return 0, err
 			}
 			exec, err := fl.NewClassifierExecutor(fmt.Sprintf("site-%d", i+1), mdl, shards[i], nil,
-				fl.LocalConfig{Epochs: 2, LR: 5e-3, BatchSize: 32, ClipNorm: 1, Seed: int64(i)})
+				fl.LocalConfig{Epochs: 2, LR: 5e-3, BatchSize: 32, ClipNorm: 1, Seed: int64(i),
+					DeltaNormCap: normCap, NoiseSigma: sigma})
 			if err != nil {
 				return 0, err
 			}
@@ -71,7 +73,6 @@ func run() error {
 		}
 		ctrl, err := fl.NewController(fl.ControllerConfig{
 			Rounds:   rounds,
-			Filters:  filters,
 			Validate: core.AccuracyValidator(valModel, validSet),
 		}, executors)
 		if err != nil {
@@ -84,21 +85,32 @@ func run() error {
 		return res.History.BestScore, nil
 	}
 
-	plain, err := runOnce(nil)
-	if err != nil {
-		return err
+	positives := 0
+	for _, ex := range validSet {
+		positives += ex.Label
 	}
-	fmt.Printf("no filters:                       top-1 acc %.1f%%\n", 100*plain)
+	majority := float64(max(positives, len(validSet)-positives)) / float64(len(validSet))
+	fmt.Printf("majority class (%d validation examples): %.1f%%\n", len(validSet), 100*majority)
 
-	private, err := runOnce([]fl.Filter{
-		fl.NormCapFilter{Cap: 3},
-		fl.GaussianNoiseFilter{Sigma: 0.005, RNG: tensor.NewRNG(42)},
-	})
+	plain, err := runOnce(0, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("norm cap 3 + gaussian sigma 5e-3: top-1 acc %.1f%%\n", 100*private)
-	fmt.Println("\nModest clipping/noise preserves most utility; raising sigma tightens")
-	fmt.Println("privacy at an accuracy cost (tune per the Gaussian-mechanism budget).")
+	fmt.Printf("no privacy filter:                 top-1 acc %.1f%%\n", 100*plain)
+
+	private, err := runOnce(3, 0.005)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("site cap 3 + gaussian sigma 5e-3:  top-1 acc %.1f%%\n", 100*private)
+	switch {
+	case plain == majority && private == majority:
+		fmt.Println("\nBoth runs score exactly the majority-class rate, which always predicting")
+		fmt.Println("the majority class also scores, so this run shows no privacy/utility trade-off.")
+	case private < plain:
+		fmt.Printf("\nThe site filter cost %.1f points of top-1 accuracy here.\n", 100*(plain-private))
+	default:
+		fmt.Println("\nThe site filter cost no top-1 accuracy here.")
+	}
 	return nil
 }

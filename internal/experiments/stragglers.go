@@ -12,6 +12,7 @@ import (
 	"clinfl/internal/fl"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
+	"clinfl/internal/tensor"
 )
 
 // Stragglers is the straggler/partial-participation scenario sweep: the
@@ -122,7 +123,7 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 			if err != nil {
 				return nil, err
 			}
-			executors[i] = exec
+			executors[i] = codecSite{Executor: exec, codec: codec}
 		}
 		// Client 4 is the straggler: every round arrives delay late.
 		executors[cfg.Clients-1] = fl.WrapFaulty(executors[cfg.Clients-1], fl.FaultConfig{Delay: delay})
@@ -131,7 +132,6 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 			Rounds:   cfg.Rounds,
 			Seed:     cfg.Seed,
 			Validate: validate,
-			Filters:  []fl.Filter{fl.CodecSimFilter{Codec: codec}},
 		}
 		if scheme.Async {
 			// MinUpdates is the fast path (aggregate as soon as the three
@@ -167,6 +167,33 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// codecSite sends a site's updates through an uplink codec, as a networked
+// fl.Client does: it encodes the trained weights, decodes them with
+// fl.DecodeWeights as the server would, and stamps the payload size, so the
+// in-process sweep sees each codec's loss and bytes-on-wire without
+// sockets.
+type codecSite struct {
+	fl.Executor
+	codec fl.WeightCodec
+}
+
+// ExecuteRound implements fl.Executor.
+func (s codecSite) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+	u, err := s.Executor.ExecuteRound(round, global)
+	if err != nil {
+		return nil, err
+	}
+	blob, err := s.codec.Encode(u.Weights)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s encode update: %w", u.ClientName, err)
+	}
+	if u.Weights, err = fl.DecodeWeights(blob); err != nil {
+		return nil, fmt.Errorf("experiments: %s decode update: %w", u.ClientName, err)
+	}
+	u.PayloadBytes = len(blob)
+	return u, nil
 }
 
 // Run implements Runner.

@@ -119,33 +119,6 @@ func TestControllerAggregationOrderIsCanonical(t *testing.T) {
 	}
 }
 
-func TestCodecSimFilterSetsPayloadBytes(t *testing.T) {
-	execs := fourClients(0)
-	ctrl, err := NewController(ControllerConfig{
-		Rounds:  2,
-		Filters: []Filter{CodecSimFilter{Codec: Float32Codec{}}},
-	}, execs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ctrl.Run(context.Background(), initialWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := EncodeWeights(initialWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rec := range res.History.Rounds {
-		if rec.BytesUp == 0 {
-			t.Fatalf("round %d recorded no uplink bytes", i)
-		}
-		if float64(rec.BytesUp) > 0.6*float64(4*len(raw)) {
-			t.Fatalf("round %d f32 uplink %d bytes, want <= 60%% of raw %d", i, rec.BytesUp, 4*len(raw))
-		}
-	}
-}
-
 func TestFaultyExecutorInjectsDropsAndDelays(t *testing.T) {
 	inner := &fakeExecutor{name: "x", samples: 5, value: 2}
 	f := WrapFaulty(inner, FaultConfig{

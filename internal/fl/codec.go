@@ -783,30 +783,3 @@ func CodecByName(name string) (WeightCodec, error) {
 		return nil, fmt.Errorf("fl: unknown codec %q (have raw, f32, int8, topk[:fraction])", name)
 	}
 }
-
-// CodecSimFilter round-trips every update through a codec before
-// aggregation, simulating compressed uplink transport for in-process
-// (simulator-mode) federations: updates pick up the codec's quantization
-// loss and their PayloadBytes, so experiments report bytes-on-wire per
-// round without sockets.
-type CodecSimFilter struct {
-	Codec WeightCodec
-}
-
-// Name implements Filter.
-func (f CodecSimFilter) Name() string { return "codec-sim(" + f.Codec.Name() + ")" }
-
-// Apply implements Filter.
-func (f CodecSimFilter) Apply(update *ClientUpdate, _ map[string]*tensor.Matrix) error {
-	blob, err := f.Codec.Encode(update.Weights)
-	if err != nil {
-		return err
-	}
-	weights, err := f.Codec.Decode(blob)
-	if err != nil {
-		return err
-	}
-	update.Weights = weights
-	update.PayloadBytes = len(blob)
-	return nil
-}

@@ -43,9 +43,6 @@ type ControllerConfig struct {
 	Seed int64
 	// Aggregator combines updates (default FedAvg).
 	Aggregator Aggregator
-	// Filters run over every client update before aggregation (NVFlare's
-	// privacy-filter chain); nil means no filtering.
-	Filters []Filter
 	// Validate, if non-nil, scores each round's aggregated model; the
 	// controller keeps the best-scoring weights as the selected model
 	// (NVFlare's IntimeModelSelector).
@@ -148,7 +145,8 @@ type RoundRecord struct {
 	// BytesUp / BytesDown are the round's weight-payload bytes: encoded
 	// update payloads received / task payloads sent. Populated by the
 	// networked server from real payload sizes; in-process, BytesUp comes
-	// from PayloadBytes (stamped by a CodecSimFilter or the executor) and
+	// from the PayloadBytes an executor stamps when it encodes its update
+	// through a codec, as the simulator's and fltest's clients do, and
 	// BytesDown from executors that stamp ClientUpdate.DownBytes (the
 	// simulator's cost-accounting clients).
 	BytesUp, BytesDown int64
@@ -240,8 +238,7 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 	if len(executors) == 0 {
 		return nil, errors.New("fl: controller needs at least one executor")
 	}
-	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator,
-		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
+	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
 	if err := checkAsync(cfg.AsyncAggregator); err != nil {
@@ -273,7 +270,7 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		inFlight: make([]bool, len(executors)),
 	}
 	c.source = source[execOutcome]{clk: cfg.Clock, ch: c.results, normalize: c.normalize}
-	var sk sink = &flatSink{filters: cfg.Filters, agg: cfg.Aggregator, async: cfg.AsyncAggregator}
+	var sk sink = &flatSink{agg: cfg.Aggregator, async: cfg.AsyncAggregator}
 	if cfg.Tier != nil {
 		// Hierarchical path: updates stream into edge-shard partials as
 		// they arrive and merge up the tiers; the root never holds

@@ -64,8 +64,16 @@ type LocalConfig struct {
 	// model, taming client drift under partial participation and
 	// heterogeneous shards. 0 keeps plain local SGD (FedAvg semantics).
 	ProxMu float64
-	// Seed derives per-round shuffling and dropout streams.
+	// Seed derives per-round shuffling and dropout streams, and the
+	// site's privacy noise stream.
 	Seed int64
+	// DeltaNormCap and NoiseSigma are the site's privacy filter, applied
+	// to every update before it leaves the site: the update's delta from
+	// the round's global model is scaled to an L2 norm of at most
+	// DeltaNormCap, then N(0, NoiseSigma²) noise is added to every weight
+	// (DP-FedAvg's per-client clip and noise). 0 turns either off.
+	DeltaNormCap float64
+	NoiseSigma   float64
 	// EpochHook, if non-nil, observes each completed local epoch (used by
 	// the Fig. 3 demonstration to report per-epoch wall-clock times).
 	EpochHook func(client string, round, epoch int, d time.Duration)
@@ -113,6 +121,9 @@ func NewClassifierExecutor(name string, mdl model.Classifier, trainSet, validSet
 	if len(trainSet) == 0 {
 		return nil, fmt.Errorf("fl: executor %q has no training data", name)
 	}
+	if err := cfg.validatePrivacy(); err != nil {
+		return nil, fmt.Errorf("fl: executor %q: %w", name, err)
+	}
 	cfg = cfg.withDefaults()
 	e := &ClassifierExecutor{
 		name:      name,
@@ -137,7 +148,8 @@ func (e *ClassifierExecutor) Name() string { return e.name }
 func (e *ClassifierExecutor) NumSamples() int { return len(e.trainSet) }
 
 // ExecuteRound implements Executor: load global weights, train Epochs
-// local epochs, return the new local weights.
+// local epochs, return the new local weights through the site's privacy
+// filter.
 func (e *ClassifierExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	if err := nn.LoadWeights(e.mdl.Params(), global); err != nil {
 		return nil, fmt.Errorf("fl: %s load global: %w", e.name, err)
@@ -160,10 +172,12 @@ func (e *ClassifierExecutor) ExecuteRound(round int, global map[string]*tensor.M
 		}
 		lastLoss = loss
 	}
+	weights := nn.SnapshotWeights(e.mdl.Params())
+	e.cfg.privatize(round, weights, global)
 	return &ClientUpdate{
 		ClientName: e.name,
 		Round:      round,
-		Weights:    nn.SnapshotWeights(e.mdl.Params()),
+		Weights:    weights,
 		NumSamples: len(e.trainSet),
 		TrainLoss:  lastLoss,
 	}, nil
@@ -223,6 +237,9 @@ func NewMLMExecutor(name string, mdl model.Pretrainer, params []*nn.Param, seque
 	if len(sequences) == 0 {
 		return nil, fmt.Errorf("fl: executor %q has no corpus", name)
 	}
+	if err := cfg.validatePrivacy(); err != nil {
+		return nil, fmt.Errorf("fl: executor %q: %w", name, err)
+	}
 	if err := maskCfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -268,7 +285,8 @@ func (e *MLMExecutor) maskAll(seed int64) ([]mlm.MaskedExample, error) {
 	return e.masked, nil
 }
 
-// ExecuteRound implements Executor.
+// ExecuteRound implements Executor, with the same privacy filter as
+// ClassifierExecutor's.
 func (e *MLMExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	if err := nn.LoadWeights(e.params, global); err != nil {
 		return nil, fmt.Errorf("fl: %s load global: %w", e.name, err)
@@ -295,10 +313,12 @@ func (e *MLMExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) 
 		}
 		lastLoss = loss
 	}
+	weights := nn.SnapshotWeights(e.params)
+	e.cfg.privatize(round, weights, global)
 	return &ClientUpdate{
 		ClientName: e.name,
 		Round:      round,
-		Weights:    nn.SnapshotWeights(e.params),
+		Weights:    weights,
 		NumSamples: len(e.sequences),
 		TrainLoss:  lastLoss,
 	}, nil

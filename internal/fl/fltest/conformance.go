@@ -24,6 +24,7 @@ func RunConformance(t *testing.T, h Harness) {
 	t.Run("QuorumBelowErrors", func(t *testing.T) { conformQuorum(t, h) })
 	t.Run("FailedClientRecorded", func(t *testing.T) { conformFailureRecorded(t, h) })
 	t.Run("MalformedUpdateIsClientFailure", func(t *testing.T) { conformMalformedUpdate(t, h) })
+	t.Run("FiniteUpdatesCommitFiniteModel", func(t *testing.T) { conformFiniteCommit(t, h) })
 	t.Run("ReassignedTaskSingleUpdate", func(t *testing.T) { conformReassignedSingleUpdate(t, h) })
 	t.Run("FlapNeverBlocksFinalize", func(t *testing.T) { conformFlapNeverBlocks(t, h) })
 	t.Run("HealthDemotionOrderIndependent", func(t *testing.T) { conformHealthOrderIndependent(t, h) })
@@ -332,6 +333,44 @@ func conformMalformedUpdate(t *testing.T, h Harness) {
 				}
 			})
 		}
+	}
+}
+
+// conformFiniteCommit: updates that are each finite never commit a
+// non-finite model. Every client sends values just below the accept step's
+// 2^980 bound with a sample count just below its 2^21 bound, the largest
+// weighted sums an admitted update can produce, flat and behind a tier.
+// Each round commits a finite model or refuses a client by name; none
+// aborts the run.
+func conformFiniteCommit(t *testing.T, h Harness) {
+	big := math.Nextafter(math.Ldexp(1, 980), 0)
+	for _, tier := range [][]int{nil, {2}} {
+		t.Run(fmt.Sprintf("tier%v", tier), func(t *testing.T) {
+			spec := RunSpec{Rounds: 2, MinClients: 1, Tier: tier}
+			for i, name := range []string{"a", "b", "c", "d"} {
+				spec.Clients = append(spec.Clients, ClientSpec{Name: name, Samples: 1<<21 - 1 - i, Value: big})
+			}
+			res, err := h.Run(spec)
+			if err != nil {
+				t.Fatalf("finite updates aborted the federation: %v", err)
+			}
+			checkRecords(t, res)
+			if len(res.History.Rounds) != spec.Rounds {
+				t.Fatalf("completed %d rounds, want %d", len(res.History.Rounds), spec.Rounds)
+			}
+			for _, rec := range res.History.Rounds {
+				if len(rec.Participants) == 0 && len(rec.Failures) == 0 {
+					t.Fatalf("round %d committed nothing and refused no client", rec.Round)
+				}
+			}
+			for name, m := range res.FinalWeights {
+				for _, v := range m.Data() {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("final %s = %v from finite updates", name, v)
+					}
+				}
+			}
+		})
 	}
 }
 

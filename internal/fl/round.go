@@ -1195,7 +1195,6 @@ func (u *ClientUpdate) param(name string) (paramCheck, bool) {
 // flatSink buffers a round's updates and aggregates them in one batch: the
 // flat federation.
 type flatSink struct {
-	filters []Filter
 	agg     Aggregator
 	async   AsyncAggregator
 	updates []*ClientUpdate
@@ -1208,8 +1207,8 @@ func (s *flatSink) accept(_ int, u *ClientUpdate) error {
 	return nil
 }
 
-func (s *flatSink) finalize(round int, global map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
-	next, err := finalizeRound(s.filters, s.agg, s.async, s.updates, late, round, global, rec)
+func (s *flatSink) finalize(round int, _ map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+	next, err := finalizeRound(s.agg, s.async, s.updates, late, round, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -1226,15 +1225,10 @@ func (s *flatSink) finalize(round int, global map[string]*tensor.Matrix, late []
 	return next, nil
 }
 
-// finalizeRound is the flat end-of-round aggregation: the filter chain over
-// the in-round updates, the batch aggregate, then the filter chain and the
-// staleness-weighted merge for each late update. Late updates pass through
-// the same filters before they can reach the global model — privacy filters
-// (clipping, DP noise) must see every merged update, stale or not — against
-// this round's starting weights, the closest surviving reference. A late
-// update that fails filtering, shape-checking, or merging lands in
-// rec.Failures and is skipped: one straggler's bad payload must not abort
-// the federation.
+// finalizeRound is the flat end-of-round aggregation: the batch aggregate,
+// then the staleness-weighted merge of each late update. A late update
+// that fails shape-checking, decoding or merging lands in rec.Failures and
+// is skipped: one straggler's bad payload must not abort the federation.
 //
 // Both update batches are sorted into a canonical order (in-round by client
 // name, late by round then name) before any floating-point accumulation, so
@@ -1242,8 +1236,8 @@ func (s *flatSink) finalize(round int, global map[string]*tensor.Matrix, late []
 // order updates happened to arrive — a race under the real clock — can
 // never change the global weights, and fixed-seed simulator runs reproduce
 // bit-identically at any GOMAXPROCS.
-func finalizeRound(filters []Filter, agg Aggregator, async AsyncAggregator,
-	updates, late []*ClientUpdate, round int, global map[string]*tensor.Matrix, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
+func finalizeRound(agg Aggregator, async AsyncAggregator,
+	updates, late []*ClientUpdate, round int, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
 	sort.Slice(updates, func(i, j int) bool { return updates[i].ClientName < updates[j].ClientName })
 	sort.Slice(late, func(i, j int) bool {
 		if late[i].Round != late[j].Round {
@@ -1251,46 +1245,26 @@ func finalizeRound(filters []Filter, agg Aggregator, async AsyncAggregator,
 		}
 		return late[i].ClientName < late[j].ClientName
 	})
-	if err := applyFilters(filters, updates, global); err != nil {
-		return nil, fmt.Errorf("fl: round %d: %w", round, err)
-	}
-	var merged []*ClientUpdate
-	var globalNames []string
-	if len(late) > 0 {
-		globalNames = slices.Sorted(maps.Keys(global))
-	}
-	for _, lu := range late {
-		var err error
-		if lu.wire() {
-			// A late payload was never checked against a model: its shapes
-			// are its own claim until they match this round's.
-			if err = checkShapes(global, globalNames, lu); err == nil {
-				err = lu.decode()
-			}
-		}
-		if err == nil {
-			err = applyFilters(filters, []*ClientUpdate{lu}, global)
-		}
-		if err != nil {
-			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
-			continue
-		}
-		merged = append(merged, lu)
-	}
 	next, err := agg.Aggregate(updates)
 	if err != nil {
 		return nil, fmt.Errorf("fl: round %d aggregate: %w", round, err)
 	}
 	// Stragglers' updates merge after the in-round aggregate so the fresh
-	// average is never clobbered. The shape pre-check keeps a mismatched
-	// update from partially mutating the model inside Apply; LateApplied
-	// records a merge only once it actually reached the global model.
+	// average is never clobbered. A late payload was never checked against
+	// a model: its shapes are its own claim until they match this round's,
+	// and the pre-check also keeps a mismatched update from partially
+	// mutating the model inside Apply. LateApplied records a merge only
+	// once it actually reached the global model.
 	var names []string
-	if len(merged) > 0 {
+	if len(late) > 0 {
 		names = slices.Sorted(maps.Keys(next))
 	}
-	for _, lu := range merged {
-		if err := checkShapes(next, names, lu); err != nil {
+	for _, lu := range late {
+		err := checkShapes(next, names, lu)
+		if err == nil {
+			err = lu.decode()
+		}
+		if err != nil {
 			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
 			continue
 		}

@@ -64,8 +64,6 @@ type ServerConfig struct {
 	// AsyncAggregator, when non-nil, folds stragglers' late updates into
 	// the global model with staleness weighting; nil drops them.
 	AsyncAggregator AsyncAggregator
-	// Filters run over every client update before aggregation.
-	Filters []Filter
 	// Validate, if non-nil, scores each aggregated model for selection.
 	Validate func(weights map[string]*tensor.Matrix) (float64, error)
 	// VerifyToken authenticates a client's admission token (required).
@@ -212,8 +210,7 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 1
 	}
-	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator,
-		cfg.Filters, cfg.WAL, cfg.Reconcile); err != nil {
+	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator, cfg.WAL, cfg.Reconcile); err != nil {
 		return nil, err
 	}
 	if err := checkAsync(cfg.AsyncAggregator); err != nil {
@@ -269,7 +266,7 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	// virtual clock could not see.
 	clock := RealClock()
 	s.source = source[inboxMsg]{clk: clock, ch: s.inbox, normalize: s.normalize}
-	var sk sink = &flatSink{filters: cfg.Filters, agg: cfg.Aggregator, async: cfg.AsyncAggregator}
+	var sk sink = &flatSink{agg: cfg.Aggregator, async: cfg.AsyncAggregator}
 	if cfg.Tier != nil {
 		// The tier root merges edge partials and folds plain updates as they
 		// arrive; exactness makes the result identical to flat FedAvg over

@@ -41,8 +41,7 @@ func (t *TierConfig) widths() []int {
 // validateTier rejects configuration combinations the tier path does not
 // compose with. These are config errors, not silent downgrades: each of
 // these features assumes the root sees raw per-client updates.
-func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
-	filters []Filter, wal *durable.WAL, rp *ReconcilePolicy) error {
+func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator, wal *durable.WAL, rp *ReconcilePolicy) error {
 	if t == nil {
 		return nil
 	}
@@ -54,8 +53,6 @@ func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator,
 	switch {
 	case async != nil:
 		return errors.New("fl: tier aggregation is incompatible with AsyncAggregator (stragglers are dropped at tier nodes, not merged late)")
-	case len(filters) > 0:
-		return errors.New("fl: tier aggregation is incompatible with Filters (per-client filters need raw updates at the root)")
 	case wal != nil:
 		return errors.New("fl: tier aggregation is incompatible with WAL durability (resume has no path to reseed a round from partial-aggregate payloads)")
 	case rp != nil:

@@ -102,8 +102,7 @@ type twinResult struct {
 // computing them on first use. The returned map is shared and read-only:
 // surrogates hand it to the federation as is, because nothing downstream
 // of an in-process update writes its weights — sinks, aggregators and the
-// WAL only read them, and the one writer, an fl.Filter, is not something a
-// Scenario can configure.
+// WAL only read them.
 func (t *twinState) result(round int, global map[string]*tensor.Matrix) (map[string]*tensor.Matrix, float64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
