@@ -262,28 +262,24 @@ func TestServerSeesOnlyClippedUpdates(t *testing.T) {
 	}
 }
 
-// NewClassifierExecutor and NewMLMExecutor refuse a privacy setting no site
-// could honour, with a reason, before any site trains.
-func TestExecutorRejectsBadPrivacySettings(t *testing.T) {
+type privacySettingCase struct {
+	name string
+	cfg  LocalConfig
+	want string // "" accepts
+}
+
+// checkPrivacySettings builds both executor kinds with each case's
+// LocalConfig: NewClassifierExecutor and NewMLMExecutor must refuse a privacy
+// setting no site could honour, with a reason, before any site trains.
+func checkPrivacySettings(t *testing.T, cases []privacySettingCase) {
+	t.Helper()
 	bc, err := model.NewBERT(model.BERTConfig{
 		Name: "tinybert3", VocabSize: 32, MaxLen: 8, Dim: 8, Layers: 1, Heads: 1, NumClasses: 2,
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		cfg  LocalConfig
-		want string // "" accepts
-	}{
-		{"off", LocalConfig{}, ""},
-		{"on", LocalConfig{DeltaNormCap: 3, NoiseSigma: 0.005}, ""},
-		{"negative cap", LocalConfig{DeltaNormCap: -1}, "DeltaNormCap -1 must be a non-negative number"},
-		{"NaN cap", LocalConfig{DeltaNormCap: math.NaN()}, "DeltaNormCap NaN must be a non-negative number"},
-		{"negative sigma", LocalConfig{NoiseSigma: -0.5}, "NoiseSigma -0.5 must be a finite non-negative number"},
-		{"NaN sigma", LocalConfig{NoiseSigma: math.NaN()}, "NoiseSigma NaN must be a finite non-negative number"},
-		{"infinite sigma", LocalConfig{NoiseSigma: math.Inf(1)}, "NoiseSigma +Inf must be a finite non-negative number"},
-	} {
+	for _, tc := range cases {
 		_, cerr := NewClassifierExecutor("site", tinyClassifier(t, 1), tinyDataset(4, 6), nil, tc.cfg)
 		_, merr := NewMLMExecutor("site", bc, bc.Params(), [][]int{{token.CLS}}, mlm.DefaultConfig(32), tc.cfg)
 		for kind, err := range map[string]error{"classifier": cerr, "mlm": merr} {
@@ -295,4 +291,22 @@ func TestExecutorRejectsBadPrivacySettings(t *testing.T) {
 			}
 		}
 	}
+}
+
+func TestNormCapFilterErrors(t *testing.T) {
+	checkPrivacySettings(t, []privacySettingCase{
+		{"off", LocalConfig{}, ""},
+		{"on", LocalConfig{DeltaNormCap: 3}, ""},
+		{"negative cap", LocalConfig{DeltaNormCap: -1}, "DeltaNormCap -1 must be a non-negative number"},
+		{"NaN cap", LocalConfig{DeltaNormCap: math.NaN()}, "DeltaNormCap NaN must be a non-negative number"},
+	})
+}
+
+func TestGaussianNoiseFilterErrors(t *testing.T) {
+	checkPrivacySettings(t, []privacySettingCase{
+		{"on", LocalConfig{DeltaNormCap: 3, NoiseSigma: 0.005}, ""},
+		{"negative sigma", LocalConfig{NoiseSigma: -0.5}, "NoiseSigma -0.5 must be a finite non-negative number"},
+		{"NaN sigma", LocalConfig{NoiseSigma: math.NaN()}, "NoiseSigma NaN must be a finite non-negative number"},
+		{"infinite sigma", LocalConfig{NoiseSigma: math.Inf(1)}, "NoiseSigma +Inf must be a finite non-negative number"},
+	})
 }
