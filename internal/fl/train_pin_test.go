@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clinfl/internal/data"
+	"clinfl/internal/mlm"
 	"clinfl/internal/model"
 	"clinfl/internal/nn"
 	"clinfl/internal/sched"
@@ -13,20 +14,27 @@ import (
 	"clinfl/internal/token"
 )
 
-// The local training step is pinned by digest: two ClassifierExecutors on
-// the default LocalConfig train a BERT-mini, and separately an LSTM, for
+// The local training step is pinned by digest: two executors train for
 // two in-process FedAvg rounds, and the final model's raw encoding must
-// hash to the value recorded when a training step could still fan its
-// backward across the pool. Every pool width must give that one digest.
-// The constants are checked on amd64 only: other architectures may fuse
+// hash to the recorded value. The first two rows are ClassifierExecutors
+// on the default LocalConfig, recorded when a training step could still
+// fan its backward across the pool. The MLM row re-masks its corpus in
+// each of two epochs; the FedProx row trains two epochs against the
+// round's anchor. Every pool width must give the row's one digest. The
+// constants are checked on amd64 only: other architectures may fuse
 // x*y+z into one rounding, which moves the low bits.
 
 var trainPins = []struct {
+	name   string
 	spec   model.Spec
+	mlm    bool // an MLMExecutor over the cohort's id sequences
+	cfg    LocalConfig
 	digest string
 }{
-	{model.SpecBERTMini, "e9b7d989d36cc098e22c443a7c5d61ca4d8cd3b91fd83e171bce8e5d5e9dc1b2"},
-	{model.SpecLSTM, "bed008a3fe9c55242d79888599185efa7693671617e9e6e334b5ca2db2a417a5"},
+	{"bert-mini", model.SpecBERTMini, false, LocalConfig{}, "e9b7d989d36cc098e22c443a7c5d61ca4d8cd3b91fd83e171bce8e5d5e9dc1b2"},
+	{"lstm", model.SpecLSTM, false, LocalConfig{}, "bed008a3fe9c55242d79888599185efa7693671617e9e6e334b5ca2db2a417a5"},
+	{"bert-mini-mlm", model.SpecBERTMini, true, LocalConfig{Epochs: 2}, "73174a625f0c4f42bf2a09cdc51c03236581e7f68d91286fa17f05e9ab6c3464"},
+	{"lstm-fedprox", model.SpecLSTM, false, LocalConfig{Epochs: 2, ProxMu: 0.1}, "bb6e3140d741896618723c709a9f593daaf526a3997ab44550c1a42a07a328f0"},
 }
 
 const (
@@ -62,7 +70,7 @@ func pinCohort(n int, seed int64) data.Dataset {
 
 // trainPinDigest runs the two-site federation for spec on pool and
 // returns the digest of its final weights.
-func trainPinDigest(t *testing.T, spec model.Spec, pool *sched.Pool) string {
+func trainPinDigest(t *testing.T, spec model.Spec, pretrain bool, cfg LocalConfig, pool *sched.Pool) string {
 	t.Helper()
 	defer sched.SetDefault(sched.SetDefault(pool))
 	var initial map[string]*tensor.Matrix
@@ -77,12 +85,19 @@ func trainPinDigest(t *testing.T, spec model.Spec, pool *sched.Pool) string {
 		}
 		// 40 examples at the default batch size of 32: one full and one
 		// ragged step per epoch.
-		exec, err := NewClassifierExecutor([]string{"site-a", "site-b"}[i], mdl,
-			pinCohort(40, int64(11+i)), nil, LocalConfig{})
+		name, cohort := []string{"site-a", "site-b"}[i], pinCohort(40, int64(11+i))
+		if pretrain {
+			seqs := make([][]int, len(cohort))
+			for j, ex := range cohort {
+				seqs[j] = ex.IDs
+			}
+			execs[i], err = NewMLMExecutor(name, mdl.(model.Pretrainer), mdl.Params(), seqs, mlm.DefaultConfig(pinVocab), cfg)
+		} else {
+			execs[i], err = NewClassifierExecutor(name, mdl, cohort, nil, cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		execs[i] = exec
 	}
 	ctrl, err := NewController(ControllerConfig{Rounds: 2}, execs)
 	if err != nil {
@@ -97,11 +112,11 @@ func trainPinDigest(t *testing.T, spec model.Spec, pool *sched.Pool) string {
 
 func TestLocalTrainingPinnedAcrossPoolWidths(t *testing.T) {
 	for _, pin := range trainPins {
-		t.Run(pin.spec.Kind, func(t *testing.T) {
+		t.Run(pin.name, func(t *testing.T) {
 			var first string
 			for _, width := range []int{1, 2, 4} {
 				pool := sched.New(width)
-				got := trainPinDigest(t, pin.spec, pool)
+				got := trainPinDigest(t, pin.spec, pin.mlm, pin.cfg, pool)
 				pool.Close()
 				if first == "" {
 					first = got
