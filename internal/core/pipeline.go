@@ -15,6 +15,7 @@ import (
 	"clinfl/internal/nn"
 	"clinfl/internal/tensor"
 	"clinfl/internal/token"
+	"clinfl/internal/train"
 )
 
 // SiteResult is one standalone site's outcome.
@@ -404,20 +405,31 @@ func (p *Pipeline) runPretrain(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	evalExec, err := fl.NewMLMExecutor("eval", evalModel, evalModel.Params(), trainSeqs[:1], maskCfg, p.localConfig(nil))
-	if err != nil {
-		return nil, err
+	// The held-out set is masked once, deterministically, and every score
+	// reuses that masking.
+	heldOut := make([]mlm.MaskedExample, len(validSeqs))
+	maskRNG := tensor.NewRNG(p.cfg.Seed + 101)
+	for i, ids := range validSeqs {
+		if heldOut[i], err = mlm.Mask(maskCfg, ids, maskRNG); err != nil {
+			return nil, err
+		}
+	}
+	evalLoss := func(weights map[string]*tensor.Matrix) (float64, error) {
+		if err := nn.LoadWeights(evalModel.Params(), weights); err != nil {
+			return 0, err
+		}
+		return train.EvalLoss(heldOut, evalModel.MLMLossBatch, p.cfg.BatchSize, p.cfg.Seed+101)
 	}
 	// Record the untrained baseline (round -1 in spirit; plotted at 0 with
 	// trained rounds at 1..E). The paper's Fig. 2 starting loss ≈ ln|V|.
-	baseLoss, err := evalExec.EvalMLMLoss(nn.SnapshotWeights(evalModel.Params()), validSeqs, p.cfg.Seed+101)
+	baseLoss, err := evalLoss(nn.SnapshotWeights(evalModel.Params()))
 	if err != nil {
 		return nil, err
 	}
 	rep.EvalCurve.Add(0, baseLoss)
 
 	validate := func(weights map[string]*tensor.Matrix) (float64, error) {
-		loss, err := evalExec.EvalMLMLoss(weights, validSeqs, p.cfg.Seed+101)
+		loss, err := evalLoss(weights)
 		if err != nil {
 			return 0, err
 		}

@@ -126,12 +126,14 @@ func TestFaultyExecutorInjectsDropsAndDelays(t *testing.T) {
 		DelayRounds: []int{1},
 		DropRounds:  []int{2},
 	})
-	if f.Name() != "x" || f.NumSamples() != 5 {
+	if f.Name() != "x" {
 		t.Fatal("wrapper must be transparent for identity")
 	}
 	start := time.Now()
-	if _, err := f.ExecuteRound(0, initialWeights()); err != nil {
+	if u, err := f.ExecuteRound(0, initialWeights()); err != nil {
 		t.Fatal(err)
+	} else if u.NumSamples != 5 {
+		t.Fatalf("wrapped update claims %d samples, want the inner executor's 5", u.NumSamples)
 	}
 	if time.Since(start) > 40*time.Millisecond {
 		t.Fatal("round 0 should not be delayed")

@@ -35,8 +35,7 @@ type vexec struct {
 	malformed bool
 }
 
-func (e *vexec) Name() string    { return e.name }
-func (e *vexec) NumSamples() int { return e.samples }
+func (e *vexec) Name() string { return e.name }
 
 func (e *vexec) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
 	_, u, err := e.PlanRound(round, global)

@@ -39,9 +39,9 @@ const (
 	// RecTaskAssigned records one client receiving the round's task.
 	RecTaskAssigned
 	// RecUpdate records one client's update as decoded weights at full f64
-	// precision — the in-process Controller's kind: its executors hand
-	// over weights, not a wire payload. The networked Server logs
-	// RecUpdatePayload instead.
+	// precision. Only older logs hold it: v1 logs, and v2 logs an
+	// in-process Controller wrote before it logged RecUpdatePayload like
+	// the networked Server. Replay still reads it.
 	RecUpdate
 	// RecRoundFinal marks a round's aggregation (participants listed);
 	// informational — RecModelCommit is the durable commit point.

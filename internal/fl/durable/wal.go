@@ -638,10 +638,10 @@ func (w *WAL) AppendTaskAssigned(round int, client string) error {
 	return w.appendLazy(&Record{Type: RecTaskAssigned, Round: round, Client: client})
 }
 
-// AppendUpdate records one client update as decoded f64 weights — for the
-// in-process Controller, whose executors never produce a wire payload
-// (lazy; an update lost with an unsynced tail re-tasks the client on
-// resume, whose recomputation is byte-identical).
+// AppendUpdate records one client update as decoded f64 weights, the
+// older RecUpdate kind (lazy, like AppendUpdatePayload). No engine path
+// appends it any more; it writes the kind older logs hold, and the
+// benchmark times it as its standalone append.
 func (w *WAL) AppendUpdate(round int, client string, numSamples int, trainLoss float64, payloadBytes int, weights map[string]*tensor.Matrix) error {
 	return w.appendLazy(&Record{
 		Type: RecUpdate, Round: round, Client: client,
@@ -651,8 +651,10 @@ func (w *WAL) AppendUpdate(round int, client string, numSamples int, trainLoss f
 }
 
 // AppendUpdatePayload records one client update as the uplink payload the
-// server received, verbatim (lazy, like AppendUpdate). payload is not
-// retained past the call.
+// server received, verbatim, or an in-process update raw-encoded (lazy;
+// an update lost with an unsynced tail re-tasks the client on resume,
+// whose recomputation is byte-identical). payload is not retained past
+// the call.
 func (w *WAL) AppendUpdatePayload(round int, client string, numSamples int, trainLoss float64, payload []byte) error {
 	return w.appendLazy(&Record{
 		Type: RecUpdatePayload, Round: round, Client: client,

@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"clinfl/internal/data"
@@ -16,11 +17,10 @@ import (
 
 // Executor is the client-side workload NVFlare calls an "executor": it
 // receives the global model, performs local work, and returns an update.
+// The update's NumSamples is the client's aggregation weight.
 type Executor interface {
 	// Name is the client/site identity.
 	Name() string
-	// NumSamples is the client's local data volume (aggregation weight).
-	NumSamples() int
 	// ExecuteRound trains locally starting from the global weights.
 	// global is valid only for the duration of the call: a networked
 	// Client decodes the next task into the same matrices, so an executor
@@ -93,18 +93,120 @@ func (c LocalConfig) withDefaults() LocalConfig {
 	return c
 }
 
+// validate rejects settings no site could honour, before any site trains.
+// A NaN or infinite LR, ClipNorm or ProxMu would train every round to
+// non-finite weights or silently turn its knob off; a negative one keeps
+// its meaning of default or off. DeltaNormCap must be a non-negative
+// number and NoiseSigma a finite non-negative one.
+func (c LocalConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"LR", c.LR}, {"ClipNorm", c.ClipNorm}, {"ProxMu", c.ProxMu}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("fl: %s %v must be a finite number", f.name, f.v)
+		}
+	}
+	if !(c.DeltaNormCap >= 0) {
+		return fmt.Errorf("fl: DeltaNormCap %v must be a non-negative number (0 is off)", c.DeltaNormCap)
+	}
+	if !(c.NoiseSigma >= 0) || math.IsInf(c.NoiseSigma, 1) {
+		return fmt.Errorf("fl: NoiseSigma %v must be a finite non-negative number (0 is off)", c.NoiseSigma)
+	}
+	return nil
+}
+
+// site is the local round both executors run, written once: load the
+// global model, anchor FedProx at it, train Epochs epochs, and return the
+// weights through the site's privacy filter. It holds one train.Trainer
+// for the life of the client, so every round of every epoch reuses the
+// same tapes, arenas and gradient buffers instead of rebuilding them per
+// batch. An executor supplies the loss and epochItems, which makes an
+// epoch's items from its seed.
+type site[T any] struct {
+	name       string
+	params     []*nn.Param
+	samples    int
+	cfg        LocalConfig
+	trainer    *train.Trainer[T]
+	epochItems func(seed int64) ([]T, error)
+}
+
+// newSite checks name, samples and cfg, and builds the site's Adam
+// optimizer and trainer.
+func newSite[T any](name string, params []*nn.Param, samples int, loss train.LossFunc[T], epochItems func(int64) ([]T, error), cfg LocalConfig) (site[T], error) {
+	if name == "" {
+		return site[T]{}, errors.New("fl: executor needs a name")
+	}
+	if samples == 0 {
+		return site[T]{}, fmt.Errorf("fl: executor %q has no training data", name)
+	}
+	if err := cfg.validate(); err != nil {
+		return site[T]{}, fmt.Errorf("fl: executor %q: %w", name, err)
+	}
+	cfg = cfg.withDefaults()
+	return site[T]{
+		name:    name,
+		params:  params,
+		samples: samples,
+		cfg:     cfg,
+		trainer: train.NewTrainer(params, loss, opt.NewAdam(cfg.LR), train.Config{
+			BatchSize: cfg.BatchSize,
+			ClipNorm:  cfg.ClipNorm,
+			ProxMu:    cfg.ProxMu,
+		}),
+		epochItems: epochItems,
+	}, nil
+}
+
+// Name implements Executor.
+func (s *site[T]) Name() string { return s.name }
+
+// ExecuteRound implements Executor: load global weights, train Epochs
+// local epochs, return the new local weights through the site's privacy
+// filter.
+func (s *site[T]) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
+	if err := nn.LoadWeights(s.params, global); err != nil {
+		return nil, fmt.Errorf("fl: %s load global: %w", s.name, err)
+	}
+	if s.cfg.ProxMu > 0 {
+		if err := s.trainer.SetProxRef(global); err != nil {
+			return nil, fmt.Errorf("fl: %s prox ref: %w", s.name, err)
+		}
+	}
+	var lastLoss float64
+	for ep := 0; ep < s.cfg.Epochs; ep++ {
+		seed := s.cfg.Seed + int64(round)*1000 + int64(ep)
+		items, err := s.epochItems(seed)
+		if err != nil {
+			return nil, fmt.Errorf("fl: %s round %d epoch %d: %w", s.name, round, ep, err)
+		}
+		start := time.Now()
+		if lastLoss, err = s.trainer.Epoch(items, seed); err != nil {
+			return nil, fmt.Errorf("fl: %s round %d epoch %d: %w", s.name, round, ep, err)
+		}
+		if s.cfg.EpochHook != nil {
+			s.cfg.EpochHook(s.name, round, ep, time.Since(start))
+		}
+	}
+	weights := nn.SnapshotWeights(s.params)
+	s.cfg.privatize(round, weights, global)
+	return &ClientUpdate{
+		ClientName: s.name,
+		Round:      round,
+		Weights:    weights,
+		NumSamples: s.samples,
+		TrainLoss:  lastLoss,
+	}, nil
+}
+
 // ClassifierExecutor fine-tunes a classification model on a local shard
-// (the paper's ADR fine-tuning task). It holds one train.Trainer for the
-// life of the client, so every round of every epoch reuses the same tapes,
-// arenas and gradient buffers instead of rebuilding them per batch.
+// (the paper's ADR fine-tuning task). Every epoch trains on the whole
+// shard.
 type ClassifierExecutor struct {
-	name      string
-	mdl       model.Classifier
-	trainSet  data.Dataset
-	validSet  data.Dataset
-	cfg       LocalConfig
-	optimizer opt.Optimizer
-	trainer   *train.Trainer[data.Example]
+	site[data.Example]
+	mdl      model.Classifier
+	validSet data.Dataset
 }
 
 var (
@@ -115,72 +217,12 @@ var (
 // NewClassifierExecutor builds a client for classification fine-tuning.
 // validSet may be empty (no local validation).
 func NewClassifierExecutor(name string, mdl model.Classifier, trainSet, validSet data.Dataset, cfg LocalConfig) (*ClassifierExecutor, error) {
-	if name == "" {
-		return nil, errors.New("fl: executor needs a name")
+	shard := func(int64) ([]data.Example, error) { return trainSet, nil }
+	s, err := newSite(name, mdl.Params(), len(trainSet), mdl.LossBatch, shard, cfg)
+	if err != nil {
+		return nil, err
 	}
-	if len(trainSet) == 0 {
-		return nil, fmt.Errorf("fl: executor %q has no training data", name)
-	}
-	if err := cfg.validatePrivacy(); err != nil {
-		return nil, fmt.Errorf("fl: executor %q: %w", name, err)
-	}
-	cfg = cfg.withDefaults()
-	e := &ClassifierExecutor{
-		name:      name,
-		mdl:       mdl,
-		trainSet:  trainSet,
-		validSet:  validSet,
-		cfg:       cfg,
-		optimizer: opt.NewAdam(cfg.LR),
-	}
-	e.trainer = train.NewTrainer(mdl.Params(), mdl.LossBatch, e.optimizer, train.Config{
-		BatchSize: cfg.BatchSize,
-		ClipNorm:  cfg.ClipNorm,
-		ProxMu:    cfg.ProxMu,
-	})
-	return e, nil
-}
-
-// Name implements Executor.
-func (e *ClassifierExecutor) Name() string { return e.name }
-
-// NumSamples implements Executor.
-func (e *ClassifierExecutor) NumSamples() int { return len(e.trainSet) }
-
-// ExecuteRound implements Executor: load global weights, train Epochs
-// local epochs, return the new local weights through the site's privacy
-// filter.
-func (e *ClassifierExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
-	if err := nn.LoadWeights(e.mdl.Params(), global); err != nil {
-		return nil, fmt.Errorf("fl: %s load global: %w", e.name, err)
-	}
-	if e.cfg.ProxMu > 0 {
-		if err := e.trainer.SetProxRef(global); err != nil {
-			return nil, fmt.Errorf("fl: %s prox ref: %w", e.name, err)
-		}
-	}
-	var lastLoss float64
-	for ep := 0; ep < e.cfg.Epochs; ep++ {
-		seed := e.cfg.Seed + int64(round)*1000 + int64(ep)
-		start := time.Now()
-		loss, err := e.trainer.Epoch([]data.Example(e.trainSet), seed)
-		if err != nil {
-			return nil, fmt.Errorf("fl: %s round %d epoch %d: %w", e.name, round, ep, err)
-		}
-		if e.cfg.EpochHook != nil {
-			e.cfg.EpochHook(e.name, round, ep, time.Since(start))
-		}
-		lastLoss = loss
-	}
-	weights := nn.SnapshotWeights(e.mdl.Params())
-	e.cfg.privatize(round, weights, global)
-	return &ClientUpdate{
-		ClientName: e.name,
-		Round:      round,
-		Weights:    weights,
-		NumSamples: len(e.trainSet),
-		TrainLoss:  lastLoss,
-	}, nil
+	return &ClassifierExecutor{site: s, mdl: mdl, validSet: validSet}, nil
 }
 
 // Validate implements Validator: top-1 accuracy of the global model on the
@@ -191,7 +233,7 @@ func (e *ClassifierExecutor) Validate(global map[string]*tensor.Matrix) (float64
 	if len(e.validSet) == 0 {
 		return 0, errors.New("fl: no validation data")
 	}
-	if err := nn.LoadWeights(e.mdl.Params(), global); err != nil {
+	if err := nn.LoadWeights(e.params, global); err != nil {
 		return 0, fmt.Errorf("fl: %s load global: %w", e.name, err)
 	}
 	hits := 0
@@ -212,17 +254,12 @@ func (e *ClassifierExecutor) Validate(global map[string]*tensor.Matrix) (float64
 
 // MLMExecutor pretrains a BERT-family model with the masked-language-model
 // objective on a local corpus shard (the paper's federated pretraining
-// feasibility study, Fig. 2). Like ClassifierExecutor it holds one
-// train.Trainer (and a recycled masked-example buffer) for its lifetime.
+// feasibility study, Fig. 2). Every epoch re-masks the corpus into one
+// recycled buffer.
 type MLMExecutor struct {
-	name      string
-	mdl       model.Pretrainer
-	params    []*nn.Param
+	site[mlm.MaskedExample]
 	sequences [][]int // encoded, unmasked id sequences
 	maskCfg   mlm.Config
-	cfg       LocalConfig
-	optimizer opt.Optimizer
-	trainer   *train.Trainer[mlm.MaskedExample]
 	masked    []mlm.MaskedExample // reused epoch masking buffer
 }
 
@@ -231,41 +268,17 @@ var _ Executor = (*MLMExecutor)(nil)
 // NewMLMExecutor builds a pretraining client. sequences are full (unmasked)
 // id sequences; masking is re-randomized every epoch as mlm-pytorch does.
 func NewMLMExecutor(name string, mdl model.Pretrainer, params []*nn.Param, sequences [][]int, maskCfg mlm.Config, cfg LocalConfig) (*MLMExecutor, error) {
-	if name == "" {
-		return nil, errors.New("fl: executor needs a name")
-	}
-	if len(sequences) == 0 {
-		return nil, fmt.Errorf("fl: executor %q has no corpus", name)
-	}
-	if err := cfg.validatePrivacy(); err != nil {
-		return nil, fmt.Errorf("fl: executor %q: %w", name, err)
+	e := &MLMExecutor{sequences: sequences, maskCfg: maskCfg}
+	s, err := newSite(name, params, len(sequences), mdl.MLMLossBatch, e.maskAll, cfg)
+	if err != nil {
+		return nil, err
 	}
 	if err := maskCfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	e := &MLMExecutor{
-		name:      name,
-		mdl:       mdl,
-		params:    params,
-		sequences: sequences,
-		maskCfg:   maskCfg,
-		cfg:       cfg,
-		optimizer: opt.NewAdam(cfg.LR),
-	}
-	e.trainer = train.NewTrainer(params, mdl.MLMLossBatch, e.optimizer, train.Config{
-		BatchSize: cfg.BatchSize,
-		ClipNorm:  cfg.ClipNorm,
-		ProxMu:    cfg.ProxMu,
-	})
+	e.site = s
 	return e, nil
 }
-
-// Name implements Executor.
-func (e *MLMExecutor) Name() string { return e.name }
-
-// NumSamples implements Executor.
-func (e *MLMExecutor) NumSamples() int { return len(e.sequences) }
 
 // maskAll corrupts every sequence with a round/epoch-specific RNG into the
 // executor's recycled masking buffer.
@@ -283,61 +296,4 @@ func (e *MLMExecutor) maskAll(seed int64) ([]mlm.MaskedExample, error) {
 		e.masked[i] = me
 	}
 	return e.masked, nil
-}
-
-// ExecuteRound implements Executor, with the same privacy filter as
-// ClassifierExecutor's.
-func (e *MLMExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
-	if err := nn.LoadWeights(e.params, global); err != nil {
-		return nil, fmt.Errorf("fl: %s load global: %w", e.name, err)
-	}
-	if e.cfg.ProxMu > 0 {
-		if err := e.trainer.SetProxRef(global); err != nil {
-			return nil, fmt.Errorf("fl: %s prox ref: %w", e.name, err)
-		}
-	}
-	var lastLoss float64
-	for ep := 0; ep < e.cfg.Epochs; ep++ {
-		seed := e.cfg.Seed + int64(round)*1000 + int64(ep)
-		masked, err := e.maskAll(seed)
-		if err != nil {
-			return nil, fmt.Errorf("fl: %s mask: %w", e.name, err)
-		}
-		start := time.Now()
-		loss, err := e.trainer.Epoch(masked, seed)
-		if err != nil {
-			return nil, fmt.Errorf("fl: %s round %d epoch %d: %w", e.name, round, ep, err)
-		}
-		if e.cfg.EpochHook != nil {
-			e.cfg.EpochHook(e.name, round, ep, time.Since(start))
-		}
-		lastLoss = loss
-	}
-	weights := nn.SnapshotWeights(e.params)
-	e.cfg.privatize(round, weights, global)
-	return &ClientUpdate{
-		ClientName: e.name,
-		Round:      round,
-		Weights:    weights,
-		NumSamples: len(e.sequences),
-		TrainLoss:  lastLoss,
-	}, nil
-}
-
-// EvalMLMLoss scores the global weights' MLM loss on held-out sequences
-// with deterministic masking, for Fig. 2 curves.
-func (e *MLMExecutor) EvalMLMLoss(global map[string]*tensor.Matrix, heldOut [][]int, seed int64) (float64, error) {
-	if err := nn.LoadWeights(e.params, global); err != nil {
-		return 0, err
-	}
-	rng := tensor.NewRNG(seed)
-	masked := make([]mlm.MaskedExample, len(heldOut))
-	for i, ids := range heldOut {
-		me, err := mlm.Mask(e.maskCfg, ids, rng)
-		if err != nil {
-			return 0, err
-		}
-		masked[i] = me
-	}
-	return train.EvalLoss(masked, e.mdl.MLMLossBatch, e.cfg.BatchSize, seed)
 }

@@ -48,8 +48,8 @@ func TestClassifierExecutorRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exec.Name() != "site" || exec.NumSamples() != 32 {
-		t.Fatalf("identity wrong: %s/%d", exec.Name(), exec.NumSamples())
+	if exec.Name() != "site" {
+		t.Fatalf("identity wrong: %s", exec.Name())
 	}
 	global := nn.SnapshotWeights(mdl.Params())
 	update, err := exec.ExecuteRound(0, global)
@@ -188,13 +188,6 @@ func TestMLMExecutorRound(t *testing.T) {
 	}
 	if update.TrainLoss <= 0 {
 		t.Fatalf("train loss %v", update.TrainLoss)
-	}
-	loss, err := exec.EvalMLMLoss(update.Weights, seqs[:4], 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss <= 0 {
-		t.Fatalf("eval loss %v", loss)
 	}
 }
 

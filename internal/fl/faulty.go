@@ -8,24 +8,22 @@ import (
 	"clinfl/internal/tensor"
 )
 
-// FaultConfig describes the failures a FaultyExecutor injects: fixed or
-// jittered delays (stragglers) and deterministic or probabilistic round
-// failures (dropouts). All randomness is seeded, so a scenario replays
+// FaultConfig describes the failures a FaultyExecutor injects: fixed
+// delays (stragglers) and deterministic or probabilistic round failures
+// (dropouts). The drop stream is seeded, so a scenario replays
 // identically.
 type FaultConfig struct {
 	// Delay is added before every round's local execution.
 	Delay time.Duration
-	// DelayJitter adds a uniform [0, DelayJitter) extra delay per round.
-	DelayJitter time.Duration
-	// DelayRounds, when non-empty, restricts Delay/DelayJitter to the
-	// listed rounds (others run at full speed).
+	// DelayRounds, when non-empty, restricts Delay to the listed rounds
+	// (others run at full speed).
 	DelayRounds []int
 	// DropRounds lists rounds on which ExecuteRound fails outright
 	// (a crashed or unreachable site).
 	DropRounds []int
 	// DropProb fails any round with this probability (0 disables).
 	DropProb float64
-	// Seed drives the jitter/drop streams.
+	// Seed drives the drop stream.
 	Seed int64
 }
 
@@ -53,9 +51,6 @@ func WrapFaulty(inner Executor, cfg FaultConfig) *FaultyExecutor {
 // Name implements Executor.
 func (f *FaultyExecutor) Name() string { return f.inner.Name() }
 
-// NumSamples implements Executor.
-func (f *FaultyExecutor) NumSamples() int { return f.inner.NumSamples() }
-
 // Validate passes through to the inner executor when it can score models,
 // so wrapping does not hide a Validator.
 func (f *FaultyExecutor) Validate(global map[string]*tensor.Matrix) (float64, error) {
@@ -82,13 +77,7 @@ func (f *FaultyExecutor) delayFor(round int) time.Duration {
 	if len(f.cfg.DelayRounds) > 0 && !containsRound(f.cfg.DelayRounds, round) {
 		return 0
 	}
-	d := f.cfg.Delay
-	if f.cfg.DelayJitter > 0 {
-		f.mu.Lock()
-		d += time.Duration(f.rng.Float64() * float64(f.cfg.DelayJitter))
-		f.mu.Unlock()
-	}
-	return d
+	return f.cfg.Delay
 }
 
 // dropsRound decides whether the round fails.

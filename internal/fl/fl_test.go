@@ -25,8 +25,7 @@ type fakeExecutor struct {
 	downBytes int // stamped as DownBytes when non-zero
 }
 
-func (f *fakeExecutor) Name() string    { return f.name }
-func (f *fakeExecutor) NumSamples() int { return f.samples }
+func (f *fakeExecutor) Name() string { return f.name }
 
 func (f *fakeExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	f.calls++

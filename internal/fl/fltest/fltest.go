@@ -167,8 +167,8 @@ func (e *cannedExecutor) Probe() (time.Duration, error) { return 0, nil }
 // Name implements fl.Executor.
 func (e *cannedExecutor) Name() string { return e.spec.Name }
 
-// NumSamples implements fl.Executor.
-func (e *cannedExecutor) NumSamples() int {
+// numSamples is the client's shard size, or its spec's claim without one.
+func (e *cannedExecutor) numSamples() int {
 	if e.shard != nil {
 		return e.shard.Samples()
 	}
@@ -224,7 +224,7 @@ func (e *cannedExecutor) round(round int, global map[string]*tensor.Matrix) (*fl
 	}
 	u := &fl.ClientUpdate{
 		ClientName: e.spec.Name, Round: round, Weights: weights,
-		NumSamples: e.NumSamples(), TrainLoss: loss,
+		NumSamples: e.numSamples(), TrainLoss: loss,
 	}
 	switch e.spec.Malformed {
 	case "":

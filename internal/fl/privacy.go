@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -9,19 +8,6 @@ import (
 
 	"clinfl/internal/tensor"
 )
-
-// validatePrivacy rejects privacy settings no site could honour, before
-// any site trains: a negative or NaN DeltaNormCap, or a negative, NaN or
-// infinite NoiseSigma.
-func (c LocalConfig) validatePrivacy() error {
-	if !(c.DeltaNormCap >= 0) {
-		return fmt.Errorf("fl: DeltaNormCap %v must be a non-negative number (0 is off)", c.DeltaNormCap)
-	}
-	if !(c.NoiseSigma >= 0) || math.IsInf(c.NoiseSigma, 1) {
-		return fmt.Errorf("fl: NoiseSigma %v must be a finite non-negative number (0 is off)", c.NoiseSigma)
-	}
-	return nil
-}
 
 // privatize is the site's privacy filter, run where NVFlare runs its
 // task-result filters: on the trained weights before they leave the site,

@@ -310,3 +310,21 @@ func TestGaussianNoiseFilterErrors(t *testing.T) {
 		{"infinite sigma", LocalConfig{NoiseSigma: math.Inf(1)}, "NoiseSigma +Inf must be a finite non-negative number"},
 	})
 }
+
+// A NaN or infinite LR, ClipNorm or ProxMu is refused at construction,
+// naming the field: otherwise it trains every round to non-finite weights
+// the accept step refuses, or (ProxMu NaN) silently turns FedProx off. A
+// negative value still means default or off.
+func TestLocalConfigRefusesNonFiniteTraining(t *testing.T) {
+	checkPrivacySettings(t, []privacySettingCase{
+		{"negative knobs", LocalConfig{LR: -1, ClipNorm: -1, ProxMu: -1}, ""},
+		{"finite knobs", LocalConfig{LR: 1e-2, ClipNorm: 1, ProxMu: 0.1}, ""},
+		{"NaN LR", LocalConfig{LR: math.NaN()}, "LR NaN must be a finite number"},
+		{"infinite LR", LocalConfig{LR: math.Inf(1)}, "LR +Inf must be a finite number"},
+		{"negative infinite LR", LocalConfig{LR: math.Inf(-1)}, "LR -Inf must be a finite number"},
+		{"NaN ClipNorm", LocalConfig{ClipNorm: math.NaN()}, "ClipNorm NaN must be a finite number"},
+		{"infinite ClipNorm", LocalConfig{ClipNorm: math.Inf(1)}, "ClipNorm +Inf must be a finite number"},
+		{"NaN ProxMu", LocalConfig{ProxMu: math.NaN()}, "ProxMu NaN must be a finite number"},
+		{"infinite ProxMu", LocalConfig{ProxMu: math.Inf(1)}, "ProxMu +Inf must be a finite number"},
+	})
+}

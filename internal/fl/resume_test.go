@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"os"
@@ -384,8 +385,7 @@ type patternExecutor struct {
 	calls   atomic.Int32
 }
 
-func (e *patternExecutor) Name() string    { return e.name }
-func (e *patternExecutor) NumSamples() int { return e.samples }
+func (e *patternExecutor) Name() string { return e.name }
 
 func (e *patternExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	e.calls.Add(1)
@@ -405,6 +405,59 @@ func patternWeights(like map[string]*tensor.Matrix, phase float64) map[string]*t
 		out[name] = w
 	}
 	return out
+}
+
+// TestControllerLogsUpdatesAsPayloads: the in-process Controller logs
+// what the Server logs. Each accepted update is one RecUpdatePayload whose
+// raw payload decodes to the executor's weights exactly, and no RecUpdate
+// is appended.
+func TestControllerLogsUpdatesAsPayloads(t *testing.T) {
+	var kinds []durable.RecordType
+	var payloads [][]byte
+	wal, err := durable.Open(filepath.Join(t.TempDir(), "run.wal"), durable.Options{
+		NoSync: true,
+		OnAppend: func(_ int64, rec *durable.Record) {
+			kinds = append(kinds, rec.Type)
+			if rec.Type == durable.RecUpdatePayload {
+				payloads = append(payloads, bytes.Clone(rec.Payload))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	execs := []Executor{
+		&patternExecutor{name: "a", samples: 10, phase: 1},
+		&patternExecutor{name: "b", samples: 30, phase: 1},
+	}
+	ctrl, err := NewController(ControllerConfig{Rounds: 2, MinClients: 2, WAL: wal}, execs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctrl.Run(context.Background(), initialWeights()); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range kinds {
+		if k == durable.RecUpdate {
+			t.Fatalf("the in-process Controller appended a %s record: %v", k, kinds)
+		}
+	}
+	if len(payloads) != 4 {
+		t.Fatalf("%d update payload records for 2 sites over 2 rounds, want 4", len(payloads))
+	}
+	want := patternWeights(initialWeights(), 1)
+	for i, p := range payloads {
+		got, err := DecodeWeights(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, w := range want {
+			if !w.Equal(got[name]) {
+				t.Errorf("payload %d: %s logged as %v, want %v", i, name, got[name].Data(), w.Data())
+			}
+		}
+	}
 }
 
 // TestServerResumesMixedRecordKinds resumes an open round whose log was

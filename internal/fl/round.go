@@ -705,8 +705,8 @@ func (g *gather) reseed(resume *durable.OpenRound) (sampled, toTask []int, seede
 
 // recoveredUpdate turns an update replayed from the WAL into the
 // ClientUpdate a resumed round aggregates, whichever record kind logged
-// it: a RecUpdate's weights as they are, a RecUpdatePayload's uplink
-// wire-backed after the check walk — the very bytes the live round
+// it: an older log's RecUpdate weights as they are, a RecUpdatePayload's
+// uplink wire-backed after the check walk — the very bytes the live round
 // folded, so the resumed aggregate is bit-identical.
 func recoveredUpdate(u *durable.Update, round int) (*ClientUpdate, error) {
 	cu := &ClientUpdate{
@@ -1082,24 +1082,27 @@ func (e *engine) healthEdge(round int, tr reconcile.Transition) error {
 	return nil
 }
 
-// logUpdate appends an accepted update to the WAL (when there is one). An
-// update that arrived on the wire is logged as that payload, verbatim: a
-// resumed round folds the same bytes the live round did, so nothing is
-// re-encoded and the record is wire-sized; an in-process one has no wire
-// form and logs its weights at full precision. The append is lazy,
-// group-committed by the WAL's syncer; a crash that loses it re-tasks the
-// client on resume, and the recomputation is byte-identical — either way
-// the round's participant set is consistent on disk and in memory.
+// logUpdate appends an accepted update to the WAL (when there is one) as
+// an uplink payload. An update that arrived on the wire is logged as that
+// payload, verbatim: a resumed round folds the same bytes the live round
+// did, so nothing is re-encoded and the record is wire-sized. An
+// in-process one has no wire form and is logged raw-encoded, which is
+// exact. The append is lazy, group-committed by the WAL's syncer; a crash
+// that loses it re-tasks the client on resume, and the recomputation is
+// byte-identical — either way the round's participant set is consistent
+// on disk and in memory.
 func (e *engine) logUpdate(round int, ev event) error {
 	if e.wal == nil {
 		return nil
 	}
 	u, name := ev.update, e.ros.names[ev.id]
 	var err error
-	if u.payload != nil {
-		err = e.wal.AppendUpdatePayload(round, name, u.NumSamples, u.TrainLoss, u.payload)
-	} else {
-		err = e.wal.AppendUpdate(round, name, u.NumSamples, u.TrainLoss, u.PayloadBytes, u.Weights)
+	payload := u.payload
+	if payload == nil {
+		payload, err = EncodeWeights(u.Weights)
+	}
+	if err == nil {
+		err = e.wal.AppendUpdatePayload(round, name, u.NumSamples, u.TrainLoss, payload)
 	}
 	if err != nil {
 		return fmt.Errorf("fl: round %d: %w", round, err)

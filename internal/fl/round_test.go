@@ -507,8 +507,7 @@ type swapParamsExecutor struct {
 	renamed []string
 }
 
-func (s swapParamsExecutor) Name() string    { return s.name }
-func (s swapParamsExecutor) NumSamples() int { return 1 }
+func (s swapParamsExecutor) Name() string { return s.name }
 
 func (s swapParamsExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	w := make(map[string]*tensor.Matrix, len(global))

@@ -72,8 +72,7 @@ type pinExecutor struct {
 	calls      atomic.Int32
 }
 
-func (e *pinExecutor) Name() string    { return e.name }
-func (e *pinExecutor) NumSamples() int { return e.samples }
+func (e *pinExecutor) Name() string { return e.name }
 
 func (e *pinExecutor) ExecuteRound(round int, global map[string]*tensor.Matrix) (*ClientUpdate, error) {
 	e.calls.Add(1)

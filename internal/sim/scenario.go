@@ -261,14 +261,6 @@ var (
 // Name implements fl.Executor.
 func (c *simClient) Name() string { return c.name }
 
-// NumSamples implements fl.Executor.
-func (c *simClient) NumSamples() int {
-	if c.twin != nil {
-		return c.twin.samples
-	}
-	return c.shard.Samples()
-}
-
 // transfer returns the virtual time one message of n payload bytes costs.
 func (c *simClient) transfer(n int) time.Duration {
 	if c.net.NoTransferCost {

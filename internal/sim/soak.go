@@ -27,8 +27,9 @@ import (
 type CrashPoint struct {
 	Round int
 	After durable.RecordType
-	// N is the 1-based occurrence within the segment (e.g. After=RecUpdate,
-	// N=3 crashes once three client updates of the round are on disk).
+	// N is the 1-based occurrence within the segment (e.g.
+	// After=RecUpdatePayload, N=3 crashes once three client updates of the
+	// round are on disk).
 	N int
 }
 
@@ -160,7 +161,7 @@ func SoakCrashScenario(seed int64) SoakScenario {
 			Faults:     FaultProfile{FaultyFraction: 0.25, DropRounds: []int{2, 4}},
 		},
 		Crashes: []CrashPoint{
-			{Round: 1, After: durable.RecUpdate, N: 3},
+			{Round: 1, After: durable.RecUpdatePayload, N: 3},
 			{Round: 3, After: durable.RecRoundOpen, N: 1},
 			{Round: 4, After: durable.RecModelCommit, N: 1},
 		},
