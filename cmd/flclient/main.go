@@ -26,9 +26,7 @@ import (
 
 	"clinfl/internal/core"
 	"clinfl/internal/data"
-	"clinfl/internal/ehr"
 	"clinfl/internal/fl"
-	"clinfl/internal/model"
 	"clinfl/internal/provision"
 )
 
@@ -45,7 +43,7 @@ func run() error {
 		serverAddr = flag.String("server", "localhost:8443", "server address")
 		shard      = flag.Int("shard", 0, "this site's shard index (0-based)")
 		shards     = flag.Int("shards", 8, "total shard count")
-		imbalanced = flag.Bool("imbalanced", true, "use the paper's imbalanced ratios")
+		imbalanced = flag.Bool("imbalanced", true, "use the paper's imbalanced ratios (needs -shards 8; when not given, used only with -shards 8)")
 		modelName  = flag.String("model", "lstm", "model architecture (must match server)")
 		maxLen     = flag.Int("maxlen", 24, "sequence length (must match server)")
 		seed       = flag.Int64("seed", 1, "model/data seed (must match server)")
@@ -66,6 +64,19 @@ func run() error {
 		return fmt.Errorf("shard %d out of range [0,%d)", *shard, *shards)
 	}
 
+	site := siteFlags{
+		model: *modelName, maxLen: *maxLen, seed: *seed, epochs: *epochs, lr: *lr,
+		train: *trainSize, patients: *patients, shards: *shards,
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "imbalanced" {
+			site.imbalanced = imbalanced
+		}
+	})
+	cfg, err := site.config()
+	if err != nil {
+		return err
+	}
 	kit, err := provision.ReadKit(*kitDir)
 	if err != nil {
 		return err
@@ -73,24 +84,14 @@ func run() error {
 
 	// Regenerate the shared synthetic cohort and keep only our shard; the
 	// deterministic seed plays the role of each site's local database.
-	ecfg := ehr.DefaultConfig()
-	ecfg.Seed = *seed
-	ecfg.Patients = *patients
-	ecfg.CorpusSentences = 1 // unused by fine-tuning
-	all, vocab, err := core.EncodeCohort(ecfg, *maxLen, *seed)
+	all, vocab, err := core.EncodeCohort(cfg.EHR, cfg.MaxLen, cfg.Seed)
 	if err != nil {
 		return err
 	}
-	if *trainSize > len(all) {
-		return fmt.Errorf("train size %d exceeds cohort %d", *trainSize, len(all))
+	if cfg.TrainSize > len(all) {
+		return fmt.Errorf("train size %d exceeds cohort %d", cfg.TrainSize, len(all))
 	}
-	trainSet := all[:*trainSize]
-	var parts []data.Dataset
-	if *imbalanced && *shards == len(data.PaperImbalancedRatios) {
-		parts, err = data.PartitionRatios(trainSet, data.PaperImbalancedRatios)
-	} else {
-		parts, err = data.PartitionBalanced(trainSet, *shards)
-	}
+	parts, err := core.Shards(cfg, all[:cfg.TrainSize])
 	if err != nil {
 		return err
 	}
@@ -98,17 +99,7 @@ func run() error {
 	fmt.Printf("flclient %s: local shard %d/%d has %d examples (vocab %d)\n",
 		kit.Name, *shard+1, *shards, len(local), vocab.Size())
 
-	spec, err := model.SpecByName(*modelName)
-	if err != nil {
-		return err
-	}
-	mdl, err := model.New(spec, vocab.Size(), *maxLen, 2, *seed)
-	if err != nil {
-		return err
-	}
-	exec, err := fl.NewClassifierExecutor(kit.Name, mdl, local, nil, fl.LocalConfig{
-		Epochs: *epochs, LR: *lr, ProxMu: *proxMu, Seed: *seed + int64(*shard)*37,
-	})
+	exec, err := core.NewSite(cfg, *shard, kit.Name, local, vocab.Size(), nil, *proxMu)
 	if err != nil {
 		return err
 	}
@@ -143,4 +134,38 @@ func run() error {
 	}
 	fmt.Printf("flclient %s: done\n", kit.Name)
 	return nil
+}
+
+// siteFlags are the flags that shape what this site trains.
+type siteFlags struct {
+	model                                   string
+	maxLen, epochs, train, patients, shards int
+	seed                                    int64
+	lr                                      float64
+	// imbalanced is -imbalanced when it was given, nil when it was not.
+	imbalanced *bool
+}
+
+// config is the recipe config this site trains under: the paper's
+// federated fine-tuning of f.model (core.Default) at the flags' sequence
+// length, seed, cohort, federation size and local settings. Without
+// -imbalanced the paper's ratios apply only to eight shards; an explicit
+// -imbalanced with any other -shards is refused, as core.Config.Validate
+// refuses it.
+func (f siteFlags) config() (core.Config, error) {
+	cfg := core.Default(core.TaskFinetune, core.ModeFederated, f.model)
+	cfg.Clients = f.shards
+	cfg.MaxLen = f.maxLen
+	cfg.Seed = f.seed
+	cfg.LocalEpochs = f.epochs
+	cfg.LR = f.lr
+	cfg.TrainSize = f.train
+	cfg.EHR.Seed = f.seed
+	cfg.EHR.Patients = f.patients
+	cfg.EHR.CorpusSentences = 1 // unused by fine-tuning
+	cfg.Partition = core.PartitionBalanced
+	if f.imbalanced != nil && *f.imbalanced || f.imbalanced == nil && f.shards == len(data.PaperImbalancedRatios) {
+		cfg.Partition = core.PartitionImbalanced
+	}
+	return cfg, cfg.Validate()
 }

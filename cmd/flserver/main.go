@@ -63,9 +63,11 @@ import (
 	"syscall"
 	"time"
 
+	"clinfl/internal/core"
 	"clinfl/internal/fl"
 	"clinfl/internal/fl/durable"
 	"clinfl/internal/metrics"
+	"clinfl/internal/nn"
 	"clinfl/internal/provision"
 )
 
@@ -126,10 +128,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	initial, err := initialWeights(*modelName, *vocabSize, *maxLen, *seed)
+	// The round-0 global model: clients build the same architecture from
+	// the same flags through the same recipe, so shapes always agree.
+	mdl, err := core.NewModel(core.Config{ModelName: *modelName, MaxLen: *maxLen, Seed: *seed}, *vocabSize)
 	if err != nil {
-		return err
+		return fmt.Errorf("build %s: %w", *modelName, err)
 	}
+	initial := nn.SnapshotWeights(mdl.Params())
 	reg := metrics.NewRegistry()
 	var wal *durable.WAL
 	if *walPath != "" {

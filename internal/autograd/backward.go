@@ -96,16 +96,6 @@ func (n *Node) backward() {
 			}
 		}
 
-	case opReLU:
-		if n.a.requiresGrad {
-			dst, xd, ud := n.a.ensureGrad().Data(), n.a.Value.Data(), g.Data()
-			for i, x := range xd {
-				if x > 0 {
-					dst[i] += ud[i]
-				}
-			}
-		}
-
 	case opGELU:
 		if n.a.requiresGrad {
 			dst, xd, ud := n.a.ensureGrad().Data(), n.a.Value.Data(), g.Data()
@@ -201,19 +191,6 @@ func (n *Node) backward() {
 				dst, src := ga.Row(i), g.Row(i-n.iaux)
 				for j, u := range src {
 					dst[j] += u
-				}
-			}
-		}
-
-	case opMeanRows:
-		if rows := n.a.Value.Rows(); rows > 0 && n.a.requiresGrad {
-			ga := n.a.ensureGrad()
-			inv := 1 / float64(rows)
-			src := g.Row(0)
-			for i := 0; i < rows; i++ {
-				dst := ga.Row(i)
-				for j, u := range src {
-					dst[j] += u * inv
 				}
 			}
 		}

@@ -185,17 +185,6 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 	return t.newOp(opSigmoid, v, a, nil, nil)
 }
 
-// ReLU applies max(0, x) elementwise.
-func (t *Tape) ReLU(a *Node) *Node {
-	v := t.apply(a, func(x float64) float64 {
-		if x > 0 {
-			return x
-		}
-		return 0
-	})
-	return t.newOp(opReLU, v, a, nil, nil)
-}
-
 // geluCoeff is sqrt(2/pi) used by the tanh approximation of GELU.
 var geluCoeff = math.Sqrt(2 / math.Pi)
 
@@ -329,26 +318,6 @@ func (t *Tape) SliceRows(a *Node, lo, hi int) (*Node, error) {
 	n := t.newOp(opSliceRows, v, a, nil, nil)
 	n.iaux, n.jaux = lo, hi
 	return n, nil
-}
-
-// MeanRows returns a 1×C node holding the column means of a; used for mean
-// pooling over sequence positions.
-func (t *Tape) MeanRows(a *Node) *Node {
-	rows, cols := a.Value.Rows(), a.Value.Cols()
-	v := t.newMatrix(1, cols)
-	vd := v.Data()
-	for i := 0; i < rows; i++ {
-		for j, x := range a.Value.Row(i) {
-			vd[j] += x
-		}
-	}
-	if rows > 0 {
-		inv := 1 / float64(rows)
-		for j := range vd {
-			vd[j] *= inv
-		}
-	}
-	return t.newOp(opMeanRows, v, a, nil, nil)
 }
 
 // Mean returns the scalar mean of all elements of a.

@@ -121,14 +121,6 @@ func TestActivationGrads(t *testing.T) {
 	}
 }
 
-func TestReLUGradAwayFromKink(t *testing.T) {
-	// Keep values away from 0 where ReLU is non-differentiable.
-	x := tensor.MustFromSlice(2, 3, []float64{-2, -1, -0.5, 0.5, 1, 2})
-	checkGrad(t, []*tensor.Matrix{x}, func(tp *Tape, ns []*Node) (*Node, error) {
-		return tp.Mean(tp.ReLU(ns[0])), nil
-	})
-}
-
 func TestSoftmaxRowsGrad(t *testing.T) {
 	x := tensor.NewRNG(7).Normal(3, 5, 0, 1)
 	checkGrad(t, []*tensor.Matrix{x}, func(tp *Tape, ns []*Node) (*Node, error) {
@@ -290,18 +282,6 @@ func TestSliceGrads(t *testing.T) {
 			return nil, err
 		}
 		sq, err := tp.Mul(r, r)
-		if err != nil {
-			return nil, err
-		}
-		return tp.Mean(sq), nil
-	})
-}
-
-func TestMeanRowsGrad(t *testing.T) {
-	x := tensor.NewRNG(15).Normal(5, 3, 0, 1)
-	checkGrad(t, []*tensor.Matrix{x}, func(tp *Tape, ns []*Node) (*Node, error) {
-		m := tp.MeanRows(ns[0])
-		sq, err := tp.Mul(m, m)
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,6 @@ const (
 	opAddRowVector
 	opTanh
 	opSigmoid
-	opReLU
 	opGELU
 	opSoftmaxRows
 	opLayerNorm // a=x, b=gain, c=bias; m1 = xhat, m2 = 1×rows inverse std
@@ -54,7 +53,6 @@ const (
 	opConcatRows // parents
 	opSliceCols  // iaux=lo, jaux=hi
 	opSliceRows  // iaux=lo, jaux=hi
-	opMeanRows
 	opMean
 	opSumScalars // parents
 	opDropout    // m1 = mask
@@ -85,9 +83,6 @@ type Node struct {
 	m1, m2       *tensor.Matrix // saved forward aux (pre-activation, probs, mask, xhat...)
 	tape         *Tape
 }
-
-// RequiresGrad reports whether gradients flow into this node.
-func (n *Node) RequiresGrad() bool { return n.requiresGrad }
 
 // ensureGrad allocates the gradient buffer on first use.
 func (n *Node) ensureGrad() *tensor.Matrix {

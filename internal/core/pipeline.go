@@ -193,50 +193,14 @@ func AccuracyValidator(m model.Classifier, valid data.Dataset) func(map[string]*
 	}
 }
 
-// newClassifier instantiates the configured Table II model.
-func (p *Pipeline) newClassifier(vocabSize int, seed int64) (model.Classifier, error) {
-	spec, err := model.SpecByName(p.cfg.ModelName)
-	if err != nil {
-		return nil, err
-	}
-	return model.New(spec, vocabSize, p.cfg.MaxLen, 2, seed)
-}
-
-// localConfig builds the per-client training configuration.
-func (p *Pipeline) localConfig(timing *metrics.Timing) fl.LocalConfig {
-	lc := fl.LocalConfig{
-		Epochs:    p.cfg.LocalEpochs,
-		LR:        p.cfg.LR,
-		BatchSize: p.cfg.BatchSize,
-		ClipNorm:  p.cfg.ClipNorm,
-		Seed:      p.cfg.Seed,
-	}
-	if timing != nil {
-		lc.EpochHook = func(_ string, _, _ int, d time.Duration) { timing.Add(d) }
-	}
-	return lc
-}
-
-// partition splits the training set per the configured scheme.
-func (p *Pipeline) partition(train data.Dataset) ([]data.Dataset, error) {
-	switch p.cfg.Partition {
-	case PartitionBalanced:
-		return data.PartitionBalanced(train, p.cfg.Clients)
-	case PartitionImbalanced:
-		return data.PartitionRatios(train, data.PaperImbalancedRatios)
-	default:
-		return nil, fmt.Errorf("core: unknown partition %q", p.cfg.Partition)
-	}
-}
-
-// partitionIDs splits pretraining sequences per the configured scheme,
-// partitioning an index dataset so the ratio logic stays in partition.
-func (p *Pipeline) partitionIDs(train [][]int) ([][][]int, error) {
+// partitionIDs splits pretraining sequences with Shards, partitioning an
+// index dataset so the ratio logic stays in one place.
+func partitionIDs(cfg Config, train [][]int) ([][][]int, error) {
 	idx := make(data.Dataset, len(train))
 	for i := range idx {
 		idx[i] = data.Example{Label: i}
 	}
-	parts, err := p.partition(idx)
+	parts, err := Shards(cfg, idx)
 	if err != nil {
 		return nil, err
 	}
@@ -250,6 +214,31 @@ func (p *Pipeline) partitionIDs(train [][]int) ([][][]int, error) {
 	}
 	return out, nil
 }
+
+// federate builds sites first..first+n-1 with site, then runs them
+// together for cfg.Rounds rounds from initial, scoring each round's global
+// model with validate. Every mode of both tasks trains through here.
+func (p *Pipeline) federate(ctx context.Context, first, n int, site func(i int) (fl.Executor, error),
+	validate func(map[string]*tensor.Matrix) (float64, error), initial map[string]*tensor.Matrix) (*fl.Result, error) {
+	sites := make([]fl.Executor, n)
+	for k := range sites {
+		var err error
+		if sites[k], err = site(first + k); err != nil {
+			return nil, err
+		}
+	}
+	ctrl, err := fl.NewController(fl.ControllerConfig{
+		Rounds:   p.cfg.Rounds,
+		Validate: validate,
+	}, sites)
+	if err != nil {
+		return nil, err
+	}
+	return ctrl.Run(ctx, initial)
+}
+
+// siteName names site i as every in-process run does.
+func siteName(i int) string { return fmt.Sprintf("site-%d", i+1) }
 
 // ---- fine-tuning (Table III) ----
 
@@ -266,50 +255,46 @@ func (p *Pipeline) runFinetune(ctx context.Context) (*Report, error) {
 		EpochTimes: metrics.NewTiming("local_epoch"),
 	}
 
-	valModel, err := p.newClassifier(vocabSize, p.cfg.Seed)
+	valModel, err := NewModel(p.cfg, vocabSize)
 	if err != nil {
 		return nil, err
 	}
 	validate := AccuracyValidator(valModel, validSet)
-
-	switch p.cfg.Mode {
-	case ModeStandalone:
-		return p.runStandaloneFinetune(ctx, rep, trainSet, validate)
-	case ModeCentralized, ModeFederated:
-	default:
-		return nil, fmt.Errorf("core: unknown mode %q", p.cfg.Mode)
-	}
+	initial := nn.SnapshotWeights(valModel.Params())
 
 	shards := []data.Dataset{trainSet}
-	if p.cfg.Mode == ModeFederated {
-		if shards, err = p.partition(trainSet); err != nil {
+	if p.cfg.Mode != ModeCentralized {
+		if shards, err = Shards(p.cfg, trainSet); err != nil {
 			return nil, err
 		}
 	}
-	executors := make([]fl.Executor, len(shards))
-	for i, shard := range shards {
-		mdl, err := p.newClassifier(vocabSize, p.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		lc := p.localConfig(rep.EpochTimes)
-		lc.Seed = p.cfg.Seed + int64(i)*37
-		exec, err := fl.NewClassifierExecutor(fmt.Sprintf("site-%d", i+1), mdl, shard, nil, lc)
-		if err != nil {
-			return nil, err
-		}
-		executors[i] = exec
+	hook := epochTimer(rep.EpochTimes)
+	site := func(i int) (fl.Executor, error) {
+		return NewSite(p.cfg, i, siteName(i), shards[i], vocabSize, hook, 0)
 	}
 
-	ctrl, err := fl.NewController(fl.ControllerConfig{
-		Rounds:   p.cfg.Rounds,
-		Validate: validate,
-	}, executors)
-	if err != nil {
-		return nil, err
+	if p.cfg.Mode == ModeStandalone {
+		// Each site trains alone; the report is the sample-weighted mean.
+		limit := p.cfg.StandaloneLimit
+		if limit <= 0 || limit > len(shards) {
+			limit = len(shards)
+		}
+		var accSum, weightSum float64
+		for i := 0; i < limit; i++ {
+			res, err := p.federate(ctx, i, 1, site, validate, initial)
+			if err != nil {
+				return nil, fmt.Errorf("core: standalone %s: %w", siteName(i), err)
+			}
+			acc := res.History.BestScore
+			rep.PerSite = append(rep.PerSite, SiteResult{Site: siteName(i), Samples: len(shards[i]), Accuracy: acc})
+			accSum += acc * float64(len(shards[i]))
+			weightSum += float64(len(shards[i]))
+		}
+		rep.Accuracy = accSum / weightSum
+		return rep, nil
 	}
-	initial := nn.SnapshotWeights(valModel.Params())
-	res, err := ctrl.Run(ctx, initial)
+
+	res, err := p.federate(ctx, 0, len(shards), site, validate, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -322,48 +307,10 @@ func (p *Pipeline) runFinetune(ctx context.Context) (*Report, error) {
 	return rep, nil
 }
 
-// runStandaloneFinetune trains each site alone and reports the
-// sample-weighted mean validation accuracy.
-func (p *Pipeline) runStandaloneFinetune(ctx context.Context, rep *Report, trainSet data.Dataset, validate func(map[string]*tensor.Matrix) (float64, error)) (*Report, error) {
-	shards, err := p.partition(trainSet)
-	if err != nil {
-		return nil, err
-	}
-	limit := p.cfg.StandaloneLimit
-	if limit <= 0 || limit > len(shards) {
-		limit = len(shards)
-	}
-	var accSum, weightSum float64
-	for i := 0; i < limit; i++ {
-		mdl, err := p.newClassifier(rep.VocabSize, p.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		lc := p.localConfig(rep.EpochTimes)
-		lc.Seed = p.cfg.Seed + int64(i)*37
-		site := fmt.Sprintf("site-%d", i+1)
-		exec, err := fl.NewClassifierExecutor(site, mdl, shards[i], nil, lc)
-		if err != nil {
-			return nil, err
-		}
-		ctrl, err := fl.NewController(fl.ControllerConfig{
-			Rounds:   p.cfg.Rounds,
-			Validate: validate,
-		}, []fl.Executor{exec})
-		if err != nil {
-			return nil, err
-		}
-		res, err := ctrl.Run(ctx, nn.SnapshotWeights(mdl.Params()))
-		if err != nil {
-			return nil, fmt.Errorf("core: standalone %s: %w", site, err)
-		}
-		acc := res.History.BestScore
-		rep.PerSite = append(rep.PerSite, SiteResult{Site: site, Samples: len(shards[i]), Accuracy: acc})
-		accSum += acc * float64(len(shards[i]))
-		weightSum += float64(len(shards[i]))
-	}
-	rep.Accuracy = accSum / weightSum
-	return rep, nil
+// epochTimer is the pipeline's epoch hook: it adds each local epoch's
+// wall-clock time to timing.
+func epochTimer(timing *metrics.Timing) func(string, int, int, time.Duration) {
+	return func(_ string, _, _ int, d time.Duration) { timing.Add(d) }
 }
 
 // ---- pretraining (Fig. 2) ----
@@ -385,23 +332,7 @@ func (p *Pipeline) runPretrain(ctx context.Context) (*Report, error) {
 	}
 	maskCfg := mlm.DefaultConfig(vocabSize)
 
-	newBERT := func(seed int64) (*model.BERT, error) {
-		spec, err := model.SpecByName(p.cfg.ModelName)
-		if err != nil {
-			return nil, err
-		}
-		c, err := model.New(spec, vocabSize, p.cfg.MaxLen, 2, seed)
-		if err != nil {
-			return nil, err
-		}
-		b, ok := c.(*model.BERT)
-		if !ok {
-			return nil, fmt.Errorf("core: %s is not a BERT-family model", p.cfg.ModelName)
-		}
-		return b, nil
-	}
-
-	evalModel, err := newBERT(p.cfg.Seed)
+	evalModel, err := newPretrainer(p.cfg, vocabSize)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +353,8 @@ func (p *Pipeline) runPretrain(ctx context.Context) (*Report, error) {
 	}
 	// Record the untrained baseline (round -1 in spirit; plotted at 0 with
 	// trained rounds at 1..E). The paper's Fig. 2 starting loss ≈ ln|V|.
-	baseLoss, err := evalLoss(nn.SnapshotWeights(evalModel.Params()))
+	initial := nn.SnapshotWeights(evalModel.Params())
+	baseLoss, err := evalLoss(initial)
 	if err != nil {
 		return nil, err
 	}
@@ -436,50 +368,23 @@ func (p *Pipeline) runPretrain(ctx context.Context) (*Report, error) {
 		return -loss, nil // higher is better for model selection
 	}
 
-	var shards [][][]int
-	switch p.cfg.Mode {
-	case ModeCentralized:
-		shards = [][][]int{trainSeqs}
-	case ModeFederated:
-		if shards, err = p.partitionIDs(trainSeqs); err != nil {
+	shards := [][][]int{trainSeqs}
+	if p.cfg.Mode != ModeCentralized {
+		if shards, err = partitionIDs(p.cfg, trainSeqs); err != nil {
 			return nil, err
 		}
-	case ModeStandalone:
+	}
+	n := len(shards)
+	if p.cfg.Mode == ModeStandalone {
 		// The paper's "BERT utilizing a small dataset": one site training
-		// alone on a balanced-shard-sized subset.
-		allShards, err := p.partitionIDs(trainSeqs)
-		if err != nil {
-			return nil, err
-		}
-		limit := p.cfg.StandaloneLimit
-		if limit <= 0 || limit > 1 {
-			limit = 1
-		}
-		shards = allShards[:limit]
+		// alone on the first shard.
+		n = 1
 	}
-
-	executors := make([]fl.Executor, len(shards))
-	for i, shard := range shards {
-		mdl, err := newBERT(p.cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		lc := p.localConfig(rep.EpochTimes)
-		lc.Seed = p.cfg.Seed + int64(i)*37
-		exec, err := fl.NewMLMExecutor(fmt.Sprintf("site-%d", i+1), mdl, mdl.Params(), shard, maskCfg, lc)
-		if err != nil {
-			return nil, err
-		}
-		executors[i] = exec
+	hook := epochTimer(rep.EpochTimes)
+	site := func(i int) (fl.Executor, error) {
+		return newMLMSite(p.cfg, i, siteName(i), shards[i], vocabSize, maskCfg, hook)
 	}
-	ctrl, err := fl.NewController(fl.ControllerConfig{
-		Rounds:   p.cfg.Rounds,
-		Validate: validate,
-	}, executors)
-	if err != nil {
-		return nil, err
-	}
-	res, err := ctrl.Run(ctx, nn.SnapshotWeights(evalModel.Params()))
+	res, err := p.federate(ctx, 0, n, site, validate, initial)
 	if err != nil {
 		return nil, err
 	}

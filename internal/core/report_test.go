@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"clinfl/internal/data"
 	"clinfl/internal/ehr"
+	"clinfl/internal/fl"
 	"clinfl/internal/metrics"
 )
 
@@ -75,12 +77,8 @@ func TestPreparePretrainEncodes(t *testing.T) {
 
 func TestPartitionDispatch(t *testing.T) {
 	cfg := tinyConfig(TaskFinetune, ModeFederated, "lstm")
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ds := make(data.Dataset, 100)
-	imb, err := p.partition(ds)
+	imb, err := Shards(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +87,7 @@ func TestPartitionDispatch(t *testing.T) {
 	}
 
 	cfg.Partition = PartitionBalanced
-	p2, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bal, err := p2.partition(ds)
+	bal, err := Shards(cfg, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,15 +104,11 @@ func TestPartitionDispatch(t *testing.T) {
 func TestPartitionIDsPreservesSequences(t *testing.T) {
 	cfg := tinyConfig(TaskPretrain, ModeFederated, "bert-mini")
 	cfg.Partition = PartitionBalanced
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	seqs := make([][]int, 64)
 	for i := range seqs {
 		seqs[i] = []int{i, i + 1}
 	}
-	shards, err := p.partitionIDs(seqs)
+	shards, err := partitionIDs(cfg, seqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +131,8 @@ func TestPartitionIDsPreservesSequences(t *testing.T) {
 
 func TestLocalConfigTimingHook(t *testing.T) {
 	cfg := tinyConfig(TaskFinetune, ModeCentralized, "lstm")
-	p, err := NewPipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	timing := metrics.NewTiming("test")
-	lc := p.localConfig(timing)
+	lc := siteConfig(cfg, 3, epochTimer(timing), 0.5)
 	if lc.EpochHook == nil {
 		t.Fatal("no epoch hook wired")
 	}
@@ -154,8 +140,17 @@ func TestLocalConfigTimingHook(t *testing.T) {
 	if timing.Count() != 1 {
 		t.Fatal("hook did not record")
 	}
-	if p.localConfig(nil).EpochHook != nil {
-		t.Fatal("nil timing should not wire a hook")
+	if siteConfig(cfg, 0, nil, 0).EpochHook != nil {
+		t.Fatal("nil hook should not wire one")
+	}
+	// Site 3 trains on cfg's local settings with seed Seed + 3·37.
+	lc.EpochHook = nil
+	want := fl.LocalConfig{
+		Epochs: cfg.LocalEpochs, LR: cfg.LR, BatchSize: cfg.BatchSize,
+		ClipNorm: cfg.ClipNorm, ProxMu: 0.5, Seed: cfg.Seed + 111,
+	}
+	if !reflect.DeepEqual(lc, want) {
+		t.Fatalf("site config %+v, want %+v", lc, want)
 	}
 }
 

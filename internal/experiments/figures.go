@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"clinfl/internal/core"
-	"clinfl/internal/data"
 	"clinfl/internal/fl"
 	"clinfl/internal/metrics"
-	"clinfl/internal/model"
 	"clinfl/internal/nn"
 	"clinfl/internal/provision"
 )
@@ -149,16 +147,11 @@ func RunFig3(ctx context.Context, w io.Writer, scale Scale) (*Fig3Result, error)
 	if err != nil {
 		return nil, err
 	}
-	shards, err := data.PartitionRatios(trainSet, data.PaperImbalancedRatios)
+	shards, err := core.Shards(cfg, trainSet)
 	if err != nil {
 		return nil, err
 	}
-
-	spec, err := model.SpecByName(cfg.ModelName)
-	if err != nil {
-		return nil, err
-	}
-	valModel, err := model.New(spec, vocab.Size(), cfg.MaxLen, 2, cfg.Seed)
+	valModel, err := core.NewModel(cfg, vocab.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -180,20 +173,12 @@ func RunFig3(ctx context.Context, w io.Writer, scale Scale) (*Fig3Result, error)
 	logf("server: listening on %s (mutual TLS, token auth)", srv.Addr())
 
 	clientErr := make(chan error, cfg.Clients)
+	logEpoch := func(client string, round, epoch int, d time.Duration) {
+		epochTimes.Add(d)
+		logf("client %s: round %d local epoch %d took %v", client, round, epoch, d.Round(time.Millisecond))
+	}
 	for i, name := range clientNames {
-		mdl, err := model.New(spec, vocab.Size(), cfg.MaxLen, 2, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		lc := fl.LocalConfig{
-			Epochs: cfg.LocalEpochs, LR: cfg.LR, BatchSize: cfg.BatchSize,
-			ClipNorm: cfg.ClipNorm, Seed: cfg.Seed + int64(i)*37,
-			EpochHook: func(client string, round, epoch int, d time.Duration) {
-				epochTimes.Add(d)
-				logf("client %s: round %d local epoch %d took %v", client, round, epoch, d.Round(time.Millisecond))
-			},
-		}
-		exec, err := fl.NewClassifierExecutor(name, mdl, shards[i], nil, lc)
+		exec, err := core.NewSite(cfg, i, name, shards[i], vocab.Size(), logEpoch, 0)
 		if err != nil {
 			return nil, err
 		}

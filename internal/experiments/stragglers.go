@@ -8,9 +8,7 @@ import (
 	"time"
 
 	"clinfl/internal/core"
-	"clinfl/internal/data"
 	"clinfl/internal/fl"
-	"clinfl/internal/model"
 	"clinfl/internal/nn"
 	"clinfl/internal/tensor"
 )
@@ -64,8 +62,8 @@ type StragglerResult struct {
 }
 
 // RunStragglerSweep executes the sweep: one shared data/model setup, one
-// federation per scheme, with client 4 wrapped in a fault injector that
-// delays every round by delay. Results are deterministic for a fixed
+// federation per scheme, with client 4 a lateSite that starts every round
+// delay late. Results are deterministic for a fixed
 // seed: the async schemes drop the straggler (it never aggregates), and
 // each local step runs on one tape, so gradients do not depend on
 // GOMAXPROCS.
@@ -90,15 +88,11 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 	if err != nil {
 		return nil, err
 	}
-	shards, err := data.PartitionBalanced(trainSet, cfg.Clients)
+	shards, err := core.Shards(cfg, trainSet)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := model.SpecByName(cfg.ModelName)
-	if err != nil {
-		return nil, err
-	}
-	valModel, err := model.New(spec, vocab.Size(), cfg.MaxLen, 2, cfg.Seed)
+	valModel, err := core.NewModel(cfg, vocab.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -112,21 +106,14 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 		}
 		executors := make([]fl.Executor, cfg.Clients)
 		for i := range executors {
-			mdl, err := model.New(spec, vocab.Size(), cfg.MaxLen, 2, cfg.Seed)
-			if err != nil {
-				return nil, err
-			}
-			exec, err := fl.NewClassifierExecutor(fmt.Sprintf("site-%d", i+1), mdl, shards[i], nil, fl.LocalConfig{
-				Epochs: cfg.LocalEpochs, LR: cfg.LR, BatchSize: cfg.BatchSize,
-				ClipNorm: cfg.ClipNorm, Seed: cfg.Seed + int64(i)*37,
-			})
+			exec, err := core.NewSite(cfg, i, fmt.Sprintf("site-%d", i+1), shards[i], vocab.Size(), nil, 0)
 			if err != nil {
 				return nil, err
 			}
 			executors[i] = codecSite{Executor: exec, codec: codec}
 		}
 		// Client 4 is the straggler: every round arrives delay late.
-		executors[cfg.Clients-1] = fl.WrapFaulty(executors[cfg.Clients-1], fl.FaultConfig{Delay: delay})
+		executors[cfg.Clients-1] = lateSite{Executor: executors[cfg.Clients-1], delay: delay}
 
 		ctrlCfg := fl.ControllerConfig{
 			Rounds:   cfg.Rounds,
@@ -194,6 +181,19 @@ func (s codecSite) ExecuteRound(round int, global map[string]*tensor.Matrix) (*f
 	}
 	u.PayloadBytes = len(blob)
 	return u, nil
+}
+
+// lateSite is the sweep's straggler: it sleeps delay before every round.
+// The sleep is real, so the sweep runs on the real clock.
+type lateSite struct {
+	fl.Executor
+	delay time.Duration
+}
+
+// ExecuteRound implements fl.Executor.
+func (s lateSite) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+	time.Sleep(s.delay)
+	return s.Executor.ExecuteRound(round, global)
 }
 
 // Run implements Runner.

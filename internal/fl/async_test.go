@@ -118,43 +118,3 @@ func TestControllerAggregationOrderIsCanonical(t *testing.T) {
 		}
 	}
 }
-
-func TestFaultyExecutorInjectsDropsAndDelays(t *testing.T) {
-	inner := &fakeExecutor{name: "x", samples: 5, value: 2}
-	f := WrapFaulty(inner, FaultConfig{
-		Delay:       50 * time.Millisecond,
-		DelayRounds: []int{1},
-		DropRounds:  []int{2},
-	})
-	if f.Name() != "x" {
-		t.Fatal("wrapper must be transparent for identity")
-	}
-	start := time.Now()
-	if u, err := f.ExecuteRound(0, initialWeights()); err != nil {
-		t.Fatal(err)
-	} else if u.NumSamples != 5 {
-		t.Fatalf("wrapped update claims %d samples, want the inner executor's 5", u.NumSamples)
-	}
-	if time.Since(start) > 40*time.Millisecond {
-		t.Fatal("round 0 should not be delayed")
-	}
-	start = time.Now()
-	if _, err := f.ExecuteRound(1, initialWeights()); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 50*time.Millisecond {
-		t.Fatal("round 1 delay not injected")
-	}
-	if _, err := f.ExecuteRound(2, initialWeights()); err == nil ||
-		!strings.Contains(err.Error(), "injected dropout") {
-		t.Fatalf("round 2 should drop, got %v", err)
-	}
-	if inner.calls != 2 {
-		t.Fatalf("inner executed %d rounds, want 2 (drop short-circuits)", inner.calls)
-	}
-
-	always := WrapFaulty(&fakeExecutor{name: "y"}, FaultConfig{DropProb: 1, Seed: 9})
-	if _, err := always.ExecuteRound(0, initialWeights()); err == nil {
-		t.Fatal("DropProb=1 must always fail")
-	}
-}

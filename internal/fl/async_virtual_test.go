@@ -269,17 +269,16 @@ func TestVirtualStragglerLegacyTimeout(t *testing.T) {
 	}
 }
 
-// TestVirtualClockRejectsNonPlanner: WrapFaulty's delays are real sleeps
-// the virtual clock cannot order, so NewController refuses the wrapped
-// executor on a virtual clock, naming it, while the bare Planner is
-// accepted.
+// TestVirtualClockRejectsNonPlanner: a plain Executor's round runs on a
+// goroutine the virtual clock cannot order, so NewController refuses it on
+// a virtual clock, naming it, while the bare Planner is accepted.
 func TestVirtualClockRejectsNonPlanner(t *testing.T) {
 	inner := &vexec{name: "x", samples: 5, value: 2}
-	faulty := fl.WrapFaulty(inner, fl.FaultConfig{Delay: 10 * time.Minute})
+	plain := struct{ fl.Executor }{inner} // hides PlanRound
 	cfg := fl.ControllerConfig{Rounds: 1, Clock: sim.NewVirtualClock()}
-	_, err := fl.NewController(cfg, []fl.Executor{faulty})
+	_, err := fl.NewController(cfg, []fl.Executor{plain})
 	if err == nil || !strings.Contains(err.Error(), `"x"`) || !strings.Contains(err.Error(), "Planner") {
-		t.Fatalf("NewController(virtual clock, WrapFaulty executor) = %v, want a rejection naming \"x\"", err)
+		t.Fatalf("NewController(virtual clock, plain executor) = %v, want a rejection naming \"x\"", err)
 	}
 	if _, err := fl.NewController(cfg, []fl.Executor{inner}); err != nil {
 		t.Fatalf("Planner rejected on a virtual clock: %v", err)

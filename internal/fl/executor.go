@@ -35,8 +35,8 @@ type Executor interface {
 // returns at once with the round's outcome and the offset from now at
 // which that outcome arrives; the Controller posts it as one
 // Clock.AfterFunc event instead of running ExecuteRound on a goroutine.
-// Executors that really block (training, WrapFaulty's injected delays) stay
-// plain Executors and run only on the real clock.
+// Executors that really block (local training, or a wrapper that sleeps
+// to play a straggler) stay plain Executors and run only on the real clock.
 type Planner interface {
 	PlanRound(round int, global map[string]*tensor.Matrix) (time.Duration, *ClientUpdate, error)
 }

@@ -307,8 +307,7 @@ func TestRoundToleratesCorruptAndDroppedClients(t *testing.T) {
 		"good":    &fakeExecutor{name: "good", samples: 10, value: 1},
 		"extra":   &fakeExecutor{name: "extra", samples: 30, value: 2},
 		"corrupt": &fakeExecutor{name: "corrupt", samples: 50, value: 9},
-		"dropper": WrapFaulty(&fakeExecutor{name: "dropper", samples: 50, value: 9},
-			FaultConfig{DropRounds: []int{0}}),
+		"dropper": &fakeExecutor{name: "dropper", samples: 50, value: 9, fail: true},
 	}
 	// Up-direction message 0 is the registration; message 1 — the round-0
 	// update — arrives bit-flipped, so the server's read of it fails.

@@ -33,103 +33,6 @@ func Accuracy(preds, labels []int) (float64, error) {
 	return float64(hit) / float64(len(preds)), nil
 }
 
-// Confusion is a binary-classification confusion matrix.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// NewConfusion tallies preds against labels (1 = positive class).
-func NewConfusion(preds, labels []int) (Confusion, error) {
-	if len(preds) != len(labels) {
-		return Confusion{}, fmt.Errorf("%w: %d preds vs %d labels", ErrLength, len(preds), len(labels))
-	}
-	var c Confusion
-	for i, p := range preds {
-		switch {
-		case p == 1 && labels[i] == 1:
-			c.TP++
-		case p == 1 && labels[i] == 0:
-			c.FP++
-		case p == 0 && labels[i] == 0:
-			c.TN++
-		default:
-			c.FN++
-		}
-	}
-	return c, nil
-}
-
-// Precision returns TP/(TP+FP), or 0 when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), or 0 when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// AUC computes the area under the ROC curve from positive-class scores.
-func AUC(scores []float64, labels []int) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("%w: %d scores vs %d labels", ErrLength, len(scores), len(labels))
-	}
-	type pair struct {
-		s float64
-		y int
-	}
-	ps := make([]pair, len(scores))
-	var pos, neg int
-	for i := range scores {
-		ps[i] = pair{scores[i], labels[i]}
-		if labels[i] == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	if pos == 0 || neg == 0 {
-		return 0, errors.New("metrics: AUC needs both classes")
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].s < ps[j].s })
-	// Rank-sum (Mann–Whitney) formulation with tie-averaged ranks.
-	ranks := make([]float64, len(ps))
-	for i := 0; i < len(ps); {
-		j := i
-		for j < len(ps) && ps[j].s == ps[i].s {
-			j++
-		}
-		avg := float64(i+j-1)/2 + 1
-		for k := i; k < j; k++ {
-			ranks[k] = avg
-		}
-		i = j
-	}
-	var rankSum float64
-	for i, p := range ps {
-		if p.y == 1 {
-			rankSum += ranks[i]
-		}
-	}
-	u := rankSum - float64(pos)*float64(pos+1)/2
-	return u / (float64(pos) * float64(neg)), nil
-}
-
 // Point is one sample of a training curve.
 type Point struct {
 	Step  int

@@ -28,66 +28,6 @@ func TestAccuracyErrors(t *testing.T) {
 	}
 }
 
-func TestConfusion(t *testing.T) {
-	c, err := NewConfusion([]int{1, 1, 0, 0, 1}, []int{1, 0, 0, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.TP != 2 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
-		t.Fatalf("confusion %+v", c)
-	}
-	if p := c.Precision(); math.Abs(p-2.0/3) > 1e-12 {
-		t.Fatalf("precision %v", p)
-	}
-	if r := c.Recall(); math.Abs(r-2.0/3) > 1e-12 {
-		t.Fatalf("recall %v", r)
-	}
-	if f := c.F1(); math.Abs(f-2.0/3) > 1e-12 {
-		t.Fatalf("f1 %v", f)
-	}
-}
-
-func TestConfusionDegenerate(t *testing.T) {
-	c := Confusion{}
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
-		t.Fatal("degenerate confusion should return zeros")
-	}
-}
-
-func TestAUCPerfectAndRandom(t *testing.T) {
-	auc, err := AUC([]float64{0.9, 0.8, 0.2, 0.1}, []int{1, 1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 1 {
-		t.Fatalf("perfect AUC %v", auc)
-	}
-	auc, err = AUC([]float64{0.1, 0.2, 0.8, 0.9}, []int{1, 1, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 0 {
-		t.Fatalf("inverted AUC %v", auc)
-	}
-	// All-tied scores give 0.5 by the tie-averaged rank convention.
-	auc, err = AUC([]float64{0.5, 0.5, 0.5, 0.5}, []int{1, 0, 1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(auc-0.5) > 1e-12 {
-		t.Fatalf("tied AUC %v, want 0.5", auc)
-	}
-}
-
-func TestAUCErrors(t *testing.T) {
-	if _, err := AUC([]float64{0.5}, []int{1, 0}); !errors.Is(err, ErrLength) {
-		t.Fatalf("want ErrLength, got %v", err)
-	}
-	if _, err := AUC([]float64{0.5, 0.6}, []int{1, 1}); err == nil {
-		t.Fatal("want error for single-class labels")
-	}
-}
-
 func TestCurve(t *testing.T) {
 	c := &Curve{Name: "loss"}
 	if !math.IsNaN(c.Last()) || !math.IsNaN(c.First()) || !math.IsNaN(c.Min()) {

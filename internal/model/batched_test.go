@@ -134,18 +134,10 @@ func TestBatchedPredictMatchesPerSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := b.PredictProbs(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, ex := range batch {
 		ref := perSeqClassifyLogits(t, b, nn.NewCtx(false, nil), ex)
 		if want := tensor.ArgmaxRows(ref.Value)[0]; preds[i] != want {
 			t.Fatalf("example %d: batched pred %d vs per-sequence %d", i, preds[i], want)
-		}
-		refProbs := tensor.SoftmaxRows(ref.Value)
-		if math.Abs(probs[i]-refProbs.At(0, 1)) > 1e-9 {
-			t.Fatalf("example %d: batched prob %v vs per-sequence %v", i, probs[i], refProbs.At(0, 1))
 		}
 	}
 }

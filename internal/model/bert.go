@@ -67,8 +67,8 @@ type BERT struct {
 
 	params []*nn.Param
 
-	// evalMu/evalFree recycle arena-backed eval contexts across Predict /
-	// PredictProbs calls, so steady-state inference reuses every tape node
+	// evalMu/evalFree recycle arena-backed eval contexts across Predict
+	// calls, so steady-state inference reuses every tape node
 	// and activation matrix instead of rebuilding the graph on the heap.
 	// A plain free list rather than sync.Pool: the GC empties a sync.Pool
 	// on every cycle, and training rounds GC often enough that eval ctxs
@@ -260,21 +260,6 @@ func (b *BERT) Predict(batch []data.Example) ([]int, error) {
 		am := tensor.ArgmaxRows(logits)
 		for i, j := range idx {
 			out[j] = am[i]
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PredictProbs returns positive-class probabilities for AUC computation.
-func (b *BERT) PredictProbs(batch []data.Example) ([]float64, error) {
-	out := make([]float64, len(batch))
-	err := b.evalLogits(batch, func(idx []int, logits *tensor.Matrix) {
-		probs := tensor.SoftmaxRows(logits)
-		for i, j := range idx {
-			out[j] = probs.At(i, 1)
 		}
 	})
 	if err != nil {

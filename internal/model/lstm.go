@@ -159,21 +159,3 @@ func (m *LSTMClassifier) Predict(batch []data.Example) ([]int, error) {
 	}
 	return tensor.ArgmaxRows(logits.Value), nil
 }
-
-// PredictProbs returns positive-class probabilities for AUC computation.
-func (m *LSTMClassifier) PredictProbs(batch []data.Example) ([]float64, error) {
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	ctx := nn.NewCtx(false, nil)
-	logits, err := m.logitsBatch(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	probs := tensor.SoftmaxRows(logits.Value)
-	out := make([]float64, len(batch))
-	for i := range out {
-		out[i] = probs.At(i, 1)
-	}
-	return out, nil
-}

@@ -96,9 +96,6 @@ func NewAdam(lr float64) *Adam {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
 
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }
-
 // Step implements Optimizer. The fused loop reuses the moment buffers the
 // optimizer already owns; all per-step constants (decay complements, bias-
 // correction reciprocals, the weight-decay branch) are hoisted out of the

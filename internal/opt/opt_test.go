@@ -64,9 +64,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	if x := math.Abs(p.W.At(0, 0)); x > 1e-2 {
 		t.Fatalf("Adam did not converge: |x| = %v", x)
 	}
-	if a.StepCount() != 200 {
-		t.Fatalf("step count %d", a.StepCount())
-	}
 }
 
 func TestAdamFirstStepIsLRSized(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package sched implements the persistent fork-join compute runtime the
 // training stack runs on: a pool of long-lived worker goroutines (one per
-// P) that the tensor kernels share, plus a work-queue Fan that the
-// simulation grid sweep uses.
+// P) that the tensor kernels share.
 //
 // Training parallelism has two levels. Across sites, the federation runs
 // one goroutine per executor, and each site's training step is one tape on
@@ -12,7 +11,7 @@
 // pool, total parallelism stays bounded by the hardware no matter how many
 // clients train concurrently.
 //
-// Scheduling model: a caller forks a job (ParallelFor or Fan), registers
+// Scheduling model: a caller forks a job (ParallelFor), registers
 // it on the pool's job board, pokes parked workers, and then works on the
 // job itself. Idle workers join, claim a per-participant chunk slice, and
 // steal from other slices when theirs runs dry. If every worker is busy —
@@ -39,12 +38,6 @@ import (
 // keep the dispatch allocation-free.
 type Body interface{ Run(lo, hi int) }
 
-// SlotRunner is a fork-join task family for Fan. RunSlot(slot) is invoked
-// at most once per slot, concurrently across slots; slot 0 always runs on
-// the caller. Slots let each participant own private state without
-// locking.
-type SlotRunner interface{ RunSlot(slot int) }
-
 // BodyFunc adapts a plain function to Body for callers that don't need the
 // zero-allocation discipline (tests, one-off tools).
 type BodyFunc func(lo, hi int)
@@ -69,13 +62,6 @@ const (
 	ticketClosed = int64(1) << 40
 )
 
-type jobKind uint8
-
-const (
-	jobFor jobKind = iota
-	jobFan
-)
-
 // cursor is one slice's chunk cursor, padded to a cache line so
 // participants claiming from different slices never false-share.
 type cursor struct {
@@ -89,9 +75,7 @@ type cursor struct {
 // rejects claims against a completed or recycled job, and the pinned count
 // keeps a job off the free list while any worker still holds it.
 type job struct {
-	kind jobKind
-
-	// ParallelFor state. Chunks are numbered 0..nchunk-1 over [0, n) in
+	// Chunks are numbered 0..nchunk-1 over [0, n) in
 	// strides of chunk; slice s owns chunks [sliceHi[s-1], sliceHi[s]) and
 	// cursors[s] is the absolute next-chunk claim for that slice.
 	body      Body
@@ -102,11 +86,6 @@ type job struct {
 	cursors   []cursor
 	remaining atomic.Int64  // chunks not yet completed
 	done      chan struct{} // single completion token to the caller
-
-	// Fan state.
-	fan      SlotRunner
-	slots    int
-	finished chan struct{} // one token per granted helper slot
 
 	// ticket hands out participant identities (the caller is always 0, so
 	// the live counter starts at 1). Stored ticketClosed while idle;
@@ -129,17 +108,7 @@ func (j *job) help() bool {
 	if t >= ticketClosed-1 {
 		return false
 	}
-	switch j.kind {
-	case jobFor:
-		return j.drainFor(int(t%int64(j.slices))) > 0
-	case jobFan:
-		if t < int64(j.slots) {
-			j.fan.RunSlot(int(t))
-			j.finished <- struct{}{}
-			return true
-		}
-	}
-	return false
+	return j.drainFor(int(t%int64(j.slices))) > 0
 }
 
 // drainFor claims and runs chunks until none remain: the participant's own
@@ -316,7 +285,6 @@ func (p *Pool) getJob() *job {
 func (p *Pool) putJob(j *job) {
 	j.ticket.Store(ticketClosed)
 	j.body = nil
-	j.fan = nil
 	p.mu.Lock()
 	p.free = append(p.free, j)
 	p.mu.Unlock()
@@ -376,7 +344,6 @@ func (p *Pool) ParallelFor(n, flopsPerItem int, body Body) {
 	}
 
 	j := p.getJob()
-	j.kind = jobFor
 	j.body = body
 	j.n = n
 	j.chunk = chunk
@@ -399,45 +366,6 @@ func (p *Pool) ParallelFor(n, flopsPerItem int, body Body) {
 	j.drainFor(0)
 	<-j.done
 	p.unpost(j)
-	p.putJob(j)
-}
-
-// Fan forks r across up to slots participants: the caller runs slot 0, and
-// idle pool workers claim slots 1..slots-1 for as long as the caller's
-// slot is still running. Unclaimed slots are simply never invoked — Fan is
-// for work-queue drains where any participant count completes the work —
-// and Fan returns only when every claimed slot has finished. If slots <= 1
-// or the pool has no workers, r runs inline.
-func (p *Pool) Fan(slots int, r SlotRunner) {
-	if slots <= 1 || p.width <= 1 {
-		r.RunSlot(0)
-		return
-	}
-	j := p.getJob()
-	j.kind = jobFan
-	j.fan = r
-	j.slots = slots
-	if cap(j.finished) < slots-1 {
-		j.finished = make(chan struct{}, slots-1)
-	}
-	j.ticket.Store(1)
-
-	tokens := slots - 1
-	if tokens > p.width-1 {
-		tokens = p.width - 1
-	}
-	p.post(j, tokens)
-	r.RunSlot(0)
-	// Close the slot ticket; helpers that already claimed keep running and
-	// each owes one finished token.
-	granted := j.ticket.Swap(ticketClosed) - 1
-	if granted > int64(slots-1) {
-		granted = int64(slots - 1)
-	}
-	p.unpost(j)
-	for i := int64(0); i < granted; i++ {
-		<-j.finished
-	}
 	p.putJob(j)
 }
 

@@ -135,53 +135,6 @@ func TestNestedParallelForDoesNotDeadlock(t *testing.T) {
 	}
 }
 
-// fanDrain is a shared work queue drained by Fan slots; each slot records
-// that it ran and claims items until the queue empties.
-type fanDrain struct {
-	next    atomic.Int64
-	n       int
-	claimed []atomic.Int32
-	slotRan []atomic.Int32
-}
-
-func (f *fanDrain) RunSlot(slot int) {
-	f.slotRan[slot].Add(1)
-	for {
-		i := f.next.Add(1) - 1
-		if i >= int64(f.n) {
-			return
-		}
-		f.claimed[i].Add(1)
-	}
-}
-
-// TestFanDrainsQueueAndJoins verifies the Fan contract: slot 0 always
-// runs, every queue item is claimed exactly once, no slot runs twice, and
-// all claimed slots have finished by the time Fan returns.
-func TestFanDrainsQueueAndJoins(t *testing.T) {
-	for _, width := range []int{1, 2, 4} {
-		p := New(width)
-		for iter := 0; iter < 100; iter++ {
-			f := &fanDrain{n: 200, claimed: make([]atomic.Int32, 200), slotRan: make([]atomic.Int32, 8)}
-			p.Fan(4, f)
-			if f.slotRan[0].Load() != 1 {
-				t.Fatalf("width %d: slot 0 ran %d times, want 1", width, f.slotRan[0].Load())
-			}
-			for s := range f.slotRan {
-				if c := f.slotRan[s].Load(); c > 1 {
-					t.Fatalf("width %d: slot %d ran %d times", width, s, c)
-				}
-			}
-			for i := range f.claimed {
-				if c := f.claimed[i].Load(); c != 1 {
-					t.Fatalf("width %d: item %d claimed %d times", width, i, c)
-				}
-			}
-		}
-		p.Close()
-	}
-}
-
 // TestParallelForZeroAllocSteadyState pins the satellite invariant: after
 // warmup, the pooled ParallelFor path allocates nothing — jobs, cursors
 // and completion channels are all recycled.

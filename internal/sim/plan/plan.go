@@ -1,6 +1,6 @@
 // Package plan is the capacity-planner sweep driver on top of
 // internal/sim: it fans a parameter grid (codec × deadline ×
-// sample-fraction × quorum × client-count) across the sched worker pool,
+// sample-fraction × quorum × client-count) across up to GOMAXPROCS goroutines,
 // runs one multiplexed scenario per cell, and renders the results as
 // deterministic JSON and markdown capacity reports (see report.go). Each
 // cell's seed is a pure function of the grid seed and the cell's own
@@ -13,11 +13,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
-	"clinfl/internal/sched"
 	"clinfl/internal/sim"
 )
 
@@ -160,50 +161,37 @@ func (g Grid) Scenario(c Cell) sim.Scenario {
 	}
 }
 
-// runner drains the cell queue from the sched pool: slots claim cells via
-// an atomic cursor and write results by index, so the report's cell order
-// is the grid order no matter how many workers join or how they
-// interleave.
-type runner struct {
-	grid    Grid
-	cells   []Cell
-	next    atomic.Int64
-	results []CellResult
-	errs    []error
-}
-
-// RunSlot implements sched.SlotRunner.
-func (r *runner) RunSlot(int) {
-	for {
-		i := int(r.next.Add(1)) - 1
-		if i >= len(r.cells) {
-			return
-		}
-		res, err := r.grid.Scenario(r.cells[i]).Run()
-		if err != nil {
-			r.errs[i] = fmt.Errorf("plan: cell %q: %w", r.cells[i].Key(), err)
-			continue
-		}
-		r.results[i] = summarize(r.cells[i], res)
-	}
-}
-
-// Run sweeps the grid across the sched pool and returns the report. The
+// Run sweeps the grid and returns the report. At most GOMAXPROCS
+// goroutines drain the cells: each claims the next cell from an atomic
+// cursor and writes its result by index, so the report's cell order is
+// the grid order no matter how the goroutines interleave. The
 // report carries only virtual-time and counter metrics, so it is a pure
 // function of the grid — real elapsed time is returned separately for
 // operator feedback and must never be serialized into a report.
 func (g Grid) Run() (*Report, time.Duration, error) {
 	g = g.withDefaults()
 	start := time.Now()
-	r := &runner{grid: g, cells: g.Cells()}
-	r.results = make([]CellResult, len(r.cells))
-	r.errs = make([]error, len(r.cells))
-	slots := len(r.cells)
-	if max := sched.Default().Size(); slots > max {
-		slots = max
+	cells := g.Cells()
+	results := make([]CellResult, len(cells))
+	errs := make([]error, len(cells))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(cells), runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cells); i = int(next.Add(1)) - 1 {
+				res, err := g.Scenario(cells[i]).Run()
+				if err != nil {
+					errs[i] = fmt.Errorf("plan: cell %q: %w", cells[i].Key(), err)
+					continue
+				}
+				results[i] = summarize(cells[i], res)
+			}
+		}()
 	}
-	sched.Default().Fan(slots, r)
-	for _, err := range r.errs {
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, 0, err
 		}
@@ -213,7 +201,7 @@ func (g Grid) Run() (*Report, time.Duration, error) {
 		Seed:        g.Seed,
 		Rounds:      g.Rounds,
 		RealClients: g.RealClients,
-		Cells:       r.results,
+		Cells:       results,
 	}
 	return rep, time.Since(start), nil
 }

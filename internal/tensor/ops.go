@@ -374,19 +374,6 @@ func AddRowVector(m, v *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// SumRows returns a 1×cols matrix with the column sums of m (i.e. the sum
-// over rows).
-func SumRows(m *Matrix) *Matrix {
-	out := New(1, m.cols)
-	for i := 0; i < m.rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.data[j] += v
-		}
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (m *Matrix) Sum() float64 {
 	var s float64
@@ -431,13 +418,6 @@ func (m *Matrix) Apply(f func(float64) float64) *Matrix {
 		out.data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyInPlace applies f elementwise in place.
-func (m *Matrix) ApplyInPlace(f func(float64) float64) {
-	for i, v := range m.data {
-		m.data[i] = f(v)
-	}
 }
 
 // SoftmaxRows returns row-wise softmax of m, numerically stabilized by

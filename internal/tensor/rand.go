@@ -51,13 +51,6 @@ func (g *RNG) Xavier(rows, cols int) *Matrix {
 	return g.Uniform(rows, cols, -a, a)
 }
 
-// Kaiming returns He-normal init for ReLU-family activations:
-// N(0, sqrt(2/fanIn)).
-func (g *RNG) Kaiming(rows, cols int) *Matrix {
-	std := math.Sqrt(2 / float64(rows))
-	return g.Normal(rows, cols, 0, std)
-}
-
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 

@@ -174,16 +174,6 @@ func (m *Matrix) AllClose(o *Matrix, rtol, atol float64) bool {
 	return true
 }
 
-// HasNaN reports whether any element is NaN or Inf.
-func (m *Matrix) HasNaN() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
-}
-
 // String renders the matrix compactly for debugging.
 func (m *Matrix) String() string {
 	if m.rows*m.cols > 64 {

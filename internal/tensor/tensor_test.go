@@ -164,9 +164,6 @@ func TestAddRowVector(t *testing.T) {
 
 func TestSumRowsAndReductions(t *testing.T) {
 	m := MustFromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	if got := SumRows(m); !got.Equal(MustFromSlice(1, 3, []float64{5, 7, 9})) {
-		t.Fatalf("SumRows = %v", got)
-	}
 	if m.Sum() != 21 {
 		t.Fatalf("Sum = %v", m.Sum())
 	}
@@ -197,7 +194,7 @@ func TestSoftmaxRows(t *testing.T) {
 		}
 	}
 	// Large inputs must not overflow (stabilized by max subtraction).
-	if s.HasNaN() {
+	if !AllFinite(s.Data()) {
 		t.Fatal("softmax produced NaN on large inputs")
 	}
 	if math.Abs(s.At(1, 0)-1.0/3) > 1e-12 {
@@ -357,16 +354,5 @@ func TestCloneIsolation(t *testing.T) {
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone shares backing data")
-	}
-}
-
-func TestHasNaN(t *testing.T) {
-	m := New(1, 2)
-	if m.HasNaN() {
-		t.Fatal("zero matrix flagged as NaN")
-	}
-	m.Set(0, 1, math.Inf(1))
-	if !m.HasNaN() {
-		t.Fatal("Inf not detected")
 	}
 }
