@@ -44,9 +44,10 @@ func Shards(cfg Config, train data.Dataset) ([]data.Dataset, error) {
 }
 
 // NewSite builds site i of cfg's fine-tuning federation: a fresh NewModel
-// classifier, named name, that trains shard under siteConfig. hook, if
-// non-nil, observes each local epoch; proxMu is the site's FedProx
-// strength (0 trains plain FedAvg local epochs).
+// classifier, named name, that trains shard with cfg's local epochs,
+// learning rate, batch size and clip norm under the site seed
+// cfg.Seed + 37·i. hook, if non-nil, observes each local epoch; proxMu is
+// the site's FedProx strength (0 trains plain FedAvg local epochs).
 func NewSite(cfg Config, i int, name string, shard data.Dataset, vocabSize int,
 	hook func(client string, round, epoch int, d time.Duration), proxMu float64) (*fl.ClassifierExecutor, error) {
 	mdl, err := NewModel(cfg, vocabSize)
@@ -58,7 +59,7 @@ func NewSite(cfg Config, i int, name string, shard data.Dataset, vocabSize int,
 
 // newMLMSite builds site i of cfg's pretraining federation: a fresh BERT
 // that pretrains on shard with the masked-language-model objective under
-// siteConfig.
+// the same local settings and site seed as NewSite.
 func newMLMSite(cfg Config, i int, name string, shard [][]int, vocabSize int, maskCfg mlm.Config,
 	hook func(client string, round, epoch int, d time.Duration)) (*fl.MLMExecutor, error) {
 	mdl, err := newPretrainer(cfg, vocabSize)

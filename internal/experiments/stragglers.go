@@ -63,10 +63,9 @@ type StragglerResult struct {
 
 // RunStragglerSweep executes the sweep: one shared data/model setup, one
 // federation per scheme, with client 4 a lateSite that starts every round
-// delay late. Results are deterministic for a fixed
-// seed: the async schemes drop the straggler (it never aggregates), and
-// each local step runs on one tape, so gradients do not depend on
-// GOMAXPROCS.
+// delay late. Results are deterministic for a fixed seed: the async
+// schemes drop the straggler (it never aggregates), and each local step
+// runs on one tape, so gradients do not depend on GOMAXPROCS.
 func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([]StragglerResult, error) {
 	cfg := scale.apply(core.Default(core.TaskFinetune, core.ModeFederated, "lstm"))
 	cfg.Clients = 4

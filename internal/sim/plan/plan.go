@@ -1,12 +1,13 @@
 // Package plan is the capacity-planner sweep driver on top of
 // internal/sim: it fans a parameter grid (codec × deadline ×
-// sample-fraction × quorum × client-count) across up to GOMAXPROCS goroutines,
-// runs one multiplexed scenario per cell, and renders the results as
-// deterministic JSON and markdown capacity reports (see report.go). Each
-// cell's seed is a pure function of the grid seed and the cell's own
-// parameters, so a single cell replays byte-identically on its own — or
-// inside a differently-shaped grid — and the checked-in baseline report
-// (docs/capacity/) regenerates byte-for-byte at any GOMAXPROCS.
+// sample-fraction × quorum × client-count) across up to GOMAXPROCS
+// goroutines, runs one multiplexed scenario per cell, and renders the
+// results as deterministic JSON and markdown capacity reports (see
+// report.go). Each cell's seed is a pure function of the grid seed and
+// the cell's own parameters, so a single cell replays byte-identically on
+// its own — or inside a differently-shaped grid — and the checked-in
+// baseline report (docs/capacity/) regenerates byte-for-byte at any
+// GOMAXPROCS.
 package plan
 
 import (
