@@ -8,10 +8,11 @@ import (
 
 // backward applies one node's vector-Jacobian product, accumulating into
 // its parents' gradient buffers. Every rule works in place: matmul VJPs use
-// the tensor Acc kernels to add straight into existing gradients, and
-// elementwise rules loop over the parent buffer directly, so the backward
-// pass allocates no scratch beyond the (arena-recycled) gradient buffers
-// themselves and the single pre-activation buffer of the fused LinearGELU.
+// the tensor kernels' accumulate modes to add straight into existing
+// gradients, and elementwise rules loop over the parent buffer directly, so
+// the backward pass allocates no scratch beyond the (arena-recycled)
+// gradient buffers themselves and the single pre-activation buffer of the
+// fused LinearGELU.
 //
 // Dispatching on an opcode instead of a stored closure is what lets Reset
 // recycle Node objects: a node carries only plain data (parents, aux
@@ -43,21 +44,21 @@ func (n *Node) backward() {
 		}
 
 	case opMatMul:
+		// Per block g: d a_g = g_g × b_gᵀ, d b_g = a_gᵀ × g_g.
 		if n.a.requiresGrad {
-			mustAcc(tensor.MatMulTransBAcc(n.a.ensureGrad(), g, n.b.Value))
+			mustAcc(tensor.MatMulTransB(n.a.ensureGrad(), g, n.b.Value, n.iaux, 1, true))
 		}
 		if n.b.requiresGrad {
-			mustAcc(tensor.MatMulTransAAcc(n.b.ensureGrad(), n.a.Value, g))
+			mustAcc(tensor.MatMulTransAAcc(n.b.ensureGrad(), n.a.Value, g, n.iaux, 1))
 		}
 
 	case opMatMulTransB:
+		// Per block g: d a_g = alpha·g_g × b_g, d b_g = alpha·g_gᵀ × a_g.
 		if n.a.requiresGrad {
-			// d a = g × b
-			mustAcc(tensor.MatMulAcc(n.a.ensureGrad(), g, n.b.Value))
+			mustAcc(tensor.MatMul(n.a.ensureGrad(), g, n.b.Value, n.iaux, n.alpha, true))
 		}
 		if n.b.requiresGrad {
-			// d b = gᵀ × a
-			mustAcc(tensor.MatMulTransAAcc(n.b.ensureGrad(), g, n.a.Value))
+			mustAcc(tensor.MatMulTransAAcc(n.b.ensureGrad(), g, n.a.Value, n.iaux, n.alpha))
 		}
 
 	case opAffine:
@@ -104,10 +105,10 @@ func (n *Node) backward() {
 			}
 		}
 
-	case opSoftmaxRows, opBlockSoftmaxRows:
+	case opSoftmaxRows:
 		// In-place softmax VJP: needs only the per-row dot Σ u⊙s, so the
 		// gradient adds directly into the parent buffer with no scratch.
-		// Padded columns of the block variant hold s=0 and route nothing.
+		// Masked columns hold s=0 and route nothing.
 		if n.a.requiresGrad {
 			s := n.Value
 			ga := n.a.ensureGrad()
@@ -233,26 +234,6 @@ func (n *Node) backward() {
 			grow[tgt] -= scale
 		}
 
-	case opBlockMatMul:
-		if n.a.requiresGrad {
-			// d a_g = g_g × b_gᵀ
-			mustAcc(tensor.BlockMatMulTransBAcc(n.a.ensureGrad(), g, n.b.Value, n.iaux, 1))
-		}
-		if n.b.requiresGrad {
-			// d b_g = a_gᵀ × g_g
-			mustAcc(tensor.BlockMatMulTransAAcc(n.b.ensureGrad(), n.a.Value, g, n.iaux, 1))
-		}
-
-	case opBlockMatMulTransB:
-		if n.a.requiresGrad {
-			// d a_g = alpha · g_g × b_g
-			mustAcc(tensor.BlockMatMulAcc(n.a.ensureGrad(), g, n.b.Value, n.iaux, n.alpha))
-		}
-		if n.b.requiresGrad {
-			// d b_g = alpha · g_gᵀ × a_g
-			mustAcc(tensor.BlockMatMulTransAAcc(n.b.ensureGrad(), g, n.a.Value, n.iaux, n.alpha))
-		}
-
 	case opGatherRows:
 		ga := n.a.ensureGrad()
 		for i, r := range n.ints {
@@ -272,11 +253,11 @@ func (n *Node) backward() {
 func (n *Node) backwardAffine(u *tensor.Matrix) {
 	if n.a.requiresGrad {
 		// d x = u × Wᵀ
-		mustAcc(tensor.MatMulTransBAcc(n.a.ensureGrad(), u, n.b.Value))
+		mustAcc(tensor.MatMulTransB(n.a.ensureGrad(), u, n.b.Value, 1, 1, true))
 	}
 	if n.b.requiresGrad {
 		// d W = xᵀ × u
-		mustAcc(tensor.MatMulTransAAcc(n.b.ensureGrad(), n.a.Value, u))
+		mustAcc(tensor.MatMulTransAAcc(n.b.ensureGrad(), n.a.Value, u, 1, 1))
 	}
 	if n.c.requiresGrad {
 		accColSums(n.c.ensureGrad(), u)

@@ -13,7 +13,7 @@ func TestBlockMatMulGrad(t *testing.T) {
 	a := rng.Normal(2*block, block, 0, 1)
 	b := rng.Normal(2*block, 4, 0, 1)
 	checkGrad(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		v, err := tp.BlockMatMul(ns[0], ns[1], block)
+		v, err := tp.MatMul(ns[0], ns[1], 2)
 		if err != nil {
 			return nil, err
 		}
@@ -27,7 +27,7 @@ func TestBlockMatMulTransBGrad(t *testing.T) {
 	a := rng.Normal(2*block, 5, 0, 1)
 	b := rng.Normal(2*block, 5, 0, 1)
 	checkGrad(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		v, err := tp.BlockMatMulTransB(ns[0], ns[1], block)
+		v, err := tp.MatMulTransB(ns[0], ns[1], 2, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +41,7 @@ func TestBlockSoftmaxRowsGradUnmasked(t *testing.T) {
 	a := rng.Normal(2*block, block, 0, 1)
 	w := rng.Normal(2*block, block, 0, 1) // weight so the mean sees asymmetric upstream grads
 	checkGrad(t, []*tensor.Matrix{a}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.BlockSoftmaxRows(ns[0], block, nil)
+		s, err := tp.SoftmaxRows(ns[0], 2, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -63,7 +63,7 @@ func TestBlockSoftmaxRowsGradMasked(t *testing.T) {
 		nil, // second sequence unpadded
 	}
 	checkGrad(t, []*tensor.Matrix{a}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.BlockSoftmaxRows(ns[0], block, padMasks)
+		s, err := tp.SoftmaxRows(ns[0], 2, padMasks)
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +84,7 @@ func TestBlockSoftmaxRowsMatchesAdditiveMask(t *testing.T) {
 	padMask := []bool{false, false, false, true, true}
 
 	tp := NewTape()
-	got, err := tp.BlockSoftmaxRows(tp.Constant(scores), block, [][]bool{padMask})
+	got, err := tp.SoftmaxRows(tp.Constant(scores), 1, [][]bool{padMask})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,8 @@ func TestBlockSoftmaxRowsMatchesAdditiveMask(t *testing.T) {
 			masked.Set(i, j, masked.At(i, j)-1e9)
 		}
 	}
-	want := tensor.SoftmaxRows(masked)
+	want := tensor.New(block, block)
+	tensor.SoftmaxRowsInto(want, masked, nil)
 	if !got.Value.AllClose(want, 0, 1e-15) {
 		t.Fatalf("masked block softmax diverges from additive mask:\n%v\nvs\n%v", got.Value, want)
 	}
@@ -115,7 +116,7 @@ func TestBlockSoftmaxRowsAllMaskedRowIsZero(t *testing.T) {
 	tp := NewTape()
 	scores := tensor.New(2, 2)
 	scores.Fill(3)
-	s, err := tp.BlockSoftmaxRows(tp.Constant(scores), 2, [][]bool{{true, true}})
+	s, err := tp.SoftmaxRows(tp.Constant(scores), 1, [][]bool{{true, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,15 +130,18 @@ func TestBlockSoftmaxRowsAllMaskedRowIsZero(t *testing.T) {
 func TestBlockSoftmaxRowsShapeErrors(t *testing.T) {
 	tp := NewTape()
 	a := tp.Constant(tensor.New(6, 3))
-	if _, err := tp.BlockSoftmaxRows(a, 2, nil); err == nil {
-		t.Fatal("want error: cols != block")
+	if _, err := tp.SoftmaxRows(a, 4, nil); err == nil {
+		t.Fatal("want error: rows not divisible into blocks")
+	}
+	if _, err := tp.SoftmaxRows(a, 0, nil); err == nil {
+		t.Fatal("want error: non-positive block count")
 	}
 	b := tp.Constant(tensor.New(6, 6))
-	if _, err := tp.BlockSoftmaxRows(b, 6, [][]bool{{true}}); err == nil {
+	if _, err := tp.SoftmaxRows(b, 1, [][]bool{{true}}); err == nil {
 		t.Fatal("want error: short mask")
 	}
 	c := tp.Constant(tensor.New(4, 2))
-	if _, err := tp.BlockSoftmaxRows(c, 2, [][]bool{nil}); err == nil {
+	if _, err := tp.SoftmaxRows(c, 2, [][]bool{nil}); err == nil {
 		t.Fatal("want error: mask count != block count")
 	}
 }
@@ -186,7 +190,7 @@ func TestBlockSoftmaxSumsToOne(t *testing.T) {
 	tp := NewTape()
 	a := tp.Constant(rng.Normal(3*block, block, 0, 2))
 	padMasks := [][]bool{nil, {false, true, false, true, false, true}, nil}
-	s, err := tp.BlockSoftmaxRows(a, block, padMasks)
+	s, err := tp.SoftmaxRows(a, 3, padMasks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestBlockMatMulTransBScaledGrad(t *testing.T) {
 	rng := tensor.NewRNG(22)
 	a, b := rng.Normal(6, 4, 0, 1), rng.Normal(6, 4, 0, 1)
 	checkGrad(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.BlockMatMulTransBScaled(ns[0], ns[1], 3, 1/math.Sqrt(4))
+		s, err := tp.MatMulTransB(ns[0], ns[1], 2, 1/math.Sqrt(4))
 		if err != nil {
 			return nil, err
 		}
@@ -55,7 +55,10 @@ func TestSoftmaxRowsInPlaceBackwardGrad(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	a := rng.Normal(4, 6, 0, 1)
 	checkGrad(t, []*tensor.Matrix{a}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s := tp.SoftmaxRows(ns[0])
+		s, err := tp.SoftmaxRows(ns[0], 1, nil)
+		if err != nil {
+			return nil, err
+		}
 		// Reuse the leaf so its gradient buffer receives both the softmax
 		// VJP and a direct contribution, exercising the += path.
 		sum, err := tp.Add(s, ns[0])
@@ -113,7 +116,7 @@ func TestLinearGELUMatchesUnfused(t *testing.T) {
 		return h, nil
 	})
 	unfused := runBackward(t, []*tensor.Matrix{x, w, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		h, err := tp.MatMul(ns[0], ns[1])
+		h, err := tp.MatMul(ns[0], ns[1], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +150,7 @@ func TestAffineMatchesUnfused(t *testing.T) {
 		return h, nil
 	})
 	unfused := runBackward(t, []*tensor.Matrix{x, w, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		h, err := tp.MatMul(ns[0], ns[1])
+		h, err := tp.MatMul(ns[0], ns[1], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -166,16 +169,16 @@ func TestAffineMatchesUnfused(t *testing.T) {
 }
 
 // TestScaledBlockMatMulMatchesUnfused pins the folded score scale against
-// the BlockMatMulTransB + Scale chain it replaced.
+// the unscaled MatMulTransB + Scale chain it replaced.
 func TestScaledBlockMatMulMatchesUnfused(t *testing.T) {
 	rng := tensor.NewRNG(26)
 	a, b := rng.Normal(8, 5, 0, 1), rng.Normal(8, 5, 0, 1)
-	const block = 4
+	const blocks = 2
 	alpha := 1 / math.Sqrt(5)
 
 	var fusedVal, unfusedVal *tensor.Matrix
 	fused := runBackward(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.BlockMatMulTransBScaled(ns[0], ns[1], block, alpha)
+		s, err := tp.MatMulTransB(ns[0], ns[1], blocks, alpha)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +186,7 @@ func TestScaledBlockMatMulMatchesUnfused(t *testing.T) {
 		return s, nil
 	})
 	unfused := runBackward(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.BlockMatMulTransB(ns[0], ns[1], block)
+		s, err := tp.MatMulTransB(ns[0], ns[1], blocks, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -212,7 +215,10 @@ func TestArenaTapeMatchesHeapTape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := tp.SoftmaxRows(h)
+		s, err := tp.SoftmaxRows(h, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		l := tp.Mean(s)
 		if err := tp.Backward(l); err != nil {
 			t.Fatal(err)

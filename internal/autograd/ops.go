@@ -66,32 +66,37 @@ func (t *Tape) Scale(alpha float64, a *Node) *Node {
 	return n
 }
 
-// MatMul returns a×b.
-func (t *Tape) MatMul(a, b *Node) (*Node, error) {
-	if a.Value.Cols() != b.Value.Rows() {
-		return nil, fmt.Errorf("autograd: %w: MatMul %dx%d × %dx%d", tensor.ErrShape,
-			a.Value.Rows(), a.Value.Cols(), b.Value.Rows(), b.Value.Cols())
-	}
+// MatMul returns a_g×b_g for every block g of blocks equal row runs
+// (a is (B·m)×k, b is (B·k)×n; a dense product is one block). The
+// batched transformer's attn×V runs one block per sequence.
+func (t *Tape) MatMul(a, b *Node, blocks int) (*Node, error) {
 	// Assign-mode kernel writes every element, so the output can skip the
 	// arena's zeroing pass.
 	v := t.newMatrixUninit(a.Value.Rows(), b.Value.Cols())
-	if err := tensor.MatMulInto(v, a.Value, b.Value); err != nil {
+	if err := tensor.MatMul(v, a.Value, b.Value, blocks, 1, false); err != nil {
 		return nil, fmt.Errorf("autograd: %w", err)
 	}
-	return t.newOp(opMatMul, v, a, b, nil), nil
+	n := t.newOp(opMatMul, v, a, b, nil)
+	n.iaux = blocks
+	return n, nil
 }
 
-// MatMulTransB returns a×bᵀ, used by attention score computation.
-func (t *Tape) MatMulTransB(a, b *Node) (*Node, error) {
-	if a.Value.Cols() != b.Value.Cols() {
-		return nil, fmt.Errorf("autograd: %w: MatMulTransB %dx%d × (%dx%d)ᵀ", tensor.ErrShape,
-			a.Value.Rows(), a.Value.Cols(), b.Value.Rows(), b.Value.Cols())
+// MatMulTransB returns alpha·a_g×b_gᵀ for every block g (a is (B·m)×k, b
+// is (B·n)×k) as a single node. Attention's per-sequence scores Q×Kᵀ fold
+// their 1/√d scale in here, deleting a separate Scale node (and its
+// full-score-matrix value and gradient) per head per layer.
+func (t *Tape) MatMulTransB(a, b *Node, blocks int, alpha float64) (*Node, error) {
+	if blocks <= 0 {
+		return nil, fmt.Errorf("autograd: %w: MatMulTransB block count %d", tensor.ErrShape, blocks)
 	}
-	v := t.newMatrixUninit(a.Value.Rows(), b.Value.Rows())
-	if err := tensor.MatMulTransBInto(v, a.Value, b.Value); err != nil {
+	v := t.newMatrixUninit(a.Value.Rows(), b.Value.Rows()/blocks)
+	if err := tensor.MatMulTransB(v, a.Value, b.Value, blocks, alpha, false); err != nil {
 		return nil, fmt.Errorf("autograd: %w", err)
 	}
-	return t.newOp(opMatMulTransB, v, a, b, nil), nil
+	n := t.newOp(opMatMulTransB, v, a, b, nil)
+	n.iaux = blocks
+	n.alpha = alpha
+	return n, nil
 }
 
 // Affine returns x×w + b with b a 1×out bias row, fused into a single node.
@@ -208,11 +213,31 @@ func (t *Tape) GELU(a *Node) *Node {
 	return t.newOp(opGELU, t.apply(a, geluValue), a, nil, nil)
 }
 
-// SoftmaxRows applies a numerically-stable softmax along every row.
-func (t *Tape) SoftmaxRows(a *Node) *Node {
-	s := t.newMatrix(a.Value.Rows(), a.Value.Cols())
-	tensor.SoftmaxRowsInto(s, a.Value)
-	return t.newOp(opSoftmaxRows, s, a, nil, nil)
+// SoftmaxRows applies a numerically-stable softmax along every row of a,
+// whose rows form blocks equal runs. padMasks, when non-nil, holds one key
+// mask per block: row r of block g is normalized over the columns j with
+// !padMasks[g][j], and masked columns get exactly 0. A nil entry masks
+// nothing in its block, so a sequence without padding needs no mask. The
+// backward rule runs fully in place: the softmax VJP needs only a per-row
+// dot product, so gradients accumulate directly into the parent buffer
+// with no scratch matrix.
+func (t *Tape) SoftmaxRows(a *Node, blocks int, padMasks [][]bool) (*Node, error) {
+	rows, cols := a.Value.Rows(), a.Value.Cols()
+	if blocks <= 0 || rows%blocks != 0 {
+		return nil, fmt.Errorf("autograd: %w: SoftmaxRows %d rows in %d blocks",
+			tensor.ErrShape, rows, blocks)
+	}
+	if padMasks != nil && len(padMasks) != blocks {
+		return nil, fmt.Errorf("autograd: SoftmaxRows %d masks for %d blocks", len(padMasks), blocks)
+	}
+	for g, m := range padMasks {
+		if m != nil && len(m) != cols {
+			return nil, fmt.Errorf("autograd: SoftmaxRows mask %d length %d != %d cols", g, len(m), cols)
+		}
+	}
+	s := t.newMatrix(rows, cols)
+	tensor.SoftmaxRowsInto(s, a.Value, padMasks)
+	return t.newOp(opSoftmaxRows, s, a, nil, nil), nil
 }
 
 // LayerNorm normalizes every row of x to zero mean / unit variance, then
@@ -381,7 +406,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) (*Node, int, error) {
 		return nil, 0, fmt.Errorf("autograd: CrossEntropy %d targets for %d rows", len(targets), rows)
 	}
 	probs := t.newMatrix(rows, cols)
-	tensor.SoftmaxRowsInto(probs, logits.Value)
+	tensor.SoftmaxRowsInto(probs, logits.Value, nil)
 	counted := 0
 	var total float64
 	for i, tgt := range targets {
@@ -407,4 +432,22 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) (*Node, int, error) {
 	n.ints = t.takeInts(targets)
 	n.iaux = counted
 	return n, counted, nil
+}
+
+// GatherRows selects rows of a by index: out row i = a row rows[i]. The
+// backward pass scatter-adds upstream gradients into the source rows, so an
+// index may appear more than once. Used to pull [CLS] positions and masked
+// MLM positions out of the flattened (B·T)×d batch layout.
+func (t *Tape) GatherRows(a *Node, rows []int) (*Node, error) {
+	cols := a.Value.Cols()
+	v := t.newMatrix(len(rows), cols)
+	for i, r := range rows {
+		if r < 0 || r >= a.Value.Rows() {
+			return nil, fmt.Errorf("autograd: GatherRows index %d out of range [0,%d)", r, a.Value.Rows())
+		}
+		copy(v.Row(i), a.Value.Row(r))
+	}
+	n := t.newOp(opGatherRows, v, a, nil, nil)
+	n.ints = t.takeInts(rows)
+	return n, nil
 }

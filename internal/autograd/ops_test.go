@@ -80,7 +80,7 @@ func TestMatMulGrad(t *testing.T) {
 	rng := tensor.NewRNG(4)
 	a, b := rng.Normal(3, 4, 0, 1), rng.Normal(4, 2, 0, 1)
 	checkGrad(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.MatMul(ns[0], ns[1])
+		s, err := tp.MatMul(ns[0], ns[1], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func TestMatMulTransBGrad(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	a, b := rng.Normal(3, 4, 0, 1), rng.Normal(5, 4, 0, 1)
 	checkGrad(t, []*tensor.Matrix{a, b}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s, err := tp.MatMulTransB(ns[0], ns[1])
+		s, err := tp.MatMulTransB(ns[0], ns[1], 1, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,10 @@ func TestActivationGrads(t *testing.T) {
 func TestSoftmaxRowsGrad(t *testing.T) {
 	x := tensor.NewRNG(7).Normal(3, 5, 0, 1)
 	checkGrad(t, []*tensor.Matrix{x}, func(tp *Tape, ns []*Node) (*Node, error) {
-		s := tp.SoftmaxRows(ns[0])
+		s, err := tp.SoftmaxRows(ns[0], 1, nil)
+		if err != nil {
+			return nil, err
+		}
 		sq, err := tp.Mul(s, s)
 		if err != nil {
 			return nil, err
@@ -136,7 +139,10 @@ func TestSoftmaxRowsGrad(t *testing.T) {
 func TestSoftmaxRowsSumsToOne(t *testing.T) {
 	tp := NewTape()
 	x := tp.Constant(tensor.NewRNG(8).Normal(4, 6, 0, 3))
-	s := tp.SoftmaxRows(x)
+	s, err := tp.SoftmaxRows(x, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		var sum float64
 		for _, v := range s.Value.Row(i) {
@@ -439,7 +445,7 @@ func TestParallelBackwardMatchesGradcheck(t *testing.T) {
 	w := rng.Normal(12, 48, 0, 0.5)
 	x := rng.Normal(8, 12, 0, 1)
 	build := func(tape *Tape, params []*Node) (*Node, error) {
-		h, err := tape.MatMul(tape.Constant(x), params[0])
+		h, err := tape.MatMul(tape.Constant(x), params[0], 1)
 		if err != nil {
 			return nil, err
 		}
@@ -449,8 +455,11 @@ func TestParallelBackwardMatchesGradcheck(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			a := tape.SoftmaxRows(tape.Tanh(s))
-			p, err := tape.MatMulTransB(a, s)
+			a, err := tape.SoftmaxRows(tape.Tanh(s), 1, nil)
+			if err != nil {
+				return nil, err
+			}
+			p, err := tape.MatMulTransB(a, s, 1, 1)
 			if err != nil {
 				return nil, err
 			}

@@ -38,10 +38,10 @@ const (
 	opSub
 	opMul
 	opScale
-	opMatMul
-	opMatMulTransB
-	opAffine     // a×b + row vector c (fused Linear)
-	opLinearGELU // GELU(a×b + row vector c); m1 = pre-activation
+	opMatMul       // iaux=block count
+	opMatMulTransB // iaux=block count, alpha=folded scale
+	opAffine       // a×b + row vector c (fused Linear)
+	opLinearGELU   // GELU(a×b + row vector c); m1 = pre-activation
 	opAddRowVector
 	opTanh
 	opSigmoid
@@ -57,10 +57,7 @@ const (
 	opSumScalars // parents
 	opDropout    // m1 = mask
 	opCrossEntropy
-	opBlockMatMul       // iaux=block
-	opBlockMatMulTransB // iaux=block, alpha = folded score scale
-	opBlockSoftmaxRows  // iaux=block
-	opGatherRows        // ints=row indices
+	opGatherRows // ints=row indices
 )
 
 // Node is a value in the computation graph together with its gradient slot
@@ -77,8 +74,8 @@ type Node struct {
 	requiresGrad bool
 	a, b, c      *Node          // fixed-arity parents
 	parents      []*Node        // variadic parents (SumScalars, ConcatRows)
-	alpha        float64        // scalar aux: Scale factor, folded block-matmul scale
-	iaux, jaux   int            // int aux: slice bounds, block size, CE counted rows
+	alpha        float64        // scalar aux: Scale factor, folded matmul scale
+	iaux, jaux   int            // int aux: slice bounds, block count, CE counted rows
 	ints         []int          // index aux: embedding ids, gather rows, CE targets
 	m1, m2       *tensor.Matrix // saved forward aux (pre-activation, probs, mask, xhat...)
 	tape         *Tape

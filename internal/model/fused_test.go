@@ -21,7 +21,7 @@ import (
 // Affine node replaced.
 func unfusedLinear(t *testing.T, ctx *nn.Ctx, l *nn.Linear, x *autograd.Node) *autograd.Node {
 	t.Helper()
-	h, err := ctx.Tape.MatMul(x, ctx.Node(l.W))
+	h, err := ctx.Tape.MatMul(x, ctx.Node(l.W), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,6 @@ func unfusedLinear(t *testing.T, ctx *nn.Ctx, l *nn.Linear, x *autograd.Node) *a
 // matmul.
 func unfusedAttention(t *testing.T, ctx *nn.Ctx, a *nn.MultiHeadSelfAttention, x *autograd.Node, batch int, padMasks [][]bool) *autograd.Node {
 	t.Helper()
-	seq := x.Value.Rows() / batch
 	q := unfusedLinear(t, ctx, a.Wq, x)
 	k := unfusedLinear(t, ctx, a.Wk, x)
 	v := unfusedLinear(t, ctx, a.Wv, x)
@@ -57,16 +56,16 @@ func unfusedAttention(t *testing.T, ctx *nn.Ctx, a *nn.MultiHeadSelfAttention, x
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := ctx.Tape.BlockMatMulTransB(qh, kh, seq)
+		scores, err := ctx.Tape.MatMulTransB(qh, kh, batch, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scores = ctx.Tape.Scale(scale, scores)
-		attn, err := ctx.Tape.BlockSoftmaxRows(scores, seq, padMasks)
+		attn, err := ctx.Tape.SoftmaxRows(scores, batch, padMasks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := ctx.Tape.BlockMatMul(attn, vh, seq)
+		out, err := ctx.Tape.MatMul(attn, vh, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

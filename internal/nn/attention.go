@@ -97,17 +97,18 @@ func (a *MultiHeadSelfAttention) ForwardBatch(ctx *Ctx, x *autograd.Node, batch 
 		if err != nil {
 			return nil, err
 		}
-		// The 1/√d score scale is folded into the fused block matmul, so no
-		// separate Scale node (or full score-matrix copy) is recorded.
-		scores, err := ctx.Tape.BlockMatMulTransBScaled(qh, kh, seq, scale)
+		// One block per sequence; the 1/√d score scale is folded into the
+		// score matmul, so no separate Scale node (or full score-matrix
+		// copy) is recorded.
+		scores, err := ctx.Tape.MatMulTransB(qh, kh, batch, scale)
 		if err != nil {
 			return nil, err
 		}
-		attn, err := ctx.Tape.BlockSoftmaxRows(scores, seq, padMasks)
+		attn, err := ctx.Tape.SoftmaxRows(scores, batch, padMasks)
 		if err != nil {
 			return nil, err
 		}
-		out, err := ctx.Tape.BlockMatMul(attn, vh, seq)
+		out, err := ctx.Tape.MatMul(attn, vh, batch)
 		if err != nil {
 			return nil, err
 		}

@@ -52,11 +52,11 @@ func (l *LSTMLayer) InitState(ctx *Ctx, b int) State {
 // Step advances the layer one timestep: x is B×in, s the previous state.
 func (l *LSTMLayer) Step(ctx *Ctx, x *autograd.Node, s State) (State, error) {
 	tp := ctx.Tape
-	zx, err := tp.MatMul(x, ctx.Node(l.Wx))
+	zx, err := tp.MatMul(x, ctx.Node(l.Wx), 1)
 	if err != nil {
 		return State{}, fmt.Errorf("nn: lstm %s: %w", l.Wx.Name, err)
 	}
-	zh, err := tp.MatMul(s.H, ctx.Node(l.Wh))
+	zh, err := tp.MatMul(s.H, ctx.Node(l.Wh), 1)
 	if err != nil {
 		return State{}, fmt.Errorf("nn: lstm %s: %w", l.Wh.Name, err)
 	}

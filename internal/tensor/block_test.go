@@ -3,77 +3,108 @@ package tensor
 import (
 	"errors"
 	"testing"
+
+	"clinfl/internal/sched"
 )
 
-// blockRef computes a block op by slicing blocks out and running the dense
-// kernels, the reference the fused kernels must match.
-func blockRef(t *testing.T, a, b *Matrix, block int, dense func(x, y *Matrix) (*Matrix, error)) *Matrix {
+// blockProduct is one product-and-mode row of the block tests: a×b, a×bᵀ
+// (transB) or aᵀ×b (transA), assigning or accumulating into dst.
+type blockProduct struct {
+	name           string
+	transA, transB bool
+	acc            bool
+}
+
+// shapes returns a's and b's shapes for blocks of m output rows, k summed
+// rows or columns, and n output columns.
+func (p blockProduct) shapes(m, k, n int) (ar, ac, br, bc int) {
+	ar, ac, br, bc = m, k, k, n
+	if p.transA {
+		ar, ac = k, m
+	}
+	if p.transB {
+		br, bc = n, k
+	}
+	return ar, ac, br, bc
+}
+
+func (p blockProduct) run(dst, a, b *Matrix, blocks int, alpha float64) error {
+	switch {
+	case p.transA:
+		return MatMulTransAAcc(dst, a, b, blocks, alpha)
+	case p.transB:
+		return MatMulTransB(dst, a, b, blocks, alpha, p.acc)
+	default:
+		return MatMul(dst, a, b, blocks, alpha, p.acc)
+	}
+}
+
+// TestBlockProductsEqualOneBlockProducts pins the block contract bit for
+// bit: a B-block product equals its B one-block products on the blocks'
+// row slices, for every product and mode, with alpha ≠ 1, at pool widths 1
+// and 4 and on every kernel variant. The accumulating rows start from a
+// non-zero destination, and a's rows carry zeroed leading quads, so the
+// load/add path and the zero-quad skip are both pinned.
+func TestBlockProductsEqualOneBlockProducts(t *testing.T) {
+	products := []blockProduct{
+		{name: "a×b"},
+		{name: "a×b acc", acc: true},
+		{name: "a×bᵀ", transB: true},
+		{name: "a×bᵀ acc", transB: true, acc: true},
+	}
+	shapes := []struct{ blocks, m, k, n int }{
+		{3, 5, 5, 4},      // attention-like square blocks, k%4 tail
+		{4, 6, 3, 7},      // k < 4: the assign row clears, then accumulates
+		{2, 7, 9, 130},    // unequal m, k, n
+		{4, 32, 130, 129}, // forks at width 4
+	}
+	const alpha = 0.375
+	withKernelVariants(t, func(t *testing.T) {
+		for _, width := range []int{1, 4} {
+			pool := sched.New(width)
+			prev := sched.SetDefault(pool)
+			for _, p := range products {
+				for _, sh := range shapes {
+					checkBlockProduct(t, p, sh.blocks, sh.m, sh.k, sh.n, alpha)
+				}
+			}
+			sched.SetDefault(prev)
+			pool.Close()
+		}
+	})
+}
+
+// checkBlockProduct runs p over blocks stacked blocks and over each block
+// alone, and fails unless the stacked result has the per-block bits.
+func checkBlockProduct(t *testing.T, p blockProduct, blocks, m, k, n int, alpha float64) {
 	t.Helper()
-	nb := a.Rows() / block
-	parts := make([]*Matrix, nb)
-	for g := 0; g < nb; g++ {
-		ag, err := a.SliceRows(g*block, (g+1)*block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bg, err := b.SliceRows(g*block, (g+1)*block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts[g], err = dense(ag, bg)
-		if err != nil {
-			t.Fatal(err)
+	ar, ac, br, bc := p.shapes(m, k, n)
+	rng := NewRNG(int64(blocks*1000 + m*100 + k*10 + n))
+	a := rng.Normal(blocks*ar, ac, 0, 1)
+	for i := 0; i < a.Rows(); i += 3 {
+		for j := 0; j < min(8, ac); j++ {
+			a.Set(i, j, 0)
 		}
 	}
-	out, err := Concat(parts...)
-	if err != nil {
+	b := rng.Normal(blocks*br, bc, 0, 1)
+	dst := New(blocks*m, n)
+	if p.acc || p.transA {
+		dst = rng.Normal(blocks*m, n, 0, 1)
+	}
+	want := make([]*Matrix, blocks)
+	for g := range want {
+		ag, _ := a.SliceRows(g*ar, (g+1)*ar)
+		bg, _ := b.SliceRows(g*br, (g+1)*br)
+		want[g], _ = dst.SliceRows(g*m, (g+1)*m)
+		if err := p.run(want[g], ag, bg, 1, alpha); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.run(dst, a, b, blocks, alpha); err != nil {
 		t.Fatal(err)
 	}
-	return out
-}
-
-func TestBlockMatMulMatchesPerBlockDense(t *testing.T) {
-	rng := NewRNG(7)
-	const block, nb, n = 5, 3, 4
-	a := rng.Normal(nb*block, block, 0, 1)
-	b := rng.Normal(nb*block, n, 0, 1)
-	got, err := BlockMatMul(a, b, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := blockRef(t, a, b, block, MatMul)
-	if !got.AllClose(want, 1e-12, 1e-12) {
-		t.Fatalf("BlockMatMul mismatch:\n%v\nvs\n%v", got, want)
-	}
-}
-
-func TestBlockMatMulTransBMatchesPerBlockDense(t *testing.T) {
-	rng := NewRNG(8)
-	const block, nb, k = 4, 3, 6
-	a := rng.Normal(nb*block, k, 0, 1)
-	b := rng.Normal(nb*block, k, 0, 1)
-	got, err := BlockMatMulTransB(a, b, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := blockRef(t, a, b, block, MatMulTransB)
-	if !got.AllClose(want, 1e-12, 1e-12) {
-		t.Fatalf("BlockMatMulTransB mismatch:\n%v\nvs\n%v", got, want)
-	}
-}
-
-func TestBlockMatMulTransAMatchesPerBlockDense(t *testing.T) {
-	rng := NewRNG(9)
-	const block, nb, m, n = 4, 3, 5, 6
-	a := rng.Normal(nb*block, m, 0, 1)
-	b := rng.Normal(nb*block, n, 0, 1)
-	got, err := BlockMatMulTransA(a, b, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := blockRef(t, a, b, block, MatMulTransA)
-	if !got.AllClose(want, 1e-12, 1e-12) {
-		t.Fatalf("BlockMatMulTransA mismatch:\n%v\nvs\n%v", got, want)
+	if stacked, _ := Concat(want...); !dst.Equal(stacked) {
+		t.Fatalf("%s: %d blocks of %dx%dx%d differ from the one-block products", p.name, blocks, m, k, n)
 	}
 }
 
@@ -81,81 +112,39 @@ func TestBlockMatMulSingleBlockEqualsDense(t *testing.T) {
 	rng := NewRNG(10)
 	a := rng.Normal(6, 6, 0, 1)
 	b := rng.Normal(6, 3, 0, 1)
-	got, err := BlockMatMul(a, b, 6)
-	if err != nil {
+	got, want := New(6, 3), New(6, 3)
+	if err := MatMul(got, a, b, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	want, err := MatMul(a, b)
-	if err != nil {
+	if err := MatMulInto(want, a, b); err != nil {
 		t.Fatal(err)
 	}
-	// The block and dense kernels share one row kernel, so single-block
-	// equality is bit-exact.
+	// A dense product is the one-block case of the block product.
 	if !got.Equal(want) {
-		t.Fatal("single-block BlockMatMul differs from dense MatMul")
-	}
-}
-
-func TestBlockOpsLargeParallelPath(t *testing.T) {
-	// Output exceeds matmulParallelThreshold to exercise the goroutine fan-out.
-	rng := NewRNG(11)
-	const block, nb, k = 32, 4, 24
-	a := rng.Normal(nb*block, k, 0, 1)
-	b := rng.Normal(nb*block, k, 0, 1)
-	got, err := BlockMatMulTransB(a, b, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := blockRef(t, a, b, block, MatMulTransB)
-	if !got.AllClose(want, 1e-12, 1e-12) {
-		t.Fatal("parallel BlockMatMulTransB mismatch")
-	}
-	got2, err := BlockMatMul(got, a, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want2 := blockRef(t, want, a, block, MatMul)
-	if !got2.AllClose(want2, 1e-12, 1e-12) {
-		t.Fatal("parallel BlockMatMul mismatch")
-	}
-	got3, err := BlockMatMulTransA(a, b, block)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want3 := blockRef(t, a, b, block, MatMulTransA)
-	if !got3.AllClose(want3, 1e-12, 1e-12) {
-		t.Fatal("parallel BlockMatMulTransA mismatch")
+		t.Fatal("single-block MatMul differs from MatMulInto")
 	}
 }
 
 func TestBlockOpsShapeErrors(t *testing.T) {
 	a := New(6, 3)
 	b := New(6, 3)
-	cases := []error{}
-	if _, err := BlockMatMul(a, b, 4); err != nil { // rows not divisible
-		cases = append(cases, err)
+	cases := []struct {
+		name string
+		err  error
+	}{
+		{"rows not divisible", MatMul(New(6, 3), a, b, 4, 1, false)},
+		{"b rows != blocks × a cols", MatMul(New(6, 3), a, b, 3, 1, false)},
+		{"b rows not divisible", MatMulTransB(New(6, 1), a, New(4, 3), 3, 1, false)},
+		{"col mismatch", MatMulTransB(New(6, 2), a, New(6, 2), 3, 1, false)},
+		{"row mismatch", MatMulTransAAcc(New(9, 2), a, New(4, 2), 3, 1)},
+		{"non-positive block count", MatMul(New(6, 3), a, b, 0, 1, false)},
+		{"a×b dst", MatMul(New(6, 2), a, New(3, 3), 1, 1, false)},
+		{"a×bᵀ dst", MatMulTransB(New(6, 3), a, b, 3, 1, false)},
+		{"aᵀ×b dst", MatMulTransAAcc(New(3, 3), a, b, 3, 1)},
 	}
-	if _, err := BlockMatMul(a, b, 2); err != nil { // cols != block
-		cases = append(cases, err)
-	}
-	if _, err := BlockMatMulTransB(a, New(4, 3), 3); err != nil { // row mismatch
-		cases = append(cases, err)
-	}
-	if _, err := BlockMatMulTransB(a, New(6, 2), 3); err != nil { // col mismatch
-		cases = append(cases, err)
-	}
-	if _, err := BlockMatMulTransA(a, New(4, 2), 3); err != nil { // row mismatch
-		cases = append(cases, err)
-	}
-	if _, err := BlockMatMul(a, b, 0); err != nil { // non-positive block
-		cases = append(cases, err)
-	}
-	if len(cases) != 6 {
-		t.Fatalf("expected 6 shape errors, got %d", len(cases))
-	}
-	for _, err := range cases {
-		if !errors.Is(err, ErrShape) {
-			t.Fatalf("error %v does not wrap ErrShape", err)
+	for _, c := range cases {
+		if !errors.Is(c.err, ErrShape) {
+			t.Errorf("%s: error %v does not wrap ErrShape", c.name, c.err)
 		}
 	}
 }

@@ -5,7 +5,8 @@ package tensor
 // assembly reads, so a shape bug panics with a Go bounds error instead of
 // reading past a slice.
 
-// useAVX2 is fixed at start-up from CPUID and XGETBV; nothing reassigns it.
+// useAVX2 is fixed at start-up from CPUID and XGETBV; only tests reassign
+// it, to run the scalar references on an AVX2 machine.
 var useAVX2 = hasAVX2()
 
 // hasAVX2 reports whether the CPU implements AVX2 and the OS saves the

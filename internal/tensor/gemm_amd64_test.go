@@ -322,3 +322,18 @@ func FuzzSIMDKernels(f *testing.F) {
 		checkQuant(t, pool, int(n%600), off, alpha)
 	})
 }
+
+// withKernelVariants runs f as one subtest per kernel variant this CPU
+// offers: the scalar references (the AVX2 switch turned off) and, with
+// AVX2, the assembly kernels.
+func withKernelVariants(t *testing.T, f func(t *testing.T)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	for _, avx2 := range []bool{false, true} {
+		if avx2 && !saved {
+			continue
+		}
+		useAVX2 = avx2
+		t.Run(KernelVariant(), f)
+	}
+}

@@ -7,12 +7,12 @@ import (
 )
 
 // TestMatMulBitIdenticalAcrossPoolWidths pins the pooled kernel contract:
-// parallel items are whole output rows (whole row blocks for the aᵀ×b
-// block kernel) with a fixed per-element accumulation order, so results
-// must be byte-for-byte identical at every pool width — for every dense
-// and block kernel entry point, in assign and accumulate modes, on shapes
-// below and above the fork threshold. The accumulating forms start from a
-// non-zero destination so the load/add path is the one pinned.
+// parallel items are whole output rows with a fixed per-element
+// accumulation order, so results must be byte-for-byte identical at every
+// pool width — for every product, dense and in blocks, in assign and
+// accumulate modes, on shapes below and above the fork threshold. The
+// accumulating forms start from a non-zero destination so the load/add
+// path is the one pinned.
 func TestMatMulBitIdenticalAcrossPoolWidths(t *testing.T) {
 	rng := NewRNG(11)
 	shapes := []struct{ m, k, n, block int }{
@@ -28,6 +28,7 @@ func TestMatMulBitIdenticalAcrossPoolWidths(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		m, k, n, block := sh.m, sh.k, sh.n, sh.block
+		nb := m / block
 		a := rng.Normal(m, k, 0, 1)
 		b := rng.Normal(k, n, 0, 1)
 		bt := b.Transpose()
@@ -48,15 +49,15 @@ func TestMatMulBitIdenticalAcrossPoolWidths(t *testing.T) {
 		}
 		entries := []entry{
 			{"MatMulInto", fresh(m, n), func(d *Matrix) error { return MatMulInto(d, a, b) }},
-			{"MatMulAcc", seeded(m, n), func(d *Matrix) error { return MatMulAcc(d, a, b) }},
-			{"MatMulTransBInto", fresh(m, n), func(d *Matrix) error { return MatMulTransBInto(d, a, bt) }},
-			{"MatMulTransBAcc", seeded(m, n), func(d *Matrix) error { return MatMulTransBAcc(d, a, bt) }},
-			{"MatMulTransAAcc", seeded(k, n), func(d *Matrix) error { return MatMulTransAAcc(d, a, v) }},
-			{"BlockMatMulInto", fresh(m, n), func(d *Matrix) error { return BlockMatMulInto(d, att, v, block, 0.5) }},
-			{"BlockMatMulAcc", seeded(m, n), func(d *Matrix) error { return BlockMatMulAcc(d, att, v, block, 0.5) }},
-			{"BlockMatMulTransBInto", fresh(m, block), func(d *Matrix) error { return BlockMatMulTransBInto(d, q, kk, block, 0.125) }},
-			{"BlockMatMulTransBAcc", seeded(m, block), func(d *Matrix) error { return BlockMatMulTransBAcc(d, q, kk, block, 0.125) }},
-			{"BlockMatMulTransAAcc", seeded(m/block*k, n), func(d *Matrix) error { return BlockMatMulTransAAcc(d, q, v, block, 0.5) }},
+			{"MatMul acc", seeded(m, n), func(d *Matrix) error { return MatMul(d, a, b, 1, 1, true) }},
+			{"MatMulTransB", fresh(m, n), func(d *Matrix) error { return MatMulTransB(d, a, bt, 1, 1, false) }},
+			{"MatMulTransB acc", seeded(m, n), func(d *Matrix) error { return MatMulTransB(d, a, bt, 1, 1, true) }},
+			{"MatMulTransAAcc", seeded(k, n), func(d *Matrix) error { return MatMulTransAAcc(d, a, v, 1, 1) }},
+			{"block MatMul", fresh(m, n), func(d *Matrix) error { return MatMul(d, att, v, nb, 0.5, false) }},
+			{"block MatMul acc", seeded(m, n), func(d *Matrix) error { return MatMul(d, att, v, nb, 0.5, true) }},
+			{"block MatMulTransB", fresh(m, block), func(d *Matrix) error { return MatMulTransB(d, q, kk, nb, 0.125, false) }},
+			{"block MatMulTransB acc", seeded(m, block), func(d *Matrix) error { return MatMulTransB(d, q, kk, nb, 0.125, true) }},
+			{"block MatMulTransAAcc", seeded(nb*k, n), func(d *Matrix) error { return MatMulTransAAcc(d, q, v, nb, 0.5) }},
 		}
 
 		run := func(width int) []*Matrix {
@@ -112,7 +113,7 @@ func TestMatMulMatchesNaiveReference(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31} {
 		a := rng.Normal(6, k, 0, 1)
 		b := rng.Normal(k, 11, 0, 1)
-		got, err := MatMul(a, b)
+		got, err := product(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestMatMulMatchesNaiveReference(t *testing.T) {
 		}
 	}
 	b := rng.Normal(16, 9, 0, 1)
-	got, err := MatMul(a, b)
+	got, err := product(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

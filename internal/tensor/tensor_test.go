@@ -42,10 +42,16 @@ func TestFromRows(t *testing.T) {
 	}
 }
 
+// product returns the dense a×b in a fresh matrix.
+func product(a, b *Matrix) (*Matrix, error) {
+	out := New(a.Rows(), b.Cols())
+	return out, MatMulInto(out, a, b)
+}
+
 func TestMatMulSmall(t *testing.T) {
 	a := MustFromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := MustFromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	got, err := MatMul(a, b)
+	got, err := product(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func TestMatMulSmall(t *testing.T) {
 
 func TestMatMulShapeError(t *testing.T) {
 	a, b := New(2, 3), New(2, 3)
-	if _, err := MatMul(a, b); !errors.Is(err, ErrShape) {
+	if _, err := product(a, b); !errors.Is(err, ErrShape) {
 		t.Fatalf("want ErrShape, got %v", err)
 	}
 }
@@ -67,7 +73,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Big enough to trigger the parallel path.
 	a := rng.Normal(128, 96, 0, 1)
 	b := rng.Normal(96, 128, 0, 1)
-	got, err := MatMul(a, b)
+	got, err := product(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +97,11 @@ func TestMatMulTransBMatchesExplicitTranspose(t *testing.T) {
 	rng := NewRNG(2)
 	a := rng.Normal(7, 5, 0, 1)
 	b := rng.Normal(9, 5, 0, 1)
-	got, err := MatMulTransB(a, b)
-	if err != nil {
+	got := New(7, 9)
+	if err := MatMulTransB(got, a, b, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	want, err := MatMul(a, b.Transpose())
+	want, err := product(a, b.Transpose())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +114,11 @@ func TestMatMulTransAMatchesExplicitTranspose(t *testing.T) {
 	rng := NewRNG(3)
 	a := rng.Normal(5, 7, 0, 1)
 	b := rng.Normal(5, 9, 0, 1)
-	got, err := MatMulTransA(a, b)
-	if err != nil {
+	got := New(7, 9)
+	if err := MatMulTransAAcc(got, a, b, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	want, err := MatMul(a.Transpose(), b)
+	want, err := product(a.Transpose(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +186,8 @@ func TestSumRowsAndReductions(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	m := MustFromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
-	s := SoftmaxRows(m)
+	s := New(2, 3)
+	SoftmaxRowsInto(s, m, nil)
 	for i := 0; i < 2; i++ {
 		var sum float64
 		for _, v := range s.Row(i) {
@@ -321,9 +328,9 @@ func TestMatMulDistributivityProperty(t *testing.T) {
 		b := rng.Normal(5, 3, 0, 1)
 		c := rng.Normal(5, 3, 0, 1)
 		bc, _ := Add(b, c)
-		left, _ := MatMul(a, bc)
-		ab, _ := MatMul(a, b)
-		ac, _ := MatMul(a, c)
+		left, _ := product(a, bc)
+		ab, _ := product(a, b)
+		ac, _ := product(a, c)
 		right, _ := Add(ab, ac)
 		return left.AllClose(right, 1e-9, 1e-9)
 	}
