@@ -17,8 +17,10 @@ import (
 // The local training step is pinned by digest: two executors train for
 // two in-process FedAvg rounds, and the final model's raw encoding must
 // hash to the recorded value. The first two rows are ClassifierExecutors
-// on the default LocalConfig, recorded when a training step could still
-// fan its backward across the pool. The MLM row re-masks its corpus in
+// on the default LocalConfig. The BERT-mini rows were re-recorded when the
+// block aᵀ×b (attention's dV and dK backward) began summing in k-quads, as
+// the dense product does, so any block product equals its one-block
+// products bit for bit. The MLM row re-masks its corpus in
 // each of two epochs; the FedProx row trains two epochs against the
 // round's anchor. Every pool width must give the row's one digest. The
 // constants are checked on amd64 only: other architectures may fuse
@@ -31,9 +33,9 @@ var trainPins = []struct {
 	cfg    LocalConfig
 	digest string
 }{
-	{"bert-mini", model.SpecBERTMini, false, LocalConfig{}, "e9b7d989d36cc098e22c443a7c5d61ca4d8cd3b91fd83e171bce8e5d5e9dc1b2"},
+	{"bert-mini", model.SpecBERTMini, false, LocalConfig{}, "097ac6f50f18a12e6f109845edcae731c6759c97bf9499b8f4019158dafbb6e8"},
 	{"lstm", model.SpecLSTM, false, LocalConfig{}, "bed008a3fe9c55242d79888599185efa7693671617e9e6e334b5ca2db2a417a5"},
-	{"bert-mini-mlm", model.SpecBERTMini, true, LocalConfig{Epochs: 2}, "73174a625f0c4f42bf2a09cdc51c03236581e7f68d91286fa17f05e9ab6c3464"},
+	{"bert-mini-mlm", model.SpecBERTMini, true, LocalConfig{Epochs: 2}, "d6a93cc5772a85fdf8e1c98b12e10812c4809546ee02290d42c413c6cbb297d7"},
 	{"lstm-fedprox", model.SpecLSTM, false, LocalConfig{Epochs: 2, ProxMu: 0.1}, "bb6e3140d741896618723c709a9f593daaf526a3997ab44550c1a42a07a328f0"},
 }
 

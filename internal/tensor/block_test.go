@@ -51,6 +51,7 @@ func TestBlockProductsEqualOneBlockProducts(t *testing.T) {
 		{name: "a×b acc", acc: true},
 		{name: "a×bᵀ", transB: true},
 		{name: "a×bᵀ acc", transB: true, acc: true},
+		{name: "aᵀ×b acc", transA: true, acc: true},
 	}
 	shapes := []struct{ blocks, m, k, n int }{
 		{3, 5, 5, 4},      // attention-like square blocks, k%4 tail

@@ -131,16 +131,14 @@ func matmulTransARange(j *kernelJob, lo, hi int) {
 		ilo, ihi := max(lo-g*m, 0), min(hi-g*m, m)
 		ad, bd, od := a.data[g*k*m:(g+1)*k*m], b.data[g*k*n:(g+1)*k*n], out.data[g*m*n:(g+1)*m*n]
 		p := 0
-		if j.blocks == 1 {
-			for ; p+4 <= k; p += 4 {
-				a0 := ad[p*m : (p+1)*m]
-				a1 := ad[(p+1)*m : (p+2)*m]
-				a2 := ad[(p+2)*m : (p+3)*m]
-				a3 := ad[(p+3)*m : (p+4)*m]
-				bq := bd[p*n : (p+4)*n]
-				for i := ilo; i < ihi; i++ {
-					axpyQuad(od[i*n:(i+1)*n], bq, a0[i], a1[i], a2[i], a3[i], alpha, false)
-				}
+		for ; p+4 <= k; p += 4 {
+			a0 := ad[p*m : (p+1)*m]
+			a1 := ad[(p+1)*m : (p+2)*m]
+			a2 := ad[(p+2)*m : (p+3)*m]
+			a3 := ad[(p+3)*m : (p+4)*m]
+			bq := bd[p*n : (p+4)*n]
+			for i := ilo; i < ihi; i++ {
+				axpyQuad(od[i*n:(i+1)*n], bq, a0[i], a1[i], a2[i], a3[i], alpha, false)
 			}
 		}
 		for ; p < k; p++ {
