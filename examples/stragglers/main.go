@@ -1,9 +1,10 @@
 // Stragglers: the asynchronous-federation walkthrough. One of four
-// hospital sites is a chronic straggler (every round arrives 600 ms
-// late); the synchronous scatter-gather of the paper blocks each round on
-// it, while the async configuration — MinUpdates partial aggregation plus
-// a round deadline — finishes every round on the three prompt sites and
-// the quantized f32 uplink halves bytes-on-wire. The sweep prints
+// hospital sites is a chronic straggler (it starts every round 600 ms
+// after the other three have returned); the synchronous scatter-gather
+// of the paper blocks each round on it, while the async configuration —
+// MinUpdates partial aggregation plus a round deadline — finishes every
+// round on the three prompt sites and the quantized f32 uplink halves
+// bytes-on-wire. The sweep prints
 // accuracy, round time, participation and payload size per scheme, then a
 // codec size/error comparison for the model actually federated.
 package main
@@ -14,9 +15,9 @@ import (
 	"math"
 	"os"
 
+	"clinfl/internal/core"
 	"clinfl/internal/experiments"
 	"clinfl/internal/fl"
-	"clinfl/internal/model"
 	"clinfl/internal/nn"
 )
 
@@ -37,11 +38,7 @@ func main() {
 // codecDemo encodes one LSTM weight snapshot with every codec and prints
 // payload size and worst-case round-trip error.
 func codecDemo() error {
-	spec, err := model.SpecByName("lstm")
-	if err != nil {
-		return err
-	}
-	mdl, err := model.New(spec, 256, 24, 2, 1)
+	mdl, err := core.NewModel(core.Config{ModelName: "lstm", MaxLen: 24, Seed: 1}, 256)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -62,10 +63,13 @@ type StragglerResult struct {
 }
 
 // RunStragglerSweep executes the sweep: one shared data/model setup, one
-// federation per scheme, with client 4 a lateSite that starts every round
-// delay late. Results are deterministic for a fixed seed: the async
-// schemes drop the straggler (it never aggregates), and each local step
-// runs on one tape, so gradients do not depend on GOMAXPROCS.
+// federation per scheme, with client 4 a lateSite that starts its round
+// delay after the round's three prompt sites have all returned. Results
+// are deterministic for a fixed seed: the straggler's update lands after
+// every prompt update, whatever the machine's load, so the async schemes
+// always aggregate exactly the prompt sites and drop the straggler, and
+// each local step runs on one tape, so gradients do not depend on
+// GOMAXPROCS.
 func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([]StragglerResult, error) {
 	cfg := scale.apply(core.Default(core.TaskFinetune, core.ModeFederated, "lstm"))
 	cfg.Clients = 4
@@ -103,16 +107,22 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 		if err != nil {
 			return nil, err
 		}
+		// Client 4 is the straggler: it waits for the round's prompt
+		// sites, then delay more, before it trains.
+		prompt := &roundGate{sites: cfg.Clients - 1}
 		executors := make([]fl.Executor, cfg.Clients)
 		for i := range executors {
 			exec, err := core.NewSite(cfg, i, fmt.Sprintf("site-%d", i+1), shards[i], vocab.Size(), nil, 0)
 			if err != nil {
 				return nil, err
 			}
-			executors[i] = codecSite{Executor: exec, codec: codec}
+			site := codecSite{Executor: exec, codec: codec}
+			if i == cfg.Clients-1 {
+				executors[i] = lateSite{Executor: site, gate: prompt, delay: delay}
+			} else {
+				executors[i] = promptSite{Executor: site, gate: prompt}
+			}
 		}
-		// Client 4 is the straggler: every round arrives delay late.
-		executors[cfg.Clients-1] = lateSite{Executor: executors[cfg.Clients-1], delay: delay}
 
 		ctrlCfg := fl.ControllerConfig{
 			Rounds:   cfg.Rounds,
@@ -122,8 +132,9 @@ func RunStragglerSweep(ctx context.Context, scale Scale, delay time.Duration) ([
 		if scheme.Async {
 			// MinUpdates is the fast path (aggregate as soon as the three
 			// prompt clients land); the deadline is only a safety net, so
-			// it stays generous. The straggler always trails its peers by
-			// the injected delay, so it never makes the MinUpdates cut.
+			// it stays generous. The straggler starts only after the
+			// prompt clients have returned, so it never makes the
+			// MinUpdates cut.
 			ctrlCfg.MinUpdates = cfg.Clients - 1
 			ctrlCfg.RoundDeadline = 20 * delay
 		}
@@ -182,28 +193,73 @@ func (s codecSite) ExecuteRound(round int, global map[string]*tensor.Matrix) (*f
 	return u, nil
 }
 
-// lateSite is the sweep's straggler: it sleeps delay before every round.
-// The sleep is real, so the sweep runs on the real clock.
+// roundGate counts, per round, the prompt sites that have returned from
+// it, so the straggler can wait for all of them. Every prompt site is
+// tasked every round: the sync scheme tasks all sites, and an async round
+// closes once its three prompt sites have returned, so they are idle when
+// the next round starts.
+type roundGate struct {
+	sites  int // prompt sites per round
+	mu     sync.Mutex
+	rounds map[int]*sync.WaitGroup
+}
+
+// round returns the round's wait group, counting down from sites.
+func (g *roundGate) round(r int) *sync.WaitGroup {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.rounds == nil {
+		g.rounds = make(map[int]*sync.WaitGroup)
+	}
+	wg, ok := g.rounds[r]
+	if !ok {
+		wg = new(sync.WaitGroup)
+		wg.Add(g.sites)
+		g.rounds[r] = wg
+	}
+	return wg
+}
+
+// promptSite reports to its gate when it returns from a round, whether
+// or not its round failed.
+type promptSite struct {
+	fl.Executor
+	gate *roundGate
+}
+
+// ExecuteRound implements fl.Executor.
+func (s promptSite) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+	defer s.gate.round(round).Done()
+	return s.Executor.ExecuteRound(round, global)
+}
+
+// lateSite is the sweep's straggler: it waits until every prompt site has
+// returned from the round, then sleeps delay, then trains. The sleep is
+// real, so the sweep runs on the real clock.
 type lateSite struct {
 	fl.Executor
+	gate  *roundGate
 	delay time.Duration
 }
 
 // ExecuteRound implements fl.Executor.
 func (s lateSite) ExecuteRound(round int, global map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+	s.gate.round(round).Wait()
 	time.Sleep(s.delay)
 	return s.Executor.ExecuteRound(round, global)
 }
 
 // Run implements Runner.
 func (Stragglers) Run(ctx context.Context, w io.Writer, scale Scale) error {
-	results, err := RunStragglerSweep(ctx, scale, 600*time.Millisecond)
+	const delay = 600 * time.Millisecond
+	results, err := RunStragglerSweep(ctx, scale, delay)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "EXTENSION — SYNC vs ASYNC FEDERATION UNDER AN INJECTED STRAGGLER")
-	fmt.Fprintln(w, "4 LSTM clients, client 4 delayed every round; async = MinUpdates=3 +")
-	fmt.Fprintln(w, "round deadline (straggler dropped), f32 = quantized uplink transport.")
+	fmt.Fprintf(w, "4 LSTM clients; client 4 starts each round %v after the other three\n", delay)
+	fmt.Fprintln(w, "return. async = MinUpdates=3 + round deadline (straggler dropped),")
+	fmt.Fprintln(w, "f32 = quantized uplink transport.")
 	fmt.Fprintln(w)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "Scheme\tRounds\tAccuracy\tMean round\tParticipants\tUplink B/round")
@@ -213,7 +269,7 @@ func (Stragglers) Run(ctx context.Context, w io.Writer, scale Scale) error {
 			r.MeanParticipants, r.BytesUpPerRound)
 	}
 	fmt.Fprintln(tw)
-	fmt.Fprintln(tw, "Expected shape: async rounds are straggler-free (~delay faster), the f32")
+	fmt.Fprintln(tw, "Expected shape: async rounds are straggler-free (over delay faster), the f32")
 	fmt.Fprintln(tw, "uplink halves bytes-on-wire, and accuracy stays within a point of sync.")
 	return tw.Flush()
 }
