@@ -12,8 +12,10 @@
 //	rep, err := clinfl.Run(context.Background(), cfg)
 //	fmt.Printf("top-1 accuracy: %.1f%%\n", 100*rep.Accuracy)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-// paper-vs-reproduction results.
+// See DESIGN.md for the system inventory and, under "Documented
+// substitutions", where the reproduction departs from the paper;
+// `go run ./cmd/flsim -exp table3` prints measured results beside the
+// paper's.
 package clinfl
 
 import (

@@ -108,7 +108,8 @@ func Default(task Task, mode Mode, modelName string) Config {
 	}
 	// Per-model stable learning rates. The paper's Table I lists Adam 1e-2,
 	// which diverges for transformers trained from scratch in this stack;
-	// the substitution is documented in DESIGN.md and EXPERIMENTS.md.
+	// the substitution is listed under DESIGN.md's "Documented
+	// substitutions".
 	switch modelName {
 	case "lstm":
 		cfg.LR = 5e-3

@@ -20,8 +20,8 @@ import (
 )
 
 // Scale shrinks experiment workloads uniformly: 1 is the reference
-// scaled-down configuration recorded in EXPERIMENTS.md; larger values
-// divide data sizes and rounds for quick smoke runs.
+// scaled-down configuration (DESIGN.md, "Documented substitutions");
+// larger values divide data sizes and rounds for quick smoke runs.
 type Scale int
 
 // apply shrinks a pipeline config by the scale factor.

@@ -157,6 +157,6 @@ func (Table3) Run(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	fmt.Fprintln(tw)
 	fmt.Fprintln(tw, "Shape checks: FL ≈ centralized for each model; standalone below both;")
-	fmt.Fprintln(tw, "LSTM above BERT family (see EXPERIMENTS.md).")
+	fmt.Fprintln(tw, "LSTM above BERT family (see DESIGN.md, \"Documented substitutions\").")
 	return tw.Flush()
 }

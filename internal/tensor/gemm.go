@@ -2,13 +2,14 @@ package tensor
 
 // Dense GEMM kernel layer.
 //
-// Every dense and block matmul is built from three inner loops, each with
-// a pure-Go reference here and, on amd64 CPUs with AVX2, a Go-assembly
-// twin (gemm_amd64.s) picked at run time:
+// Every matrix product in matmul.go, dense or in blocks, is built from
+// three inner loops, each with a pure-Go reference here and, on amd64 CPUs
+// with AVX2, a Go-assembly twin (gemm_amd64.s) picked at run time:
 //
-//   - axpyQuad, the streaming k-quad: four b rows swept against one output
-//     row, o[j] (+)= a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j];
-//   - axpy, the single-row form for k%4 tails and per-block aᵀ×b;
+//   - axpyQuad, the streaming k-quad that a×b and aᵀ×b both sweep: four b
+//     rows against one output row, o[j] (+)= a0*b0[j] + a1*b1[j] +
+//     a2*b2[j] + a3*b3[j];
+//   - axpy, the single-row form for their k%4 tails;
 //   - dotRow, one output row of a×bᵀ as 4-lane dot products.
 //
 // The kernels were calibrated empirically (see DESIGN.md "Kernel
