@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"clinfl/internal/fl"
+	"clinfl/internal/tensor"
 )
 
 // TestStragglerSweepAcceptance pins the async-federation acceptance
@@ -61,5 +66,50 @@ func TestStragglerSweepAcceptance(t *testing.T) {
 	if asyncF32.Accuracy < sync.Accuracy-0.01 {
 		t.Fatalf("async+f32 accuracy %.3f more than 1 point below sync baseline %.3f",
 			asyncF32.Accuracy, sync.Accuracy)
+	}
+}
+
+// stubSite runs f as its round.
+type stubSite struct{ f func() error }
+
+func (stubSite) Name() string { return "stub" }
+
+func (s stubSite) ExecuteRound(int, map[string]*tensor.Matrix) (*fl.ClientUpdate, error) {
+	return nil, s.f()
+}
+
+// TestStragglerStartsAfterPromptSites pins the rule that keeps the sweep's
+// async accuracies independent of machine load: the straggler trains a
+// round only after every prompt site has returned from it, a failed
+// return included, so it can never make the MinUpdates cut.
+func TestStragglerStartsAfterPromptSites(t *testing.T) {
+	gate := &roundGate{sites: 2}
+	var returned atomic.Int32
+	ran := make(chan int32, 1)
+	late := lateSite{Executor: stubSite{func() error {
+		ran <- returned.Load()
+		return nil
+	}}, gate: gate}
+	go func() {
+		if _, err := late.ExecuteRound(3, nil); err != nil {
+			t.Error(err)
+		}
+	}()
+	// Give a straggler that does not wait the time to run early.
+	select {
+	case n := <-ran:
+		t.Fatalf("straggler trained after %d of 2 prompt sites returned", n)
+	case <-time.After(50 * time.Millisecond):
+	}
+	ok := promptSite{Executor: stubSite{func() error { returned.Add(1); return nil }}, gate: gate}
+	failed := promptSite{Executor: stubSite{func() error { returned.Add(1); return errors.New("lost") }}, gate: gate}
+	if _, err := ok.ExecuteRound(3, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := failed.ExecuteRound(3, nil); err == nil {
+		t.Fatal("the failing prompt site's error was lost")
+	}
+	if n := <-ran; n != 2 {
+		t.Fatalf("straggler trained after %d of 2 prompt sites returned", n)
 	}
 }
