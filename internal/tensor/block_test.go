@@ -109,6 +109,103 @@ func checkBlockProduct(t *testing.T, p blockProduct, blocks, m, k, n int, alpha 
 	}
 }
 
+// naiveBlockProduct is the triple-loop reference for p over blocks stacked
+// blocks: out_g = a_g×b_g, a_g×b_gᵀ or a_gᵀ×b_g, summed in textbook order.
+func naiveBlockProduct(p blockProduct, a, b *Matrix, blocks int) *Matrix {
+	ar, br := a.Rows()/blocks, b.Rows()/blocks
+	m, k, n := ar, a.Cols(), b.Cols()
+	if p.transA {
+		m, k = a.Cols(), ar
+	}
+	if p.transB {
+		n = br
+	}
+	out := New(blocks*m, n)
+	for g := 0; g < blocks; g++ {
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var s float64
+				for q := 0; q < k; q++ {
+					ai, aq := i, q
+					if p.transA {
+						ai, aq = q, i
+					}
+					bq, bj := q, j
+					if p.transB {
+						bq, bj = j, q
+					}
+					s += a.At(g*ar+ai, aq) * b.At(g*br+bq, bj)
+				}
+				out.Set(g*m+i, j, s)
+			}
+		}
+	}
+	return out
+}
+
+// checkAgainstNaive runs p over blocks stacked blocks into a fresh zero
+// destination and compares it with the triple-loop reference.
+func checkAgainstNaive(t *testing.T, p blockProduct, a, b *Matrix, blocks int) *Matrix {
+	t.Helper()
+	want := naiveBlockProduct(p, a, b, blocks)
+	got := New(want.Rows(), want.Cols())
+	if err := p.run(got, a, b, blocks, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !got.AllClose(want, 1e-12, 1e-12) {
+		t.Fatalf("%s in %d blocks differs from the triple-loop reference:\n%v\nvs\n%v", p.name, blocks, got, want)
+	}
+	return got
+}
+
+func TestBlockMatMulMatchesPerBlockDense(t *testing.T) {
+	rng := NewRNG(7)
+	const block, nb, n = 5, 3, 4
+	a := rng.Normal(nb*block, block, 0, 1)
+	b := rng.Normal(nb*block, n, 0, 1)
+	checkAgainstNaive(t, blockProduct{name: "a×b"}, a, b, nb)
+}
+
+func TestBlockMatMulTransBMatchesPerBlockDense(t *testing.T) {
+	rng := NewRNG(8)
+	const block, nb, k = 4, 3, 6
+	a := rng.Normal(nb*block, k, 0, 1)
+	b := rng.Normal(nb*block, k, 0, 1)
+	checkAgainstNaive(t, blockProduct{name: "a×bᵀ", transB: true}, a, b, nb)
+}
+
+func TestBlockMatMulTransAMatchesPerBlockDense(t *testing.T) {
+	rng := NewRNG(9)
+	const block, nb, m, n = 4, 3, 5, 6
+	a := rng.Normal(nb*block, m, 0, 1)
+	b := rng.Normal(nb*block, n, 0, 1)
+	checkAgainstNaive(t, blockProduct{name: "aᵀ×b", transA: true}, a, b, nb)
+}
+
+// TestBlockOpsLargeParallelPath runs the three block products on a pool
+// wide enough, and on shapes large enough, for the kernels to fork.
+func TestBlockOpsLargeParallelPath(t *testing.T) {
+	pool := sched.New(4)
+	defer sched.SetDefault(sched.SetDefault(pool))
+	defer pool.Close()
+	rng := NewRNG(11)
+	const block, nb, k = 32, 4, 40
+	a := rng.Normal(nb*block, k, 0, 1)
+	b := rng.Normal(nb*block, k, 0, 1)
+	for _, sh := range []struct{ rows, flops int }{
+		{nb * block, 2 * k * block},
+		{nb * block, 2 * block * k},
+		{nb * k, 2 * block * k},
+	} {
+		if !pool.WouldFork(sh.rows, sh.flops) {
+			t.Fatalf("%d rows of %d flops stay inline; the test no longer reaches the forked path", sh.rows, sh.flops)
+		}
+	}
+	scores := checkAgainstNaive(t, blockProduct{name: "a×bᵀ", transB: true}, a, b, nb)
+	checkAgainstNaive(t, blockProduct{name: "a×b"}, scores, a, nb)
+	checkAgainstNaive(t, blockProduct{name: "aᵀ×b", transA: true}, a, b, nb)
+}
+
 func TestBlockMatMulSingleBlockEqualsDense(t *testing.T) {
 	rng := NewRNG(10)
 	a := rng.Normal(6, 6, 0, 1)
