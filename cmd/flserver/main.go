@@ -20,7 +20,12 @@
 // failures quarantine a client out of the sample pool until a ping probe
 // succeeds (-probe-interval paces the probes), and a round starved below
 // quorum parks until probes revive clients instead of failing. Requires
-// -deadline, which bounds every retry.
+// -deadline, which bounds every retry; the server refuses it without one.
+//
+// Every round setting is checked by the server library itself, the same
+// check the in-process controller runs: a negative -rounds, a -sample
+// outside [0, 1], a -min-clients or -min-updates above -clients, or a
+// negative -deadline exits non-zero naming the field.
 //
 // -tier turns the server into the root of a streaming aggregation
 // hierarchy: registered peers may be edge aggregators that fold their
@@ -95,9 +100,9 @@ func run() error {
 		seed      = flag.Int64("seed", 1, "global model init seed (must match clients)")
 		out       = flag.String("out", "global.weights", "output path for the final model")
 
-		sample     = flag.Float64("sample", 0, "client fraction tasked per round (0 or 1 = all)")
-		minUpdates = flag.Int("min-updates", 0, "aggregate as soon as this many updates arrive (0 = all tasked)")
-		minClients = flag.Int("min-clients", 0, "per-round quorum: fail the run if fewer updates gathered (0 = accept any)")
+		sample     = flag.Float64("sample", 0, "client fraction tasked per round, in [0, 1] (0 or 1 = all)")
+		minUpdates = flag.Int("min-updates", 0, "aggregate as soon as this many updates arrive, at most -clients (0 = all tasked)")
+		minClients = flag.Int("min-clients", 0, "per-round quorum: fail the run if fewer updates gathered, at most -clients (0 = a floor of one update)")
 		deadline   = flag.Duration("deadline", 0, "round gather deadline; stragglers are dropped or fedasync-merged (0 = wait)")
 		fedasync   = flag.Bool("fedasync", false, "fold stragglers' late updates in with staleness weighting instead of dropping them")
 		codec      = flag.String("codec", "raw", "downlink weight codec: raw | f32 | int8 | topk[:fraction]")
@@ -178,12 +183,6 @@ func run() error {
 			QuarantineAfter: *quarantineAfter,
 			ProbeBackoff:    fl.Backoff{Base: *probeInterval, Seed: *seed},
 			Substitute:      *substitute,
-		}
-		if *deadline <= 0 {
-			// Reconciliation retries and probe-revived re-tasking are
-			// bounded by the round deadline; without one a round with a
-			// permanently failing client would retry forever.
-			return fmt.Errorf("-quarantine-after requires -deadline (retries and parking are bounded by the round deadline)")
 		}
 	}
 	srv, err := fl.NewServer(scfg, kit)

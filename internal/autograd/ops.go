@@ -214,10 +214,12 @@ func (t *Tape) GELU(a *Node) *Node {
 }
 
 // SoftmaxRows applies a numerically-stable softmax along every row of a,
-// whose rows form blocks equal runs. padMasks, when non-nil, holds one key
-// mask per block: row r of block g is normalized over the columns j with
-// !padMasks[g][j], and masked columns get exactly 0. A nil entry masks
-// nothing in its block, so a sequence without padding needs no mask. The
+// whose rows form blocks equal runs, one per sequence. padMasks, when
+// non-nil, holds one key mask per sequence, each as long as a row: row r of
+// sequence g is normalized over the columns j with !padMasks[g][j], and
+// masked columns get exactly 0. A nil entry masks nothing, so a sequence
+// without padding needs no mask. This is the one place mask counts and
+// lengths are checked. The
 // backward rule runs fully in place: the softmax VJP needs only a per-row
 // dot product, so gradients accumulate directly into the parent buffer
 // with no scratch matrix.
@@ -228,11 +230,11 @@ func (t *Tape) SoftmaxRows(a *Node, blocks int, padMasks [][]bool) (*Node, error
 			tensor.ErrShape, rows, blocks)
 	}
 	if padMasks != nil && len(padMasks) != blocks {
-		return nil, fmt.Errorf("autograd: SoftmaxRows %d masks for %d blocks", len(padMasks), blocks)
+		return nil, fmt.Errorf("autograd: SoftmaxRows %d masks for %d sequences", len(padMasks), blocks)
 	}
 	for g, m := range padMasks {
 		if m != nil && len(m) != cols {
-			return nil, fmt.Errorf("autograd: SoftmaxRows mask %d length %d != %d cols", g, len(m), cols)
+			return nil, fmt.Errorf("autograd: SoftmaxRows mask of sequence %d has length %d, want %d", g, len(m), cols)
 		}
 	}
 	s := t.newMatrix(rows, cols)

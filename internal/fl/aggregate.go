@@ -196,26 +196,16 @@ func (f FedAsync) alpha() (float64, error) {
 		return 0.5, nil
 	}
 	if !(f.Alpha > 0 && f.Alpha <= 1) {
-		return 0, fmt.Errorf("fl: fedasync alpha %v out of (0,1]", f.Alpha)
+		return 0, fmt.Errorf("FedAsync alpha %v is outside (0, 1]", f.Alpha)
 	}
 	return f.Alpha, nil
-}
-
-// checkAsync rejects, at construction, a FedAsync whose Alpha Apply would
-// refuse: otherwise every late merge of the run fails instead.
-func checkAsync(a AsyncAggregator) error {
-	if f, ok := a.(interface{ alpha() (float64, error) }); ok {
-		_, err := f.alpha()
-		return err
-	}
-	return nil
 }
 
 // Apply implements AsyncAggregator.
 func (f FedAsync) Apply(global map[string]*tensor.Matrix, u *ClientUpdate, staleness int) error {
 	alpha, err := f.alpha()
 	if err != nil {
-		return err
+		return fmt.Errorf("fl: %w", err)
 	}
 	if staleness < 0 {
 		return fmt.Errorf("fl: fedasync negative staleness %d", staleness)

@@ -14,26 +14,32 @@ import (
 // ControllerConfig parameterizes the server-side scatter-and-gather
 // workflow. The zero value (plus Rounds) reproduces the paper's fully
 // synchronous federation; SampleFraction, MinUpdates and RoundDeadline
-// progressively relax it toward a production asynchronous one.
+// progressively relax it toward a production asynchronous one. The round
+// settings mean the same as on ServerConfig, and NewController refuses a
+// bad one by name, as NewServer does.
 type ControllerConfig struct {
-	// Rounds is E, the number of communication rounds (Fig. 1).
+	// Rounds is E, the number of communication rounds (Fig. 1); 0 runs
+	// one round.
 	Rounds int
 	// MinClients is the quorum required per round; fewer successful
-	// updates fail the round. 0 means all sampled clients must respond
-	// (or, when MinUpdates is set, that many).
+	// updates fail the round. 0 is a floor of one update (NVFlare's
+	// min_clients), so a failed client alone never fails a round. At most
+	// the executor count.
 	MinClients int
 	// SampleFraction selects a random subset of clients each round
 	// (production FL's partial participation). Values in (0, 1) sample
-	// ceil(fraction * N) of the idle clients; 0 or >= 1 uses them all.
+	// ceil(fraction * N) of the idle clients; 0 or 1 uses them all. Values
+	// outside [0, 1], NaN included, are refused.
 	SampleFraction float64
 	// MinUpdates, when > 0, aggregates as soon as this many updates have
 	// arrived instead of waiting for every sampled client — the fast path
 	// of NVFlare's wait_time_after_min_received. 0 waits for all sampled.
+	// At most the executor count.
 	MinUpdates int
 	// RoundDeadline bounds one round's gather: when it fires, whatever
 	// has arrived (subject to MinClients) is aggregated and the
 	// stragglers' eventual updates are handled by the staleness policy
-	// below. 0 means no limit.
+	// below. 0 means no limit; Reconcile needs one.
 	RoundDeadline time.Duration
 	// AsyncAggregator, when non-nil, folds late updates (stragglers from
 	// round r arriving during round r' > r) into the global model with
@@ -76,8 +82,9 @@ type ControllerConfig struct {
 	// deadline, repeated failures demote clients out of the sample pool
 	// until a recovery probe succeeds, and a round starved below quorum
 	// degrades (FedAsync partial finalize) or parks awaiting probes
-	// instead of failing. Nil runs the same round loop under the null
-	// policy: one attempt per assignment, no health tracking.
+	// instead of failing. It needs a RoundDeadline, which bounds every
+	// retry. Nil runs the same round loop under the null policy: one
+	// attempt per assignment, no health tracking.
 	Reconcile *ReconcilePolicy
 	// Tier, when non-nil, routes rounds through hierarchical streaming
 	// aggregation (see TierConfig): updates fold into O(model) partials
@@ -85,28 +92,6 @@ type ControllerConfig struct {
 	// weight maps at the root. Nil keeps the legacy flat path
 	// bit-for-bit unchanged.
 	Tier *TierConfig
-}
-
-// withDefaults fills zero fields.
-func (c ControllerConfig) withDefaults(numClients int) ControllerConfig {
-	if c.Rounds <= 0 {
-		c.Rounds = 1
-	}
-	if c.MinClients <= 0 || c.MinClients > numClients {
-		c.MinClients = numClients
-		if c.MinUpdates > 0 && c.MinUpdates < numClients {
-			// Partial aggregation on: the quorum floor follows the early
-			// trigger, not the full roster.
-			c.MinClients = c.MinUpdates
-		}
-	}
-	if c.Aggregator == nil {
-		c.Aggregator = FedAvg{}
-	}
-	if c.Clock == nil {
-		c.Clock = RealClock()
-	}
-	return c
 }
 
 // RoundRecord captures one communication round for the run history.
@@ -217,7 +202,6 @@ type execOutcome struct {
 // their outcomes into events. An executor's roster id is its index in the
 // executor list.
 type Controller struct {
-	cfg       ControllerConfig
 	executors []Executor
 	eng       *engine
 
@@ -233,16 +217,11 @@ type Controller struct {
 	global map[string]*tensor.Matrix
 }
 
-// NewController builds a controller over executors.
+// NewController builds a controller over executors. It refuses a round
+// setting no front end can run, naming the field.
 func NewController(cfg ControllerConfig, executors []Executor) (*Controller, error) {
 	if len(executors) == 0 {
 		return nil, errors.New("fl: controller needs at least one executor")
-	}
-	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator, cfg.WAL, cfg.Reconcile); err != nil {
-		return nil, err
-	}
-	if err := checkAsync(cfg.AsyncAggregator); err != nil {
-		return nil, err
 	}
 	_, virtual := cfg.Clock.(Waiter)
 	ros := newRoster(len(executors))
@@ -257,9 +236,17 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		}
 	}
 	ros.byName() // the roster's one sort
-	cfg = cfg.withDefaults(len(executors))
+	rc := roundConfig{
+		clients: len(executors),
+		rounds:  cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
+		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
+		aggregator: cfg.Aggregator, async: cfg.AsyncAggregator, validate: cfg.Validate,
+		clock: cfg.Clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile, tier: cfg.Tier,
+	}
+	if err := rc.settle(); err != nil {
+		return nil, err
+	}
 	c := &Controller{
-		cfg:       cfg,
 		executors: executors,
 		// Each executor has at most one task outcome and one probe
 		// outcome outstanding (it is never re-tasked until its previous
@@ -269,20 +256,8 @@ func NewController(cfg ControllerConfig, executors []Executor) (*Controller, err
 		results:  make(chan execOutcome, 2*len(executors)),
 		inFlight: make([]bool, len(executors)),
 	}
-	c.source = source[execOutcome]{clk: cfg.Clock, ch: c.results, normalize: c.normalize}
-	var sk sink = &flatSink{agg: cfg.Aggregator, async: cfg.AsyncAggregator}
-	if cfg.Tier != nil {
-		// Hierarchical path: updates stream into edge-shard partials as
-		// they arrive and merge up the tiers; the root never holds
-		// per-client weight maps.
-		sk = &tierSink{widths: cfg.Tier.widths()}
-	}
-	c.eng = newEngine(roundConfig{
-		rounds: cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
-		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
-		async: cfg.AsyncAggregator, validate: cfg.Validate,
-		clock: cfg.Clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
-	}, ros, c, sk)
+	c.source = source[execOutcome]{clk: rc.clock, ch: c.results, normalize: c.normalize}
+	c.eng = newEngine(rc, ros, c)
 	return c, nil
 }
 
@@ -334,7 +309,7 @@ func (c *Controller) task(id int) (int, error) {
 	c.inFlight[id] = true
 	if p, ok := ex.(Planner); ok {
 		d, u, err := p.PlanRound(round, global)
-		c.cfg.Clock.AfterFunc(d, func() {
+		c.eng.clock.AfterFunc(d, func() {
 			c.results <- execOutcome{update: u, err: err, id: id, round: round}
 		})
 		return 0, nil
@@ -359,7 +334,7 @@ func (c *Controller) probe(id int) error {
 			d, err = p.Probe()
 		}
 	}
-	c.cfg.Clock.AfterFunc(d, func() {
+	c.eng.clock.AfterFunc(d, func() {
 		c.results <- execOutcome{id: id, err: err, probe: true}
 	})
 	return nil

@@ -37,10 +37,13 @@ type EdgeConfig struct {
 	// per connecting peer on that peer's own goroutine.
 	VerifyToken func(name, token string) bool
 	// RoundDeadline cuts the downstream gather; stragglers stay tasked and
-	// their late replies are dropped when they surface (0 = wait for all).
+	// their late replies are dropped when they surface (0 = wait for all;
+	// negative is refused).
 	RoundDeadline time.Duration
 	// MinClients is the quorum below which the edge reports the round as
-	// failed to its parent instead of sending a thin partial (0 = 1).
+	// failed to its parent instead of sending a thin partial. 0 is a floor
+	// of one update, as on ControllerConfig and ServerConfig; at most
+	// ExpectedClients.
 	MinClients int
 	// Logf, when set, receives progress logging.
 	Logf func(string, ...any)
@@ -105,7 +108,8 @@ func (s *edgeSink) finalize(round int, global map[string]*tensor.Matrix, _ []*Cl
 }
 
 // NewEdge validates the configuration and assembles the edge from a Server
-// over cfg.Listener and a Client over cfg.DialParent.
+// over cfg.Listener and a Client over cfg.DialParent; the Server refuses a
+// bad round setting by name.
 func NewEdge(cfg EdgeConfig) (*Edge, error) {
 	switch {
 	case cfg.Name == "":

@@ -243,7 +243,8 @@ func TestControllerQuorumFailure(t *testing.T) {
 		&fakeExecutor{name: "a", samples: 1, value: 1, fail: true},
 		&fakeExecutor{name: "b", samples: 1, value: 2},
 	}
-	ctrl, err := NewController(ControllerConfig{Rounds: 1}, execs) // MinClients defaults to all
+	// MinClients 0 would be a floor of one, which b alone meets.
+	ctrl, err := NewController(ControllerConfig{Rounds: 1, MinClients: 2}, execs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,7 @@ func checkRecords(t *testing.T, res *fl.Result) {
 // is the exact sample-weighted average, every round.
 func conformFedAvgExact(t *testing.T, h Harness) {
 	spec := RunSpec{
-		Rounds: 2, MinClients: 1,
+		Rounds: 2,
 		Clients: []ClientSpec{
 			{Name: "a", Samples: 10, Value: 1},
 			{Name: "b", Samples: 30, Value: 2},
@@ -121,7 +121,7 @@ func conformArrivalOrder(t *testing.T, h Harness) {
 		40*time.Millisecond, 0, 5*time.Millisecond, 25*time.Millisecond
 
 	run := func(cs []ClientSpec) map[string]float64 {
-		res, err := h.Run(RunSpec{Rounds: 2, MinClients: 1, Clients: cs})
+		res, err := h.Run(RunSpec{Rounds: 2, Clients: cs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func conformArrivalOrder(t *testing.T, h Harness) {
 // aggregates in-round, and the federation never blocks on it.
 func conformStraggler(t *testing.T, h Harness) {
 	spec := RunSpec{
-		Rounds: 4, MinClients: 1, MinUpdates: 3,
+		Rounds: 4, MinUpdates: 3,
 		RoundDeadline: 250 * time.Millisecond,
 		Clients: []ClientSpec{
 			{Name: "a", Samples: 10, Value: 1, Delay: 150 * time.Millisecond},
@@ -216,7 +216,7 @@ func names(failure, client string) bool {
 // record, never a silent absence, and never a participant.
 func conformFailureRecorded(t *testing.T, h Harness) {
 	res, err := h.Run(RunSpec{
-		Rounds: 1, MinClients: 1,
+		Rounds: 1,
 		Clients: []ClientSpec{
 			{Name: "ok", Samples: 10, Value: 2},
 			{Name: "broken", Samples: 10, Value: 5, FailRounds: []int{0}},
@@ -248,7 +248,7 @@ func conformFailureRecorded(t *testing.T, h Harness) {
 	// root's record instead of vanishing into the edge's partial.
 	t.Run("behind-edge", func(t *testing.T) {
 		res, err := h.Run(RunSpec{
-			Rounds: 1, MinClients: 1, Tier: []int{2},
+			Rounds: 1, Tier: []int{2},
 			Clients: []ClientSpec{
 				{Name: "ok", Samples: 10, Value: 2},
 				{Name: "ok2", Samples: 30, Value: 2},
@@ -289,7 +289,7 @@ func conformMalformedUpdate(t *testing.T, h Harness) {
 					{Name: "c", Samples: 20, Value: 7},
 				}
 				spec := RunSpec{
-					Rounds: 3, MinClients: 1, Tier: tier,
+					Rounds: 3, Tier: tier,
 					Clients: append([]ClientSpec{{Name: "bad", Samples: 40, Value: 100, Malformed: mode}}, good...),
 				}
 				res, err := h.Run(spec)
@@ -346,7 +346,7 @@ func conformFiniteCommit(t *testing.T, h Harness) {
 	big := math.Nextafter(math.Ldexp(1, 980), 0)
 	for _, tier := range [][]int{nil, {2}} {
 		t.Run(fmt.Sprintf("tier%v", tier), func(t *testing.T) {
-			spec := RunSpec{Rounds: 2, MinClients: 1, Tier: tier}
+			spec := RunSpec{Rounds: 2, Tier: tier}
 			for i, name := range []string{"a", "b", "c", "d"} {
 				spec.Clients = append(spec.Clients, ClientSpec{Name: name, Samples: 1<<21 - 1 - i, Value: big})
 			}
@@ -380,7 +380,7 @@ func conformFiniteCommit(t *testing.T, h Harness) {
 // run produces, with the flake recorded as a failure and a reassignment.
 func conformReassignedSingleUpdate(t *testing.T, h Harness) {
 	spec := RunSpec{
-		Rounds: 1, MinClients: 1,
+		Rounds:        1,
 		RoundDeadline: 2 * time.Second,
 		Reconcile: &fl.ReconcilePolicy{
 			RequeueBackoff: fl.Backoff{Base: 20 * time.Millisecond, Max: 100 * time.Millisecond},
@@ -429,7 +429,7 @@ func conformReassignedSingleUpdate(t *testing.T, h Harness) {
 // participates again after its probes succeed.
 func conformFlapNeverBlocks(t *testing.T, h Harness) {
 	spec := RunSpec{
-		Rounds: 6, MinClients: 1,
+		Rounds:        6,
 		RoundDeadline: 400 * time.Millisecond,
 		Reconcile: &fl.ReconcilePolicy{
 			RequeueBackoff: fl.Backoff{Base: 25 * time.Millisecond, Max: 100 * time.Millisecond},
@@ -494,7 +494,7 @@ func conformHealthOrderIndependent(t *testing.T, h Harness) {
 	want := map[string]string{"dead": "unreachable", "ok": "healthy", "flaky": "healthy"}
 	for i, cs := range [][]ClientSpec{clients, permuted} {
 		res, err := h.Run(RunSpec{
-			Rounds: 2, MinClients: 1,
+			Rounds:        2,
 			RoundDeadline: 2 * time.Second,
 			Reconcile:     policy(),
 			Clients:       cs,
@@ -523,7 +523,7 @@ func conformCodecBytes(t *testing.T, h Harness) {
 			{Name: "a", Samples: 10, Value: 1, Codec: codec},
 			{Name: "b", Samples: 10, Value: 2, Codec: codec},
 		}
-		res, err := h.Run(RunSpec{Rounds: 2, MinClients: 1, Clients: clients})
+		res, err := h.Run(RunSpec{Rounds: 2, Clients: clients})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,7 +556,7 @@ func conformTierMatchesFlat(t *testing.T, h Harness) {
 		{Name: "c", Samples: 24, Value: 0.125},
 		{Name: "d", Samples: 16, Value: 3},
 	}
-	base := RunSpec{Rounds: 2, MinClients: 1, Clients: clients}
+	base := RunSpec{Rounds: 2, Clients: clients}
 	flat, err := h.Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -606,7 +606,7 @@ func conformConvergence(t *testing.T, h Harness) {
 		t.Run(mode.name, func(t *testing.T) {
 			lin := &LinearSpec{Seed: 11}
 			spec := RunSpec{
-				Rounds: 14, MinClients: 1, FedAsyncAlpha: mode.alpha,
+				Rounds: 14, FedAsyncAlpha: mode.alpha,
 				Linear: lin,
 				Clients: []ClientSpec{
 					{Name: "a"}, {Name: "b"}, {Name: "c"},
@@ -641,7 +641,7 @@ func conformConvergence(t *testing.T, h Harness) {
 // sampling and codecs all included.
 func conformBitIdentical(t *testing.T, h Harness) {
 	spec := RunSpec{
-		Rounds: 5, MinClients: 1, MinUpdates: 3,
+		Rounds: 5, MinUpdates: 3,
 		RoundDeadline:  300 * time.Millisecond,
 		SampleFraction: 0.8,
 		FedAsyncAlpha:  0.5,

@@ -448,10 +448,13 @@ func (ServerHarness) runTier(spec RunSpec) (*fl.Result, error) {
 		MinClients:      minClients,
 		RoundDeadline:   spec.RoundDeadline,
 		Seed:            spec.Seed,
-		Tier:            &fl.TierConfig{Aggregators: spec.Tier},
-		VerifyToken:     func(name, token string) bool { return token == "tok-"+name },
-		Logf:            func(string, ...any) {},
-		Listener:        rootNet,
+		AsyncAggregator: asyncFor(spec),
+		Reconcile:       spec.Reconcile,
+		// The widths are the deployed Edges'; the root only merges.
+		Tier:        &fl.TierConfig{},
+		VerifyToken: func(name, token string) bool { return token == "tok-"+name },
+		Logf:        func(string, ...any) {},
+		Listener:    rootNet,
 	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
 	if err != nil {
 		return nil, err

@@ -31,7 +31,7 @@ func TestPropertyPermutedArrivalOrderSameModel(t *testing.T) {
 			}
 		}
 		run := func(cs []ClientSpec) map[string]*tensor.Matrix {
-			res, err := h.Run(RunSpec{Rounds: 1, MinClients: 1, Clients: cs})
+			res, err := h.Run(RunSpec{Rounds: 1, Clients: cs})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -43,23 +43,95 @@ import (
 // engine writes text (the RoundRecord, WAL records, failure strings) and in
 // the name-keyed reconcile monitor and retry queue.
 
-// roundConfig is the engine's view of a ControllerConfig or ServerConfig:
-// the knobs both share, defaulted by the owning constructor.
+// roundConfig is the round policy of every front end: the engine's view of
+// a ControllerConfig, a ServerConfig or (through its Server) an EdgeConfig.
+// Each constructor copies its fields in and calls settle, the one place the
+// round settings are checked and defaulted, so a setting means the same on
+// every front end.
 type roundConfig struct {
+	// clients is the roster the quorum settings are checked against: the
+	// executor count in-process, ExpectedClients on a Server or an Edge.
+	clients int
+	// networked marks a Server's engine, an Edge's included. Its tiers are
+	// the deployed Edge topology, so it takes no Tier.Aggregators and folds
+	// whatever it accepts into one partial.
+	networked      bool
 	rounds         int
 	minClients     int
 	minUpdates     int
 	sampleFraction float64
 	deadline       time.Duration
 	seed           int64
+	aggregator     Aggregator
 	async          AsyncAggregator
 	validate       func(weights map[string]*tensor.Matrix) (float64, error)
 	clock          Clock
 	wal            *durable.WAL
 	metrics        *metrics.Registry
 	reconcile      *ReconcilePolicy
+	tier           *TierConfig
 	// logf receives progress lines; nil discards them.
 	logf func(format string, args ...any)
+}
+
+// settle refuses every round setting no front end can run, naming the
+// field, then fills the defaults: Rounds 0 runs one round, MinClients 0 is a
+// floor of one update (NVFlare's min_clients), MinUpdates 0 waits for every
+// tasked client, SampleFraction 0 or 1 tasks every idle client, a nil
+// Aggregator is FedAvg and a nil Clock the wall clock.
+func (c *roundConfig) settle() error {
+	switch {
+	case c.rounds < 0:
+		return fmt.Errorf("fl: Rounds %d is negative", c.rounds)
+	case c.minClients < 0 || c.minClients > c.clients:
+		return fmt.Errorf("fl: MinClients %d is outside [0, %d], the roster's size", c.minClients, c.clients)
+	case c.minUpdates < 0 || c.minUpdates > c.clients:
+		return fmt.Errorf("fl: MinUpdates %d is outside [0, %d], the roster's size", c.minUpdates, c.clients)
+	case !(c.sampleFraction >= 0 && c.sampleFraction <= 1): // NaN fails both
+		return fmt.Errorf("fl: SampleFraction %v is outside [0, 1]", c.sampleFraction)
+	case c.deadline < 0:
+		return fmt.Errorf("fl: RoundDeadline %v is negative", c.deadline)
+	case c.reconcile != nil && c.deadline == 0:
+		// Without a deadline a round with a permanently failing client
+		// would retry, or stay parked, forever.
+		return errors.New("fl: Reconcile needs a RoundDeadline, which bounds every retry and every parked round")
+	}
+	if f, ok := c.async.(interface{ alpha() (float64, error) }); ok {
+		if _, err := f.alpha(); err != nil {
+			return fmt.Errorf("fl: AsyncAggregator %w", err)
+		}
+	}
+	if t := c.tier; t != nil {
+		// A tier refuses the features that assume the root sees raw
+		// per-client updates, naming both.
+		if c.networked && len(t.Aggregators) > 0 {
+			return fmt.Errorf("fl: Tier.Aggregators %v on a networked server, whose tiers are its deployed Edges", t.Aggregators)
+		}
+		for _, w := range t.Aggregators {
+			if w <= 0 {
+				return fmt.Errorf("fl: Tier.Aggregators width %d must be positive", w)
+			}
+		}
+		if _, fedAvg := c.aggregator.(FedAvg); c.aggregator != nil && !fedAvg {
+			return fmt.Errorf("fl: Tier is incompatible with Aggregator %T (a tier is exact streaming FedAvg)", c.aggregator)
+		}
+		switch {
+		case c.async != nil:
+			return errors.New("fl: Tier is incompatible with AsyncAggregator (stragglers are dropped at tier nodes, not merged late)")
+		case c.wal != nil:
+			return errors.New("fl: Tier is incompatible with WAL (resume has no path to reseed a round from partial-aggregate payloads)")
+		case c.reconcile != nil:
+			return errors.New("fl: Tier is incompatible with Reconcile (per-client requeue needs root-visible clients)")
+		}
+	}
+	c.rounds = max(c.rounds, 1)
+	if c.aggregator == nil {
+		c.aggregator = FedAvg{}
+	}
+	if c.clock == nil {
+		c.clock = RealClock()
+	}
+	return nil
 }
 
 // eventKind classifies a backend delivery.
@@ -286,7 +358,20 @@ type engine struct {
 	reconciling bool
 }
 
-func newEngine(cfg roundConfig, ros *roster, be backend, sk sink) *engine {
+// newEngine runs a settled cfg over the backend. The sink follows the
+// config: a flat buffer for the Aggregator, or, with a Tier, partials that
+// fold each update as it arrives so the node never holds per-client weight
+// maps. An in-process root lays its tiers out itself; a networked node
+// merges what its deployed Edges send.
+func newEngine(cfg roundConfig, ros *roster, be backend) *engine {
+	var sk sink = &flatSink{agg: cfg.aggregator, async: cfg.async}
+	if cfg.tier != nil {
+		t := &tierSink{}
+		if !cfg.networked {
+			t.widths = cfg.tier.widths()
+		}
+		sk = t
+	}
 	e := &engine{
 		roundConfig: cfg, ros: ros, be: be, sink: sk,
 		rng: tensor.NewRNG(cfg.seed + 7919),

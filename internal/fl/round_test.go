@@ -318,8 +318,8 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 			}
 			eng := newEngine(roundConfig{
 				rounds: 1, minClients: tc.minClients, deadline: tc.deadline,
-				clock: clk, reconcile: tc.policy,
-			}, be.ros, be, &flatSink{agg: FedAvg{}})
+				aggregator: FedAvg{}, clock: clk, reconcile: tc.policy,
+			}, be.ros, be)
 			res, err := eng.run(context.Background(), scriptWeights(0))
 			if got := clk.now.Sub(start); got != tc.elapsed {
 				t.Errorf("round settled after %v, want %v", got, tc.elapsed)
@@ -374,8 +374,11 @@ func TestRoundEngineRosterOrder(t *testing.T) {
 	}
 	clk := &scriptClock{now: time.Unix(1000, 0)}
 	be := newScriptBackend(t, clk, names, script)
-	sk := &tierSink{widths: []int{width}}
-	eng := newEngine(roundConfig{rounds: 1, sampleFraction: fraction, seed: seed, clock: clk}, be.ros, be, sk)
+	eng := newEngine(roundConfig{
+		rounds: 1, sampleFraction: fraction, seed: seed, clock: clk,
+		tier: &TierConfig{Aggregators: []int{width}},
+	}, be.ros, be)
+	sk := eng.sink.(*tierSink)
 	res, err := eng.run(context.Background(), scriptWeights(0))
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,8 @@ import (
 // ControllerConfig, the zero value (plus Rounds/ExpectedClients) is the
 // paper's synchronous scatter-gather; SampleFraction, MinUpdates and
 // RoundDeadline make rounds straggler-tolerant, and Codec compresses the
-// downlink weight payloads.
+// downlink weight payloads. The round settings mean the same as on
+// ControllerConfig, and NewServer refuses a bad one by name.
 type ServerConfig struct {
 	// Addr is the TCP listen address (e.g. ":8443" or "127.0.0.1:0").
 	Addr string
@@ -32,21 +33,23 @@ type ServerConfig struct {
 	ExpectedClients int
 	// RegisterTimeout bounds the registration phase.
 	RegisterTimeout time.Duration
-	// Rounds is E, the communication-round count.
+	// Rounds is E, the communication-round count; 0 runs one round.
 	Rounds int
 	// RoundDeadline bounds one round's gather; on expiry the round
 	// aggregates whatever arrived and stragglers are handled by the
-	// staleness policy. 0 means no limit.
+	// staleness policy. 0 means no limit; Reconcile needs one.
 	RoundDeadline time.Duration
 	// SampleFraction tasks a random subset of idle clients each round;
-	// 0 or >= 1 tasks them all.
+	// 0 or 1 tasks them all. Values outside [0, 1], NaN included, are
+	// refused.
 	SampleFraction float64
 	// MinUpdates, when > 0, aggregates as soon as this many updates have
-	// arrived instead of waiting for every tasked client.
+	// arrived instead of waiting for every tasked client. At most
+	// ExpectedClients.
 	MinUpdates int
 	// MinClients is the per-round quorum: a round that gathers fewer
-	// successful updates fails the run. 0 keeps the legacy floor of one
-	// update, so deadline rounds aggregate whatever arrived.
+	// successful updates fails the run. 0 is a floor of one update, so
+	// deadline rounds aggregate whatever arrived. At most ExpectedClients.
 	MinClients int
 	// Seed drives the client-sampling stream.
 	Seed int64
@@ -95,8 +98,9 @@ type ServerConfig struct {
 	// per-client health tracking with MsgPing/MsgPong recovery probes,
 	// requeue-with-backoff of failed task assignments (send errors,
 	// execution errors, dropped connections), and degradation modes for
-	// mass failure. Nil runs the same round loop under the null policy: one
-	// attempt per assignment, no health tracking.
+	// mass failure. It needs a RoundDeadline, which bounds every retry. Nil
+	// runs the same round loop under the null policy: one attempt per
+	// assignment, no health tracking.
 	Reconcile *ReconcilePolicy
 	// Tier, when non-nil, accepts partial-aggregate uplinks from fl.Edge
 	// nodes and aggregates by streaming: each registered "client" may be
@@ -104,7 +108,8 @@ type ServerConfig struct {
 	// merged (a plain client's folded) into one partial as it arrives, so
 	// the root holds O(model) state however many edges or clients there
 	// are, and Participants in the round record are the edge names. A
-	// mixed fleet (edges plus plain clients) is supported. Nil keeps the
+	// mixed fleet (edges plus plain clients) is supported. The tier shape
+	// is the deployed Edges', so Aggregators must be empty. Nil keeps the
 	// legacy flat path bit-for-bit unchanged and rejects partial payloads.
 	Tier *TierConfig
 }
@@ -199,7 +204,8 @@ type Server struct {
 	sessions map[string]string
 }
 
-// NewServer builds a server from its startup kit.
+// NewServer builds a server from its startup kit. It refuses a round
+// setting no front end can run, naming the field, before it listens.
 func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	if cfg.ExpectedClients <= 0 {
 		return nil, errors.New("fl: server needs ExpectedClients > 0")
@@ -207,23 +213,24 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	if cfg.VerifyToken == nil {
 		return nil, errors.New("fl: server needs a VerifyToken function")
 	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 1
-	}
-	if err := validateTier(cfg.Tier, cfg.Aggregator, cfg.AsyncAggregator, cfg.WAL, cfg.Reconcile); err != nil {
-		return nil, err
-	}
-	if err := checkAsync(cfg.AsyncAggregator); err != nil {
-		return nil, err
-	}
-	if cfg.Aggregator == nil {
-		cfg.Aggregator = FedAvg{}
-	}
 	if cfg.RegisterTimeout <= 0 {
 		cfg.RegisterTimeout = 30 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
+	}
+	rc := roundConfig{
+		clients: cfg.ExpectedClients, networked: true,
+		rounds: cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
+		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
+		aggregator: cfg.Aggregator, async: cfg.AsyncAggregator, validate: cfg.Validate,
+		// The Server runs on the wall clock: its readers are goroutines
+		// that a virtual clock could not see.
+		clock: RealClock(), wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile, tier: cfg.Tier,
+		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
+	}
+	if err := rc.settle(); err != nil {
+		return nil, err
 	}
 	downCodec, err := CodecByName(cfg.Codec)
 	if err != nil {
@@ -262,24 +269,8 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		ros:      newRoster(cfg.ExpectedClients),
 		sessions: sessions,
 	}
-	// The Server runs on the wall clock: its readers are goroutines that a
-	// virtual clock could not see.
-	clock := RealClock()
-	s.source = source[inboxMsg]{clk: clock, ch: s.inbox, normalize: s.normalize}
-	var sk sink = &flatSink{agg: cfg.Aggregator, async: cfg.AsyncAggregator}
-	if cfg.Tier != nil {
-		// The tier root merges edge partials and folds plain updates as they
-		// arrive; exactness makes the result identical to flat FedAvg over
-		// every leaf.
-		sk = &tierSink{}
-	}
-	s.eng = newEngine(roundConfig{
-		rounds: cfg.Rounds, minClients: cfg.MinClients, minUpdates: cfg.MinUpdates,
-		sampleFraction: cfg.SampleFraction, deadline: cfg.RoundDeadline, seed: cfg.Seed,
-		async: cfg.AsyncAggregator, validate: cfg.Validate,
-		clock: clock, wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
-		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
-	}, s.ros, s, sk)
+	s.source = source[inboxMsg]{clk: rc.clock, ch: s.inbox, normalize: s.normalize}
+	s.eng = newEngine(rc, s.ros, s)
 	s.met = s.eng.met
 	return s, nil
 }

@@ -1,11 +1,9 @@
 package fl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"clinfl/internal/fl/durable"
 	"clinfl/internal/fl/hier"
 	"clinfl/internal/tensor"
 )
@@ -24,7 +22,7 @@ type TierConfig struct {
 	// in-process Controller: {64, 8} folds the sampled clients into 64
 	// edge partials, merges those into 8 regional partials, and merges
 	// the regionals at the root — each hop's encoded-partial bytes are
-	// accounted in RoundRecord.TierBytesUp. The networked Server ignores
+	// accounted in RoundRecord.TierBytesUp. The networked Server refuses
 	// it (its tier shape is the deployed fl.Edge topology). Nil or
 	// empty defaults to a single 8-wide edge tier.
 	Aggregators []int
@@ -38,40 +36,12 @@ func (t *TierConfig) widths() []int {
 	return t.Aggregators
 }
 
-// validateTier rejects configuration combinations the tier path does not
-// compose with. These are config errors, not silent downgrades: each of
-// these features assumes the root sees raw per-client updates.
-func validateTier(t *TierConfig, agg Aggregator, async AsyncAggregator, wal *durable.WAL, rp *ReconcilePolicy) error {
-	if t == nil {
-		return nil
-	}
-	for _, w := range t.Aggregators {
-		if w <= 0 {
-			return fmt.Errorf("fl: tier aggregator width %d must be positive", w)
-		}
-	}
-	switch {
-	case async != nil:
-		return errors.New("fl: tier aggregation is incompatible with AsyncAggregator (stragglers are dropped at tier nodes, not merged late)")
-	case wal != nil:
-		return errors.New("fl: tier aggregation is incompatible with WAL durability (resume has no path to reseed a round from partial-aggregate payloads)")
-	case rp != nil:
-		return errors.New("fl: tier aggregation is incompatible with Reconcile (per-client requeue needs root-visible clients)")
-	}
-	if agg != nil {
-		if _, ok := agg.(FedAvg); !ok {
-			return errors.New("fl: tier aggregation implies exact streaming FedAvg; custom Aggregator not supported")
-		}
-	}
-	return nil
-}
-
 // tierSink is streaming aggregation behind the round engine's sink seam, for
 // every kind of tier node: each accepted update is folded immediately into a
 // partial (and the raw weights dropped — the O(model) property), an edge's
 // uplink is merged into it, and the root finalizes the exact FedAvg. The
 // gather around it is the shared round engine's; stragglers past the
-// deadline are dropped when they surface, because validateTier admits no
+// deadline are dropped when they surface, because settle admits no
 // AsyncAggregator.
 type tierSink struct {
 	// widths are the fan-ins of the in-process tiers between the sampled

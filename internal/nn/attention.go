@@ -49,24 +49,14 @@ func NewMultiHeadSelfAttention(name string, dim, heads, headDim int, rng *tensor
 // ForwardBatch attends over a flattened minibatch x ((batch·seq)×dim, with
 // each sequence occupying a contiguous block of seq rows). padMasks, if
 // non-nil, holds one key-padding mask per sequence; the block softmax
-// consumes it directly, so no dense seq×seq mask matrix is ever built.
+// checks and consumes it directly, so no dense seq×seq mask matrix is ever
+// built.
 // Attention scores are computed per row block and never cross sequence
 // boundaries.
 func (a *MultiHeadSelfAttention) ForwardBatch(ctx *Ctx, x *autograd.Node, batch int, padMasks [][]bool) (*autograd.Node, error) {
 	rows := x.Value.Rows()
 	if batch <= 0 || rows%batch != 0 {
 		return nil, fmt.Errorf("nn: attention: %d rows not divisible into %d sequences", rows, batch)
-	}
-	seq := rows / batch
-	if padMasks != nil {
-		if len(padMasks) != batch {
-			return nil, fmt.Errorf("nn: attention: %d masks for %d sequences", len(padMasks), batch)
-		}
-		for i, m := range padMasks {
-			if m != nil && len(m) != seq {
-				return nil, fmt.Errorf("nn: attention: mask %d length %d != seq %d", i, len(m), seq)
-			}
-		}
 	}
 	q, err := a.Wq.Forward(ctx, x)
 	if err != nil {

@@ -113,7 +113,9 @@ type Scenario struct {
 	// Clients is N (default 8); Rounds is E (default 5).
 	Clients, Rounds int
 
-	// Federation knobs, mirroring fl.ControllerConfig.
+	// Federation knobs, passed to fl.ControllerConfig as they are, so
+	// they mean and default the same as there (MinClients 0 is a floor
+	// of one update) and fl.NewController refuses a bad one by name.
 	SampleFraction float64
 	MinUpdates     int
 	MinClients     int
@@ -175,9 +177,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Rounds <= 0 {
 		sc.Rounds = 5
-	}
-	if sc.MinClients <= 0 {
-		sc.MinClients = 1
 	}
 	sc.Task = sc.Task.withDefaults()
 	sc.Compute = sc.Compute.withDefaults()

@@ -30,7 +30,7 @@ func (g *RNG) Uniform(rows, cols int, lo, hi float64) *Matrix {
 	m := New(rows, cols)
 	span := hi - lo
 	for i := range m.data {
-		m.data[i] = lo + span*g.r.Float64()
+		m.data[i] = lo + float64(span*g.r.Float64())
 	}
 	return m
 }
@@ -39,7 +39,7 @@ func (g *RNG) Uniform(rows, cols int, lo, hi float64) *Matrix {
 func (g *RNG) Normal(rows, cols int, mean, std float64) *Matrix {
 	m := New(rows, cols)
 	for i := range m.data {
-		m.data[i] = mean + std*g.r.NormFloat64()
+		m.data[i] = mean + float64(std*g.r.NormFloat64())
 	}
 	return m
 }

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Runs the README's networked quickstart end to end on 127.0.0.1: builds
-# provision, flserver and flclient, mints kits for two sites, then runs the
-# server (with its write-ahead log and metrics endpoint) and both clients on
-# their default flags for two rounds, in a temporary directory. It fails
-# unless flserver exits 0 having written the final model and both clients
-# exit 0.
+# provision, flserver and flclient, mints kits for two sites, checks that
+# flserver refuses two bad round settings (-rounds -3, -sample NaN) by
+# exiting non-zero with the field named on stderr, then runs the server
+# (with its write-ahead log and metrics endpoint) and both clients on their
+# default flags for two rounds, in a temporary directory. It fails unless
+# each refusal names its field, flserver exits 0 having written the final
+# model and both clients exit 0.
 #
 #   bash scripts/quickstart.sh
 set -euo pipefail
@@ -18,6 +20,20 @@ cd "$work"
 addr=127.0.0.1:28443
 limit=300s
 bin/provision -clients site-a,site-b >provision.log
+# A bad round setting is refused before the server listens, naming the field.
+for bad in "-rounds -3:Rounds" "-sample NaN:SampleFraction"; do
+	flags=${bad%:*} field=${bad##*:}
+	if timeout 60s bin/flserver -kit kits/server -addr "$addr" $flags >/dev/null 2>refused.log; then
+		echo "quickstart: FAIL (flserver $flags exited 0)" >&2
+		exit 1
+	fi
+	if ! grep -q "$field" refused.log; then
+		cat refused.log >&2
+		echo "quickstart: FAIL (flserver $flags did not name $field)" >&2
+		exit 1
+	fi
+	echo "quickstart: flserver $flags refused: $(cat refused.log)"
+done
 timeout "$limit" bin/flserver -kit kits/server -addr "$addr" -clients 2 -rounds 2 \
 	-wal rounds.wal -metrics 127.0.0.1:29090 >server.log 2>&1 &
 server=$!
