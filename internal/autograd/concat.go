@@ -21,7 +21,7 @@ func (t *Tape) ConcatRows(nodes ...*Node) (*Node, error) {
 		}
 		total += p.Value.Rows()
 	}
-	v := t.newMatrix(total, cols)
+	v := t.newMatrixUninit(total, cols)
 	off := 0
 	for _, p := range nodes {
 		r := p.Value.Rows()

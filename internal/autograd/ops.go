@@ -237,7 +237,7 @@ func (t *Tape) SoftmaxRows(a *Node, blocks int, padMasks [][]bool) (*Node, error
 			return nil, fmt.Errorf("autograd: SoftmaxRows mask of sequence %d has length %d, want %d", g, len(m), cols)
 		}
 	}
-	s := t.newMatrix(rows, cols)
+	s := t.newMatrixUninit(rows, cols)
 	tensor.SoftmaxRowsInto(s, a.Value, padMasks)
 	return t.newOp(opSoftmaxRows, s, a, nil, nil), nil
 }
@@ -250,9 +250,9 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) (*Node, error) {
 		bias.Value.Rows() != 1 || bias.Value.Cols() != cols {
 		return nil, fmt.Errorf("autograd: %w: LayerNorm gain/bias must be 1x%d", tensor.ErrShape, cols)
 	}
-	v := t.newMatrix(rows, cols)
-	xhat := t.newMatrix(rows, cols)
-	invStd := t.newMatrix(1, rows)
+	v := t.newMatrixUninit(rows, cols)
+	xhat := t.newMatrixUninit(rows, cols)
+	invStd := t.newMatrixUninit(1, rows)
 	isd := invStd.Data()
 	gd, bd := gain.Value.Data(), bias.Value.Data()
 	for i := 0; i < rows; i++ {
@@ -288,7 +288,7 @@ func (t *Tape) LayerNorm(x, gain, bias *Node, eps float64) (*Node, error) {
 // still receive (zero) updates only when referenced.
 func (t *Tape) Embedding(table *Node, ids []int) (*Node, error) {
 	cols := table.Value.Cols()
-	v := t.newMatrix(len(ids), cols)
+	v := t.newMatrixUninit(len(ids), cols)
 	for i, id := range ids {
 		if id < 0 || id >= table.Value.Rows() {
 			return nil, fmt.Errorf("autograd: embedding id %d out of range [0,%d)", id, table.Value.Rows())
@@ -307,7 +307,7 @@ func (t *Tape) ConcatCols(a, b *Node) (*Node, error) {
 			tensor.ErrShape, a.Value.Rows(), b.Value.Rows())
 	}
 	rows, ca := a.Value.Rows(), a.Value.Cols()
-	v := t.newMatrix(rows, ca+b.Value.Cols())
+	v := t.newMatrixUninit(rows, ca+b.Value.Cols())
 	for i := 0; i < rows; i++ {
 		copy(v.Row(i)[:ca], a.Value.Row(i))
 		copy(v.Row(i)[ca:], b.Value.Row(i))
@@ -322,7 +322,7 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) (*Node, error) {
 			tensor.ErrShape, lo, hi, a.Value.Cols())
 	}
 	rows := a.Value.Rows()
-	v := t.newMatrix(rows, hi-lo)
+	v := t.newMatrixUninit(rows, hi-lo)
 	for i := 0; i < rows; i++ {
 		copy(v.Row(i), a.Value.Row(i)[lo:hi])
 	}
@@ -338,7 +338,7 @@ func (t *Tape) SliceRows(a *Node, lo, hi int) (*Node, error) {
 			tensor.ErrShape, lo, hi, a.Value.Rows())
 	}
 	cols := a.Value.Cols()
-	v := t.newMatrix(hi-lo, cols)
+	v := t.newMatrixUninit(hi-lo, cols)
 	for i := lo; i < hi; i++ {
 		copy(v.Row(i-lo), a.Value.Row(i))
 	}
@@ -349,14 +349,14 @@ func (t *Tape) SliceRows(a *Node, lo, hi int) (*Node, error) {
 
 // Mean returns the scalar mean of all elements of a.
 func (t *Tape) Mean(a *Node) *Node {
-	v := t.newMatrix(1, 1)
+	v := t.newMatrixUninit(1, 1)
 	v.Set(0, 0, a.Value.Mean())
 	return t.newOp(opMean, v, a, nil, nil)
 }
 
 // SumScalars adds a set of 1×1 nodes; used to combine per-example losses.
 func (t *Tape) SumScalars(nodes ...*Node) (*Node, error) {
-	v := t.newMatrix(1, 1)
+	v := t.newMatrixUninit(1, 1)
 	var sum float64
 	for _, a := range nodes {
 		if a.Value.Rows() != 1 || a.Value.Cols() != 1 {
@@ -376,7 +376,7 @@ func (t *Tape) Dropout(a *Node, p float64, rng *tensor.RNG, training bool) *Node
 		return a
 	}
 	keep := 1 - p
-	mask := t.newMatrix(a.Value.Rows(), a.Value.Cols())
+	mask := t.newMatrixUninit(a.Value.Rows(), a.Value.Cols())
 	md := mask.Data()
 	for i := range md {
 		if rng.Float64() < keep {
@@ -385,7 +385,7 @@ func (t *Tape) Dropout(a *Node, p float64, rng *tensor.RNG, training bool) *Node
 			md[i] = 0
 		}
 	}
-	v := t.newMatrix(a.Value.Rows(), a.Value.Cols())
+	v := t.newMatrixUninit(a.Value.Rows(), a.Value.Cols())
 	vd, ad := v.Data(), a.Value.Data()
 	for i, av := range ad {
 		vd[i] = av * md[i]
@@ -407,7 +407,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) (*Node, int, error) {
 	if len(targets) != rows {
 		return nil, 0, fmt.Errorf("autograd: CrossEntropy %d targets for %d rows", len(targets), rows)
 	}
-	probs := t.newMatrix(rows, cols)
+	probs := t.newMatrixUninit(rows, cols)
 	tensor.SoftmaxRowsInto(probs, logits.Value, nil)
 	counted := 0
 	var total float64
@@ -425,10 +425,12 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) (*Node, int, error) {
 		}
 		total -= math.Log(p)
 	}
-	v := t.newMatrix(1, 1)
+	loss := 0.0
 	if counted > 0 {
-		v.Set(0, 0, total/float64(counted))
+		loss = total / float64(counted)
 	}
+	v := t.newMatrixUninit(1, 1)
+	v.Set(0, 0, loss)
 	n := t.newOp(opCrossEntropy, v, logits, nil, nil)
 	n.m1 = probs
 	n.ints = t.takeInts(targets)
@@ -442,7 +444,7 @@ func (t *Tape) CrossEntropy(logits *Node, targets []int) (*Node, int, error) {
 // MLM positions out of the flattened (B·T)×d batch layout.
 func (t *Tape) GatherRows(a *Node, rows []int) (*Node, error) {
 	cols := a.Value.Cols()
-	v := t.newMatrix(len(rows), cols)
+	v := t.newMatrixUninit(len(rows), cols)
 	for i, r := range rows {
 		if r < 0 || r >= a.Value.Rows() {
 			return nil, fmt.Errorf("autograd: GatherRows index %d out of range [0,%d)", r, a.Value.Rows())

@@ -332,6 +332,24 @@ func TestCrossEntropyCountsIgnored(t *testing.T) {
 	}
 }
 
+// TestCrossEntropyAllIgnoredIsZeroOnDirtyArena pins that the loss of a
+// batch with no counted row is 0, set explicitly: the loss takes
+// uninitialized arena memory, here left holding 7s by an earlier step.
+func TestCrossEntropyAllIgnoredIsZeroOnDirtyArena(t *testing.T) {
+	arena := tensor.NewArena()
+	arena.Get(64, 64).Fill(7)
+	arena.Reset()
+	tp := NewTapeArena(arena)
+	logits := tp.Constant(tensor.New(2, 3))
+	loss, counted, err := tp.CrossEntropy(logits, []int{IgnoreIndex, IgnoreIndex})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counted != 0 || loss.Value.At(0, 0) != 0 {
+		t.Fatalf("all-ignored batch: loss %v over %d rows, want 0 over 0", loss.Value.At(0, 0), counted)
+	}
+}
+
 func TestCrossEntropyUniformLogitsLossIsLogC(t *testing.T) {
 	tp := NewTape()
 	logits := tp.Constant(tensor.New(2, 8)) // all-zero logits = uniform distribution

@@ -425,8 +425,16 @@ func (h ServerHarness) Run(spec RunSpec) (*fl.Result, error) {
 // register with the root server, each fronting a contiguous shard of the
 // name-sorted roster over its own in-memory network. The server sees only
 // the edges; exactness makes the final model bit-identical to the flat
-// deployment of the same roster.
+// deployment of the same roster. fl.EdgeConfig has no MinUpdates or
+// SampleFraction, so a spec that sets either is refused, naming the field,
+// rather than run with every client while the controller harnesses sample.
 func (ServerHarness) runTier(spec RunSpec) (*fl.Result, error) {
+	if spec.MinUpdates != 0 {
+		return nil, fmt.Errorf("fltest: server harness cannot run a tier with MinUpdates %d: its edges wait for every client", spec.MinUpdates)
+	}
+	if spec.SampleFraction != 0 {
+		return nil, fmt.Errorf("fltest: server harness cannot run a tier with SampleFraction %v: its edges task every client", spec.SampleFraction)
+	}
 	rootNet := transport.NewMemNetwork()
 	defer rootNet.Close()
 	edges := spec.Tier[0]

@@ -80,3 +80,18 @@ func latticeCell(t *testing.T, h Harness, spec RunSpec) {
 		}
 	}
 }
+
+// TestServerHarnessTierRefusesPartialParticipation pins that the server
+// harness refuses a tiered spec it cannot honour, naming the field,
+// instead of running every client.
+func TestServerHarnessTierRefusesPartialParticipation(t *testing.T) {
+	clients := []ClientSpec{{Name: "a", Samples: 10, Value: 1}, {Name: "b", Samples: 30, Value: 2}}
+	for field, spec := range map[string]RunSpec{
+		"MinUpdates":     {Rounds: 1, Tier: []int{2}, MinUpdates: 1, Clients: clients},
+		"SampleFraction": {Rounds: 1, Tier: []int{2}, SampleFraction: 0.5, Clients: clients},
+	} {
+		if _, err := (ServerHarness{}).Run(spec); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("tiered spec with %s: error %v, want a refusal naming %s", field, err, field)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Arena is a bump allocator for step-scoped Matrix values.
 //
@@ -47,7 +50,8 @@ func (a *Arena) Get(rows, cols int) *Matrix {
 // whatever the recycled slab last held. For outputs that are fully
 // overwritten (assign-mode matmuls, elementwise maps) the clear is pure
 // memory traffic — it cost ~12% of a BERT forward before this split.
-// Callers that accumulate into the matrix must use Get.
+// Callers that accumulate into the matrix must use Get. Built with the
+// arenapoison tag, GetUninit fills the matrix with NaN instead.
 func (a *Arena) GetUninit(rows, cols int) *Matrix {
 	n := rows * cols
 	if rows < 0 || cols < 0 {
@@ -77,6 +81,11 @@ func (a *Arena) GetUninit(rows, cols int) *Matrix {
 		}
 		data = a.slabs[a.slab][a.off : a.off+n : a.off+n]
 		a.off += n
+		if arenaPoison {
+			for i := range data {
+				data[i] = math.NaN()
+			}
+		}
 	}
 	var m *Matrix
 	if a.hdr < len(a.headers) {

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestArenaGetZeroesRecycledMemory(t *testing.T) {
 	a := NewArena()
@@ -76,5 +79,23 @@ func TestArenaSpillsToNewSlabs(t *testing.T) {
 	a.Get(8, arenaMinSlabFloats)
 	if a.Footprint() != foot {
 		t.Fatalf("same request sequence grew footprint %d -> %d", foot, a.Footprint())
+	}
+}
+
+// TestArenaPoisonFillsUninit checks the arenapoison build: memory that
+// GetUninit hands out, fresh or recycled, reads NaN until written.
+func TestArenaPoisonFillsUninit(t *testing.T) {
+	if !arenaPoison {
+		t.Skip("built without the arenapoison tag")
+	}
+	a := NewArena()
+	a.Get(3, 3).Fill(7)
+	a.Reset()
+	for _, m := range []*Matrix{a.GetUninit(3, 3), a.GetUninit(2, 5)} {
+		for i, v := range m.Data() {
+			if !math.IsNaN(v) {
+				t.Fatalf("element %d of uninit memory is %v, want NaN", i, v)
+			}
+		}
 	}
 }

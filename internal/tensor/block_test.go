@@ -58,6 +58,7 @@ func TestBlockProductsEqualOneBlockProducts(t *testing.T) {
 		{4, 6, 3, 7},      // k < 4: the assign row clears, then accumulates
 		{2, 7, 9, 130},    // unequal m, k, n
 		{4, 32, 130, 129}, // forks at width 4
+		{3, 33, 131, 129}, // forks, odd rows per block and in all: pairs straddle blocks and chunks
 	}
 	const alpha = 0.375
 	withKernelVariants(t, func(t *testing.T) {
@@ -183,27 +184,32 @@ func TestBlockMatMulTransAMatchesPerBlockDense(t *testing.T) {
 }
 
 // TestBlockOpsLargeParallelPath runs the three block products on a pool
-// wide enough, and on shapes large enough, for the kernels to fork.
+// wide enough, and on shapes large enough, for the kernels to fork. The
+// second shape has odd rows per block and in all, so row pairs straddle
+// block edges and the last pair is one row.
 func TestBlockOpsLargeParallelPath(t *testing.T) {
 	pool := sched.New(4)
 	defer sched.SetDefault(sched.SetDefault(pool))
 	defer pool.Close()
 	rng := NewRNG(11)
-	const block, nb, k = 32, 4, 40
-	a := rng.Normal(nb*block, k, 0, 1)
-	b := rng.Normal(nb*block, k, 0, 1)
-	for _, sh := range []struct{ rows, flops int }{
-		{nb * block, 2 * k * block},
-		{nb * block, 2 * block * k},
-		{nb * k, 2 * block * k},
-	} {
-		if !pool.WouldFork(sh.rows, sh.flops) {
-			t.Fatalf("%d rows of %d flops stay inline; the test no longer reaches the forked path", sh.rows, sh.flops)
+	for _, sh := range []struct{ block, nb, k int }{{32, 4, 40}, {33, 3, 41}} {
+		block, nb, k := sh.block, sh.nb, sh.k
+		a := rng.Normal(nb*block, k, 0, 1)
+		b := rng.Normal(nb*block, k, 0, 1)
+		for _, p := range []struct{ rows, flops int }{
+			{nb * block, 2 * k * block},
+			{nb * block, 2 * block * k},
+			{nb * k, 2 * block * k},
+		} {
+			// runKernel hands the pool row pairs.
+			if !pool.WouldFork((p.rows+1)/2, 2*p.flops) {
+				t.Fatalf("%d rows of %d flops stay inline; the test no longer reaches the forked path", p.rows, p.flops)
+			}
 		}
+		scores := checkAgainstNaive(t, blockProduct{name: "a×bᵀ", transB: true}, a, b, nb)
+		checkAgainstNaive(t, blockProduct{name: "a×b"}, scores, a, nb)
+		checkAgainstNaive(t, blockProduct{name: "aᵀ×b", transA: true}, a, b, nb)
 	}
-	scores := checkAgainstNaive(t, blockProduct{name: "a×bᵀ", transB: true}, a, b, nb)
-	checkAgainstNaive(t, blockProduct{name: "a×b"}, scores, a, nb)
-	checkAgainstNaive(t, blockProduct{name: "aᵀ×b", transA: true}, a, b, nb)
 }
 
 func TestBlockMatMulSingleBlockEqualsDense(t *testing.T) {

@@ -8,9 +8,11 @@ package tensor
 //
 //   - axpyQuad, the streaming k-quad that a×b and aᵀ×b both sweep: four b
 //     rows against one output row, o[j] (+)= a0*b0[j] + a1*b1[j] +
-//     a2*b2[j] + a3*b3[j];
+//     a2*b2[j] + a3*b3[j]; axpyQuad2 is the same for two output rows at
+//     once, which load each b element once for both;
 //   - axpy, the single-row form for their k%4 tails;
-//   - dotRow, one output row of a×bᵀ as 4-lane dot products.
+//   - dotRow, one output row of a×bᵀ as 4-lane dot products, and dotRow2
+//     for two output rows, which load each b row once for both.
 //
 // The kernels were calibrated empirically (see DESIGN.md "Kernel
 // calibration"); the numbers drove the decisions that shape this file:
@@ -19,7 +21,12 @@ package tensor
 //     textbook GEMM structure — lose in pure Go on gc/amd64: a 4×4 tile
 //     needs 16 accumulators plus operand temporaries, which exceeds the 16
 //     XMM registers and spills the inner loop (measured 3.5 GFLOP/s vs 6.6
-//     for the streaming kernel).
+//     for the streaming kernel). The blocking that fits is two output rows
+//     per k-quad in assembly (axpyQuad2): four b vectors and 2×4
+//     coefficients fill the 16 ymm registers, with no accumulator kept
+//     across k. It only pays if a chunk holds two rows, and the pool's
+//     ~16k-flop chunks are one row each at the BERT dense shapes, so the
+//     products are dispatched as row pairs (runKernel).
 //  2. The streaming k-quad's first quad assigns the output row instead of
 //     accumulating into it, so callers may hand over uninitialized output
 //     memory, deleting the memclr pass that cost ~12% of ForwardBERT.
@@ -31,9 +38,9 @@ package tensor
 //     math.FMA, so the reference computes the same bits at every GOAMD64
 //     level, and so do the assembly kernels.
 //
-// Determinism. Parallel items are whole output rows with their true flop
-// cost threaded to the sched gate, so chunk stealing never splits inside a
-// row. Each output element is accumulated by exactly one worker in
+// Determinism. Parallel items are whole output row pairs with their true
+// flop cost threaded to the sched gate, so chunk stealing never splits
+// inside a row. Each output element is accumulated by exactly one worker in
 // ascending-k order, making results bit-identical at every pool width, on
 // every build level and with or without AVX2.
 
@@ -74,6 +81,30 @@ func matmulRow(orow, arow, b []float64, alpha float64, assign bool) {
 	}
 }
 
+// matmulRow2 is matmulRow for two output rows of the same length, with
+// coefficient rows a0 and a1 against the same b: each step is the two
+// rows' matmulRow steps, fused only in the loads of b.
+func matmulRow2(o0, o1, a0, a1, b []float64, alpha float64, assign bool) {
+	n, k := len(o0), len(a0)
+	p := 0
+	if assign {
+		if k < 4 {
+			clear(o0)
+			clear(o1)
+		} else {
+			axpyQuad2(o0, o1, b[:4*n], [4]float64(a0), [4]float64(a1), alpha, true)
+			p = 4
+		}
+	}
+	for ; p+4 <= k; p += 4 {
+		axpyQuad2(o0, o1, b[p*n:(p+4)*n], [4]float64(a0[p:]), [4]float64(a1[p:]), alpha, false)
+	}
+	for ; p < k; p++ {
+		axpy(o0, b[p*n:(p+1)*n], a0[p], alpha)
+		axpy(o1, b[p*n:(p+1)*n], a1[p], alpha)
+	}
+}
+
 // axpyQuadGo is the reference k-quad: b holds four consecutive rows of
 // len(o), and o[j] = c0*b0[j] + c1*b1[j] + c2*b2[j] + c3*b3[j] (assign) or
 // o[j] += the same sum, with ci = ai*alpha. Accumulate mode skips a quad
@@ -98,6 +129,13 @@ func axpyQuadGo(o, b []float64, a0, a1, a2, a3, alpha float64, assign bool) {
 	for j, bv := range b0 {
 		o[j] += a0*bv + a1*b1[j] + a2*b2[j] + a3*b3[j]
 	}
+}
+
+// axpyQuad2Go is the reference two-row k-quad: axpyQuadGo into o0 with
+// coefficients a and into o1 with c, both against the same four b rows.
+func axpyQuad2Go(o0, o1, b []float64, a, c [4]float64, alpha float64, assign bool) {
+	axpyQuadGo(o0, b, a[0], a[1], a[2], a[3], alpha, assign)
+	axpyQuadGo(o1, b, c[0], c[1], c[2], c[3], alpha, assign)
 }
 
 // axpyGo is the reference single-row step: o[j] += (a*alpha)*b[j], skipped
@@ -126,6 +164,13 @@ func dotRowGo(o, x, y []float64, alpha float64, acc bool) {
 			o[j] = d
 		}
 	}
+}
+
+// dotRow2Go is the reference two-row a×bᵀ step: dotRowGo for rows x0
+// and x1 against the same y.
+func dotRow2Go(o0, o1, x0, x1, y []float64, alpha float64, acc bool) {
+	dotRowGo(o0, x0, y, alpha, acc)
+	dotRowGo(o1, x1, y, alpha, acc)
 }
 
 // dot returns the inner product of x and y (len(y) >= len(x)), accumulated

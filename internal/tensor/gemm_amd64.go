@@ -37,6 +37,14 @@ func axpyQuad(o, b []float64, a0, a1, a2, a3, alpha float64, assign bool) {
 	axpyQuadGo(o, b, a0, a1, a2, a3, alpha, assign)
 }
 
+func axpyQuad2(o0, o1, b []float64, a, c [4]float64, alpha float64, assign bool) {
+	if useAVX2 {
+		axpyQuad2AVX2(o0, o1, b, a, c, alpha, assign)
+		return
+	}
+	axpyQuad2Go(o0, o1, b, a, c, alpha, assign)
+}
+
 func axpy(o, b []float64, a, alpha float64) {
 	if useAVX2 {
 		axpyAVX2(o, b, a, alpha)
@@ -53,6 +61,14 @@ func dotRow(o, x, y []float64, alpha float64, acc bool) {
 	dotRowGo(o, x, y, alpha, acc)
 }
 
+func dotRow2(o0, o1, x0, x1, y []float64, alpha float64, acc bool) {
+	if useAVX2 {
+		dotRow2AVX2(o0, o1, x0, x1, y, alpha, acc)
+		return
+	}
+	dotRow2Go(o0, o1, x0, x1, y, alpha, acc)
+}
+
 // exact returns s[:n], panicking when len(s) < n (a plain s[:n] would
 // reach into spare capacity).
 func exact[T float64 | byte](s []T, n int) []T { return s[:len(s):len(s)][:n] }
@@ -63,6 +79,20 @@ func axpyQuadAVX2(o, b []float64, a0, a1, a2, a3, alpha float64, assign bool) {
 		return
 	}
 	quadAsm(o, exact(b, 4*len(o)), a0*alpha, a1*alpha, a2*alpha, a3*alpha, assign)
+}
+
+// axpyQuad2AVX2 computes exactly what axpyQuad2Go computes. A row whose
+// quad the accumulate mode would skip sends both rows through the
+// single-row kernel, so the skip stays per row.
+func axpyQuad2AVX2(o0, o1, b []float64, a, c [4]float64, alpha float64, assign bool) {
+	if !assign && (a == [4]float64{} || c == [4]float64{}) {
+		axpyQuadAVX2(o0, b, a[0], a[1], a[2], a[3], alpha, false)
+		axpyQuadAVX2(o1, b, c[0], c[1], c[2], c[3], alpha, false)
+		return
+	}
+	n := len(o0)
+	quad2Asm(o0, exact(o1, n), exact(b, 4*n), a[0]*alpha, a[1]*alpha, a[2]*alpha, a[3]*alpha,
+		c[0]*alpha, c[1]*alpha, c[2]*alpha, c[3]*alpha, assign)
 }
 
 // axpyAVX2 computes exactly what axpyGo computes.
@@ -86,6 +116,22 @@ func dotRowAVX2(o, x, y []float64, alpha float64, acc bool) {
 	}
 }
 
+// dotRow2AVX2 computes exactly what dotRow2Go computes: the assembly
+// takes both rows' output elements four at a time, and the last len(o0)%4
+// go through dot.
+func dotRow2AVX2(o0, o1, x0, x1, y []float64, alpha float64, acc bool) {
+	k, n := len(x0), len(o0)
+	o1, y = exact(o1, n), exact(y, n*k)
+	n4 := n &^ 3
+	if n4 > 0 {
+		dotRow2Asm(o0[:n4], o1[:n4], x0, exact(x1, k), y[:n4*k], alpha, acc)
+	}
+	if n4 < n {
+		dotRowGo(o0[n4:], x0, y[n4*k:], alpha, acc)
+		dotRowGo(o1[n4:], x1, y[n4*k:], alpha, acc)
+	}
+}
+
 // Implemented in gemm_amd64.s.
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -98,6 +144,12 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func quadAsm(o, b []float64, c0, c1, c2, c3 float64, assign bool)
 
+// quad2Asm is quadAsm for two output rows of the same length n against the
+// same four b rows: o0 takes c00..c03, o1 takes c10..c13; len(b) = 4n.
+//
+//go:noescape
+func quad2Asm(o0, o1, b []float64, c00, c01, c02, c03, c10, c11, c12, c13 float64, assign bool)
+
 // axpyAsm: o[j] += c*b[j]; len(b) = len(o).
 //
 //go:noescape
@@ -108,3 +160,9 @@ func axpyAsm(o, b []float64, c float64)
 //
 //go:noescape
 func dotRowAsm(o, x, y []float64, alpha float64, acc bool)
+
+// dotRow2Asm is dotRowAsm for two rows x0 and x1 (len(x1) = len(x0) = k)
+// into o0 and o1 (len(o1) = len(o0)) against the same y.
+//
+//go:noescape
+func dotRow2Asm(o0, o1, x0, x1, y []float64, alpha float64, acc bool)

@@ -1,11 +1,12 @@
 #include "textflag.h"
 
-// AVX2 twins of axpyQuadGo, axpyGo and dotRowGo (gemm.go). Every multiply
-// and add is a separate VMULPD/VADDPD (never a fused multiply-add) with its
-// operands in the Go expression's order, so each output element is
-// rounded exactly as the Go reference rounds it. Scalar column tails use
-// VEX.128 scalar ops, which clear bits 128..255 of their destination: no
-// live ymm value is ever the destination of one.
+// AVX2 twins of axpyQuadGo and dotRowGo (each for one output row and for
+// two) and of axpyGo (gemm.go). Every multiply and add is a separate VMULPD/VADDPD
+// (never a fused multiply-add) with its operands in the Go expression's
+// order, so each output element is rounded exactly as the Go reference
+// rounds it. Scalar column tails use VEX.128 scalar ops, which clear bits
+// 128..255 of their destination: no live ymm value is ever the destination
+// of one.
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -127,6 +128,124 @@ acc1:
 	JMP  acc1
 
 done:
+	VZEROUPPER
+	RET
+
+// LOADB loads the four b rows' columns AX..AX+3 into Y8..Y11.
+#define LOADB \
+	VMOVUPD (SI)(AX*8), Y8; \
+	VMOVUPD (R8)(AX*8), Y9; \
+	VMOVUPD (R9)(AX*8), Y10; \
+	VMOVUPD (R10)(AX*8), Y11
+
+// LOADB1 is LOADB for the single column AX, into the low lanes.
+#define LOADB1 \
+	VMOVSD (SI)(AX*8), X8; \
+	VMOVSD (R8)(AX*8), X9; \
+	VMOVSD (R9)(AX*8), X10; \
+	VMOVSD (R10)(AX*8), X11
+
+// ROWQUAD sets T = ((c0*b0 + c1*b1) + c2*b2) + c3*b3 from the b columns in
+// Y8..Y11, with the coefficients broadcast in K0..K3 and U as scratch.
+#define ROWQUAD(K0, K1, K2, K3, T, U) \
+	VMULPD Y8, K0, T; \
+	VMULPD Y9, K1, U; \
+	VADDPD U, T, T; \
+	VMULPD Y10, K2, U; \
+	VADDPD U, T, T; \
+	VMULPD Y11, K3, U; \
+	VADDPD U, T, T
+
+// ROWQUAD1 is ROWQUAD for the low lanes of X8..X11.
+#define ROWQUAD1(K0, K1, K2, K3, T, U) \
+	VMULSD X8, K0, T; \
+	VMULSD X9, K1, U; \
+	VADDSD U, T, T; \
+	VMULSD X10, K2, U; \
+	VADDSD U, T, T; \
+	VMULSD X11, K3, U; \
+	VADDSD U, T, T
+
+// func quad2Asm(o0, o1, b []float64, c00, c01, c02, c03, c10, c11, c12, c13 float64, assign bool)
+//
+// quadAsm for two output rows against the same four b rows: each b column
+// is loaded once into Y8..Y11 and scaled by row 0's coefficients (Y0..Y3)
+// and row 1's (Y4..Y7), each row's sum in exactly quadAsm's order.
+TEXT ·quad2Asm(SB), NOSPLIT, $0-137
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), CX
+	MOVQ o1_base+24(FP), R11
+	MOVQ b_base+48(FP), SI
+	LEAQ (SI)(CX*8), R8
+	LEAQ (R8)(CX*8), R9
+	LEAQ (R9)(CX*8), R10
+	VBROADCASTSD c00+72(FP), Y0
+	VBROADCASTSD c01+80(FP), Y1
+	VBROADCASTSD c02+88(FP), Y2
+	VBROADCASTSD c03+96(FP), Y3
+	VBROADCASTSD c10+104(FP), Y4
+	VBROADCASTSD c11+112(FP), Y5
+	VBROADCASTSD c12+120(FP), Y6
+	VBROADCASTSD c13+128(FP), Y7
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-4, BX
+	CMPB assign+136(FP), $0
+	JEQ  pacc4
+
+passign4:
+	CMPQ AX, BX
+	JGE  passign1
+	LOADB
+	ROWQUAD(Y0, Y1, Y2, Y3, Y12, Y13)
+	ROWQUAD(Y4, Y5, Y6, Y7, Y14, Y15)
+	VMOVUPD Y12, (DI)(AX*8)
+	VMOVUPD Y14, (R11)(AX*8)
+	ADDQ $4, AX
+	JMP  passign4
+
+passign1:
+	CMPQ AX, CX
+	JGE  pdone
+	LOADB1
+	ROWQUAD1(X0, X1, X2, X3, X12, X13)
+	ROWQUAD1(X4, X5, X6, X7, X14, X15)
+	VMOVSD X12, (DI)(AX*8)
+	VMOVSD X14, (R11)(AX*8)
+	INCQ AX
+	JMP  passign1
+
+pacc4:
+	CMPQ AX, BX
+	JGE  pacc1
+	LOADB
+	ROWQUAD(Y0, Y1, Y2, Y3, Y12, Y13)
+	ROWQUAD(Y4, Y5, Y6, Y7, Y14, Y15)
+	VMOVUPD (DI)(AX*8), Y13
+	VMOVUPD (R11)(AX*8), Y15
+	VADDPD  Y12, Y13, Y13
+	VADDPD  Y14, Y15, Y15
+	VMOVUPD Y13, (DI)(AX*8)
+	VMOVUPD Y15, (R11)(AX*8)
+	ADDQ $4, AX
+	JMP  pacc4
+
+pacc1:
+	CMPQ AX, CX
+	JGE  pdone
+	LOADB1
+	ROWQUAD1(X0, X1, X2, X3, X12, X13)
+	ROWQUAD1(X4, X5, X6, X7, X14, X15)
+	VMOVSD (DI)(AX*8), X13
+	VMOVSD (R11)(AX*8), X15
+	VADDSD X12, X13, X13
+	VADDSD X14, X15, X15
+	VMOVSD X13, (DI)(AX*8)
+	VMOVSD X15, (R11)(AX*8)
+	INCQ AX
+	JMP  pacc1
+
+pdone:
 	VZEROUPPER
 	RET
 
@@ -278,5 +397,123 @@ store:
 	JMP  rows
 
 dotdone:
+	VZEROUPPER
+	RET
+
+// DOT2 adds x0·y into T0 and x1·y into T1, for the y row vector in Y10:
+// x0 in Y8, x1 in Y9, Y11 and Y12 scratch.
+#define DOT2(T0, T1) \
+	VMULPD Y10, Y8, Y11; \
+	VADDPD Y11, T0, T0; \
+	VMULPD Y10, Y9, Y12; \
+	VADDPD Y12, T1, T1
+
+// SUM4 sets Y(A0) to the four dots ((s0+s1)+s2)+s3 of the accumulators
+// A0..A3, parking their upper lanes in X8..X11.
+#define SUM4(A0, A1, A2, A3, Y0A, X0A, X1A, X2A, X3A) \
+	VEXTRACTF128 $1, A0, X8; \
+	VEXTRACTF128 $1, A1, X9; \
+	VEXTRACTF128 $1, A2, X10; \
+	VEXTRACTF128 $1, A3, X11; \
+	HSUM(X0A, X8); \
+	HSUM(X1A, X9); \
+	HSUM(X2A, X10); \
+	HSUM(X3A, X11); \
+	VUNPCKLPD   X1A, X0A, X0A; \
+	VUNPCKLPD   X3A, X2A, X2A; \
+	VINSERTF128 $1, X2A, Y0A, Y0A
+
+// func dotRow2Asm(o0, o1, x0, x1, y []float64, alpha float64, acc bool)
+//
+// dotRowAsm for two rows x0, x1 against the same y rows: Y0..Y3 hold x0's
+// lanes for y rows R8..R11 and Y4..Y7 x1's, so each y vector is loaded
+// once for both rows. The k%4 tail multiplies zero-extended scalars, so it
+// adds x·y to lane s0 and +0 to lanes s1..s3; a lane that starts at +0
+// never holds -0, so adding +0 leaves it exactly as it was.
+TEXT ·dotRow2Asm(SB), NOSPLIT, $0-129
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), CX
+	MOVQ x0_base+48(FP), SI
+	MOVQ x0_len+56(FP), BX
+	MOVQ x1_base+72(FP), R13
+	MOVQ y_base+96(FP), R8
+	MOVQ BX, DX
+	ANDQ $-4, DX
+	MOVQ BX, R12
+	SHLQ $3, R12
+
+rows2:
+	CMPQ CX, $4
+	JLT  dot2done
+	LEAQ (R8)(R12*1), R9
+	LEAQ (R9)(R12*1), R10
+	LEAQ (R10)(R12*1), R11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	XORQ AX, AX
+
+lanes2:
+	CMPQ AX, DX
+	JGE  tail2
+	VMOVUPD (SI)(AX*8), Y8
+	VMOVUPD (R13)(AX*8), Y9
+	VMOVUPD (R8)(AX*8), Y10
+	DOT2(Y0, Y4)
+	VMOVUPD (R9)(AX*8), Y10
+	DOT2(Y1, Y5)
+	VMOVUPD (R10)(AX*8), Y10
+	DOT2(Y2, Y6)
+	VMOVUPD (R11)(AX*8), Y10
+	DOT2(Y3, Y7)
+	ADDQ $4, AX
+	JMP  lanes2
+
+tail2:
+	CMPQ AX, BX
+	JGE  sum2
+	VMOVSD (SI)(AX*8), X8
+	VMOVSD (R13)(AX*8), X9
+	VMOVSD (R8)(AX*8), X10
+	DOT2(Y0, Y4)
+	VMOVSD (R9)(AX*8), X10
+	DOT2(Y1, Y5)
+	VMOVSD (R10)(AX*8), X10
+	DOT2(Y2, Y6)
+	VMOVSD (R11)(AX*8), X10
+	DOT2(Y3, Y7)
+	INCQ AX
+	JMP  tail2
+
+sum2:
+	SUM4(Y0, Y1, Y2, Y3, Y0, X0, X1, X2, X3)
+	SUM4(Y4, Y5, Y6, Y7, Y4, X4, X5, X6, X7)
+	VBROADCASTSD alpha+120(FP), Y14
+	VMULPD       Y0, Y14, Y0
+	VMULPD       Y4, Y14, Y4
+	// AX = o1 - o0, so o1's current outputs are at (DI)(AX*1).
+	MOVQ o1_base+24(FP), AX
+	SUBQ o0_base+0(FP), AX
+	CMPB acc+128(FP), $0
+	JEQ  store2
+	VMOVUPD (DI), Y8
+	VADDPD  Y0, Y8, Y0
+	VMOVUPD (DI)(AX*1), Y9
+	VADDPD  Y4, Y9, Y4
+
+store2:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y4, (DI)(AX*1)
+	ADDQ $32, DI
+	SUBQ $4, CX
+	LEAQ (R11)(R12*1), R8
+	JMP  rows2
+
+dot2done:
 	VZEROUPPER
 	RET

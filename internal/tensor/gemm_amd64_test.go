@@ -31,11 +31,13 @@ func simdPool(seed int64, specials bool) []float64 {
 	return pool
 }
 
-// simdOperands draws a k-long coefficient row a, k rows b of n, and n rows
-// y of k from pool, each slice starting off elements into its backing
-// array. Every third k-quad of a is all zero (+0 and -0 mixed), the shape
-// the accumulate-mode skip exists for.
-func simdOperands(pool []float64, n, k, off int) (a, b, y []float64) {
+// simdOperands draws k-long coefficient rows a and a1, k rows b of n, and
+// n rows y of k from pool, each slice starting off elements into its
+// backing array. Every third k-quad of a is all zero (+0 and -0 mixed),
+// the shape the accumulate-mode skip exists for. a1's zero quads sit at
+// k-quads 1 and 2 of every six, so the two-row kernel meets quads where
+// both rows, only a1 and only a are all zero.
+func simdOperands(pool []float64, n, k, off int) (a, a1, b, y []float64) {
 	next := 0
 	draw := func(m int) []float64 {
 		s := make([]float64, off+m)[off:]
@@ -45,11 +47,20 @@ func simdOperands(pool []float64, n, k, off int) (a, b, y []float64) {
 		}
 		return s
 	}
-	a, b, y = draw(k), draw(k*n), draw(n*k)
-	for p := 4; p+4 <= k; p += 12 {
-		a[p], a[p+1], a[p+2], a[p+3] = 0, math.Copysign(0, -1), 0, math.Copysign(0, -1)
+	a, b, y, a1 = draw(k), draw(k*n), draw(n*k), draw(k)
+	zeroQuad := func(c []float64, p int) {
+		c[p], c[p+1], c[p+2], c[p+3] = 0, math.Copysign(0, -1), 0, math.Copysign(0, -1)
 	}
-	return a, b, y
+	for p := 4; p+4 <= k; p += 12 {
+		zeroQuad(a, p)
+	}
+	for p := 4; p+4 <= k; p += 24 {
+		zeroQuad(a1, p)
+		if p+8 <= k {
+			zeroQuad(a1, p+4)
+		}
+	}
+	return a, a1, b, y
 }
 
 // rowWith runs one matmulRow step sequence using the given quad and
@@ -70,15 +81,35 @@ func rowWith(quad func(o, b []float64, a0, a1, a2, a3, alpha float64, assign boo
 	}
 }
 
+// row2With runs one matmulRow2 step sequence using the given two-row quad
+// and single-row kernels.
+func row2With(quad2 func(o0, o1, b []float64, a, c [4]float64, alpha float64, assign bool),
+	one func(o, b []float64, a, alpha float64),
+	o0, o1, a0, a1, b []float64, alpha float64, assign bool) {
+	n, k, p := len(o0), len(a0), 0
+	if assign && k >= 4 {
+		quad2(o0, o1, b[:4*n], [4]float64(a0), [4]float64(a1), alpha, true)
+		p = 4
+	}
+	for ; p+4 <= k; p += 4 {
+		quad2(o0, o1, b[p*n:(p+4)*n], [4]float64(a0[p:]), [4]float64(a1[p:]), alpha, false)
+	}
+	for ; p < k; p++ {
+		one(o0, b[p*n:(p+1)*n], a0[p], alpha)
+		one(o1, b[p*n:(p+1)*n], a1[p], alpha)
+	}
+}
+
 // checkSIMD compares every assembly kernel with its Go reference on one
-// operand set, in assign and accumulate modes.
+// operand set, in assign and accumulate modes. The two-row kernel is
+// checked against two single-row Go references.
 func checkSIMD(t *testing.T, pool []float64, n, k, off int, alpha float64) {
 	t.Helper()
-	a, b, y := simdOperands(pool, n, k, off)
-	init := func() []float64 {
+	a, a1, b, y := simdOperands(pool, n, k, off)
+	init := func(start int) []float64 {
 		o := make([]float64, off+n)[off:]
 		for j := range o {
-			o[j] = pool[(j*5+3)%len(pool)]
+			o[j] = pool[(j*5+start)%len(pool)]
 		}
 		return o
 	}
@@ -86,15 +117,27 @@ func checkSIMD(t *testing.T, pool []float64, n, k, off int, alpha float64) {
 		if assign && k < 4 {
 			continue // matmulRow clears the row instead of calling an assign quad
 		}
-		want, got := init(), init()
+		want, got := init(3), init(3)
 		rowWith(axpyQuadGo, axpyGo, want, a, b, alpha, assign)
 		rowWith(axpyQuadAVX2, axpyAVX2, got, a, b, alpha, assign)
 		sameBits(t, "axpy row", n, k, off, alpha, assign, got, want)
 
-		want, got = init(), init()
+		want1, got0, got1 := init(4), init(3), init(4)
+		rowWith(axpyQuadGo, axpyGo, want1, a1, b, alpha, assign)
+		row2With(axpyQuad2AVX2, axpyAVX2, got0, got1, a, a1, b, alpha, assign)
+		sameBits(t, "axpy row pair, row 0", n, k, off, alpha, assign, got0, want)
+		sameBits(t, "axpy row pair, row 1", n, k, off, alpha, assign, got1, want1)
+
+		want, got = init(3), init(3)
 		dotRowGo(want, a, y, alpha, !assign)
 		dotRowAVX2(got, a, y, alpha, !assign)
 		sameBits(t, "dotRow", n, k, off, alpha, !assign, got, want)
+
+		want1, got0, got1 = init(4), init(3), init(4)
+		dotRowGo(want1, a1, y, alpha, !assign)
+		dotRow2AVX2(got0, got1, a, a1, y, alpha, !assign)
+		sameBits(t, "dotRow pair, row 0", n, k, off, alpha, !assign, got0, want)
+		sameBits(t, "dotRow pair, row 1", n, k, off, alpha, !assign, got1, want1)
 	}
 }
 
@@ -259,13 +302,20 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 	o := make([]float64, n)
 	short := func(m int) []float64 { return make([]float64, m, m+64)[:m-1] }
 	shortBytes := func(m int) []byte { return make([]byte, m, m+64)[:m-1] }
+	ones := [4]float64{1, 1, 1, 1}
+	x := make([]float64, k)
 	for name, call := range map[string]func(){
-		"axpyQuad":   func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
-		"axpy":       func() { axpyAVX2(o, short(n), 1, 1) },
-		"dotRow":     func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
-		"quantize":   func() { quantizeAVX2(shortBytes(n), o, 1) },
-		"dequantize": func() { dequantizeAVX2(o, shortBytes(n), 1) },
-		"addScaled":  func() { addScaledAVX2(o, short(n), 1) },
+		"axpyQuad":     func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
+		"axpyQuad2 o1": func() { axpyQuad2AVX2(o, short(n), make([]float64, 4*n), ones, ones, 1, false) },
+		"axpyQuad2 b":  func() { axpyQuad2AVX2(o, make([]float64, n), short(4*n), ones, ones, 1, true) },
+		"axpy":         func() { axpyAVX2(o, short(n), 1, 1) },
+		"dotRow":       func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
+		"dotRow2 o1":   func() { dotRow2AVX2(o, short(n), x, x, make([]float64, n*k), 1, false) },
+		"dotRow2 x1":   func() { dotRow2AVX2(o, make([]float64, n), x, short(k), make([]float64, n*k), 1, false) },
+		"dotRow2 y":    func() { dotRow2AVX2(o, make([]float64, n), x, x, short(n*k), 1, false) },
+		"quantize":     func() { quantizeAVX2(shortBytes(n), o, 1) },
+		"dequantize":   func() { dequantizeAVX2(o, shortBytes(n), 1) },
+		"addScaled":    func() { addScaledAVX2(o, short(n), 1) },
 	} {
 		func() {
 			defer func() {

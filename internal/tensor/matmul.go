@@ -98,32 +98,54 @@ func checkBlocks(op string, blocks int, ms ...*Matrix) error {
 }
 
 // matmulRange computes output rows [lo, hi) of alpha·(a×b per block): the
-// row kernel with b offset to the row's block. The zero-quad skip of the
-// accumulate steps matters here: attention weights at padded key positions
-// are exactly zero.
+// row kernel with b offset to the row's block, two rows at a time where
+// both lie in one block. The zero-quad skip of the accumulate steps
+// matters here: attention weights at padded key positions are exactly
+// zero.
 func matmulRange(j *kernelJob, lo, hi int) {
 	out, a, b := j.out, j.a, j.b
 	m, k, n := a.rows/j.blocks, a.cols, b.cols
-	for i := lo; i < hi; i++ {
+	for i := lo; i < hi; {
 		g := i / m
-		matmulRow(out.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], b.data[g*k*n:(g+1)*k*n], j.alpha, !j.acc)
+		bg := b.data[g*k*n : (g+1)*k*n]
+		if i+1 < hi && (i+1)/m == g {
+			matmulRow2(out.data[i*n:(i+1)*n], out.data[(i+1)*n:(i+2)*n],
+				a.data[i*k:(i+1)*k], a.data[(i+1)*k:(i+2)*k], bg, j.alpha, !j.acc)
+			i += 2
+			continue
+		}
+		matmulRow(out.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], bg, j.alpha, !j.acc)
+		i++
 	}
 }
 
 // matmulTransBRange computes output rows [lo, hi) of alpha·(a×bᵀ per
-// block).
+// block), two rows at a time where both lie in one block.
 func matmulTransBRange(j *kernelJob, lo, hi int) {
 	out, a, b := j.out, j.a, j.b
 	m, k, n := a.rows/j.blocks, a.cols, out.cols
-	for i := lo; i < hi; i++ {
+	for i := lo; i < hi; {
 		g := i / m
-		dotRow(out.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], b.data[g*n*k:(g+1)*n*k], j.alpha, j.acc)
+		bg := b.data[g*n*k : (g+1)*n*k]
+		if i+1 < hi && (i+1)/m == g {
+			dotRow2(out.data[i*n:(i+1)*n], out.data[(i+1)*n:(i+2)*n],
+				a.data[i*k:(i+1)*k], a.data[(i+1)*k:(i+2)*k], bg, j.alpha, j.acc)
+			i += 2
+			continue
+		}
+		dotRow(out.data[i*n:(i+1)*n], a.data[i*k:(i+1)*k], bg, j.alpha, j.acc)
+		i++
 	}
 }
 
 // matmulTransARange adds output rows [lo, hi) of alpha·(aᵀ×b per block):
 // row i of block g gathers Σ_p a[g·k+p][i]·b[g·k+p] over the block's k
-// rows, streamed as k-quads and then the k%4 tail one row at a time.
+// rows, streamed as k-quads and then the k%4 tail one row at a time. Each
+// k-quad of b meets the range's rows two at a time (one row left over
+// when the count is odd). Keeping the quad outer and the rows inner holds
+// the quad in L1 while the output rows stream past it; rows outer and
+// quads inner measured about 20% slower at the BERT weight-gradient
+// shapes.
 func matmulTransARange(j *kernelJob, lo, hi int) {
 	out, a, b, alpha := j.out, j.a, j.b, j.alpha
 	k, m, n := a.rows/j.blocks, a.cols, b.cols
@@ -137,7 +159,12 @@ func matmulTransARange(j *kernelJob, lo, hi int) {
 			a2 := ad[(p+2)*m : (p+3)*m]
 			a3 := ad[(p+3)*m : (p+4)*m]
 			bq := bd[p*n : (p+4)*n]
-			for i := ilo; i < ihi; i++ {
+			i := ilo
+			for ; i+1 < ihi; i += 2 {
+				axpyQuad2(od[i*n:(i+1)*n], od[(i+1)*n:(i+2)*n], bq,
+					[4]float64{a0[i], a1[i], a2[i], a3[i]}, [4]float64{a0[i+1], a1[i+1], a2[i+1], a3[i+1]}, alpha, false)
+			}
+			if i < ihi {
 				axpyQuad(od[i*n:(i+1)*n], bq, a0[i], a1[i], a2[i], a3[i], alpha, false)
 			}
 		}
@@ -175,8 +202,10 @@ type kernelJob struct {
 	masks  [][]bool
 }
 
-// Run implements sched.Body over output rows [lo, hi).
+// Run implements sched.Body over output row pairs [lo, hi): rows [2lo,
+// 2hi), the last pair cut short when the row count is odd.
 func (j *kernelJob) Run(lo, hi int) {
+	lo, hi = 2*lo, min(2*hi, j.out.rows)
 	switch j.kind {
 	case kMatMul:
 		matmulRange(j, lo, hi)
@@ -197,15 +226,20 @@ var (
 	kernelJobFree []*kernelJob
 )
 
-// runKernel dispatches n items of flopsPerItem real work each (one
-// multiply-add = 2 flops) onto the shared pool. Threading the per-item
-// cost through is what lets the pool gate fan-out exactly: small block
-// kernels no longer wake workers for microseconds of arithmetic, and
-// tiny-but-tall shapes (a B×1 loss column) stay inline. kj is the
+// runKernel dispatches rows output rows of flopsPerRow real work each (one
+// multiply-add = 2 flops) onto the shared pool, as ⌈rows/2⌉ row pairs.
+// Threading the per-item cost through is what lets the pool gate fan-out
+// exactly: small block kernels no longer wake workers for microseconds of
+// arithmetic, and tiny-but-tall shapes (a B×1 loss column) stay inline.
+// Pairs, not rows, because the pool's chunks are sized in flops: at the
+// BERT dense shapes one row outweighs a chunk (a row of 128×512 weights
+// is 131k flops), so with row items every chunk there would be one row
+// and the two-row kernels would never run. kj is the
 // caller's stack value; it runs in place when the loop would stay inline
-// (no shared state touched at all) and is copied into a recycled
-// heap job only when the pool will actually fork.
-func runKernel(n, flopsPerItem int, kj *kernelJob) {
+// (no shared state touched at all) and is copied into a recycled heap job
+// only when the pool will actually fork.
+func runKernel(rows, flopsPerRow int, kj *kernelJob) {
+	n, flopsPerItem := (rows+1)/2, 2*flopsPerRow
 	pool := sched.Default()
 	if !pool.WouldFork(n, flopsPerItem) {
 		kj.Run(0, n)
