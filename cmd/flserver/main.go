@@ -24,8 +24,9 @@
 //
 // Every round setting is checked by the server library itself, the same
 // check the in-process controller runs: a negative -rounds, a -sample
-// outside [0, 1], a -min-clients or -min-updates above -clients, or a
-// negative -deadline exits non-zero naming the field.
+// outside [0, 1], a -min-clients or -min-updates above -clients, a
+// negative -deadline or -quarantine-after, or -quarantine-after without
+// -deadline exits non-zero naming the field and the flag that sets it.
 //
 // -tier turns the server into the root of a streaming aggregation
 // hierarchy: registered peers may be edge aggregators that fold their
@@ -37,13 +38,14 @@
 // -quarantine-after, and -wal, which all need raw per-client updates at
 // the root. Without -tier, partial-aggregate uplinks are rejected.
 //
-// -wal makes the run durable: round lifecycle events are fsync'd to a
-// write-ahead log before they take effect, so a crashed or SIGTERM'd
-// server restarted with the same -wal path resumes mid-round — committed
-// rounds are never re-run, durable client updates are never re-trained,
-// and reconnecting clients re-attach to their sessions. -metrics serves
-// Prometheus-format counters (rounds, bytes, failures, recoveries, WAL
-// appends) over HTTP at /metrics.
+// -wal makes the run durable: round lifecycle events go to a write-ahead
+// log as they happen, group-committed by a background syncer; only session
+// grants and quarantine decisions are fsync'd before they take effect. A
+// crashed or SIGTERM'd server restarted with the same -wal path resumes
+// mid-round — committed rounds are never re-run, durable client updates
+// are never re-trained, and reconnecting clients re-attach to their
+// sessions. -metrics serves Prometheus-format counters (rounds, bytes,
+// failures, recoveries, WAL appends) over HTTP at /metrics.
 //
 // Usage:
 //
@@ -65,8 +67,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"clinfl/internal/core"
 	"clinfl/internal/fl"
@@ -86,6 +91,28 @@ func main() {
 		fmt.Fprintln(os.Stderr, "flserver:", err)
 		os.Exit(1)
 	}
+}
+
+// fieldFlags maps each round setting the server library may refuse by
+// name to the flag that sets it.
+var fieldFlags = map[string]string{
+	"Rounds": "-rounds", "SampleFraction": "-sample", "MinUpdates": "-min-updates",
+	"MinClients": "-min-clients", "RoundDeadline": "-deadline",
+	"Reconcile": "-quarantine-after", "QuarantineAfter": "-quarantine-after",
+}
+
+// flagged adds to a refusal the flags that set the fields it names.
+func flagged(err error) error {
+	var flags []string
+	for _, word := range strings.FieldsFunc(err.Error(), func(r rune) bool { return !unicode.IsLetter(r) }) {
+		if f, ok := fieldFlags[word]; ok && !slices.Contains(flags, f) {
+			flags = append(flags, f)
+		}
+	}
+	if len(flags) == 0 {
+		return err
+	}
+	return fmt.Errorf("%w (set by %s)", err, strings.Join(flags, ", "))
 }
 
 func run() error {
@@ -178,7 +205,7 @@ func run() error {
 		// only needs to know to accept and merge partial uplinks.
 		scfg.Tier = &fl.TierConfig{}
 	}
-	if *quarantineAfter > 0 {
+	if *quarantineAfter != 0 {
 		scfg.Reconcile = &fl.ReconcilePolicy{
 			QuarantineAfter: *quarantineAfter,
 			ProbeBackoff:    fl.Backoff{Base: *probeInterval, Seed: *seed},
@@ -187,7 +214,7 @@ func run() error {
 	}
 	srv, err := fl.NewServer(scfg, kit)
 	if err != nil {
-		return err
+		return flagged(err)
 	}
 	defer srv.Close()
 	go func() {

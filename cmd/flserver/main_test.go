@@ -4,11 +4,17 @@ import (
 	"go/ast"
 	"go/parser"
 	gotoken "go/token"
+	"math"
 	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"clinfl/internal/core"
 	"clinfl/internal/ehr"
+	"clinfl/internal/fl"
+	"clinfl/internal/provision"
+	"clinfl/internal/transport"
 )
 
 // clientFlagDefaults returns the literal default of every flag flclient
@@ -65,5 +71,37 @@ func TestDefaultVocabMatchesClient(t *testing.T) {
 	}
 	if vocab.Size() != defaultVocab {
 		t.Fatalf("flclient's default cohort has a %d-token vocabulary; flserver -vocab defaults to %d", vocab.Size(), defaultVocab)
+	}
+}
+
+// TestRefusalsNameTheFlag: a round setting the server library refuses
+// comes back naming the field and every flag that sets a field it names.
+func TestRefusalsNameTheFlag(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  fl.ServerConfig
+		want []string
+	}{
+		{fl.ServerConfig{Rounds: -3}, []string{"Rounds", "-rounds"}},
+		{fl.ServerConfig{SampleFraction: math.NaN()}, []string{"SampleFraction", "-sample"}},
+		{fl.ServerConfig{MinUpdates: 9}, []string{"MinUpdates", "-min-updates"}},
+		{fl.ServerConfig{MinClients: -1}, []string{"MinClients", "-min-clients"}},
+		{fl.ServerConfig{RoundDeadline: -time.Second}, []string{"RoundDeadline", "-deadline"}},
+		{fl.ServerConfig{Reconcile: &fl.ReconcilePolicy{QuarantineAfter: 2}}, []string{"Reconcile", "-quarantine-after", "-deadline"}},
+		{fl.ServerConfig{Reconcile: &fl.ReconcilePolicy{QuarantineAfter: -1}, RoundDeadline: time.Second}, []string{"QuarantineAfter", "-quarantine-after"}},
+	} {
+		tc.cfg.ExpectedClients, tc.cfg.Listener = 2, transport.NewMemNetwork()
+		tc.cfg.VerifyToken = func(string, string) bool { return true }
+		srv, err := fl.NewServer(tc.cfg, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
+		if err == nil {
+			srv.Close()
+			t.Errorf("%s: accepted", tc.want[0])
+			continue
+		}
+		msg := flagged(err).Error()
+		for _, w := range tc.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("refusal %q does not name %s", msg, w)
+			}
+		}
 	}
 }

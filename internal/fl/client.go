@@ -301,7 +301,7 @@ func (c *Client) run() (*transport.Message, error) {
 				// substitute the task instead of timing out — then keep
 				// serving. One bad round (a transient data/compute fault)
 				// must not take the client out of the federation; the
-				// server's health monitor decides when a failure streak
+				// server's health ladder decides when a failure streak
 				// warrants quarantine.
 				c.cfg.Logf("fl client %s: round %d failed locally: %v", c.kit.Name, msg.Round, err)
 				reply.Type, reply.Meta = transport.MsgError, map[string]string{"error": err.Error()}

@@ -108,7 +108,7 @@ type State struct {
 	Sessions map[string]string
 	// Health maps client name to its last recorded reconciliation state
 	// ("quarantined" or, after a rejoin, "healthy"); last-wins on
-	// replay. A restart seeds its health monitor from this so a
+	// replay. A restart seeds its health ladder from this so a
 	// quarantined client stays out of the sample pool across the crash.
 	Health map[string]string
 	// Open is the in-flight round, if the crash happened mid-round.

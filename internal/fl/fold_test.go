@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"clinfl/internal/fl/hier"
-	"clinfl/internal/fl/reconcile"
 	"clinfl/internal/model"
 	"clinfl/internal/provision"
 	"clinfl/internal/tensor"
@@ -41,7 +40,7 @@ func newAcceptRound(t *testing.T, cfg ServerConfig, global map[string]*tensor.Ma
 	}
 	e := srv.eng
 	e.names = slices.Sorted(maps.Keys(global))
-	g := &gather{e: e, global: global, names: e.names, rec: &RoundRecord{}, rq: reconcile.NewQueue(), open: true}
+	g := &gather{e: e, global: global, names: e.names, rec: &RoundRecord{}, open: true}
 	var ids []int
 	for _, name := range clients {
 		id := srv.ros.add(name)

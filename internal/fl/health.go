@@ -1,31 +1,31 @@
 package fl
 
-import (
-	"time"
-
-	"clinfl/internal/fl/reconcile"
-)
+import "time"
 
 // ReconcilePolicy moves the round engine's gather from "a failure is
 // terminal" to reconciliation: failed or timed-out task assignments are
 // requeued with jittered-exponential backoff and re-dispatched (to the
 // same client, or a substitute) within the round deadline; repeated failures
-// demote a client through the reconcile.Health ladder and exclude it
-// from sampling until a recovery probe succeeds; and a round starved
-// below quorum parks until probes revive clients instead of failing or
-// deadlocking. Nil (the default on ControllerConfig/ServerConfig) runs
-// the same gather under the null policy — one attempt per assignment, no
-// health tracking — which is the pre-reconciliation federation exactly.
+// demote a client down the health ladder and exclude it from sampling
+// until a recovery probe succeeds; and a round starved below quorum parks
+// until probes revive clients instead of failing or deadlocking. Nil (the
+// default on ControllerConfig/ServerConfig) runs the same gather under the
+// null policy — one attempt per assignment, no health tracking — which is
+// the pre-reconciliation federation exactly.
 type ReconcilePolicy struct {
 	// SuspectAfter / UnreachableAfter / QuarantineAfter are the
-	// consecutive-failure demotion thresholds (defaults 1 / 2 / 4).
+	// consecutive-failure demotion thresholds (defaults 1 / 2 / 4). A zero
+	// threshold takes the smaller of its default and the next threshold
+	// set above it, so QuarantineAfter 1 alone quarantines on the first
+	// failure. Set thresholds may not decrease down the ladder.
 	// Quarantine entry and exit are WAL-recorded on durable runs.
 	SuspectAfter, UnreachableAfter, QuarantineAfter int
 	// RequeueBackoff paces task re-assignment: retry attempt n of a
 	// round slot becomes ready Delay(n-1) after the failure (zero value:
 	// 100ms doubling to 30s — set Base/Max well under RoundDeadline).
 	RequeueBackoff Backoff
-	// ProbeBackoff paces recovery probes of demoted clients.
+	// ProbeBackoff paces recovery probes of demoted clients: the n-th
+	// consecutive failed probe schedules the next one Delay(n) later.
 	ProbeBackoff Backoff
 	// MaxAssignAttempts bounds total assignments of one round slot,
 	// original dispatch included (default 3).
@@ -38,27 +38,6 @@ type ReconcilePolicy struct {
 	// demoted clients before giving up with a quorum error (default 30s;
 	// keep it above ProbeBackoff.Base or parking can never help).
 	MaxPark time.Duration
-}
-
-// withDefaults fills zero fields.
-func (p ReconcilePolicy) withDefaults() ReconcilePolicy {
-	if p.MaxAssignAttempts <= 0 {
-		p.MaxAssignAttempts = 3
-	}
-	if p.MaxPark <= 0 {
-		p.MaxPark = 30 * time.Second
-	}
-	return p
-}
-
-// monitor builds the policy's health state machine.
-func (p ReconcilePolicy) monitor() *reconcile.Monitor {
-	return reconcile.NewMonitor(reconcile.Config{
-		SuspectAfter:     p.SuspectAfter,
-		UnreachableAfter: p.UnreachableAfter,
-		QuarantineAfter:  p.QuarantineAfter,
-		ProbeDelay:       p.ProbeBackoff.Delay,
-	})
 }
 
 // Prober is the optional probe capability of an Executor: a cheap
@@ -74,27 +53,242 @@ type Prober interface {
 	Probe() (time.Duration, error)
 }
 
-// healthTransition records a state-machine edge in the metrics registry
-// and refreshes the fl_client_health gauge family.
-func (m flMetrics) healthTransition(mon *reconcile.Monitor, tr reconcile.Transition) {
-	if !tr.Changed() {
-		return
-	}
-	m.reg.Counter("fl_health_transitions_total", "client health state-machine edges",
-		"from", tr.From.String(), "to", tr.To.String()).Inc()
-	m.syncHealthGauges(mon)
+// health is a client's rung on the reconciliation ladder:
+//
+//	unknown → healthy → suspect → unreachable → quarantined
+//	             ↑_________↑___________|_______________|
+//	               (rejoin: successful update or probe)
+//
+// Consecutive failures (task execution, send, or probe) demote; any
+// success resets the client to healthy. Suspect clients are still sampled
+// (one failure is routine); unreachable and quarantined clients are
+// excluded from sampling until a probe succeeds. Quarantine is the durable
+// rung: the engine WAL-records entry and exit so a crash-restart does not
+// resurrect a quarantined client into the pool.
+type health int8
+
+const (
+	unknown health = iota
+	healthy
+	suspect
+	unreachable
+	quarantined
+)
+
+// healthNames are the rungs' names, in ladder order, for metrics labels,
+// Result.Health and RecHealth records.
+var healthNames = [...]string{"unknown", "healthy", "suspect", "unreachable", "quarantined"}
+
+func (h health) String() string { return healthNames[h] }
+
+// eligible reports whether a rung keeps the client in the sample pool.
+func (h health) eligible() bool { return h <= suspect }
+
+// rung is one client's reconciliation state.
+type rung struct {
+	health health
+	// streak counts consecutive failures since the last success.
+	streak int
+	// probeAttempt counts consecutive failed probes since the demotion.
+	probeAttempt int
+	// nextProbe is when the next recovery probe is due (zero: none is
+	// scheduled, the client is eligible).
+	nextProbe time.Time
+	// probing marks a probe in flight, so due never fires it twice.
+	probing bool
 }
 
-// syncHealthGauges sets fl_client_health{state} to the monitor's current
-// per-state population. The null monitor tracks nobody and exports no
-// gauge family.
-func (m flMetrics) syncHealthGauges(mon *reconcile.Monitor) {
-	if m.reg == nil || mon == nil {
+// transition is one edge of a client's health; from == to is no edge.
+type transition struct {
+	id       int
+	from, to health
+}
+
+// ladder is a reconcile policy's per-client health, indexed by roster id
+// and grown with the roster, as engine.slots is. It never reads a clock:
+// the gather stamps every observation with its own now, so each transition
+// is a pure function of the observation sequence and a simulated
+// federation replays its health history bit-identically at any
+// GOMAXPROCS.
+//
+// A nil *ladder is the null policy: it records nothing, every client
+// stays eligible, no probe is ever due and its snapshot is nil, so the
+// gather calls it unconditionally.
+type ladder struct {
+	pol   ReconcilePolicy // settled
+	rungs []rung
+}
+
+// at returns id's rung, growing the table for a client interned since.
+func (l *ladder) at(id int) *rung {
+	if id >= len(l.rungs) {
+		l.rungs = append(l.rungs, make([]rung, id+1-len(l.rungs))...)
+	}
+	return &l.rungs[id]
+}
+
+// observe records the outcome of a task assignment (execution result,
+// send failure, or timed-out reassignment) at now. Success resets the
+// client to healthy; failure extends the streak and may demote. A demotion
+// out of the sample pool schedules the first recovery probe one probe
+// delay out, not at once: the failure that demoted the client just
+// happened, so an instant probe would only re-observe it.
+func (l *ladder) observe(id int, ok bool, now time.Time) transition {
+	if l == nil {
+		return transition{}
+	}
+	r := l.at(id)
+	from := r.health
+	if ok {
+		*r = rung{health: healthy}
+		return transition{id, from, healthy}
+	}
+	r.streak++
+	next := healthy
+	switch p := &l.pol; {
+	case r.streak >= p.QuarantineAfter:
+		next = quarantined
+	case r.streak >= p.UnreachableAfter:
+		next = unreachable
+	case r.streak >= p.SuspectAfter:
+		next = suspect
+	}
+	r.health = max(r.health, next)
+	if !r.health.eligible() && r.nextProbe.IsZero() && !r.probing {
+		r.nextProbe = now.Add(l.pol.ProbeBackoff.Delay(0))
+	}
+	return transition{id, from, r.health}
+}
+
+// probed records the outcome of a recovery probe fired by due. Success
+// rejoins the client (healthy, back in the pool); failure backs the next
+// probe off by ProbeBackoff.Delay(attempt).
+func (l *ladder) probed(id int, ok bool, now time.Time) transition {
+	if l == nil || ok {
+		return l.observe(id, ok, now)
+	}
+	r := l.at(id)
+	from := r.health
+	r.probing = false
+	r.probeAttempt++
+	r.nextProbe = now.Add(l.pol.ProbeBackoff.Delay(r.probeAttempt))
+	return transition{id, from, r.health}
+}
+
+// quarantine seeds a client straight into quarantine — WAL replay on
+// restart, so a recorded quarantine survives the crash. Its first recovery
+// probe is due at once.
+func (l *ladder) quarantine(id int) {
+	if l == nil {
 		return
 	}
-	counts := mon.Counts()
-	for _, h := range reconcile.States() {
-		m.reg.Gauge("fl_client_health", "clients per health state",
-			"state", h.String()).Set(float64(counts[h]))
+	// A zero nextProbe means "none scheduled"; the epoch is always ripe.
+	*l.at(id) = rung{health: quarantined, streak: l.pol.QuarantineAfter, nextProbe: time.Unix(0, 0)}
+}
+
+// get returns id's rung; a client never observed is unknown.
+func (l *ladder) get(id int) rung {
+	if l == nil || id >= len(l.rungs) {
+		return rung{}
+	}
+	return l.rungs[id]
+}
+
+// eligible reports whether client id may be sampled.
+func (l *ladder) eligible(id int) bool { return l.get(id).health.eligible() }
+
+// probing reports whether client id has a recovery probe in flight.
+func (l *ladder) probing(id int) bool { return l.get(id).probing }
+
+// scheduled reports whether r is demoted and waits on a probe not yet
+// fired.
+func (r *rung) scheduled() bool {
+	return !r.health.eligible() && !r.probing && !r.nextProbe.IsZero()
+}
+
+// due returns the demoted clients whose recovery probe is due at now, in
+// the roster's name order, and marks each probing so it is not returned
+// again until its answer lands.
+func (l *ladder) due(ros *roster, now time.Time) []int {
+	if l == nil {
+		return nil
+	}
+	var out []int
+	for _, id := range ros.byName() {
+		if id < len(l.rungs) && l.rungs[id].scheduled() && !l.rungs[id].nextProbe.After(now) {
+			l.rungs[id].probing = true
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// nextProbeAt returns the earliest scheduled probe among demoted clients
+// with none in flight (zero when none is scheduled).
+func (l *ladder) nextProbeAt() time.Time {
+	var at time.Time
+	if l == nil {
+		return at
+	}
+	for i := range l.rungs {
+		r := &l.rungs[i]
+		if r.scheduled() && (at.IsZero() || r.nextProbe.Before(at)) {
+			at = r.nextProbe
+		}
+	}
+	return at
+}
+
+// recovering reports whether a probe is in flight or scheduled: whether a
+// starved round can still be revived.
+func (l *ladder) recovering() bool {
+	if l == nil {
+		return false
+	}
+	for i := range l.rungs {
+		if r := &l.rungs[i]; r.probing || r.scheduled() {
+			return true
+		}
+	}
+	return false
+}
+
+// snapshot names every observed client's rung (nil for the null policy).
+func (l *ladder) snapshot(names []string) map[string]string {
+	if l == nil {
+		return nil
+	}
+	out := make(map[string]string)
+	for id, r := range l.rungs {
+		if r.health != unknown {
+			out[names[id]] = r.health.String()
+		}
+	}
+	return out
+}
+
+// healthTransition records a ladder edge in the metrics registry and
+// refreshes the fl_client_health gauge family.
+func (m flMetrics) healthTransition(l *ladder, tr transition) {
+	m.reg.Counter("fl_health_transitions_total", "client health state-machine edges",
+		"from", tr.from.String(), "to", tr.to.String()).Inc()
+	m.syncHealthGauges(l)
+}
+
+// syncHealthGauges sets fl_client_health{state} to the ladder's current
+// per-rung population of observed clients. The null policy tracks nobody
+// and exports no gauge family.
+func (m flMetrics) syncHealthGauges(l *ladder) {
+	if m.reg == nil || l == nil {
+		return
+	}
+	var counts [len(healthNames)]int
+	for _, r := range l.rungs {
+		if r.health != unknown {
+			counts[r.health]++
+		}
+	}
+	for h, name := range healthNames {
+		m.reg.Gauge("fl_client_health", "clients per health state", "state", name).Set(float64(counts[h]))
 	}
 }

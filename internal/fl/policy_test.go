@@ -84,6 +84,14 @@ func TestRoundPolicyRefusedOnEveryFrontEnd(t *testing.T) {
 		{"tier with WAL", ControllerConfig{Tier: &TierConfig{}, WAL: wal}, flat, []string{"Tier", "WAL"}},
 		{"tier with reconcile", ControllerConfig{Tier: &TierConfig{}, Reconcile: retry, RoundDeadline: time.Second}, flat, []string{"Tier", "Reconcile"}},
 		{"tier with a custom aggregator", ControllerConfig{Tier: &TierConfig{}, Aggregator: infAggregator{}}, flat, []string{"Tier", "Aggregator"}},
+		{"negative quarantine threshold", reconciling(ReconcilePolicy{QuarantineAfter: -1}), flat, []string{"Reconcile.QuarantineAfter"}},
+		{"negative unreachable threshold", reconciling(ReconcilePolicy{UnreachableAfter: -2}), flat, []string{"Reconcile.UnreachableAfter"}},
+		{"negative suspect threshold", reconciling(ReconcilePolicy{SuspectAfter: -1}), flat, []string{"Reconcile.SuspectAfter"}},
+		{"suspect above unreachable", reconciling(ReconcilePolicy{SuspectAfter: 3, UnreachableAfter: 2}), flat, []string{"SuspectAfter", "UnreachableAfter"}},
+		{"unreachable above quarantine", reconciling(ReconcilePolicy{UnreachableAfter: 5, QuarantineAfter: 3}), flat, []string{"UnreachableAfter", "QuarantineAfter"}},
+		{"suspect above quarantine", reconciling(ReconcilePolicy{SuspectAfter: 4, QuarantineAfter: 2}), flat, []string{"SuspectAfter", "QuarantineAfter"}},
+		{"negative max assign attempts", reconciling(ReconcilePolicy{MaxAssignAttempts: -1}), flat, []string{"Reconcile.MaxAssignAttempts"}},
+		{"negative max park", reconciling(ReconcilePolicy{MaxPark: -time.Second}), flat, []string{"Reconcile.MaxPark"}},
 	} {
 		for _, front := range tc.fronts {
 			err := policyFronts[front](tc.cfg)
@@ -113,6 +121,9 @@ func TestRoundPolicyRefusedOnEveryFrontEnd(t *testing.T) {
 		{"fedasync alpha one", ControllerConfig{AsyncAggregator: FedAsync{Alpha: 1}}, flat},
 		{"tier", ControllerConfig{Tier: &TierConfig{}}, flat},
 		{"in-process tier widths", ControllerConfig{Tier: &TierConfig{Aggregators: []int{64, 8}}}, []string{"controller"}},
+		{"quarantine on the first failure", reconciling(ReconcilePolicy{QuarantineAfter: 1}), flat},
+		{"every threshold equal", reconciling(ReconcilePolicy{SuspectAfter: 2, UnreachableAfter: 2, QuarantineAfter: 2}), flat},
+		{"unreachable above the default quarantine", reconciling(ReconcilePolicy{UnreachableAfter: 5}), flat},
 	} {
 		for _, front := range tc.fronts {
 			if err := policyFronts[front](tc.cfg); err != nil {
@@ -120,4 +131,10 @@ func TestRoundPolicyRefusedOnEveryFrontEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// reconciling is a round policy that runs p under a deadline, as Reconcile
+// requires.
+func reconciling(p ReconcilePolicy) ControllerConfig {
+	return ControllerConfig{Reconcile: &p, RoundDeadline: time.Second}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"clinfl/internal/fl/durable"
-	"clinfl/internal/fl/reconcile"
 	"clinfl/internal/metrics"
 	"clinfl/internal/tensor"
 )
@@ -39,9 +38,9 @@ import (
 // whose finalize keeps the partial, and a Client carrying it to the parent.
 //
 // Both seams speak dense client ids from one roster, so a round's
-// per-client state is slices indexed by id; names come back only where the
-// engine writes text (the RoundRecord, WAL records, failure strings) and in
-// the name-keyed reconcile monitor and retry queue.
+// per-client state is slices indexed by id, the health ladder and the retry
+// queue included; names come back only where the engine writes text (the
+// RoundRecord, Result.Health, WAL records, failure strings).
 
 // roundConfig is the round policy of every front end: the engine's view of
 // a ControllerConfig, a ServerConfig or (through its Server) an EdgeConfig.
@@ -78,7 +77,8 @@ type roundConfig struct {
 // field, then fills the defaults: Rounds 0 runs one round, MinClients 0 is a
 // floor of one update (NVFlare's min_clients), MinUpdates 0 waits for every
 // tasked client, SampleFraction 0 or 1 tasks every idle client, a nil
-// Aggregator is FedAvg and a nil Clock the wall clock.
+// Aggregator is FedAvg and a nil Clock the wall clock. A Reconcile policy is
+// settled into a copy, never through the caller's pointer.
 func (c *roundConfig) settle() error {
 	switch {
 	case c.rounds < 0:
@@ -123,6 +123,45 @@ func (c *roundConfig) settle() error {
 		case c.reconcile != nil:
 			return errors.New("fl: Tier is incompatible with Reconcile (per-client requeue needs root-visible clients)")
 		}
+	}
+	if c.reconcile != nil {
+		p := *c.reconcile
+		// The demotion thresholds, top rung first. A zero one takes the
+		// smaller of its default and the next threshold set above it, then
+		// at least the one below, so the ladder never falls.
+		rungs := []struct {
+			name string
+			n    *int
+			def  int
+		}{{"QuarantineAfter", &p.QuarantineAfter, 4}, {"UnreachableAfter", &p.UnreachableAfter, 2}, {"SuspectAfter", &p.SuspectAfter, 1}}
+		above, aboveName := math.MaxInt, ""
+		for _, r := range rungs {
+			switch {
+			case *r.n < 0:
+				return fmt.Errorf("fl: Reconcile.%s %d is negative", r.name, *r.n)
+			case *r.n == 0:
+				*r.n = min(r.def, above)
+			case *r.n > above:
+				return fmt.Errorf("fl: Reconcile.%s %d is above Reconcile.%s %d, a later rung of the ladder", r.name, *r.n, aboveName, above)
+			default:
+				above, aboveName = *r.n, r.name
+			}
+		}
+		p.UnreachableAfter = max(p.UnreachableAfter, p.SuspectAfter)
+		p.QuarantineAfter = max(p.QuarantineAfter, p.UnreachableAfter)
+		switch {
+		case p.MaxAssignAttempts < 0:
+			return fmt.Errorf("fl: Reconcile.MaxAssignAttempts %d is negative", p.MaxAssignAttempts)
+		case p.MaxPark < 0:
+			return fmt.Errorf("fl: Reconcile.MaxPark %v is negative", p.MaxPark)
+		}
+		if p.MaxAssignAttempts == 0 {
+			p.MaxAssignAttempts = 3
+		}
+		if p.MaxPark == 0 {
+			p.MaxPark = 30 * time.Second
+		}
+		c.reconcile = &p
 	}
 	c.rounds = max(c.rounds, 1)
 	if c.aggregator == nil {
@@ -343,19 +382,17 @@ type engine struct {
 	// gather.names.
 	slots []slot
 	names []string
-	// mon / pol are the health monitor and the retry policy. Without a
+	// ladder / pol are the health ladder and the retry policy. Without a
 	// ReconcilePolicy the same loop runs under the null policy: a nil
-	// monitor (records nothing, everyone eligible, no probes) and one
-	// attempt per slot.
-	mon *reconcile.Monitor
-	pol ReconcilePolicy
-	// reconciling is false under the null policy, which keeps three
-	// outcomes of the pre-reconciliation federation: a deadline that
-	// finds the round below quorum fails it at once instead of waiting
-	// out the stragglers, a short round is never marked Degraded, and a
-	// client that re-attaches mid-task is simply sent the task again
-	// (there is no retry queue to race).
-	reconciling bool
+	// ladder (records nothing, everyone eligible, no probes) and one
+	// attempt per slot. The null policy also keeps three outcomes of the
+	// pre-reconciliation federation, each keyed on the nil ladder: a
+	// deadline that finds the round below quorum fails it at once instead
+	// of waiting out the stragglers, a short round is never marked
+	// Degraded, and a client that re-attaches mid-task is simply sent the
+	// task again (there is no retry queue to race).
+	ladder *ladder
+	pol    ReconcilePolicy
 }
 
 // newEngine runs a settled cfg over the backend. The sink follows the
@@ -379,9 +416,8 @@ func newEngine(cfg roundConfig, ros *roster, be backend) *engine {
 		pol: ReconcilePolicy{MaxAssignAttempts: 1},
 	}
 	if cfg.reconcile != nil {
-		e.pol = cfg.reconcile.withDefaults()
-		e.mon = e.pol.monitor()
-		e.reconciling = true
+		e.pol = *cfg.reconcile
+		e.ladder = &ladder{pol: e.pol}
 	}
 	if e.logf == nil {
 		e.logf = func(string, ...any) {}
@@ -421,11 +457,11 @@ func (e *engine) run(ctx context.Context, initial map[string]*tensor.Matrix) (*R
 		// Replayed quarantine decisions take effect before any sampling:
 		// a crash must not resurrect a quarantined client into the pool.
 		for name, state := range st.Health {
-			if state == reconcile.Quarantined.String() {
-				e.mon.SetQuarantined(name)
+			if state == quarantined.String() {
+				e.ladder.quarantine(e.ros.add(name))
 			}
 		}
-		e.met.syncHealthGauges(e.mon)
+		e.met.syncHealthGauges(e.ladder)
 	}
 
 	for round := startRound; round < e.rounds; round++ {
@@ -451,7 +487,7 @@ func (e *engine) run(ctx context.Context, initial map[string]*tensor.Matrix) (*R
 	if res.BestWeights == nil {
 		res.BestWeights = cloneWeights(global)
 	}
-	res.Health = e.mon.Snapshot()
+	res.Health = e.ladder.snapshot(e.ros.names)
 	return res, nil
 }
 
@@ -513,7 +549,10 @@ type gather struct {
 	names []string
 	rec   *RoundRecord
 	late  []*ClientUpdate
-	rq    *reconcile.Queue
+	// retries is the queue of failed assignments waiting to run again, in
+	// insertion order. One client can hold two: its own, and one it took
+	// as a substitute.
+	retries []assignment
 	// slots is indexed by roster id. It covers the roster as it stood when
 	// the round was sampled; slot grows it for a client interned since.
 	slots []slot
@@ -538,7 +577,7 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	}
 	e.names = slices.AppendSeq(e.names[:0], maps.Keys(global))
 	slices.Sort(e.names)
-	g := &gather{e: e, round: round, global: global, names: e.names, rec: rec, rq: reconcile.NewQueue()}
+	g := &gather{e: e, round: round, global: global, names: e.names, rec: rec}
 	// Stragglers that finished between rounds drain first, so they become
 	// idle (sample-able) again and their updates enter this round's
 	// staleness handling instead of rotting in the channel.
@@ -586,8 +625,7 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 	}
 	g.open = true
 	for _, id := range toTask {
-		name := e.ros.names[id]
-		if err := g.dispatch(reconcile.Task{Client: name, Round: round, Attempt: 1, Origin: name}, id, false, now); err != nil {
+		if err := g.dispatch(assignment{id: id, attempt: 1, origin: e.ros.names[id]}, id, false, now); err != nil {
 			return nil, err
 		}
 	}
@@ -620,7 +658,7 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 		// At or above quorum but short of the trigger: the deadline or the
 		// parking budget cut a mass-failure round short.
 		g.degrade()
-	case e.reconciling && e.async != nil && g.got > 0:
+	case e.ladder != nil && e.async != nil && g.got > 0:
 		// Below quorum. The async path finalizes what it has as a degraded
 		// partial round — FedAsync already tolerates weight drift from
 		// missing participants; the synchronous path must fail.
@@ -670,22 +708,22 @@ func (g *gather) byName(n int, keep func(*slot) bool) []int {
 
 // degrade marks a round finalized short of its trigger.
 func (g *gather) degrade() {
-	if g.e.reconciling {
+	if g.e.ladder != nil {
 		g.rec.Degraded = true
 		g.e.met.degraded.Inc()
 	}
 }
 
 // idleEligible is the sample pool: the backend's idle clients the health
-// monitor still admits, and the sampling denominator.
+// ladder still admits, and the sampling denominator.
 func (e *engine) idleEligible() ([]int, int) {
 	ids, total := e.be.idle()
-	if e.mon == nil {
+	if e.ladder == nil {
 		return ids, total // the null policy admits everyone
 	}
 	pool := ids[:0]
 	for _, id := range ids {
-		if e.mon.Eligible(e.ros.names[id]) {
+		if e.ladder.eligible(id) {
 			pool = append(pool, id)
 		}
 	}
@@ -698,7 +736,7 @@ func (e *engine) idleEligible() ([]int, int) {
 func (g *gather) sample(ctx context.Context) ([]int, error) {
 	e := g.e
 	pool, total := e.idleEligible()
-	if len(pool) == 0 && e.reconciling {
+	if len(pool) == 0 && e.ladder != nil {
 		g.park(e.clock.Now())
 		if err := g.wait(ctx); err != nil {
 			return nil, err
@@ -776,7 +814,7 @@ func (g *gather) reseed(resume *durable.OpenRound) (sampled, toTask []int, seede
 		case id >= len(idle) || !idle[id]:
 			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: tasked before crash, not back after restart", name))
 			e.met.failure("conn")
-		case !e.mon.Eligible(name):
+		case !e.ladder.eligible(id):
 			// Quarantined by a replayed health record: the pre-crash task
 			// assignment does not override the quarantine.
 			g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: quarantined, not re-tasked on resume", name))
@@ -836,7 +874,7 @@ func (g *gather) wait(ctx context.Context) error {
 			// are already in rec.Failures, so nothing is silently lost.
 			g.deadlineFired = true
 			e.met.stragglers.Add(int64(g.pending))
-			g.rq.Drain()
+			g.retries = g.retries[:0]
 		}
 		switch {
 		case !g.open:
@@ -849,33 +887,32 @@ func (g *gather) wait(ctx context.Context) error {
 			}
 		case g.got >= g.minUpdates:
 			return nil
-		case g.deadlineFired && (g.got >= g.quorum || !e.reconciling):
+		case g.deadlineFired && (g.got >= g.quorum || e.ladder == nil):
 			return nil
 		case g.parked && !now.Before(g.parkDeadline):
 			return nil // parking budget exhausted: degrade or fail on the quorum
 		}
-		for _, t := range g.rq.Due(now) {
-			if err := g.redispatch(t, now); err != nil {
+		for _, a := range g.dueRetries(now) {
+			if err := g.redispatch(a, now); err != nil {
 				return err
 			}
 		}
-		for _, name := range e.mon.DueProbes(now) {
-			// A replayed quarantine can name a client not on the roster yet.
-			if err := e.be.probe(e.ros.add(name)); err != nil {
+		for _, id := range e.ladder.due(e.ros, now) {
+			if err := e.be.probe(id); err != nil {
 				// Unsendable: the probe fails at once, backing off the next
 				// one — the client rejoins by reconnecting and answering a
 				// later probe.
 				e.met.probe("fail")
-				if err := e.healthEdge(g.round, e.mon.ProbeResult(name, false, now)); err != nil {
+				if err := e.healthEdge(g.round, e.ladder.probed(id, false, now)); err != nil {
 					return err
 				}
 			}
 		}
-		if g.open && g.pending == 0 && g.rq.Len() == 0 {
+		if g.open && g.pending == 0 && len(g.retries) == 0 {
 			// Starved: nothing in flight, nothing queued, below the
 			// trigger. Recoverable only if probes are running or scheduled;
 			// otherwise give up now.
-			if !e.mon.Probing() && e.mon.NextProbeAt().IsZero() {
+			if !e.ladder.recovering() {
 				return nil
 			}
 			if !g.parked {
@@ -891,8 +928,10 @@ func (g *gather) wait(ctx context.Context) error {
 		if !g.deadlineFired {
 			earliest(g.deadlineAt)
 		}
-		earliest(g.rq.NextAt())
-		earliest(e.mon.NextProbeAt())
+		for _, a := range g.retries {
+			earliest(a.readyAt)
+		}
+		earliest(e.ladder.nextProbeAt())
 		if g.parked {
 			earliest(g.parkDeadline)
 		}
@@ -921,7 +960,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 	name := e.ros.names[ev.id]
 	switch ev.kind {
 	case evProbe:
-		if !e.mon.IsProbing(name) {
+		if !e.ladder.probing(ev.id) {
 			return nil // an answer to no probe of ours
 		}
 		result := "ok"
@@ -929,7 +968,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 			result = "fail"
 		}
 		e.met.probe(result)
-		if err := e.healthEdge(g.round, e.mon.ProbeResult(name, ev.err == nil, now)); err != nil {
+		if err := e.healthEdge(g.round, e.ladder.probed(ev.id, ev.err == nil, now)); err != nil {
 			return err
 		}
 		// Revived mid-round: if the round still cannot reach its trigger
@@ -938,8 +977,8 @@ func (g *gather) handle(ev event, now time.Time) error {
 		if g.deadlineFired {
 			need = g.quorum
 		}
-		if ev.err == nil && g.open && g.got+g.pending+g.rq.Len() < need && !g.slot(ev.id).done {
-			return g.redispatch(reconcile.Task{Client: name, Round: g.round, Attempt: 1, Origin: "probe"}, now)
+		if ev.err == nil && g.open && g.got+g.pending+len(g.retries) < need && !g.slot(ev.id).done {
+			return g.redispatch(assignment{id: ev.id, attempt: 1, origin: "probe"}, now)
 		}
 
 	case evReattach:
@@ -952,12 +991,12 @@ func (g *gather) handle(ev event, now time.Time) error {
 			// the connection; a demoted client rejoins via the next probe.
 			return nil
 		}
-		var t reconcile.Task
+		a := assignment{id: ev.id, attempt: 1, origin: name}
 		held := g.holds(ev)
 		if held {
-			_, t = g.release(ev.id)
+			_, a = g.release(ev.id)
 		}
-		if e.reconciling {
+		if e.ladder != nil {
 			if !held {
 				return nil
 			}
@@ -966,17 +1005,14 @@ func (g *gather) handle(ev event, now time.Time) error {
 			if err := g.failed(ev.id, false, "conn", errors.New("connection replaced mid-task"), now); err != nil {
 				return err
 			}
-			g.requeue(t, now)
+			g.requeue(a, now)
 			return nil
 		}
 		// Null policy: send the task again so the round can still complete,
 		// whether the slot was still held or its connection error had
 		// already released it.
 		if s := g.slot(ev.id); ev.err == nil && s.sampled && !s.done {
-			if !held {
-				t = reconcile.Task{Client: name, Round: g.round, Attempt: 1, Origin: name}
-			}
-			return g.dispatch(t, ev.id, false, now)
+			return g.dispatch(a, ev.id, false, now)
 		}
 
 	case evFailure:
@@ -986,7 +1022,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 		if !g.holds(ev) {
 			// A straggler from an earlier round: merged by the staleness
 			// policy at finalize, or dropped.
-			if err := e.healthEdge(g.round, e.mon.Observe(name, true, now)); err != nil {
+			if err := e.healthEdge(g.round, e.ladder.observe(ev.id, true, now)); err != nil {
 				return err
 			}
 			if e.async != nil {
@@ -1007,7 +1043,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 			return g.failed(ev.id, true, "reject", err, now)
 		}
 		s, _ := g.release(ev.id)
-		if err := e.healthEdge(g.round, e.mon.Observe(name, true, now)); err != nil {
+		if err := e.healthEdge(g.round, e.ladder.observe(ev.id, true, now)); err != nil {
 			return err
 		}
 		if err := e.logUpdate(g.round, ev); err != nil {
@@ -1028,26 +1064,25 @@ func (g *gather) holds(ev event) bool { return g.open && ev.round == g.round }
 // slot and requeues it under the policy.
 func (g *gather) failed(id int, mine bool, cause string, err error, now time.Time) error {
 	e := g.e
-	name := e.ros.names[id]
-	g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: %v", name, err))
+	g.rec.Failures = append(g.rec.Failures, fmt.Sprintf("%s: %v", e.ros.names[id], err))
 	e.met.failure(cause)
-	var tr reconcile.Transition
+	var tr transition
 	switch {
-	case cause == "conn" && e.mon.IsProbing(name):
+	case cause == "conn" && e.ladder.probing(id):
 		// The connection died between the probe and its answer.
 		e.met.probe("fail")
-		tr = e.mon.ProbeResult(name, false, now)
+		tr = e.ladder.probed(id, false, now)
 	case cause != "reject" || mine:
 		// A rejected message nobody was waiting for says nothing about the
 		// client's ability to do this round's work.
-		tr = e.mon.Observe(name, false, now)
+		tr = e.ladder.observe(id, false, now)
 	}
 	if err := e.healthEdge(g.round, tr); err != nil {
 		return err
 	}
 	if mine {
-		_, t := g.release(id)
-		g.requeue(t, now)
+		_, a := g.release(id)
+		g.requeue(a, now)
 	}
 	return nil
 }
@@ -1063,48 +1098,73 @@ func (g *gather) slot(id int) *slot {
 	return &g.slots[id]
 }
 
-// release frees the slot a client held and returns it with the assignment
-// it was working on (Attempt 0 when it held none).
-func (g *gather) release(id int) (*slot, reconcile.Task) {
-	g.pending--
-	s := g.slot(id)
-	t := reconcile.Task{Client: g.e.ros.names[id], Round: g.round, Attempt: s.attempt, Origin: s.origin}
-	s.attempt = 0
-	return s, t
+// assignment is one unit of the round's work for client id: attempt
+// (1 = the original dispatch) of the slot first sampled for origin. A
+// queued retry also carries the instant it becomes ready.
+type assignment struct {
+	id, attempt int
+	origin      string
+	readyAt     time.Time
 }
 
-// requeue schedules retry attempt t.Attempt+1 of a failed slot, unless the
+// release frees the slot a client held and returns it with the assignment
+// it was working on (attempt 0 when it held none).
+func (g *gather) release(id int) (*slot, assignment) {
+	g.pending--
+	s := g.slot(id)
+	a := assignment{id: id, attempt: s.attempt, origin: s.origin}
+	s.attempt = 0
+	return s, a
+}
+
+// requeue schedules retry attempt a.attempt+1 of a failed slot, unless the
 // slot is out of attempts or the retry could not run before the round
 // deadline. The triggering failure is already recorded, so a task that
 // dies here is abandoned, never silently lost.
-func (g *gather) requeue(t reconcile.Task, now time.Time) {
-	pol := g.e.pol
-	if t.Attempt == 0 || g.deadlineFired || t.Attempt >= pol.MaxAssignAttempts {
+func (g *gather) requeue(a assignment, now time.Time) {
+	pol := &g.e.pol
+	if a.attempt == 0 || g.deadlineFired || a.attempt >= pol.MaxAssignAttempts {
 		return
 	}
-	readyAt := now.Add(pol.RequeueBackoff.Delay(t.Attempt - 1))
-	if !g.deadlineAt.IsZero() && !readyAt.Before(g.deadlineAt) {
+	a.readyAt = now.Add(pol.RequeueBackoff.Delay(a.attempt - 1))
+	if !g.deadlineAt.IsZero() && !a.readyAt.Before(g.deadlineAt) {
 		return
 	}
-	t.Attempt++
-	g.rq.Add(t, readyAt)
+	a.attempt++
+	g.retries = append(g.retries, a)
 	g.e.met.requeues.Inc()
 }
 
-// redispatch hands a ready task to its client — or, when that client is
-// dead, busy, demoted, or already counted, to the first idle eligible
-// substitute in the backend's canonical order (deterministic). A task with
-// no viable target is abandoned; its triggering failure is already
-// recorded.
-func (g *gather) redispatch(t reconcile.Task, now time.Time) error {
+// dueRetries pops every queued retry ready at now, in (readyAt, insertion)
+// order.
+func (g *gather) dueRetries(now time.Time) []assignment {
+	var due []assignment
+	rest := g.retries[:0]
+	for _, a := range g.retries {
+		if a.readyAt.After(now) {
+			rest = append(rest, a)
+		} else {
+			due = append(due, a)
+		}
+	}
+	g.retries = rest
+	slices.SortStableFunc(due, func(a, b assignment) int { return a.readyAt.Compare(b.readyAt) })
+	return due
+}
+
+// redispatch hands a ready assignment to its client — or, when that client
+// is dead, busy, demoted, or already counted, to the first idle eligible
+// substitute in the backend's canonical order (deterministic). An
+// assignment with no viable target is abandoned; its triggering failure is
+// already recorded.
+func (g *gather) redispatch(a assignment, now time.Time) error {
 	pool, _ := g.e.idleEligible()
-	want := g.e.ros.add(t.Client)
 	target := -1
 	for _, id := range pool {
 		if g.slot(id).done {
 			continue
 		}
-		if id == want {
+		if id == a.id {
 			target = id
 			break
 		}
@@ -1115,27 +1175,28 @@ func (g *gather) redispatch(t reconcile.Task, now time.Time) error {
 	if target < 0 {
 		return nil
 	}
-	return g.dispatch(t, target, true, now)
+	return g.dispatch(a, target, true, now)
 }
 
-// dispatch tasks target with assignment t. A retry is recorded in the
+// dispatch tasks target with assignment a. A retry is recorded in the
 // round's Reassigned / Sampled and the WAL; the original scatter was
-// recorded when the round opened.
-func (g *gather) dispatch(t reconcile.Task, target int, retry bool, now time.Time) error {
+// recorded when the round opened. A failed send requeues a for its own
+// client.
+func (g *gather) dispatch(a assignment, target int, retry bool, now time.Time) error {
 	e := g.e
 	down, err := e.be.task(target)
 	if err != nil {
 		if err := g.failed(target, false, "send", fmt.Errorf("send task: %w", err), now); err != nil {
 			return err
 		}
-		g.requeue(t, now)
+		g.requeue(a, now)
 		return nil
 	}
 	s := g.slot(target)
-	s.attempt, s.origin = t.Attempt, t.Origin
+	s.attempt, s.origin = a.attempt, a.origin
 	if retry {
 		name := e.ros.names[target]
-		g.rec.Reassigned = append(g.rec.Reassigned, t.Origin+">"+name)
+		g.rec.Reassigned = append(g.rec.Reassigned, a.origin+">"+name)
 		if !s.sampled {
 			s.sampled = true
 			g.rec.Sampled = append(g.rec.Sampled, name)
@@ -1154,13 +1215,13 @@ func (g *gather) dispatch(t reconcile.Task, target int, retry bool, now time.Tim
 // healthEdge records a health transition in metrics and — for the durable
 // pool-membership edges, quarantine entry and the rejoin clearing it — in
 // the WAL.
-func (e *engine) healthEdge(round int, tr reconcile.Transition) error {
-	if !tr.Changed() {
+func (e *engine) healthEdge(round int, tr transition) error {
+	if tr.from == tr.to {
 		return nil
 	}
-	e.met.healthTransition(e.mon, tr)
-	if e.wal != nil && (tr.To == reconcile.Quarantined || tr.From == reconcile.Quarantined) {
-		if err := e.wal.AppendHealth(round, tr.Client, tr.To.String()); err != nil {
+	e.met.healthTransition(e.ladder, tr)
+	if e.wal != nil && (tr.to == quarantined || tr.from == quarantined) {
+		if err := e.wal.AppendHealth(round, e.ros.names[tr.id], tr.to.String()); err != nil {
 			return fmt.Errorf("fl: round %d: %w", round, err)
 		}
 	}

@@ -163,11 +163,15 @@ func scriptUpdate(name string, round int) *ClientUpdate {
 func TestRoundEngineGatherStateMachine(t *testing.T) {
 	const ms = time.Millisecond
 	ok := func(after time.Duration) []outcome { return []outcome{{after: after}} }
+	// newEngine takes a settled config, so the policy spells out settle's
+	// defaults for the fields it leaves zero.
 	retry := &ReconcilePolicy{
-		RequeueBackoff: Backoff{Base: 20 * ms, Max: 20 * ms},
-		ProbeBackoff:   Backoff{Base: 50 * ms, Max: 50 * ms},
-		Substitute:     true,
-		MaxPark:        time.Second,
+		SuspectAfter: 1, UnreachableAfter: 2, QuarantineAfter: 4,
+		RequeueBackoff:    Backoff{Base: 20 * ms, Max: 20 * ms},
+		ProbeBackoff:      Backoff{Base: 50 * ms, Max: 50 * ms},
+		MaxAssignAttempts: 3,
+		Substitute:        true,
+		MaxPark:           time.Second,
 	}
 	for _, tc := range []struct {
 		name       string

@@ -2,11 +2,11 @@
 # Runs the README's networked quickstart end to end on 127.0.0.1: builds
 # provision, flserver and flclient, mints kits for two sites, checks that
 # flserver refuses two bad round settings (-rounds -3, -sample NaN) by
-# exiting non-zero with the field named on stderr, then runs the server
-# (with its write-ahead log and metrics endpoint) and both clients on their
-# default flags for two rounds, in a temporary directory. It fails unless
-# each refusal names its field, flserver exits 0 having written the final
-# model and both clients exit 0.
+# exiting non-zero with the field and its flag named on stderr, then runs
+# the server (with its write-ahead log and metrics endpoint) and both
+# clients on their default flags for two rounds, in a temporary directory.
+# It fails unless each refusal names its field and flag, flserver exits 0
+# having written the final model and both clients exit 0.
 #
 #   bash scripts/quickstart.sh
 set -euo pipefail
@@ -20,18 +20,21 @@ cd "$work"
 addr=127.0.0.1:28443
 limit=300s
 bin/provision -clients site-a,site-b >provision.log
-# A bad round setting is refused before the server listens, naming the field.
+# A bad round setting is refused before the server listens, naming the
+# field and the flag.
 for bad in "-rounds -3:Rounds" "-sample NaN:SampleFraction"; do
 	flags=${bad%:*} field=${bad##*:}
 	if timeout 60s bin/flserver -kit kits/server -addr "$addr" $flags >/dev/null 2>refused.log; then
 		echo "quickstart: FAIL (flserver $flags exited 0)" >&2
 		exit 1
 	fi
-	if ! grep -q "$field" refused.log; then
-		cat refused.log >&2
-		echo "quickstart: FAIL (flserver $flags did not name $field)" >&2
-		exit 1
-	fi
+	for name in "$field" "${flags%% *}"; do
+		if ! grep -q -e "$name" refused.log; then
+			cat refused.log >&2
+			echo "quickstart: FAIL (flserver $flags did not name $name)" >&2
+			exit 1
+		fi
+	done
 	echo "quickstart: flserver $flags refused: $(cat refused.log)"
 done
 timeout "$limit" bin/flserver -kit kits/server -addr "$addr" -clients 2 -rounds 2 \
