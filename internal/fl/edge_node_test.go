@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -8,8 +10,11 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unicode/utf8"
 
+	"clinfl/internal/fl/hier"
 	"clinfl/internal/provision"
+	"clinfl/internal/tensor"
 	"clinfl/internal/transport"
 )
 
@@ -205,5 +210,164 @@ func TestEdgeRidesOutLostParentLink(t *testing.T) {
 				t.Fatalf("%s[%d] = %v after the reconnect, fault-free run has %v", name, i, got.Data()[i], w)
 			}
 		}
+	}
+}
+
+// errorExecutor fails every round with its text.
+type errorExecutor struct{ name, text string }
+
+func (x *errorExecutor) Name() string { return x.name }
+
+func (x *errorExecutor) ExecuteRound(int, map[string]*tensor.Matrix) (*ClientUpdate, error) {
+	return nil, errors.New(x.text)
+}
+
+// edgeRound runs one round of an edge over the leaves, with the test as its
+// parent, and returns the partial the edge sent up.
+func edgeRound(t *testing.T, leaves []Executor) *hier.Partial {
+	t.Helper()
+	// The leaves are waited for after both networks close, so a failed
+	// check ends them before the test returns.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	rootNet, edgeNet := transport.NewMemNetwork(), transport.NewMemNetwork()
+	defer rootNet.Close()
+	defer edgeNet.Close()
+	edge, err := NewEdge(EdgeConfig{
+		Name: "edge-0", Token: "tok-edge-0", DialParent: memDialer(rootNet, "edge-0"),
+		Listener: edgeNet, ExpectedClients: len(leaves), RegisterTimeout: 10 * time.Second,
+		VerifyToken: tokenFor, RoundDeadline: 10 * time.Second, Logf: quietLogf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exec := range leaves {
+		cl := leafClient(t, edgeNet, exec.Name(), "tok-"+exec.Name(), exec)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.Run(); err != nil {
+				t.Errorf("leaf %.20s: %v", cl.kit.Name, err)
+			}
+		}()
+	}
+	edgeDone := make(chan error, 1)
+	go func() { _, err := edge.Run(); edgeDone <- err }()
+
+	parent, err := rootNet.AcceptConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer parent.Close()
+	if reg, err := parent.Read(); err != nil || reg.Type != transport.MsgRegister {
+		t.Fatalf("parent registration = %v, %v", reg, err)
+	}
+	global, err := EncodeWeights(initialWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range []*transport.Message{
+		{Type: transport.MsgRegisterAck, Meta: map[string]string{"accepted": "true"}},
+		{Type: transport.MsgTask, Round: 0, Payload: global},
+	} {
+		if err := parent.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	up, err := parent.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.Type != transport.MsgUpdate {
+		t.Fatalf("edge answered %s (%s), want its partial", up.Type, up.Meta["error"])
+	}
+	p, err := hier.DecodePartial(up.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.Write(&transport.Message{Type: transport.MsgFinish, Payload: global}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-edgeDone; err != nil {
+		t.Fatalf("edge run: %v", err)
+	}
+	return p
+}
+
+// TestEdgeSurvivesLongLeafNameAndError: a partial carries the aggregate, not
+// the names of its leaves, and a failure entry is cut to the encoder's cap, so
+// neither a 300-byte leaf name nor a 2 KB error text fails the encode and
+// loses the good leaves' updates with it. The in-process tier climb encodes
+// (sizes) every shard partial too, so a long executor name must not abort its
+// run either.
+func TestEdgeSurvivesLongLeafNameAndError(t *testing.T) {
+	long := strings.Repeat("n", 300)
+	good := &fakeExecutor{name: "good", samples: 5, value: 2}
+	for _, tc := range []struct {
+		name    string
+		leaves  []Executor
+		weight  int64
+		failure string // the leaf a failure entry must name; "" for none
+	}{
+		{"300-byte leaf name", []Executor{&fakeExecutor{name: long, samples: 3, value: 1}, good}, 3 + 5, ""},
+		// 1,000 two-byte runes: the 1,024-byte cut falls inside one.
+		{"2 KB error text", []Executor{&errorExecutor{name: "bad", text: strings.Repeat("é", 1000)}, good}, 5, "bad"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := edgeRound(t, tc.leaves)
+			if p.Weight() != tc.weight {
+				t.Errorf("partial weight %d, want %d (the good leaves')", p.Weight(), tc.weight)
+			}
+			fails := p.Failures()
+			if tc.failure == "" {
+				if len(fails) != 0 {
+					t.Errorf("failures = %.80q, want none", fails)
+				}
+				return
+			}
+			if len(fails) != 1 {
+				t.Fatalf("%d failure entries, want 1", len(fails))
+			}
+			f := fails[0]
+			if !strings.HasPrefix(f, tc.failure+": ") || len(f) > 1024 || !utf8.ValidString(f) {
+				t.Errorf("failure entry %.40q… is %d bytes (valid UTF-8: %v), want one naming %q in at most 1024",
+					f, len(f), utf8.ValidString(f), tc.failure)
+			}
+		})
+	}
+	t.Run("controller with a 300-byte executor name", func(t *testing.T) {
+		ctrl, err := NewController(ControllerConfig{Rounds: 2, Tier: &TierConfig{Aggregators: []int{2, 1}}}, []Executor{
+			&fakeExecutor{name: long, samples: 3, value: 1}, &fakeExecutor{name: "b", samples: 1, value: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ctrl.Run(context.Background(), initialWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(res.History.Rounds); n != 2 {
+			t.Fatalf("%d rounds completed, want 2", n)
+		}
+	})
+}
+
+// TestOldPartialRefusedByName: a partial in the previous encoding (an edge
+// not upgraded with its root) is not a partial to a tier root; it is refused
+// as one edge's bad payload, by its magic, not misparsed.
+func TestOldPartialRefusedByName(t *testing.T) {
+	p := hier.NewPartial()
+	if err := p.Fold(hier.Update{ClientName: "leaf", Weights: initialWeights(), NumSamples: 2}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := hier.EncodePartial(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte("CFHP1\n"), blob[len(hier.PartialMagic):]...)
+	s := &Server{cfg: ServerConfig{Tier: &TierConfig{}}}
+	_, err = s.handleReply("edge-0", &transport.Message{Type: transport.MsgUpdate, Payload: old})
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("CFHP1 uplink: err = %v, want a bad magic refusal", err)
 	}
 }

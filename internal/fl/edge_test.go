@@ -194,10 +194,6 @@ func TestEdgeAggregatesShard(t *testing.T) {
 	if got.Updates() != 4 || got.Weight() != 4+8+16 {
 		t.Fatalf("partial updates/weight = %d/%d, want 4/28", got.Updates(), got.Weight())
 	}
-	parts := got.Participants()
-	if len(parts) != 4 || parts[0] != "deep-0" || parts[3] != "leaf-1" {
-		t.Fatalf("participants = %v", parts)
-	}
 	fails := got.Failures()
 	if len(fails) != 1 || fails[0] != "leaf-bad: exec: out of memory" {
 		t.Fatalf("failures = %v", fails)

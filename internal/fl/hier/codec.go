@@ -14,17 +14,20 @@ import (
 // weight-codec magics (CFLQ1/CFLS1/CFLI1): a tier node sends its merged
 // partial upward as a MsgUpdate whose payload carries this header, which
 // is how a tier-aware root tells a partial from a plain weight map.
-const PartialMagic = "CFHP1\n"
+// Version 2 dropped the list of leaf names and the leaf byte counters that
+// version 1 carried; a CFHP1 payload is no partial to a CFHP2 root, which
+// refuses it as that edge's bad payload (bad magic).
+const PartialMagic = "CFHP2\n"
 
 // Decoder hardening caps: fail fast on corrupt or hostile headers
 // instead of allocating unbounded buffers.
 const (
-	maxParams       = 1 << 14 // distinct parameter tensors
-	maxElems        = 1 << 26 // total elements across all params
-	maxComponents   = 64      // expansion components per element (nonoverlap bounds ~40)
-	maxNameLen      = 256
-	maxEntryLen     = 1 << 10 // participant / failure strings
-	maxParticipants = 1 << 21
+	maxParams     = 1 << 14 // distinct parameter tensors
+	maxElems      = 1 << 26 // total elements across all params
+	maxComponents = 64      // expansion components per element (nonoverlap bounds ~40)
+	maxNameLen    = 256     // param names
+	maxEntryLen   = 1 << 10 // failure entries
+	maxFailures   = 1 << 21 // failure entries per partial
 )
 
 // ErrBadPartial is wrapped by every decode failure.
@@ -36,7 +39,7 @@ func IsPartial(blob []byte) bool {
 }
 
 // EncodePartial serializes p deterministically: parameters in the
-// partial's name order and accounting lists sorted, so a given fold
+// partial's name order and the failure list sorted, so a given fold
 // sequence always encodes to identical bytes. (Different fold orders of
 // the same updates represent the same exact value but may lay it out
 // across different expansion components; Finalize — not the wire image —
@@ -51,12 +54,8 @@ func EncodePartial(p *Partial) ([]byte, error) {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.params)))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.weight))
 	b = binary.LittleEndian.AppendUint32(b, uint32(p.updates))
-	b = binary.LittleEndian.AppendUint32(b, uint32(p.merged))
 	b = appendExpansion(b, p.lossSum)
-	b = appendStrings(b, p.Participants())
 	b = appendStrings(b, p.Failures())
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.bytesUp))
-	b = binary.LittleEndian.AppendUint64(b, uint64(p.bytesDown))
 	b = binary.LittleEndian.AppendUint64(b, uint64(p.tierBytes))
 	for _, ps := range p.params {
 		b = appendString(b, ps.name)
@@ -96,27 +95,16 @@ func appendExpansion(b []byte, e expansion) []byte {
 // it does, and a node that only needs byte accounting (the in-process
 // controller's tier climb) skips building a model-sized buffer per hop.
 func (p *Partial) EncodedSize() (int64, error) {
-	for _, s := range p.participants {
-		if len(s) > maxNameLen {
-			return 0, fmt.Errorf("hier: encode: participant name %d bytes exceeds %d", len(s), maxNameLen)
-		}
-	}
+	size := int64(len(PartialMagic)) + 4 + 8 + 4 // magic, nparams, weight, updates
+	size += 2 + 8*int64(len(p.lossSum))
+	size += 4
 	for _, s := range p.failures {
 		if len(s) > maxEntryLen {
 			return 0, fmt.Errorf("hier: encode: failure entry %d bytes exceeds %d", len(s), maxEntryLen)
 		}
-	}
-	size := int64(len(PartialMagic)) + 4 + 8 + 4 + 4 // magic, nparams, weight, updates, merged
-	size += 2 + 8*int64(len(p.lossSum))
-	size += 4
-	for _, s := range p.participants {
 		size += 2 + int64(len(s))
 	}
-	size += 4
-	for _, s := range p.failures {
-		size += 2 + int64(len(s))
-	}
-	size += 8 + 8 + 8 // bytesUp, bytesDown, tierBytes
+	size += 8 // tierBytes
 	for _, ps := range p.params {
 		if len(ps.name) > maxNameLen {
 			return 0, fmt.Errorf("hier: encode: param name %d bytes exceeds %d", len(ps.name), maxNameLen)
@@ -171,25 +159,25 @@ func readExpansion(r *wire.Reader) expansion {
 	return e
 }
 
-// strList reads a u32 count, capped at maxParticipants, then that many
-// strings.
-func strList(r *wire.Reader, what string, maxLen int) []string {
+// failureList reads a u32 count, capped at maxFailures, then that many
+// failure entries.
+func failureList(r *wire.Reader) []string {
 	count := r.U32()
 	switch {
 	case r.Err() != nil || count == 0:
 		return nil
-	case count > maxParticipants:
-		r.Fail(fail(r, "%s count %d exceeds %d", what, count, maxParticipants))
+	case count > maxFailures:
+		r.Fail(fail(r, "failure count %d exceeds %d", count, maxFailures))
 		return nil
 	case int64(count)*2 > int64(r.Len()):
 		// Each entry costs at least 2 header bytes; bound allocation by
 		// the bytes actually present.
-		r.Fail(fail(r, "list count %d exceeds remaining payload", count))
+		r.Fail(fail(r, "failure count %d exceeds remaining payload", count))
 		return nil
 	}
 	out := make([]string, 0, count)
 	for i := uint32(0); i < count && r.Err() == nil; i++ {
-		out = append(out, str(r, maxLen))
+		out = append(out, str(r, maxEntryLen))
 	}
 	return out
 }
@@ -214,19 +202,16 @@ func DecodePartial(blob []byte) (*Partial, error) {
 	}
 	p := NewPartial()
 	p.weight = int64(weight)
-	p.updates, p.merged = int(r.U32()), int(r.U32())
+	p.updates = int(r.U32())
 	p.lossSum = readExpansion(r)
-	p.participants = strList(r, "participant", maxNameLen)
-	p.failures = strList(r, "failure", maxEntryLen)
-	bytesUp, bytesDown, tierBytes := r.U64(), r.U64(), r.U64()
+	p.failures = failureList(r)
+	tierBytes := r.U64()
 	if err := check(r); err != nil {
 		return nil, err
 	}
-	if bytesUp > math.MaxInt64 || bytesDown > math.MaxInt64 || tierBytes > math.MaxInt64 {
-		return nil, fail(r, "byte counter overflows int64")
+	if tierBytes > math.MaxInt64 {
+		return nil, fail(r, "tier byte counter overflows int64")
 	}
-	p.bytesUp = int64(bytesUp)
-	p.bytesDown = int64(bytesDown)
 	p.tierBytes = int64(tierBytes)
 
 	var totalElems int64

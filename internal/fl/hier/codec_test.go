@@ -7,8 +7,10 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"clinfl/internal/tensor"
 )
@@ -31,8 +33,6 @@ func testPartial(t *testing.T) *Partial {
 			Weights:    map[string]*tensor.Matrix{"w": w, "b": b},
 			NumSamples: 1 + r.Intn(100),
 			TrainLoss:  r.Float64(),
-			UpBytes:    64 + i,
-			DownBytes:  32,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -56,17 +56,15 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Weight() != p.Weight() || q.Updates() != p.Updates() || q.Merged() != p.Merged() {
-		t.Fatalf("counters differ: %d/%d/%d vs %d/%d/%d",
-			q.Weight(), q.Updates(), q.Merged(), p.Weight(), p.Updates(), p.Merged())
+	if q.Weight() != p.Weight() || q.Updates() != p.Updates() {
+		t.Fatalf("counters differ: %d/%d vs %d/%d", q.Weight(), q.Updates(), p.Weight(), p.Updates())
 	}
-	if q.BytesUp() != p.BytesUp() || q.BytesDown() != p.BytesDown() || q.TierBytes() != p.TierBytes() {
+	if q.TierBytes() != p.TierBytes() {
 		t.Fatal("byte accounting differs")
 	}
-	wantP, wantF := p.Participants(), p.Failures()
-	gotP, gotF := q.Participants(), q.Failures()
-	if len(gotP) != len(wantP) || len(gotF) != len(wantF) {
-		t.Fatalf("accounting lists differ: %v/%v vs %v/%v", gotP, gotF, wantP, wantF)
+	wantF, gotF := p.Failures(), q.Failures()
+	if len(gotF) != len(wantF) {
+		t.Fatalf("accounting lists differ: %v vs %v", gotF, wantF)
 	}
 	if q.MeanLoss() != p.MeanLoss() {
 		t.Fatalf("mean loss %v vs %v", q.MeanLoss(), p.MeanLoss())
@@ -232,7 +230,7 @@ func FuzzDecodePartial(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(PartialMagic))
-	f.Add([]byte("CFHP1\n\x01\x00\x00\x00"))
+	f.Add([]byte(PartialMagic + "\x01\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodePartial(data)
 		if err != nil {
@@ -277,14 +275,65 @@ func TestEncodedSizeMatchesEncodePartial(t *testing.T) {
 			t.Fatalf("%s: EncodedSize %d, EncodePartial produced %d bytes", name, size, len(blob))
 		}
 	}
-	// The validation failures must agree too: an oversized participant
-	// name fails both the same way.
+	// The validation failures must agree too: an oversized failure entry,
+	// set on the field so Fail's cut is bypassed, fails both the same way.
 	bad := testPartial(t)
-	bad.participants[0] = string(make([]byte, maxNameLen+1))
+	bad.failures[0] = string(make([]byte, maxEntryLen+1))
 	if _, err := EncodePartial(bad); err == nil {
-		t.Fatal("EncodePartial accepted an oversized participant name")
+		t.Fatal("EncodePartial accepted an oversized failure entry")
 	}
 	if _, err := bad.EncodedSize(); err == nil {
-		t.Fatal("EncodedSize accepted an oversized participant name")
+		t.Fatal("EncodedSize accepted an oversized failure entry")
+	}
+}
+
+// TestPartialEncodedSizeIndependentOfFolds: a partial's wire image is the
+// aggregate, not a census of its leaves. Identical values folded once or
+// 4,096 times under distinct names stay exact in one component per element,
+// so both partials encode to the same size.
+func TestPartialEncodedSizeIndependentOfFolds(t *testing.T) {
+	size := func(folds int) int64 {
+		t.Helper()
+		p := NewPartial()
+		for i := 0; i < folds; i++ {
+			err := p.Fold(Update{
+				ClientName: "client-" + strconv.Itoa(i),
+				Weights: map[string]*tensor.Matrix{
+					"w": tensor.MustFromSlice(2, 2, []float64{0.5, -1.25, 3, 0}),
+					"b": tensor.MustFromSlice(1, 2, []float64{0.125, 2}),
+				},
+				NumSamples: 3,
+				TrainLoss:  0.75,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := p.EncodedSize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	if one, many := size(1), size(4096); one != many {
+		t.Fatalf("EncodedSize %d after 1 fold, %d after 4096", one, many)
+	}
+}
+
+// TestFailCutsLongEntry: Fail keeps at most maxEntryLen bytes of an entry,
+// cut at a UTF-8 boundary, so the partial still encodes.
+func TestFailCutsLongEntry(t *testing.T) {
+	p := NewPartial()
+	p.Fail("leaf: " + strings.Repeat("é", 1000)) // the cut falls inside a rune
+	p.Fail("short: reason")
+	got := p.Failures()
+	if got[1] != "short: reason" {
+		t.Fatalf("short entry became %q", got[1])
+	}
+	if f := got[0]; len(f) > maxEntryLen || len(f) < maxEntryLen-3 || !utf8.ValidString(f) || !strings.HasPrefix(f, "leaf: ") {
+		t.Fatalf("long entry kept %d bytes (valid UTF-8: %v), want the first at most %d on a rune boundary", len(f), utf8.ValidString(f), maxEntryLen)
+	}
+	if _, err := EncodePartial(p); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,10 @@
 // The resident state of any node is O(model), independent of how many
 // clients fed into it, which is what lets an edge-aggregator tier front
 // tens of thousands of clients without the root buffering every update.
+// The encoded partial is O(model) too: it carries the aggregate (the sums,
+// the total weight, the update count, the loss sum), the failures recorded
+// below it and the tier bytes, never a list of the leaves folded in. Leaf
+// names stay at the node that accepted them.
 //
 // Exactness is the whole trick. Floating-point addition is not
 // associative, so a naive running float64 sum would make the result
@@ -26,6 +30,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"clinfl/internal/tensor"
 )
@@ -329,10 +334,6 @@ type Update struct {
 	// the exact loss·samples sum so tier-aggregated mean loss matches
 	// what the root would have computed from the raw updates.
 	TrainLoss float64
-	// UpBytes / DownBytes are the leaf's encoded transfer sizes, summed
-	// into the partial's accounting.
-	UpBytes   int
-	DownBytes int
 }
 
 // paramSum is the running exact weighted sum for one parameter tensor.
@@ -371,14 +372,10 @@ type Partial struct {
 	params  []*paramSum
 	weight  int64 // Σ NumSamples, exact
 	updates int   // leaf updates folded in (transitively)
-	merged  int   // child partials merged in (transitively)
 	lossSum expansion
 
-	participants []string
-	failures     []string
-	bytesUp      int64
-	bytesDown    int64
-	tierBytes    int64
+	failures  []string
+	tierBytes int64
 
 	// data is Fold's scratch: the validated update's data slices, by param
 	// index. It is emptied after every fold, so it holds no update alive.
@@ -441,9 +438,6 @@ func (p *Partial) Fold(u Update) error {
 	p.weight += int64(u.NumSamples)
 	p.updates++
 	p.lossSum = p.lossSum.growProduct(w, u.TrainLoss)
-	p.participants = append(p.participants, u.ClientName)
-	p.bytesUp += int64(u.UpBytes)
-	p.bytesDown += int64(u.DownBytes)
 	return nil
 }
 
@@ -489,16 +483,27 @@ func (p *Partial) Reset() {
 			ps.sums[i] = ps.sums[i][:0]
 		}
 	}
-	p.weight, p.updates, p.merged = 0, 0, 0
+	p.weight, p.updates = 0, 0
 	p.lossSum = p.lossSum[:0]
-	p.participants = p.participants[:0]
 	p.failures = p.failures[:0]
-	p.bytesUp, p.bytesDown, p.tierBytes = 0, 0, 0
+	p.tierBytes = 0
 }
 
 // Fail records a leaf failure ("name: reason" by convention) so the
 // accounting a partial carries upward includes what went wrong below it.
-func (p *Partial) Fail(entry string) { p.failures = append(p.failures, entry) }
+// An entry keeps at most the encoder's maxEntryLen bytes, cut at a UTF-8
+// boundary: one leaf's long error text must never fail the encode and take
+// every other leaf's update down with it.
+func (p *Partial) Fail(entry string) {
+	if len(entry) > maxEntryLen {
+		cut := maxEntryLen
+		for cut > 0 && !utf8.RuneStart(entry[cut]) {
+			cut--
+		}
+		entry = entry[:cut]
+	}
+	p.failures = append(p.failures, entry)
+}
 
 // Merge folds another partial into this one. Merging is associative and
 // commutative on the represented values, so any tree shape finalizes
@@ -559,15 +564,11 @@ func (p *Partial) Merge(o *Partial) error {
 	p.updates += o.updates
 	p.lossSum = p.lossSum.merge(o.lossSum)
 	p.absorbAccounting(o)
-	p.merged += o.merged + 1
 	return nil
 }
 
 func (p *Partial) absorbAccounting(o *Partial) {
-	p.participants = append(p.participants, o.participants...)
 	p.failures = append(p.failures, o.failures...)
-	p.bytesUp += o.bytesUp
-	p.bytesDown += o.bytesDown
 	p.tierBytes += o.tierBytes
 }
 
@@ -601,9 +602,6 @@ func (p *Partial) Weight() int64 { return p.weight }
 // Updates is the number of leaf updates folded in (transitively).
 func (p *Partial) Updates() int { return p.updates }
 
-// Merged is the number of child partials merged in (transitively).
-func (p *Partial) Merged() int { return p.merged }
-
 // MeanLoss is the sample-weighted mean training loss across every folded
 // update (0 when empty).
 func (p *Partial) MeanLoss() float64 {
@@ -611,13 +609,6 @@ func (p *Partial) MeanLoss() float64 {
 		return 0
 	}
 	return p.lossSum.quo(p.weight)
-}
-
-// Participants returns the sorted names of every client folded in.
-func (p *Partial) Participants() []string {
-	out := append([]string(nil), p.participants...)
-	sort.Strings(out)
-	return out
 }
 
 // Failures returns the sorted failure entries recorded below this node.
@@ -636,12 +627,6 @@ func (p *Partial) TakeFailures() []string {
 	return out
 }
 
-// BytesUp is the total leaf uplink payload bytes folded in.
-func (p *Partial) BytesUp() int64 { return p.bytesUp }
-
-// BytesDown is the total leaf downlink payload bytes folded in.
-func (p *Partial) BytesDown() int64 { return p.bytesDown }
-
 // TierBytes is the total encoded-partial bytes that crossed aggregator
 // hops below this node (see AddTierBytes).
 func (p *Partial) TierBytes() int64 { return p.tierBytes }
@@ -655,9 +640,8 @@ func (p *Partial) AddTierBytes(n int64) { p.tierBytes += n }
 // expansion component storage plus fixed per-param overhead. It is the
 // O(model) quantity the tier exists to bound — it grows with model size
 // and (slowly) with accumulated precision demand, never with the number
-// of clients folded in. Participant/failure name lists (O(16 B) per
-// client, needed for the round record either way) are accounting, not
-// aggregation state, and are excluded.
+// of clients folded in. The failure list is accounting, not aggregation
+// state, and is excluded.
 func (p *Partial) ResidentBytes() int64 {
 	var n int64 = 64 // struct + counters
 	for _, ps := range p.params {

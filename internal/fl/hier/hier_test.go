@@ -256,11 +256,11 @@ func TestAccountingAndMeanLoss(t *testing.T) {
 		m.Data()[0] = v
 		return map[string]*tensor.Matrix{"w": m}
 	}
-	if err := p.Fold(hier.Update{ClientName: "b", Weights: mk(1), NumSamples: 3, TrainLoss: 2, UpBytes: 100, DownBytes: 50}); err != nil {
+	if err := p.Fold(hier.Update{ClientName: "b", Weights: mk(1), NumSamples: 3, TrainLoss: 2}); err != nil {
 		t.Fatal(err)
 	}
 	q := hier.NewPartial()
-	if err := q.Fold(hier.Update{ClientName: "a", Weights: mk(5), NumSamples: 1, TrainLoss: 6, UpBytes: 10, DownBytes: 5}); err != nil {
+	if err := q.Fold(hier.Update{ClientName: "a", Weights: mk(5), NumSamples: 1, TrainLoss: 6}); err != nil {
 		t.Fatal(err)
 	}
 	q.Fail("c: exec: boom")
@@ -268,17 +268,14 @@ func TestAccountingAndMeanLoss(t *testing.T) {
 	if err := p.Merge(q); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Participants(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("participants = %v", got)
-	}
 	if got := p.Failures(); len(got) != 1 || got[0] != "c: exec: boom" {
 		t.Fatalf("failures = %v", got)
 	}
-	if p.Weight() != 4 || p.Updates() != 2 || p.Merged() != 1 {
-		t.Fatalf("weight/updates/merged = %d/%d/%d", p.Weight(), p.Updates(), p.Merged())
+	if p.Weight() != 4 || p.Updates() != 2 {
+		t.Fatalf("weight/updates = %d/%d", p.Weight(), p.Updates())
 	}
-	if p.BytesUp() != 110 || p.BytesDown() != 55 || p.TierBytes() != 77 {
-		t.Fatalf("bytes = %d/%d/%d", p.BytesUp(), p.BytesDown(), p.TierBytes())
+	if p.TierBytes() != 77 {
+		t.Fatalf("tier bytes = %d", p.TierBytes())
 	}
 	// mean loss = (3*2 + 1*6)/4 = 3; mean weight = (3*1 + 1*5)/4 = 2.
 	if got := p.MeanLoss(); got != 3 {

@@ -26,8 +26,6 @@ func pinnedPartials(t *testing.T) map[string]*Partial {
 			Weights:    map[string]*tensor.Matrix{"w": w, "b": b},
 			NumSamples: n,
 			TrainLoss:  0.1 * float64(n),
-			UpBytes:    100 + n,
-			DownBytes:  50,
 		}
 	}
 	leaf := NewPartial()

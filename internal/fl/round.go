@@ -240,7 +240,8 @@ type sink interface {
 	// rejects it as a per-client failure.
 	accept(id int, u *ClientUpdate) error
 	// finalize aggregates what was accepted, merges the late updates, and
-	// fills the record's loss and byte counters.
+	// fills the record's loss. The engine counts the accepted updates' bytes
+	// itself; finalize adds only those of the late updates it applies.
 	finalize(round int, global map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error)
 }
 
@@ -609,6 +610,7 @@ func (e *engine) runRound(ctx context.Context, global map[string]*tensor.Matrix,
 		if err := e.sink.accept(id, u); err != nil {
 			return nil, fmt.Errorf("fl: round %d: reseed %s: %w", round, u.ClientName, err)
 		}
+		g.accepted(u)
 		g.slot(id).done = true
 		g.got++
 	}
@@ -1042,6 +1044,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 		if err != nil {
 			return g.failed(ev.id, true, "reject", err, now)
 		}
+		g.accepted(ev.update)
 		s, _ := g.release(ev.id)
 		if err := e.healthEdge(g.round, e.ladder.observe(ev.id, true, now)); err != nil {
 			return err
@@ -1058,6 +1061,13 @@ func (g *gather) handle(ev event, now time.Time) error {
 // holds reports whether the event's client was working on this round's
 // task, per the backend's task record.
 func (g *gather) holds(ev event) bool { return g.open && ev.round == g.round }
+
+// accepted counts an update the sink took in the round's byte totals, the
+// one writer of in-round bytes whatever the sink.
+func (g *gather) accepted(u *ClientUpdate) {
+	g.rec.BytesUp += int64(u.PayloadBytes)
+	g.rec.BytesDown += int64(u.DownBytes)
+}
 
 // failed records a client failure — a failed client is never silently
 // absent — and, when it cost this round an assignment (mine), releases the
@@ -1363,8 +1373,6 @@ func (s *flatSink) finalize(round int, _ map[string]*tensor.Matrix, late []*Clie
 	}
 	var lossSum, weightSum float64
 	for _, u := range s.updates {
-		rec.BytesUp += int64(u.PayloadBytes)
-		rec.BytesDown += int64(u.DownBytes)
 		lossSum += u.TrainLoss * float64(u.NumSamples)
 		weightSum += float64(u.NumSamples)
 	}

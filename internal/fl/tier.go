@@ -63,11 +63,9 @@ type tierSink struct {
 	// shard yet.
 	shards []*hier.Partial
 	// partials counts the partials that crossed a hop into or inside this
-	// node; bytesUp / bytesDown sum the accepted updates' payload bytes;
-	// failures are the leaf failures the merged partials reported.
-	partials           int
-	bytesUp, bytesDown int64
-	failures           []string
+	// node; failures are the leaf failures the merged partials reported.
+	partials int
+	failures []string
 }
 
 // open lays out the round's deterministic shard map: contiguous blocks of
@@ -89,7 +87,7 @@ func (t *tierSink) open(sampled []int) {
 		t.scratch = append(t.scratch, hier.NewPartial())
 	}
 	t.shards = make([]*hier.Partial, edges)
-	t.partials, t.bytesUp, t.bytesDown, t.failures = 0, 0, 0, nil
+	t.partials, t.failures = 0, nil
 }
 
 // accept is the one place an update enters a partial: a plain update is
@@ -109,7 +107,6 @@ func (t *tierSink) accept(id int, u *ClientUpdate) error {
 		p.Reset()
 		t.shards[s] = p
 	}
-	var err error
 	if child := u.hierPartial; child != nil {
 		// The failures below the edge surface in this node's round record
 		// under the edge's name; they are taken, not copied, so the merged
@@ -117,21 +114,17 @@ func (t *tierSink) accept(id int, u *ClientUpdate) error {
 		for _, f := range child.TakeFailures() {
 			t.failures = append(t.failures, u.ClientName+"/"+f)
 		}
-		if err = p.Merge(child); err == nil {
-			p.AddTierBytes(int64(u.PayloadBytes))
-			t.partials++
+		if err := p.Merge(child); err != nil {
+			return err
 		}
-	} else if err = u.decode(); err == nil {
-		err = p.Fold(hier.Update{
-			ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples,
-			TrainLoss: u.TrainLoss, UpBytes: u.PayloadBytes, DownBytes: u.DownBytes,
-		})
+		p.AddTierBytes(int64(u.PayloadBytes))
+		t.partials++
+		return nil
 	}
-	if err == nil {
-		t.bytesUp += int64(u.PayloadBytes)
-		t.bytesDown += int64(u.DownBytes)
+	if err := u.decode(); err != nil {
+		return err
 	}
-	return err
+	return p.Fold(hier.Update{ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples, TrainLoss: u.TrainLoss})
 }
 
 // merge climbs the round's partials up the in-process tiers to the one root
@@ -182,8 +175,6 @@ func (t *tierSink) merge(round int, rec *RoundRecord) (*hier.Partial, error) {
 	root := level[0]
 	rec.Failures = append(rec.Failures, t.failures...)
 	rec.MeanTrainLoss = root.MeanLoss()
-	rec.BytesUp += t.bytesUp
-	rec.BytesDown += t.bytesDown
 	rec.TierPartials = t.partials
 	rec.TierBytesUp = root.TierBytes()
 	rec.TierResidentBytes = root.ResidentBytes()
