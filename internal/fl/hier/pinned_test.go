@@ -68,9 +68,9 @@ func pinnedPartials(t *testing.T) map[string]*Partial {
 // partial.
 func TestPartialEncodingPinned(t *testing.T) {
 	want := map[string]string{
-		"empty": "4367e246bb45e6e2610dd401297cf94fd5c782085dac43a24cdfa2cb1475bb0c",
-		"leaf":  "42d3ab9feb05d9872a61c9c2b530b901efa258782122ed7810f90010eaa04691",
-		"root":  "b6b3cdd47adbfd7775b8574c5a0496647feb8517025d0f89674732ca802fc95c",
+		"empty": "848a902e2ae64b79bbb78d93d1482d8991389b49147a1e6dad7bb0832944f0e9",
+		"leaf":  "05cf5eb6f71bc778a1a59f5eb2d5bcd18b948009152692f69ac334f6cb624f63",
+		"root":  "ec8d2b6034ba4397a100bea5856eb9235052f5d5111c4f7932813284da259d5c",
 	}
 	for name, p := range pinnedPartials(t) {
 		blob, err := EncodePartial(p)
