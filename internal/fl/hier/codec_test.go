@@ -324,14 +324,16 @@ func TestPartialEncodedSizeIndependentOfFolds(t *testing.T) {
 // cut at a UTF-8 boundary, so the partial still encodes.
 func TestFailCutsLongEntry(t *testing.T) {
 	p := NewPartial()
-	p.Fail("leaf: " + strings.Repeat("é", 1000)) // the cut falls inside a rune
+	// Two-byte runes after a 5-byte prefix: byte maxEntryLen is the second
+	// byte of a rune, so the cut backs up one byte.
+	p.Fail("bad: " + strings.Repeat("é", 1000))
 	p.Fail("short: reason")
 	got := p.Failures()
 	if got[1] != "short: reason" {
 		t.Fatalf("short entry became %q", got[1])
 	}
-	if f := got[0]; len(f) > maxEntryLen || len(f) < maxEntryLen-3 || !utf8.ValidString(f) || !strings.HasPrefix(f, "leaf: ") {
-		t.Fatalf("long entry kept %d bytes (valid UTF-8: %v), want the first at most %d on a rune boundary", len(f), utf8.ValidString(f), maxEntryLen)
+	if f := got[0]; len(f) != maxEntryLen-1 || !utf8.ValidString(f) || !strings.HasPrefix(f, "bad: ") {
+		t.Fatalf("long entry kept %d bytes (valid UTF-8: %v), want its first %d", len(f), utf8.ValidString(f), maxEntryLen-1)
 	}
 	if _, err := EncodePartial(p); err != nil {
 		t.Fatal(err)

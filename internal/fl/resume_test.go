@@ -268,6 +268,11 @@ func TestServerRestartResumesFromWAL(t *testing.T) {
 	if got := len(res.History.Rounds[0].Participants); got != 2 {
 		t.Errorf("resumed round had %d participants, want 2: %v", got, res.History.Rounds[0].Participants)
 	}
+	// The re-seeded update's payload counts in the resumed round's bytes as
+	// a live one does: both rounds carry the same two raw payloads.
+	if up1, up2 := res.History.Rounds[0].BytesUp, res.History.Rounds[1].BytesUp; up1 != up2 || up1 == 0 {
+		t.Errorf("resumed round BytesUp %d, next round %d; want them equal and nonzero", up1, up2)
+	}
 	// c1's durable update was re-seeded, never re-trained: one execution
 	// per round. c2 re-trained round 1 after the re-sent task.
 	if calls := execs["c1"].calls; calls != 3 {
