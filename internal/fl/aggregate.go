@@ -9,8 +9,12 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
+	"sync"
 
 	"clinfl/internal/fl/hier"
+	"clinfl/internal/sched"
 	"clinfl/internal/tensor"
 )
 
@@ -111,10 +115,22 @@ func (MeanAggregator) Aggregate(updates []*ClientUpdate) (map[string]*tensor.Mat
 	return weightedAverage(updates, func(*ClientUpdate) float64 { return 1 })
 }
 
-// weightedAverage merges updates with the given weight function, in the
-// order given. A wire-backed update is folded from its payload, which adds
-// the same values in the same order as decoding it first: the bits do not
-// depend on which form an update is in.
+// foldBlock is the fold's block size in elements of the sum: a block is
+// as many whole rows of one param as fit in 1<<13 float64s (64 KiB, well
+// inside L2), or one row when a row is longer. Every update is added into
+// a block before the next block starts, so the block stays in cache while
+// the round's updates stream through it once.
+const foldBlock = 1 << 13
+
+// weightedAverage merges updates with the given weight function, block by
+// block: for each block of whole rows of one param, every update is added
+// in the order given before the next block starts, and the blocks run on
+// the shared pool. Each element of the sum still adds the same terms in the
+// same order, so the bits depend on neither the pool width nor the block
+// split. A wire-backed update is folded from its payload, the same values
+// as decoding it first: nor do they depend on which form an update is in.
+// Every update is checked against the first before any element is added,
+// and the first bad one in the order given is the error.
 func weightedAverage(updates []*ClientUpdate, weightOf func(*ClientUpdate) float64) (map[string]*tensor.Matrix, error) {
 	if len(updates) == 0 {
 		return nil, errors.New("fl: no updates to aggregate")
@@ -127,40 +143,129 @@ func weightedAverage(updates []*ClientUpdate, weightOf func(*ClientUpdate) float
 		}
 		total += w
 	}
+	j := foldJobs.Get().(*foldJob)
+	defer j.release()
 	ref := updates[0]
-	out := make(map[string]*tensor.Matrix, ref.numParams())
-	if ref.wire() {
-		for _, p := range ref.params {
-			out[p.name] = tensor.New(p.rows, p.cols)
+	shapes := ref.params
+	if !ref.wire() {
+		for _, name := range slices.Sorted(maps.Keys(ref.Weights)) {
+			m := ref.Weights[name]
+			j.shapes = append(j.shapes, paramCheck{name: name, rows: m.Rows(), cols: m.Cols()})
 		}
-	} else {
-		for name, m := range ref.Weights {
-			out[name] = tensor.New(m.Rows(), m.Cols())
-		}
+		shapes = j.shapes
 	}
-	var scratch []float64
-	for _, u := range updates {
-		if n := u.numParams(); n != len(out) {
-			return nil, fmt.Errorf("fl: client %q sent %d params, want %d", u.ClientName, n, len(out))
+	np := len(shapes)
+	j.srcs = slices.Grow(j.srcs, len(updates)*np)[:len(updates)*np]
+	for i, u := range updates {
+		if n := u.numParams(); n != np {
+			return nil, fmt.Errorf("fl: client %q sent %d params, want %d", u.ClientName, n, np)
 		}
-		w := weightOf(u) / total
-		if u.wire() {
-			if err := foldPayload(u.payload, out, w, &scratch); err != nil {
-				return nil, fmt.Errorf("fl: aggregate from %q: %w", u.ClientName, err)
-			}
-			continue
+		if err := u.foldSources(shapes, j.srcs[i*np:(i+1)*np]); err != nil {
+			return nil, err
 		}
-		for name, acc := range out {
-			m, ok := u.Weights[name]
-			if !ok {
-				return nil, fmt.Errorf("fl: client %q missing param %q", u.ClientName, name)
-			}
-			if err := acc.AddScaledInPlace(w, m); err != nil {
-				return nil, fmt.Errorf("fl: aggregate %q from %q: %w", name, u.ClientName, err)
-			}
-		}
+		j.w = append(j.w, weightOf(u)/total)
 	}
+	out := make(map[string]*tensor.Matrix, np)
+	elems := 0
+	for k, p := range shapes {
+		m := tensor.New(p.rows, p.cols)
+		out[p.name] = m
+		j.sums = append(j.sums, m)
+		step := max(foldBlock/max(p.cols, 1), 1)
+		for lo := 0; lo < p.rows; lo += step {
+			j.blocks = append(j.blocks, block{k, lo, min(lo+step, p.rows)})
+		}
+		elems += p.rows * p.cols
+	}
+	// One multiply and one add per element of each update, spread evenly
+	// enough over the blocks for the pool's gate.
+	flops := 2 * len(updates) * elems / max(len(j.blocks), 1)
+	sched.Default().ParallelFor(len(j.blocks), flops, j)
 	return out, nil
+}
+
+// foldSrc is one param of one update as the fold reads it: a checked body
+// of the update's payload, or the elements of its in-process matrix.
+type foldSrc struct {
+	body body // nil for an in-process matrix
+	p    []byte
+	m    []float64
+}
+
+// foldSources sets srcs[k] to the update's param shapes[k], checking each
+// against its shape. shapes are in name order, as a payload's params are.
+func (u *ClientUpdate) foldSources(shapes []paramCheck, srcs []foldSrc) error {
+	if !u.wire() {
+		for k, s := range shapes {
+			m, ok := u.Weights[s.name]
+			if !ok {
+				return fmt.Errorf("fl: client %q missing param %q", u.ClientName, s.name)
+			}
+			if m.Rows() != s.rows || m.Cols() != s.cols {
+				return fmt.Errorf("fl: aggregate %q from %q: %w: AddScaledInPlace %dx%d += %dx%d",
+					s.name, u.ClientName, tensor.ErrShape, s.rows, s.cols, m.Rows(), m.Cols())
+			}
+			srcs[k] = foldSrc{m: m.Data()}
+		}
+		return nil
+	}
+	f := frameOf(u.payload)
+	k := 0
+	err := f.walk(u.payload, func(p param) error {
+		for k < len(shapes) && shapes[k].name < string(p.name) {
+			k++
+		}
+		if k == len(shapes) || shapes[k].name != string(p.name) || shapes[k].rows != p.rows || shapes[k].cols != p.cols {
+			return fmt.Errorf("param %q shape %dx%d matches no accumulator", p.name, p.rows, p.cols)
+		}
+		srcs[k] = foldSrc{body: f.body, p: p.body}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("fl: aggregate from %q: %w", u.ClientName, err)
+	}
+	return nil
+}
+
+// block is rows [lo, hi) of the sum's param k.
+type block struct{ k, lo, hi int }
+
+// foldJob is one round's fold on the pool: item i is blocks[i].
+type foldJob struct {
+	blocks []block
+	shapes []paramCheck     // the sum's params when the first update is a map
+	sums   []*tensor.Matrix // by param, in name order
+	srcs   []foldSrc        // update i's param k is srcs[i*len(sums)+k]
+	w      []float64        // by update
+}
+
+// foldJobs recycles fold jobs, so a round allocates its sum and nothing in
+// proportion to its update count.
+var foldJobs = sync.Pool{New: func() any { return new(foldJob) }}
+
+// release drops the job's references to the round's updates and sum and
+// returns it to foldJobs.
+func (j *foldJob) release() {
+	clear(j.shapes)
+	clear(j.sums)
+	clear(j.srcs)
+	j.blocks, j.shapes, j.sums, j.srcs, j.w = j.blocks[:0], j.shapes[:0], j.sums[:0], j.srcs[:0], j.w[:0]
+	foldJobs.Put(j)
+}
+
+// Run adds every update's rows of each block in [lo, hi), in update order.
+func (j *foldJob) Run(lo, hi int) {
+	for _, b := range j.blocks[lo:hi] {
+		acc, cols := j.sums[b.k].Data(), j.sums[b.k].Cols()
+		for i, c := range j.w {
+			src := j.srcs[i*len(j.sums)+b.k]
+			if src.body != nil {
+				src.body.fold(src.p, acc, b.lo, b.hi, cols, c)
+				continue
+			}
+			tensor.AddScaled(acc[b.lo*cols:b.hi*cols], src.m[b.lo*cols:b.hi*cols], c)
+		}
+	}
 }
 
 // AsyncAggregator folds a single (possibly stale) update into the current

@@ -70,10 +70,10 @@ type body interface {
 	// body writes every element; a sparse one writes only those it kept,
 	// so d must be zeroed first.
 	decode(p []byte, d []float64, rows, cols int)
-	// fold adds c times a checked body's values into the rows×cols acc,
-	// the same bits as decoding it and adding with AddScaledInPlace. A
-	// dense body converts one row at a time into *scratch, grown to fit.
-	fold(p []byte, acc []float64, rows, cols int, c float64, scratch *[]float64)
+	// fold is the range fold: it adds c times rows [lo, hi) of a checked
+	// body's values into the same rows of the rows×cols acc, the same bits
+	// as decoding the body and adding those rows with AddScaled.
+	fold(p []byte, acc []float64, lo, hi, cols int, c float64)
 	// check is the accept step's value check of a checked body:
 	// errNonFinite for a NaN or ±Inf, else errTooLarge for a magnitude of
 	// at least maxMagnitude, else nil.
@@ -196,21 +196,6 @@ func checkPayload(blob []byte) ([]paramCheck, error) {
 	return params, nil
 }
 
-// foldPayload adds c times every value of a payload into acc, which must
-// hold a matrix of the same shape for each of its params: acc[name] +=
-// c·decoded[name], bit for bit, without building the decoded map.
-func foldPayload(blob []byte, acc map[string]*tensor.Matrix, c float64, scratch *[]float64) error {
-	f := frameOf(blob)
-	return f.walk(blob, func(p param) error {
-		m := acc[string(p.name)]
-		if m == nil || m.Rows() != p.rows || m.Cols() != p.cols {
-			return fmt.Errorf("param %q shape %dx%d matches no accumulator", p.name, p.rows, p.cols)
-		}
-		f.body.fold(p.body, m.Data(), p.rows, p.cols, c, scratch)
-		return nil
-	})
-}
-
 // frameOf picks the frame a payload's magic names; junk is reported
 // against the raw magic.
 func frameOf(blob []byte) frame {
@@ -279,8 +264,9 @@ type param struct {
 // is capped before it is used, and a dense body must be present in full
 // before it is read. Names must be strictly ascending, the encoder's
 // order, so a repeated name is caught against the one before it. A byte
-// after the last parameter rejects the payload. decode, check and fold
-// are the walk's three visitors, and no check is written anywhere else.
+// after the last parameter rejects the payload. decode, check and the
+// fold's source walk (foldSources) are the walk's three visitors, and no
+// check is written anywhere else.
 func (f frame) walk(blob []byte, visit func(p param) error) error {
 	r := wire.NewReader(blob)
 	if string(r.Next(len(f.magic))) != f.magic {
@@ -395,17 +381,20 @@ func decodeRows(b rowBody, p []byte, d []float64, rows, cols int) {
 	}
 }
 
-// foldRows is a dense body's fold: each row is decoded into the scratch
-// row and added with the AddScaledInPlace kernel.
-func foldRows(b rowBody, p []byte, acc []float64, rows, cols int, c float64, scratch *[]float64) {
-	if cap(*scratch) < cols {
-		*scratch = make([]float64, cols)
-	}
-	row := (*scratch)[:cols]
-	w := b.stride(cols)
-	for i := 0; i < rows; i++ {
-		b.row(row, p[i*w:(i+1)*w])
-		tensor.AddScaled(acc[i*cols:(i+1)*cols], row, c)
+// foldFlat is the fold of a raw (size 8) or f32 (size 4) body, whose rows
+// lie end to end with no header: it decodes elements [lo, hi) a stack row
+// at a time and adds each with AddScaled.
+func foldFlat(size int, p []byte, acc []float64, lo, hi int, c float64) {
+	var row [256]float64
+	for i := lo; i < hi; i += len(row) {
+		d := row[:min(len(row), hi-i)]
+		q := p[i*size : (i+len(d))*size]
+		if size == 8 {
+			RawCodec{}.row(d, q)
+		} else {
+			Float32Codec{}.row(d, q)
+		}
+		tensor.AddScaled(acc[i:i+len(d)], d, c)
 	}
 }
 
@@ -468,8 +457,8 @@ func (RawCodec) row(dst []float64, q []byte) {
 
 func (c RawCodec) decode(p []byte, d []float64, rows, cols int) { decodeRows(c, p, d, rows, cols) }
 
-func (c RawCodec) fold(p []byte, acc []float64, rows, cols int, w float64, scratch *[]float64) {
-	foldRows(c, p, acc, rows, cols, w, scratch)
+func (RawCodec) fold(p []byte, acc []float64, lo, hi, cols int, w float64) {
+	foldFlat(8, p, acc, lo*cols, hi*cols, w)
 }
 
 // check scans for both bounds: a raw value is any float64. A NaN or ±Inf
@@ -536,8 +525,8 @@ func (Float32Codec) row(dst []float64, q []byte) {
 
 func (c Float32Codec) decode(p []byte, d []float64, rows, cols int) { decodeRows(c, p, d, rows, cols) }
 
-func (c Float32Codec) fold(p []byte, acc []float64, rows, cols int, w float64, scratch *[]float64) {
-	foldRows(c, p, acc, rows, cols, w, scratch)
+func (Float32Codec) fold(p []byte, acc []float64, lo, hi, cols int, w float64) {
+	foldFlat(4, p, acc, lo*cols, hi*cols, w)
 }
 
 // check scans for a NaN or ±Inf; a finite float32 is below 2^128.
@@ -622,8 +611,14 @@ func (Int8Codec) row(dst []float64, q []byte) {
 
 func (c Int8Codec) decode(p []byte, d []float64, rows, cols int) { decodeRows(c, p, d, rows, cols) }
 
-func (c Int8Codec) fold(p []byte, acc []float64, rows, cols int, w float64, scratch *[]float64) {
-	foldRows(c, p, acc, rows, cols, w, scratch)
+// fold adds each row with the fused AddScaledInt8, which dequantizes and
+// accumulates in one pass.
+func (Int8Codec) fold(p []byte, acc []float64, lo, hi, cols int, w float64) {
+	for i := lo; i < hi; i++ {
+		q := p[i*(4+cols) : (i+1)*(4+cols)]
+		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(q)))
+		tensor.AddScaledInt8(acc[i*cols:(i+1)*cols], q[4:], scale, w)
+	}
 }
 
 // check scans nothing: a code times a checked scale is at most
@@ -724,10 +719,16 @@ func (TopKCodec) decode(p []byte, d []float64, _, _ int) {
 	}
 }
 
-// fold adds only the kept elements. The decoded zeros it skips would add
+// fold adds only the kept elements in rows [lo, hi), found by binary
+// search over the ascending indices. The decoded zeros it skips would add
 // +0, which changes no sum that started at +0: such a sum is never −0.
-func (TopKCodec) fold(p []byte, acc []float64, _, _ int, w float64, _ *[]float64) {
-	for j := 0; j < len(p); j += 8 {
+func (TopKCodec) fold(p []byte, acc []float64, lo, hi, cols int, w float64) {
+	first := func(row int) int {
+		return 8 * sort.Search(len(p)/8, func(k int) bool {
+			return int(binary.LittleEndian.Uint32(p[8*k:])) >= row*cols
+		})
+	}
+	for j := first(lo); j < first(hi); j += 8 {
 		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(p[j+4:])))
 		acc[binary.LittleEndian.Uint32(p[j:])] += float64(w * v) // the conversion forbids a fused multiply-add
 	}

@@ -15,6 +15,7 @@ import (
 	"clinfl/internal/fl/hier"
 	"clinfl/internal/model"
 	"clinfl/internal/provision"
+	"clinfl/internal/sched"
 	"clinfl/internal/tensor"
 	"clinfl/internal/transport"
 )
@@ -245,6 +246,150 @@ func TestFrameRequiresCanonicalOrder(t *testing.T) {
 		}
 		if _, err := checkPayload(tc.blob); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("checkPayload: %v, want %q", err, tc.want)
+		}
+	}
+}
+
+// foldWeights is one update of a model whose params meet every edge of the
+// fold's blocks: an n×1 and a 1×n param each longer than one block
+// (foldBlock elements), a param of odd element count whose rows split into
+// three blocks, and a 1×1 param. Magnitudes span 2^-3 to 2^3, so sums in
+// another order round differently.
+func foldWeights(seed int64) map[string]*tensor.Matrix {
+	rng := tensor.NewRNG(seed)
+	weights := make(map[string]*tensor.Matrix)
+	for _, p := range []struct {
+		name       string
+		rows, cols int
+	}{{"a.col", 2*foldBlock + 3616, 1}, {"b.row", 1, foldBlock + 808}, {"c.mat", 301, 67}, {"d.one", 1, 1}} {
+		m := rng.Normal(p.rows, p.cols, 0, 1)
+		for i := range m.Data() {
+			m.Data()[i] = math.Ldexp(m.Data()[i], i%7-3)
+		}
+		weights[p.name] = m
+	}
+	return weights
+}
+
+// sequentialFold is the fold FedAvg must equal bit for bit: each update
+// decoded in full, then added with AddScaledInPlace, one update after
+// another in the order given.
+func sequentialFold(t *testing.T, updates []*ClientUpdate) map[string]*tensor.Matrix {
+	t.Helper()
+	var total float64
+	for _, u := range updates {
+		total += float64(u.NumSamples)
+	}
+	sum := make(map[string]*tensor.Matrix)
+	for _, u := range updates {
+		weights := u.Weights
+		if weights == nil {
+			var err error
+			if weights, err = DecodeWeights(u.payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, m := range weights {
+			if sum[name] == nil {
+				sum[name] = tensor.New(m.Rows(), m.Cols())
+			}
+			if err := sum[name].AddScaledInPlace(float64(u.NumSamples)/total, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return sum
+}
+
+// TestFoldSameBitsAtEveryPoolWidth: FedAvg folds block by block across
+// the updates, on the shared pool, and must give the bits of the
+// sequential fold at every pool width, for a round of raw, f32, int8 and
+// top-k uplinks and for a round of in-process maps. The top-k uplink keeps
+// elements on both sides of every block edge.
+func TestFoldSameBitsAtEveryPoolWidth(t *testing.T) {
+	codecs := []WeightCodec{RawCodec{}, Float32Codec{}, Int8Codec{}, TopKCodec{Fraction: 0.3}, Int8Codec{}, Float32Codec{}}
+	var wire, inProcess []*ClientUpdate
+	for i, codec := range codecs {
+		name, samples := fmt.Sprintf("site-%d", i), 7+5*i
+		weights := foldWeights(int64(i) + 1)
+		blob, err := codec.Encode(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := wireUpdate(name, samples, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, u)
+		inProcess = append(inProcess, &ClientUpdate{ClientName: name, Weights: weights, NumSamples: samples})
+	}
+	for _, round := range []struct {
+		name    string
+		updates []*ClientUpdate
+	}{{"wire", wire}, {"in-process", inProcess}} {
+		want := sequentialFold(t, round.updates)
+		for _, width := range []int{1, 2, 4} {
+			pool := sched.New(width)
+			prev := sched.SetDefault(pool)
+			got, err := FedAvg{}.Aggregate(round.updates)
+			sched.SetDefault(prev)
+			pool.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := firstBitDiff(got, want); diff != "" {
+				t.Errorf("%s round at pool width %d: %s", round.name, width, diff)
+			}
+		}
+	}
+}
+
+// TestFoldRejectsFirstBadUpdate: every update is checked before any
+// element is added, and the error names the first bad update in the order
+// given, in the words the update-by-update fold used.
+func TestFoldRejectsFirstBadUpdate(t *testing.T) {
+	model := func(wRows, wCols int, extra ...string) map[string]*tensor.Matrix {
+		m := map[string]*tensor.Matrix{"b": tensor.New(1, 3), "w": tensor.New(wRows, wCols)}
+		for _, name := range extra {
+			m[name] = tensor.New(1, 1)
+		}
+		return m
+	}
+	update := func(name string, weights map[string]*tensor.Matrix) *ClientUpdate {
+		return &ClientUpdate{ClientName: name, Weights: weights, NumSamples: 1}
+	}
+	wire := func(name string, weights map[string]*tensor.Matrix) *ClientUpdate {
+		blob, err := Int8Codec{}.Encode(weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := wireUpdate(name, 1, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	missing := model(2, 3)
+	delete(missing, "b")
+	missing["a"] = tensor.New(1, 3)
+	for _, tc := range []struct {
+		updates []*ClientUpdate
+		want    string
+	}{
+		{[]*ClientUpdate{update("a", model(2, 3)), update("b", model(2, 3, "x")), update("c", missing)},
+			`fl: client "b" sent 3 params, want 2`},
+		{[]*ClientUpdate{update("a", model(2, 3)), update("b", missing), update("c", model(3, 2))},
+			`fl: client "b" missing param "b"`},
+		{[]*ClientUpdate{update("a", model(2, 3)), update("b", model(3, 2)), update("c", model(2, 3, "x"))},
+			`fl: aggregate "w" from "b": tensor: shape mismatch: AddScaledInPlace 2x3 += 3x2`},
+		{[]*ClientUpdate{wire("a", model(2, 3)), wire("b", model(3, 2)), wire("c", missing)},
+			`fl: aggregate from "b": param "w" shape 3x2 matches no accumulator`},
+		{[]*ClientUpdate{wire("a", model(2, 3)), update("b", model(2, 3)), wire("c", missing)},
+			`fl: aggregate from "c": param "a" shape 1x3 matches no accumulator`},
+	} {
+		got, err := FedAvg{}.Aggregate(tc.updates)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("got %v, %v; want error %q", got, err, tc.want)
 		}
 	}
 }

@@ -179,9 +179,11 @@ func FuzzDecodeWeights(f *testing.F) {
 // replace on the Server. The check walk must reject exactly what
 // DecodeWeights rejects, with the same error, and its report must fail
 // checkShapes exactly where the decoded map does, against a fixed model and
-// against the payload's own shapes. Folding one to three copies of an
-// accepted payload, with different weights, alone and mixed with decoded
-// copies, must give FedAvg and Mean over the decoded maps bit for bit.
+// against the payload's own shapes. Each body's range fold, over a random
+// split of its rows, must add what DecodeWeights and AddScaled add. Folding
+// one to three copies of an accepted payload, with different weights, alone
+// and mixed with decoded copies, must give FedAvg and Mean over the decoded
+// maps bit for bit.
 func FuzzPayloadFold(f *testing.F) {
 	for _, s := range fuzzSeeds(f) {
 		f.Add(s)
@@ -218,6 +220,29 @@ func FuzzPayloadFold(f *testing.F) {
 		}
 		if !finite || len(weights) == 0 {
 			return // the accept step never lets these reach a fold
+		}
+		// The range fold over three blocks of each param's rows, cut where
+		// the data says and folded out of order, must add what DecodeWeights
+		// and AddScaled add.
+		f, cut := frameOf(data), uint(len(data))
+		if err := f.walk(data, func(p param) error {
+			d := weights[string(p.name)].Data()
+			want, got := slices.Clone(d), slices.Clone(d)
+			tensor.AddScaled(want, d, 0.3)
+			a := int(cut % uint(p.rows+1))
+			cut = cut*31 + 7
+			b := a + int(cut%uint(p.rows+1-a))
+			for _, r := range [][2]int{{b, p.rows}, {0, a}, {a, b}} {
+				f.body.fold(p.body, got, r[0], r[1], p.cols, 0.3)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s rows split at %d, %d: element %d is %v, want %v", p.name, a, b, i, got[i], want[i])
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
 		}
 		n := 1 + len(data)%3
 		var wire, dec, mixed []*ClientUpdate

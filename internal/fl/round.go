@@ -1373,7 +1373,7 @@ func (s *flatSink) finalize(round int, _ map[string]*tensor.Matrix, late []*Clie
 	}
 	var lossSum, weightSum float64
 	for _, u := range s.updates {
-		lossSum += u.TrainLoss * float64(u.NumSamples)
+		lossSum += float64(u.TrainLoss * float64(u.NumSamples)) // the conversion forbids a fused multiply-add
 		weightSum += float64(u.NumSamples)
 	}
 	if weightSum > 0 {

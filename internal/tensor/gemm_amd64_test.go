@@ -237,10 +237,11 @@ func checkQuant(t *testing.T, pool []float64, n, off int, extra float64) {
 	if got := maxAbsAVX2(x); math.Float64bits(got) != math.Float64bits(m) {
 		t.Fatalf("maxAbs n=%d off=%d: %v, Go reference %v", n, off, got, m)
 	}
-	// The codec's scale, one that rounds to float32 zero, a subnormal, the
-	// two grids of quantPool, the float32 maximum and the non-finite ones.
-	scales := []float64{float64(float32(m / 127)), float64(float32(1e-300)), 5e-324, 1.0 / 64, 1,
-		math.MaxFloat32, math.Inf(1), math.NaN(), -1.0 / 64, extra}
+	// The codec's scale, one that rounds to float32 zero, a float64 and a
+	// float32 subnormal, the two grids of quantPool, the float32 maximum
+	// and the non-finite ones.
+	scales := []float64{float64(float32(m / 127)), float64(float32(1e-300)), 5e-324, math.SmallestNonzeroFloat32,
+		1.0 / 64, 1, math.MaxFloat32, math.Inf(1), math.NaN(), -1.0 / 64, extra}
 	for _, s := range scales {
 		want, got := make([]byte, off+n)[off:], make([]byte, off+n)[off:]
 		quantizeGo(want, x, s)
@@ -291,6 +292,33 @@ func checkQuant(t *testing.T, pool []float64, n, off int, extra float64) {
 		addScaledAVX2(got, x, c)
 		sameBits(t, "addScaled", n, 0, off, c, false, got, want)
 	}
+	// The fused int8 accumulate, also into an accumulator of ±Inf, NaN, −0
+	// and 1: with c = 0 an infinity or a NaN must stay one and −0 must
+	// become +0, as through the unfused reference.
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 1}
+	acc := func(special bool) []float64 {
+		o := draw(11)
+		if special {
+			for i := range o {
+				o[i] = specials[i%len(specials)]
+			}
+		}
+		return o
+	}
+	for _, q := range [][]byte{seq, bits} {
+		for _, s := range scales {
+			// 1/3, like a FedAvg weight, makes c·v inexact, so a fused
+			// multiply-add would round differently.
+			for _, c := range []float64{0, 1, 0.125, 1.0 / 3, extra} {
+				for _, special := range []bool{false, true} {
+					want, got := acc(special), acc(special)
+					addScaledInt8Go(want, q, s, c)
+					addScaledInt8AVX2(got, q, s, c)
+					sameBits(t, "addScaledInt8", n, 0, off, c, special, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestSIMDWrappersRejectShortOperands pins the memory-safety boundary: an
@@ -305,17 +333,18 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 	ones := [4]float64{1, 1, 1, 1}
 	x := make([]float64, k)
 	for name, call := range map[string]func(){
-		"axpyQuad":     func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
-		"axpyQuad2 o1": func() { axpyQuad2AVX2(o, short(n), make([]float64, 4*n), ones, ones, 1, false) },
-		"axpyQuad2 b":  func() { axpyQuad2AVX2(o, make([]float64, n), short(4*n), ones, ones, 1, true) },
-		"axpy":         func() { axpyAVX2(o, short(n), 1, 1) },
-		"dotRow":       func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
-		"dotRow2 o1":   func() { dotRow2AVX2(o, short(n), x, x, make([]float64, n*k), 1, false) },
-		"dotRow2 x1":   func() { dotRow2AVX2(o, make([]float64, n), x, short(k), make([]float64, n*k), 1, false) },
-		"dotRow2 y":    func() { dotRow2AVX2(o, make([]float64, n), x, x, short(n*k), 1, false) },
-		"quantize":     func() { quantizeAVX2(shortBytes(n), o, 1) },
-		"dequantize":   func() { dequantizeAVX2(o, shortBytes(n), 1) },
-		"addScaled":    func() { addScaledAVX2(o, short(n), 1) },
+		"axpyQuad":      func() { axpyQuadAVX2(o, short(4*n), 1, 1, 1, 1, 1, false) },
+		"axpyQuad2 o1":  func() { axpyQuad2AVX2(o, short(n), make([]float64, 4*n), ones, ones, 1, false) },
+		"axpyQuad2 b":   func() { axpyQuad2AVX2(o, make([]float64, n), short(4*n), ones, ones, 1, true) },
+		"axpy":          func() { axpyAVX2(o, short(n), 1, 1) },
+		"dotRow":        func() { dotRowAVX2(o, make([]float64, k), short(n*k), 1, false) },
+		"dotRow2 o1":    func() { dotRow2AVX2(o, short(n), x, x, make([]float64, n*k), 1, false) },
+		"dotRow2 x1":    func() { dotRow2AVX2(o, make([]float64, n), x, short(k), make([]float64, n*k), 1, false) },
+		"dotRow2 y":     func() { dotRow2AVX2(o, make([]float64, n), x, x, short(n*k), 1, false) },
+		"quantize":      func() { quantizeAVX2(shortBytes(n), o, 1) },
+		"dequantize":    func() { dequantizeAVX2(o, shortBytes(n), 1) },
+		"addScaled":     func() { addScaledAVX2(o, short(n), 1) },
+		"addScaledInt8": func() { addScaledInt8AVX2(o, shortBytes(n), 1, 1) },
 	} {
 		func() {
 			defer func() {

@@ -34,6 +34,11 @@ func AllFinite(x []float64) bool { return allFinite(x) }
 // plain slices, the same bits. b must hold len(o) values.
 func AddScaled(o, b []float64, c float64) { addScaled(o, b, c) }
 
+// AddScaledInt8 sets o[i] += c*(float64(int8(q[i]))*scale) for every i:
+// DequantizeInt8 into a row and then AddScaled, the same bits, in one pass
+// with no row in between. q must hold len(o) bytes.
+func AddScaledInt8(o []float64, q []byte, scale, c float64) { addScaledInt8(o, q, scale, c) }
+
 // maxAbsGo is the reference MaxAbs, starting from m (0 for a whole row).
 func maxAbsGo(x []float64, m float64) float64 {
 	for _, v := range x {
@@ -78,10 +83,21 @@ func allFiniteGo(x []float64) bool {
 }
 
 // addScaledGo is the reference of AddScaledInPlace's loop: o[j] += c*b[j]
-// for every j, with no zero skip, so 0·Inf still turns o[j] into NaN.
+// for every j, with no zero skip, so 0·Inf still turns o[j] into NaN. The
+// conversion rounds c*v on its own, so no GOARCH fuses it into the add.
 func addScaledGo(o, b []float64, c float64) {
 	b = b[:len(o)]
 	for j, v := range b {
-		o[j] += c * v
+		o[j] += float64(c * v)
+	}
+}
+
+// addScaledInt8Go is the reference AddScaledInt8. A code times a float32
+// scale has at most 8+24 significant bits, so the inner product is exact
+// and only c times it and the add round, as in addScaledGo.
+func addScaledInt8Go(o []float64, q []byte, scale, c float64) {
+	q = q[:len(o)]
+	for j, b := range q {
+		o[j] += float64(c * (float64(int8(b)) * scale))
 	}
 }

@@ -42,6 +42,14 @@ func addScaled(o, b []float64, c float64) {
 	addScaledGo(o, b, c)
 }
 
+func addScaledInt8(o []float64, q []byte, scale, c float64) {
+	if useAVX2 {
+		addScaledInt8AVX2(o, q, scale, c)
+		return
+	}
+	addScaledInt8Go(o, q, scale, c)
+}
+
 // maxAbsAVX2 computes exactly what maxAbsGo(x, 0) computes. Every |x[i]|
 // is non-negative and a NaN never wins, so the maximum does not depend on
 // the order the lanes visit the elements in.
@@ -78,6 +86,14 @@ func addScaledAVX2(o, b []float64, c float64) {
 	axpyAsm(o, exact(b, len(o)), c)
 }
 
+// addScaledInt8AVX2 computes exactly what addScaledInt8Go computes.
+func addScaledInt8AVX2(o []float64, q []byte, scale, c float64) {
+	n4 := len(o) &^ 3
+	q = exact(q, len(o))
+	addScaledInt8Asm(o[:n4], q[:n4], scale, c)
+	addScaledInt8Go(o[n4:], q[n4:], scale, c)
+}
+
 // Implemented in quant_amd64.s. Every slice length is a multiple of four,
 // zero included.
 
@@ -101,3 +117,9 @@ func dequantizeAsm(dst []float64, q []byte, scale float64)
 //
 //go:noescape
 func allFiniteAsm(x []float64) bool
+
+// addScaledInt8Asm: o[i] += c * (float64(int8(q[i])) * scale); len(q) =
+// len(o).
+//
+//go:noescape
+func addScaledInt8Asm(o []float64, q []byte, scale, c float64)

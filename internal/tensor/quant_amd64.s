@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// AVX2 twins of maxAbsGo, quantizeGo, dequantizeGo and allFiniteGo
-// (quant.go). Each slice length is a multiple of four; the Go wrappers
+// AVX2 twins of maxAbsGo, quantizeGo, dequantizeGo, allFiniteGo and
+// addScaledInt8Go (quant.go). Each slice length is a multiple of four; the Go wrappers
 // run the tails. Operand order follows Go's assembler: the last operand
 // is the destination and the one before it is Intel's first source.
 
@@ -131,6 +131,54 @@ deq4:
 	JMP  deq4
 
 deqdone:
+	VZEROUPPER
+	RET
+
+// func addScaledInt8Asm(o []float64, q []byte, scale, c float64)
+//
+// int8 → int32 → float64 is exact, and so is a code times a float32-valued
+// scale (at most 8+24 significant bits), so the first VMULPD rounds
+// nothing. The second rounds c·v and VADDPD rounds the sum: the two
+// roundings of the Go reference. An FMA would round once and differ.
+TEXT ·addScaledInt8Asm(SB), NOSPLIT, $0-64
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), CX
+	MOVQ q_base+24(FP), SI
+	VBROADCASTSD scale+48(FP), Y0
+	VBROADCASTSD c+56(FP), Y1
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-8, DX
+
+acc8:
+	CMPQ AX, DX
+	JGE  acc4
+	VPMOVSXBD (SI)(AX*1), X2
+	VPMOVSXBD 4(SI)(AX*1), X3
+	VCVTDQ2PD X2, Y2
+	VCVTDQ2PD X3, Y3
+	VMULPD    Y0, Y2, Y2             // v = code·scale, exact
+	VMULPD    Y0, Y3, Y3
+	VMULPD    Y1, Y2, Y2             // c·v
+	VMULPD    Y1, Y3, Y3
+	VADDPD    (DI)(AX*8), Y2, Y2     // o + c·v
+	VADDPD    32(DI)(AX*8), Y3, Y3
+	VMOVUPD   Y2, (DI)(AX*8)
+	VMOVUPD   Y3, 32(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  acc8
+
+acc4:
+	CMPQ AX, CX
+	JGE  accdone
+	VPMOVSXBD (SI)(AX*1), X2
+	VCVTDQ2PD X2, Y2
+	VMULPD    Y0, Y2, Y2
+	VMULPD    Y1, Y2, Y2
+	VADDPD    (DI)(AX*8), Y2, Y2
+	VMOVUPD   Y2, (DI)(AX*8)
+
+accdone:
 	VZEROUPPER
 	RET
 

@@ -13,3 +13,5 @@ func dequantize(dst []float64, q []byte, scale float64) { dequantizeGo(dst, q, s
 func allFinite(x []float64) bool { return allFiniteGo(x) }
 
 func addScaled(o, b []float64, c float64) { addScaledGo(o, b, c) }
+
+func addScaledInt8(o []float64, q []byte, scale, c float64) { addScaledInt8Go(o, q, scale, c) }
