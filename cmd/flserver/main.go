@@ -93,12 +93,13 @@ func main() {
 	}
 }
 
-// fieldFlags maps each round setting the server library may refuse by
+// fieldFlags maps each setting the server library may refuse by
 // name to the flag that sets it.
 var fieldFlags = map[string]string{
 	"Rounds": "-rounds", "SampleFraction": "-sample", "MinUpdates": "-min-updates",
 	"MinClients": "-min-clients", "RoundDeadline": "-deadline",
 	"Reconcile": "-quarantine-after", "QuarantineAfter": "-quarantine-after",
+	"Codec": "-codec",
 }
 
 // flagged adds to a refusal the flags that set the fields it names.
@@ -132,7 +133,7 @@ func run() error {
 		minClients = flag.Int("min-clients", 0, "per-round quorum: fail the run if fewer updates gathered, at most -clients (0 = a floor of one update)")
 		deadline   = flag.Duration("deadline", 0, "round gather deadline; stragglers are dropped or fedasync-merged (0 = wait)")
 		fedasync   = flag.Bool("fedasync", false, "fold stragglers' late updates in with staleness weighting instead of dropping them")
-		codec      = flag.String("codec", "raw", "downlink weight codec: raw | f32 | int8 | topk[:fraction]")
+		codec      = flag.String("codec", "raw", "downlink weight codec: raw | f32 | int8")
 		allowTopK  = flag.Bool("allow-topk-uplink", false, "accept clients' lossy top-k uplink codec (zeroes most of each full weight map; otherwise they fall back to raw)")
 		tier       = flag.Bool("tier", false, "act as the root of an aggregation hierarchy: accept edge aggregators' partial-aggregate uplinks and merge them as exact streaming FedAvg (incompatible with -fedasync, -quarantine-after, -wal)")
 
@@ -203,7 +204,7 @@ func run() error {
 	if *tier {
 		// The widths are the deployed edge topology's concern; the root
 		// only needs to know to accept and merge partial uplinks.
-		scfg.Tier = &fl.TierConfig{}
+		scfg.Tier = true
 	}
 	if *quarantineAfter != 0 {
 		scfg.Reconcile = &fl.ReconcilePolicy{

@@ -19,8 +19,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps every delay (default 30s).
 	Max time.Duration
-	// Factor is the per-attempt growth (default 2).
-	Factor float64
 	// Jitter, in [0, 1], scales each delay by a uniform draw from
 	// [1-Jitter, 1]: retries desynchronize without ever exceeding the
 	// deterministic envelope. 0 disables jitter.
@@ -37,20 +35,17 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 30 * time.Second
 	}
-	if b.Factor < 1 {
-		b.Factor = 2
-	}
 	return b
 }
 
-// Delay returns the wait before retry attempt (0-based): Base×Factor^attempt,
+// Delay returns the wait before retry attempt (0-based): Base×2^attempt,
 // capped at Max, scaled down by up to Jitter.
 func (b Backoff) Delay(attempt int) time.Duration {
 	b = b.withDefaults()
 	if attempt < 0 {
 		attempt = 0
 	}
-	d := float64(b.Base) * math.Pow(b.Factor, float64(attempt))
+	d := float64(b.Base) * math.Pow(2, float64(attempt))
 	if d > float64(b.Max) {
 		d = float64(b.Max)
 	}
@@ -66,14 +61,12 @@ func (b Backoff) Delay(attempt int) time.Duration {
 }
 
 // Retrier is the retry loop over a Backoff schedule, with a hook that
-// observes each delay, so operators can see a client's reconnect storm in
-// /metrics instead of guessing from log lines.
+// observes each delay.
 type Retrier struct {
 	// Backoff supplies the delay schedule.
 	Backoff Backoff
 	// OnDelay, when non-nil, observes each computed delay just before
-	// the sleep (attempt is 0-based) — the hook the client uses to feed
-	// fl_reconnect_backoff_seconds.
+	// the sleep (attempt is 0-based).
 	OnDelay func(attempt int, d time.Duration)
 }
 

@@ -25,7 +25,7 @@ func TestBackoffDelayDefaults(t *testing.T) {
 }
 
 func TestBackoffDelayJitterEnvelope(t *testing.T) {
-	b := Backoff{Base: 50 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.5, Seed: 3}
+	b := Backoff{Base: 50 * time.Millisecond, Max: time.Second, Jitter: 0.5, Seed: 3}
 	for attempt := 0; attempt < 12; attempt++ {
 		nominal := 50 * time.Millisecond << uint(attempt)
 		if nominal > time.Second {
@@ -54,7 +54,7 @@ func recordingRetrier(b Backoff, waits *[]time.Duration) *Retrier {
 
 func TestBackoffRetrySucceedsAfterFailures(t *testing.T) {
 	var waits []time.Duration
-	r := recordingRetrier(Backoff{Base: time.Millisecond, Factor: 2}, &waits)
+	r := recordingRetrier(Backoff{Base: time.Millisecond}, &waits)
 	calls := 0
 	err := r.Retry(context.Background(), 5, func() error {
 		calls++

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"clinfl/internal/metrics"
 	"clinfl/internal/provision"
 	"clinfl/internal/tensor"
 	"clinfl/internal/transport"
@@ -43,12 +42,6 @@ type ClientConfig struct {
 	// Backoff paces reconnect attempts (zero value: 100ms doubling to
 	// 30s).
 	Backoff Backoff
-	// Metrics, when non-nil, receives the client's reconnect
-	// observability: fl_reconnects_total and the
-	// fl_reconnect_backoff_seconds histogram of the delays actually
-	// slept, so a reconnect storm is visible in /metrics while it
-	// happens.
-	Metrics *metrics.Registry
 }
 
 // Client is the networked federation participant: it dials the server with
@@ -72,8 +65,7 @@ type Client struct {
 	// session is the server-issued session token, presented on
 	// re-registration to resume.
 	session string
-	// retrier paces reconnects; the delays it sleeps are observable
-	// through cfg.Metrics.
+	// retrier paces reconnects.
 	retrier *Retrier
 }
 
@@ -108,13 +100,7 @@ func newClient(cfg ClientConfig, kit *provision.StartupKit) (*Client, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	backoffHist := cfg.Metrics.Histogram("fl_reconnect_backoff_seconds",
-		"reconnect backoff delays actually slept", metrics.DurationBuckets)
-	return &Client{cfg: cfg, kit: kit, codec: codec,
-		retrier: &Retrier{
-			Backoff: cfg.Backoff,
-			OnDelay: func(_ int, d time.Duration) { backoffHist.Observe(d.Seconds()) },
-		}}, nil
+	return &Client{cfg: cfg, kit: kit, codec: codec, retrier: &Retrier{Backoff: cfg.Backoff}}, nil
 }
 
 // connect dials the server and performs the MsgRegister handshake,
@@ -196,7 +182,6 @@ func (c *Client) reconnect(old transport.MessageConn, cause error) (transport.Me
 	c.cfg.Logf("fl client %s: connection lost (%v), reconnecting", c.kit.Name, cause)
 	var conn transport.MessageConn
 	err := c.retrier.Retry(context.Background(), c.cfg.MaxReconnects, func() error {
-		c.cfg.Metrics.Counter("fl_reconnects_total", "client redial attempts after a lost connection").Inc()
 		var err error
 		conn, err = c.connect()
 		return err

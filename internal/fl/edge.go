@@ -128,7 +128,7 @@ func NewEdge(cfg EdgeConfig) (*Edge, error) {
 		Listener: cfg.Listener, ExpectedClients: cfg.ExpectedClients,
 		RegisterTimeout: cfg.RegisterTimeout, VerifyToken: cfg.VerifyToken,
 		RoundDeadline: cfg.RoundDeadline, MinClients: cfg.MinClients,
-		Tier: &TierConfig{}, Logf: logf,
+		Tier: true, Logf: logf,
 	}, &provision.StartupKit{Role: provision.RoleServer, Name: cfg.Name})
 	if err != nil {
 		return nil, err

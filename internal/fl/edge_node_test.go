@@ -117,13 +117,13 @@ func TestEdgeRejectionReachesClient(t *testing.T) {
 // runTierFederation runs three rounds of root ← 2 edges ← 2 leaves each over
 // in-memory links. faults scripts the root→edge-0 direction of edge-0's first
 // connection. It returns the root's result and how often edge-0 dialled.
-func runTierFederation(t *testing.T, faults transport.FaultSchedule) (*Result, int32) {
+func runTierFederation(t *testing.T, faults transport.LinkProfile) (*Result, int32) {
 	t.Helper()
 	rootNet := transport.NewMemNetwork()
 	defer rootNet.Close()
 	srv, err := NewServer(ServerConfig{
 		ExpectedClients: 2, Rounds: 3, MinClients: 2, RegisterTimeout: 10 * time.Second,
-		Tier: &TierConfig{}, VerifyToken: tokenFor, Logf: quietLogf, Listener: rootNet,
+		Tier: true, VerifyToken: tokenFor, Logf: quietLogf, Listener: rootNet,
 	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
 	if err != nil {
 		t.Fatal(err)
@@ -143,9 +143,9 @@ func runTierFederation(t *testing.T, faults transport.FaultSchedule) (*Result, i
 		dial := memDialer(rootNet, name)
 		if i == 0 {
 			dial = func() (transport.MessageConn, error) {
-				down := transport.LinkProfile{}
+				var down transport.LinkProfile
 				if dials.Add(1) == 1 {
-					down.Faults = faults
+					down = faults
 				}
 				return rootNet.Dial(name, transport.LinkProfile{}, down)
 			}
@@ -191,10 +191,10 @@ func runTierFederation(t *testing.T, faults transport.FaultSchedule) (*Result, i
 // runs the round, and the federation ends on the very model of a fault-free
 // run — the lost link costs a retry, not a shard.
 func TestEdgeRidesOutLostParentLink(t *testing.T) {
-	clean, _ := runTierFederation(t, transport.FaultSchedule{})
+	clean, _ := runTierFederation(t, transport.LinkProfile{})
 	// Down-direction message 0 is the register ack, 1 the round-0 task, 2 the
 	// round-1 task.
-	faulted, dials := runTierFederation(t, transport.FaultSchedule{CorruptMsgs: []int{2}})
+	faulted, dials := runTierFederation(t, transport.LinkProfile{CorruptMsgs: []int{2}})
 	if dials < 2 {
 		t.Errorf("edge-0 dialled %d times, want a reconnect after the corrupt frame", dials)
 	}
@@ -365,7 +365,7 @@ func TestOldPartialRefusedByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	old := append([]byte("CFHP1\n"), blob[len(hier.PartialMagic):]...)
-	s := &Server{cfg: ServerConfig{Tier: &TierConfig{}}}
+	s := &Server{cfg: ServerConfig{Tier: true}}
 	_, err = s.handleReply("edge-0", &transport.Message{Type: transport.MsgUpdate, Payload: old})
 	if err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Fatalf("CFHP1 uplink: err = %v, want a bad magic refusal", err)

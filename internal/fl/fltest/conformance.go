@@ -620,8 +620,8 @@ func conformConvergence(t *testing.T, h Harness) {
 			checkRecords(t, res)
 			// Same task seed → same population; score the trained model on
 			// its noise-free holdout.
-			pop := lin.Task.NewPopulation(lin.Seed, len(spec.Clients))
-			initialMSE, err := pop.Eval(sim.InitialLinearWeights(pop.Task.Dim))
+			pop := sim.NewPopulation(lin.Seed, len(spec.Clients))
+			initialMSE, err := pop.Eval(sim.InitialLinearWeights(sim.LinearDim))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -80,9 +80,8 @@ type RunSpec struct {
 	Tier []int
 }
 
-// LinearSpec configures a linear-task run.
+// LinearSpec configures a linear-task run: Seed pins the population.
 type LinearSpec struct {
-	Task sim.LinearTask
 	Seed int64
 }
 
@@ -258,8 +257,8 @@ func initialFor(spec RunSpec) (map[string]*tensor.Matrix, []*sim.LinearShard) {
 	if spec.Linear == nil {
 		return InitialWeights(), nil
 	}
-	pop := spec.Linear.Task.NewPopulation(spec.Linear.Seed, len(spec.Clients))
-	return sim.InitialLinearWeights(pop.Task.Dim), pop.Shards
+	pop := sim.NewPopulation(spec.Linear.Seed, len(spec.Clients))
+	return sim.InitialLinearWeights(sim.LinearDim), pop.Shards
 }
 
 // ControllerHarness runs specs on the in-process fl.Controller, under the
@@ -459,7 +458,7 @@ func (ServerHarness) runTier(spec RunSpec) (*fl.Result, error) {
 		AsyncAggregator: asyncFor(spec),
 		Reconcile:       spec.Reconcile,
 		// The widths are the deployed Edges'; the root only merges.
-		Tier:        &fl.TierConfig{},
+		Tier:        true,
 		VerifyToken: func(name, token string) bool { return token == "tok-"+name },
 		Logf:        func(string, ...any) {},
 		Listener:    rootNet,

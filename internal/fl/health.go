@@ -13,13 +13,12 @@ import "time"
 // null policy — one attempt per assignment, no health tracking — which is
 // the pre-reconciliation federation exactly.
 type ReconcilePolicy struct {
-	// SuspectAfter / UnreachableAfter / QuarantineAfter are the
-	// consecutive-failure demotion thresholds (defaults 1 / 2 / 4). A zero
-	// threshold takes the smaller of its default and the next threshold
-	// set above it, so QuarantineAfter 1 alone quarantines on the first
-	// failure. Set thresholds may not decrease down the ladder.
-	// Quarantine entry and exit are WAL-recorded on durable runs.
-	SuspectAfter, UnreachableAfter, QuarantineAfter int
+	// QuarantineAfter is the consecutive-failure count N that quarantines
+	// a client (default 4). The ladder below it is fixed: one failure makes
+	// a client suspect and min(2, N) unreachable, so QuarantineAfter 1
+	// quarantines on the first failure. Quarantine entry and exit are
+	// WAL-recorded on durable runs.
+	QuarantineAfter int
 	// RequeueBackoff paces task re-assignment: retry attempt n of a
 	// round slot becomes ready Delay(n-1) after the failure (zero value:
 	// 100ms doubling to 30s — set Base/Max well under RoundDeadline).
@@ -144,14 +143,12 @@ func (l *ladder) observe(id int, ok bool, now time.Time) transition {
 		return transition{id, from, healthy}
 	}
 	r.streak++
-	next := healthy
-	switch p := &l.pol; {
-	case r.streak >= p.QuarantineAfter:
+	next := suspect // any failure
+	switch q := l.pol.QuarantineAfter; {
+	case r.streak >= q:
 		next = quarantined
-	case r.streak >= p.UnreachableAfter:
+	case r.streak >= min(2, q):
 		next = unreachable
-	case r.streak >= p.SuspectAfter:
-		next = suspect
 	}
 	r.health = max(r.health, next)
 	if !r.health.eligible() && r.nextProbe.IsZero() && !r.probing {

@@ -61,7 +61,7 @@ func TestHealthSuccessResetsStreak(t *testing.T) {
 
 func TestHealthProbeScheduling(t *testing.T) {
 	ros := testRoster("c")
-	l := settledLadder(t, ReconcilePolicy{ProbeBackoff: Backoff{Base: time.Second, Factor: 2}})
+	l := settledLadder(t, ReconcilePolicy{ProbeBackoff: Backoff{Base: time.Second}})
 	l.observe(0, false, t0)
 	if got := l.due(ros, t0.Add(time.Hour)); len(got) != 0 {
 		t.Fatalf("suspect client probed: %v", got)
@@ -233,35 +233,45 @@ func TestQuarantineAfterIsHonoured(t *testing.T) {
 	}
 }
 
-// TestSettleFillsTheLadder pins the thresholds settle derives from the set
-// ones, and that it leaves the caller's policy as it was.
+// TestSettleFillsTheLadder pins the ladder settle derives from
+// QuarantineAfter alone: the failure streak at which a client turns
+// suspect, unreachable and quarantined. It also pins that settle leaves
+// the caller's policy as it was.
 func TestSettleFillsTheLadder(t *testing.T) {
 	for _, tc := range []struct {
-		in, want [3]int // SuspectAfter, UnreachableAfter, QuarantineAfter
+		quarantineAfter int
+		want            [3]int // suspect, unreachable, quarantined
 	}{
-		{[3]int{0, 0, 0}, [3]int{1, 2, 4}},
-		{[3]int{0, 0, 1}, [3]int{1, 1, 1}},
-		{[3]int{0, 0, 2}, [3]int{1, 2, 2}},
-		{[3]int{0, 0, 3}, [3]int{1, 2, 3}},
-		{[3]int{0, 0, 7}, [3]int{1, 2, 7}},
-		{[3]int{0, 5, 0}, [3]int{1, 5, 5}},
-		{[3]int{3, 0, 0}, [3]int{3, 3, 4}},
-		{[3]int{2, 2, 2}, [3]int{2, 2, 2}},
+		{0, [3]int{1, 2, 4}},
+		{1, [3]int{1, 1, 1}},
+		{2, [3]int{1, 2, 2}},
+		{7, [3]int{1, 2, 7}},
 	} {
-		p := &ReconcilePolicy{SuspectAfter: tc.in[0], UnreachableAfter: tc.in[1], QuarantineAfter: tc.in[2]}
+		p := &ReconcilePolicy{QuarantineAfter: tc.quarantineAfter}
 		rc := roundConfig{clients: 1, deadline: time.Second, reconcile: p}
 		if err := rc.settle(); err != nil {
-			t.Fatalf("%v: %v", tc.in, err)
+			t.Fatalf("QuarantineAfter %d: %v", tc.quarantineAfter, err)
 		}
 		s := rc.reconcile
-		if got := [3]int{s.SuspectAfter, s.UnreachableAfter, s.QuarantineAfter}; got != tc.want {
-			t.Errorf("thresholds %v settle to %v, want %v", tc.in, got, tc.want)
-		}
 		if s.MaxAssignAttempts != 3 || s.MaxPark != 30*time.Second {
-			t.Errorf("%v: MaxAssignAttempts %d, MaxPark %v; want the defaults 3, 30s", tc.in, s.MaxAssignAttempts, s.MaxPark)
+			t.Errorf("QuarantineAfter %d: MaxAssignAttempts %d, MaxPark %v; want the defaults 3, 30s", tc.quarantineAfter, s.MaxAssignAttempts, s.MaxPark)
 		}
-		if *p != (ReconcilePolicy{SuspectAfter: tc.in[0], UnreachableAfter: tc.in[1], QuarantineAfter: tc.in[2]}) {
-			t.Errorf("%v: settle wrote through the caller's policy: %+v", tc.in, *p)
+		if *p != (ReconcilePolicy{QuarantineAfter: tc.quarantineAfter}) {
+			t.Errorf("QuarantineAfter %d: settle wrote through the caller's policy: %+v", tc.quarantineAfter, *p)
+		}
+		// The streak at which each rung is first reached.
+		var got [3]int
+		l := &ladder{pol: *s}
+		for streak := 1; got[2] == 0 && streak <= 10; streak++ {
+			h := l.observe(0, false, time.Unix(0, 0)).to
+			for i, rung := range []health{suspect, unreachable, quarantined} {
+				if h >= rung && got[i] == 0 {
+					got[i] = streak
+				}
+			}
+		}
+		if got != tc.want {
+			t.Errorf("QuarantineAfter %d settles to the ladder %v, want %v", tc.quarantineAfter, got, tc.want)
 		}
 	}
 }

@@ -458,7 +458,7 @@ func TestServerRecordsFramedWireTotals(t *testing.T) {
 				var down transport.LinkProfile
 				if name == "flaky" && dials[name] == 0 {
 					// Down message 0 is the register ack, 1 the round-0 task.
-					down.Faults = transport.FaultSchedule{CorruptMsgs: []int{1}}
+					down.CorruptMsgs = []int{1}
 				}
 				dials[name]++
 				conn, err := network.Dial(name, transport.LinkProfile{}, down)

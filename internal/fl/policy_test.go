@@ -28,7 +28,7 @@ var policyFronts = map[string]func(c ControllerConfig) error{
 			Rounds: c.Rounds, MinClients: c.MinClients, MinUpdates: c.MinUpdates,
 			SampleFraction: c.SampleFraction, RoundDeadline: c.RoundDeadline,
 			Aggregator: c.Aggregator, AsyncAggregator: c.AsyncAggregator,
-			WAL: c.WAL, Reconcile: c.Reconcile, Tier: c.Tier,
+			WAL: c.WAL, Reconcile: c.Reconcile, Tier: c.Tier != nil,
 		}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
 		if err == nil {
 			s.Close()
@@ -78,18 +78,12 @@ func TestRoundPolicyRefusedOnEveryFrontEnd(t *testing.T) {
 		{"negative deadline", ControllerConfig{RoundDeadline: -time.Second}, all, []string{"RoundDeadline"}},
 		{"reconcile without a deadline", ControllerConfig{Reconcile: retry}, flat, []string{"Reconcile", "RoundDeadline"}},
 		{"fedasync alpha out of range", ControllerConfig{AsyncAggregator: FedAsync{Alpha: 2}}, flat, []string{"AsyncAggregator", "alpha"}},
-		{"tier width not positive", ControllerConfig{Tier: &TierConfig{Aggregators: []int{0}}}, flat, []string{"Tier.Aggregators"}},
-		{"tier widths on a server", ControllerConfig{Tier: &TierConfig{Aggregators: []int{64, 8}}}, []string{"server"}, []string{"Tier.Aggregators"}},
+		{"tier width not positive", ControllerConfig{Tier: &TierConfig{Aggregators: []int{0}}}, []string{"controller"}, []string{"Tier.Aggregators"}},
 		{"tier with fedasync", ControllerConfig{Tier: &TierConfig{}, AsyncAggregator: FedAsync{}}, flat, []string{"Tier", "AsyncAggregator"}},
 		{"tier with WAL", ControllerConfig{Tier: &TierConfig{}, WAL: wal}, flat, []string{"Tier", "WAL"}},
 		{"tier with reconcile", ControllerConfig{Tier: &TierConfig{}, Reconcile: retry, RoundDeadline: time.Second}, flat, []string{"Tier", "Reconcile"}},
 		{"tier with a custom aggregator", ControllerConfig{Tier: &TierConfig{}, Aggregator: infAggregator{}}, flat, []string{"Tier", "Aggregator"}},
 		{"negative quarantine threshold", reconciling(ReconcilePolicy{QuarantineAfter: -1}), flat, []string{"Reconcile.QuarantineAfter"}},
-		{"negative unreachable threshold", reconciling(ReconcilePolicy{UnreachableAfter: -2}), flat, []string{"Reconcile.UnreachableAfter"}},
-		{"negative suspect threshold", reconciling(ReconcilePolicy{SuspectAfter: -1}), flat, []string{"Reconcile.SuspectAfter"}},
-		{"suspect above unreachable", reconciling(ReconcilePolicy{SuspectAfter: 3, UnreachableAfter: 2}), flat, []string{"SuspectAfter", "UnreachableAfter"}},
-		{"unreachable above quarantine", reconciling(ReconcilePolicy{UnreachableAfter: 5, QuarantineAfter: 3}), flat, []string{"UnreachableAfter", "QuarantineAfter"}},
-		{"suspect above quarantine", reconciling(ReconcilePolicy{SuspectAfter: 4, QuarantineAfter: 2}), flat, []string{"SuspectAfter", "QuarantineAfter"}},
 		{"negative max assign attempts", reconciling(ReconcilePolicy{MaxAssignAttempts: -1}), flat, []string{"Reconcile.MaxAssignAttempts"}},
 		{"negative max park", reconciling(ReconcilePolicy{MaxPark: -time.Second}), flat, []string{"Reconcile.MaxPark"}},
 	} {
@@ -122,8 +116,6 @@ func TestRoundPolicyRefusedOnEveryFrontEnd(t *testing.T) {
 		{"tier", ControllerConfig{Tier: &TierConfig{}}, flat},
 		{"in-process tier widths", ControllerConfig{Tier: &TierConfig{Aggregators: []int{64, 8}}}, []string{"controller"}},
 		{"quarantine on the first failure", reconciling(ReconcilePolicy{QuarantineAfter: 1}), flat},
-		{"every threshold equal", reconciling(ReconcilePolicy{SuspectAfter: 2, UnreachableAfter: 2, QuarantineAfter: 2}), flat},
-		{"unreachable above the default quarantine", reconciling(ReconcilePolicy{UnreachableAfter: 5}), flat},
 	} {
 		for _, front := range tc.fronts {
 			if err := policyFronts[front](tc.cfg); err != nil {

@@ -20,7 +20,7 @@ import (
 
 // fastBackoff keeps reconnect loops snappy in tests.
 func fastBackoff() Backoff {
-	return Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond, Factor: 2}
+	return Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond}
 }
 
 // TestClientSessionResumeAfterCorruptTask corrupts one client's round-0
@@ -61,7 +61,7 @@ func TestClientSessionResumeAfterCorruptTask(t *testing.T) {
 			if flakyDials.Add(1) == 1 {
 				// Down-direction message 0 is the register ack; message 1
 				// is the round-0 task, which arrives bit-flipped.
-				down.Faults = transport.FaultSchedule{CorruptMsgs: []int{1}}
+				down.CorruptMsgs = []int{1}
 			}
 			return network.Dial("flaky", transport.LinkProfile{}, down)
 		},
@@ -316,7 +316,7 @@ func TestRoundToleratesCorruptAndDroppedClients(t *testing.T) {
 	}
 	// Up-direction message 0 is the registration; message 1 — the round-0
 	// update — arrives bit-flipped, so the server's read of it fails.
-	faults := map[string]transport.FaultSchedule{
+	faults := map[string]transport.LinkProfile{
 		"corrupt": {CorruptMsgs: []int{1}},
 	}
 	var wg sync.WaitGroup
@@ -327,7 +327,7 @@ func TestRoundToleratesCorruptAndDroppedClients(t *testing.T) {
 		cl, err := NewClient(ClientConfig{
 			Logf: quietLogf,
 			Dialer: func() (transport.MessageConn, error) {
-				return network.Dial(name, transport.LinkProfile{Faults: faults[name]}, transport.LinkProfile{})
+				return network.Dial(name, faults[name], transport.LinkProfile{})
 			},
 		}, proj.ClientKits[name], exec)
 		if err != nil {

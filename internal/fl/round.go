@@ -52,8 +52,8 @@ type roundConfig struct {
 	// executor count in-process, ExpectedClients on a Server or an Edge.
 	clients int
 	// networked marks a Server's engine, an Edge's included. Its tiers are
-	// the deployed Edge topology, so it takes no Tier.Aggregators and folds
-	// whatever it accepts into one partial.
+	// the deployed Edge topology, so it folds whatever it accepts into one
+	// partial.
 	networked      bool
 	rounds         int
 	minClients     int
@@ -104,9 +104,6 @@ func (c *roundConfig) settle() error {
 	if t := c.tier; t != nil {
 		// A tier refuses the features that assume the root sees raw
 		// per-client updates, naming both.
-		if c.networked && len(t.Aggregators) > 0 {
-			return fmt.Errorf("fl: Tier.Aggregators %v on a networked server, whose tiers are its deployed Edges", t.Aggregators)
-		}
 		for _, w := range t.Aggregators {
 			if w <= 0 {
 				return fmt.Errorf("fl: Tier.Aggregators width %d must be positive", w)
@@ -126,34 +123,16 @@ func (c *roundConfig) settle() error {
 	}
 	if c.reconcile != nil {
 		p := *c.reconcile
-		// The demotion thresholds, top rung first. A zero one takes the
-		// smaller of its default and the next threshold set above it, then
-		// at least the one below, so the ladder never falls.
-		rungs := []struct {
-			name string
-			n    *int
-			def  int
-		}{{"QuarantineAfter", &p.QuarantineAfter, 4}, {"UnreachableAfter", &p.UnreachableAfter, 2}, {"SuspectAfter", &p.SuspectAfter, 1}}
-		above, aboveName := math.MaxInt, ""
-		for _, r := range rungs {
-			switch {
-			case *r.n < 0:
-				return fmt.Errorf("fl: Reconcile.%s %d is negative", r.name, *r.n)
-			case *r.n == 0:
-				*r.n = min(r.def, above)
-			case *r.n > above:
-				return fmt.Errorf("fl: Reconcile.%s %d is above Reconcile.%s %d, a later rung of the ladder", r.name, *r.n, aboveName, above)
-			default:
-				above, aboveName = *r.n, r.name
-			}
-		}
-		p.UnreachableAfter = max(p.UnreachableAfter, p.SuspectAfter)
-		p.QuarantineAfter = max(p.QuarantineAfter, p.UnreachableAfter)
 		switch {
+		case p.QuarantineAfter < 0:
+			return fmt.Errorf("fl: Reconcile.QuarantineAfter %d is negative", p.QuarantineAfter)
 		case p.MaxAssignAttempts < 0:
 			return fmt.Errorf("fl: Reconcile.MaxAssignAttempts %d is negative", p.MaxAssignAttempts)
 		case p.MaxPark < 0:
 			return fmt.Errorf("fl: Reconcile.MaxPark %v is negative", p.MaxPark)
+		}
+		if p.QuarantineAfter == 0 {
+			p.QuarantineAfter = 4
 		}
 		if p.MaxAssignAttempts == 0 {
 			p.MaxAssignAttempts = 3

@@ -166,7 +166,7 @@ func TestRoundEngineGatherStateMachine(t *testing.T) {
 	// newEngine takes a settled config, so the policy spells out settle's
 	// defaults for the fields it leaves zero.
 	retry := &ReconcilePolicy{
-		SuspectAfter: 1, UnreachableAfter: 2, QuarantineAfter: 4,
+		QuarantineAfter:   4,
 		RequeueBackoff:    Backoff{Base: 20 * ms, Max: 20 * ms},
 		ProbeBackoff:      Backoff{Base: 50 * ms, Max: 50 * ms},
 		MaxAssignAttempts: 3,

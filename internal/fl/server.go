@@ -54,8 +54,10 @@ type ServerConfig struct {
 	// Seed drives the client-sampling stream.
 	Seed int64
 	// Codec names the downlink weight codec for task/finish payloads
-	// ("raw", "f32", "int8", "topk[:fraction]"); default raw. Each client's
-	// uplink codec is its own choice, negotiated at registration.
+	// ("raw", "f32", "int8"); default raw. A top-k codec is refused: it
+	// would zero most of the model every client starts from, and of the
+	// final model. Each client's uplink codec is its own choice,
+	// negotiated at registration.
 	Codec string
 	// AllowTopKUplink permits clients to negotiate the top-k sparsifying
 	// uplink codec. Top-k transmits full weight maps, not deltas, so
@@ -102,16 +104,16 @@ type ServerConfig struct {
 	// runs the same round loop under the null policy: one attempt per
 	// assignment, no health tracking.
 	Reconcile *ReconcilePolicy
-	// Tier, when non-nil, accepts partial-aggregate uplinks from fl.Edge
-	// nodes and aggregates by streaming: each registered "client" may be
-	// an edge fronting a shard of real clients, every accepted uplink is
-	// merged (a plain client's folded) into one partial as it arrives, so
-	// the root holds O(model) state however many edges or clients there
-	// are, and Participants in the round record are the edge names. A
-	// mixed fleet (edges plus plain clients) is supported. The tier shape
-	// is the deployed Edges', so Aggregators must be empty. Nil keeps the
-	// legacy flat path bit-for-bit unchanged and rejects partial payloads.
-	Tier *TierConfig
+	// Tier accepts partial-aggregate uplinks from fl.Edge nodes and
+	// aggregates by streaming: each registered "client" may be an edge
+	// fronting a shard of real clients, every accepted uplink is merged (a
+	// plain client's folded) into one partial as it arrives, so the root
+	// holds O(model) state however many edges or clients there are, and
+	// Participants in the round record are the edge names. A mixed fleet
+	// (edges plus plain clients) is supported; the tier shape is the
+	// deployed Edges'. Off keeps the flat path and rejects partial
+	// payloads.
+	Tier bool
 }
 
 // serverClient is one registered client's connection state. Reads happen
@@ -226,8 +228,11 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 		aggregator: cfg.Aggregator, async: cfg.AsyncAggregator, validate: cfg.Validate,
 		// The Server runs on the wall clock: its readers are goroutines
 		// that a virtual clock could not see.
-		clock: RealClock(), wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile, tier: cfg.Tier,
+		clock: RealClock(), wal: cfg.WAL, metrics: cfg.Metrics, reconcile: cfg.Reconcile,
 		logf: func(format string, args ...any) { cfg.Logf("fl server: "+format, args...) },
+	}
+	if cfg.Tier {
+		rc.tier = &TierConfig{}
 	}
 	if err := rc.settle(); err != nil {
 		return nil, err
@@ -235,6 +240,9 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	downCodec, err := CodecByName(cfg.Codec)
 	if err != nil {
 		return nil, err
+	}
+	if _, topK := downCodec.(TopKCodec); topK {
+		return nil, fmt.Errorf("fl: Codec %q is top-k, which would zero most of every task's model and of the final one; use raw, f32 or int8", cfg.Codec)
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -588,10 +596,7 @@ func (s *Server) idle() ([]int, int) {
 // straggler stays tasked — and out of idle — until its reply or its
 // connection error drains in.
 func (s *Server) task(id int) (int, error) {
-	task := &transport.Message{
-		Type: transport.MsgTask, Sender: s.kit.Name, Round: s.round, Payload: s.blob,
-		Meta: map[string]string{"round": strconv.Itoa(s.round)},
-	}
+	task := &transport.Message{Type: transport.MsgTask, Sender: s.kit.Name, Round: s.round, Payload: s.blob}
 	if err := s.write(id, task); err != nil {
 		return 0, err
 	}
@@ -682,7 +687,7 @@ func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate
 		// A partial-aggregate uplink from an edge node. The same payload
 		// gate applies as for top-k: a flat server must reject it rather
 		// than let an unexpected codec reach the average.
-		if s.cfg.Tier == nil {
+		if !s.cfg.Tier {
 			return nil, errors.New("partial-aggregate payload rejected (server is not tier-enabled; set Tier)")
 		}
 		p, err := hier.DecodePartial(msg.Payload)

@@ -22,8 +22,8 @@ type TierConfig struct {
 	// in-process Controller: {64, 8} folds the sampled clients into 64
 	// edge partials, merges those into 8 regional partials, and merges
 	// the regionals at the root — each hop's encoded-partial bytes are
-	// accounted in RoundRecord.TierBytesUp. The networked Server refuses
-	// it (its tier shape is the deployed fl.Edge topology). Nil or
+	// accounted in RoundRecord.TierBytesUp. A networked Server has no
+	// widths: its tier shape is the deployed fl.Edge topology. Nil or
 	// empty defaults to a single 8-wide edge tier.
 	Aggregators []int
 }

@@ -21,9 +21,7 @@ type BERTConfig struct {
 	MaxLen     int
 	Dim        int
 	Layers     int
-	Heads      int
-	HeadDim    int // 0 derives ceil(Dim/Heads)
-	FFNHidden  int // 0 derives 4*Dim
+	Heads      int // each head is ceil(Dim/Heads) wide; the FFN is 4*Dim
 	Dropout    float64
 	NumClasses int
 }
@@ -94,7 +92,7 @@ func NewBERT(cfg BERTConfig, seed int64) (*BERT, error) {
 	if name == "" {
 		name = "bert"
 	}
-	enc, err := nn.NewEncoder(name+".encoder", cfg.Layers, cfg.Dim, cfg.Heads, cfg.HeadDim, cfg.FFNHidden, cfg.Dropout, rng)
+	enc, err := nn.NewEncoder(name+".encoder", cfg.Layers, cfg.Dim, cfg.Heads, 0, cfg.Dropout, rng)
 	if err != nil {
 		return nil, fmt.Errorf("model: %s encoder: %w", name, err)
 	}

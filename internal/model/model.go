@@ -43,12 +43,11 @@ type Pretrainer interface {
 
 // Spec describes an architecture as in Table II.
 type Spec struct {
-	Kind      string // "bert", "bert-mini", or "lstm"
-	Hidden    int
-	Heads     int // attention heads; 0 for LSTM
-	Layers    int
-	FFNHidden int     // transformer feed-forward width; 0 derives 4*Hidden
-	Dropout   float64 // transformer dropout
+	Kind    string // "bert", "bert-mini", or "lstm"
+	Hidden  int
+	Heads   int // attention heads; 0 for LSTM
+	Layers  int
+	Dropout float64 // transformer dropout
 }
 
 // Table II architecture specifications.
@@ -102,7 +101,6 @@ func New(spec Spec, vocabSize, maxLen, numClasses int, seed int64) (Classifier, 
 			Dim:        spec.Hidden,
 			Layers:     spec.Layers,
 			Heads:      spec.Heads,
-			FFNHidden:  spec.FFNHidden,
 			Dropout:    spec.Dropout,
 			NumClasses: numClasses,
 		}, seed)

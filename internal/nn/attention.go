@@ -25,15 +25,13 @@ type MultiHeadSelfAttention struct {
 	Wq, Wk, Wv, Wo      *Linear
 }
 
-// NewMultiHeadSelfAttention builds an attention block. headDim <= 0 derives
-// it from dim/heads (rounded up when not divisible).
-func NewMultiHeadSelfAttention(name string, dim, heads, headDim int, rng *tensor.RNG) (*MultiHeadSelfAttention, error) {
+// NewMultiHeadSelfAttention builds an attention block whose head width is
+// dim/heads, rounded up when not divisible.
+func NewMultiHeadSelfAttention(name string, dim, heads int, rng *tensor.RNG) (*MultiHeadSelfAttention, error) {
 	if heads <= 0 {
 		return nil, fmt.Errorf("nn: attention %s: heads must be positive, got %d", name, heads)
 	}
-	if headDim <= 0 {
-		headDim = (dim + heads - 1) / heads
-	}
+	headDim := (dim + heads - 1) / heads
 	inner := heads * headDim
 	return &MultiHeadSelfAttention{
 		Dim:     dim,

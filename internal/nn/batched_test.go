@@ -12,7 +12,7 @@ import (
 func TestEncoderForwardBatchMatchesPerSequence(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	const batch, seq, dim = 3, 6, 8
-	enc, err := NewEncoder("enc", 2, dim, 2, 0, 0, 0.1, rng)
+	enc, err := NewEncoder("enc", 2, dim, 2, 0, 0.1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEncoderForwardBatchMatchesPerSequence(t *testing.T) {
 // validation.
 func TestAttentionForwardBatchRejectsBadShapes(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	attn, err := NewMultiHeadSelfAttention("a", 8, 2, 0, rng)
+	attn, err := NewMultiHeadSelfAttention("a", 8, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

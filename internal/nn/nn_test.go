@@ -88,7 +88,7 @@ func TestLayerNormGradCheck(t *testing.T) {
 
 func TestAttentionGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(4)
-	attn, err := NewMultiHeadSelfAttention("attn", 6, 2, 0, rng)
+	attn, err := NewMultiHeadSelfAttention("attn", 6, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestAttentionGradCheck(t *testing.T) {
 func TestAttentionHeadDimDerivation(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	// 128 not divisible by 6: Table II's BERT row — headDim rounds up.
-	attn, err := NewMultiHeadSelfAttention("attn", 128, 6, 0, rng)
+	attn, err := NewMultiHeadSelfAttention("attn", 128, 6, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +111,14 @@ func TestAttentionHeadDimDerivation(t *testing.T) {
 	if attn.Wq.Out != 6*22 {
 		t.Fatalf("inner dim %d, want 132", attn.Wq.Out)
 	}
-	if _, err := NewMultiHeadSelfAttention("bad", 8, 0, 0, rng); err == nil {
+	if _, err := NewMultiHeadSelfAttention("bad", 8, 0, rng); err == nil {
 		t.Fatal("want error for zero heads")
 	}
 }
 
 func TestAttentionPaddingMaskBlocksKeys(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	attn, err := NewMultiHeadSelfAttention("attn", 4, 1, 0, rng)
+	attn, err := NewMultiHeadSelfAttention("attn", 4, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAttentionPaddingMaskBlocksKeys(t *testing.T) {
 
 func TestAttentionMaskLengthError(t *testing.T) {
 	rng := tensor.NewRNG(7)
-	attn, _ := NewMultiHeadSelfAttention("attn", 4, 1, 0, rng)
+	attn, _ := NewMultiHeadSelfAttention("attn", 4, 1, rng)
 	ctx := NewCtx(false, nil)
 	x := ctx.Tape.Constant(rng.Normal(3, 4, 0, 1))
 	if _, err := attn.ForwardBatch(ctx, x, 1, [][]bool{{false}}); err == nil {
@@ -172,7 +172,7 @@ func TestFeedForwardDefaultsTo4x(t *testing.T) {
 
 func TestEncoderLayerGradCheck(t *testing.T) {
 	rng := tensor.NewRNG(10)
-	layer, err := NewEncoderLayer("enc", 4, 2, 0, 8, 0, rng)
+	layer, err := NewEncoderLayer("enc", 4, 2, 8, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestEncoderLayerGradCheck(t *testing.T) {
 
 func TestEncoderStack(t *testing.T) {
 	rng := tensor.NewRNG(11)
-	enc, err := NewEncoder("enc", 3, 8, 2, 0, 16, 0, rng)
+	enc, err := NewEncoder("enc", 3, 8, 2, 16, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,8 @@ type EncoderLayer struct {
 
 // NewEncoderLayer builds an encoder block of width dim with the given head
 // count and feed-forward width.
-func NewEncoderLayer(name string, dim, heads, headDim, ffnHidden int, dropout float64, rng *tensor.RNG) (*EncoderLayer, error) {
-	attn, err := NewMultiHeadSelfAttention(name+".attn", dim, heads, headDim, rng)
+func NewEncoderLayer(name string, dim, heads, ffnHidden int, dropout float64, rng *tensor.RNG) (*EncoderLayer, error) {
+	attn, err := NewMultiHeadSelfAttention(name+".attn", dim, heads, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -123,10 +123,10 @@ type Encoder struct {
 }
 
 // NewEncoder builds a stack of n encoder layers.
-func NewEncoder(name string, n, dim, heads, headDim, ffnHidden int, dropout float64, rng *tensor.RNG) (*Encoder, error) {
+func NewEncoder(name string, n, dim, heads, ffnHidden int, dropout float64, rng *tensor.RNG) (*Encoder, error) {
 	enc := &Encoder{FinalLN: NewLayerNorm(name+".final_ln", dim)}
 	for i := 0; i < n; i++ {
-		layer, err := NewEncoderLayer(fmt.Sprintf("%s.layer%d", name, i), dim, heads, headDim, ffnHidden, dropout, rng)
+		layer, err := NewEncoderLayer(fmt.Sprintf("%s.layer%d", name, i), dim, heads, ffnHidden, dropout, rng)
 		if err != nil {
 			return nil, err
 		}

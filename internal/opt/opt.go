@@ -68,14 +68,12 @@ func (s *SGD) Step(params []*nn.Param) error {
 	return nil
 }
 
-// Adam is the Adam optimizer (Kingma & Ba) with optional decoupled weight
-// decay (AdamW-style when WeightDecay > 0).
+// Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
+	LR    float64
+	Beta1 float64
+	Beta2 float64
+	Eps   float64
 
 	step int
 	m, v map[*nn.Param]*tensor.Matrix
@@ -98,8 +96,7 @@ func (a *Adam) Name() string { return "adam" }
 
 // Step implements Optimizer. The fused loop reuses the moment buffers the
 // optimizer already owns; all per-step constants (decay complements, bias-
-// correction reciprocals, the weight-decay branch) are hoisted out of the
-// per-element loop.
+// correction reciprocals) are hoisted out of the per-element loop.
 func (a *Adam) Step(params []*nn.Param) error {
 	if len(params) == 0 {
 		return ErrNoParams
@@ -109,7 +106,7 @@ func (a *Adam) Step(params []*nn.Param) error {
 	omb1, omb2 := 1-b1, 1-b2
 	invBc1 := 1 / (1 - math.Pow(b1, float64(a.step)))
 	invBc2 := 1 / (1 - math.Pow(b2, float64(a.step)))
-	lr, eps, decay := a.LR, a.Eps, a.WeightDecay
+	lr, eps := a.LR, a.Eps
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
@@ -122,21 +119,11 @@ func (a *Adam) Step(params []*nn.Param) error {
 			return fmt.Errorf("opt: adam %q: %w", p.Name, tensor.ErrShape)
 		}
 		wd, md, vd, gd := p.W.Data(), m.Data(), v.Data(), p.Grad.Data()
-		if decay > 0 {
-			for i := range wd {
-				g := gd[i]
-				md[i] = b1*md[i] + omb1*g
-				vd[i] = b2*vd[i] + omb2*g*g
-				upd := md[i] * invBc1 / (math.Sqrt(vd[i]*invBc2) + eps)
-				wd[i] -= lr * (upd + decay*wd[i])
-			}
-		} else {
-			for i := range wd {
-				g := gd[i]
-				md[i] = b1*md[i] + omb1*g
-				vd[i] = b2*vd[i] + omb2*g*g
-				wd[i] -= lr * md[i] * invBc1 / (math.Sqrt(vd[i]*invBc2) + eps)
-			}
+		for i := range wd {
+			g := gd[i]
+			md[i] = b1*md[i] + omb1*g
+			vd[i] = b2*vd[i] + omb2*g*g
+			wd[i] -= lr * md[i] * invBc1 / (math.Sqrt(vd[i]*invBc2) + eps)
 		}
 	}
 	return nil

@@ -83,22 +83,6 @@ func TestAdamFirstStepIsLRSized(t *testing.T) {
 	}
 }
 
-func TestAdamWeightDecayShrinksWeights(t *testing.T) {
-	p := quadParam(1)
-	a := NewAdam(0.01)
-	a.WeightDecay = 0.1
-	// Zero task gradient: only decay acts.
-	for i := 0; i < 50; i++ {
-		p.Grad.Zero()
-		if err := a.Step([]*nn.Param{p}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if x := p.W.At(0, 0); x >= 1 {
-		t.Fatalf("weight decay did not shrink weight: %v", x)
-	}
-}
-
 func TestOptimizersRejectEmptyParams(t *testing.T) {
 	if err := NewSGD(0.1, 0).Step(nil); !errors.Is(err, ErrNoParams) {
 		t.Fatalf("sgd: want ErrNoParams, got %v", err)

@@ -6,82 +6,55 @@ import (
 	"clinfl/internal/tensor"
 )
 
-// LinearTask parameterizes the synthetic federated learning problem the
-// simulator trains: each client holds a shard of a noisy linear regression
-// y = x·w* + b*, with per-client heterogeneity (a client-specific tilt of
-// the ground truth, the non-IID-ness knob). Linear least squares keeps the
-// per-round compute trivial — scenario cost is dominated by the simulated
-// system dynamics, not the model — while still giving FedAvg/FedAsync a
-// real convergence signal to verify.
-type LinearTask struct {
-	// Dim is the feature dimension (default 8).
-	Dim int
-	// SamplesMin / SamplesMax bound per-client shard sizes (defaults 20,
-	// 60); actual sizes are drawn uniformly, so aggregation weights vary.
-	SamplesMin, SamplesMax int
-	// Noise is the label-noise amplitude: labels get a uniform
-	// [-Noise, Noise) perturbation (default 0.05).
-	Noise float64
-	// Hetero tilts each client's ground truth by a uniform [-Hetero,
-	// Hetero) per-coordinate offset (default 0.2): client optima disagree,
-	// so a client that trains alone drifts from the global optimum.
-	Hetero float64
-	// LR is the local gradient-descent learning rate (default 0.05).
-	LR float64
-	// Steps is the number of local full-batch GD steps per round
-	// (default 4).
-	Steps int
-}
+// The simulator trains a synthetic federated learning problem: each client
+// holds a shard of a noisy linear regression y = x·w* + b*, with
+// per-client heterogeneity (a client-specific tilt of the ground truth, the
+// non-IID-ness). Linear least squares keeps the per-round compute trivial —
+// scenario cost is dominated by the simulated system dynamics, not the
+// model — while still giving FedAvg/FedAsync a real convergence signal to
+// verify.
+const (
+	// LinearDim is the feature dimension.
+	LinearDim = 8
+	// Shard sizes are drawn uniformly from [linearSamplesMin,
+	// linearSamplesMax], so aggregation weights vary.
+	linearSamplesMin, linearSamplesMax = 20, 60
+	// linearNoise is the label-noise amplitude: labels get a uniform
+	// [-linearNoise, linearNoise) perturbation.
+	linearNoise = 0.05
+	// linearHetero tilts each client's ground truth by a uniform
+	// [-linearHetero, linearHetero) per-coordinate offset: client optima
+	// disagree, so a client that trains alone drifts from the global
+	// optimum.
+	linearHetero = 0.2
+	// linearLR is the local gradient-descent learning rate and
+	// linearSteps the number of local full-batch GD steps per round.
+	linearLR    = 0.05
+	linearSteps = 4
+)
 
-// withDefaults fills zero fields.
-func (t LinearTask) withDefaults() LinearTask {
-	if t.Dim <= 0 {
-		t.Dim = 8
-	}
-	if t.SamplesMin <= 0 {
-		t.SamplesMin = 20
-	}
-	if t.SamplesMax < t.SamplesMin {
-		t.SamplesMax = 3 * t.SamplesMin
-	}
-	if t.Noise == 0 {
-		t.Noise = 0.05
-	}
-	if t.Hetero == 0 {
-		t.Hetero = 0.2
-	}
-	if t.LR <= 0 {
-		t.LR = 0.05
-	}
-	if t.Steps <= 0 {
-		t.Steps = 4
-	}
-	return t
-}
-
-// LinearShard is one client's local dataset plus its training hyperparams.
+// LinearShard is one client's local dataset.
 type LinearShard struct {
-	task LinearTask
-	x    [][]float64
-	y    []float64
+	x [][]float64
+	y []float64
 }
 
 // Samples is the shard size (the client's aggregation weight).
 func (s *LinearShard) Samples() int { return len(s.y) }
 
-// Train runs the task's local GD steps starting from the global weights
+// Train runs the local GD steps starting from the global weights
 // and returns the post-training weights plus the final training loss.
 // All arithmetic is plain serial float64, so results are bit-identical
 // everywhere.
 func (s *LinearShard) Train(global map[string]*tensor.Matrix) (map[string]*tensor.Matrix, float64, error) {
-	w, b, err := unpackLinear(global, s.task.Dim)
+	w, b, err := unpackLinear(global)
 	if err != nil {
 		return nil, 0, err
 	}
 	m := float64(len(s.y))
-	gw := make([]float64, s.task.Dim)
+	gw := make([]float64, LinearDim)
 	var loss float64
-	for step := 0; step < s.task.Steps; step++ {
+	for step := 0; step < linearSteps; step++ {
 		for i := range gw {
 			gw[i] = 0
 		}
@@ -101,11 +74,11 @@ func (s *LinearShard) Train(global map[string]*tensor.Matrix) (map[string]*tenso
 		}
 		loss /= m
 		for j := range w {
-			w[j] -= s.task.LR * 2 * gw[j] / m
+			w[j] -= linearLR * 2 * gw[j] / m
 		}
-		b -= s.task.LR * 2 * gb / m
+		b -= linearLR * 2 * gb / m
 	}
-	out := InitialLinearWeights(s.task.Dim)
+	out := InitialLinearWeights(LinearDim)
 	copy(out["w"].Data(), w)
 	out["b"].Data()[0] = b
 	return out, loss, nil
@@ -114,7 +87,6 @@ func (s *LinearShard) Train(global map[string]*tensor.Matrix) (map[string]*tenso
 // Population is a full client population over one ground truth, plus a
 // noise-free holdout for scoring the global model.
 type Population struct {
-	Task   LinearTask
 	Shards []*LinearShard
 
 	truth []float64 // dim weights + bias last
@@ -125,35 +97,34 @@ type Population struct {
 // NewPopulation generates n client shards and a holdout set from seed.
 // Generation order is fixed (truth, holdout, then shards in client-index
 // order), so a seed pins every byte of every dataset.
-func (t LinearTask) NewPopulation(seed int64, n int) *Population {
-	t = t.withDefaults()
+func NewPopulation(seed int64, n int) *Population {
 	rng := tensor.NewRNG(seed)
-	truth := make([]float64, t.Dim+1)
+	truth := make([]float64, LinearDim+1)
 	for i := range truth {
 		truth[i] = rng.Float64()*2 - 1
 	}
-	p := &Population{Task: t, truth: truth}
+	p := &Population{truth: truth}
 	const holdout = 256
-	p.holdX, p.holdY = genExamples(rng, t, truth, nil, holdout, 0)
+	p.holdX, p.holdY = genExamples(rng, truth, nil, holdout, 0)
 	for c := 0; c < n; c++ {
-		m := t.SamplesMin + rng.Intn(t.SamplesMax-t.SamplesMin+1)
-		tilt := make([]float64, t.Dim)
+		m := linearSamplesMin + rng.Intn(linearSamplesMax-linearSamplesMin+1)
+		tilt := make([]float64, LinearDim)
 		for i := range tilt {
-			tilt[i] = (rng.Float64()*2 - 1) * t.Hetero
+			tilt[i] = (rng.Float64()*2 - 1) * linearHetero
 		}
-		x, y := genExamples(rng, t, truth, tilt, m, t.Noise)
-		p.Shards = append(p.Shards, &LinearShard{task: t, x: x, y: y})
+		x, y := genExamples(rng, truth, tilt, m, linearNoise)
+		p.Shards = append(p.Shards, &LinearShard{x: x, y: y})
 	}
 	return p
 }
 
 // genExamples draws m examples from the (optionally tilted) ground truth.
-func genExamples(rng *tensor.RNG, t LinearTask, truth, tilt []float64, m int, noise float64) ([][]float64, []float64) {
+func genExamples(rng *tensor.RNG, truth, tilt []float64, m int, noise float64) ([][]float64, []float64) {
 	x := make([][]float64, m)
 	y := make([]float64, m)
 	for i := 0; i < m; i++ {
-		xi := make([]float64, t.Dim)
-		yi := truth[t.Dim] // bias
+		xi := make([]float64, LinearDim)
+		yi := truth[LinearDim] // bias
 		for j := range xi {
 			xi[j] = rng.Float64()*2 - 1
 			wj := truth[j]
@@ -174,7 +145,7 @@ func genExamples(rng *tensor.RNG, t LinearTask, truth, tilt []float64, m int, no
 // Eval returns the global model's mean squared error on the noise-free
 // holdout (lower is better).
 func (p *Population) Eval(weights map[string]*tensor.Matrix) (float64, error) {
-	w, b, err := unpackLinear(weights, p.Task.Dim)
+	w, b, err := unpackLinear(weights)
 	if err != nil {
 		return 0, err
 	}
@@ -190,7 +161,8 @@ func (p *Population) Eval(weights map[string]*tensor.Matrix) (float64, error) {
 	return mse / float64(len(p.holdY)), nil
 }
 
-// InitialLinearWeights is the zero starting model for a LinearTask.
+// InitialLinearWeights is the zero starting model of the linear task over
+// dim features (LinearDim in every scenario).
 func InitialLinearWeights(dim int) map[string]*tensor.Matrix {
 	return map[string]*tensor.Matrix{
 		"w": tensor.New(1, dim),
@@ -200,7 +172,8 @@ func InitialLinearWeights(dim int) map[string]*tensor.Matrix {
 
 // unpackLinear extracts (w, b) from a weight map, copying w so training
 // never mutates the caller's global model.
-func unpackLinear(weights map[string]*tensor.Matrix, dim int) ([]float64, float64, error) {
+func unpackLinear(weights map[string]*tensor.Matrix) ([]float64, float64, error) {
+	const dim = LinearDim
 	wm, ok := weights["w"]
 	if !ok || wm.Rows()*wm.Cols() != dim {
 		return nil, 0, fmt.Errorf("sim: weight map missing 1x%d param \"w\"", dim)

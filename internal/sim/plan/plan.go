@@ -45,7 +45,6 @@ type Grid struct {
 	Rounds      int
 	RealClients int
 	Compute     sim.ComputeProfile
-	Net         sim.NetProfile
 	Faults      sim.FaultProfile
 	// FedAsyncAlpha merges post-deadline straggler updates with staleness
 	// damping; 0 drops them.
@@ -157,7 +156,6 @@ func (g Grid) Scenario(c Cell) sim.Scenario {
 		Validate:       true,
 		Codecs:         []string{c.Codec},
 		Compute:        g.Compute,
-		Net:            g.Net,
 		Faults:         g.Faults,
 	}
 }

@@ -36,32 +36,14 @@ func (p ComputeProfile) withDefaults() ComputeProfile {
 	return p
 }
 
-// NetProfile shapes per-client link behavior: every task download and
-// update upload pays latency plus serialization time for its encoded
-// bytes, so codec choices show up as round-time differences exactly as
-// they would on a real WAN.
-type NetProfile struct {
-	// Latency is the nominal one-way per-message delay (default 10ms);
-	// each client's actual latency is drawn from [0.5, 1.5)×Latency.
-	Latency time.Duration
-	// BytesPerSec is the link bandwidth (default 20 MB/s; 0 keeps the
-	// default — use NoTransferCost to disable transfer modeling).
-	BytesPerSec int64
-	// NoTransferCost turns off transfer-time modeling (bytes are still
-	// accounted).
-	NoTransferCost bool
-}
-
-// withDefaults fills zero fields.
-func (p NetProfile) withDefaults() NetProfile {
-	if p.Latency <= 0 {
-		p.Latency = 10 * time.Millisecond
-	}
-	if p.BytesPerSec <= 0 {
-		p.BytesPerSec = 20 << 20
-	}
-	return p
-}
+// Every client's link costs each task download and update upload one
+// link latency plus serialization time for its encoded bytes, so codec
+// choices show up as round-time differences as they would on a real WAN.
+// A client's latency is drawn from [0.5, 1.5)×linkLatency.
+const (
+	linkLatency     = 10 * time.Millisecond
+	linkBytesPerSec = 20 << 20
+)
 
 // FaultProfile scripts client failures.
 type FaultProfile struct {
@@ -128,10 +110,9 @@ type Scenario struct {
 	Validate bool
 
 	// Codecs cycles uplink codecs across clients by index ("raw", "f32",
-	// "topk:0.1", ...); empty means raw everywhere. DownCodec encodes the
-	// simulated task downloads (default raw).
-	Codecs    []string
-	DownCodec string
+	// "topk:0.1", ...); empty means raw everywhere. Task downloads are
+	// raw.
+	Codecs []string
 
 	// RealClients, when in (0, Clients), enables client multiplexing:
 	// only the first RealClients indices hold real data shards and run
@@ -161,9 +142,7 @@ type Scenario struct {
 	Flaps []FlapWave
 
 	// Population profiles.
-	Task    LinearTask
 	Compute ComputeProfile
-	Net     NetProfile
 	Faults  FaultProfile
 }
 
@@ -178,9 +157,7 @@ func (sc Scenario) withDefaults() Scenario {
 	if sc.Rounds <= 0 {
 		sc.Rounds = 5
 	}
-	sc.Task = sc.Task.withDefaults()
 	sc.Compute = sc.Compute.withDefaults()
-	sc.Net = sc.Net.withDefaults()
 	sc.Faults = sc.Faults.withDefaults()
 	return sc
 }
@@ -227,8 +204,6 @@ type simClient struct {
 	shard     *LinearShard // nil for surrogates
 	codec     fl.WeightCodec
 	codecName string
-	downCodec fl.WeightCodec
-	net       NetProfile
 
 	// twin and costs are set only on surrogates.
 	twin  *twinState
@@ -262,10 +237,7 @@ func (c *simClient) Name() string { return c.name }
 
 // transfer returns the virtual time one message of n payload bytes costs.
 func (c *simClient) transfer(n int) time.Duration {
-	if c.net.NoTransferCost {
-		return 0
-	}
-	return c.latency + time.Duration(int64(n+8)*int64(time.Second)/c.net.BytesPerSec)
+	return c.latency + time.Duration(int64(n+8)*int64(time.Second)/linkBytesPerSec)
 }
 
 // down reports whether a flap wave covers the client at virtual now.
@@ -309,7 +281,7 @@ func (c *simClient) PlanRound(round int, global map[string]*tensor.Matrix) (time
 	if c.twin != nil {
 		downBytes = c.costs.DownBytes
 	} else {
-		downBlob, err := c.downCodec.Encode(global)
+		downBlob, err := fl.EncodeWeights(global)
 		if err != nil {
 			return 0, nil, fmt.Errorf("sim: %s encode task: %w", c.name, err)
 		}
@@ -426,15 +398,12 @@ func (sc Scenario) build(clock Clock) (*scenarioSetup, error) {
 	if sc.RealClients > 0 && sc.RealClients < sc.Clients {
 		nReal = sc.RealClients
 	}
-	pop := sc.Task.NewPopulation(sc.Seed, nReal)
-	downCodec, err := fl.CodecByName(sc.DownCodec)
-	if err != nil {
-		return nil, err
-	}
+	pop := NewPopulation(sc.Seed, nReal)
 	var costs *CostModel
 	var twins []*twinState
+	var err error
 	if nReal < sc.Clients {
-		if costs, err = calibrateCosts(sc, pop, downCodec); err != nil {
+		if costs, err = calibrateCosts(sc, pop); err != nil {
 			return nil, err
 		}
 		twins = make([]*twinState, nReal)
@@ -520,11 +489,9 @@ func (sc Scenario) build(clock Clock) (*scenarioSetup, error) {
 			clock:       clock,
 			codec:       codec,
 			codecName:   codecName,
-			downCodec:   downCodec,
-			net:         sc.Net,
 			computeBase: base,
 			jitter:      sc.Compute.Jitter,
-			latency:     time.Duration((0.5 + unitDraw(cseed, streamLatency, 0)) * float64(sc.Net.Latency)),
+			latency:     time.Duration((0.5 + unitDraw(cseed, streamLatency, 0)) * float64(linkLatency)),
 			faulty:      isFaulty[i],
 			dropProb:    sc.Faults.DropProb,
 			dropRounds:  sc.Faults.DropRounds,
@@ -568,7 +535,7 @@ func (sc Scenario) build(clock Clock) (*scenarioSetup, error) {
 			return -mse, err
 		}
 	}
-	set.initial = InitialLinearWeights(sc.Task.Dim)
+	set.initial = InitialLinearWeights(LinearDim)
 	return set, nil
 }
 

@@ -18,7 +18,6 @@ func TestScenarioConvergesOnLinearTask(t *testing.T) {
 		Clients:  8,
 		Rounds:   12,
 		Validate: true,
-		Net:      NetProfile{NoTransferCost: true},
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +77,6 @@ func TestScenarioMixedCodecsAccountBytes(t *testing.T) {
 		Seed:    5,
 		Clients: 6,
 		Rounds:  3,
-		Net:     NetProfile{NoTransferCost: true},
 	}
 	raw := base
 	raw.Codecs = []string{"raw"}

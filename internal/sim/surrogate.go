@@ -12,7 +12,7 @@ import (
 // into a capacity planner: when Scenario.RealClients caps the real
 // population, only that prefix of clients holds data shards and runs real
 // local training. Every client above the cap is a *surrogate* that
-// replays calibrated costs instead — the scenario's compute/net/fault
+// replays calibrated costs instead — the scenario's compute/link/fault
 // profiles in virtual time, plus a codec-aware byte model measured once
 // per scenario from the real subset. Because every codec in the
 // negotiation set (raw, f32, topk, int8) has a shape-determined encoding
@@ -35,8 +35,7 @@ type CostModel struct {
 	// UpBytes maps an uplink codec name (as written in Scenario.Codecs)
 	// to the encoded update payload size in bytes.
 	UpBytes map[string]int
-	// DownBytes is the encoded task (global model) payload size for the
-	// scenario's DownCodec.
+	// DownBytes is the raw-encoded task (global model) payload size.
 	DownBytes int
 }
 
@@ -46,8 +45,8 @@ type CostModel struct {
 // encoded through every distinct uplink codec in the scenario. All codec
 // encodings are shape-determined, so these sizes hold for every client
 // and every round.
-func calibrateCosts(sc Scenario, pop *Population, downCodec fl.WeightCodec) (*CostModel, error) {
-	initial := InitialLinearWeights(sc.Task.Dim)
+func calibrateCosts(sc Scenario, pop *Population) (*CostModel, error) {
+	initial := InitialLinearWeights(LinearDim)
 	trained, _, err := pop.Shards[0].Train(initial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: calibrate: %w", err)
@@ -71,7 +70,7 @@ func calibrateCosts(sc Scenario, pop *Population, downCodec fl.WeightCodec) (*Co
 		}
 		cm.UpBytes[name] = len(blob)
 	}
-	downBlob, err := downCodec.Encode(initial)
+	downBlob, err := fl.EncodeWeights(initial)
 	if err != nil {
 		return nil, fmt.Errorf("sim: calibrate down codec: %w", err)
 	}

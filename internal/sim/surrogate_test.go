@@ -94,17 +94,13 @@ func TestCalibratedCostsExact(t *testing.T) {
 		Clients: 8,
 		Codecs:  []string{"raw", "f32", "topk:0.25", "int8"},
 	}.withDefaults()
-	pop := sc.Task.NewPopulation(sc.Seed, 4)
-	downCodec, err := fl.CodecByName(sc.DownCodec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := calibrateCosts(sc, pop, downCodec)
+	pop := NewPopulation(sc.Seed, 4)
+	cm, err := calibrateCosts(sc, pop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Train a different shard from non-initial weights.
-	mid, _, err := pop.Shards[1].Train(InitialLinearWeights(sc.Task.Dim))
+	mid, _, err := pop.Shards[1].Train(InitialLinearWeights(LinearDim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +121,7 @@ func TestCalibratedCostsExact(t *testing.T) {
 			t.Errorf("codec %q: calibrated %d bytes, real encode %d", name, got, want)
 		}
 	}
-	downBlob, err := downCodec.Encode(mid)
+	downBlob, err := fl.EncodeWeights(mid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,7 +110,7 @@ func TestTierRootStateIndependentOfClientCount(t *testing.T) {
 	// Buffering raw per-client updates at the root costs at least one
 	// float64 per model element per client.
 	elems := 0
-	for _, m := range InitialLinearWeights(TierScenario(7, 1).Task.withDefaults().Dim) {
+	for _, m := range InitialLinearWeights(LinearDim) {
 		elems += m.Rows() * m.Cols()
 	}
 	naive := int64(10_000) * int64(elems) * 8

@@ -186,7 +186,7 @@ func TestReadAllocatesOneFrame(t *testing.T) {
 // link never delivers (the record fails its AEAD check), and its bytes
 // are still counted.
 func TestMemConnCorruptPayloadFailsRead(t *testing.T) {
-	client, server := memPair(t, LinkProfile{Faults: FaultSchedule{CorruptMsgs: []int{0}}}, LinkProfile{})
+	client, server := memPair(t, LinkProfile{CorruptMsgs: []int{0}}, LinkProfile{})
 	payload := bytes.Repeat([]byte{0x5A}, 4<<10)
 	if err := client.Write(&Message{Type: MsgUpdate, Sender: "c1", Payload: payload}); err != nil {
 		t.Fatal(err)

@@ -3,38 +3,24 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"slices"
 	"sync"
 	"time"
 )
 
-// This file is the in-memory substrate of the federation simulator: a
-// MemNetwork hands out MessageConn pairs that behave like the framed TLS
-// links in this package — same message encoding, same byte accounting,
+// This file is the in-memory transport: a MemNetwork hands out
+// MessageConn pairs that behave like the framed TLS links in this package — same message encoding, same byte accounting,
 // same failure surface (a corrupted frame fails the reader's Read, a
-// closed peer fails reads) — but shaped by configurable per-client
-// latency/bandwidth and scripted fault schedules instead of a real
-// network. A 200-client federation registers in microseconds instead of
-// 200 TLS handshakes, and every fault is reproducible.
+// closed peer fails reads) — but shaped by scripted per-message faults
+// instead of a real network. Frames arrive as soon as they are written. A
+// 200-client federation registers in microseconds instead of 200 TLS
+// handshakes, and every fault is reproducible.
 
-// LinkProfile shapes one direction of a simulated link.
+// LinkProfile scripts per-message faults on one direction of a simulated
+// link. Each fault keys on the 0-based sequence number of messages written
+// to the direction, so a profile replays identically.
 type LinkProfile struct {
-	// Latency is the per-message propagation delay.
-	Latency time.Duration
-	// BytesPerSec models serialization bandwidth: each message adds
-	// framedBytes/BytesPerSec of delay. 0 means infinite bandwidth.
-	BytesPerSec int64
-	// Faults scripts message loss and corruption on this direction.
-	Faults FaultSchedule
-}
-
-// FaultSchedule scripts per-message faults for one link direction.
-// Indexed faults key on the 0-based sequence number of messages written to
-// the direction; probabilistic faults draw from a stream seeded by Seed,
-// so a schedule replays identically.
-type FaultSchedule struct {
 	// DropMsgs lists message indices that vanish in transit (the sender
 	// sees success; the reader never sees the message).
 	DropMsgs []int
@@ -43,21 +29,14 @@ type FaultSchedule struct {
 	// integrity check fails the socket read: damage never reaches a
 	// payload.
 	CorruptMsgs []int
-	// DelayMsgs adds extra one-off delay to specific message indices.
-	DelayMsgs map[int]time.Duration
-	// DropProb / CorruptProb apply the same faults probabilistically.
-	DropProb, CorruptProb float64
-	// Seed drives the probabilistic fault stream.
-	Seed int64
 }
 
 // ErrCorruptFrame is the Read error of a frame damaged in transit.
 var ErrCorruptFrame = errors.New("transport: frame damaged in transit")
 
-// memFrame is one in-flight message body plus its modeled transit delay.
+// memFrame is one in-flight message body.
 type memFrame struct {
 	body    []byte
-	delay   time.Duration
 	corrupt bool
 }
 
@@ -77,28 +56,18 @@ type memDir struct {
 
 	mu  sync.Mutex
 	seq int
-	rng *rand.Rand
 }
 
-// send encodes, applies the fault schedule, and enqueues m.
+// send applies the fault profile and enqueues body.
 func (d *memDir) send(body []byte) {
 	d.mu.Lock()
 	i := d.seq
 	d.seq++
-	drop := slices.Contains(d.prof.Faults.DropMsgs, i) ||
-		(d.prof.Faults.DropProb > 0 && d.rng.Float64() < d.prof.Faults.DropProb)
-	corrupt := slices.Contains(d.prof.Faults.CorruptMsgs, i) ||
-		(d.prof.Faults.CorruptProb > 0 && d.rng.Float64() < d.prof.Faults.CorruptProb)
-	extra := d.prof.Faults.DelayMsgs[i]
 	d.mu.Unlock()
-	if drop {
+	if slices.Contains(d.prof.DropMsgs, i) {
 		return
 	}
-	delay := d.prof.Latency + extra
-	if d.prof.BytesPerSec > 0 {
-		delay += time.Duration(int64(len(body)+8) * int64(time.Second) / d.prof.BytesPerSec)
-	}
-	d.ch <- memFrame{body: body, delay: delay, corrupt: corrupt}
+	d.ch <- memFrame{body: body, corrupt: slices.Contains(d.prof.CorruptMsgs, i)}
 }
 
 // MemConn is one end of an in-memory message link.
@@ -121,7 +90,7 @@ type connCounters struct {
 var _ MessageConn = (*MemConn)(nil)
 
 // Write implements MessageConn: encode into one new frame body, account
-// bytes, enqueue through the fault/latency model. A dropped message still
+// bytes, enqueue through the fault profile. A dropped message still
 // counts as written — the sender did the work — but never as read.
 func (c *MemConn) Write(m *Message) error {
 	select {
@@ -148,14 +117,14 @@ func (e memTimeoutError) Error() string   { return "transport: mem " + e.op + " 
 func (e memTimeoutError) Timeout() bool   { return true }
 func (e memTimeoutError) Temporary() bool { return true }
 
-// Read implements MessageConn: dequeue, pay the modeled transit delay,
-// decode. A corrupted frame fails here with ErrCorruptFrame, on the
-// reader's side, exactly like a damaged TLS record would — with its framed
-// bytes still counted, as on the socket path. A frame already queued when
-// the link closes is still read, as TCP delivers data sent before a FIN;
-// only then does Read report the closed link. The transit delay is interruptible: Close and the read
-// deadline both cut it short, keeping the MessageConn contract that
-// blocked reads fail.
+// Read implements MessageConn: dequeue, decode. A corrupted frame fails
+// here with ErrCorruptFrame, on the reader's side, exactly like a damaged
+// TLS record would — with its framed bytes still counted, as on the socket
+// path. A frame already queued when the link closes is still read, as TCP
+// delivers data sent before a FIN; only then does Read report the closed
+// link. A Read blocked on an empty queue is interruptible: Close and the
+// read deadline both end it, keeping the MessageConn contract that blocked
+// reads fail.
 func (c *MemConn) Read() (*Message, error) {
 	c.mu.Lock()
 	deadline := c.deadline
@@ -177,17 +146,6 @@ func (c *MemConn) Read() (*Message, error) {
 		}
 	case <-timeout:
 		return nil, memTimeoutError{op: "read"}
-	}
-	if f.delay > 0 {
-		transit := time.NewTimer(f.delay)
-		defer transit.Stop()
-		select {
-		case <-transit.C:
-		case <-c.link.done:
-			return nil, c.closedErr()
-		case <-timeout:
-			return nil, memTimeoutError{op: "read"}
-		}
 	}
 	c.counters.mu.Lock()
 	c.counters.read += int64(len(f.body)) + 8
@@ -265,10 +223,8 @@ var _ MessageListener = (*MemNetwork)(nil)
 // conn is the client end; the server end is delivered to AcceptConn.
 func (n *MemNetwork) Dial(name string, up, down LinkProfile) (MessageConn, error) {
 	link := &memLink{done: make(chan struct{})}
-	upDir := &memDir{ch: make(chan memFrame, 1024), prof: up,
-		rng: rand.New(rand.NewSource(up.Faults.Seed + 1))}
-	downDir := &memDir{ch: make(chan memFrame, 1024), prof: down,
-		rng: rand.New(rand.NewSource(down.Faults.Seed + 2))}
+	upDir := &memDir{ch: make(chan memFrame, 1024), prof: up}
+	downDir := &memDir{ch: make(chan memFrame, 1024), prof: down}
 	client := &MemConn{local: name, remote: "server", link: link, in: downDir, out: upDir}
 	server := &MemConn{local: "server", remote: name, link: link, in: upDir, out: downDir}
 	// Check done first: the buffered accept channel would otherwise win

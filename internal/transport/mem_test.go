@@ -45,7 +45,7 @@ func TestMemConnRoundTripAndBytes(t *testing.T) {
 }
 
 func TestMemConnCorruptFrameFailsDecodeButCountsBytes(t *testing.T) {
-	client, server := memPair(t, LinkProfile{Faults: FaultSchedule{CorruptMsgs: []int{0}}}, LinkProfile{})
+	client, server := memPair(t, LinkProfile{CorruptMsgs: []int{0}}, LinkProfile{})
 	if err := client.Write(&Message{Type: MsgUpdate, Sender: "c1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMemConnCorruptFrameFailsDecodeButCountsBytes(t *testing.T) {
 }
 
 func TestMemConnDropSchedule(t *testing.T) {
-	client, server := memPair(t, LinkProfile{Faults: FaultSchedule{DropMsgs: []int{0}}}, LinkProfile{})
+	client, server := memPair(t, LinkProfile{DropMsgs: []int{0}}, LinkProfile{})
 	if err := client.Write(&Message{Type: MsgUpdate, Sender: "c1", Round: 0}); err != nil {
 		t.Fatal(err) // dropped in transit: sender still sees success
 	}
@@ -76,16 +76,13 @@ func TestMemConnDropSchedule(t *testing.T) {
 	}
 }
 
-func TestMemConnReadDeadlineInterruptsTransitDelay(t *testing.T) {
-	client, server := memPair(t, LinkProfile{Latency: time.Minute}, LinkProfile{})
-	if err := client.Write(&Message{Type: MsgUpdate, Sender: "c1"}); err != nil {
-		t.Fatal(err)
-	}
+func TestMemConnReadDeadlineInterruptsBlockedRead(t *testing.T) {
+	_, server := memPair(t, LinkProfile{}, LinkProfile{})
 	if err := server.SetDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := server.Read()
+	_, err := server.Read() // nothing was written: the queue stays empty
 	if err == nil {
 		t.Fatal("want deadline error")
 	}
@@ -94,21 +91,18 @@ func TestMemConnReadDeadlineInterruptsTransitDelay(t *testing.T) {
 		t.Fatalf("want net.Error timeout, got %v", err)
 	}
 	if time.Since(start) > 5*time.Second {
-		t.Fatal("deadline did not interrupt the modeled transit delay")
+		t.Fatal("deadline did not interrupt a read blocked on an empty queue")
 	}
 }
 
 func TestMemConnCloseInterruptsBlockedRead(t *testing.T) {
-	client, server := memPair(t, LinkProfile{Latency: time.Minute}, LinkProfile{})
-	if err := client.Write(&Message{Type: MsgUpdate, Sender: "c1"}); err != nil {
-		t.Fatal(err)
-	}
+	client, server := memPair(t, LinkProfile{}, LinkProfile{})
 	readErr := make(chan error, 1)
 	go func() {
-		_, err := server.Read()
+		_, err := server.Read() // nothing was written: the queue stays empty
 		readErr <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let the read enter the transit wait
+	time.Sleep(20 * time.Millisecond) // let the read block
 	_ = client.Close()
 	select {
 	case err := <-readErr:
@@ -116,7 +110,7 @@ func TestMemConnCloseInterruptsBlockedRead(t *testing.T) {
 			t.Fatalf("want link-closed error, got %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not interrupt a read blocked in the transit delay")
+		t.Fatal("Close did not interrupt a read blocked on an empty queue")
 	}
 }
 

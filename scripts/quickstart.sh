@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Runs the README's networked quickstart end to end on 127.0.0.1: builds
 # provision, flserver and flclient, mints kits for two sites, checks that
-# flserver refuses two bad round settings (-rounds -3, -sample NaN) by
-# exiting non-zero with the field and its flag named on stderr, then runs
-# the server (with its write-ahead log and metrics endpoint) and both
-# clients on their default flags for two rounds, in a temporary directory.
+# flserver refuses three bad settings (-rounds -3, -sample NaN, a top-k
+# -codec) by exiting non-zero with the field and its flag named on
+# stderr, then runs the server (with its write-ahead log and metrics
+# endpoint) and both clients on their default flags for two rounds, in a
+# temporary directory.
 # It fails unless each refusal names its field and flag, flserver exits 0
 # having written the final model and both clients exit 0.
 #
@@ -20,9 +21,9 @@ cd "$work"
 addr=127.0.0.1:28443
 limit=300s
 bin/provision -clients site-a,site-b >provision.log
-# A bad round setting is refused before the server listens, naming the
-# field and the flag.
-for bad in "-rounds -3:Rounds" "-sample NaN:SampleFraction"; do
+# A bad setting is refused before the server listens, naming the field
+# and the flag.
+for bad in "-rounds -3:Rounds" "-sample NaN:SampleFraction" "-codec topk:Codec"; do
 	flags=${bad%:*} field=${bad##*:}
 	if timeout 60s bin/flserver -kit kits/server -addr "$addr" $flags >/dev/null 2>refused.log; then
 		echo "quickstart: FAIL (flserver $flags exited 0)" >&2
