@@ -549,6 +549,37 @@ func TestServerRejectsTopKUplinkByDefault(t *testing.T) {
 	}
 }
 
+// TestNewServerRefusesTopKDownlink: a top-k task payload would zero most of
+// the model every client starts from, so NewServer refuses a top-k Codec
+// by name, whatever its fraction, and still accepts the dense codecs.
+func TestNewServerRefusesTopKDownlink(t *testing.T) {
+	proj := testProject(t, "c1")
+	for _, codec := range []string{"topk", "topk:0.5", "topk:1"} {
+		network := transport.NewMemNetwork()
+		_, err := NewServer(ServerConfig{
+			ExpectedClients: 1, VerifyToken: proj.VerifyToken, Codec: codec, Logf: quietLogf,
+			Listener: network,
+		}, proj.ServerKit)
+		network.Close()
+		if err == nil || !strings.Contains(err.Error(), "Codec") {
+			t.Errorf("Codec %q: NewServer err = %v, want a refusal naming Codec", codec, err)
+		}
+	}
+	for _, codec := range []string{"", "raw", "f32", "int8"} {
+		network := transport.NewMemNetwork()
+		srv, err := NewServer(ServerConfig{
+			ExpectedClients: 1, VerifyToken: proj.VerifyToken, Codec: codec, Logf: quietLogf,
+			Listener: network,
+		}, proj.ServerKit)
+		if err != nil {
+			t.Errorf("Codec %q: NewServer: %v", codec, err)
+		} else {
+			srv.Close()
+		}
+		network.Close()
+	}
+}
+
 // TestServerTrustsTaskRecordOverWireRound: a tasked client replying with a
 // bogus wire round number must still release its pending slot and count as
 // an in-round participant; with no RoundDeadline the old msg.Round-based
