@@ -89,6 +89,7 @@ func TestRefusalsNameTheFlag(t *testing.T) {
 		{fl.ServerConfig{Reconcile: &fl.ReconcilePolicy{QuarantineAfter: 2}}, []string{"Reconcile", "-quarantine-after", "-deadline"}},
 		{fl.ServerConfig{Reconcile: &fl.ReconcilePolicy{QuarantineAfter: -1}, RoundDeadline: time.Second}, []string{"QuarantineAfter", "-quarantine-after"}},
 		{fl.ServerConfig{Codec: "topk"}, []string{"Codec", "-codec"}},
+		{fl.ServerConfig{Codec: "bogus"}, []string{"Codec", "-codec"}},
 	} {
 		tc.cfg.ExpectedClients, tc.cfg.Listener = 2, transport.NewMemNetwork()
 		tc.cfg.VerifyToken = func(string, string) bool { return true }

@@ -16,6 +16,7 @@ import (
 	"clinfl/internal/fl/hier"
 	"clinfl/internal/sched"
 	"clinfl/internal/tensor"
+	"clinfl/internal/transport"
 )
 
 // ClientUpdate is one client's contribution for a round.
@@ -50,6 +51,19 @@ type ClientUpdate struct {
 	// decode, once the params have matched the round's global model.
 	payload []byte
 	params  []paramCheck
+	// msg is the message whose frame payload aliases, handed back to the
+	// transport by release; nil when nothing is to be handed back.
+	msg *transport.Message
+}
+
+// release hands the frame of a wire-backed update's payload back to the
+// transport, at the payload's last read: the update reads no payload
+// afterwards.
+func (u *ClientUpdate) release() {
+	if u.msg != nil {
+		u.msg.Release()
+		u.msg, u.payload, u.params = nil, nil, nil
+	}
 }
 
 // wire reports whether the update is wire-backed.
@@ -84,6 +98,9 @@ type Aggregator interface {
 	// global values. An update a Server received may be wire-backed: its
 	// Weights are nil and FedAvg and MeanAggregator fold its payload, so an
 	// Aggregator that wraps one of them passes its updates on unchanged.
+	// Such a payload is valid only during Aggregate: the Server recycles
+	// the frame it arrived in once Aggregate returns, so an Aggregator
+	// keeps no update past its call.
 	Aggregate(updates []*ClientUpdate) (map[string]*tensor.Matrix, error)
 	// Name identifies the strategy in logs and experiment records.
 	Name() string

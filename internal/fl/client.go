@@ -60,7 +60,10 @@ type Client struct {
 	// last is a site's last decoded task model, whose matrices the next
 	// task is decoded into. An Edge leaves it nil: its shard round keeps
 	// the model it is handed, so each task decodes into fresh matrices.
-	last  map[string]*tensor.Matrix
+	last map[string]*tensor.Matrix
+	// reply is a site's last uplink payload, whose buffer the next one is
+	// encoded into: Write is done with a payload when it returns.
+	reply []byte
 	codec WeightCodec // requested uplink codec; re-resolved after the ack
 	// session is the server-issued session token, presented on
 	// re-registration to resume.
@@ -89,7 +92,7 @@ func newClient(cfg ClientConfig, kit *provision.StartupKit) (*Client, error) {
 	}
 	codec, err := CodecByName(cfg.Codec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fl: Codec %q is not an uplink codec: raw, f32, int8 or topk[:fraction], a fraction in (0, 1]", cfg.Codec)
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
@@ -213,16 +216,17 @@ func (c *Client) Run() (map[string]*tensor.Matrix, error) {
 // or ±Inf are refused: a lossy codec can turn them into finite codes (int8
 // sends a NaN as 0), and the server would then average a diverged model it
 // cannot recognise. The encode pass checks each row as it encodes it, so
-// the trained weights are read once.
+// the trained weights are read once, into the last reply's buffer.
 func (c *Client) train(task *transport.Message, global map[string]*tensor.Matrix) ([]byte, int, float64, error) {
 	update, err := c.exec.ExecuteRound(task.Round, global)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	blob, bad, err := encodeChecked(c.codec, update.Weights)
+	blob, bad, err := encodeChecked(c.codec, c.reply, update.Weights)
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	c.reply = blob
 	if bad != "" {
 		return nil, 0, 0, fmt.Errorf("trained param %q has a non-finite value", bad)
 	}
@@ -230,12 +234,15 @@ func (c *Client) train(task *transport.Message, global map[string]*tensor.Matrix
 }
 
 // decodeTask decodes a task's model: a site's into its last task's
-// matrices, an Edge's into fresh ones.
-func (c *Client) decodeTask(blob []byte) (map[string]*tensor.Matrix, error) {
+// matrices, after which the task's frame goes back to the transport, and
+// an Edge's into fresh ones. An Edge keeps the frame: it forwards the
+// task's payload to its shard verbatim.
+func (c *Client) decodeTask(task *transport.Message) (map[string]*tensor.Matrix, error) {
 	if c.last == nil {
-		return DecodeWeights(blob)
+		return DecodeWeights(task.Payload)
 	}
-	global, err := decodeInto(blob, c.last)
+	global, err := decodeInto(task.Payload, c.last)
+	task.Release()
 	if err == nil {
 		c.last = global
 	}
@@ -266,7 +273,7 @@ func (c *Client) run() (*transport.Message, error) {
 		}
 		switch msg.Type {
 		case transport.MsgTask:
-			global, err := c.decodeTask(msg.Payload)
+			global, err := c.decodeTask(msg)
 			if err != nil {
 				// A payload that framed but does not decode is treated
 				// like a damaged frame: reconnect and let the server

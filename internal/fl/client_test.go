@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"errors"
 	"maps"
 	"math"
@@ -16,28 +17,34 @@ import (
 
 // TestEncodeCheckedNamesFirstBadParam: the encode pass names the first
 // param in name order holding a NaN or ±Inf, whatever row it sits in, and
-// writes the same bytes as Encode.
+// writes the same bytes as Encode, also into a reused buffer that holds
+// another payload.
 func TestEncodeCheckedNamesFirstBadParam(t *testing.T) {
 	weights := codecTestWeights(3)
 	weights["out.w"].Set(31, 1, math.Inf(-1)) // last row of the last param
 	weights["enc.w"].Set(9, 4, math.NaN())    // a middle row
 	for _, codec := range []WeightCodec{RawCodec{}, Float32Codec{}, Int8Codec{}, TopKCodec{Fraction: 0.25}} {
-		blob, bad, err := encodeChecked(codec, weights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bad != "enc.w" {
-			t.Errorf("%s: first bad param %q, want enc.w", codec.Name(), bad)
-		}
 		want, err := codec.Encode(weights)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slices.Equal(blob, want) {
-			t.Errorf("%s: checked encode wrote other bytes than Encode", codec.Name())
+		for _, dst := range [][]byte{nil, bytes.Repeat([]byte{0xAB}, 2*len(want))} {
+			blob, bad, err := encodeChecked(codec, dst, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bad != "enc.w" {
+				t.Errorf("%s: first bad param %q, want enc.w", codec.Name(), bad)
+			}
+			if !slices.Equal(blob, want) {
+				t.Errorf("%s: checked encode into a %d-byte buffer wrote other bytes than Encode", codec.Name(), len(dst))
+			}
+			if dst != nil && &blob[0] != &dst[0] {
+				t.Errorf("%s: checked encode did not reuse a buffer that holds the payload", codec.Name())
+			}
 		}
 	}
-	if _, bad, _ := encodeChecked(Int8Codec{}, codecTestWeights(3)); bad != "" {
+	if _, bad, _ := encodeChecked(Int8Codec{}, nil, codecTestWeights(3)); bad != "" {
 		t.Errorf("finite weights reported bad param %q", bad)
 	}
 }
@@ -232,6 +239,19 @@ func TestClientRunFinalDoesNotAliasTasks(t *testing.T) {
 		}
 		if diff := firstBitDiff(finals[i], res.FinalWeights); diff != "" {
 			t.Errorf("%s: final model differs from the server's: %s", exec.name, diff)
+		}
+	}
+}
+
+// TestNewClientRefusalNamesCodec: an uplink codec the client cannot
+// resolve is refused by field and direction, with the uplink list.
+func TestNewClientRefusalNamesCodec(t *testing.T) {
+	for _, name := range []string{"bogus", "topk:2"} {
+		_, err := NewClient(ClientConfig{Codec: name}, &provision.StartupKit{Role: provision.RoleClient, Name: "c1"},
+			&fixedExecutor{name: "c1"})
+		want := `fl: Codec "` + name + `" is not an uplink codec: raw, f32, int8 or topk[:fraction], a fraction in (0, 1]`
+		if err == nil || err.Error() != want {
+			t.Errorf("Codec %q refused with %v, want %s", name, err, want)
 		}
 	}
 }

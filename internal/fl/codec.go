@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"clinfl/internal/sched"
 	"clinfl/internal/tensor"
 	"clinfl/internal/wire"
 )
@@ -143,14 +144,16 @@ func decodeInto(blob []byte, prev map[string]*tensor.Matrix) (map[string]*tensor
 	return weights, nil
 }
 
-// encodeChecked is codec.Encode that also names the first param, in name
-// order, holding a NaN or ±Inf ("" when none), found in the same pass.
-func encodeChecked(codec WeightCodec, weights map[string]*tensor.Matrix) ([]byte, string, error) {
+// encodeChecked is codec.Encode into dst's backing array when that holds
+// the payload (pass the last payload to reuse it, or nil). It also names
+// the first param, in name order, holding a NaN or ±Inf ("" when none),
+// found in the same pass.
+func encodeChecked(codec WeightCodec, dst []byte, weights map[string]*tensor.Matrix) ([]byte, string, error) {
 	f, err := codec.frame()
 	if err != nil {
 		return nil, "", err
 	}
-	blob, bad := f.encode(weights)
+	blob, bad := f.encode(dst, weights)
 	return blob, bad, nil
 }
 
@@ -162,10 +165,10 @@ var (
 
 // checkValues is the accept step's value check of a decoded param.
 func checkValues(d []float64) error {
-	switch {
-	case !tensor.AllFinite(d):
+	switch m, finite := tensor.MaxAbsFinite(d); {
+	case !finite:
 		return errNonFinite
-	case tensor.MaxAbs(d) >= maxMagnitude:
+	case m >= maxMagnitude:
 		return errTooLarge
 	}
 	return nil
@@ -207,34 +210,68 @@ func frameOf(blob []byte) frame {
 	return rawFrame
 }
 
-// encode sizes the payload exactly and appends it into one slice. It also
-// names the first param, in name order, holding a NaN or ±Inf ("" when
-// none): the bodies check each value as they encode it.
-func (f frame) encode(weights map[string]*tensor.Matrix) ([]byte, string) {
+// encode writes the payload of weights into dst's backing array when that
+// holds it, else into a new one. It also names the first param, in name
+// order, holding a NaN or ±Inf ("" when none): the bodies check each value
+// as they encode it. Every param's body slot is sized exactly and the
+// headers between them written first, so the bodies are then put on the
+// shared pool, each into its own slot: the bytes do not depend on the pool
+// width.
+func (f frame) encode(dst []byte, weights map[string]*tensor.Matrix) ([]byte, string) {
 	names := slices.Sorted(maps.Keys(weights))
+	n := len(names)
+	j := &encodeJob{body: f.body, ms: make([]*tensor.Matrix, n), slots: make([][]byte, n), finite: make([]bool, n)}
 	dim := 4
 	if f.wide {
 		dim = 8
 	}
-	size := len(f.magic) + dim
-	for _, name := range names {
-		size += 4 + len(name) + 2*dim + f.body.size(weights[name])
+	size, elems := len(f.magic)+dim, 0
+	for i, name := range names {
+		j.ms[i] = weights[name]
+		size += 4 + len(name) + 2*dim + f.body.size(j.ms[i])
+		elems += len(j.ms[i].Data())
 	}
-	dst := make([]byte, 0, size)
-	dst = append(dst, f.magic...)
-	dst = f.appendDim(dst, len(names))
-	bad := ""
-	for _, name := range names {
-		m := weights[name]
+	if cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
+	dst = append(dst[:0], f.magic...)
+	dst = f.appendDim(dst, n)
+	for i, name := range names {
+		m := j.ms[i]
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(name)))
 		dst = append(dst, name...)
 		dst = f.appendDim(f.appendDim(dst, m.Rows()), m.Cols())
-		var finite bool
-		if dst, finite = f.body.put(dst, m); !finite && bad == "" {
-			bad = name
+		end := len(dst) + f.body.size(m)
+		j.slots[i] = dst[len(dst):len(dst):end]
+		dst = dst[:end]
+	}
+	// A few flops per element: the check, and a scale, divide and round.
+	sched.Default().ParallelFor(n, 4*elems/max(n, 1), j)
+	for i, ok := range j.finite {
+		if !ok {
+			return dst, names[i]
 		}
 	}
-	return dst, bad
+	return dst, ""
+}
+
+// encodeJob puts a payload's bodies on the pool: item i is param i.
+type encodeJob struct {
+	body   body
+	ms     []*tensor.Matrix
+	slots  [][]byte // param i's body: empty, with its exact size as capacity
+	finite []bool
+}
+
+// Run puts the bodies of params [lo, hi), each into its slot.
+func (j *encodeJob) Run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b, ok := j.body.put(j.slots[i], j.ms[i])
+		if len(b) != cap(j.slots[i]) {
+			panic(fmt.Sprintf("fl: encode: a %d-byte body in a %d-byte slot", len(b), cap(j.slots[i])))
+		}
+		j.finite[i] = ok
+	}
 }
 
 func (f frame) appendDim(dst []byte, v int) []byte {
@@ -418,7 +455,7 @@ func (RawCodec) Name() string { return "raw" }
 
 // Encode implements WeightCodec.
 func (c RawCodec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	blob, _, err := encodeChecked(c, weights)
+	blob, _, err := encodeChecked(c, nil, weights)
 	return blob, err
 }
 
@@ -486,7 +523,7 @@ func (Float32Codec) Name() string { return "f32" }
 
 // Encode implements WeightCodec.
 func (c Float32Codec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	blob, _, err := encodeChecked(c, weights)
+	blob, _, err := encodeChecked(c, nil, weights)
 	return blob, err
 }
 
@@ -552,7 +589,7 @@ func (Int8Codec) Name() string { return "int8" }
 
 // Encode implements WeightCodec.
 func (c Int8Codec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	blob, _, err := encodeChecked(c, weights)
+	blob, _, err := encodeChecked(c, nil, weights)
 	return blob, err
 }
 
@@ -568,11 +605,12 @@ func (Int8Codec) size(m *tensor.Matrix) int { return m.Rows() * (4 + m.Cols()) }
 func (Int8Codec) put(dst []byte, m *tensor.Matrix) ([]byte, bool) {
 	finite := true
 	for r := 0; r < m.Rows(); r++ {
+		// One pass reads the row for its check and its scale. The scale is
+		// MaxAbsFinite's, not the builtin max: a NaN must not become it.
 		row := m.Row(r)
-		finite = finite && tensor.AllFinite(row)
-		// MaxAbs, not the builtin max: a NaN must not become the row's
-		// scale.
-		scale := tensor.MaxAbs(row) / 127
+		mx, ok := tensor.MaxAbsFinite(row)
+		finite = finite && ok
+		scale := mx / 127
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(scale)))
 		n := len(dst)
 		dst = append(dst, make([]byte, len(row))...)
@@ -641,7 +679,7 @@ func (c TopKCodec) Name() string { return "topk:" + strconv.FormatFloat(c.Fracti
 
 // Encode implements WeightCodec.
 func (c TopKCodec) Encode(weights map[string]*tensor.Matrix) ([]byte, error) {
-	blob, _, err := encodeChecked(c, weights)
+	blob, _, err := encodeChecked(c, nil, weights)
 	return blob, err
 }
 

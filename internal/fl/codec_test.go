@@ -5,8 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -461,6 +463,44 @@ func TestCodecPayloadsPinned(t *testing.T) {
 		sum := sha256.Sum256(blob)
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("%s payload sha256 %s (%d bytes), want %s", tc.codec.Name(), got, len(blob), tc.want)
+		}
+	}
+}
+
+// TestEncodeOnPoolMatchesParamByParam: fanin16's model is large enough for
+// the pool to put its bodies concurrently. Every codec must still write the
+// bytes of its params encoded one at a time, which never forks, and name
+// the same first bad param.
+func TestEncodeOnPoolMatchesParamByParam(t *testing.T) {
+	global, _ := faninPayloads(t)
+	global["lstm.lstm.layer2.wh"].Set(7, 9, math.NaN())
+	global["lstm.lstm.layer0.wh"].Set(127, 511, math.Inf(1))
+	for _, codec := range []WeightCodec{RawCodec{}, Float32Codec{}, Int8Codec{}, TopKCodec{Fraction: 0.01}} {
+		f, err := codec.frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		head := len(f.magic) + 4
+		if f.wide {
+			head = len(f.magic) + 8
+		}
+		want := f.appendDim([]byte(f.magic), len(global))
+		for _, name := range slices.Sorted(maps.Keys(global)) {
+			one, err := codec.Encode(map[string]*tensor.Matrix{name: global[name]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, one[head:]...)
+		}
+		got, bad, err := encodeChecked(codec, nil, global)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: the pooled encode differs from the params encoded one at a time", codec.Name())
+		}
+		if bad != "lstm.lstm.layer0.wh" {
+			t.Errorf("%s: first bad param %q, want lstm.lstm.layer0.wh", codec.Name(), bad)
 		}
 	}
 }

@@ -70,7 +70,9 @@ type Options struct {
 	// record is written to the file. The record is not necessarily
 	// durable yet — it becomes so at the next Sync, durable append, or
 	// Close. The crash-restart soak harness uses the hook to kill the
-	// run at an exact, reproducible point in the record stream.
+	// run at an exact, reproducible point in the record stream. The
+	// record's slices are the caller's and valid only during the call: an
+	// update's payload may alias a wire frame the Server recycles.
 	OnAppend func(total int64, rec *Record)
 }
 

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -115,10 +116,10 @@ func TestSparseUplinkClaimAllocatesNothing(t *testing.T) {
 	}
 }
 
-// faninPayloads returns fanin16's round: the 417k-parameter LSTM that
+// faninWeights returns fanin16's model: the 417k-parameter LSTM that
 // fanin16_tls sends (vocab 172, max length 24, 2 classes) as the global,
-// and 16 int8 uplinks of perturbed copies of it.
-func faninPayloads(tb testing.TB) (map[string]*tensor.Matrix, [][]byte) {
+// and n perturbed copies of it, one per site.
+func faninWeights(tb testing.TB, n int) (map[string]*tensor.Matrix, []map[string]*tensor.Matrix) {
 	tb.Helper()
 	mdl, err := model.New(model.SpecLSTM, 172, 24, 2, 1)
 	if err != nil {
@@ -128,17 +129,29 @@ func faninPayloads(tb testing.TB) (map[string]*tensor.Matrix, [][]byte) {
 	for _, p := range mdl.Params() {
 		global[p.Name] = p.W.Clone()
 	}
-	payloads := make([][]byte, 16)
-	for i := range payloads {
+	sites := make([]map[string]*tensor.Matrix, n)
+	for i := range sites {
 		rng := tensor.NewRNG(int64(i) + 1)
-		weights := make(map[string]*tensor.Matrix, len(global))
+		sites[i] = make(map[string]*tensor.Matrix, len(global))
 		for _, p := range mdl.Params() { // in order: the noise stream is shared
 			w := p.W.Clone()
 			if err := w.AddScaledInPlace(1, rng.Normal(w.Rows(), w.Cols(), 0, 0.01)); err != nil {
 				tb.Fatal(err)
 			}
-			weights[p.Name] = w
+			sites[i][p.Name] = w
 		}
+	}
+	return global, sites
+}
+
+// faninPayloads returns fanin16's round: its global and 16 int8 uplinks
+// of the sites' copies.
+func faninPayloads(tb testing.TB) (map[string]*tensor.Matrix, [][]byte) {
+	tb.Helper()
+	global, sites := faninWeights(tb, 16)
+	payloads := make([][]byte, len(sites))
+	for i, weights := range sites {
+		var err error
 		if payloads[i], err = (Int8Codec{}).Encode(weights); err != nil {
 			tb.Fatal(err)
 		}
@@ -190,6 +203,107 @@ func TestWireFoldAllocatesOneModel(t *testing.T) {
 	if diff := firstBitDiff(next, want); diff != "" {
 		t.Errorf("wire fold differs from FedAvg over decoded maps: %s", diff)
 	}
+}
+
+// fixedExecutor returns the same weights every round, so a round costs
+// only the wire path.
+type fixedExecutor struct {
+	name    string
+	weights map[string]*tensor.Matrix
+	samples int
+}
+
+func (e *fixedExecutor) Name() string    { return e.name }
+func (e *fixedExecutor) NumSamples() int { return e.samples }
+func (e *fixedExecutor) ExecuteRound(round int, _ map[string]*tensor.Matrix) (*ClientUpdate, error) {
+	return &ClientUpdate{ClientName: e.name, Round: round, Weights: e.weights, NumSamples: e.samples, TrainLoss: 0.5}, nil
+}
+
+// TestFaninRoundRecyclesWireBuffers runs an int8 MemNetwork federation of 8
+// sites on fanin16's model. Once warm, a round — the task encode, its 8
+// frames and decodes, 8 uplink encodes, their frames and the fold —
+// allocates under one float64 model (the round's sum) plus two payloads:
+// every frame and encode buffer is a recycled one. The final model is
+// FedAvg over the decoded uplinks, bit for bit, so a payload read after
+// its frame's release (poisoned under -tags arenapoison) fails here.
+func TestFaninRoundRecyclesWireBuffers(t *testing.T) {
+	const sites, rounds, warm = 8, 12, 4
+	global, weights := faninWeights(t, sites)
+	network := transport.NewMemNetwork()
+	defer network.Close()
+	var allocs []uint64 // after each round
+	srv, err := NewServer(ServerConfig{
+		ExpectedClients: sites, Rounds: rounds, MinClients: sites, RegisterTimeout: 10 * time.Second,
+		Codec: "int8", VerifyToken: tokenFor, Logf: quietLogf, Listener: network,
+		Validate: func(map[string]*tensor.Matrix) (float64, error) {
+			allocs = append(allocs, totalAlloc())
+			return 0, nil
+		},
+	}, &provision.StartupKit{Role: provision.RoleServer, Name: "server"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var wg sync.WaitGroup
+	decoded := make([]*ClientUpdate, sites)
+	for i := range sites {
+		exec := &fixedExecutor{name: fmt.Sprintf("site-%d", i), weights: weights[i], samples: 10 + i}
+		cl, err := NewClient(ClientConfig{Codec: "int8", Logf: quietLogf, Dialer: memDialer(network, exec.name)},
+			&provision.StartupKit{Role: provision.RoleClient, Name: exec.name, Token: "tok-" + exec.name}, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := cl.Run(); err != nil {
+				t.Errorf("client %s: %v", exec.name, err)
+			}
+		}()
+		seen, err := Int8Codec{}.Decode(mustEncode(t, Int8Codec{}, weights[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded[i] = &ClientUpdate{ClientName: exec.name, Weights: seen, NumSamples: exec.samples}
+	}
+	res, err := srv.Run(global)
+	srv.Close()
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := FedAvg{}.Aggregate(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff := firstBitDiff(res.FinalWeights, want); diff != "" {
+		t.Errorf("final model differs from FedAvg over the decoded uplinks: %s", diff)
+	}
+	var modelBytes uint64
+	for _, m := range global {
+		modelBytes += 8 * uint64(len(m.Data()))
+	}
+	payloadBytes := uint64(len(mustEncode(t, Int8Codec{}, global)))
+	perRound := (allocs[rounds-1] - allocs[warm-1]) / (rounds - warm)
+	bound := modelBytes + 2*payloadBytes
+	t.Logf("a warm round allocated %d bytes; one model is %d, one payload %d", perRound, modelBytes, payloadBytes)
+	switch {
+	case raceEnabled:
+		t.Log("allocation bound not checked: the race detector's pool drops recycled frames")
+	case perRound >= bound:
+		t.Errorf("a warm round allocated %d bytes, want under %d (one model and two payloads)", perRound, bound)
+	}
+}
+
+// mustEncode is codec.Encode that fails the test on an error.
+func mustEncode(t *testing.T, codec WeightCodec, weights map[string]*tensor.Matrix) []byte {
+	t.Helper()
+	blob, err := codec.Encode(weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 // firstBitDiff describes the first element where two models' bits differ

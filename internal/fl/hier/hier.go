@@ -455,10 +455,13 @@ func (p *Partial) collect(u Update) ([][]float64, error) {
 		case m.Rows() != ps.rows || m.Cols() != ps.cols:
 			err = fmt.Errorf("hier: client %q param %q is %dx%d, want %dx%d",
 				u.ClientName, ps.name, m.Rows(), m.Cols(), ps.rows, ps.cols)
-		case !tensor.AllFinite(m.Data()):
-			err = fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, ps.name)
-		case tensor.MaxAbs(m.Data()) >= maxMagnitude:
-			err = fmt.Errorf("hier: client %q param %q has a value of magnitude at least 2^980", u.ClientName, ps.name)
+		default:
+			switch mx, finite := tensor.MaxAbsFinite(m.Data()); {
+			case !finite:
+				err = fmt.Errorf("hier: client %q param %q has non-finite value", u.ClientName, ps.name)
+			case mx >= maxMagnitude:
+				err = fmt.Errorf("hier: client %q param %q has a value of magnitude at least 2^980", u.ClientName, ps.name)
+			}
 		}
 		if err != nil {
 			clear(data)

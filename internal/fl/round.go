@@ -1010,6 +1010,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 				g.late = append(g.late, ev.update)
 			} else {
 				g.rec.LateDropped = append(g.rec.LateDropped, name)
+				ev.update.release()
 			}
 			return nil
 		}
@@ -1021,6 +1022,7 @@ func (g *gather) handle(ev event, now time.Time) error {
 			err = e.sink.accept(ev.id, ev.update)
 		}
 		if err != nil {
+			ev.update.release()
 			return g.failed(ev.id, true, "reject", err, now)
 		}
 		g.accepted(ev.update)
@@ -1347,6 +1349,9 @@ func (s *flatSink) accept(_ int, u *ClientUpdate) error {
 
 func (s *flatSink) finalize(round int, _ map[string]*tensor.Matrix, late []*ClientUpdate, rec *RoundRecord) (map[string]*tensor.Matrix, error) {
 	next, err := finalizeRound(s.agg, s.async, s.updates, late, round, rec)
+	for _, u := range s.updates {
+		u.release() // the fold was each payload's last read
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1400,6 +1405,7 @@ func finalizeRound(agg Aggregator, async AsyncAggregator,
 		if err == nil {
 			err = lu.decode()
 		}
+		lu.release()
 		if err != nil {
 			rec.Failures = append(rec.Failures, fmt.Sprintf("%s: late update: %v", lu.ClientName, err))
 			continue

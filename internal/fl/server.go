@@ -180,7 +180,7 @@ type Server struct {
 	inbox     chan inboxMsg
 	source[inboxMsg]
 	// round / blob are the task the engine's current round hands out: the
-	// global model, encoded once per round.
+	// global model, encoded once per round into the same buffer.
 	round int
 	blob  []byte
 	// rosterClosed is set when registration ends: from then on only a
@@ -239,7 +239,7 @@ func NewServer(cfg ServerConfig, kit *provision.StartupKit) (*Server, error) {
 	}
 	downCodec, err := CodecByName(cfg.Codec)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fl: Codec %q is not a downlink codec: raw, f32 or int8", cfg.Codec)
 	}
 	if _, topK := downCodec.(TopKCodec); topK {
 		return nil, fmt.Errorf("fl: Codec %q is top-k, which would zero most of every task's model and of the final one; use raw, f32 or int8", cfg.Codec)
@@ -564,9 +564,11 @@ func (s *Server) Run(initialWeights map[string]*tensor.Matrix) (*Result, error) 
 	return res, nil
 }
 
-// begin implements backend: the round's task payload is encoded once.
+// begin implements backend: the round's task payload is encoded once, on
+// the shared pool, which is idle between rounds, into the last round's
+// buffer: every task Write of that round has returned.
 func (s *Server) begin(round int, global map[string]*tensor.Matrix) error {
-	blob, err := s.downCodec.Encode(global)
+	blob, _, err := encodeChecked(s.downCodec, s.blob, global)
 	s.round, s.blob = round, blob
 	return err
 }
@@ -722,7 +724,7 @@ func (s *Server) handleReply(name string, msg *transport.Message) (*ClientUpdate
 		ClientName: name, Round: msg.Round,
 		NumSamples: msg.NumSamples, TrainLoss: loss,
 		PayloadBytes: len(msg.Payload),
-		payload:      msg.Payload, params: params,
+		payload:      msg.Payload, params: params, msg: msg,
 	}, nil
 }
 

@@ -121,7 +121,9 @@ func (t *tierSink) accept(id int, u *ClientUpdate) error {
 		t.partials++
 		return nil
 	}
-	if err := u.decode(); err != nil {
+	err := u.decode()
+	u.release()
+	if err != nil {
 		return err
 	}
 	return p.Fold(hier.Update{ClientName: u.ClientName, Weights: u.Weights, NumSamples: u.NumSamples, TrainLoss: u.TrainLoss})

@@ -187,8 +187,8 @@ func TestSIMDKernelsMatchGo(t *testing.T) {
 			x[i] = 1
 		}
 		x[lane], x[lane+8], x[lane+16] = 8, math.NaN(), 2
-		if got := maxAbsAVX2(x); got != 8 {
-			t.Errorf("maxAbs restarted after a NaN in lane %d: %v, want 8", lane, got)
+		if got, finite := maxAbsFiniteAVX2(x); got != 8 || finite {
+			t.Errorf("maxAbsFinite restarted after a NaN in lane %d: %v, %v; want 8, false", lane, got, finite)
 		}
 	}
 	for _, seed := range []int64{25, 26, 27} {
@@ -233,10 +233,8 @@ func checkQuant(t *testing.T, pool []float64, n, off int, extra float64) {
 		return s
 	}
 	x := draw(0)
-	m := maxAbsGo(x, 0)
-	if got := maxAbsAVX2(x); math.Float64bits(got) != math.Float64bits(m) {
-		t.Fatalf("maxAbs n=%d off=%d: %v, Go reference %v", n, off, got, m)
-	}
+	m := maxAbsGo(x)
+	checkMaxAbsFinite(t, x, n, off)
 	// The codec's scale, one that rounds to float32 zero, a float64 and a
 	// float32 subnormal, the two grids of quantPool, the float32 maximum
 	// and the non-finite ones.
@@ -276,13 +274,15 @@ func checkQuant(t *testing.T, pool []float64, n, off int, extra float64) {
 			t.Fatalf("allFinite n=%d off=%d: %v, Go reference %v", n, off, got, want)
 		}
 	}
+	checkMaxAbsFinite(t, finite, n, off)
 	for i := range finite {
-		for _, bad := range []float64{math.NaN(), math.Inf(-1)} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			keep := finite[i]
 			finite[i] = bad
 			if allFiniteAVX2(finite) {
 				t.Fatalf("allFinite n=%d off=%d: missed %v at %d", n, off, bad, i)
 			}
+			checkMaxAbsFinite(t, finite, n, off)
 			finite[i] = keep
 		}
 	}
@@ -321,6 +321,33 @@ func checkQuant(t *testing.T, pool []float64, n, off int, extra float64) {
 	}
 }
 
+// maxAbsGo is the two-pass reference of MaxAbsFinite's max: the largest
+// |x[i]|, NaNs skipped, 0 for an empty x.
+func maxAbsGo(x []float64) float64 {
+	m := 0.0
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// checkMaxAbsFinite compares the fused kernel, and its one-pass Go
+// reference, with maxAbsGo and allFiniteGo, bit for bit.
+func checkMaxAbsFinite(t *testing.T, x []float64, n, off int) {
+	t.Helper()
+	m, finite := maxAbsGo(x), allFiniteGo(x)
+	for name, f := range map[string]func([]float64) (float64, bool){
+		"maxAbsFiniteAVX2": maxAbsFiniteAVX2,
+		"maxAbsFiniteGo":   func(x []float64) (float64, bool) { return maxAbsFiniteGo(x, 0) },
+	} {
+		if got, ok := f(x); math.Float64bits(got) != math.Float64bits(m) || ok != finite {
+			t.Fatalf("%s n=%d off=%d: %v, %v; two-pass reference %v, %v", name, n, off, got, ok, m, finite)
+		}
+	}
+}
+
 // TestSIMDWrappersRejectShortOperands pins the memory-safety boundary: an
 // operand shorter than the shape needs panics with a Go bounds error in the
 // wrapper, even when spare capacity would let the assembly read on.
@@ -354,6 +381,21 @@ func TestSIMDWrappersRejectShortOperands(t *testing.T) {
 			}()
 			call()
 		}()
+	}
+	// MaxAbsFinite has one operand, so it cannot be short; its boundary is
+	// that nothing past len(x) is read, however much capacity follows.
+	for m := range 13 {
+		x := make([]float64, m, m+64)
+		for i := range x {
+			x[i] = float64(i)
+		}
+		spare := x[m : m+64]
+		for i := range spare {
+			spare[i] = []float64{math.NaN(), math.Inf(1), 1e300}[i%3]
+		}
+		if got, finite := maxAbsFiniteAVX2(x); got != max(float64(m)-1, 0) || !finite {
+			t.Errorf("maxAbsFinite over %d elements read past them: %v, %v", m, got, finite)
+		}
 	}
 }
 

@@ -11,11 +11,12 @@ import "math"
 // bits, NaN, ±Inf, ±0 and subnormal inputs included (DESIGN.md "Codec and
 // FedAvg kernels" gives the rules that make each one exact).
 
-// MaxAbs returns the largest |x[i]|, or 0 for an empty x. A NaN element
-// never becomes the maximum: it fails the a > max test like any other
+// MaxAbsFinite returns the largest |x[i]| (0 for an empty x) and whether
+// no element is NaN or ±Inf, in one pass over x. A NaN element never
+// becomes the maximum: it fails the a > max test like any other
 // comparison, so a row with one NaN still gets the scale of its finite
 // elements.
-func MaxAbs(x []float64) float64 { return maxAbs(x) }
+func MaxAbsFinite(x []float64) (float64, bool) { return maxAbsFinite(x) }
 
 // QuantizeInt8 writes byte(int8(clamp(round(x[i]/s), ±127))) to dst[i],
 // with round half away from zero (math.Round). A NaN quotient encodes as
@@ -39,14 +40,17 @@ func AddScaled(o, b []float64, c float64) { addScaled(o, b, c) }
 // with no row in between. q must hold len(o) bytes.
 func AddScaledInt8(o []float64, q []byte, scale, c float64) { addScaledInt8(o, q, scale, c) }
 
-// maxAbsGo is the reference MaxAbs, starting from m (0 for a whole row).
-func maxAbsGo(x []float64, m float64) float64 {
+// maxAbsFiniteGo is the reference MaxAbsFinite, its max starting from m
+// (0 for a whole row).
+func maxAbsFiniteGo(x []float64, m float64) (float64, bool) {
+	finite := true
 	for _, v := range x {
 		if a := math.Abs(v); a > m {
 			m = a
 		}
+		finite = finite && math.Float64bits(v)&expMask != expMask
 	}
-	return m
+	return m, finite
 }
 
 // quantizeGo is the reference QuantizeInt8.

@@ -4,11 +4,11 @@ package tensor
 // assembly takes the first len%4 == 0 elements; the wrappers reslice every
 // operand with exact first and run the tail through the Go reference.
 
-func maxAbs(x []float64) float64 {
+func maxAbsFinite(x []float64) (float64, bool) {
 	if useAVX2 {
-		return maxAbsAVX2(x)
+		return maxAbsFiniteAVX2(x)
 	}
-	return maxAbsGo(x, 0)
+	return maxAbsFiniteGo(x, 0)
 }
 
 func quantize(dst []byte, x []float64, s float64) {
@@ -50,12 +50,14 @@ func addScaledInt8(o []float64, q []byte, scale, c float64) {
 	addScaledInt8Go(o, q, scale, c)
 }
 
-// maxAbsAVX2 computes exactly what maxAbsGo(x, 0) computes. Every |x[i]|
-// is non-negative and a NaN never wins, so the maximum does not depend on
-// the order the lanes visit the elements in.
-func maxAbsAVX2(x []float64) float64 {
+// maxAbsFiniteAVX2 computes exactly what maxAbsFiniteGo(x, 0) computes.
+// Every |x[i]| is non-negative and a NaN never wins, so the maximum does
+// not depend on the order the lanes visit the elements in.
+func maxAbsFiniteAVX2(x []float64) (float64, bool) {
 	n4 := len(x) &^ 3
-	return maxAbsGo(x[n4:], maxAbsAsm(x[:n4]))
+	m, finite := maxAbsFiniteAsm(x[:n4])
+	m, tail := maxAbsFiniteGo(x[n4:], m)
+	return m, finite && tail
 }
 
 // quantizeAVX2 computes exactly what quantizeGo computes.
@@ -97,11 +99,11 @@ func addScaledInt8AVX2(o []float64, q []byte, scale, c float64) {
 // Implemented in quant_amd64.s. Every slice length is a multiple of four,
 // zero included.
 
-// maxAbsAsm returns the largest |x[i]| (0 when none is larger), NaNs
-// skipped.
+// maxAbsFiniteAsm returns the largest |x[i]| (0 when none is larger), NaNs
+// skipped, and whether no x[i] has an all-ones exponent.
 //
 //go:noescape
-func maxAbsAsm(x []float64) float64
+func maxAbsFiniteAsm(x []float64) (float64, bool)
 
 // quantizeAsm: dst[i] = quantizeGo's byte for x[i]/s; len(dst) = len(x).
 //

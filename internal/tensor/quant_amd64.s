@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// AVX2 twins of maxAbsGo, quantizeGo, dequantizeGo, allFiniteGo and
+// AVX2 twins of maxAbsFiniteGo, quantizeGo, dequantizeGo, allFiniteGo and
 // addScaledInt8Go (quant.go). Each slice length is a multiple of four; the Go wrappers
 // run the tails. Operand order follows Go's assembler: the last operand
 // is the destination and the one before it is Intel's first source.
@@ -20,45 +20,73 @@ GLOBL lowBytes<>(SB), RODATA|NOPTR, $16
 	VMOVQ        R11, X; \
 	VPBROADCASTQ X, Y
 
-// func maxAbsAsm(x []float64) float64
+// func maxAbsFiniteAsm(x []float64) (float64, bool)
 //
-// Two accumulators of four lanes each. VMAXPD takes its first source when
-// that is greater and its second otherwise, so with the element first and
-// the running max second a NaN element loses, as in a > max.
-TEXT ·maxAbsAsm(SB), NOSPLIT, $0-32
+// Four accumulators of four lanes each for the max, so the VMAXPD latency
+// does not bound the loop. VMAXPD takes its first source when that is
+// greater and its second otherwise, so with the element first and the
+// running max second a NaN element loses, as in a > max. A lane is NaN or
+// ±Inf exactly when its bits with the sign cleared, a non-negative int64,
+// exceed the largest finite magnitude's; the VPCMPGTQ masks are ORed and
+// tested once at the end.
+TEXT ·maxAbsFiniteAsm(SB), NOSPLIT, $0-33
 	MOVQ x_base+0(FP), SI
 	MOVQ x_len+8(FP), CX
-	BCAST($0x7fffffffffffffff, X15, Y15)
+	BCAST($0x7fffffffffffffff, X15, Y15) // |.| mask
+	BCAST($0x7fefffffffffffff, X14, Y14) // MaxFloat64's bits
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VPXOR  Y4, Y4, Y4
 	XORQ   AX, AX
 	MOVQ   CX, DX
-	ANDQ   $-8, DX
+	ANDQ   $-16, DX
 
-max8:
-	CMPQ   AX, DX
-	JGE    max4
-	VANDPD (SI)(AX*8), Y15, Y2
-	VANDPD 32(SI)(AX*8), Y15, Y3
-	VMAXPD Y0, Y2, Y0
-	VMAXPD Y1, Y3, Y1
-	ADDQ   $8, AX
-	JMP    max8
+mf16:
+	CMPQ     AX, DX
+	JGE      mf4
+	VANDPD   (SI)(AX*8), Y15, Y6
+	VANDPD   32(SI)(AX*8), Y15, Y7
+	VANDPD   64(SI)(AX*8), Y15, Y8
+	VANDPD   96(SI)(AX*8), Y15, Y9
+	VMAXPD   Y0, Y6, Y0
+	VMAXPD   Y1, Y7, Y1
+	VMAXPD   Y2, Y8, Y2
+	VMAXPD   Y3, Y9, Y3
+	VPCMPGTQ Y14, Y6, Y6
+	VPCMPGTQ Y14, Y7, Y7
+	VPCMPGTQ Y14, Y8, Y8
+	VPCMPGTQ Y14, Y9, Y9
+	VPOR     Y7, Y6, Y6
+	VPOR     Y9, Y8, Y8
+	VPOR     Y8, Y6, Y6
+	VPOR     Y6, Y4, Y4
+	ADDQ     $16, AX
+	JMP      mf16
 
-max4:
-	CMPQ   AX, CX
-	JGE    maxsum
-	VANDPD (SI)(AX*8), Y15, Y2
-	VMAXPD Y0, Y2, Y0
+mf4:
+	CMPQ     AX, CX
+	JGE      mfsum
+	VANDPD   (SI)(AX*8), Y15, Y6
+	VMAXPD   Y0, Y6, Y0
+	VPCMPGTQ Y14, Y6, Y6
+	VPOR     Y6, Y4, Y4
+	ADDQ     $4, AX
+	JMP      mf4
 
-maxsum:
+mfsum:
 	// No lane holds a NaN, so the lanes combine in any order.
 	VMAXPD       Y1, Y0, Y0
+	VMAXPD       Y3, Y2, Y2
+	VMAXPD       Y2, Y0, Y0
 	VEXTRACTF128 $1, Y0, X1
 	VMAXPD       X1, X0, X0
 	VUNPCKHPD    X0, X0, X1
 	VMAXSD       X1, X0, X0
 	VMOVSD       X0, ret+24(FP)
+	VPTEST       Y4, Y4
+	SETEQ        ret1+32(FP)
 	VZEROUPPER
 	RET
 

@@ -4,7 +4,7 @@ package tensor
 
 // Without assembly kernels the Go references in quant.go are the only path.
 
-func maxAbs(x []float64) float64 { return maxAbsGo(x, 0) }
+func maxAbsFinite(x []float64) (float64, bool) { return maxAbsFiniteGo(x, 0) }
 
 func quantize(dst []byte, x []float64, s float64) { quantizeGo(dst, x, s) }
 

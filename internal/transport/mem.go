@@ -34,9 +34,10 @@ type LinkProfile struct {
 // ErrCorruptFrame is the Read error of a frame damaged in transit.
 var ErrCorruptFrame = errors.New("transport: frame damaged in transit")
 
-// memFrame is one in-flight message body.
+// memFrame is one in-flight message body and its pool handle.
 type memFrame struct {
 	body    []byte
+	pooled  *[]byte
 	corrupt bool
 }
 
@@ -58,16 +59,19 @@ type memDir struct {
 	seq int
 }
 
-// send applies the fault profile and enqueues body.
-func (d *memDir) send(body []byte) {
+// send applies the fault profile and enqueues f; a dropped frame goes
+// back to the pool.
+func (d *memDir) send(f memFrame) {
 	d.mu.Lock()
 	i := d.seq
 	d.seq++
 	d.mu.Unlock()
 	if slices.Contains(d.prof.DropMsgs, i) {
+		putFrame(f.pooled)
 		return
 	}
-	d.ch <- memFrame{body: body, corrupt: slices.Contains(d.prof.CorruptMsgs, i)}
+	f.corrupt = slices.Contains(d.prof.CorruptMsgs, i)
+	d.ch <- f
 }
 
 // MemConn is one end of an in-memory message link.
@@ -89,23 +93,25 @@ type connCounters struct {
 
 var _ MessageConn = (*MemConn)(nil)
 
-// Write implements MessageConn: encode into one new frame body, account
-// bytes, enqueue through the fault profile. A dropped message still
-// counts as written — the sender did the work — but never as read.
+// Write implements MessageConn: encode into one frame body, recycled as on
+// the socket path, account bytes, enqueue through the fault profile. The
+// frame is a copy, so the caller's Payload is free again when Write
+// returns. A dropped message still counts as written — the sender did the
+// work — but never as read.
 func (c *MemConn) Write(m *Message) error {
 	select {
 	case <-c.link.done:
 		return fmt.Errorf("transport: mem conn %s: write on closed link", c.local)
 	default:
 	}
-	body, err := encodeMessage(m)
+	body, f, err := encodeFrame(m)
 	if err != nil {
 		return err
 	}
 	c.counters.mu.Lock()
 	c.counters.written += int64(len(body)) + 8
 	c.counters.mu.Unlock()
-	c.out.send(body)
+	c.out.send(memFrame{body: body, pooled: f})
 	return nil
 }
 
@@ -117,14 +123,15 @@ func (e memTimeoutError) Error() string   { return "transport: mem " + e.op + " 
 func (e memTimeoutError) Timeout() bool   { return true }
 func (e memTimeoutError) Temporary() bool { return true }
 
-// Read implements MessageConn: dequeue, decode. A corrupted frame fails
-// here with ErrCorruptFrame, on the reader's side, exactly like a damaged
-// TLS record would — with its framed bytes still counted, as on the socket
-// path. A frame already queued when the link closes is still read, as TCP
-// delivers data sent before a FIN; only then does Read report the closed
-// link. A Read blocked on an empty queue is interruptible: Close and the
-// read deadline both end it, keeping the MessageConn contract that blocked
-// reads fail.
+// Read implements MessageConn: dequeue, decode. The message's Payload
+// aliases the frame until its Release, as on the socket path. A corrupted
+// frame fails here with ErrCorruptFrame, on the reader's side, exactly
+// like a damaged TLS record would — with its framed bytes still counted,
+// as on the socket path. A frame already queued when the link closes is
+// still read, as TCP delivers data sent before a FIN; only then does Read
+// report the closed link. A Read blocked on an empty queue is
+// interruptible: Close and the read deadline both end it, keeping the
+// MessageConn contract that blocked reads fail.
 func (c *MemConn) Read() (*Message, error) {
 	c.mu.Lock()
 	deadline := c.deadline
@@ -151,9 +158,10 @@ func (c *MemConn) Read() (*Message, error) {
 	c.counters.read += int64(len(f.body)) + 8
 	c.counters.mu.Unlock()
 	if f.corrupt {
+		putFrame(f.pooled)
 		return nil, fmt.Errorf("%w: mem conn %s", ErrCorruptFrame, c.local)
 	}
-	return decodeMessage(f.body)
+	return decodeFrame(f.body, f.pooled)
 }
 
 func (c *MemConn) closedErr() error {

@@ -90,17 +90,21 @@ type Message struct {
 	Token  string // admission token; set on MsgRegister
 	Round  int
 	// Payload is the serialized model weights (fl codec format). A read
-	// message's Payload aliases the frame it arrived in; a written one is
-	// sent from the caller's slice, which must not change during Write.
+	// message's Payload aliases the frame it arrived in, which is valid
+	// until Release; a written one is sent from the caller's slice, which
+	// must not change during Write and is free again once Write returns.
 	Payload []byte
 	Meta    map[string]string // task parameters, metrics, error text
 	// NumSamples weights the sender's contribution during aggregation.
 	NumSamples int
+	// frame is the pooled buffer a read message's Payload aliases, nil
+	// when it has none or it has been released.
+	frame *[]byte
 }
 
 // maxMessageSize bounds a single message (64 MiB) to fail fast on
 // corruption rather than allocating unbounded buffers.
-const maxMessageSize = 64 << 20
+const maxMessageSize = 1 << maxFrameShift
 
 // ErrMessageTooLarge is returned for frames exceeding maxMessageSize.
 var ErrMessageTooLarge = errors.New("transport: message exceeds size limit")
@@ -141,10 +145,11 @@ type MessageListener interface {
 
 // Conn frames messages over a net.Conn, one copy per message on each side:
 // Write sends the envelope from a small buffer and the payload from the
-// caller's slice, and Read reads each frame into one new buffer that the
-// message's Payload aliases. Safe for one reader and one writer goroutine
-// concurrently (reads and writes are independently serialized by the
-// caller's usage pattern; this type adds no locking).
+// caller's slice, and Read reads each frame into one buffer, recycled when
+// it is 64 KiB or more, that the message's Payload aliases until Release.
+// Safe for one reader and one writer goroutine concurrently (reads and
+// writes are independently serialized by the caller's usage pattern; this
+// type adds no locking).
 type Conn struct {
 	nc net.Conn
 	// bytesRead / bytesWritten count framed message bytes (header + body)
@@ -248,14 +253,18 @@ func field(r *wire.Reader) string {
 	return string(r.Next(int(n)))
 }
 
-// encodeMessage renders m as one frame body (no length header): the
-// envelope and a copy of the payload, in one allocation.
-func encodeMessage(m *Message) ([]byte, error) {
+// encodeFrame renders m as one frame body (no length header): the
+// envelope and a copy of the payload, in one buffer from getFrame, whose
+// handle it returns too.
+func encodeFrame(m *Message) ([]byte, *[]byte, error) {
 	n, err := envelopeSize(m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return append(appendEnvelope(make([]byte, 0, n+len(m.Payload)), m), m.Payload...), nil
+	body, f := getFrame(n + len(m.Payload))
+	appendEnvelope(body[:0], m) // within body's capacity: in place
+	copy(body[n:], m.Payload)
+	return body, f, nil
 }
 
 // decodeMessage parses one frame body. The message's Payload aliases body.
@@ -294,24 +303,26 @@ func decodeMessage(body []byte) (*Message, error) {
 	return m, nil
 }
 
-// readFrame reads one length-prefixed frame body from r into one new
-// buffer, returning the body and the total framed bytes consumed. Factored
-// out of Conn.Read so the frame parser can be fuzzed against arbitrary
-// byte streams.
-func readFrame(r io.Reader) ([]byte, int64, error) {
+// readFrame reads one length-prefixed frame body from r into one buffer
+// from getFrame, returning the body, its pool handle and the total framed
+// bytes consumed. A frame that fails to arrive in full goes back to the
+// pool unread. Factored out of Conn.Read so the frame parser can be
+// fuzzed against arbitrary byte streams.
+func readFrame(r io.Reader) ([]byte, *[]byte, int64, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, fmt.Errorf("transport: read header: %w", err)
+		return nil, nil, 0, fmt.Errorf("transport: read header: %w", err)
 	}
 	n := binary.LittleEndian.Uint64(hdr[:])
 	if n > maxMessageSize {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
+		return nil, nil, 0, fmt.Errorf("%w: %d bytes", ErrMessageTooLarge, n)
 	}
-	body := make([]byte, n)
+	body, f := getFrame(int(n))
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, 0, fmt.Errorf("transport: read body: %w", err)
+		putFrame(f)
+		return nil, nil, 0, fmt.Errorf("transport: read body: %w", err)
 	}
-	return body, int64(len(hdr)) + int64(n), nil
+	return body, f, int64(len(hdr)) + int64(n), nil
 }
 
 // ReadMessage parses one framed message from r (frame header, size cap,
@@ -320,15 +331,25 @@ func readFrame(r io.Reader) ([]byte, int64, error) {
 // framed byte count is still returned alongside the error — those bytes
 // crossed the wire and must stay in the accounting.
 func ReadMessage(r io.Reader) (*Message, int64, error) {
-	body, n, err := readFrame(r)
+	body, f, n, err := readFrame(r)
 	if err != nil {
 		return nil, 0, err
 	}
+	m, err := decodeFrame(body, f)
+	return m, n, err
+}
+
+// decodeFrame is decodeMessage of a frame from getFrame: the message holds
+// the frame for Release, and a frame that fails to decode goes straight
+// back to the pool.
+func decodeFrame(body []byte, f *[]byte) (*Message, error) {
 	m, err := decodeMessage(body)
 	if err != nil {
-		return nil, n, err
+		putFrame(f)
+		return nil, err
 	}
-	return m, n, nil
+	m.frame = f
+	return m, nil
 }
 
 // Write sends one message: the length header and the envelope in one
@@ -355,7 +376,7 @@ func (c *Conn) Write(m *Message) error {
 }
 
 // Read receives one message. Its Payload aliases the one buffer the frame
-// was read into.
+// was read into, until the message's Release.
 func (c *Conn) Read() (*Message, error) {
 	m, n, err := ReadMessage(c.nc)
 	c.bytesRead.Add(n)

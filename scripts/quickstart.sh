@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the README's networked quickstart end to end on 127.0.0.1: builds
 # provision, flserver and flclient, mints kits for two sites, checks that
-# flserver refuses three bad settings (-rounds -3, -sample NaN, a top-k
-# -codec) by exiting non-zero with the field and its flag named on
+# flserver refuses four bad settings (-rounds -3, -sample NaN, a top-k
+# -codec and an unknown one) by exiting non-zero with the field and its flag named on
 # stderr, then runs the server (with its write-ahead log and metrics
 # endpoint) and both clients on their default flags for two rounds, in a
 # temporary directory.
@@ -23,7 +23,7 @@ limit=300s
 bin/provision -clients site-a,site-b >provision.log
 # A bad setting is refused before the server listens, naming the field
 # and the flag.
-for bad in "-rounds -3:Rounds" "-sample NaN:SampleFraction" "-codec topk:Codec"; do
+for bad in "-rounds -3:Rounds" "-sample NaN:SampleFraction" "-codec topk:Codec" "-codec bogus:Codec"; do
 	flags=${bad%:*} field=${bad##*:}
 	if timeout 60s bin/flserver -kit kits/server -addr "$addr" $flags >/dev/null 2>refused.log; then
 		echo "quickstart: FAIL (flserver $flags exited 0)" >&2
